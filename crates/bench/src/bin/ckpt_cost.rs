@@ -4,14 +4,14 @@
 //! For each driver family the sweep runs a multi-timestep csp solve and
 //! times the four phases of the checkpoint path at a census boundary:
 //!
-//! * `snapshot` — [`Solve::checkpoint`]: cloning particles + tally into
+//! * `snapshot` — [`SolveCore::checkpoint`]: cloning particles + tally into
 //!   an owned [`Checkpoint`];
 //! * `encode` — [`Checkpoint::to_bytes`]: serializing to the versioned,
 //!   length-prefixed, checksummed format;
 //! * `save` — [`CheckpointStore::save`]: the crash-safe rotate →
 //!   write-temp → fsync → rename protocol, including the encode;
 //! * `load+resume` — [`CheckpointStore::load`] (read + checksum +
-//!   parse) followed by [`Solve::resume`] (validation + state rebuild).
+//!   parse) followed by [`SolveCore::resume`] (validation + state rebuild).
 //!
 //! Each is reported in milliseconds and as a fraction of the median
 //! timestep's transport time, so the headline number is "checkpointing
@@ -115,10 +115,10 @@ fn main() {
         let mut restore_ms = Vec::new();
         let mut bytes = 0usize;
         for _ in 0..reps.max(1) {
-            let mut solve = Solve::new(&sim, options);
+            let mut solve = SolveCore::new(&sim, options);
             while !solve.is_done() {
                 let t0 = Instant::now();
-                solve.step();
+                solve.step(&sim);
                 step_ms.push(t0.elapsed().as_secs_f64() * 1e3);
 
                 let t0 = Instant::now();
@@ -136,7 +136,7 @@ fn main() {
 
                 let t0 = Instant::now();
                 let (loaded, _) = store.load().expect("checkpoint load");
-                let resumed = Solve::resume(&sim, options, &loaded).expect("resume");
+                let resumed = SolveCore::resume(&sim, options, &loaded).expect("resume");
                 restore_ms.push(t0.elapsed().as_secs_f64() * 1e3);
                 assert_eq!(resumed.steps_done(), solve.steps_done());
             }

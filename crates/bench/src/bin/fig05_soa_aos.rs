@@ -6,7 +6,7 @@
 //! particle in 1-2 adjacent cache lines while SoA touches one line per
 //! field and uses a single element from each (§VI-D).
 //!
-//! Since the column migration (DESIGN.md §19) the [`ParticleSoA`]
+//! Since the column migration (DESIGN.md §19) the [`neutral_core::soa::ParticleSoA`]
 //! columns are the *canonical* storage inside every solve, so the three
 //! layouts this binary measures are now:
 //!

@@ -386,20 +386,15 @@ fn main() -> ExitCode {
     let mut options = args.options;
     // `--backend` overrides the params file's `backend` key.
     options.backend = args.backend.unwrap_or(params.backend);
-    if shards > 1 {
-        // Sharding rides on the deterministic lane merge: upgrade the
-        // non-deterministic atomic default (the same upgrade
-        // neutral_serve applies for multi-threaded chunks) and fold the
-        // per-thread-privatized execution back to the shared scheduled
-        // path (shards privatize per lane already).
-        if problem.transport.tally_strategy == TallyStrategy::Atomic {
-            println!("shards: upgrading atomic tally to replicated (deterministic merge required)");
-            problem.transport.tally_strategy = TallyStrategy::Replicated;
-        }
-        if let Execution::ScheduledPrivatized { threads, schedule } = options.execution {
-            println!("shards: --privatized folded to the scheduled execution");
-            options.execution = Execution::Scheduled { threads, schedule };
-        }
+    // Sharding rides on the deterministic lane merge: resolve the
+    // configuration the way the solve registry does for every submission
+    // (atomic tally → replicated, per-thread privatized → scheduled;
+    // shards privatize per lane already).
+    if shards > 1 && resolve_deterministic(&mut problem, &mut options) {
+        println!(
+            "shards: resolved to the deterministic configuration (tally {})",
+            problem.transport.tally_strategy.name()
+        );
     }
     if !shard_fault_plan.is_empty() && shards < 2 {
         eprintln!("error: --shard-fault requires --shards >= 2 (or a `shards` params key)");

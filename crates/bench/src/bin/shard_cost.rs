@@ -3,7 +3,9 @@
 //!
 //! For each driver family the sweep runs a multi-timestep csp solve
 //! unsharded and then re-runs it through [`ShardedSolve`] at increasing
-//! shard counts, timing whole timesteps. Each sharded step pays for
+//! shard counts (from 2: a plain one-shard solve steps the very same
+//! core in place, so its cost is the fused step's by construction),
+//! timing whole timesteps. Each sharded step pays for
 //! per-shard serialization of the transport work plus the deterministic
 //! pairwise lane merge; the headline number is "cutting a timestep into
 //! N recoverable units costs X% over the fused step". Every sharded run
@@ -117,10 +119,10 @@ fn main() {
         let mut base_ms = Vec::new();
         let mut baseline = None;
         for _ in 0..reps.max(1) {
-            let mut solve = Solve::new(&sim, options);
+            let mut solve = SolveCore::new(&sim, options);
             while !solve.is_done() {
                 let t0 = Instant::now();
-                solve.step();
+                solve.step(&sim);
                 base_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             }
             baseline = Some(solve.finish());

@@ -30,7 +30,7 @@
 //! seed 42                   # default 20170905
 //! timesteps 3               # optional override
 //! lookup hashed             # binary|hinted|unionized|hashed
-//! tally replicated          # replicated|privatized (atomic: single-thread only)
+//! tally replicated          # replicated|privatized (atomic resolves to replicated)
 //! sort by_cell              # off|by_cell|by_energy_band|auto
 //! regroup by_alive          # off|by_cell|by_energy_band|by_alive
 //! scheme oe                 # op|oe
@@ -46,9 +46,11 @@
 //! service owns its worker configuration, and the bitwise-determinism
 //! invariant guarantees the results are identical to any other worker
 //! count — which is exactly what makes the fingerprint cache sound. The
-//! one guard: a multi-threaded service refuses `tally atomic` (the only
-//! non-deterministic strategy) and upgrades a scenario's atomic default
-//! to `replicated`, so every served result is reproducible bit for bit.
+//! contract is enforced in the library, not here: the registry passes
+//! every submission through `resolve_deterministic` before fingerprinting
+//! it (an atomic default becomes `replicated`). This edge only validates
+//! input: a multi-threaded service refuses an *explicit* `tally atomic`
+//! with a 400 rather than silently serving something else.
 
 use minihttp::{Handler, Request, Response, Server, ServerHandle};
 use neutral_core::params::ParamsError;
@@ -394,9 +396,6 @@ fn build_submit(
             ));
         }
         problem.transport.tally_strategy = tally;
-    } else if problem.transport.tally_strategy == TallyStrategy::Atomic && threads > 1 {
-        // Scenario defaults must also honor the contract.
-        problem.transport.tally_strategy = TallyStrategy::Replicated;
     }
     if let Some(sort) = spec.sort {
         problem.transport.sort_policy = sort;
@@ -429,6 +428,11 @@ fn build_submit(
             "`shard_fault` needs `shards` >= 2 (faults are injected per shard unit)",
         ));
     }
+    // What the registry will run (and fingerprint): scenario defaults —
+    // and an `atomic` a single-thread service let through — resolve to
+    // the deterministic configuration here, so the request already shows
+    // it.
+    resolve_deterministic(&mut problem, &mut options);
     let mut submit = SubmitRequest::new(problem, options);
     if let Some(path) = spec.checkpoint_file {
         submit = submit.checkpoint(path, spec.checkpoint_every);
@@ -540,13 +544,18 @@ mod tests {
         let err =
             build_submit(spec("scenario csp\nscale tiny\ntally atomic\n"), 4, multi).unwrap_err();
         assert!(err.to_string().contains("atomic"), "{err}");
+        // A single-thread service accepts the spelling; like every
+        // submission it resolves to the deterministic configuration.
         let ok = build_submit(
             spec("scenario csp\nscale tiny\ntally atomic\n"),
             1,
             Execution::Sequential,
         )
         .unwrap();
-        assert_eq!(ok.problem.transport.tally_strategy, TallyStrategy::Atomic);
+        assert_eq!(
+            ok.problem.transport.tally_strategy,
+            TallyStrategy::Replicated
+        );
         // Scenario defaults upgrade silently instead of failing.
         let upgraded = build_submit(spec("scenario csp\nscale tiny\n"), 4, multi).unwrap();
         assert_ne!(

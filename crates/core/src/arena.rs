@@ -63,7 +63,7 @@ pub struct ScratchArena {
     /// rank-ordered pairs by tally cell for the clustered flush).
     pub sort_keys2: Vec<(u32, u32)>,
     /// Permutation scratch of the between-timestep regroup stage
-    /// ([`crate::particle::regroup_particles`]); also a general `u32`
+    /// ([`crate::soa::regroup_soa_parallel`]); also a general `u32`
     /// lane. Consumed by [`apply_permutation_in_place`].
     pub perm: Vec<u32>,
     /// Staging lanes for mixed-material batched lookups

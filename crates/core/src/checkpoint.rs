@@ -55,7 +55,7 @@
 use crate::config::Problem;
 use crate::counters::EventCounters;
 use crate::particle::Particle;
-use crate::sim::{RunOptions, RunReport, Simulation, Solve};
+use crate::sim::{RunOptions, RunReport, Simulation, SolveCore};
 use neutral_xs::XsHints;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -861,17 +861,17 @@ pub fn run_with_checkpoints(
 ) -> Result<SolveOutcome, CheckpointError> {
     let (mut solve, resumed) = match store.load() {
         Ok((ckpt, recovery)) => {
-            let solve = Solve::resume(sim, options, &ckpt)?;
+            let solve = SolveCore::resume(sim, options, &ckpt)?;
             (solve, Some((ckpt.next_step, recovery)))
         }
-        Err(CheckpointError::NotFound) => (Solve::new(sim, options), None),
+        Err(CheckpointError::NotFound) => (SolveCore::new(sim, options), None),
         Err(e) => return Err(e),
     };
     let resumed_from = resumed.as_ref().map(|(step, _)| *step);
     let recovery = resumed.map(|(_, r)| r);
 
     while !solve.is_done() {
-        solve.step();
+        solve.step(sim);
         let boundary = solve.steps_done();
         let mut killed = false;
         let mut planted = false;

@@ -70,11 +70,9 @@ pub enum SortPolicy {
     /// and enables the clustered flush only when deposits genuinely share
     /// cells. Physics stays bitwise identical everywhere (a clustered
     /// flush computes the same bits); the decisions are visible in the
-    /// [`crate::EventCounters::clustered_flushes`] meter, which on the
-    /// lane-decomposed drivers (windows cut at the fixed lane
-    /// boundaries) is additionally worker-count independent — the legacy
-    /// shared-atomic event path sizes windows from the thread count, so
-    /// only there the *meter* (never the physics) varies with it.
+    /// [`crate::EventCounters::clustered_flushes`] meter, which — the
+    /// windows being cut at the fixed lane boundaries — is worker-count
+    /// independent.
     Auto,
 }
 

@@ -61,6 +61,7 @@ pub mod scheduler;
 pub mod shard;
 pub mod sim;
 pub mod soa;
+pub mod step;
 pub mod validate;
 
 /// The things almost every user of the crate needs.
@@ -88,7 +89,8 @@ pub mod prelude {
         ShardedSolve,
     };
     pub use crate::sim::{
-        Execution, Layout, RunOptions, RunReport, Scheme, Simulation, Solve, SolveCore,
+        resolve_deterministic, Execution, Layout, RunOptions, RunReport, Scheme, Simulation,
+        SolveCore,
     };
     pub use crate::validate::EnergyBalance;
     pub use neutral_xs::{MaterialKind, MaterialSet, MaterialSpec};

@@ -5,7 +5,7 @@
 //! Properties the paper attributes to this scheme, all reproduced here:
 //!
 //! * tight, vectorisable loops — the round kernels are written against
-//!   the [`KernelBackend`] seam, with one implementation per way of
+//!   the `KernelBackend` seam, with one implementation per way of
 //!   writing them: [`Backend::Scalar`] per-particle loops,
 //!   [`Backend::Vectorized`] restructured branch-light loops the
 //!   auto-vectoriser can digest (§VI-G), and [`Backend::Simd`] explicit
@@ -36,12 +36,10 @@ use crate::events::{
 };
 use crate::history::TransportCtx;
 use crate::soa::{ParticleSoA, SoAChunkMut};
-use neutral_mesh::tally::AtomicTally;
 use neutral_mesh::{Facet, StructuredMesh2D};
 use neutral_rng::{CbRng, CounterStream};
 use neutral_xs::constants::speed_m_per_s;
 use neutral_xs::{macroscopic_per_m, number_density, MaterialId, MicroXs, XsHints};
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 pub use crate::config::Backend;
@@ -348,11 +346,11 @@ impl WindowState {
 ///
 /// One instance serves a whole multi-timestep solve: the init kernel
 /// re-derives every live field from the particle list at the start of
-/// each `run_over_events*` call, so the arrays — and every arena and
-/// index list inside them, at their high-water capacities — are reused
-/// across timesteps instead of being reallocated per call (the ROADMAP
-/// "arena reuse across timesteps" item). Build one with
-/// [`EventState::ensure`].
+/// each [`run_over_events_lanes_partitioned`] call, so the arrays — and
+/// every arena and index list inside them, at their high-water
+/// capacities — are reused across timesteps instead of being reallocated
+/// per call (the ROADMAP "arena reuse across timesteps" item). Build one
+/// with [`EventState::ensure_with_base`].
 pub struct EventState {
     micro_a: Vec<f64>,
     micro_s: Vec<f64>,
@@ -401,15 +399,12 @@ impl EventState {
     }
 
     /// Reuse `slot`'s state when it already fits `n` particles in
-    /// `chunk`-sized windows; (re)build it otherwise. Returns the ready
-    /// state. This is the seam the multi-timestep loop calls every step:
-    /// after the first step it is a pure borrow.
-    pub fn ensure(slot: &mut Option<EventState>, n: usize, chunk: usize) -> &mut EventState {
-        Self::ensure_with_base(slot, n, chunk, 0)
-    }
-
-    /// As [`EventState::ensure`], but for a population that is a shard's
-    /// contiguous slice of a larger one starting at global index `base0`.
+    /// `chunk`-sized windows starting at global index `base0` (non-zero
+    /// for a shard's contiguous slice of a larger population); (re)build
+    /// it otherwise. Returns the ready state. This is the seam the
+    /// multi-timestep loop calls every step: after the first step it is a
+    /// pure borrow.
+    ///
     /// Window identity bases must be *global* particle indices: the init
     /// kernel derives each window's `permuted` flag by comparing particle
     /// keys (global birth indices) against `base + i`, and a shard whose
@@ -536,176 +531,25 @@ fn windows<'a>(soa: &'a mut ParticleSoA, st: &'a mut EventState) -> Vec<Window<'
     out
 }
 
-/// Run the Over-Events scheme to census for the whole population.
-///
-/// `parallel` selects Rayon-parallel kernels (current thread pool) versus
-/// sequential execution of the same kernels. `state` is the reusable
-/// per-solve state: pass the same slot every timestep and the arrays are
-/// allocated once per solve. Returns the merged event counters and the
-/// per-kernel timings.
-pub fn run_over_events<R: CbRng>(
-    soa: &mut ParticleSoA,
-    ctx: &TransportCtx<'_, R>,
-    tally: &AtomicTally,
-    backend: Backend,
-    parallel: bool,
-    state: &mut Option<EventState>,
-) -> (EventCounters, KernelTimings) {
-    let kb = backend.kernel();
-    let n = soa.len();
-    let chunk = if parallel {
-        (n / (rayon::current_num_threads() * 8)).max(256)
-    } else {
-        n.max(1)
-    };
-    let st = EventState::ensure(state, n, chunk);
-    let mut timings = KernelTimings::default();
-    let mut counters = EventCounters::default();
-
-    // --- init kernel: populate the per-particle cache arrays.
-    let t0 = Instant::now();
-    counters.merge(&for_windows(soa, &mut *st, parallel, |w| {
-        init_kernel(w, ctx)
-    }));
-    timings.init = t0.elapsed();
-
-    // --- breadth-first rounds.
-    let max_rounds = ctx.cfg.max_events_per_history;
-    loop {
-        timings.rounds += 1;
-        if timings.rounds > max_rounds {
-            // Runaway guard: abandon whatever is still active.
-            let mut stuck = 0;
-            for (i, s) in st.status.iter_mut().enumerate() {
-                if *s == Status::Active {
-                    *s = Status::Dead;
-                    soa.dead[i] = true;
-                    stuck += 1;
-                }
-            }
-            counters.stuck += stuck;
-            break;
-        }
-
-        // Kernel 1: distances + event selection.
-        let t = Instant::now();
-        let decide = for_windows(soa, &mut *st, parallel, |w| kb.decide(w, ctx.mesh));
-        timings.decide += t.elapsed();
-        // `decide` abuses a counter struct: collisions field carries the
-        // number of still-active particles this round.
-        let active = decide.collisions;
-        if active == 0 {
-            break;
-        }
-
-        // Kernel 2: collisions.
-        let t = Instant::now();
-        counters.merge(&for_windows(soa, &mut *st, parallel, |w| {
-            collision_kernel(w, ctx, kb, ctx.cfg.sort_policy)
-        }));
-        timings.collision += t.elapsed();
-
-        // Kernel 3: facets.
-        let t = Instant::now();
-        counters.merge(&for_windows(soa, &mut *st, parallel, |w| {
-            facet_kernel(w, ctx, kb)
-        }));
-        timings.facet += t.elapsed();
-
-        // Kernel 4: the separated atomic tally flush (§VI-G).
-        let t = Instant::now();
-        counters.merge(&for_windows(soa, &mut *st, parallel, |w| {
-            tally_kernel(w, &mut { tally }, FlushList::Round, ctx.cfg.sort_policy)
-        }));
-        timings.tally += t.elapsed();
-    }
-
-    // --- census kernel (Listing 2: handled once, after the event loop).
-    let t = Instant::now();
-    counters.merge(&for_windows(soa, &mut *st, parallel, |w| {
-        census_kernel(w, ctx)
-    }));
-    // Flush the census deposits.
-    counters.merge(&for_windows(soa, &mut *st, parallel, |w| {
-        tally_kernel(w, &mut { tally }, FlushList::Census, ctx.cfg.sort_policy)
-    }));
-    timings.census += t.elapsed();
-
-    counters.census_energy_ev = crate::soa::total_weighted_energy_soa(soa);
-    (counters, timings)
-}
-
-/// Apply `kernel` to every window, sequentially or in parallel, merging the
-/// per-window counters.
-fn for_windows<F>(
-    soa: &mut ParticleSoA,
-    st: &mut EventState,
-    parallel: bool,
-    kernel: F,
-) -> EventCounters
-where
-    F: Fn(&mut Window<'_>) -> EventCounters + Sync,
-{
-    let ws = windows(soa, st);
-    if parallel {
-        ws.into_par_iter()
-            .map(|mut w| kernel(&mut w))
-            .reduce(EventCounters::default, |mut a, b| {
-                a.merge(&b);
-                a
-            })
-    } else {
-        let mut acc = EventCounters::default();
-        for mut w in ws {
-            acc.merge(&kernel(&mut w));
-        }
-        acc
-    }
-}
-
-/// Run the Over-Events scheme against the pluggable tally subsystem
-/// (`neutral_mesh::accum`): the breadth-first windows are cut at the
-/// accumulator's lane boundaries, every kernel schedules whole windows
+/// Run the Over-Events scheme to census against the pluggable tally
+/// subsystem (`neutral_mesh::accum`) — the crate's one timed round loop.
+/// The breadth-first windows are cut at the lane boundaries of the
+/// *explicit* partition `part`, every kernel schedules whole windows
 /// across `n_threads` workers, and the separated tally-flush kernel
-/// drains window `i`'s pending deposits through lane sink `i`. With a
-/// deterministic backend the merged tally and the counters are bitwise
-/// identical for any worker count.
+/// drains window `i`'s pending deposits through lane sink `i`. Returns
+/// the raw per-lane counters and the per-kernel timings; with a
+/// deterministic backend the caller's pairwise merge of both tally and
+/// counters is bitwise identical for any worker count. Census energy is
+/// left to the caller's fold.
 ///
 /// `state` is the reusable per-solve state (arrays + per-window arenas,
-/// allocated once across a multi-timestep run). `order`, when present,
-/// is the regrouped population's identity map (`order[k]` = physical
-/// position of key `k`): windows keep walking their ranges in plain
+/// allocated once across a multi-timestep run). A regrouped population
+/// needs no identity map here: windows keep walking their ranges in plain
 /// ascending order — the point of regrouping — while every
 /// order-sensitive `f64` stream (death sums, census order, tally-flush
-/// order, the census-energy fold) is anchored back to identity order via
-/// the per-slot rank, so the merged tally and counters stay bitwise
-/// identical to the unregrouped run.
-#[allow(clippy::too_many_arguments)] // the solve's full configuration surface
-pub fn run_over_events_lanes<R: CbRng>(
-    soa: &mut ParticleSoA,
-    ctx: &TransportCtx<'_, R>,
-    accum: &mut neutral_mesh::TallyAccum,
-    backend: Backend,
-    n_threads: usize,
-    schedule: crate::scheduler::Schedule,
-    state: &mut Option<EventState>,
-    order: Option<&[u32]>,
-) -> (EventCounters, KernelTimings) {
-    let part = neutral_mesh::LanePartition::new(soa.len(), accum.n_lanes());
-    let (partials, timings) = run_over_events_lanes_partitioned(
-        soa, ctx, accum, backend, n_threads, schedule, state, order, part, 0,
-    );
-    let mut counters = EventCounters::merge_deterministic(&partials);
-    counters.census_energy_ev = match order {
-        Some(ord) => crate::soa::total_weighted_energy_soa_ordered(soa, ord),
-        None => crate::soa::total_weighted_energy_soa(soa),
-    };
-    (counters, timings)
-}
-
-/// The round loop of [`run_over_events_lanes`] over an *explicit*
-/// partition, returning the raw per-lane counters instead of the
-/// deterministic merge — the Over-Events arm of the sharding seam.
+/// order) is anchored back to identity order via the per-slot rank the
+/// init kernel reads from the particle keys, so the merged tally and
+/// counters stay bitwise identical to the unregrouped run.
 ///
 /// Each lane's counters accumulate **scalar, per lane, across every
 /// pass** (chronological within the lane), and only the caller runs the
@@ -715,8 +559,7 @@ pub fn run_over_events_lanes<R: CbRng>(
 /// combined with the zero-drain flush no-op in `tally_kernel` and the
 /// global window bases of [`EventState::ensure_with_base`], a lane's
 /// counter partial is a pure function of that lane's particles. `base0`
-/// is the global index of `particles[0]` (`0` when unsharded). Census
-/// energy is left to the caller.
+/// is the global index of the first particle (`0` when unsharded).
 #[allow(clippy::too_many_arguments)] // the solve's full configuration surface
 pub fn run_over_events_lanes_partitioned<R: CbRng>(
     soa: &mut ParticleSoA,
@@ -726,7 +569,6 @@ pub fn run_over_events_lanes_partitioned<R: CbRng>(
     n_threads: usize,
     schedule: crate::scheduler::Schedule,
     state: &mut Option<EventState>,
-    order: Option<&[u32]>,
     part: neutral_mesh::LanePartition,
     base0: u32,
 ) -> (Vec<EventCounters>, KernelTimings) {
@@ -736,9 +578,6 @@ pub fn run_over_events_lanes_partitioned<R: CbRng>(
     let kb = backend.kernel();
     let n = soa.len();
     assert_eq!(part.n_items, n, "partition must cover the population");
-    if let Some(ord) = order {
-        assert_eq!(ord.len(), n, "order must be a permutation");
-    }
     let chunk = part.lane_size;
     let schedule = schedule.lane_granular();
     let mut views: Vec<LaneSink<'_>> = accum.lane_views();
@@ -794,7 +633,7 @@ pub fn run_over_events_lanes_partitioned<R: CbRng>(
     );
     timings.init = t0.elapsed();
 
-    // --- breadth-first rounds (same loop as `run_over_events`).
+    // --- breadth-first rounds.
     let max_rounds = ctx.cfg.max_events_per_history;
     loop {
         timings.rounds += 1;
@@ -2004,9 +1843,41 @@ mod tests {
     use super::*;
     use crate::config::{ProblemScale, TestCase};
     use crate::over_particles::run_sequential;
-    use crate::particle::{spawn_particles, Particle};
-    use neutral_mesh::tally::SequentialTally;
+    use crate::particle::spawn_particles;
+    use crate::scheduler::Schedule;
+    use neutral_mesh::tally::{AtomicTally, SequentialTally};
+    use neutral_mesh::{LanePartition, TallyAccum, TallyStrategy};
     use neutral_rng::Threefry2x64;
+
+    /// The sinks every round-loop test runs under: the deterministic
+    /// default and the paper's shared-atomic baseline.
+    const SINKS: [TallyStrategy; 2] = [TallyStrategy::Replicated, TallyStrategy::Atomic];
+
+    /// Drive the round loop over the whole population — one window per
+    /// lane of `accum`, `workers` workers — and merge the per-lane
+    /// counters the way the step engine's fold does.
+    fn run_rounds(
+        soa: &mut ParticleSoA,
+        c: &TransportCtx<'_, Threefry2x64>,
+        accum: &mut TallyAccum,
+        backend: Backend,
+        workers: usize,
+        state: &mut Option<EventState>,
+    ) -> (EventCounters, KernelTimings) {
+        let part = LanePartition::new(soa.len(), accum.n_lanes());
+        let (partials, timings) = run_over_events_lanes_partitioned(
+            soa,
+            c,
+            accum,
+            backend,
+            workers,
+            Schedule::Dynamic { chunk: 1 },
+            state,
+            part,
+            0,
+        );
+        (EventCounters::merge_deterministic(&partials), timings)
+    }
 
     fn fixture(case: TestCase) -> (crate::config::Problem, Threefry2x64) {
         let problem = case.build(ProblemScale::tiny(), 17);
@@ -2127,16 +1998,18 @@ mod tests {
                 p.dead = true;
             }
         }
-        let mut packed = plain.clone();
-        let mut scratch = ScratchArena::default();
-        let moved = crate::particle::regroup_particles(
+        let mut packed = ParticleSoA::from_aos(&plain);
+        let moved = crate::soa::regroup_soa_parallel(
             &mut packed,
             crate::config::RegroupPolicy::ByAlive,
             c.mesh.nx(),
             n,
-            &mut scratch,
+            1,
+            Schedule::Static { chunk: None },
+            &mut Vec::new(),
         );
         assert!(moved, "fragmented population must actually regroup");
+        let mut packed = packed.to_aos();
         let alive = plain.iter().filter(|p| !p.dead).count();
         let plain_bound = plain.iter().rposition(|p| !p.dead).unwrap() + 1;
 
@@ -2157,13 +2030,14 @@ mod tests {
 
         // And the shortened sweep is bitwise clean: identical tallies
         // (per cell) and counters, with trajectories matching by key.
-        let run = |particles: &mut Vec<Particle>| {
-            let tally = AtomicTally::new(problem.mesh.num_cells());
+        let run = |particles: &mut Vec<crate::particle::Particle>| {
+            // One lane = one window over the whole population.
+            let mut accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 1);
             let mut soa = ParticleSoA::from_aos(particles);
             let (counters, _t) =
-                run_over_events(&mut soa, &c, &tally, KernelStyle::Scalar, false, &mut None);
-            soa.write_aos(particles);
-            let bits: Vec<u64> = tally.snapshot().iter().map(|v| v.to_bits()).collect();
+                run_rounds(&mut soa, &c, &mut accum, Backend::Scalar, 1, &mut None);
+            *particles = soa.to_aos();
+            let bits: Vec<u64> = accum.merge().iter().map(|v| v.to_bits()).collect();
             (counters, bits)
         };
         let (c_plain, t_plain) = run(&mut plain);
@@ -2189,15 +2063,16 @@ mod tests {
             let op_counters = run_sequential(&mut op_particles, &c, &mut op_tally);
 
             for style in Backend::ALL {
-                for parallel in [false, true] {
+                for (sink, workers) in [(SINKS[0], 1), (SINKS[0], 4), (SINKS[1], 1), (SINKS[1], 4)]
+                {
                     let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-                    let oe_tally = AtomicTally::new(problem.mesh.num_cells());
+                    let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
                     let (oe_counters, _t) =
-                        run_over_events(&mut oe_soa, &c, &oe_tally, style, parallel, &mut None);
+                        run_rounds(&mut oe_soa, &c, &mut accum, style, workers, &mut None);
                     assert_eq!(
                         op_particles,
                         oe_soa.to_aos(),
-                        "{case:?}/{style:?}/parallel={parallel}: trajectories"
+                        "{case:?}/{style:?}/{sink:?}/{workers}w: trajectories"
                     );
                     assert_eq!(op_counters.collisions, oe_counters.collisions);
                     assert_eq!(op_counters.facets, oe_counters.facets);
@@ -2206,10 +2081,10 @@ mod tests {
                     assert_eq!(op_counters.cs_lookups, oe_counters.cs_lookups);
                     assert_eq!(op_counters.density_reads, oe_counters.density_reads);
                     let a = op_tally.total();
-                    let b = oe_tally.total();
+                    let b: f64 = accum.merge().iter().sum();
                     assert!(
                         ((a - b) / a.abs().max(1e-30)).abs() < 1e-9,
-                        "{case:?}/{style:?}: tally {a} vs {b}"
+                        "{case:?}/{style:?}/{sink:?}: tally {a} vs {b}"
                     );
                 }
             }
@@ -2225,26 +2100,18 @@ mod tests {
         let mut op_tally = SequentialTally::new(problem.mesh.num_cells());
         run_sequential(&mut op_particles, &c, &mut op_tally);
 
-        let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-        let oe_tally = AtomicTally::new(problem.mesh.num_cells());
-        run_over_events(
-            &mut oe_soa,
-            &c,
-            &oe_tally,
-            KernelStyle::Scalar,
-            false,
-            &mut None,
-        );
-
         let total = op_tally.total();
-        for (i, (a, b)) in op_tally
-            .values()
-            .iter()
-            .zip(oe_tally.snapshot())
-            .enumerate()
-        {
-            let scale = a.abs().max(total * 1e-12).max(1e-30);
-            assert!(((a - b) / scale).abs() < 1e-6, "cell {i}: {a} vs {b}");
+        for sink in SINKS {
+            let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
+            let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+            run_rounds(&mut oe_soa, &c, &mut accum, Backend::Scalar, 1, &mut None);
+            for (i, (a, b)) in op_tally.values().iter().zip(accum.merge()).enumerate() {
+                let scale = a.abs().max(total * 1e-12).max(1e-30);
+                assert!(
+                    ((a - b) / scale).abs() < 1e-6,
+                    "{sink:?} cell {i}: {a} vs {b}"
+                );
+            }
         }
     }
 
@@ -2252,20 +2119,22 @@ mod tests {
     fn timings_are_populated() {
         let (problem, rng) = fixture(TestCase::Csp);
         let c = ctx(&problem, &rng);
-        let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-        let tally = AtomicTally::new(problem.mesh.num_cells());
-        let (_counters, t) = run_over_events(
-            &mut particles,
-            &c,
-            &tally,
-            KernelStyle::Scalar,
-            false,
-            &mut None,
-        );
-        assert!(t.rounds > 1);
-        assert!(t.total() > Duration::ZERO);
-        let f = t.tally_fraction();
-        assert!((0.0..1.0).contains(&f));
+        for sink in SINKS {
+            let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
+            let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+            let (_counters, t) = run_rounds(
+                &mut particles,
+                &c,
+                &mut accum,
+                Backend::Scalar,
+                1,
+                &mut None,
+            );
+            assert!(t.rounds > 1, "{sink:?}");
+            assert!(t.total() > Duration::ZERO, "{sink:?}");
+            let f = t.tally_fraction();
+            assert!((0.0..1.0).contains(&f), "{sink:?}");
+        }
     }
 
     #[test]
@@ -2273,21 +2142,23 @@ mod tests {
         let (mut problem, rng) = fixture(TestCase::Stream);
         problem.transport.max_events_per_history = 3;
         let c = ctx(&problem, &rng);
-        let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-        let tally = AtomicTally::new(problem.mesh.num_cells());
-        let (counters, _) = run_over_events(
-            &mut particles,
-            &c,
-            &tally,
-            KernelStyle::Scalar,
-            false,
-            &mut None,
-        );
-        assert!(counters.stuck > 0);
-        assert!(particles
-            .to_aos()
-            .iter()
-            .all(|p| p.dead || p.dt_to_census == 0.0));
+        for sink in SINKS {
+            let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
+            let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+            let (counters, _) = run_rounds(
+                &mut particles,
+                &c,
+                &mut accum,
+                Backend::Scalar,
+                2,
+                &mut None,
+            );
+            assert!(counters.stuck > 0, "{sink:?}");
+            assert!(particles
+                .to_aos()
+                .iter()
+                .all(|p| p.dead || p.dt_to_census == 0.0));
+        }
     }
 
     /// A reused `EventState` must behave exactly like a fresh one on
@@ -2296,12 +2167,17 @@ mod tests {
     /// may survive the init kernel.
     #[test]
     fn state_reuse_across_timesteps_matches_fresh_state() {
-        for case in [TestCase::Scatter, TestCase::Csp] {
+        for (case, sink) in [
+            (TestCase::Scatter, SINKS[0]),
+            (TestCase::Scatter, SINKS[1]),
+            (TestCase::Csp, SINKS[0]),
+            (TestCase::Csp, SINKS[1]),
+        ] {
             let (problem, rng) = fixture(case);
             let c = ctx(&problem, &rng);
             let run2 = |reuse: bool| {
                 let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-                let tally = AtomicTally::new(problem.mesh.num_cells());
+                let mut tally = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
                 let mut slot: Option<EventState> = None;
                 let mut counters = EventCounters::default();
                 for step in 0..2 {
@@ -2315,24 +2191,24 @@ mod tests {
                     let mut fresh: Option<EventState> = None;
                     let st = if reuse { &mut slot } else { &mut fresh };
                     let (c0, _) =
-                        run_over_events(&mut particles, &c, &tally, KernelStyle::Scalar, false, st);
+                        run_rounds(&mut particles, &c, &mut tally, Backend::Scalar, 1, st);
                     counters.merge(&c0);
                 }
-                (particles, counters, tally.snapshot(), slot)
+                (particles, counters, tally.merge(), slot)
             };
             let (pa, ca, ta, slot) = run2(true);
             let (pb, cb, tb, _) = run2(false);
-            assert_eq!(pa, pb, "{case:?}: trajectories");
-            assert_eq!(ca, cb, "{case:?}: counters");
+            assert_eq!(pa, pb, "{case:?}/{sink:?}: trajectories");
+            assert_eq!(ca, cb, "{case:?}/{sink:?}: counters");
             assert!(
                 ta.iter().zip(&tb).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{case:?}: tally bits"
+                "{case:?}/{sink:?}: tally bits"
             );
             // A clean solve drains every pending deposit.
             assert_eq!(
                 slot.expect("state was reused").pending_total(),
                 0.0,
-                "{case:?}: residual pending deposits after a clean solve"
+                "{case:?}/{sink:?}: residual pending deposits after a clean solve"
             );
         }
     }
@@ -2464,9 +2340,9 @@ mod tests {
         let (mut problem, rng) = fixture(TestCase::Scatter);
         problem.transport.max_events_per_history = 6;
         let c = ctx(&problem, &rng);
-        let run2 = |reuse: bool| {
+        let run2 = |reuse: bool, sink: TallyStrategy| {
             let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-            let tally = AtomicTally::new(problem.mesh.num_cells());
+            let mut tally = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
             let mut slot: Option<EventState> = None;
             for step in 0..2 {
                 if step > 0 {
@@ -2483,14 +2359,16 @@ mod tests {
                 }
                 let mut fresh: Option<EventState> = None;
                 let st = if reuse { &mut slot } else { &mut fresh };
-                let _ = run_over_events(&mut particles, &c, &tally, KernelStyle::Scalar, false, st);
+                let _ = run_rounds(&mut particles, &c, &mut tally, Backend::Scalar, 1, st);
             }
-            tally.total()
+            tally.merge().iter().sum::<f64>()
         };
-        assert_eq!(
-            run2(true).to_bits(),
-            run2(false).to_bits(),
-            "reused state after an abort diverges from fresh state"
-        );
+        for sink in SINKS {
+            assert_eq!(
+                run2(true, sink).to_bits(),
+                run2(false, sink).to_bits(),
+                "{sink:?}: reused state after an abort diverges from fresh state"
+            );
+        }
     }
 }

@@ -5,28 +5,28 @@
 //!
 //! * [`run_sequential`] — the single-threaded baseline, generic over any
 //!   tally sink;
-//! * [`run_rayon`] — work-stealing data parallelism over particles via
-//!   Rayon (the idiomatic Rust equivalent of `#pragma omp parallel for`),
-//!   atomic tally;
 //! * [`run_scheduled`] — explicit threads with OpenMP-style
-//!   static/dynamic/guided scheduling (for the Fig 4/6 studies), with
-//!   either the shared atomic tally or per-thread privatised tallies
-//!   (Fig 7).
+//!   static/dynamic/guided scheduling at particle granularity (for the
+//!   Fig 4/6 studies), with either the shared atomic tally or per-thread
+//!   privatised tallies (Fig 7);
+//! * [`run_lanes_partitioned`] — whole tally lanes scheduled across
+//!   workers, each depositing through its own lane sink: the
+//!   deterministic driver every solve, shard and served request runs.
 //!
 //! All three resolve cross sections through the configured
 //! [`crate::config::LookupStrategy`] (via the history loop's shared
 //! `resolve_micro_xs` seam), so the lookup backend is swappable without
-//! touching any driver.
+//! touching any driver, and all three leave `census_energy_ev` to the
+//! step engine's one key-order fold ([`crate::soa::census_energy`]).
 
 use crate::counters::EventCounters;
 use crate::events::TallySink;
 use crate::history::{track_to_census, TransportCtx};
-use crate::particle::{total_weighted_energy, total_weighted_energy_ordered, Particle};
+use crate::particle::Particle;
 use crate::scheduler::{parallel_for_owned, parallel_for_stateful, Schedule, SharedSliceMut};
 use neutral_mesh::tally::{AtomicTally, PrivatizedTally};
 use neutral_mesh::{LanePartition, LaneSink, TallyAccum};
 use neutral_rng::CbRng;
-use rayon::prelude::*;
 
 /// Track every particle to census on the current thread.
 pub fn run_sequential<R: CbRng, T: TallySink>(
@@ -38,48 +38,7 @@ pub fn run_sequential<R: CbRng, T: TallySink>(
     for p in particles.iter_mut() {
         track_to_census(p, ctx, tally, &mut counters);
     }
-    counters.census_energy_ev = total_weighted_energy(particles);
     counters
-}
-
-/// Track every particle to census on Rayon's current thread pool, tallying
-/// into the shared atomic mesh.
-///
-/// Counters are folded per worker task and reduced — nothing but the tally
-/// itself is shared between threads, mirroring the OpenMP implementation
-/// where the tally atomics are the only synchronisation (§V-A: "Thread
-/// synchronisation is minimised"). Work is dealt in contiguous chunks with
-/// the same policy as the SoA driver, so the Figure 5 layout comparison
-/// isolates the layout and not the scheduling granularity.
-pub fn run_rayon<R: CbRng>(
-    particles: &mut [Particle],
-    ctx: &TransportCtx<'_, R>,
-    tally: &AtomicTally,
-) -> EventCounters {
-    let chunk = rayon_chunk_size(particles.len());
-    let mut counters = particles
-        .par_chunks_mut(chunk)
-        .fold(EventCounters::default, |mut local, chunk| {
-            let mut sink = tally;
-            for p in chunk {
-                track_to_census(p, ctx, &mut sink, &mut local);
-            }
-            local
-        })
-        .reduce(EventCounters::default, |mut a, b| {
-            a.merge(&b);
-            a
-        });
-    counters.census_energy_ev = total_weighted_energy(particles);
-    counters
-}
-
-/// Chunk size shared by the Rayon AoS and SoA drivers: ~8 chunks per
-/// worker for stealing slack, but never so small that per-chunk overhead
-/// dominates.
-#[must_use]
-pub fn rayon_chunk_size(n: usize) -> usize {
-    (n / (rayon::current_num_threads() * 8)).max(64)
 }
 
 /// Tally backend for the scheduled driver.
@@ -142,17 +101,24 @@ pub fn run_scheduled<R: CbRng>(
             }
         }
     }
-    merged.census_energy_ev = total_weighted_energy(particles);
     merged
 }
 
 /// Track every particle on `n_threads` workers with the pluggable tally
-/// subsystem: the particle list is cut into the accumulator's fixed lanes
-/// ([`LanePartition`]), whole lanes are scheduled across the workers, and
-/// each lane deposits through its own [`LaneSink`]. Per-lane counters are
-/// merged with the deterministic pairwise reduction, so for the
-/// deterministic backends the merged tally *and* the counters are bitwise
-/// identical for any `n_threads`.
+/// subsystem: the particle list is cut into the lanes of the *explicit*
+/// partition `part`, whole lanes are scheduled across the workers, and
+/// each lane deposits through its own [`LaneSink`]. Returns the raw
+/// per-lane counters; the caller merges them with the deterministic
+/// pairwise reduction, so for the deterministic backends the merged tally
+/// *and* the counters are bitwise identical for any `n_threads`.
+///
+/// The partition is explicit because this is also the sharding seam: a
+/// shard holds a contiguous run of the global lane space, so it must
+/// process its particles with the *global* `lane_size` (a tail shard's
+/// local `LanePartition::new` would compute a smaller one) and hand its
+/// per-lane partials — tally lanes via [`TallyAccum::lane_partial`],
+/// counters via this return value — to the coordinator, which replays the
+/// global pairwise merges.
 ///
 /// `order`, when present, is the identity map of a regrouped population
 /// (`order[k]` = physical position of the particle with key `k`, a
@@ -162,35 +128,6 @@ pub fn run_scheduled<R: CbRng>(
 /// unregrouped run produces — the identity-remap invariant of
 /// DESIGN.md §14. One extra gather per history; the history itself still
 /// runs register-resident.
-pub fn run_lanes<R: CbRng>(
-    particles: &mut [Particle],
-    ctx: &TransportCtx<'_, R>,
-    accum: &mut TallyAccum,
-    n_threads: usize,
-    schedule: Schedule,
-    order: Option<&[u32]>,
-) -> EventCounters {
-    let part = LanePartition::new(particles.len(), accum.n_lanes());
-    let partials = run_lanes_partitioned(particles, ctx, accum, n_threads, schedule, order, part);
-    let mut merged = EventCounters::merge_deterministic(&partials);
-    merged.census_energy_ev = match order {
-        Some(ord) => total_weighted_energy_ordered(particles, ord),
-        None => total_weighted_energy(particles),
-    };
-    merged
-}
-
-/// The lane loop of [`run_lanes`] over an *explicit* partition, returning
-/// the raw per-lane counters instead of the deterministic merge.
-///
-/// This is the sharding seam: a shard holds a contiguous run of the
-/// global lane space, so it must process its particles with the *global*
-/// `lane_size` (a tail shard's local `LanePartition::new` would compute a
-/// smaller one) and hand its per-lane partials — tally lanes via
-/// [`TallyAccum::lane_partial`], counters via this return value — to the
-/// coordinator, which replays the global pairwise merges. The census
-/// energy field of each partial is left untouched (zero): the caller owns
-/// that fold.
 pub fn run_lanes_partitioned<R: CbRng>(
     particles: &mut [Particle],
     ctx: &TransportCtx<'_, R>,
@@ -287,17 +224,27 @@ mod tests {
             let mut seq_tally = SequentialTally::new(cells);
             let seq_counters = run_sequential(&mut seq_particles, &fx.ctx(), &mut seq_tally);
 
-            // Rayon driver.
-            let mut ray_particles = spawn_particles(&fx.problem);
-            let ray_tally = AtomicTally::new(cells);
-            let ray_counters = run_rayon(&mut ray_particles, &fx.ctx(), &ray_tally);
-            assert_eq!(seq_particles, ray_particles, "{case:?}: particle states");
+            // Lane driver, shared atomic sink.
+            let mut lane_particles = spawn_particles(&fx.problem);
+            let part = LanePartition::new(lane_particles.len(), 16);
+            let mut accum =
+                TallyAccum::new(neutral_mesh::TallyStrategy::Atomic, cells, part.n_lanes);
+            let lane_counters = EventCounters::merge_deterministic(&run_lanes_partitioned(
+                &mut lane_particles,
+                &fx.ctx(),
+                &mut accum,
+                4,
+                Schedule::Dynamic { chunk: 1 },
+                None,
+                part,
+            ));
+            assert_eq!(seq_particles, lane_particles, "{case:?}: particle states");
             assert_eq!(
                 seq_counters.total_events(),
-                ray_counters.total_events(),
+                lane_counters.total_events(),
                 "{case:?}: event counts"
             );
-            assert_tallies_close(seq_tally.values(), &ray_tally.snapshot(), case);
+            assert_tallies_close(seq_tally.values(), &accum.merge(), case);
 
             // Scheduled driver, dynamic schedule, atomic tally.
             let mut sch_particles = spawn_particles(&fx.problem);
@@ -377,15 +324,17 @@ mod tests {
         let cells = fx.problem.mesh.num_cells();
         let run = |strategy: TallyStrategy, threads: usize, schedule: Schedule| {
             let mut particles = spawn_particles(&fx.problem);
-            let mut accum = TallyAccum::new(strategy, cells, 16);
-            let counters = run_lanes(
+            let part = LanePartition::new(particles.len(), 16);
+            let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
+            let counters = EventCounters::merge_deterministic(&run_lanes_partitioned(
                 &mut particles,
                 &fx.ctx(),
                 &mut accum,
                 threads,
                 schedule,
                 None,
-            );
+                part,
+            ));
             (accum.merge(), counters, particles)
         };
         for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
@@ -422,14 +371,17 @@ mod tests {
         }
     }
 
+    /// The baseline arm reports its census residual through the step
+    /// engine's fold, like every other arm.
     #[test]
     fn census_energy_reported() {
         let fx = Fixture::new(TestCase::Stream);
-        let mut particles = spawn_particles(&fx.problem);
-        let mut tally = SequentialTally::new(fx.problem.mesh.num_cells());
-        let counters = run_sequential(&mut particles, &fx.ctx(), &mut tally);
+        let report = crate::sim::Simulation::new(fx.problem.clone()).run(crate::sim::RunOptions {
+            execution: crate::sim::Execution::Sequential,
+            ..Default::default()
+        });
         // Vacuum: all particles survive at full energy.
         let expect = fx.problem.n_particles as f64 * fx.problem.initial_energy_ev;
-        assert!((counters.census_energy_ev - expect).abs() / expect < 1e-12);
+        assert!((report.counters.census_energy_ev - expect).abs() / expect < 1e-12);
     }
 }

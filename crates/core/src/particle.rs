@@ -5,9 +5,7 @@
 //! on for the whole history. The Structure-of-Arrays alternative lives in
 //! [`crate::soa`].
 
-use crate::arena::{apply_permutation_in_place, radix_sort_pairs, ScratchArena};
-use crate::config::{Problem, RegroupPolicy};
-use crate::scheduler::{parallel_for_owned_scratch, Schedule};
+use crate::config::Problem;
 use neutral_rng::{dist, CounterStream, Threefry2x64};
 use neutral_xs::XsHints;
 
@@ -116,32 +114,6 @@ pub fn spawn_particles(problem: &Problem) -> Vec<Particle> {
         .collect()
 }
 
-/// Total weighted energy of a population (eV) — the conservation budget.
-#[must_use]
-pub fn total_weighted_energy(particles: &[Particle]) -> f64 {
-    particles
-        .iter()
-        .filter(|p| !p.dead)
-        .map(Particle::weighted_energy)
-        .sum()
-}
-
-/// [`total_weighted_energy`] accumulated in **identity** (`key`) order:
-/// `order[k]` is the physical position of the particle with key `k` (the
-/// inverse of the regroup permutation). A regrouped run must report the
-/// exact bits an unregrouped run reports, and this `f64` fold is one of
-/// the order-sensitive reductions the bitwise contract anchors to key
-/// order.
-#[must_use]
-pub fn total_weighted_energy_ordered(particles: &[Particle], order: &[u32]) -> f64 {
-    order
-        .iter()
-        .map(|&pos| &particles[pos as usize])
-        .filter(|p| !p.dead)
-        .map(Particle::weighted_energy)
-        .sum()
-}
-
 /// Energy-band key of the regroup/sort stages: the exponent plus the top
 /// 8 mantissa bits, monotone for the positive energies in play (~0.4%
 /// bands) — the same banding the [`crate::config::SortPolicy`] lane sort
@@ -152,136 +124,12 @@ pub fn energy_band(energy_ev: f64) -> u32 {
     (energy_ev.to_bits() >> 44) as u32
 }
 
-/// Physically regroup the population for the next timestep (DESIGN.md
-/// §14): within each tally-lane block of `lane_size` particles, stably
-/// permute the records into the grouping `policy` asks for, dead
-/// particles always last. Identity — `key`, the RNG counter, the cached
-/// hints — moves with each record; lane membership is preserved because
-/// the permutation never crosses a lane boundary, which (together with
-/// the drivers' identity-order accumulation anchors) keeps merged
-/// tallies and counters bitwise identical to [`RegroupPolicy::Off`].
-///
-/// Returns `true` if any particle actually moved. All staging lives in
-/// `scratch` (`sort_keys`/`sort_tmp`/`perm`), so repeated calls allocate
-/// nothing once warm.
-pub fn regroup_particles(
-    particles: &mut [Particle],
-    policy: RegroupPolicy,
-    nx: usize,
-    lane_size: usize,
-    scratch: &mut ScratchArena,
-) -> bool {
-    if policy == RegroupPolicy::Off || particles.is_empty() {
-        return false;
-    }
-    let lane_size = lane_size.max(1);
-    let mut moved = false;
-    for lane in particles.chunks_mut(lane_size) {
-        moved |= regroup_block(lane, policy, nx, scratch);
-    }
-    moved
-}
-
-/// Regroup one lane block in place (the per-lane body of
-/// [`regroup_particles`]); returns `true` if any particle moved.
-fn regroup_block(
-    lane: &mut [Particle],
-    policy: RegroupPolicy,
-    nx: usize,
-    scratch: &mut ScratchArena,
-) -> bool {
-    scratch.sort_keys.clear();
-    for (i, p) in lane.iter().enumerate() {
-        let group = match policy {
-            RegroupPolicy::Off => unreachable!("rejected by the entry points"),
-            RegroupPolicy::ByAlive => u32::from(p.dead),
-            RegroupPolicy::ByCell => {
-                if p.dead {
-                    u32::MAX
-                } else {
-                    p.cell_index(nx) as u32
-                }
-            }
-            RegroupPolicy::ByEnergyBand => {
-                if p.dead {
-                    u32::MAX
-                } else {
-                    energy_band(p.energy)
-                }
-            }
-        };
-        scratch.sort_keys.push((group, i as u32));
-    }
-    // Stable by construction (payloads are insertion indices), so
-    // equal-group particles keep ascending key order within the lane.
-    radix_sort_pairs(&mut scratch.sort_keys, &mut scratch.sort_tmp);
-    if scratch
-        .sort_keys
-        .iter()
-        .enumerate()
-        .any(|(k, &(_, src))| src as usize != k)
-    {
-        scratch.perm.clear();
-        scratch
-            .perm
-            .extend(scratch.sort_keys.iter().map(|&(_, src)| src));
-        apply_permutation_in_place(lane, &mut scratch.perm);
-        return true;
-    }
-    false
-}
-
-/// [`regroup_particles`] with the lane blocks scheduled across `workers`
-/// workers through the lane scheduler (the same item-owned dispatch the
-/// tally drivers use, at lane granularity).
-///
-/// Each lane block is an independent, deterministic permutation — no lane
-/// reads or writes another — so the regrouped array is **identical for
-/// any worker count and any schedule** to the serial
-/// [`regroup_particles`]; only wall-clock changes. `scratches` is grown
-/// to `workers` arenas and reused across calls (one arena per worker, as
-/// in [`parallel_for_owned_scratch`]).
-pub fn regroup_particles_parallel(
-    particles: &mut [Particle],
-    policy: RegroupPolicy,
-    nx: usize,
-    lane_size: usize,
-    workers: usize,
-    schedule: Schedule,
-    scratches: &mut Vec<ScratchArena>,
-) -> bool {
-    if policy == RegroupPolicy::Off || particles.is_empty() {
-        return false;
-    }
-    if scratches.is_empty() {
-        scratches.push(ScratchArena::new());
-    }
-    let lane_size = lane_size.max(1);
-    if workers <= 1 || particles.len() <= lane_size {
-        return regroup_particles(particles, policy, nx, lane_size, &mut scratches[0]);
-    }
-    if scratches.len() < workers {
-        scratches.resize_with(workers, ScratchArena::new);
-    }
-    let mut lanes: Vec<(&mut [Particle], bool)> = particles
-        .chunks_mut(lane_size)
-        .map(|lane| (lane, false))
-        .collect();
-    parallel_for_owned_scratch(
-        schedule.lane_granular(),
-        &mut lanes,
-        &mut scratches[..workers],
-        |_, (lane, moved), scratch| {
-            *moved = regroup_block(lane, policy, nx, scratch);
-        },
-    );
-    lanes.iter().any(|&(_, moved)| moved)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ProblemScale, TestCase};
+    use crate::config::{ProblemScale, RegroupPolicy, TestCase};
+    use crate::scheduler::Schedule;
+    use crate::soa::{census_energy, regroup_soa_parallel, ParticleSoA};
 
     fn problem() -> Problem {
         TestCase::Stream.build(ProblemScale::tiny(), 42)
@@ -329,39 +177,61 @@ mod tests {
     #[test]
     fn total_weighted_energy_sums_alive_only() {
         let p = problem();
-        let mut particles = spawn_particles(&p);
-        let full = total_weighted_energy(&particles);
+        let mut soa = ParticleSoA::from_aos(&spawn_particles(&p));
+        let full = census_energy(&soa, None);
         assert!((full - p.n_particles as f64 * p.initial_energy_ev).abs() < 1e-3);
-        particles[0].dead = true;
-        let less = total_weighted_energy(&particles);
+        soa.dead[0] = true;
+        let less = census_energy(&soa, None);
         assert!((full - less - p.initial_energy_ev).abs() < 1e-3);
     }
+
+    /// Regroup `particles` in `lane_size` blocks on `workers` workers,
+    /// returning the regrouped records and whether anything moved.
+    fn regroup(
+        particles: &[Particle],
+        policy: RegroupPolicy,
+        nx: usize,
+        lane_size: usize,
+        workers: usize,
+        schedule: Schedule,
+    ) -> (Vec<Particle>, bool) {
+        let mut soa = ParticleSoA::from_aos(particles);
+        let moved = regroup_soa_parallel(
+            &mut soa,
+            policy,
+            nx,
+            lane_size,
+            workers,
+            schedule,
+            &mut Vec::new(),
+        );
+        (soa.to_aos(), moved)
+    }
+
+    const SERIAL: Schedule = Schedule::Static { chunk: None };
 
     #[test]
     fn regroup_groups_within_lanes_and_keeps_identity() {
         let p = problem();
         let nx = p.mesh.nx();
-        let mut particles = spawn_particles(&p);
-        let n = particles.len();
+        let mut original = spawn_particles(&p);
+        let n = original.len();
         // Kill a scattered subset and scramble cells so grouping is
         // non-trivial.
-        for (i, part) in particles.iter_mut().enumerate() {
+        for (i, part) in original.iter_mut().enumerate() {
             if i % 3 == 0 {
                 part.dead = true;
             }
             part.cellx = (i as u32 * 7) % 11;
             part.celly = (i as u32 * 3) % 5;
         }
-        let original = particles.clone();
         let lane_size = 16;
-        let mut scratch = ScratchArena::new();
         for policy in [
             RegroupPolicy::ByAlive,
             RegroupPolicy::ByCell,
             RegroupPolicy::ByEnergyBand,
         ] {
-            let mut pop = original.clone();
-            let moved = regroup_particles(&mut pop, policy, nx, lane_size, &mut scratch);
+            let (pop, moved) = regroup(&original, policy, nx, lane_size, 1, SERIAL);
             assert!(moved, "{policy:?}");
             let mut start = 0;
             while start < n {
@@ -409,32 +279,13 @@ mod tests {
             }
         }
         // Off and an already-grouped lane report no movement.
-        let mut pop = original.clone();
-        assert!(!regroup_particles(
-            &mut pop,
-            RegroupPolicy::Off,
-            nx,
-            lane_size,
-            &mut scratch
-        ));
+        let (pop, moved) = regroup(&original, RegroupPolicy::Off, nx, lane_size, 1, SERIAL);
+        assert!(!moved);
         assert_eq!(pop, original);
-        let mut grouped = original.clone();
-        regroup_particles(
-            &mut grouped,
-            RegroupPolicy::ByAlive,
-            nx,
-            lane_size,
-            &mut scratch,
-        );
-        let snapshot = grouped.clone();
-        assert!(!regroup_particles(
-            &mut grouped,
-            RegroupPolicy::ByAlive,
-            nx,
-            lane_size,
-            &mut scratch
-        ));
-        assert_eq!(grouped, snapshot);
+        let (grouped, _) = regroup(&original, RegroupPolicy::ByAlive, nx, lane_size, 1, SERIAL);
+        let (again, moved) = regroup(&grouped, RegroupPolicy::ByAlive, nx, lane_size, 1, SERIAL);
+        assert!(!moved);
+        assert_eq!(again, grouped);
     }
 
     #[test]
@@ -453,43 +304,30 @@ mod tests {
             RegroupPolicy::ByCell,
             RegroupPolicy::ByEnergyBand,
         ] {
-            let mut serial = original.clone();
-            let mut scratch = ScratchArena::new();
-            let moved = regroup_particles(&mut serial, policy, nx, lane_size, &mut scratch);
+            let (serial, moved) = regroup(&original, policy, nx, lane_size, 1, SERIAL);
             for workers in [1usize, 2, 7] {
                 for schedule in [
                     Schedule::Static { chunk: None },
                     Schedule::Dynamic { chunk: 16 },
                     Schedule::Guided { min_chunk: 2 },
                 ] {
-                    let mut par = original.clone();
-                    let mut scratches = Vec::new();
-                    let par_moved = regroup_particles_parallel(
-                        &mut par,
-                        policy,
-                        nx,
-                        lane_size,
-                        workers,
-                        schedule,
-                        &mut scratches,
-                    );
+                    let (par, par_moved) =
+                        regroup(&original, policy, nx, lane_size, workers, schedule);
                     assert_eq!(par_moved, moved, "{policy:?}/{workers}/{schedule:?}");
                     assert_eq!(par, serial, "{policy:?}/{workers}/{schedule:?}");
                 }
             }
         }
         // Off injects nothing regardless of worker count.
-        let mut par = original.clone();
-        let mut scratches = Vec::new();
-        assert!(!regroup_particles_parallel(
-            &mut par,
+        let (par, moved) = regroup(
+            &original,
             RegroupPolicy::Off,
             nx,
             lane_size,
             4,
             Schedule::Dynamic { chunk: 1 },
-            &mut scratches,
-        ));
+        );
+        assert!(!moved);
         assert_eq!(par, original);
     }
 
@@ -502,21 +340,21 @@ mod tests {
             part.energy = 10f64.powi((i % 13) as i32 - 6);
             part.dead = i % 4 == 0;
         }
-        let baseline = total_weighted_energy(&particles);
-        let mut scratch = ScratchArena::new();
-        let mut pop = particles.clone();
-        regroup_particles(
-            &mut pop,
+        let baseline = census_energy(&ParticleSoA::from_aos(&particles), None);
+        let (pop, _) = regroup(
+            &particles,
             RegroupPolicy::ByEnergyBand,
             p.mesh.nx(),
             8,
-            &mut scratch,
+            1,
+            SERIAL,
         );
         let mut order = vec![0u32; pop.len()];
         for (pos, part) in pop.iter().enumerate() {
             order[part.key as usize] = pos as u32;
         }
-        let ordered = total_weighted_energy_ordered(&pop, &order);
+        let pop = ParticleSoA::from_aos(&pop);
+        let ordered = census_energy(&pop, Some(&order));
         assert_eq!(
             ordered.to_bits(),
             baseline.to_bits(),
@@ -524,7 +362,7 @@ mod tests {
         );
         // Physical-order fold over the regrouped population generally
         // does NOT (that is the hazard the ordered fold exists for).
-        let physical = total_weighted_energy(&pop);
+        let physical = census_energy(&pop, None);
         assert!((physical - baseline).abs() <= 1e-9 * baseline.abs());
     }
 

@@ -4,15 +4,19 @@
 //! This is the serving core behind `neutral_serve` (DESIGN.md §16), kept
 //! free of any HTTP surface so it is testable in-process. A fixed pool
 //! of **runner threads** drains a queue of solve entries, advancing each
-//! leased solve by exactly one timestep chunk (a [`SolveCore::step`])
-//! before handing it back — so many concurrent solves interleave over
+//! leased solve by exactly one timestep chunk (a [`ShardedSolve::step`]
+//! — for an unsharded request, the wrapped core stepped in place) before
+//! handing it back — so many concurrent solves interleave over
 //! one shared worker pool, and cancellation/checkpointing happen at
 //! census-boundary chunk edges, never mid-kernel.
 //!
 //! The cache story rides on the bitwise-determinism invariant: merged
 //! tallies and counters depend only on the problem configuration (never
 //! on worker count or driver schedule), so [`config_fingerprint`] is a
-//! sound content address for finished results. Identical concurrent
+//! sound content address for finished results. [`Registry::submit`]
+//! makes that structural: every submission passes through
+//! [`resolve_deterministic`] *before* it is fingerprinted, so what is
+//! hashed is what runs, on any host width. Identical concurrent
 //! submissions **coalesce** onto one in-flight entry; an identical
 //! submission after completion is a **cache hit** answered without
 //! re-running transport. Both are observable through [`Admission`] and
@@ -33,10 +37,10 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError, CheckpointStore};
-use crate::config::{Problem, TallyStrategy};
+use crate::checkpoint::{config_fingerprint, CheckpointError, CheckpointStore};
+use crate::config::Problem;
 use crate::shard::{ShardConfig, ShardError, ShardFaultPlan, ShardStats, ShardedSolve};
-use crate::sim::{Execution, RunOptions, RunReport, Simulation, SolveCore};
+use crate::sim::{resolve_deterministic, RunOptions, RunReport, Simulation};
 
 /// Configuration for a [`Registry`].
 #[derive(Debug, Clone)]
@@ -86,9 +90,9 @@ impl Default for RegistryConfig {
 /// A solve submission: the fully-validated problem plus run options.
 ///
 /// Thread counts and driver schedule belong to `options` and are chosen
-/// by the service, not the client; with a deterministic tally strategy
-/// they do not affect results, which is what makes the fingerprint cache
-/// sound.
+/// by the service, not the client; under the deterministic configuration
+/// [`Registry::submit`] resolves every request to, they do not affect
+/// results, which is what makes the fingerprint cache sound.
 #[derive(Debug)]
 pub struct SubmitRequest {
     /// The problem to solve (already validated by the params layer).
@@ -291,67 +295,11 @@ pub struct RegistryStats {
     pub shard_requeues: u64,
 }
 
-/// The per-solve stepping engine: an ordinary whole-population
-/// [`SolveCore`], or a [`ShardedSolve`] when the submission asked for
-/// fault-isolated shards. Both advance one census-boundary chunk per
-/// lease and expose the same checkpoint/finish surface; the sharded
-/// variant's step can also *fail* (a quarantined shard), which the
-/// runner turns into a named `Failed` state.
-enum TaskCore {
-    Single(Box<SolveCore>),
-    Sharded(Box<ShardedSolve>),
-}
-
-impl TaskCore {
-    fn step(&mut self, sim: &Arc<Simulation>) -> Result<(), ShardError> {
-        match self {
-            TaskCore::Single(core) => {
-                core.step(sim);
-                Ok(())
-            }
-            TaskCore::Sharded(solve) => solve.step(sim).map(|_| ()),
-        }
-    }
-
-    fn steps_done(&self) -> usize {
-        match self {
-            TaskCore::Single(core) => core.steps_done(),
-            TaskCore::Sharded(solve) => solve.steps_done(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            TaskCore::Single(core) => core.is_done(),
-            TaskCore::Sharded(solve) => solve.is_done(),
-        }
-    }
-
-    fn checkpoint(&self) -> Checkpoint {
-        match self {
-            TaskCore::Single(core) => core.checkpoint(),
-            TaskCore::Sharded(solve) => solve.checkpoint(),
-        }
-    }
-
-    fn finish(self) -> RunReport {
-        match self {
-            TaskCore::Single(core) => core.finish(),
-            TaskCore::Sharded(solve) => solve.finish(),
-        }
-    }
-
-    fn shard_stats(&self) -> Option<ShardStats> {
-        match self {
-            TaskCore::Single(_) => None,
-            TaskCore::Sharded(solve) => Some(solve.stats()),
-        }
-    }
-}
-
 struct SolveTask {
     sim: Arc<Simulation>,
-    core: TaskCore,
+    /// The one solve type: a request with one shard, no fault plan and no
+    /// spill base steps its core in place; anything else is supervised.
+    solve: ShardedSolve,
     store: Option<CheckpointStore>,
     checkpoint_every: usize,
     /// Shard-stat snapshot after the previous chunk, so each chunk
@@ -466,18 +414,10 @@ impl Registry {
     /// entry is queued.
     pub fn submit(&self, req: SubmitRequest) -> Result<SubmitReceipt, SubmitError> {
         let mut req = req;
-        if req.shards > 1 {
-            // Sharded execution needs the deterministic merge; silently
-            // upgrade the atomic default like `neutral_serve` does for
-            // multi-threaded chunks. Applied *before* fingerprinting so
-            // the cache address matches what actually runs.
-            if req.problem.transport.tally_strategy == TallyStrategy::Atomic {
-                req.problem.transport.tally_strategy = TallyStrategy::Replicated;
-            }
-            if let Execution::ScheduledPrivatized { threads, schedule } = req.options.execution {
-                req.options.execution = Execution::Scheduled { threads, schedule };
-            }
-        }
+        // The determinism choke-point, applied unconditionally and
+        // *before* fingerprinting: the cache address is the address of
+        // what actually runs, whatever the host width or shard count.
+        resolve_deterministic(&mut req.problem, &mut req.options);
         let fingerprint = config_fingerprint(&req.problem);
         let n_timesteps = req.problem.n_timesteps;
         let mesh_nx = req.problem.mesh.nx();
@@ -542,20 +482,17 @@ impl Registry {
 
         // Build outside the lock: particle spawn + lookup-structure prep.
         let sim = Arc::new(Simulation::new(req.problem));
-        let core = if req.shards > 1 {
-            let mut config = ShardConfig::new(req.shards);
-            config.fault_plan = req.shard_fault.clone();
+        let mut config = ShardConfig::new(req.shards.max(1));
+        config.fault_plan = req.shard_fault.clone();
+        if req.shards > 1 {
             // Shard retries reload from `<checkpoint_file>.shard<k>`
             // stores when the solve spills at all — no collision with
             // the solve-level file itself.
             config.checkpoint_base = req.checkpoint_file.clone();
-            TaskCore::Sharded(Box::new(ShardedSolve::new(&sim, req.options, config)))
-        } else {
-            TaskCore::Single(Box::new(SolveCore::new(&sim, req.options)))
-        };
+        }
         let task = Box::new(SolveTask {
+            solve: ShardedSolve::new(&sim, req.options, config),
             sim,
-            core,
             store: req.checkpoint_file.as_ref().map(CheckpointStore::new),
             checkpoint_every: req.checkpoint_every.max(1),
             shard_stats_seen: ShardStats::default(),
@@ -687,7 +624,7 @@ enum ChunkVerdict {
 /// release the stuck thread.
 fn run_chunk(cfg: &RegistryConfig, task: &mut SolveTask, cancel: &AtomicBool) -> ChunkVerdict {
     let chunk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let step = task.core.steps_done();
+        let step = task.solve.steps_done();
         if cfg.fault_panic_on_step == Some(step) {
             panic!("injected runner fault at timestep {step}");
         }
@@ -699,13 +636,19 @@ fn run_chunk(cfg: &RegistryConfig, task: &mut SolveTask, cancel: &AtomicBool) ->
             // never observed, the thread just needs to exit.
             return ChunkVerdict::Panicked("injected hang cancelled".to_owned());
         }
-        if let Err(e) = task.core.step(&task.sim) {
+        if let Err(e) = task.solve.step(&task.sim) {
             return ChunkVerdict::ShardFailed(e);
         }
-        let done = task.core.is_done();
+        let done = task.solve.is_done();
         let spill = match &task.store {
-            Some(store) if done || task.core.steps_done().is_multiple_of(task.checkpoint_every) => {
-                store.save(&task.core.checkpoint()).err()
+            Some(store)
+                if done
+                    || task
+                        .solve
+                        .steps_done()
+                        .is_multiple_of(task.checkpoint_every) =>
+            {
+                store.save(&task.solve.checkpoint()).err()
             }
             _ => None,
         };
@@ -788,12 +731,10 @@ fn runner_loop(inner: &Inner) {
         // Account shard retry/requeue work done by this chunk (delta
         // against the previous chunk's snapshot), even when the chunk
         // ultimately failed.
-        let shard_delta = task.as_mut().and_then(|task| {
-            task.core.shard_stats().map(|now| {
-                let seen = task.shard_stats_seen;
-                task.shard_stats_seen = now;
-                (now.retries - seen.retries, now.requeues - seen.requeues)
-            })
+        let shard_delta = task.as_mut().map(|task| {
+            let now = task.solve.stats();
+            let seen = std::mem::replace(&mut task.shard_stats_seen, now);
+            (now.retries - seen.retries, now.requeues - seen.requeues)
         });
 
         // Hand the lease back and decide what happens next.
@@ -805,7 +746,7 @@ fn runner_loop(inner: &Inner) {
         }
         let entry = st.entries.get_mut(&id).expect("running entry vanished");
         if let Some(task) = &task {
-            entry.steps_done = task.core.steps_done();
+            entry.steps_done = task.solve.steps_done();
         }
         match verdict {
             ChunkVerdict::Panicked(detail) => {
@@ -850,7 +791,7 @@ fn runner_loop(inner: &Inner) {
                 if entry.cancel_requested {
                     Inner::finalize(&mut st, id, SolveState::Cancelled);
                 } else if done {
-                    let report = Arc::new(task.core.finish());
+                    let report = Arc::new(task.solve.finish());
                     let entry = st.entries.get_mut(&id).expect("running entry vanished");
                     entry.result = Some(report);
                     Inner::finalize(&mut st, id, SolveState::Done);
@@ -905,6 +846,14 @@ mod tests {
         p
     }
 
+    /// A direct run of the configuration the registry resolves
+    /// `problem` + default options to — what a served result must equal.
+    fn direct_run(mut problem: Problem) -> RunReport {
+        let mut options = RunOptions::default();
+        resolve_deterministic(&mut problem, &mut options);
+        Simulation::new(problem).run(options)
+    }
+
     fn throttled(runners: usize) -> Registry {
         Registry::new(RegistryConfig {
             runners,
@@ -927,7 +876,7 @@ mod tests {
         assert_eq!(status.state, SolveState::Done);
         assert_eq!(status.steps_done, 3);
         let served = registry.result(receipt.id).unwrap();
-        let direct = Simulation::new(tiny_problem(7, 3)).run(RunOptions::default());
+        let direct = direct_run(tiny_problem(7, 3));
         assert_eq!(served.tally, direct.tally);
         assert_eq!(served.counters, direct.counters);
         assert_eq!(served.timesteps, direct.timesteps);
@@ -1106,12 +1055,10 @@ mod tests {
         // kill that must be retried — serves the exact bytes of the
         // ordinary unsharded path, with the retry visible in /stats.
         let registry = Registry::new(RegistryConfig::default());
-        // The bitwise reference is the *upgraded* configuration the
+        // The bitwise reference is the *resolved* configuration the
         // registry actually runs (atomic → replicated; the atomic merge
         // order is not part of the deterministic contract).
-        let mut reference = tiny_problem(31, 3);
-        reference.transport.tally_strategy = TallyStrategy::Replicated;
-        let direct = Simulation::new(reference).run(RunOptions::default());
+        let direct = direct_run(tiny_problem(31, 3));
         let receipt = registry
             .submit(
                 SubmitRequest::new(tiny_problem(31, 3), RunOptions::default())
@@ -1126,13 +1073,13 @@ mod tests {
         let stats = registry.stats();
         assert_eq!(stats.shard_retries, 1);
         assert_eq!(stats.shard_requeues, 1);
-        // The atomic default was upgraded to a deterministic strategy
+        // The atomic default was resolved to a deterministic strategy
         // *before* fingerprinting: an unsharded resubmission of the
-        // upgraded problem cache-hits the sharded result.
-        let mut upgraded = tiny_problem(31, 3);
-        upgraded.transport.tally_strategy = TallyStrategy::Replicated;
+        // resolved problem cache-hits the sharded result.
+        let mut resolved = tiny_problem(31, 3);
+        resolve_deterministic(&mut resolved, &mut RunOptions::default());
         let again = registry
-            .submit(SubmitRequest::new(upgraded, RunOptions::default()))
+            .submit(SubmitRequest::new(resolved, RunOptions::default()))
             .unwrap();
         assert_eq!(again.admission, Admission::CacheHit);
         assert_eq!(again.id, receipt.id);
@@ -1234,7 +1181,7 @@ mod tests {
         let status = registry.wait(receipt.id).unwrap();
         assert_eq!(status.state, SolveState::Done);
         let served = registry.result(receipt.id).unwrap();
-        let direct = Simulation::new(tiny_problem(37, 3)).run(RunOptions::default());
+        let direct = direct_run(tiny_problem(37, 3));
         assert_eq!(served.tally, direct.tally);
         assert_eq!(served.counters, direct.counters);
     }

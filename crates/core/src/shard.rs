@@ -3,16 +3,17 @@
 //! A sharded solve cuts the population's **global lane space** into
 //! contiguous shard ranges and runs each timestep of each shard as an
 //! independent, stateless attempt on its own worker thread: the attempt
-//! receives a clone of the shard's census-boundary particles, rebuilds
-//! all transport state from scratch, runs the partitioned lane drivers
-//! with the *global* lane geometry, and hands back a serialized
-//! `ShardResult` (per-lane tally partials, per-lane counters, post-step
-//! particle records). The coordinator then replays exactly the reductions
-//! an unsharded [`crate::sim::SolveCore`] would run — the pairwise lane
-//! merge of [`neutral_mesh::accum::merge_lanes_pairwise`], the
-//! deterministic counter merge, and the key-order census-energy fold —
-//! so the merged tallies, counters and final particle records are
-//! **bitwise identical to the unsharded run for any shard count**.
+//! receives a copy of the shard's census-boundary column range, runs the
+//! step engine's `begin_step` + `run_step` over it with the *global*
+//! lane geometry, and hands back a serialized `ShardResult` (per-lane
+//! tally partials, per-lane counters, post-step particle records). The
+//! coordinator — a [`SolveCore`] — installs the records and closes the
+//! step with the very `fold_step` an unsharded step ends in (fed the
+//! pairwise lane merge of [`merge_lanes_pairwise`] over the wire
+//! partials), so the merged tallies, counters and final particle records
+//! are **bitwise identical to the unsharded run for any shard count**.
+//! A solve with one shard, no fault plan and no spill base *is* the
+//! unsharded solve: it steps its core in place.
 //!
 //! On top of that determinism sits the fault model: a per-shard
 //! supervisor with a heartbeat deadline, deterministic fault injection
@@ -29,12 +30,10 @@ use crate::checkpoint::{
     Checkpoint, CheckpointError, CheckpointStore, Reader, COUNTERS_RECORD_LEN, PARTICLE_RECORD_LEN,
 };
 use crate::counters::EventCounters;
-use crate::history::TransportCtx;
-use crate::over_events::run_over_events_lanes_partitioned;
-use crate::over_particles::run_lanes_partitioned;
-use crate::particle::{regroup_particles_parallel, spawn_particles, Particle};
-use crate::sim::{execution_workers, Execution, Layout, RunOptions, RunReport, Scheme, Simulation};
-use crate::soa::{run_lanes_soa_partitioned, ParticleSoA};
+use crate::particle::Particle;
+use crate::sim::{Execution, RunOptions, RunReport, Simulation, SolveCore};
+use crate::soa::ParticleSoA;
+use crate::step::{begin_step, run_step, StepScratch};
 use neutral_mesh::accum::{merge_lanes_pairwise, DEFAULT_LANES};
 use neutral_mesh::{LanePartition, TallyAccum};
 use std::fmt;
@@ -479,26 +478,37 @@ impl ShardResult {
         let base0 = r.u64().map_err(fail)?;
         let cells = r.u64().map_err(fail)?;
         let footprint = r.u64().map_err(fail)?;
-        let n_lanes = r.u64().map_err(fail)? as usize;
+        let n_lanes = r.u64().map_err(fail)?;
 
-        let lane_bytes = n_lanes
-            .checked_mul(COUNTERS_RECORD_LEN + cells as usize * 8)
-            .filter(|&b| b <= r.remaining())
-            .ok_or_else(|| format!("lane count {n_lanes} exceeds payload"))?;
-        let _ = lane_bytes;
+        // A corrupter can recompute the checksum, so these counts are as
+        // untrusted as the bytes: size the lane block with checked
+        // arithmetic and bound it by the payload actually present before
+        // anything is allocated from them.
+        let lane_block = usize::try_from(cells)
+            .ok()
+            .and_then(|c| c.checked_mul(8))
+            .and_then(|b| b.checked_add(COUNTERS_RECORD_LEN))
+            .zip(usize::try_from(n_lanes).ok())
+            .and_then(|(lane_len, n)| lane_len.checked_mul(n));
+        if lane_block.is_none_or(|b| b > r.remaining()) {
+            return Err(format!(
+                "{n_lanes} lanes of {cells} cells exceed the payload"
+            ));
+        }
+        let (n_lanes, n_cells) = (n_lanes as usize, cells as usize);
         let mut lane_counters = Vec::with_capacity(n_lanes);
         for _ in 0..n_lanes {
             lane_counters.push(read_counters(&mut r).map_err(fail)?);
         }
         let mut lane_tallies = Vec::with_capacity(n_lanes);
         for _ in 0..n_lanes {
-            let mut lane = Vec::with_capacity(cells as usize);
-            for _ in 0..cells {
+            let mut lane = Vec::with_capacity(n_cells);
+            for _ in 0..n_cells {
                 lane.push(r.f64().map_err(fail)?);
             }
             lane_tallies.push(lane);
         }
-        let n_particles = r.u64().map_err(fail)? as usize;
+        let n_particles = usize::try_from(r.u64().map_err(fail)?).unwrap_or(usize::MAX);
         if n_particles
             .checked_mul(PARTICLE_RECORD_LEN)
             .is_none_or(|b| b != r.remaining())
@@ -530,157 +540,70 @@ impl ShardResult {
 struct AttemptTask {
     sim: Arc<Simulation>,
     options: RunOptions,
-    particles: Vec<Particle>,
+    /// The shard's census-boundary column range.
+    soa: ParticleSoA,
     step: usize,
     shard: usize,
-    /// Global lane size — a tail shard must NOT recompute this locally.
-    lane_size: usize,
-    /// Lanes this shard owns.
-    n_lanes: usize,
-    /// Global particle index of `particles[0]`.
+    /// The shard's lanes, cut with the GLOBAL lane size — a tail shard
+    /// must not recompute it locally.
+    part: LanePartition,
+    /// Global particle index of the range's first particle.
     base0: usize,
-    cells: usize,
     heartbeat: Arc<AtomicU64>,
 }
 
-/// One stateless shard attempt: census-boundary dt reset, shard-local
-/// regroup with the global lane size, identity-map rebuild, one step of
-/// the scheme's partitioned lane driver, serialization. Pure function of
-/// its inputs — re-running it reproduces the same bytes.
+/// One stateless shard attempt: the step engine's `begin_step` +
+/// `run_step` over the shard's column range, then serialization. Pure
+/// function of its inputs — re-running it reproduces the same bytes.
 fn run_attempt(task: AttemptTask) -> Vec<u8> {
     let AttemptTask {
         sim,
         options,
-        mut particles,
+        mut soa,
         step,
         shard,
-        lane_size,
-        n_lanes,
+        part,
         base0,
-        cells,
         heartbeat,
     } = task;
     let problem = sim.problem();
-    let ctx = TransportCtx {
-        mesh: &problem.mesh,
-        materials: &problem.materials,
-        rng: sim.rng(),
-        cfg: &problem.transport,
-    };
-    let (workers, schedule) = execution_workers(options.execution);
-    if step > 0 {
-        for p in particles.iter_mut().filter(|p| !p.dead) {
-            p.dt_to_census = problem.dt;
-        }
-        // The census-boundary regroup permutes within lane blocks only,
-        // and this shard's lanes are whole global lanes — so regrouping
-        // the shard slice with the GLOBAL lane size produces exactly the
-        // global regroup's arrangement of these positions.
-        let mut scratches = Vec::new();
-        regroup_particles_parallel(
-            &mut particles,
-            problem.transport.regroup_policy,
-            problem.mesh.nx(),
-            lane_size,
-            workers,
-            schedule,
-            &mut scratches,
-        );
-    }
+    let cells = problem.mesh.num_cells();
+    let mut scratch = StepScratch::default();
+    begin_step(
+        &mut soa,
+        problem,
+        options.execution,
+        step,
+        part.lane_size,
+        base0,
+        &mut scratch,
+    );
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
-    // Keys are global birth indices; the local identity map indexes them
-    // relative to the shard's base. Deriving `permuted` from the actual
-    // storage order (rather than carrying it across steps) matches the
-    // checkpoint/restart semantics, which are proven bitwise-neutral.
-    let base = base0 as u64;
-    let permuted = particles
-        .iter()
-        .enumerate()
-        .any(|(pos, p)| p.key != base + pos as u64);
-    let mut order = Vec::new();
-    if permuted {
-        order = vec![0u32; particles.len()];
-        for (pos, p) in particles.iter().enumerate() {
-            order[(p.key - base) as usize] = pos as u32;
-        }
-    }
-    let order_ref = permuted.then_some(order.as_slice());
-    let part = LanePartition {
-        n_items: particles.len(),
-        lane_size,
-        n_lanes,
-    };
-    let mut accum = TallyAccum::new(problem.transport.tally_strategy, cells, n_lanes.max(1));
-
-    let mut lane_counters = match options.scheme {
-        Scheme::OverEvents => {
-            let mut state = None;
-            // The event driver reads particle columns; the AoS records
-            // here are the shard's census-transfer serialization format.
-            let mut soa = ParticleSoA::default();
-            soa.copy_from_aos(&particles);
-            let (counters, _timings) = run_over_events_lanes_partitioned(
-                &mut soa,
-                &ctx,
-                &mut accum,
-                options.backend,
-                workers,
-                schedule,
-                &mut state,
-                order_ref,
-                part,
-                base0 as u32,
-            );
-            soa.write_aos(&mut particles);
-            counters
-        }
-        Scheme::OverParticles => match options.layout {
-            Layout::Aos => run_lanes_partitioned(
-                &mut particles,
-                &ctx,
-                &mut accum,
-                workers,
-                schedule,
-                order_ref,
-                part,
-            ),
-            layout @ (Layout::Soa | Layout::SoaEventStepped) => {
-                let mut soa = ParticleSoA::default();
-                soa.copy_from_aos(&particles);
-                let mut arenas = Vec::new();
-                let counters = run_lanes_soa_partitioned(
-                    &mut soa,
-                    &ctx,
-                    &mut accum,
-                    workers,
-                    schedule,
-                    layout == Layout::SoaEventStepped,
-                    &mut arenas,
-                    order_ref,
-                    part,
-                );
-                soa.write_aos(&mut particles);
-                counters
-            }
-        },
-    };
+    let mut accum = TallyAccum::new(problem.transport.tally_strategy, cells, part.n_lanes.max(1));
+    let (mut lane_counters, _timings) = run_step(
+        &mut soa,
+        &sim.ctx(),
+        options,
+        part,
+        base0,
+        &mut accum,
+        &mut scratch,
+    );
     // Empty populations can yield fewer (or one placeholder) counter
     // slots; normalize to exactly one per owned lane.
-    lane_counters.resize(n_lanes, EventCounters::default());
-    lane_counters.truncate(n_lanes);
+    lane_counters.resize(part.n_lanes, EventCounters::default());
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
-    let lane_tallies = (0..n_lanes).map(|l| accum.lane_partial(l)).collect();
     let result = ShardResult {
         shard: shard as u64,
         step: step as u64,
-        base0: base,
+        base0: base0 as u64,
         cells: cells as u64,
         footprint: accum.footprint_bytes() as u64,
         lane_counters,
-        lane_tallies,
-        particles,
+        lane_tallies: (0..part.n_lanes).map(|l| accum.lane_partial(l)).collect(),
+        particles: soa.to_aos(),
     };
     let bytes = result.to_bytes();
     heartbeat.fetch_add(1, Ordering::Relaxed);
@@ -688,23 +611,14 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
 }
 
 /// A resumable solve executed as independent, supervised shards whose
-/// merged results are bitwise identical to an unsharded
-/// [`crate::sim::SolveCore`] run (see the module docs for the fault
-/// model).
+/// merged results are bitwise identical to an unsharded [`SolveCore`]
+/// run (see the module docs for the fault model). All solve state lives
+/// in the wrapped core; this type adds the plan, the supervision and the
+/// per-shard spill stores.
 pub struct ShardedSolve {
-    options: RunOptions,
+    core: SolveCore,
     config: ShardConfig,
-    fingerprint: u64,
-    n_timesteps: usize,
     plan: ShardPlan,
-    /// Census-boundary particles per shard, physical storage order.
-    shards: Vec<Vec<Particle>>,
-    counters: EventCounters,
-    tally: Vec<f64>,
-    tally_footprint: usize,
-    initial_energy_ev: f64,
-    step: usize,
-    elapsed: Duration,
     stats: ShardStats,
     stores: Option<Vec<CheckpointStore>>,
 }
@@ -714,29 +628,21 @@ impl ShardedSolve {
     ///
     /// Panics if the configured tally strategy is not deterministic or
     /// the execution is `ScheduledPrivatized` — sharding is defined on
-    /// the lane-decomposed drivers only (callers such as the CLI upgrade
-    /// atomic configurations to `replicated` before getting here).
+    /// the lane engine only (callers apply
+    /// [`crate::sim::resolve_deterministic`] before getting here).
     #[must_use]
     pub fn new(sim: &Simulation, options: RunOptions, config: ShardConfig) -> Self {
         assert!(config.n_shards >= 1, "need at least one shard");
-        let problem = sim.problem();
         assert!(
-            problem.transport.tally_strategy.is_deterministic(),
+            sim.problem().transport.tally_strategy.is_deterministic(),
             "sharded solves require a deterministic tally strategy"
         );
         assert!(
             !matches!(options.execution, Execution::ScheduledPrivatized { .. }),
             "sharded solves require a lane-decomposed execution"
         );
-        let particles = spawn_particles(problem);
-        let initial_energy_ev = particles.len() as f64 * problem.initial_energy_ev;
-        problem.materials.prepare(problem.transport.xs_search);
-        let plan = ShardPlan::new(particles.len(), config.n_shards);
-        let mut shards: Vec<Vec<Particle>> = Vec::with_capacity(config.n_shards);
-        for shard in 0..config.n_shards {
-            shards.push(particles[plan.particle_range(shard)].to_vec());
-        }
-        let fingerprint = config_fingerprint(problem);
+        let core = SolveCore::new(sim, options);
+        let plan = ShardPlan::new(core.columns().len(), config.n_shards);
         let stores = config.checkpoint_base.as_ref().map(|base| {
             (0..config.n_shards)
                 .map(|shard| {
@@ -747,39 +653,30 @@ impl ShardedSolve {
                 .collect()
         });
         Self {
-            options,
-            fingerprint,
-            n_timesteps: problem.n_timesteps,
+            core,
+            config,
             plan,
-            shards,
-            counters: EventCounters::default(),
-            tally: vec![0.0; problem.mesh.num_cells()],
-            tally_footprint: 0,
-            initial_energy_ev,
-            step: 0,
-            elapsed: Duration::ZERO,
             stats: ShardStats::default(),
             stores,
-            config,
         }
     }
 
     /// Whether every timestep has been executed.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.step >= self.n_timesteps
+        self.core.is_done()
     }
 
     /// Timesteps completed so far.
     #[must_use]
     pub fn steps_done(&self) -> usize {
-        self.step
+        self.core.steps_done()
     }
 
     /// Total timesteps of the solve.
     #[must_use]
     pub fn n_timesteps(&self) -> usize {
-        self.n_timesteps
+        self.core.n_timesteps()
     }
 
     /// The shard plan in force.
@@ -800,79 +697,78 @@ impl ShardedSolve {
     #[must_use]
     pub fn shard_fingerprint(&self, shard: usize) -> u64 {
         let mut bytes = Vec::with_capacity(24);
-        bytes.extend_from_slice(&self.fingerprint.to_le_bytes());
+        bytes.extend_from_slice(&self.core.fingerprint().to_le_bytes());
         bytes.extend_from_slice(&(shard as u64).to_le_bytes());
         bytes.extend_from_slice(&(self.plan.n_shards as u64).to_le_bytes());
         fnv1a64(bytes.into_iter())
     }
 
-    /// Execute the next timestep: supervise every shard (with retry on
-    /// failure), then replay the unsharded reductions over the shard
-    /// results. Returns `Ok(false)` (doing nothing) once all timesteps
-    /// have run; a quarantined shard surfaces as
+    /// Execute the next timestep. One shard with nothing to inject and
+    /// nowhere to spill is the unsharded solve, stepped in place;
+    /// otherwise every shard is supervised (with retry on failure) and
+    /// the results are folded into the core exactly as an unsharded step
+    /// folds its own. Returns `Ok(false)` (doing nothing) once all
+    /// timesteps have run; a quarantined shard surfaces as
     /// [`ShardError::Quarantined`] and leaves the solve at the failed
     /// census boundary.
     pub fn step(&mut self, sim: &Arc<Simulation>) -> Result<bool, ShardError> {
         debug_assert_eq!(
             config_fingerprint(sim.problem()),
-            self.fingerprint,
+            self.core.fingerprint(),
             "ShardedSolve stepped against a different simulation"
         );
+        if self.plan.n_shards == 1 && self.config.fault_plan.is_empty() && self.stores.is_none() {
+            return Ok(self.core.step(sim));
+        }
         if self.is_done() {
             return Ok(false);
         }
-        let start = Instant::now();
+        let started = Instant::now();
         self.save_shard_checkpoints()?;
         let mut results = Vec::with_capacity(self.plan.n_shards);
         for shard in 0..self.plan.n_shards {
             if self.plan.lane_range(shard).is_empty() {
                 continue;
             }
-            let result = self.run_shard_with_retry(sim, shard)?;
-            results.push((shard, result));
+            results.push(self.run_shard_with_retry(sim, shard)?);
         }
-        self.merge_step(results);
-        self.elapsed += start.elapsed();
-        self.step += 1;
+
+        // Shard order is global lane order: concatenating the per-lane
+        // partials rebuilds the whole population's lane sequence.
+        let n_lanes = self.plan.part.n_lanes;
+        let mut lane_counters = Vec::with_capacity(n_lanes);
+        let mut lane_tallies: Vec<&Vec<f64>> = Vec::with_capacity(n_lanes);
+        for r in &results {
+            lane_counters.extend(r.lane_counters.iter().copied());
+            lane_tallies.extend(r.lane_tallies.iter());
+        }
+        debug_assert_eq!(lane_counters.len(), n_lanes);
+        let merged = merge_lanes_pairwise(n_lanes, &|lane| lane_tallies[lane].clone());
+        let footprint = results.iter().map(|r| r.footprint as usize).sum();
+        self.core.store_records(
+            results
+                .iter()
+                .map(|r| (r.base0 as usize, r.particles.as_slice())),
+        );
+        // Kernel timings are diagnostics, excluded from the bitwise
+        // contract, and do not travel on the wire.
+        self.core
+            .fold_step(&lane_counters, &merged, footprint, None, started);
         Ok(true)
     }
 
     /// Snapshot the complete resumable state at the current census
-    /// boundary, identical in shape to an unsharded solve's checkpoint
-    /// (the particle concatenation IS the unsharded physical order).
+    /// boundary — the wrapped core's checkpoint, so it resumes through
+    /// the ordinary unsharded restart path.
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            fingerprint: self.fingerprint,
-            next_step: self.step,
-            n_timesteps: self.n_timesteps,
-            elapsed: self.elapsed,
-            tally_footprint_bytes: self.tally_footprint,
-            counters: self.counters,
-            tally: self.tally.clone(),
-            particles: self.shards.concat(),
-        }
+        self.core.checkpoint()
     }
 
-    /// Finish the solve and build the report. The concatenated shard
-    /// populations, merged counters and merged tally are bitwise
-    /// identical to the unsharded run's. (`kernel_timings` is `None` for
-    /// sharded runs; timings are diagnostics, excluded from the bitwise
-    /// contract.)
+    /// Finish the solve and build the report.
     #[must_use]
     pub fn finish(self) -> RunReport {
-        let particles = self.shards.concat();
-        let alive = particles.iter().filter(|p| !p.dead).count();
-        RunReport {
-            elapsed: self.elapsed,
-            counters: self.counters,
-            tally: self.tally,
-            kernel_timings: None,
-            alive,
-            initial_energy_ev: self.initial_energy_ev,
-            tally_footprint_bytes: self.tally_footprint,
-            timesteps: self.step,
-        }
+        self.core.finish()
     }
 
     /// Write each shard's census-boundary input through its crash-safe
@@ -887,37 +783,44 @@ impl ShardedSolve {
             }
             let ckpt = Checkpoint {
                 fingerprint: self.shard_fingerprint(shard),
-                next_step: self.step,
-                n_timesteps: self.n_timesteps,
+                next_step: self.core.steps_done(),
+                n_timesteps: self.core.n_timesteps(),
                 elapsed: Duration::ZERO,
                 tally_footprint_bytes: 0,
                 counters: EventCounters::default(),
                 tally: Vec::new(),
-                particles: self.shards[shard].clone(),
+                particles: self.attempt_columns(shard).to_aos(),
             };
             store.save(&ckpt).map_err(ShardError::Checkpoint)?;
         }
         Ok(())
     }
 
+    /// A copy of `shard`'s census-boundary column range.
+    fn attempt_columns(&self, shard: usize) -> ParticleSoA {
+        self.core.columns().slice(self.plan.particle_range(shard))
+    }
+
     /// The input population for an attempt of `shard`: the in-memory
-    /// census-boundary snapshot, or — on retries with stores configured —
-    /// the snapshot reloaded through the on-disk protocol.
-    fn attempt_input(&self, shard: usize, retry: bool) -> Result<Vec<Particle>, ShardError> {
+    /// census-boundary columns, or — on retries with stores configured —
+    /// the records reloaded through the on-disk protocol.
+    fn attempt_input(&self, shard: usize, retry: bool) -> Result<ParticleSoA, ShardError> {
         if retry {
             if let Some(stores) = &self.stores {
                 let (ckpt, _recovery) = stores[shard].load().map_err(ShardError::Checkpoint)?;
-                if ckpt.fingerprint != self.shard_fingerprint(shard) || ckpt.next_step != self.step
+                if ckpt.fingerprint != self.shard_fingerprint(shard)
+                    || ckpt.next_step != self.core.steps_done()
+                    || ckpt.particles.len() != self.plan.particle_range(shard).len()
                 {
                     return Err(ShardError::Corrupt {
                         shard,
                         detail: "shard checkpoint does not match this shard/step".to_owned(),
                     });
                 }
-                return Ok(ckpt.particles);
+                return Ok(ParticleSoA::from_aos(&ckpt.particles));
             }
         }
-        Ok(self.shards[shard].clone())
+        Ok(self.attempt_columns(shard))
     }
 
     fn run_shard_with_retry(
@@ -966,23 +869,24 @@ impl ShardedSolve {
         &self,
         sim: &Arc<Simulation>,
         shard: usize,
-        particles: Vec<Particle>,
+        soa: ParticleSoA,
         fault: Option<ShardFaultKind>,
     ) -> Result<ShardResult, ShardError> {
-        let range = self.plan.particle_range(shard);
-        let lanes = self.plan.lane_range(shard);
         let task = AttemptTask {
             sim: Arc::clone(sim),
-            options: self.options,
-            particles,
-            step: self.step,
+            options: self.core.options(),
+            part: LanePartition {
+                n_items: soa.len(),
+                lane_size: self.plan.part.lane_size,
+                n_lanes: self.plan.lane_range(shard).len(),
+            },
+            soa,
+            step: self.core.steps_done(),
             shard,
-            lane_size: self.plan.part.lane_size,
-            n_lanes: lanes.len(),
-            base0: range.start,
-            cells: self.tally.len(),
+            base0: self.plan.particle_range(shard).start,
             heartbeat: Arc::new(AtomicU64::new(0)),
         };
+        let cells = sim.problem().mesh.num_cells();
         let heartbeat = Arc::clone(&task.heartbeat);
         let cancel = Arc::new(AtomicBool::new(false));
         let cancel_attempt = Arc::clone(&cancel);
@@ -1031,7 +935,7 @@ impl ShardedSolve {
         let mut last_progress = Instant::now();
         let verdict = loop {
             match rx.recv_timeout(poll) {
-                Ok(Ok(bytes)) => break self.decode(shard, &bytes),
+                Ok(Ok(bytes)) => break self.decode(shard, cells, &bytes),
                 Ok(Err(e)) => break Err(e),
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     let beat = heartbeat.load(Ordering::Relaxed);
@@ -1059,20 +963,20 @@ impl ShardedSolve {
     }
 
     /// Deserialize and validate a shard's reported result.
-    fn decode(&self, shard: usize, bytes: &[u8]) -> Result<ShardResult, ShardError> {
+    fn decode(&self, shard: usize, cells: usize, bytes: &[u8]) -> Result<ShardResult, ShardError> {
         let corrupt = |detail: String| ShardError::Corrupt { shard, detail };
         let result = ShardResult::from_bytes(bytes).map_err(corrupt)?;
         let range = self.plan.particle_range(shard);
         let lanes = self.plan.lane_range(shard);
         if result.shard != shard as u64
-            || result.step != self.step as u64
+            || result.step != self.core.steps_done() as u64
             || result.base0 != range.start as u64
         {
             return Err(corrupt(
                 "result identity does not match this shard/step".to_owned(),
             ));
         }
-        if result.cells != self.tally.len() as u64 || result.lane_counters.len() != lanes.len() {
+        if result.cells != cells as u64 || result.lane_counters.len() != lanes.len() {
             return Err(corrupt(
                 "result geometry does not match the shard plan".to_owned(),
             ));
@@ -1097,53 +1001,6 @@ impl ShardedSolve {
             seen[k] = true;
         }
         Ok(result)
-    }
-
-    /// Replay, over the shard results of one step, exactly the
-    /// reductions the unsharded solve runs: the global pairwise lane
-    /// merge into the running tally, the deterministic counter merge in
-    /// global lane order, and the census-energy fold in key order.
-    fn merge_step(&mut self, results: Vec<(usize, ShardResult)>) {
-        let n_lanes = self.plan.part.n_lanes;
-        let mut lane_counters = Vec::with_capacity(n_lanes);
-        let mut lane_tallies: Vec<&Vec<f64>> = Vec::with_capacity(n_lanes);
-        for (_, r) in &results {
-            lane_counters.extend(r.lane_counters.iter().copied());
-            lane_tallies.extend(r.lane_tallies.iter());
-        }
-        debug_assert_eq!(lane_counters.len(), n_lanes);
-        let mut step_counters = EventCounters::merge_deterministic(&lane_counters);
-        let merged = merge_lanes_pairwise(n_lanes, &|lane| lane_tallies[lane].clone());
-        for (acc, v) in self.tally.iter_mut().zip(&merged) {
-            *acc += v;
-        }
-
-        // One sequential fold across the whole population in key order —
-        // bitwise the fold the unsharded drivers run (key order equals
-        // physical order whenever nothing is permuted).
-        let mut census = 0.0f64;
-        for (shard, r) in &results {
-            let base = self.plan.particle_range(*shard).start as u64;
-            let mut pos_by_key = vec![0u32; r.particles.len()];
-            for (pos, p) in r.particles.iter().enumerate() {
-                pos_by_key[(p.key - base) as usize] = pos as u32;
-            }
-            for &pos in &pos_by_key {
-                let p = &r.particles[pos as usize];
-                if !p.dead {
-                    census += p.weighted_energy();
-                }
-            }
-        }
-        step_counters.census_energy_ev = census;
-
-        self.counters.merge(&step_counters);
-        // The residual is a snapshot, not a sum across steps.
-        self.counters.census_energy_ev = step_counters.census_energy_ev;
-        self.tally_footprint = results.iter().map(|(_, r)| r.footprint as usize).sum();
-        for (shard, r) in results {
-            self.shards[shard] = r.particles;
-        }
     }
 }
 
@@ -1212,8 +1069,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shard_result_codec_round_trips_and_detects_corruption() {
+    fn sample_result() -> ShardResult {
         let particles = vec![Particle {
             x: 0.5,
             y: 0.25,
@@ -1230,7 +1086,7 @@ mod tests {
             rng_counter: 42,
             dead: false,
         }];
-        let result = ShardResult {
+        ShardResult {
             shard: 1,
             step: 3,
             base0: 7,
@@ -1243,7 +1099,12 @@ mod tests {
             }],
             lane_tallies: vec![vec![1.25, -3.5]],
             particles,
-        };
+        }
+    }
+
+    #[test]
+    fn shard_result_codec_round_trips_and_detects_corruption() {
+        let result = sample_result();
         let bytes = result.to_bytes();
         let back = ShardResult::from_bytes(&bytes).unwrap();
         assert_eq!(back.shard, 1);
@@ -1262,5 +1123,40 @@ mod tests {
         flipped[mid] ^= 0xFF;
         let err = ShardResult::from_bytes(&flipped).unwrap_err();
         assert!(err.contains("checksum"), "got: {err}");
+    }
+
+    #[test]
+    fn huge_lane_geometry_with_valid_checksum_fails_cleanly() {
+        // The shard-result twin of the checkpoint suite's hostile-header
+        // test: a corrupter can recompute the FNV checksum, so `cells`
+        // and `n_lanes` are untrusted. Plant values whose byte-size
+        // products wrap usize and re-checksum; the decoder must name the
+        // corruption instead of overflowing (a debug-build panic on the
+        // unsupervised coordinator thread) or allocating from the header.
+        let bytes = sample_result().to_bytes();
+        // Payload words: shard, step, base0, cells, footprint, n_lanes.
+        let cells_off = SHARD_HEADER_LEN + 8 * 3;
+        let n_lanes_off = SHARD_HEADER_LEN + 8 * 5;
+        assert_eq!(
+            u64::from_le_bytes(bytes[cells_off..cells_off + 8].try_into().unwrap()),
+            2,
+            "test out of sync with the payload layout"
+        );
+        for (off, huge) in [
+            // (1<<61)+1 cells: `cells * 8` wraps to 8.
+            (cells_off, (1u64 << 61) + 1),
+            (cells_off, u64::MAX),
+            // Wraps the lane-block product while each factor fits.
+            (n_lanes_off, u64::MAX / 2 + 3),
+            (n_lanes_off, 1 << 40),
+        ] {
+            let mut evil = bytes.clone();
+            evil[off..off + 8].copy_from_slice(&huge.to_le_bytes());
+            let n = evil.len();
+            let sum = fnv1a64(evil[..n - 8].iter().copied());
+            evil[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            let err = ShardResult::from_bytes(&evil).unwrap_err();
+            assert!(err.contains("exceed the payload"), "field at {off}: {err}");
+        }
     }
 }

@@ -3,26 +3,20 @@
 //! and collect a [`RunReport`].
 //!
 //! This is the API the examples and the figure-regeneration harness drive;
-//! it wires together the drivers in [`crate::over_particles`],
-//! [`crate::over_events`] and [`crate::soa`].
+//! every timestep it advances goes through the one step engine in
+//! [`crate::step`].
 
-use crate::arena::ScratchArena;
 use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
-use crate::config::{Problem, RegroupPolicy};
+use crate::config::{Problem, TallyStrategy};
 use crate::counters::EventCounters;
 use crate::history::TransportCtx;
-use crate::over_events::{
-    run_over_events, run_over_events_lanes, Backend, EventState, KernelTimings,
-};
-use crate::over_particles::{run_lanes, run_rayon, run_scheduled, run_sequential, ScheduledTally};
+use crate::over_events::{Backend, KernelTimings};
 use crate::particle::{spawn_particles, Particle};
 use crate::scheduler::Schedule;
-use crate::soa::{
-    regroup_soa_parallel, run_lanes_soa, run_rayon_soa, run_rayon_soa_stepped, ParticleSoA,
-};
+use crate::soa::{census_energy, ParticleSoA};
+use crate::step::{begin_step, run_baseline, run_step, StepScratch};
 use crate::validate::{population_balance, EnergyBalance};
 use neutral_mesh::accum::DEFAULT_LANES;
-use neutral_mesh::tally::{AtomicTally, PrivatizedTally, SequentialTally};
 use neutral_mesh::{LanePartition, TallyAccum};
 use neutral_rng::Threefry2x64;
 use std::time::{Duration, Instant};
@@ -49,7 +43,7 @@ pub enum Layout {
     Soa,
     /// Structure of Arrays with event-granular gather/scatter and no
     /// register caching — the memory behaviour that produced the paper's
-    /// SoA penalty (see `soa::run_rayon_soa_stepped`).
+    /// SoA penalty (see [`crate::soa`]).
     SoaEventStepped,
 }
 
@@ -64,16 +58,19 @@ impl Layout {
     }
 }
 
-/// Threading and tally configuration of a run.
+/// Threading configuration of a run. Which tally the run deposits into
+/// is the problem's [`TallyStrategy`]; the step engine's dispatch table
+/// ([`crate::step`]) combines the two.
 #[derive(Clone, Copy, Debug)]
 pub enum Execution {
-    /// Single-threaded, plain `Vec<f64>` tally.
+    /// Single-threaded.
     Sequential,
-    /// Rayon work-stealing pool (global pool, or a pool the caller
-    /// installed), shared atomic tally.
+    /// One worker per thread of Rayon's current pool (global, or one the
+    /// caller installed), whole tally lanes scheduled dynamically.
     Rayon,
-    /// Explicit threads with an OpenMP-style schedule and the shared
-    /// atomic tally (paper §VI-C/E).
+    /// Explicit threads with an OpenMP-style schedule (paper §VI-C/E):
+    /// particle-granular on the record-at-a-time `atomic` baseline,
+    /// lane-granular everywhere else.
     Scheduled {
         /// Number of worker threads.
         threads: usize,
@@ -171,114 +168,28 @@ impl RunReport {
     }
 }
 
-/// Per-solve transport state that persists **across timesteps** (ROADMAP
-/// "arena reuse across timesteps"): the event-driver state arrays and
-/// per-window arenas, the per-worker arenas of the SoA chunk driver, the
-/// regroup scratch, and the identity map of a regrouped population. One
-/// instance is created per [`Simulation::run`] call and threaded through
-/// every step, so multi-timestep solves stop rebuilding `EventState`,
-/// `WindowState` arenas and SoA chunk trackers per call.
+/// The determinism choke-point (DESIGN.md §16): rewrite `problem` and
+/// `options` into the configuration whose merged tallies and counters
+/// are a pure function of the problem — the only kind a result cache may
+/// fingerprint and a sharded solve can merge. The order-nondeterministic
+/// `atomic` tally becomes `replicated`, and the per-*thread*
+/// `ScheduledPrivatized` execution (whose merge depends on the thread
+/// count) becomes `Scheduled`. Returns whether anything changed.
 ///
-/// The particle columns themselves are NOT here: [`SolveCore`] owns the
-/// canonical [`ParticleSoA`] directly and every driver reads it in
-/// place. The only AoS buffer left is `aos` below — a scratch for the
-/// legacy record-at-a-time drivers, materialised per step at their
-/// entry seam and scattered back after (the inverse of the old design,
-/// where the columns were the per-step copy).
-#[derive(Default)]
-struct TransportState {
-    /// Reusable state of the lane-decomposed event driver (windows cut
-    /// at lane boundaries).
-    oe_lanes: Option<EventState>,
-    /// Reusable state of the legacy shared-atomic event driver (windows
-    /// cut by thread count — a different chunk, hence a separate slot).
-    oe_plain: Option<EventState>,
-    /// Reusable AoS record buffer for the record-at-a-time
-    /// (`Layout::Aos`) history drivers, re-materialised from the
-    /// canonical columns each step.
-    aos: Vec<Particle>,
-    /// Per-worker arenas of the lane-decomposed SoA driver.
-    soa_arenas: Vec<ScratchArena>,
-    /// Per-worker staging of the between-timestep regroup permutation
-    /// (the regroup stage runs per lane block through the lane
-    /// scheduler; one arena per worker).
-    regroup_scratches: Vec<ScratchArena>,
-    /// Identity map of a regrouped population: `order[key]` = physical
-    /// position. Empty (and unused) until the first regroup actually
-    /// moves a particle.
-    order: Vec<u32>,
-    /// Whether any regroup has moved a particle this solve — gates the
-    /// identity-map indirection so an `Off` run (or a regroup that found
-    /// everything already grouped) keeps the exact unpermuted code paths.
-    permuted: bool,
-}
-
-impl TransportState {
-    /// Regroup the population for the next timestep and refresh the
-    /// identity map. Lane blocks match the tally-lane partition the lane
-    /// drivers use, so lane membership (and with it the bitwise-merge
-    /// invariant) is preserved. The per-lane permutations are scheduled
-    /// across `workers` through the lane scheduler — each lane is
-    /// independent and deterministic, so the regrouped array is
-    /// identical for any worker count.
-    fn regroup(
-        &mut self,
-        soa: &mut ParticleSoA,
-        policy: RegroupPolicy,
-        nx: usize,
-        workers: usize,
-        schedule: Schedule,
-    ) {
-        let part = LanePartition::new(soa.len(), DEFAULT_LANES);
-        if regroup_soa_parallel(
-            soa,
-            policy,
-            nx,
-            part.lane_size,
-            workers,
-            schedule,
-            &mut self.regroup_scratches,
-        ) {
-            self.permuted = true;
-        }
-        if self.permuted {
-            self.order.resize(soa.len(), 0);
-            for (pos, &key) in soa.key.iter().enumerate() {
-                self.order[key as usize] = pos as u32;
-            }
-        }
+/// [`crate::registry::Registry::submit`] applies this to every
+/// submission *before* fingerprinting, so what is hashed is what runs on
+/// any host width; front-ends call it to show the resolved configuration.
+pub fn resolve_deterministic(problem: &mut Problem, options: &mut RunOptions) -> bool {
+    let mut changed = false;
+    if problem.transport.tally_strategy == TallyStrategy::Atomic {
+        problem.transport.tally_strategy = TallyStrategy::Replicated;
+        changed = true;
     }
-
-    /// Rebuild the permutation bookkeeping from a (possibly regrouped)
-    /// checkpointed population: `permuted` is re-derived from the actual
-    /// storage order, and the identity map rebuilt when needed. A
-    /// population that happens to sit in identity order resumes through
-    /// the direct (unpermuted) code paths, which compute the same bits
-    /// as an identity map would.
-    fn restore_order(&mut self, particles: &[Particle]) {
-        self.permuted = particles
-            .iter()
-            .enumerate()
-            .any(|(pos, p)| p.key as usize != pos);
-        if self.permuted {
-            self.order.resize(particles.len(), 0);
-            for (pos, p) in particles.iter().enumerate() {
-                self.order[p.key as usize] = pos as u32;
-            }
-        }
+    if let Execution::ScheduledPrivatized { threads, schedule } = options.execution {
+        options.execution = Execution::Scheduled { threads, schedule };
+        changed = true;
     }
-}
-
-/// Worker count and schedule implied by an [`Execution`] — used for the
-/// stages (like the census-boundary regroup) that run through the lane
-/// scheduler outside the main drivers.
-pub(crate) fn execution_workers(execution: Execution) -> (usize, Schedule) {
-    match execution {
-        Execution::Sequential => (1, Schedule::Static { chunk: None }),
-        Execution::Rayon => (rayon::current_num_threads(), Schedule::Dynamic { chunk: 1 }),
-        Execution::Scheduled { threads, schedule }
-        | Execution::ScheduledPrivatized { threads, schedule } => (threads, schedule),
-    }
+    changed
 }
 
 /// A configured simulation: problem + spawned particle population.
@@ -312,18 +223,23 @@ impl Simulation {
         &self.problem
     }
 
-    /// The per-problem RNG (keyed by the problem seed). Shard attempts
-    /// clone this so every shard draws from the same counter-based
-    /// streams an unsharded run would.
-    pub(crate) fn rng(&self) -> &Threefry2x64 {
-        &self.rng
+    /// The read-only transport context of this simulation. The RNG is
+    /// keyed by the problem seed, so every shard attempt draws from the
+    /// same counter-based streams an unsharded run would.
+    pub(crate) fn ctx(&self) -> TransportCtx<'_, Threefry2x64> {
+        TransportCtx {
+            mesh: &self.problem.mesh,
+            materials: &self.problem.materials,
+            rng: &self.rng,
+            cfg: &self.problem.transport,
+        }
     }
 
     /// Run the configured number of timesteps with `options`, returning
     /// the report. Each call spawns a fresh particle population, so
     /// repeated calls with the same options are reproducible.
     ///
-    /// A `TransportState` is created once per call and reused across
+    /// The per-solve scratch is created once per call and reused across
     /// every timestep: the event-driver arenas, SoA buffers and regroup
     /// scratch reach their high-water capacities in step one and are
     /// never reallocated. At each census boundary the population is
@@ -334,254 +250,46 @@ impl Simulation {
     /// backends.
     #[must_use]
     pub fn run(&self, options: RunOptions) -> RunReport {
-        let mut solve = Solve::new(self, options);
-        while solve.step() {}
+        let mut solve = SolveCore::new(self, options);
+        while solve.step(self) {}
         solve.finish()
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal step dispatcher
-    fn run_step(
-        &self,
-        soa: &mut ParticleSoA,
-        ctx: &TransportCtx<'_, Threefry2x64>,
-        options: RunOptions,
-        tally_vec: &mut [f64],
-        kernel_timings: &mut Option<KernelTimings>,
-        tally_footprint: &mut usize,
-        state: &mut TransportState,
-    ) -> EventCounters {
-        let cells = tally_vec.len();
-        // The deterministic backends run every scheme and layout through
-        // the lane-decomposed drivers. The Atomic strategy keeps the
-        // pre-subsystem shared-mesh paths below (bit-for-bit the paper's
-        // baseline behaviour), except for SoA under the explicit
-        // scheduler — a combination the old drivers rejected, which the
-        // lane subsystem now supports. The legacy `ScheduledPrivatized`
-        // execution keeps its per-*thread* §VI-F replication.
-        let soa_scheduled = options.scheme == Scheme::OverParticles
-            && matches!(options.layout, Layout::Soa | Layout::SoaEventStepped)
-            && matches!(options.execution, Execution::Scheduled { .. });
-        if (ctx.cfg.tally_strategy.is_deterministic() || soa_scheduled)
-            && !matches!(options.execution, Execution::ScheduledPrivatized { .. })
-        {
-            return self.run_step_lanes(
-                soa,
-                ctx,
-                options,
-                tally_vec,
-                kernel_timings,
-                tally_footprint,
-                state,
-            );
-        }
-        match options.scheme {
-            Scheme::OverEvents => {
-                let tally = AtomicTally::new(cells);
-                *tally_footprint = tally.footprint_bytes();
-                let parallel = !matches!(options.execution, Execution::Sequential);
-                let (counters, timings) = run_over_events(
-                    soa,
-                    ctx,
-                    &tally,
-                    options.backend,
-                    parallel,
-                    &mut state.oe_plain,
-                );
-                accumulate(tally_vec, &tally.snapshot());
-                merge_timings(kernel_timings, timings);
-                counters
-            }
-            Scheme::OverParticles => match (options.layout, options.execution) {
-                // The record-at-a-time history drivers are the one
-                // remaining AoS consumer: materialise records from the
-                // canonical columns at this seam, run, scatter back.
-                (Layout::Aos, Execution::Sequential) => {
-                    let mut tally = SequentialTally::new(cells);
-                    *tally_footprint = cells * 8;
-                    let aos = &mut state.aos;
-                    soa.to_aos_into(aos);
-                    let counters = run_sequential(aos, ctx, &mut tally);
-                    soa.copy_from_aos(aos);
-                    accumulate(tally_vec, tally.values());
-                    counters
-                }
-                (Layout::Aos, Execution::Rayon) => {
-                    let tally = AtomicTally::new(cells);
-                    *tally_footprint = tally.footprint_bytes();
-                    let aos = &mut state.aos;
-                    soa.to_aos_into(aos);
-                    let counters = run_rayon(aos, ctx, &tally);
-                    soa.copy_from_aos(aos);
-                    accumulate(tally_vec, &tally.snapshot());
-                    counters
-                }
-                (Layout::Aos, Execution::Scheduled { threads, schedule }) => {
-                    let tally = AtomicTally::new(cells);
-                    *tally_footprint = tally.footprint_bytes();
-                    let aos = &mut state.aos;
-                    soa.to_aos_into(aos);
-                    let counters =
-                        run_scheduled(aos, ctx, ScheduledTally::Atomic(&tally), threads, schedule);
-                    soa.copy_from_aos(aos);
-                    accumulate(tally_vec, &tally.snapshot());
-                    counters
-                }
-                (Layout::Aos, Execution::ScheduledPrivatized { threads, schedule }) => {
-                    let mut tally = PrivatizedTally::new(threads, cells);
-                    *tally_footprint = tally.footprint_bytes();
-                    let aos = &mut state.aos;
-                    soa.to_aos_into(aos);
-                    let counters = run_scheduled(
-                        aos,
-                        ctx,
-                        ScheduledTally::Privatized(&mut tally),
-                        threads,
-                        schedule,
-                    );
-                    soa.copy_from_aos(aos);
-                    accumulate(tally_vec, &tally.merge());
-                    counters
-                }
-                (layout @ (Layout::Soa | Layout::SoaEventStepped), execution) => {
-                    // SoA is driven through the Rayon chunked drivers; the
-                    // explicit-scheduler combinations are an AoS study in
-                    // the paper. The chunk driver reads the canonical
-                    // columns in place — no gather/scatter step remains.
-                    assert!(
-                        matches!(execution, Execution::Rayon | Execution::Sequential),
-                        "SoA layouts support Sequential/Rayon execution"
-                    );
-                    let tally = AtomicTally::new(cells);
-                    *tally_footprint = tally.footprint_bytes();
-                    let chunk = crate::over_particles::rayon_chunk_size(soa.len());
-                    let counters = if layout == Layout::Soa {
-                        run_rayon_soa(soa, ctx, &tally, chunk)
-                    } else {
-                        run_rayon_soa_stepped(soa, ctx, &tally, chunk)
-                    };
-                    accumulate(tally_vec, &tally.snapshot());
-                    counters
-                }
-            },
-        }
-    }
-
-    /// One timestep through the pluggable tally subsystem: build the
-    /// configured backend with a worker-count-independent lane partition,
-    /// run the scheme's lane driver, and fold the deterministically
-    /// merged mesh into the running tally. The drivers receive the
-    /// persistent per-solve state (event arrays, SoA buffers, arenas)
-    /// and, when the population has been regrouped, its identity map.
-    #[allow(clippy::too_many_arguments)] // internal step dispatcher
-    fn run_step_lanes(
-        &self,
-        soa: &mut ParticleSoA,
-        ctx: &TransportCtx<'_, Threefry2x64>,
-        options: RunOptions,
-        tally_vec: &mut [f64],
-        kernel_timings: &mut Option<KernelTimings>,
-        tally_footprint: &mut usize,
-        state: &mut TransportState,
-    ) -> EventCounters {
-        let cells = tally_vec.len();
-        let strategy = ctx.cfg.tally_strategy;
-        let (workers, schedule) = match options.execution {
-            Execution::Sequential => (1, Schedule::Static { chunk: None }),
-            Execution::Rayon => (rayon::current_num_threads(), Schedule::Dynamic { chunk: 1 }),
-            Execution::Scheduled { threads, schedule } => (threads, schedule),
-            Execution::ScheduledPrivatized { .. } => {
-                // Routed to the legacy per-thread §VI-F path by `run_step`;
-                // silently aliasing it to the lane subsystem would change
-                // a user's requested tally semantics.
-                unreachable!("ScheduledPrivatized keeps the per-thread seed path")
-            }
-        };
-        // The lane count is fixed (never derived from the worker count),
-        // so the merge order — and therefore the merged bits — are the
-        // same for ANY number of workers; workers beyond the lane count
-        // simply find no lane to claim (see neutral_mesh::accum).
-        let part = LanePartition::new(soa.len(), DEFAULT_LANES);
-        let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
-
-        let counters = match options.scheme {
-            Scheme::OverEvents => {
-                let TransportState {
-                    oe_lanes,
-                    order,
-                    permuted,
-                    ..
-                } = state;
-                let (counters, timings) = run_over_events_lanes(
-                    soa,
-                    ctx,
-                    &mut accum,
-                    options.backend,
-                    workers,
-                    schedule,
-                    oe_lanes,
-                    permuted.then_some(order.as_slice()),
-                );
-                merge_timings(kernel_timings, timings);
-                counters
-            }
-            Scheme::OverParticles => match options.layout {
-                Layout::Aos => {
-                    // Record-at-a-time seam: materialise, run, scatter back.
-                    let TransportState {
-                        aos,
-                        order,
-                        permuted,
-                        ..
-                    } = &mut *state;
-                    soa.to_aos_into(aos);
-                    let counters = run_lanes(
-                        aos,
-                        ctx,
-                        &mut accum,
-                        workers,
-                        schedule,
-                        permuted.then_some(order.as_slice()),
-                    );
-                    soa.copy_from_aos(aos);
-                    counters
-                }
-                layout @ (Layout::Soa | Layout::SoaEventStepped) => {
-                    let TransportState {
-                        soa_arenas,
-                        order,
-                        permuted,
-                        ..
-                    } = state;
-                    run_lanes_soa(
-                        soa,
-                        ctx,
-                        &mut accum,
-                        workers,
-                        schedule,
-                        layout == Layout::SoaEventStepped,
-                        soa_arenas,
-                        permuted.then_some(order.as_slice()),
-                    )
-                }
-            },
-        };
-        *tally_footprint = accum.footprint_bytes();
-        accumulate(tally_vec, &accum.merge());
-        counters
     }
 }
 
-/// The owning, movable state of a resumable solve — everything a
-/// [`Solve`] carries *except* the borrow of its [`Simulation`].
+/// A resumable solve: [`Simulation::run`] sliced into per-timestep
+/// chunks (DESIGN.md §15), owning everything but the [`Simulation`] it
+/// steps against.
 ///
-/// This is the chunking seam the solve server builds on: a registry can
-/// hold `(Arc<Simulation>, SolveCore)` pairs, lease a core to whichever
-/// runner thread picks up its next timestep chunk, and hand it back
-/// between chunks — none of which a borrowing handle allows. Every
-/// method that advances or snapshots the solve takes the simulation by
+/// ```
+/// use neutral_core::prelude::*;
+///
+/// let mut problem = TestCase::Csp.build(ProblemScale::tiny(), 42);
+/// problem.n_timesteps = 2;
+/// let sim = Simulation::new(problem);
+/// let mut solve = SolveCore::new(&sim, RunOptions::default());
+/// solve.step(&sim);                  // timestep 0
+/// let ckpt = solve.checkpoint();     // census-boundary snapshot
+/// let mut resumed = SolveCore::resume(&sim, RunOptions::default(), &ckpt).unwrap();
+/// while resumed.step(&sim) {}
+/// let report = resumed.finish();     // bitwise identical to sim.run(..)
+/// assert_eq!(report.timesteps, 2);
+/// ```
+///
+/// Stepping, checkpointing at any census boundary and resuming produces
+/// tallies, counters and final particle records **byte-identical** to an
+/// uninterrupted [`Simulation::run`]: each particle record carries its
+/// own RNG key/counter (resuming the counter-based stream exactly, even
+/// mid-block), regrouped storage order is reconstructed from the records
+/// themselves, and every per-step driver state is rebuilt from scratch
+/// each timestep by design.
+///
+/// The handle is owning and thread-movable — the chunking seam the solve
+/// server builds on: a registry leases it to whichever runner thread
+/// picks up its next timestep chunk, and [`crate::shard::ShardedSolve`]
+/// wraps one as the coordinator state its shard attempts fold into.
+/// Every method that advances the solve takes the simulation by
 /// reference; it must be the same simulation the core was created with
-/// (checked against the cached config fingerprint in debug builds, and
-/// structurally impossible to get wrong through the [`Solve`] wrapper).
+/// (checked against the cached config fingerprint in debug builds).
 pub struct SolveCore {
     options: RunOptions,
     /// [`config_fingerprint`] of the owning problem, cached at
@@ -590,10 +298,10 @@ pub struct SolveCore {
     n_timesteps: usize,
     /// The canonical particle storage: one column per field, shared in
     /// place by every driver. AoS [`Particle`] records exist only at the
-    /// serialization edges (checkpoints, shard census transfer, the
-    /// legacy record-at-a-time drivers' scratch).
+    /// serialization edges (checkpoints, shard wire bytes) and in the
+    /// step engine's record-at-a-time scratch.
     soa: ParticleSoA,
-    state: TransportState,
+    scratch: StepScratch,
     counters: EventCounters,
     kernel_timings: Option<KernelTimings>,
     tally: Vec<f64>,
@@ -619,7 +327,7 @@ impl SolveCore {
             fingerprint: config_fingerprint(problem),
             n_timesteps: problem.n_timesteps,
             soa,
-            state: TransportState::default(),
+            scratch: StepScratch::default(),
             counters: EventCounters::default(),
             kernel_timings: None,
             tally: vec![0.0; problem.mesh.num_cells()],
@@ -683,14 +391,12 @@ impl SolveCore {
             seen[k] = true;
         }
         problem.materials.prepare(problem.transport.xs_search);
-        let mut state = TransportState::default();
-        state.restore_order(&checkpoint.particles);
         Ok(Self {
             options,
             fingerprint: expected,
             n_timesteps: problem.n_timesteps,
             soa: ParticleSoA::from_aos(&checkpoint.particles),
-            state,
+            scratch: StepScratch::default(),
             counters: checkpoint.counters,
             kernel_timings: None,
             tally: checkpoint.tally.clone(),
@@ -727,9 +433,30 @@ impl SolveCore {
         self.soa.to_aos()
     }
 
+    /// The options every step of this solve runs with.
+    pub(crate) fn options(&self) -> RunOptions {
+        self.options
+    }
+
+    /// The cached [`config_fingerprint`] of the owning problem.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The canonical columns (a shard attempt, and a shard's spilled
+    /// checkpoint, copy their range out of them).
+    pub(crate) fn columns(&self) -> &ParticleSoA {
+        &self.soa
+    }
+
     /// Execute the next timestep against `sim` — which must be the
     /// simulation this core was created from. Returns `false` (doing
     /// nothing) once all timesteps have run.
+    ///
+    /// This is the step engine's sequence over the whole population in
+    /// place: `begin_step`, one arm of the dispatch table,
+    /// `fold_step`. Regroup time is charged to the solve —
+    /// it is part of the cost the policy must win back.
     pub fn step(&mut self, sim: &Simulation) -> bool {
         debug_assert_eq!(
             config_fingerprint(&sim.problem),
@@ -739,48 +466,87 @@ impl SolveCore {
         if self.is_done() {
             return false;
         }
-        let problem = &sim.problem;
-        let ctx = TransportCtx {
-            mesh: &problem.mesh,
-            materials: &problem.materials,
-            rng: &sim.rng,
-            cfg: &problem.transport,
-        };
-        let start = Instant::now();
-        if self.step > 0 {
-            for i in 0..self.soa.len() {
-                if !self.soa.dead[i] {
-                    self.soa.dt_to_census[i] = problem.dt;
-                }
-            }
-            // The census boundary: physically regroup the survivors
-            // (regroup time is charged to the solve — it is part of the
-            // cost the policy must win back). The per-lane permutations
-            // run through the lane scheduler.
-            let (workers, schedule) = execution_workers(self.options.execution);
-            self.state.regroup(
-                &mut self.soa,
-                problem.transport.regroup_policy,
-                problem.mesh.nx(),
-                workers,
-                schedule,
-            );
-        }
-        let step_counters = sim.run_step(
+        let started = Instant::now();
+        let ctx = sim.ctx();
+        // The lane count is fixed (never derived from the worker count),
+        // so the merge order — and therefore the merged bits — are the
+        // same for ANY number of workers; workers beyond the lane count
+        // simply find no lane to claim (see neutral_mesh::accum).
+        let part = LanePartition::new(self.soa.len(), DEFAULT_LANES);
+        begin_step(
             &mut self.soa,
-            &ctx,
-            self.options,
-            &mut self.tally,
-            &mut self.kernel_timings,
-            &mut self.tally_footprint,
-            &mut self.state,
+            &sim.problem,
+            self.options.execution,
+            self.step,
+            part.lane_size,
+            0,
+            &mut self.scratch,
         );
+        if let Some((counters, mesh, footprint)) =
+            run_baseline(&mut self.soa, &ctx, self.options, &mut self.scratch)
+        {
+            self.fold_step(&[counters], &mesh, footprint, None, started);
+        } else {
+            let mut accum = TallyAccum::new(ctx.cfg.tally_strategy, self.tally.len(), part.n_lanes);
+            let (lane_counters, timings) = run_step(
+                &mut self.soa,
+                &ctx,
+                self.options,
+                part,
+                0,
+                &mut accum,
+                &mut self.scratch,
+            );
+            let footprint = accum.footprint_bytes();
+            self.fold_step(&lane_counters, &accum.merge(), footprint, timings, started);
+        }
+        true
+    }
+
+    /// Close a timestep: merge the per-lane counters deterministically
+    /// (global lane order), fold the survivors' energy in key order,
+    /// accumulate the step's pairwise-merged mesh `step_tally` into the
+    /// running tally, and advance the step index and the solve clock
+    /// (running since `started`). The one place a step's results enter
+    /// the solve — the in-place step and the shard coordinator both end
+    /// here, so they cannot disagree on a bit.
+    pub(crate) fn fold_step(
+        &mut self,
+        lane_counters: &[EventCounters],
+        step_tally: &[f64],
+        footprint: usize,
+        timings: Option<KernelTimings>,
+        started: Instant,
+    ) {
+        let mut step_counters = EventCounters::merge_deterministic(lane_counters);
+        step_counters.census_energy_ev = census_energy(&self.soa, self.scratch.order());
         self.counters.merge(&step_counters);
         // The residual is a snapshot, not a sum across steps.
         self.counters.census_energy_ev = step_counters.census_energy_ev;
-        self.elapsed += start.elapsed();
+        accumulate(&mut self.tally, step_tally);
+        self.tally_footprint = footprint;
+        if let Some(timings) = timings {
+            merge_timings(&mut self.kernel_timings, timings);
+        }
         self.step += 1;
-        true
+        self.elapsed += started.elapsed();
+    }
+
+    /// Install the post-step records `shards` hand back (each a global
+    /// start index and that range's records, in storage order) and remap
+    /// identity over the whole population, ready for [`fold_step`].
+    ///
+    /// [`fold_step`]: SolveCore::fold_step
+    pub(crate) fn store_records<'a>(
+        &mut self,
+        shards: impl Iterator<Item = (usize, &'a [Particle])>,
+    ) {
+        for (base0, records) in shards {
+            for (i, p) in records.iter().enumerate() {
+                self.soa.store(base0 + i, p);
+            }
+        }
+        self.scratch.map_identity(&self.soa.key, 0);
     }
 
     /// Snapshot the complete resumable state at the current census
@@ -826,103 +592,6 @@ impl SolveCore {
             tally_footprint_bytes: self.tally_footprint,
             timesteps: self.step,
         }
-    }
-}
-
-/// A resumable solve handle: [`Simulation::run`] sliced into
-/// per-timestep chunks (the enabling refactor of the checkpoint/restart
-/// subsystem — see [`crate::checkpoint`] and DESIGN.md §15).
-///
-/// ```
-/// use neutral_core::prelude::*;
-///
-/// let mut problem = TestCase::Csp.build(ProblemScale::tiny(), 42);
-/// problem.n_timesteps = 2;
-/// let sim = Simulation::new(problem);
-/// let mut solve = Solve::new(&sim, RunOptions::default());
-/// solve.step();                      // timestep 0
-/// let ckpt = solve.checkpoint();     // census-boundary snapshot
-/// let mut resumed = Solve::resume(&sim, RunOptions::default(), &ckpt).unwrap();
-/// while resumed.step() {}
-/// let report = resumed.finish();     // bitwise identical to sim.run(..)
-/// assert_eq!(report.timesteps, 2);
-/// ```
-///
-/// Stepping, checkpointing at any census boundary and resuming produces
-/// tallies, counters and final particle records **byte-identical** to an
-/// uninterrupted [`Simulation::run`]: each particle record carries its
-/// own RNG key/counter (resuming the counter-based stream exactly, even
-/// mid-block), regrouped storage order is reconstructed from the records
-/// themselves, and every per-step driver state is rebuilt from scratch
-/// each timestep by design.
-///
-/// `Solve` borrows its simulation for convenience; services that need an
-/// owning, thread-movable handle (the solve registry) use the underlying
-/// [`SolveCore`] directly.
-pub struct Solve<'a> {
-    sim: &'a Simulation,
-    core: SolveCore,
-}
-
-impl<'a> Solve<'a> {
-    /// Start a fresh solve (see [`SolveCore::new`]).
-    #[must_use]
-    pub fn new(sim: &'a Simulation, options: RunOptions) -> Self {
-        Self {
-            sim,
-            core: SolveCore::new(sim, options),
-        }
-    }
-
-    /// Resume a solve from a census-boundary checkpoint (see
-    /// [`SolveCore::resume`] for the rejection rules).
-    pub fn resume(
-        sim: &'a Simulation,
-        options: RunOptions,
-        checkpoint: &Checkpoint,
-    ) -> Result<Self, CheckpointError> {
-        Ok(Self {
-            sim,
-            core: SolveCore::resume(sim, options, checkpoint)?,
-        })
-    }
-
-    /// Whether every timestep has been executed.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.core.is_done()
-    }
-
-    /// Timesteps completed so far (= the next timestep index to run).
-    #[must_use]
-    pub fn steps_done(&self) -> usize {
-        self.core.steps_done()
-    }
-
-    /// The current particle records (current storage order) — the state a
-    /// checkpoint would capture (see [`SolveCore::particles`]).
-    #[must_use]
-    pub fn particles(&self) -> Vec<Particle> {
-        self.core.particles()
-    }
-
-    /// Execute the next timestep. Returns `false` (doing nothing) once
-    /// all timesteps have run.
-    pub fn step(&mut self) -> bool {
-        self.core.step(self.sim)
-    }
-
-    /// Snapshot the complete resumable state at the current census
-    /// boundary (see [`SolveCore::checkpoint`]).
-    #[must_use]
-    pub fn checkpoint(&self) -> Checkpoint {
-        self.core.checkpoint()
-    }
-
-    /// Finish the solve and build the report (see [`SolveCore::finish`]).
-    #[must_use]
-    pub fn finish(self) -> RunReport {
-        self.core.finish()
     }
 }
 

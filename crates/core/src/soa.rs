@@ -4,11 +4,11 @@
 //! scheme on CPUs and finds AoS faster everywhere: with one thread per
 //! history, "each thread loads a cache line for each particle field, and
 //! only uses a single item" under SoA, while AoS loads the whole particle
-//! with one or two adjacent lines. This module provides the SoA layout and
-//! a chunked parallel driver so that Figure 5 can be reproduced with real
-//! measurements: histories `load` the particle (the per-field gather that
-//! costs SoA its performance), track it entirely in registers, and `store`
-//! it back.
+//! with one or two adjacent lines. This module provides the SoA layout —
+//! the canonical particle storage of every solve — and a lane-chunked
+//! driver so that Figure 5 can be reproduced with real measurements:
+//! histories `load` the particle (the per-field gather that costs SoA its
+//! performance), track it entirely in registers, and `store` it back.
 
 use crate::arena::{apply_permutation_in_place, radix_sort_pairs, ScratchArena};
 use crate::config::{RegroupPolicy, SortPolicy};
@@ -17,11 +17,10 @@ use crate::events::{resolve_micro_xs_many, TallySink};
 use crate::history::{step_particle_uncached, track_to_census_primed, StepOutcome, TransportCtx};
 use crate::particle::{energy_band, Particle};
 use crate::scheduler::{parallel_for_owned_scratch, Schedule};
-use neutral_mesh::tally::AtomicTally;
 use neutral_mesh::{LanePartition, LaneSink, TallyAccum};
 use neutral_rng::CbRng;
 use neutral_xs::{MicroXs, XsHints};
-use rayon::prelude::*;
+use std::ops::Range;
 
 /// Particle population stored as one array per field.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -119,13 +118,32 @@ impl ParticleSoA {
         }
     }
 
-    /// Scatter every particle back into an existing AoS slice (the
-    /// allocation-free counterpart of [`ParticleSoA::to_aos`]).
-    pub fn write_aos(&self, out: &mut [Particle]) {
-        assert_eq!(out.len(), self.len(), "population size mismatch");
-        for (i, p) in out.iter_mut().enumerate() {
-            *p = self.load(i);
+    /// An owned copy of the column sub-range `range` — the input of a
+    /// shard attempt, which must outlive a borrow of the whole population.
+    #[must_use]
+    pub(crate) fn slice(&self, range: Range<usize>) -> Self {
+        macro_rules! cut {
+            ($($field:ident),+ $(,)?) => {
+                Self { $( $field: self.$field[range.clone()].to_vec(), )+ }
+            };
         }
+        cut!(
+            x,
+            y,
+            omega_x,
+            omega_y,
+            energy,
+            weight,
+            dt_to_census,
+            mfp_to_collision,
+            cellx,
+            celly,
+            absorb_hint,
+            scatter_hint,
+            key,
+            rng_counter,
+            dead,
+        )
     }
 
     /// Gather every particle into `out`, replacing its contents — the
@@ -374,41 +392,42 @@ impl<'a> SoAChunkMut<'a> {
     }
 }
 
-/// Total weighted energy of a column population (eV) — the column
-/// counterpart of [`crate::particle::total_weighted_energy`]. Same fold
-/// order over the same lanes, so the result is bitwise identical to the
-/// AoS fold over the equivalent records.
+/// Total weighted energy of the surviving population (eV) — the
+/// conservation budget, and the crate's one census-energy fold.
+///
+/// Accumulated in **identity** (`key`) order: `order`, when present, is
+/// the identity map of a regrouped population (`order[k]` = position of
+/// key `k`); without it storage order *is* key order. A regrouped, a
+/// resumed and a sharded run must all report the exact bits the plain run
+/// reports, and this `f64` fold is one of the order-sensitive reductions
+/// the bitwise contract anchors to key order. (An all-dead population
+/// folds to `-0.0`, `Iterator::sum`'s empty value — on every path, since
+/// every path folds here.)
 #[must_use]
-pub fn total_weighted_energy_soa(soa: &ParticleSoA) -> f64 {
+pub fn census_energy(soa: &ParticleSoA, order: Option<&[u32]>) -> f64 {
     (0..soa.len())
+        .map(|k| order.map_or(k, |ord| ord[k] as usize))
         .filter(|&i| !soa.dead[i])
         .map(|i| soa.weight[i] * soa.energy[i])
         .sum()
 }
 
-/// [`total_weighted_energy_soa`] accumulated in identity (`key`) order
-/// via the regroup identity map (`order[k]` = physical position of key
-/// `k`) — the column counterpart of
-/// [`crate::particle::total_weighted_energy_ordered`].
-#[must_use]
-pub fn total_weighted_energy_soa_ordered(soa: &ParticleSoA, order: &[u32]) -> f64 {
-    order
-        .iter()
-        .map(|&pos| pos as usize)
-        .filter(|&i| !soa.dead[i])
-        .map(|i| soa.weight[i] * soa.energy[i])
-        .sum()
-}
-
-/// Column counterpart of [`crate::particle::regroup_particles_parallel`]
-/// (DESIGN.md §14): within each tally-lane block of `lane_size`
-/// particles, stably permute every field column into the grouping
-/// `policy` asks for, dead particles always last. The group keys, the
-/// stable radix sort and the did-anything-move check are the exact
-/// expressions of the AoS regroup, and one shared lane permutation is
-/// applied to all fifteen columns — so a column population regroups into
-/// bitwise the same arrangement the AoS path produces for the same
-/// records. Returns `true` if any particle actually moved.
+/// Physically regroup the population for the next timestep (DESIGN.md
+/// §14): within each tally-lane block of `lane_size` particles, stably
+/// permute every field column into the grouping `policy` asks for, dead
+/// particles always last. Identity — `key`, the RNG counter, the cached
+/// hints — moves with each particle (one shared lane permutation is
+/// applied to all fifteen columns); lane membership is preserved because
+/// the permutation never crosses a lane boundary, which (together with
+/// the drivers' identity-order accumulation anchors) keeps merged
+/// tallies and counters bitwise identical to [`RegroupPolicy::Off`].
+///
+/// The lane blocks are scheduled across `workers` workers through the
+/// lane scheduler. Each block is an independent, deterministic
+/// permutation, so the regrouped columns are identical for any worker
+/// count and any schedule. `scratches` is grown to one arena per worker
+/// and reused across calls. Returns `true` if any particle actually
+/// moved.
 pub fn regroup_soa_parallel(
     soa: &mut ParticleSoA,
     policy: RegroupPolicy,
@@ -520,9 +539,7 @@ fn regroup_soa_block(
 }
 
 /// Track one SoA chunk to census: one batched lane-block lookup over the
-/// chunk's live lanes, then gather → track → scatter per history. Shared
-/// by the Rayon and lane-decomposed drivers so both produce bitwise
-/// identical trajectories.
+/// chunk's live lanes, then gather → track → scatter per history.
 ///
 /// All staging lanes live in the caller's [`ScratchArena`] (per worker
 /// or per Rayon task), so the steady-state loop performs no per-lane
@@ -649,9 +666,17 @@ fn track_soa_chunk<R: CbRng, T: TallySink>(
     }
 }
 
-/// Track one SoA chunk with event-granular gather/scatter (the Figure 5
-/// SoA-penalty memory behaviour); shared by the Rayon and lane drivers.
-/// `order` carries the identity walk of a regrouped chunk, exactly as in
+/// Track one SoA chunk with **event-granular** loads and stores: every
+/// event gathers the particle from the field arrays, steps it once
+/// without cached state, and scatters it back.
+///
+/// This reproduces the memory behaviour behind the paper's Figure 5 SoA
+/// penalty: in the original C code, aliasing between the SoA field arrays
+/// prevents the compiler from keeping history state in registers, so
+/// every event pays array traffic. (Rust's `&mut` slices are `noalias`,
+/// so the *cached* [`track_soa_chunk`] does not exhibit the penalty — a
+/// reproduction finding documented in EXPERIMENTS.md.) `order` carries
+/// the identity walk of a regrouped chunk, exactly as in
 /// [`track_soa_chunk`].
 fn track_soa_chunk_stepped<R: CbRng, T: TallySink>(
     chunk: &mut SoAChunkMut<'_>,
@@ -700,87 +725,15 @@ fn track_soa_chunk_stepped<R: CbRng, T: TallySink>(
     }
 }
 
-/// Over-Particles driver for the SoA layout: Rayon-parallel over chunks,
-/// gather → track → scatter per history (§VI-D).
-///
-/// Each chunk's initial cross sections are resolved with **one** batched
-/// `lookup_many` call straight over the SoA energy/hint lanes (the
-/// lane-block API of `neutral_xs::XsLookup`), then every history is
-/// tracked from that primed state — bitwise identical to the per-history
-/// lookup, but the lookup loop is a tight, vectorisable sweep.
-pub fn run_rayon_soa<R: CbRng>(
-    soa: &mut ParticleSoA,
-    ctx: &TransportCtx<'_, R>,
-    tally: &AtomicTally,
-    chunk: usize,
-) -> EventCounters {
-    let chunks = soa.chunks_mut(chunk);
-    let mut counters = chunks
-        .into_par_iter()
-        .fold(
-            || (EventCounters::default(), ScratchArena::new()),
-            |(mut local, mut arena), mut chunk| {
-                let mut sink = tally;
-                track_soa_chunk(&mut chunk, ctx, &mut sink, &mut local, &mut arena, None);
-                (local, arena)
-            },
-        )
-        .reduce(
-            || (EventCounters::default(), ScratchArena::new()),
-            |(mut a, arena), (b, _)| {
-                a.merge(&b);
-                (a, arena)
-            },
-        )
-        .0;
-    counters.census_energy_ev = (0..soa.len())
-        .filter(|&i| !soa.dead[i])
-        .map(|i| soa.weight[i] * soa.energy[i])
-        .sum();
-    counters
-}
-
-/// Over-Particles driver for the SoA layout with **event-granular**
-/// loads and stores: every event gathers the particle from the field
-/// arrays, steps it once without cached state, and scatters it back.
-///
-/// This reproduces the memory behaviour behind the paper's Figure 5 SoA
-/// penalty: in the original C code, aliasing between the SoA field arrays
-/// prevents the compiler from keeping history state in registers, so
-/// every event pays array traffic. (Rust's `&mut` slices are `noalias`,
-/// so the *cached* SoA driver above does not exhibit the penalty — a
-/// reproduction finding documented in EXPERIMENTS.md.)
-pub fn run_rayon_soa_stepped<R: CbRng>(
-    soa: &mut ParticleSoA,
-    ctx: &TransportCtx<'_, R>,
-    tally: &AtomicTally,
-    chunk: usize,
-) -> EventCounters {
-    let chunks = soa.chunks_mut(chunk);
-    let mut counters = chunks
-        .into_par_iter()
-        .fold(EventCounters::default, |mut local, mut chunk| {
-            let mut sink = tally;
-            track_soa_chunk_stepped(&mut chunk, ctx, &mut sink, &mut local, None);
-            local
-        })
-        .reduce(EventCounters::default, |mut a, b| {
-            a.merge(&b);
-            a
-        });
-    counters.census_energy_ev = (0..soa.len())
-        .filter(|&i| !soa.dead[i])
-        .map(|i| soa.weight[i] * soa.energy[i])
-        .sum();
-    counters
-}
-
-/// SoA driver against the pluggable tally subsystem: the population is
-/// cut at the accumulator's lane boundaries, whole lanes are scheduled
-/// across `n_threads` workers, and each lane deposits through its own
-/// [`LaneSink`]. `stepped` selects the event-granular gather/scatter
-/// variant. For the deterministic backends the merged tally and counters
-/// are bitwise identical for any worker count.
+/// Over-Particles lane driver for the SoA layouts: the population is cut
+/// at the lane boundaries of the *explicit* partition `part` (see
+/// `over_particles::run_lanes_partitioned` for why a shard cannot
+/// recompute it locally), whole lanes are scheduled across `n_threads`
+/// workers, and each lane deposits through its own [`LaneSink`]. `stepped`
+/// selects the event-granular gather/scatter variant. Returns the raw
+/// per-lane counters; the deterministic merge and the census-energy fold
+/// belong to the caller, so with a deterministic backend the folded
+/// results are bitwise identical for any worker count.
 ///
 /// `arenas` holds the per-worker scratch (grown to `n_threads` on
 /// demand) — callers that run many timesteps pass the same vector every
@@ -789,42 +742,6 @@ pub fn run_rayon_soa_stepped<R: CbRng>(
 /// map (`order[k]` = physical position of key `k`, lane-local): each
 /// chunk then tracks in ascending key order, keeping every `f64` stream
 /// bitwise identical to the unregrouped run.
-#[allow(clippy::too_many_arguments)] // the solve's full configuration surface
-pub fn run_lanes_soa<R: CbRng>(
-    soa: &mut ParticleSoA,
-    ctx: &TransportCtx<'_, R>,
-    accum: &mut TallyAccum,
-    n_threads: usize,
-    schedule: Schedule,
-    stepped: bool,
-    arenas: &mut Vec<ScratchArena>,
-    order: Option<&[u32]>,
-) -> EventCounters {
-    let part = LanePartition::new(soa.len(), accum.n_lanes());
-    let partials = run_lanes_soa_partitioned(
-        soa, ctx, accum, n_threads, schedule, stepped, arenas, order, part,
-    );
-    let mut counters = EventCounters::merge_deterministic(&partials);
-    counters.census_energy_ev = match order {
-        Some(ord) => ord
-            .iter()
-            .map(|&pos| pos as usize)
-            .filter(|&i| !soa.dead[i])
-            .map(|i| soa.weight[i] * soa.energy[i])
-            .sum(),
-        None => (0..soa.len())
-            .filter(|&i| !soa.dead[i])
-            .map(|i| soa.weight[i] * soa.energy[i])
-            .sum(),
-    };
-    counters
-}
-
-/// The lane loop of [`run_lanes_soa`] over an *explicit* partition,
-/// returning the raw per-lane counters instead of the deterministic
-/// merge — the SoA arm of the sharding seam (see
-/// `over_particles::run_lanes_partitioned` for why a shard cannot
-/// recompute the partition locally). Census energy is left to the caller.
 #[allow(clippy::too_many_arguments)] // the solve's full configuration surface
 pub fn run_lanes_soa_partitioned<R: CbRng>(
     soa: &mut ParticleSoA,
@@ -907,6 +824,36 @@ mod tests {
         assert!(chunks.iter().all(|c| c.len() <= 7));
     }
 
+    /// Run the SoA lane driver over a fresh population under the shared
+    /// atomic sink (the paper's contended baseline behind the lane
+    /// engine), returning the final columns, merged counters and mesh.
+    fn run_soa_lanes(
+        problem: &crate::config::Problem,
+        ctx: &TransportCtx<'_, Threefry2x64>,
+        stepped: bool,
+    ) -> (ParticleSoA, EventCounters, Vec<f64>) {
+        let mut soa = ParticleSoA::from_aos(&spawn_particles(problem));
+        let part = LanePartition::new(soa.len(), 16);
+        let mut accum = TallyAccum::new(
+            neutral_mesh::TallyStrategy::Atomic,
+            problem.mesh.num_cells(),
+            part.n_lanes,
+        );
+        let partials = run_lanes_soa_partitioned(
+            &mut soa,
+            ctx,
+            &mut accum,
+            2,
+            Schedule::Dynamic { chunk: 1 },
+            stepped,
+            &mut Vec::new(),
+            None,
+            part,
+        );
+        let counters = EventCounters::merge_deterministic(&partials);
+        (soa, counters, accum.merge())
+    }
+
     #[test]
     fn stepped_soa_driver_matches_trajectories() {
         let problem = TestCase::Csp.build(ProblemScale::tiny(), 31);
@@ -922,9 +869,7 @@ mod tests {
         let mut seq_tally = SequentialTally::new(problem.mesh.num_cells());
         run_sequential(&mut aos, &ctx, &mut seq_tally);
 
-        let mut soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-        let tally = AtomicTally::new(problem.mesh.num_cells());
-        let counters = run_rayon_soa_stepped(&mut soa, &ctx, &tally, 16);
+        let (soa, counters, tally) = run_soa_lanes(&problem, &ctx, true);
 
         // Same trajectories, same physics...
         let stepped = soa.to_aos();
@@ -936,7 +881,7 @@ mod tests {
             assert_eq!(a.rng_counter, b.rng_counter);
             assert_eq!(a.dead, b.dead);
         }
-        let (a, b) = (seq_tally.total(), tally.total());
+        let (a, b) = (seq_tally.total(), tally.iter().sum::<f64>());
         assert!(((a - b) / a.abs().max(1e-30)).abs() < 1e-9);
         // ...but strictly more memory traffic: a lookup + density read
         // per event instead of per collision/facet.
@@ -960,16 +905,14 @@ mod tests {
         let mut seq_tally = SequentialTally::new(problem.mesh.num_cells());
         let seq_counters = run_sequential(&mut aos, &ctx, &mut seq_tally);
 
-        let mut soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-        let tally = AtomicTally::new(problem.mesh.num_cells());
-        let soa_counters = run_rayon_soa(&mut soa, &ctx, &tally, 16);
+        let (soa, soa_counters, tally) = run_soa_lanes(&problem, &ctx, false);
 
         assert_eq!(soa.to_aos(), aos, "SoA trajectories must match AoS");
         assert_eq!(seq_counters.collisions, soa_counters.collisions);
         assert_eq!(seq_counters.facets, soa_counters.facets);
 
         let a = seq_tally.total();
-        let b = tally.total();
+        let b: f64 = tally.iter().sum();
         assert!(((a - b) / a.abs().max(1e-30)).abs() < 1e-9);
     }
 }

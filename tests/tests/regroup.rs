@@ -22,19 +22,16 @@
 //! * **regroup × sort interplay** — regrouping composes with the
 //!   coherence sort stage without moving a bit.
 
-use neutral_core::history::TransportCtx;
-use neutral_core::over_events::{run_over_events_lanes, KernelStyle};
-use neutral_core::over_particles::run_lanes;
-use neutral_core::particle::{regroup_particles, spawn_particles, Particle};
+use neutral_core::particle::{spawn_particles, Particle};
 use neutral_core::prelude::*;
-use neutral_core::soa::{run_lanes_soa, ParticleSoA};
+use neutral_core::soa::{regroup_soa_parallel, ParticleSoA};
 use neutral_integration::golden::{blessing, fixture_dir, GoldenTally};
 use neutral_integration::{
     for_cases, physics_counters, tiny_multistep, DriverKind, Gen, MULTISTEP_CONFIGS,
 };
 use neutral_mesh::accum::DEFAULT_LANES;
-use neutral_mesh::{LanePartition, TallyAccum};
-use neutral_rng::Threefry2x64;
+use neutral_mesh::LanePartition;
+use std::time::Duration;
 
 fn assert_bitwise_tally(a: &[f64], b: &[f64], what: &str) {
     assert!(
@@ -151,9 +148,8 @@ fn regroup_and_sort_policies_compose_bitwise() {
 }
 
 /// Apply an arbitrary random permutation *within each tally-lane block*
-/// (the granularity the regroup stage is specified at), returning the
-/// identity map `order[key] = position`.
-fn shuffle_within_lanes(particles: &mut [Particle], g: &mut Gen) -> Vec<u32> {
+/// (the granularity the regroup stage is specified at).
+fn shuffle_within_lanes(particles: &mut [Particle], g: &mut Gen) {
     let part = LanePartition::new(particles.len(), DEFAULT_LANES);
     for lane in 0..part.n_lanes {
         let range = part.range(lane);
@@ -163,83 +159,48 @@ fn shuffle_within_lanes(particles: &mut [Particle], g: &mut Gen) -> Vec<u32> {
             lane_slice.swap(j, k);
         }
     }
-    let mut order = vec![0u32; particles.len()];
-    for (pos, p) in particles.iter().enumerate() {
-        order[p.key as usize] = pos as u32;
-    }
-    order
 }
 
 /// The shuffle-invariance property behind the whole subsystem:
-/// permute-then-run == run, bitwise, for every lane driver — not just
-/// for the groupings the policies produce, but for *any* lane-local
-/// permutation. Final particle records (sorted back into key order) must
-/// match bitwise too, RNG draw counters included: identity consumption
-/// is position-independent.
+/// permute-then-run == run, bitwise, for every arm of the step engine's
+/// lane dispatch — not just for the groupings the policies produce, but
+/// for *any* lane-local permutation. The permuted population enters the
+/// engine the way any foreign storage order does: as the records of a
+/// step-0 checkpoint, whose order `SolveCore::resume` takes as found
+/// (the default `RegroupPolicy::Off` never touches it again). Final
+/// particle records (sorted back into key order) must match bitwise too,
+/// RNG draw counters included: identity consumption is
+/// position-independent.
 #[test]
 fn permute_then_run_equals_run() {
     for_cases(6, |g| {
         let case = [TestCase::Csp, TestCase::Scatter, TestCase::Stream][g.usize_in(0, 3)];
         let seed = 1 + g.usize_in(0, 500) as u64;
-        let problem = {
+        let sim = {
             let mut p = case.build(ProblemScale::tiny(), seed);
             p.transport.tally_strategy = TallyStrategy::Replicated;
-            p
+            Simulation::new(p)
         };
-        let rng = Threefry2x64::new([problem.seed, 1]);
-        let ctx = TransportCtx {
-            mesh: &problem.mesh,
-            materials: &problem.materials,
-            rng: &rng,
-            cfg: &problem.transport,
-        };
-        let cells = problem.mesh.num_cells();
-        let schedule = Schedule::Dynamic { chunk: 1 };
+        let problem = sim.problem();
         let workers = 1 + g.usize_in(0, 4);
 
-        // Driver runner: (merged tally, counters, final particles).
-        let run_driver = |driver: DriverKind,
-                          particles: &mut Vec<Particle>,
-                          order: Option<&[u32]>|
-         -> (Vec<f64>, EventCounters) {
-            let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, DEFAULT_LANES);
-            let counters = match driver {
-                DriverKind::OverParticles | DriverKind::History => {
-                    run_lanes(particles, &ctx, &mut accum, workers, schedule, order)
-                }
-                DriverKind::OverEvents => {
-                    let mut soa = ParticleSoA::from_aos(particles);
-                    let (c, _) = run_over_events_lanes(
-                        &mut soa,
-                        &ctx,
-                        &mut accum,
-                        KernelStyle::Scalar,
-                        workers,
-                        schedule,
-                        &mut None,
-                        order,
-                    );
-                    soa.write_aos(particles);
-                    c
-                }
-                DriverKind::Soa => {
-                    let mut soa = ParticleSoA::from_aos(particles);
-                    let mut arenas = Vec::new();
-                    let c = run_lanes_soa(
-                        &mut soa,
-                        &ctx,
-                        &mut accum,
-                        workers,
-                        schedule,
-                        false,
-                        &mut arenas,
-                        order,
-                    );
-                    soa.write_aos(particles);
-                    c
-                }
+        // Run one timestep from `particles` as stored: (report, records).
+        let run_from = |driver: DriverKind, particles: Vec<Particle>| {
+            let start = Checkpoint {
+                fingerprint: config_fingerprint(problem),
+                next_step: 0,
+                n_timesteps: problem.n_timesteps,
+                elapsed: Duration::ZERO,
+                tally_footprint_bytes: 0,
+                counters: EventCounters::default(),
+                tally: vec![0.0; problem.mesh.num_cells()],
+                particles,
             };
-            (accum.merge(), counters)
+            let mut solve =
+                SolveCore::resume(&sim, driver.options(workers), &start).expect("resume");
+            while solve.step(&sim) {}
+            let records = solve.particles();
+            (solve.finish(), records)
         };
 
         for driver in [
@@ -247,25 +208,24 @@ fn permute_then_run_equals_run() {
             DriverKind::OverEvents,
             DriverKind::Soa,
         ] {
-            let mut straight = spawn_particles(&problem);
-            let (tally_a, counters_a) = run_driver(driver, &mut straight, None);
+            let (a, straight) = run_from(driver, spawn_particles(problem));
 
-            let mut permuted = spawn_particles(&problem);
-            let order = shuffle_within_lanes(&mut permuted, g);
-            let (tally_b, counters_b) = run_driver(driver, &mut permuted, Some(&order));
+            let mut shuffled = spawn_particles(problem);
+            shuffle_within_lanes(&mut shuffled, g);
+            let (b, mut permuted) = run_from(driver, shuffled);
 
             let what = format!("{}/{}w/{}", case.name(), workers, driver.name());
             assert_eq!(
-                physics_counters(counters_a),
-                physics_counters(counters_b),
+                physics_counters(a.counters),
+                physics_counters(b.counters),
                 "{what}: counters"
             );
             assert_eq!(
-                counters_a.census_energy_ev.to_bits(),
-                counters_b.census_energy_ev.to_bits(),
+                a.counters.census_energy_ev.to_bits(),
+                b.counters.census_energy_ev.to_bits(),
                 "{what}: census energy bits"
             );
-            assert_bitwise_tally(&tally_a, &tally_b, &what);
+            assert_bitwise_tally(&a.tally, &b.tally, &what);
 
             // Identity travels: sorting the permuted population back into
             // key order must reproduce every final record bitwise —
@@ -288,15 +248,18 @@ fn regroup_actually_regroups() {
         p.dead = i % 3 == 1;
     }
     let part = LanePartition::new(particles.len(), DEFAULT_LANES);
-    let mut scratch = ScratchArena::new();
-    let moved = regroup_particles(
-        &mut particles,
+    let mut columns = ParticleSoA::from_aos(&particles);
+    let moved = regroup_soa_parallel(
+        &mut columns,
         RegroupPolicy::ByAlive,
         problem.mesh.nx(),
         part.lane_size,
-        &mut scratch,
+        2,
+        Schedule::Dynamic { chunk: 1 },
+        &mut Vec::new(),
     );
     assert!(moved, "a striped kill pattern must move records");
+    let particles = columns.to_aos();
     for lane in 0..part.n_lanes {
         let lane_slice = &particles[part.range(lane)];
         let first_dead = lane_slice.iter().position(|p| p.dead);

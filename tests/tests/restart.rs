@@ -67,9 +67,9 @@ fn interrupt_resume_is_bitwise_identical() {
                     let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated, regroup);
                     let options = driver.options(workers);
 
-                    let mut base = Solve::new(&sim, options);
-                    while base.step() {}
-                    let base_particles: Vec<Particle> = base.particles().to_vec();
+                    let mut base = SolveCore::new(&sim, options);
+                    while base.step(&sim) {}
+                    let base_particles: Vec<Particle> = base.particles();
                     let base_report = base.finish();
 
                     for cut in 1..steps {
@@ -77,21 +77,21 @@ fn interrupt_resume_is_bitwise_identical() {
                             "{case:?}/{}/{workers}w/{regroup:?} cut@{cut}",
                             driver.name()
                         );
-                        let mut first = Solve::new(&sim, options);
+                        let mut first = SolveCore::new(&sim, options);
                         for _ in 0..cut {
-                            assert!(first.step(), "{label}: premature end");
+                            assert!(first.step(&sim), "{label}: premature end");
                         }
                         // Through the real byte format, not just the
                         // in-memory snapshot.
                         let bytes = first.checkpoint().to_bytes();
                         let ckpt = Checkpoint::from_bytes(&bytes)
                             .unwrap_or_else(|e| panic!("{label}: reload failed: {e}"));
-                        let mut resumed = Solve::resume(&sim, options, &ckpt)
+                        let mut resumed = SolveCore::resume(&sim, options, &ckpt)
                             .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
-                        while resumed.step() {}
+                        while resumed.step(&sim) {}
                         assert_eq!(
                             resumed.particles(),
-                            &base_particles[..],
+                            base_particles,
                             "{label}: final particle records diverge"
                         );
                         let report = resumed.finish();
@@ -121,11 +121,11 @@ fn resumed_runs_match_committed_goldens() {
                 RegroupPolicy::Off,
             );
             let options = driver.options(GOLDEN_WORKERS);
-            let mut first = Solve::new(&sim, options);
-            first.step();
+            let mut first = SolveCore::new(&sim, options);
+            first.step(&sim);
             let ckpt = Checkpoint::from_bytes(&first.checkpoint().to_bytes()).unwrap();
-            let mut resumed = Solve::resume(&sim, options, &ckpt).unwrap();
-            while resumed.step() {}
+            let mut resumed = SolveCore::resume(&sim, options, &ckpt).unwrap();
+            while resumed.step(&sim) {}
             let report = resumed.finish();
 
             let name = format!("{}_t{}", case.name(), steps);
@@ -512,8 +512,8 @@ fn checkpoint_preserves_tally_fingerprint() {
         TallyStrategy::Replicated,
         RegroupPolicy::Off,
     );
-    let mut solve = Solve::new(&sim, DriverKind::History.options(1));
-    solve.step();
+    let mut solve = SolveCore::new(&sim, DriverKind::History.options(1));
+    solve.step(&sim);
     let ckpt = solve.checkpoint();
     let back = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
     assert_eq!(tally_hash(&ckpt.tally), tally_hash(&back.tally));

@@ -81,9 +81,9 @@ fn sharded_is_bitwise_identical_to_unsharded() {
                     let sim = Arc::new(tiny_multistep(case, steps, seed, strategy, regroup));
                     let options = driver.options(WORKERS);
 
-                    let mut base = Solve::new(&sim, options);
-                    while base.step() {}
-                    let base_particles: Vec<Particle> = base.particles().to_vec();
+                    let mut base = SolveCore::new(&sim, options);
+                    while base.step(&sim) {}
+                    let base_particles: Vec<Particle> = base.particles();
                     let base_report = base.finish();
 
                     for n_shards in SHARD_COUNTS {
@@ -247,8 +247,8 @@ fn sharded_checkpoint_matches_unsharded_checkpoint() {
     ));
     let options = DriverKind::OverParticles.options(WORKERS);
 
-    let mut base = Solve::new(&sim, options);
-    assert!(base.step());
+    let mut base = SolveCore::new(&sim, options);
+    assert!(base.step(&sim));
     let base_ckpt = base.checkpoint();
 
     let mut sharded = ShardedSolve::new(&sim, options, fast_config(2));
@@ -268,14 +268,104 @@ fn sharded_checkpoint_matches_unsharded_checkpoint() {
 
     // And it resumes through the ordinary unsharded restart path.
     let ckpt = Checkpoint::from_bytes(&sharded_bytes).expect("parse");
-    let mut resumed = Solve::resume(&sim, options, &ckpt).expect("resume");
-    while resumed.step() {}
+    let mut resumed = SolveCore::resume(&sim, options, &ckpt).expect("resume");
+    while resumed.step(&sim) {}
 
-    let mut full = Solve::new(&sim, options);
-    while full.step() {}
+    let mut full = SolveCore::new(&sim, options);
+    while full.step(&sim) {}
     assert_reports_bitwise(
         &resumed.finish(),
         &full.finish(),
         "resume from sharded checkpoint",
     );
+}
+
+/// One plain shard (no fault plan, no spill base) *is* the unsharded
+/// solve: it steps the wrapped core in place, so the report, the particle
+/// records and every checkpoint byte — diagnostics like the tally
+/// footprint and kernel timings included, the wall clock aside — equal
+/// the `SolveCore`'s at every census boundary.
+#[test]
+fn one_plain_shard_is_the_unsharded_solve() {
+    for driver in DriverKind::ALL {
+        let (case, steps, seed) = MULTISTEP_CONFIGS[0];
+        let sim = Arc::new(tiny_multistep(
+            case,
+            steps,
+            seed,
+            TallyStrategy::Replicated,
+            RegroupPolicy::ByCell,
+        ));
+        let options = driver.options(WORKERS);
+        let mut core = SolveCore::new(&sim, options);
+        let mut sharded = ShardedSolve::new(&sim, options, fast_config(1));
+        loop {
+            let more = core.step(&sim);
+            assert_eq!(sharded.step(&sim).expect("step"), more, "{}", driver.name());
+            if !more {
+                break;
+            }
+            let (mut a, mut b) = (core.checkpoint(), sharded.checkpoint());
+            a.elapsed = Duration::ZERO;
+            b.elapsed = Duration::ZERO;
+            assert_eq!(a.particles, b.particles, "{}: records", driver.name());
+            assert_eq!(a.to_bytes(), b.to_bytes(), "{}: checkpoint", driver.name());
+        }
+        assert_eq!(sharded.stats(), ShardStats::default(), "nothing supervised");
+        let (a, b) = (core.finish(), sharded.finish());
+        assert_reports_bitwise(&a, &b, driver.name());
+        assert_eq!(a.tally_footprint_bytes, b.tally_footprint_bytes);
+        assert_eq!(a.kernel_timings.is_some(), b.kernel_timings.is_some());
+    }
+}
+
+/// The `-0.0` / `0.0` census-energy split: once every history is dead
+/// the fused solve's residual folds an empty stream (`-0.0`), and the
+/// shard coordinator must report the same *bits*, not just an `==` zero
+/// — both now close their step in the same fold.
+#[test]
+fn all_dead_step_agrees_on_energy_bits() {
+    const ALL_DEAD_STEPS: usize = 4;
+    // Scatter's population dies out at the energy cutoff within a few
+    // timesteps; the last steps fold an all-dead population.
+    let mut problem = TestCase::Scatter.build(ProblemScale::tiny(), 5);
+    problem.n_timesteps = ALL_DEAD_STEPS;
+    problem.transport.tally_strategy = TallyStrategy::Replicated;
+    let sim = Arc::new(Simulation::new(problem));
+    for driver in DriverKind::ALL {
+        let options = driver.options(WORKERS);
+        let fused = sim.run(options);
+        assert_eq!(
+            fused.alive,
+            0,
+            "{}: fixture must kill everyone",
+            driver.name()
+        );
+        let (sharded, _, _) = run_sharded(&sim, options, fast_config(2)).expect("sharded");
+        for (name, a, b) in [
+            (
+                "census_energy_ev",
+                fused.counters.census_energy_ev,
+                sharded.counters.census_energy_ev,
+            ),
+            (
+                "lost_energy_ev",
+                fused.counters.lost_energy_ev,
+                sharded.counters.lost_energy_ev,
+            ),
+        ] {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{}: {name} {a:?} vs {b:?}",
+                driver.name()
+            );
+        }
+        assert_eq!(
+            fused.counters.census_energy_ev.to_bits(),
+            (-0.0f64).to_bits(),
+            "{}: an empty fold is -0.0",
+            driver.name()
+        );
+    }
 }
