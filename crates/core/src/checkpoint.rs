@@ -125,6 +125,16 @@ pub(crate) fn put_counters(out: &mut Vec<u8>, c: &EventCounters) {
     out.extend_from_slice(&c.census_energy_ev.to_bits().to_le_bytes());
 }
 
+/// Append a run of `f64`s (little-endian bit patterns) in one reserve and
+/// one pass — the wire form of a tally mesh or a lane partial.
+pub(crate) fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    let start = out.len();
+    out.resize(start + values.len() * 8, 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
 /// Read one counters block in the checkpoint wire layout.
 pub(crate) fn read_counters(r: &mut Reader<'_>) -> Result<EventCounters, CheckpointError> {
     let mut counters = EventCounters {
@@ -324,7 +334,6 @@ impl Checkpoint {
         out.extend_from_slice(&(payload_len as u64).to_le_bytes());
 
         let put_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        let put_f64 = |out: &mut Vec<u8>, v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
 
         put_u64(&mut out, self.fingerprint);
         put_u64(&mut out, self.next_step as u64);
@@ -335,9 +344,7 @@ impl Checkpoint {
         put_counters(&mut out, &self.counters);
 
         put_u64(&mut out, self.tally.len() as u64);
-        for &v in &self.tally {
-            put_f64(&mut out, v);
-        }
+        put_f64s(&mut out, &self.tally);
 
         put_u64(&mut out, self.particles.len() as u64);
         for p in &self.particles {
@@ -415,10 +422,7 @@ impl Checkpoint {
                 "tally count {n_tally} exceeds payload"
             )));
         }
-        let mut tally = Vec::with_capacity(n_tally);
-        for _ in 0..n_tally {
-            tally.push(r.f64()?);
-        }
+        let tally = r.f64s(n_tally)?;
 
         let n_particles = r.u64()? as usize;
         let particle_bytes = n_particles
@@ -500,6 +504,19 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A run of `n` `f64`s written by [`put_f64s`], decoded in one bounds
+    /// check and one allocation. Callers bound `n` by [`remaining`]
+    /// (it is corruption-controlled) before asking.
+    ///
+    /// [`remaining`]: Reader::remaining
+    pub(crate) fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CheckpointError> {
+        let bytes = self.take(n.saturating_mul(8))?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+            .collect())
     }
 }
 

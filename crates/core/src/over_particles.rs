@@ -107,7 +107,8 @@ pub fn run_scheduled<R: CbRng>(
 /// Track every particle on `n_threads` workers with the pluggable tally
 /// subsystem: the particle list is cut into the lanes of the *explicit*
 /// partition `part`, whole lanes are scheduled across the workers, and
-/// each lane deposits through its own [`LaneSink`]. Returns the raw
+/// each lane deposits through its own [`LaneSink`], which the tracking
+/// worker [claims](LaneSink::claim) first. Returns the raw
 /// per-lane counters; the caller merges them with the deterministic
 /// pairwise reduction, so for the deterministic backends the merged tally
 /// *and* the counters are bitwise identical for any `n_threads`.
@@ -116,7 +117,7 @@ pub fn run_scheduled<R: CbRng>(
 /// shard holds a contiguous run of the global lane space, so it must
 /// process its particles with the *global* `lane_size` (a tail shard's
 /// local `LanePartition::new` would compute a smaller one) and hand its
-/// per-lane partials — tally lanes via [`TallyAccum::lane_partial`],
+/// per-lane partials — tally lanes via [`TallyAccum::into_lane_partials`],
 /// counters via this return value — to the coordinator, which replays the
 /// global pairwise merges.
 ///
@@ -158,22 +159,25 @@ pub fn run_lanes_partitioned<R: CbRng>(
         n_threads,
         schedule.lane_granular(),
         &mut states,
-        |lane, (sink, local)| match order {
-            None => {
-                // SAFETY: lane ranges are disjoint (see LanePartition).
-                let chunk = unsafe { shared.range_mut(part.range(lane)) };
-                for p in chunk {
-                    track_to_census(p, ctx, sink, local);
+        |lane, (sink, local)| {
+            sink.claim();
+            match order {
+                None => {
+                    // SAFETY: lane ranges are disjoint (see LanePartition).
+                    let chunk = unsafe { shared.range_mut(part.range(lane)) };
+                    for p in chunk {
+                        track_to_census(p, ctx, sink, local);
+                    }
                 }
-            }
-            Some(ord) => {
-                for &pos in &ord[part.range(lane)] {
-                    let pos = pos as usize;
-                    // SAFETY: `order` is a permutation, and the key
-                    // ranges of distinct lanes are disjoint, so distinct
-                    // lanes touch disjoint physical positions.
-                    let p = unsafe { &mut shared.range_mut(pos..pos + 1)[0] };
-                    track_to_census(p, ctx, sink, local);
+                Some(ord) => {
+                    for &pos in &ord[part.range(lane)] {
+                        let pos = pos as usize;
+                        // SAFETY: `order` is a permutation, and the key
+                        // ranges of distinct lanes are disjoint, so distinct
+                        // lanes touch disjoint physical positions.
+                        let p = unsafe { &mut shared.range_mut(pos..pos + 1)[0] };
+                        track_to_census(p, ctx, sink, local);
+                    }
                 }
             }
         },
@@ -322,10 +326,19 @@ mod tests {
         use neutral_mesh::TallyStrategy;
         let fx = Fixture::new(TestCase::Csp);
         let cells = fx.problem.mesh.num_cells();
-        let run = |strategy: TallyStrategy, threads: usize, schedule: Schedule| {
+        // `dirty` starts the driver from an accumulator whose lanes
+        // already hold deposits: claiming a lane must wipe them.
+        let run = |strategy: TallyStrategy, threads: usize, schedule: Schedule, dirty: bool| {
             let mut particles = spawn_particles(&fx.problem);
             let part = LanePartition::new(particles.len(), 16);
             let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
+            if dirty {
+                for (l, mut view) in accum.lane_views().into_iter().enumerate() {
+                    for cell in 0..cells {
+                        view.add(cell, 1.0e9 * (1 + l + cell) as f64);
+                    }
+                }
+            }
             let counters = EventCounters::merge_deterministic(&run_lanes_partitioned(
                 &mut particles,
                 &fx.ctx(),
@@ -335,17 +348,24 @@ mod tests {
                 None,
                 part,
             ));
-            (accum.merge(), counters, particles)
+            (accum.merge_with(threads), counters, particles)
         };
         for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
             let (base_tally, base_counters, base_particles) =
-                run(strategy, 1, Schedule::Static { chunk: None });
-            for (threads, schedule) in [
-                (2, Schedule::Dynamic { chunk: 64 }),
-                (7, Schedule::Guided { min_chunk: 2 }),
-                (4, Schedule::Static { chunk: Some(8) }),
+                run(strategy, 1, Schedule::Static { chunk: None }, false);
+            for (threads, schedule, dirty) in [
+                (2, Schedule::Dynamic { chunk: 64 }, false),
+                (7, Schedule::Guided { min_chunk: 2 }, false),
+                (4, Schedule::Static { chunk: Some(8) }, false),
+                (1, Schedule::Static { chunk: None }, true),
+                (2, Schedule::Dynamic { chunk: 64 }, true),
+                (7, Schedule::Guided { min_chunk: 2 }, true),
             ] {
-                let (tally, counters, particles) = run(strategy, threads, schedule);
+                // Only a private dense lane is the claiming worker's to wipe.
+                if dirty && strategy != TallyStrategy::Replicated {
+                    continue;
+                }
+                let (tally, counters, particles) = run(strategy, threads, schedule, dirty);
                 assert_eq!(particles, base_particles, "{strategy:?}/{threads}");
                 assert_eq!(counters, base_counters, "{strategy:?}/{threads}");
                 assert!(
@@ -353,17 +373,23 @@ mod tests {
                         .iter()
                         .zip(&base_tally)
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{strategy:?}/{threads}: merged tally bits differ"
+                    "{strategy:?}/{threads}/dirty={dirty}: merged tally bits differ"
                 );
             }
         }
         // The atomic backend computes the same physics (same deposit
         // multiset), just without the bitwise guarantee.
-        let (atomic, counters, _) = run(TallyStrategy::Atomic, 7, Schedule::Dynamic { chunk: 8 });
+        let (atomic, counters, _) = run(
+            TallyStrategy::Atomic,
+            7,
+            Schedule::Dynamic { chunk: 8 },
+            false,
+        );
         let (replicated, base_counters, _) = run(
             TallyStrategy::Replicated,
             1,
             Schedule::Static { chunk: None },
+            false,
         );
         assert_eq!(counters.collisions, base_counters.collisions);
         for (a, b) in atomic.iter().zip(&replicated) {

@@ -8,9 +8,9 @@
 //! lane geometry, and hands back a serialized `ShardResult` (per-lane
 //! tally partials, per-lane counters, post-step particle records). The
 //! coordinator — a [`SolveCore`] — installs the records and closes the
-//! step with the very `fold_step` an unsharded step ends in (fed the
-//! pairwise lane merge of [`merge_lanes_pairwise`] over the wire
-//! partials), so the merged tallies, counters and final particle records
+//! step with the very `fold_step` an unsharded step ends in (fed
+//! [`merge_lanes_pairwise`] over the decoded wire partials, borrowed in
+//! place — the function an unsharded merge runs), so the merged tallies, counters and final particle records
 //! are **bitwise identical to the unsharded run for any shard count**.
 //! A solve with one shard, no fault plan and no spill base *is* the
 //! unsharded solve: it steps its core in place.
@@ -26,14 +26,15 @@
 //! snapshots, a retried shard reproduces the clean run's bits exactly.
 
 use crate::checkpoint::{
-    config_fingerprint, fnv1a64, put_counters, put_particle, read_counters, read_particle,
-    Checkpoint, CheckpointError, CheckpointStore, Reader, COUNTERS_RECORD_LEN, PARTICLE_RECORD_LEN,
+    config_fingerprint, fnv1a64, put_counters, put_f64s, put_particle, read_counters,
+    read_particle, Checkpoint, CheckpointError, CheckpointStore, Reader, COUNTERS_RECORD_LEN,
+    PARTICLE_RECORD_LEN,
 };
 use crate::counters::EventCounters;
 use crate::particle::Particle;
 use crate::sim::{Execution, RunOptions, RunReport, Simulation, SolveCore};
 use crate::soa::ParticleSoA;
-use crate::step::{begin_step, run_step, StepScratch};
+use crate::step::{begin_step, execution_workers, run_step, StepScratch};
 use neutral_mesh::accum::{merge_lanes_pairwise, DEFAULT_LANES};
 use neutral_mesh::{LanePartition, TallyAccum};
 use std::fmt;
@@ -431,9 +432,7 @@ impl ShardResult {
             put_counters(&mut out, c);
         }
         for lane in &self.lane_tallies {
-            for v in lane {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            put_f64s(&mut out, lane);
         }
         out.extend_from_slice(&(self.particles.len() as u64).to_le_bytes());
         for p in &self.particles {
@@ -502,11 +501,7 @@ impl ShardResult {
         }
         let mut lane_tallies = Vec::with_capacity(n_lanes);
         for _ in 0..n_lanes {
-            let mut lane = Vec::with_capacity(n_cells);
-            for _ in 0..n_cells {
-                lane.push(r.f64().map_err(fail)?);
-            }
-            lane_tallies.push(lane);
+            lane_tallies.push(r.f64s(n_cells).map_err(fail)?);
         }
         let n_particles = usize::try_from(r.u64().map_err(fail)?).unwrap_or(usize::MAX);
         if n_particles
@@ -549,6 +544,15 @@ struct AttemptTask {
     part: LanePartition,
     /// Global particle index of the range's first particle.
     base0: usize,
+    /// The attempt's tally sink, one lane per lane of `part` — allocated
+    /// by the supervisor, not on the attempt thread. The lane meshes are
+    /// the bulk of a step's memory: on the coordinator's heap the decoded
+    /// result reuses the space the attempt freed before it reported,
+    /// whereas a thread about to exit would hold them in its own
+    /// allocator arena, which returns or keeps freed memory depending on
+    /// how thread exits interleave — peak RSS then differs by a shard's
+    /// lanes from one run to the next (DESIGN.md §11).
+    accum: TallyAccum,
     heartbeat: Arc<AtomicU64>,
 }
 
@@ -564,6 +568,7 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
         shard,
         part,
         base0,
+        mut accum,
         heartbeat,
     } = task;
     let problem = sim.problem();
@@ -580,7 +585,6 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
     );
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
-    let mut accum = TallyAccum::new(problem.transport.tally_strategy, cells, part.n_lanes.max(1));
     let (mut lane_counters, _timings) = run_step(
         &mut soa,
         &sim.ctx(),
@@ -595,14 +599,17 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
     lane_counters.resize(part.n_lanes, EventCounters::default());
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
+    let footprint = accum.footprint_bytes() as u64;
+    let mut lane_tallies = accum.into_lane_partials();
+    lane_tallies.truncate(part.n_lanes);
     let result = ShardResult {
         shard: shard as u64,
         step: step as u64,
         base0: base0 as u64,
         cells: cells as u64,
-        footprint: accum.footprint_bytes() as u64,
+        footprint,
         lane_counters,
-        lane_tallies: (0..part.n_lanes).map(|l| accum.lane_partial(l)).collect(),
+        lane_tallies,
         particles: soa.to_aos(),
     };
     let bytes = result.to_bytes();
@@ -735,15 +742,14 @@ impl ShardedSolve {
 
         // Shard order is global lane order: concatenating the per-lane
         // partials rebuilds the whole population's lane sequence.
-        let n_lanes = self.plan.part.n_lanes;
-        let mut lane_counters = Vec::with_capacity(n_lanes);
-        let mut lane_tallies: Vec<&Vec<f64>> = Vec::with_capacity(n_lanes);
-        for r in &results {
-            lane_counters.extend(r.lane_counters.iter().copied());
-            lane_tallies.extend(r.lane_tallies.iter());
-        }
-        debug_assert_eq!(lane_counters.len(), n_lanes);
-        let merged = merge_lanes_pairwise(n_lanes, &|lane| lane_tallies[lane].clone());
+        let lane_counters: Vec<EventCounters> = results
+            .iter()
+            .flat_map(|r| r.lane_counters.iter().copied())
+            .collect();
+        debug_assert_eq!(lane_counters.len(), self.plan.part.n_lanes);
+        let cells = sim.problem().mesh.num_cells();
+        let (workers, _) = execution_workers(self.core.options().execution);
+        let merged = merge_shard_tallies(&results, cells, workers);
         let footprint = results.iter().map(|r| r.footprint as usize).sum();
         self.core.store_records(
             results
@@ -872,21 +878,24 @@ impl ShardedSolve {
         soa: ParticleSoA,
         fault: Option<ShardFaultKind>,
     ) -> Result<ShardResult, ShardError> {
+        let problem = sim.problem();
+        let cells = problem.mesh.num_cells();
+        let part = LanePartition {
+            n_items: soa.len(),
+            lane_size: self.plan.part.lane_size,
+            n_lanes: self.plan.lane_range(shard).len(),
+        };
         let task = AttemptTask {
             sim: Arc::clone(sim),
             options: self.core.options(),
-            part: LanePartition {
-                n_items: soa.len(),
-                lane_size: self.plan.part.lane_size,
-                n_lanes: self.plan.lane_range(shard).len(),
-            },
+            part,
             soa,
             step: self.core.steps_done(),
             shard,
             base0: self.plan.particle_range(shard).start,
+            accum: TallyAccum::new(problem.transport.tally_strategy, cells, part.n_lanes.max(1)),
             heartbeat: Arc::new(AtomicU64::new(0)),
         };
-        let cells = sim.problem().mesh.num_cells();
         let heartbeat = Arc::clone(&task.heartbeat);
         let cancel = Arc::new(AtomicBool::new(false));
         let cancel_attempt = Arc::clone(&cancel);
@@ -1002,6 +1011,18 @@ impl ShardedSolve {
         }
         Ok(result)
     }
+}
+
+/// The step's merged mesh from the shards' decoded lane partials. Shard
+/// order is global lane order, so the borrowed lanes, concatenated, are
+/// the whole population's lane sequence — and the merge over them is the
+/// very function an unsharded [`TallyAccum::merge`] runs.
+fn merge_shard_tallies(results: &[ShardResult], cells: usize, workers: usize) -> Vec<f64> {
+    let lanes: Vec<&[f64]> = results
+        .iter()
+        .flat_map(|r| r.lane_tallies.iter().map(Vec::as_slice))
+        .collect();
+    merge_lanes_pairwise(&lanes, cells, workers)
 }
 
 /// Render a caught panic payload for error reporting.
@@ -1123,6 +1144,53 @@ mod tests {
         flipped[mid] ^= 0xFF;
         let err = ShardResult::from_bytes(&flipped).unwrap_err();
         assert!(err.contains("checksum"), "got: {err}");
+    }
+
+    /// The coordinator's merge over lanes that crossed the wire is the
+    /// unsharded merge: cut one accumulator's lanes into 1, 2, 3 and 5
+    /// shard results, round-trip each through the codec, and the replay
+    /// must land on `TallyAccum::merge`'s bits for any worker count.
+    #[test]
+    fn coordinator_merge_over_decoded_lanes_equals_unsharded_merge() {
+        use neutral_mesh::TallyStrategy;
+        let (cells, n_items) = (5000, 1000);
+        let part = LanePartition::new(n_items, DEFAULT_LANES);
+        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, part.n_lanes);
+        for (l, mut view) in accum.lane_views().into_iter().enumerate() {
+            for i in 0..400 {
+                let cell = (l * 613 + i * 37) % cells;
+                view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
+            }
+        }
+        let expect = accum.merge();
+        let lanes = accum.into_lane_partials();
+        for n_shards in [1usize, 2, 3, 5] {
+            let plan = ShardPlan::new(n_items, n_shards);
+            let results: Vec<ShardResult> = (0..n_shards)
+                .map(|shard| {
+                    let owned = plan.lane_range(shard);
+                    let sent = ShardResult {
+                        shard: shard as u64,
+                        cells: cells as u64,
+                        lane_counters: vec![EventCounters::default(); owned.len()],
+                        lane_tallies: lanes[owned].to_vec(),
+                        particles: Vec::new(),
+                        ..sample_result()
+                    };
+                    ShardResult::from_bytes(&sent.to_bytes()).unwrap()
+                })
+                .collect();
+            for workers in [1, 2, 7] {
+                let merged = merge_shard_tallies(&results, cells, workers);
+                assert!(
+                    merged
+                        .iter()
+                        .zip(&expect)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{n_shards} shards, {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

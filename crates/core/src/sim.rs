@@ -14,7 +14,7 @@ use crate::over_events::{Backend, KernelTimings};
 use crate::particle::{spawn_particles, Particle};
 use crate::scheduler::Schedule;
 use crate::soa::{census_energy, ParticleSoA};
-use crate::step::{begin_step, run_baseline, run_step, StepScratch};
+use crate::step::{begin_step, execution_workers, run_baseline, run_step, StepScratch};
 use crate::validate::{population_balance, EnergyBalance};
 use neutral_mesh::accum::DEFAULT_LANES;
 use neutral_mesh::{LanePartition, TallyAccum};
@@ -498,7 +498,9 @@ impl SolveCore {
                 &mut self.scratch,
             );
             let footprint = accum.footprint_bytes();
-            self.fold_step(&lane_counters, &accum.merge(), footprint, timings, started);
+            let (workers, _) = execution_workers(self.options.execution);
+            let merged = accum.merge_with(workers);
+            self.fold_step(&lane_counters, &merged, footprint, timings, started);
         }
         true
     }

@@ -729,7 +729,8 @@ fn track_soa_chunk_stepped<R: CbRng, T: TallySink>(
 /// at the lane boundaries of the *explicit* partition `part` (see
 /// `over_particles::run_lanes_partitioned` for why a shard cannot
 /// recompute it locally), whole lanes are scheduled across `n_threads`
-/// workers, and each lane deposits through its own [`LaneSink`]. `stepped`
+/// workers, and each lane deposits through its own [`LaneSink`], which the
+/// tracking worker [claims](LaneSink::claim) first. `stepped`
 /// selects the event-granular gather/scatter variant. Returns the raw
 /// per-lane counters; the deterministic merge and the census-energy fold
 /// belong to the caller, so with a deterministic backend the folded
@@ -779,6 +780,7 @@ pub fn run_lanes_soa_partitioned<R: CbRng>(
         &mut states,
         &mut arenas[..n_threads],
         |_, (lane, chunk, sink, local), arena| {
+            sink.claim();
             let chunk_order = order.map(|ord| {
                 let range = part.range(*lane);
                 let base = range.start as u32;
@@ -824,26 +826,34 @@ mod tests {
         assert!(chunks.iter().all(|c| c.len() <= 7));
     }
 
-    /// Run the SoA lane driver over a fresh population under the shared
-    /// atomic sink (the paper's contended baseline behind the lane
-    /// engine), returning the final columns, merged counters and mesh.
-    fn run_soa_lanes(
+    /// Run the SoA lane driver over a fresh population on `threads`
+    /// workers into a `strategy` accumulator — one whose lanes already
+    /// hold deposits when `dirty` — returning the final columns, merged
+    /// counters and mesh.
+    fn run_soa_lanes_with(
         problem: &crate::config::Problem,
         ctx: &TransportCtx<'_, Threefry2x64>,
         stepped: bool,
+        strategy: neutral_mesh::TallyStrategy,
+        threads: usize,
+        dirty: bool,
     ) -> (ParticleSoA, EventCounters, Vec<f64>) {
         let mut soa = ParticleSoA::from_aos(&spawn_particles(problem));
         let part = LanePartition::new(soa.len(), 16);
-        let mut accum = TallyAccum::new(
-            neutral_mesh::TallyStrategy::Atomic,
-            problem.mesh.num_cells(),
-            part.n_lanes,
-        );
+        let cells = problem.mesh.num_cells();
+        let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
+        if dirty {
+            for (l, mut view) in accum.lane_views().into_iter().enumerate() {
+                for cell in 0..cells {
+                    view.add(cell, 1.0e9 * (1 + l + cell) as f64);
+                }
+            }
+        }
         let partials = run_lanes_soa_partitioned(
             &mut soa,
             ctx,
             &mut accum,
-            2,
+            threads,
             Schedule::Dynamic { chunk: 1 },
             stepped,
             &mut Vec::new(),
@@ -851,7 +861,56 @@ mod tests {
             part,
         );
         let counters = EventCounters::merge_deterministic(&partials);
-        (soa, counters, accum.merge())
+        (soa, counters, accum.merge_with(threads))
+    }
+
+    /// The shared atomic sink (the paper's contended baseline behind the
+    /// lane engine) on two workers.
+    fn run_soa_lanes(
+        problem: &crate::config::Problem,
+        ctx: &TransportCtx<'_, Threefry2x64>,
+        stepped: bool,
+    ) -> (ParticleSoA, EventCounters, Vec<f64>) {
+        let atomic = neutral_mesh::TallyStrategy::Atomic;
+        run_soa_lanes_with(problem, ctx, stepped, atomic, 2, false)
+    }
+
+    /// Both SoA drivers claim a lane before depositing into it: started
+    /// from a non-zero replicated accumulator, any worker count lands on
+    /// the bits of the clean single-worker run.
+    #[test]
+    fn soa_lane_driver_wipes_claimed_lanes() {
+        let problem = TestCase::Csp.build(ProblemScale::tiny(), 99);
+        let rng = Threefry2x64::new([problem.seed, 1]);
+        let ctx = TransportCtx {
+            mesh: &problem.mesh,
+            materials: &problem.materials,
+            rng: &rng,
+            cfg: &problem.transport,
+        };
+        let replicated = neutral_mesh::TallyStrategy::Replicated;
+        for stepped in [false, true] {
+            let (base_soa, base_counters, base_tally) =
+                run_soa_lanes_with(&problem, &ctx, stepped, replicated, 1, false);
+            assert!(base_tally.iter().any(|&v| v > 0.0));
+            for threads in [1, 2, 7] {
+                let (soa, counters, tally) =
+                    run_soa_lanes_with(&problem, &ctx, stepped, replicated, threads, true);
+                assert_eq!(
+                    soa.to_aos(),
+                    base_soa.to_aos(),
+                    "stepped={stepped}/{threads}"
+                );
+                assert_eq!(counters, base_counters, "stepped={stepped}/{threads}");
+                assert!(
+                    tally
+                        .iter()
+                        .zip(&base_tally)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "stepped={stepped}/{threads}: merged tally bits differ"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,15 @@
 //! 3. `SolveCore::fold_step` — deterministic counter merge, key-order
 //!    census-energy fold, running-tally accumulate.
 //!
+//! The [`TallyAccum`] is the one piece of step state that is *not* kept
+//! in `StepScratch`: the caller allocates a fresh one per step (lane
+//! meshes arrive as untouched zero pages), the depth-first drivers have
+//! each worker claim — zero-fill — the lanes it tracks while Over Events
+//! leaves them lazy, and the caller folds it with
+//! `merge_with(workers)` (in place, no lane copied) or ships the lanes
+//! whole (`into_lane_partials`, a shard attempt) before dropping it. See
+//! "Lane lifecycle" in DESIGN.md §11.
+//!
 //! The dispatch table (`execution × tally × layout × scheme → arm`):
 //!
 //! | scheme / layout | execution | tally | arm |

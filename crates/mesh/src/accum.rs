@@ -32,6 +32,16 @@
 //! backends to floating-point reassociation error otherwise (this is
 //! exactly the reproducibility/footprint trade-off OpenMC and MC/DC
 //! document for their tally servers). See `DESIGN.md` §11.
+//!
+//! # Lane lifecycle
+//!
+//! An accumulator lives for one timestep: the step engine allocates it,
+//! the drivers deposit, [`TallyAccum::merge_with`] folds it, it is
+//! dropped. A replicated lane mesh is *allocated lazily* (`vec![0.0; n]`
+//! maps untouched zero pages), *claimed* by the worker that will deposit
+//! into it ([`LaneSink::claim`] — the one zeroing rule), and *merged in
+//! place* ([`merge_lanes_pairwise`]: a cell-blocked pairwise tree over
+//! borrowed lanes, no lane is copied).
 
 use crate::tally::AtomicTally;
 use std::collections::HashMap;
@@ -220,6 +230,34 @@ pub enum LaneSink<'a> {
 }
 
 impl LaneSink<'_> {
+    /// Claim this lane for the calling worker before its first deposit:
+    /// a private dense mesh is zero-filled with plain stores, the shared
+    /// and blocked sinks are left alone.
+    ///
+    /// The depth-first lane drivers (`over_particles`, `soa`) call this
+    /// once per lane, on the worker that will track the lane. A lane's
+    /// pages arrive untouched from the allocator, and `lane[cell] += v`
+    /// *reads* a page before it writes it: the read maps the shared zero
+    /// page, the write then takes a second, copy-on-write fault that
+    /// flushes the page from every other worker's TLB. Those histories
+    /// walk nearly the whole mesh, so writing the lane first halves the
+    /// faults (one plain write fault per page; 30 592 → 15 296 per csp
+    /// 512² step) and takes the cross-CPU flushes out of the track loop.
+    /// It also makes a driver's result independent of what the lane held.
+    ///
+    /// Over Events deliberately does **not** claim: its windows deposit
+    /// into a sparse subset of each lane's pages, so an eager fill only
+    /// commits memory nobody reads (`scatter` 512², 32 lanes: peak RSS
+    /// 110 → 155 MB for no wall gain). It relies on the allocator's zero
+    /// pages instead, which is why the step engine allocates a fresh
+    /// accumulator per step.
+    #[inline]
+    pub fn claim(&mut self) {
+        if let LaneSink::Dense(lane) = self {
+            lane.fill(0.0);
+        }
+    }
+
     /// Add `value` to `cell` through this lane's backend mechanism.
     #[inline]
     pub fn add(&mut self, cell: usize, value: f64) {
@@ -252,9 +290,10 @@ impl LaneSink<'_> {
 /// * [`lane_views`](TallyAccumulator::lane_views) hands out exactly
 ///   [`n_lanes`](TallyAccumulator::n_lanes) sinks, and sinks of distinct
 ///   lanes may be driven concurrently;
-/// * [`merge`](TallyAccumulator::merge) combines lane partials with the
-///   shared pairwise reduction in lane order, so for the deterministic
-///   backends the result depends only on the per-lane deposit sequences.
+/// * [`merge_with`](TallyAccumulator::merge_with) combines lane partials
+///   with the shared pairwise reduction in lane order, so for the
+///   deterministic backends the result depends only on the per-lane
+///   deposit sequences — never on the worker count it is given.
 pub trait TallyAccumulator {
     /// The backend's strategy tag.
     fn strategy(&self) -> TallyStrategy;
@@ -266,10 +305,13 @@ pub trait TallyAccumulator {
     /// where every view aliases the shared mesh).
     fn lane_views(&mut self) -> Vec<LaneSink<'_>>;
     /// Merge all lanes into one mesh (deterministic pairwise reduction
-    /// for the deterministic backends).
-    fn merge(&self) -> Vec<f64>;
-    /// Zero every lane for the next timestep.
-    fn reset(&mut self);
+    /// for the deterministic backends), on up to `workers` threads where
+    /// the backend's merge is heavy enough to split.
+    fn merge_with(&self, workers: usize) -> Vec<f64>;
+    /// [`merge_with`](TallyAccumulator::merge_with) on the calling thread.
+    fn merge(&self) -> Vec<f64> {
+        self.merge_with(1)
+    }
     /// Resident bytes of the backend's accumulation state.
     fn footprint_bytes(&self) -> usize;
 }
@@ -288,29 +330,91 @@ pub fn pairwise_sum(values: &[f64]) -> f64 {
     }
 }
 
-/// Pairwise merge of `n_lanes` dense partials materialised on demand:
-/// leaf `l` is `leaf(l)`, internal nodes add element-wise. The tree shape
-/// depends only on `n_lanes`, so the result is a pure function of the
-/// lane partials. Peak memory is `O(log n_lanes)` meshes.
+/// Cells per block of [`merge_lanes_pairwise`]: 32 KB of `f64`, so a
+/// block's output and its ≤ log₂(lanes) partial sums stay cache-resident
+/// while the lanes stream through once.
+const MERGE_BLOCK: usize = 4096;
+
+/// Pairwise (binary-tree) merge of dense lane partials, in place: leaf
+/// `l` is `lanes[l]`, internal nodes add element-wise, and a node over
+/// lanes `[lo, hi)` splits at `mid = lo + (hi - lo) / 2`. The tree shape
+/// depends only on `lanes.len()`, so the result is a pure function of the
+/// lane partials — `workers` changes who computes a cell, never how.
 ///
-/// Exported so a cross-shard coordinator can replay the exact reduction
-/// an unsharded [`TallyAccum::merge`] would run, with leaves drawn from
-/// whichever shard owns each lane (see `neutral_core::shard`).
+/// The tree is evaluated one `MERGE_BLOCK`-cell (4096) block at a time over
+/// the *borrowed* lanes, straight into the output: no lane is copied,
+/// every lane is read exactly once, and the only transient memory is
+/// `log₂(lanes)` blocks of partial sums per worker. Blocks are
+/// independent, so they are dealt to `workers` scoped threads as
+/// contiguous runs of the output.
+///
+/// Exported so a cross-shard coordinator replays the exact reduction an
+/// unsharded [`TallyAccum::merge`] runs, over lanes decoded from
+/// whichever shard owns each (see `neutral_core::shard`).
+///
+/// # Panics
+///
+/// Panics if a lane does not hold exactly `cells` values.
 #[must_use]
-pub fn merge_lanes_pairwise(n_lanes: usize, leaf: &impl Fn(usize) -> Vec<f64>) -> Vec<f64> {
-    fn node(lo: usize, hi: usize, leaf: &impl Fn(usize) -> Vec<f64>) -> Vec<f64> {
-        if hi - lo == 1 {
-            return leaf(lo);
+pub fn merge_lanes_pairwise<L>(lanes: &[L], cells: usize, workers: usize) -> Vec<f64>
+where
+    L: AsRef<[f64]> + Sync,
+{
+    assert!(
+        lanes.iter().all(|l| l.as_ref().len() == cells),
+        "every lane must hold {cells} cells"
+    );
+    let mut out = vec![0.0; cells];
+    // A node over three or more lanes parks its right half's sum in one
+    // block of scratch, so at most ⌈log₂ lanes⌉ are live at once.
+    let levels = lanes.len().next_power_of_two().ilog2() as usize;
+    let merge_run = |start: usize, run: &mut [f64]| {
+        let mut scratch = vec![0.0; levels * MERGE_BLOCK.min(run.len())];
+        let mut lo = start;
+        for block in run.chunks_mut(MERGE_BLOCK) {
+            merge_block(lanes, lo, block, &mut scratch);
+            lo += block.len();
         }
-        let mid = lo + (hi - lo) / 2;
-        let mut a = node(lo, mid, leaf);
-        let b = node(mid, hi, leaf);
-        for (x, y) in a.iter_mut().zip(&b) {
-            *x += y;
-        }
-        a
+    };
+    let blocks = cells.div_ceil(MERGE_BLOCK);
+    let workers = workers.clamp(1, blocks.max(1));
+    if workers == 1 {
+        merge_run(0, &mut out);
+    } else {
+        let run_len = blocks.div_ceil(workers) * MERGE_BLOCK;
+        std::thread::scope(|scope| {
+            for (w, run) in out.chunks_mut(run_len).enumerate() {
+                let merge_run = &merge_run;
+                scope.spawn(move || merge_run(w * run_len, run));
+            }
+        });
     }
-    node(0, n_lanes.max(1), leaf)
+    out
+}
+
+/// One block of the pairwise tree: `out = Σ_tree lanes[..][lo..lo + out.len()]`.
+/// `scratch` supplies one `out`-sized buffer per level of recursion.
+fn merge_block<L: AsRef<[f64]>>(lanes: &[L], lo: usize, out: &mut [f64], scratch: &mut [f64]) {
+    let cells = lo..lo + out.len();
+    match lanes {
+        [] => out.fill(0.0),
+        [a] => out.copy_from_slice(&a.as_ref()[cells]),
+        [a, b] => {
+            let (a, b) = (&a.as_ref()[cells.clone()], &b.as_ref()[cells]);
+            for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
+                *o = x + y;
+            }
+        }
+        _ => {
+            let (left, right) = lanes.split_at(lanes.len() / 2);
+            let (partial, scratch) = scratch.split_at_mut(out.len());
+            merge_block(left, lo, out, scratch);
+            merge_block(right, lo, partial, scratch);
+            for (o, p) in out.iter_mut().zip(partial.iter()) {
+                *o += p;
+            }
+        }
+    }
 }
 
 /// The paper's shared-atomic backend: one mesh, every lane view aliases
@@ -350,12 +454,8 @@ impl TallyAccumulator for AtomicAccum {
         (0..self.n_lanes).map(|_| LaneSink::Shared(mesh)).collect()
     }
 
-    fn merge(&self) -> Vec<f64> {
+    fn merge_with(&self, _workers: usize) -> Vec<f64> {
         self.mesh.snapshot()
-    }
-
-    fn reset(&mut self) {
-        self.mesh.reset();
     }
 
     fn footprint_bytes(&self) -> usize {
@@ -398,14 +498,8 @@ impl TallyAccumulator for ReplicatedAccum {
         self.lanes.iter_mut().map(|l| LaneSink::Dense(l)).collect()
     }
 
-    fn merge(&self) -> Vec<f64> {
-        merge_lanes_pairwise(self.lanes.len(), &|l| self.lanes[l].clone())
-    }
-
-    fn reset(&mut self) {
-        for lane in &mut self.lanes {
-            lane.fill(0.0);
-        }
+    fn merge_with(&self, workers: usize) -> Vec<f64> {
+        merge_lanes_pairwise(&self.lanes, self.cells, workers)
     }
 
     fn footprint_bytes(&self) -> usize {
@@ -494,7 +588,7 @@ impl TallyAccumulator for PrivatizedAccum {
             .collect()
     }
 
-    fn merge(&self) -> Vec<f64> {
+    fn merge_with(&self, _workers: usize) -> Vec<f64> {
         // Lane `l`'s partial for cell `c` is its owned-block slot when it
         // owns `c`, its spill entry otherwise — per cell, both mechanisms
         // applied the lane's adds in chronological order, so each partial
@@ -523,15 +617,6 @@ impl TallyAccumulator for PrivatizedAccum {
             out[c] = tree_sum_sparse(0, n_lanes, &contribs);
         }
         out
-    }
-
-    fn reset(&mut self) {
-        for block in &mut self.owned {
-            block.fill(0.0);
-        }
-        for spill in &mut self.spill {
-            spill.clear();
-        }
     }
 
     fn footprint_bytes(&self) -> usize {
@@ -612,15 +697,18 @@ impl TallyAccum {
         self.inner_mut().lane_views()
     }
 
-    /// Deterministically merged mesh (see [`TallyAccumulator::merge`]).
+    /// Deterministically merged mesh, computed on the calling thread
+    /// (see [`TallyAccumulator::merge_with`]).
     #[must_use]
     pub fn merge(&self) -> Vec<f64> {
-        self.inner().merge()
+        self.merge_with(1)
     }
 
-    /// Zero all lanes.
-    pub fn reset(&mut self) {
-        self.inner_mut().reset();
+    /// As [`merge`](TallyAccum::merge) — the same bits — with the
+    /// replicated backend's blocks split across up to `workers` threads.
+    #[must_use]
+    pub fn merge_with(&self, workers: usize) -> Vec<f64> {
+        self.inner().merge_with(workers)
     }
 
     /// Resident bytes of the accumulation state.
@@ -629,36 +717,43 @@ impl TallyAccum {
         self.inner().footprint_bytes()
     }
 
-    /// Dense partial of lane `lane`: the per-cell sums that lane's
-    /// deposit sequence produced, independent of backend blocking. For
-    /// `Replicated` this is the lane's private mesh; for `Privatized`
-    /// it is the owned block plus spill entries re-densified (both hold
-    /// each cell's adds in chronological order, so the materialised
-    /// partial is bitwise what a dense lane would hold). This is the
-    /// serialisation unit of sharded solves: feeding these partials to
-    /// [`merge_lanes_pairwise`] reproduces [`TallyAccum::merge`] bit
-    /// for bit.
+    /// Consume the accumulator into its dense per-lane partials: for
+    /// each lane, the per-cell sums that lane's deposit sequence
+    /// produced, independent of backend blocking. For `Replicated` these
+    /// are the lanes' private meshes, handed over by move; for
+    /// `Privatized` each is the owned block plus spill entries
+    /// re-densified (both hold each cell's adds in chronological order,
+    /// so the materialised partial is bitwise what a dense lane would
+    /// hold). This is the serialisation unit of sharded solves: feeding
+    /// these partials to [`merge_lanes_pairwise`] reproduces
+    /// [`TallyAccum::merge`] bit for bit.
     ///
     /// # Panics
     ///
     /// Panics for the `Atomic` backend, whose shared mesh has no
     /// well-defined per-lane decomposition.
     #[must_use]
-    pub fn lane_partial(&self, lane: usize) -> Vec<f64> {
+    pub fn into_lane_partials(self) -> Vec<Vec<f64>> {
         match self {
             TallyAccum::Atomic(_) => {
                 panic!("lane partials are only defined for deterministic tally strategies")
             }
-            TallyAccum::Replicated(a) => a.lanes[lane].clone(),
-            TallyAccum::Privatized(a) => {
-                let mut out = vec![0.0; a.cells];
-                let start = (lane * a.block_size).min(a.cells);
-                out[start..start + a.owned[lane].len()].copy_from_slice(&a.owned[lane]);
-                for (&cell, &value) in &a.spill[lane] {
-                    out[cell as usize] = value;
-                }
-                out
-            }
+            TallyAccum::Replicated(a) => a.lanes,
+            TallyAccum::Privatized(a) => a
+                .owned
+                .iter()
+                .zip(&a.spill)
+                .enumerate()
+                .map(|(lane, (owned, spill))| {
+                    let mut out = vec![0.0; a.cells];
+                    let start = (lane * a.block_size).min(a.cells);
+                    out[start..start + owned.len()].copy_from_slice(owned);
+                    for (&cell, &value) in spill {
+                        out[cell as usize] = value;
+                    }
+                    out
+                })
+                .collect(),
         }
     }
 }
@@ -800,7 +895,85 @@ mod tests {
         }
     }
 
-    /// Re-merging materialised lane partials through the exported
+    /// The clone-recursive pairwise merge the blocked one replaced, kept
+    /// as the oracle: leaf `l` is a copy of lane `l`, internal nodes add
+    /// element-wise, split at `mid = lo + (hi - lo) / 2`.
+    fn merge_lanes_reference(lanes: &[Vec<f64>]) -> Vec<f64> {
+        fn node(lo: usize, hi: usize, lanes: &[Vec<f64>]) -> Vec<f64> {
+            if hi - lo == 1 {
+                return lanes[lo].clone();
+            }
+            let mid = lo + (hi - lo) / 2;
+            let mut a = node(lo, mid, lanes);
+            let b = node(mid, hi, lanes);
+            for (x, y) in a.iter_mut().zip(&b) {
+                *x += y;
+            }
+            a
+        }
+        node(0, lanes.len(), lanes)
+    }
+
+    /// Worker counts for the merge grid: {1, 2, 3, 7} plus whatever
+    /// `NEUTRAL_TEST_THREADS` adds (the CI multi-thread job sets it).
+    fn merge_worker_counts() -> Vec<usize> {
+        let mut counts = vec![1, 2, 3, 7];
+        if let Some(n) = std::env::var("NEUTRAL_TEST_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+        {
+            if n > 0 && !counts.contains(&n) {
+                counts.push(n);
+            }
+        }
+        counts
+    }
+
+    /// The blocked in-place merge is the recursive tree, bit for bit,
+    /// across lane counts around the power-of-two edges, cell counts
+    /// around the block edges, and any worker count — on data where a
+    /// reshaped tree or a dropped `+ 0.0` would show: mixed signs and
+    /// magnitudes, `-0.0`, subnormals, and lanes that are mostly zero.
+    #[test]
+    fn blocked_merge_matches_recursive_reference() {
+        let value = |lane: usize, cell: usize| -> f64 {
+            let h = (lane as u64 + 1)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add((cell as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9));
+            let h = (h ^ (h >> 29)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let sparse = lane % 3 == 2;
+            match (h >> 60, sparse) {
+                (0..=11, true) => 0.0,
+                (0 | 12, _) => -0.0,
+                (1 | 13, _) => f64::from_bits(h & 0xf_ffff), // subnormal
+                (2, _) => -f64::MIN_POSITIVE / 4.0,
+                (k, _) => (h >> 11) as f64 * 2f64.powi(k as i32 * 7 - 100) * (1.0 - (h & 2) as f64),
+            }
+        };
+        let b = MERGE_BLOCK;
+        for n_lanes in [1usize, 2, 3, 5, 31, 32, 33] {
+            for cells in [1, b - 1, b, b + 1, 3 * b + 7] {
+                let lanes: Vec<Vec<f64>> = (0..n_lanes)
+                    .map(|l| (0..cells).map(|c| value(l, c)).collect())
+                    .collect();
+                let expect = merge_lanes_reference(&lanes);
+                for workers in merge_worker_counts() {
+                    let got = merge_lanes_pairwise(&lanes, cells, workers);
+                    assert_eq!(got.len(), cells);
+                    for (c, (a, e)) in got.iter().zip(&expect).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            e.to_bits(),
+                            "{n_lanes} lanes, {cells} cells, {workers} workers, cell {c}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(merge_lanes_pairwise::<Vec<f64>>(&[], 3, 2), vec![0.0; 3]);
+    }
+
+    /// Re-merging the consumed lane partials through the exported
     /// pairwise tree must reproduce `merge()` bitwise — the contract
     /// the sharded executor's cross-shard reduction stands on.
     #[test]
@@ -818,8 +991,11 @@ mod tests {
                     }
                 }
             }
-            let merged = accum.merge();
-            let remerged = merge_lanes_pairwise(lanes, &|l| accum.lane_partial(l));
+            let merged = accum.merge_with(2);
+            assert_eq!(merged, accum.merge(), "{strategy:?}");
+            let partials = accum.into_lane_partials();
+            let remerged = merge_lanes_pairwise(&partials, cells, 1);
+            assert_eq!(remerged, merge_lanes_reference(&partials), "{strategy:?}");
             for (c, (a, b)) in merged.iter().zip(&remerged).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{strategy:?} cell {c}");
             }
@@ -853,8 +1029,11 @@ mod tests {
         assert_eq!(privatized, atomic); // empty spill: one dense mesh
     }
 
+    /// `claim()` is the one zeroing rule: it wipes a dirtied dense lane
+    /// and nothing else — the shared mesh and an owned block hold other
+    /// lanes' or earlier deposits that a claim must not lose.
     #[test]
-    fn reset_zeroes_all_backends() {
+    fn claim_zeroes_a_dirtied_dense_lane_only() {
         for strategy in TallyStrategy::ALL {
             let mut accum = TallyAccum::new(strategy, 16, 3);
             {
@@ -863,12 +1042,16 @@ mod tests {
                     v.add(5, 1.0);
                     v.add(15, 2.0);
                 }
+                for v in views.iter_mut() {
+                    v.claim();
+                }
             }
-            accum.reset();
-            assert!(
-                accum.merge().iter().all(|&v| v == 0.0),
-                "{strategy:?} reset"
-            );
+            let merged = accum.merge();
+            if strategy == TallyStrategy::Replicated {
+                assert!(merged.iter().all(|v| v.to_bits() == 0), "dense lanes wiped");
+            } else {
+                assert_eq!((merged[5], merged[15]), (3.0, 6.0), "{strategy:?} kept");
+            }
         }
     }
 }
