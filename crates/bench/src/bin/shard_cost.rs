@@ -8,7 +8,11 @@
 //! timing whole timesteps. Each sharded step pays for
 //! per-shard serialization of the transport work plus the deterministic
 //! pairwise lane merge; the headline number is "cutting a timestep into
-//! N recoverable units costs X% over the fused step". Every sharded run
+//! N recoverable units costs X% over the fused step", and beside it the
+//! bytes of shard results that crossed the wire per step — a shard ships
+//! the merge-tree nodes covering its lanes, so 2/4/8 shards over 32
+//! lanes ship one mesh each and 3 shards (lane ranges off the node
+//! boundaries) ship 2 + 4 + 3. Every sharded run
 //! is asserted bitwise identical to the unsharded baseline before its
 //! timing is reported — a sharded configuration that drifts is a bug,
 //! not a data point.
@@ -32,8 +36,9 @@ const DRIVERS: [(&str, Scheme, Layout); 3] = [
     ("soa", Scheme::OverParticles, Layout::Soa),
 ];
 
-/// Shard counts swept against the unsharded baseline.
-const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
+/// Shard counts swept against the unsharded baseline: 2/4/8 cut 32
+/// lanes on node boundaries, 3 does not (a multi-node cover per shard).
+const SHARD_COUNTS: [usize; 4] = [2, 3, 4, 8];
 
 /// Median of a non-empty sample (mutates order).
 fn median(values: &mut [f64]) -> f64 {
@@ -41,7 +46,13 @@ fn median(values: &mut [f64]) -> f64 {
     values[values.len() / 2]
 }
 
-fn run_sharded(sim: &Arc<Simulation>, options: RunOptions, n_shards: usize) -> (RunReport, f64) {
+/// Run the solve as `n_shards` shards: the report, the median step time
+/// in ms, and the result bytes that crossed the wire per step.
+fn run_sharded(
+    sim: &Arc<Simulation>,
+    options: RunOptions,
+    n_shards: usize,
+) -> (RunReport, f64, f64) {
     let mut config = ShardConfig::new(n_shards);
     config.backoff = Duration::ZERO;
     let mut solve = ShardedSolve::new(sim, options, config);
@@ -51,7 +62,8 @@ fn run_sharded(sim: &Arc<Simulation>, options: RunOptions, n_shards: usize) -> (
         solve.step(sim).expect("no faults injected");
         step_ms.push(t0.elapsed().as_secs_f64() * 1e3);
     }
-    (solve.finish(), median(&mut step_ms))
+    let wire_per_step = solve.stats().wire_bytes as f64 / step_ms.len() as f64;
+    (solve.finish(), median(&mut step_ms), wire_per_step)
 }
 
 fn main() {
@@ -136,8 +148,10 @@ fn main() {
         let mut row = vec![label.to_owned(), format!("{base:.2}")];
         for n_shards in SHARD_COUNTS {
             let mut shard_ms = Vec::new();
+            let mut wire_bytes = 0.0;
             for _ in 0..reps.max(1) {
-                let (sharded, step) = run_sharded(&sim, options, n_shards);
+                let (sharded, step, wire) = run_sharded(&sim, options, n_shards);
+                wire_bytes = wire;
                 assert_eq!(
                     sharded.tally, baseline.tally,
                     "{label}: {n_shards}-shard tally diverged from unsharded"
@@ -152,30 +166,33 @@ fn main() {
             let overhead = step / base.max(1e-9) - 1.0;
             record = record
                 .metric(&format!("sharded{n_shards}_step_ms"), step)
-                .metric(&format!("sharded{n_shards}_overhead_frac"), overhead);
+                .metric(&format!("sharded{n_shards}_overhead_frac"), overhead)
+                .metric(
+                    &format!("sharded{n_shards}_wire_bytes_per_step"),
+                    wire_bytes,
+                );
             row.push(format!("{step:.2}"));
             row.push(format!("{:+.1}%", 100.0 * overhead));
+            row.push(format!("{:.2}", wire_bytes / 1e6));
         }
         report.push(record);
         rows.push(row);
     }
-    print_table(
-        &[
-            "driver",
-            "fused (ms)",
-            "2 shards",
-            "ovh",
-            "4 shards",
-            "ovh",
-            "8 shards",
-            "ovh",
-        ],
-        &rows,
-    );
+    let mut header = vec!["driver".to_owned(), "fused (ms)".to_owned()];
+    for n_shards in SHARD_COUNTS {
+        header.extend([
+            format!("{n_shards} shards"),
+            "ovh".to_owned(),
+            "wire MB".to_owned(),
+        ]);
+    }
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    print_table(&header, &rows);
     println!(
         "\n(ovh = sharded step / fused step - 1: the per-timestep price of \
-         cutting transport into independently retryable units. All sharded \
-         tallies verified bitwise identical. Sweep mode: {}.)",
+         cutting transport into independently retryable units; wire MB = \
+         serialized shard results per step. All sharded tallies verified \
+         bitwise identical. Sweep mode: {}.)",
         if quick { "quick" } else { "full" }
     );
 

@@ -117,9 +117,10 @@ pub fn run_scheduled<R: CbRng>(
 /// shard holds a contiguous run of the global lane space, so it must
 /// process its particles with the *global* `lane_size` (a tail shard's
 /// local `LanePartition::new` would compute a smaller one) and hand its
-/// per-lane partials — tally lanes via [`TallyAccum::into_lane_partials`],
-/// counters via this return value — to the coordinator, which replays the
-/// global pairwise merges.
+/// partials — tally lanes via [`TallyAccum::into_lane_partials`], reduced
+/// to the merge-tree nodes that cover them; per-lane counters via this
+/// return value — to the coordinator, which finishes the global pairwise
+/// merges.
 ///
 /// `order`, when present, is the identity map of a regrouped population
 /// (`order[k]` = physical position of the particle with key `k`, a

@@ -5,15 +5,26 @@
 //! independent, stateless attempt on its own worker thread: the attempt
 //! receives a copy of the shard's census-boundary column range, runs the
 //! step engine's `begin_step` + `run_step` over it with the *global*
-//! lane geometry, and hands back a serialized `ShardResult` (per-lane
-//! tally partials, per-lane counters, post-step particle records). The
-//! coordinator — a [`SolveCore`] — installs the records and closes the
-//! step with the very `fold_step` an unsharded step ends in (fed
-//! [`merge_lanes_pairwise`] over the decoded wire partials, borrowed in
-//! place — the function an unsharded merge runs), so the merged tallies, counters and final particle records
-//! are **bitwise identical to the unsharded run for any shard count**.
-//! A solve with one shard, no fault plan and no spill base *is* the
-//! unsharded solve: it steps its core in place.
+//! lane geometry, and hands back a serialized `ShardResult` (the tally
+//! as merge-tree nodes, per-lane counters, post-step particle records).
+//! The coordinator — a [`SolveCore`] — installs the records and closes
+//! the step with the very `fold_step` an unsharded step ends in, so the
+//! merged tallies, counters and final particle records are **bitwise
+//! identical to the unsharded run for any shard count**. A solve with
+//! one shard, no fault plan and no spill base *is* the unsharded solve:
+//! it steps its core in place.
+//!
+//! What crosses the wire is a **node of the global merge tree**, not a
+//! lane. The pairwise tree over lanes `[lo, hi)` splits at
+//! `lo + (hi - lo) / 2`, so a subtree's shape depends only on how many
+//! lanes it spans: an attempt that owns global lanes `[a, b)` reduces
+//! them — with [`merge_lanes_pairwise`], the function an unsharded merge
+//! runs — into the canonical cover of `[a, b)` by nodes of the tree over
+//! all lanes ([`tree_cover`]: one node per shard at 2/4/8 shards over 32
+//! lanes, `[0, 10)` = `[0, 8)` + `[8, 10)`), and the coordinator finishes
+//! the same tree above those nodes ([`merge_nodes_pairwise`]). No bit
+//! changes; a 16-lane shard encodes, checksums and decodes one mesh
+//! instead of sixteen.
 //!
 //! On top of that determinism sits the fault model: a per-shard
 //! supervisor with a heartbeat deadline, deterministic fault injection
@@ -35,7 +46,7 @@ use crate::particle::Particle;
 use crate::sim::{Execution, RunOptions, RunReport, Simulation, SolveCore};
 use crate::soa::ParticleSoA;
 use crate::step::{begin_step, execution_workers, run_step, StepScratch};
-use neutral_mesh::accum::{merge_lanes_pairwise, DEFAULT_LANES};
+use neutral_mesh::accum::{merge_lanes_pairwise, merge_nodes_pairwise, tree_cover, DEFAULT_LANES};
 use neutral_mesh::{LanePartition, TallyAccum};
 use std::fmt;
 use std::ops::Range;
@@ -371,6 +382,8 @@ pub struct ShardStats {
     pub requeues: u64,
     /// Shards that exhausted their retry budget and were quarantined.
     pub quarantined: u64,
+    /// Bytes of serialized results the attempts handed back.
+    pub wire_bytes: u64,
 }
 
 impl ShardStats {
@@ -380,15 +393,32 @@ impl ShardStats {
         self.retries += other.retries;
         self.requeues += other.requeues;
         self.quarantined += other.quarantined;
+        self.wire_bytes += other.wire_bytes;
     }
 }
 
+/// A node of the global merge tree as a shard ships it: the global lanes
+/// it spans and their pairwise-reduced mesh.
+type TallyNode = (Range<usize>, Vec<f64>);
+
 /// The serialized unit a shard attempt hands back to the coordinator:
-/// per-lane tally partials, per-lane counters (census energy left to the
-/// coordinator's fold), and the post-step particle records. Always
-/// round-tripped through bytes — shard attempts behave like remote
-/// processes, which both exercises the codec on every step and gives the
-/// `corrupt` fault a realistic surface.
+/// the shard's tally as the merge-tree nodes covering its lanes, per-lane
+/// counters (census energy left to the coordinator's fold), and the
+/// post-step particle records. Always round-tripped through bytes — shard
+/// attempts behave like remote processes, which both exercises the codec
+/// on every step and gives the `corrupt` fault a realistic surface.
+///
+/// Wire layout (version 2, little-endian; the wire is in-process and
+/// lives for one step, so there is no version-1 reader):
+///
+/// | bytes | field |
+/// |---|---|
+/// | 8 + 4 + 8 | magic `NEUTSHRD`, version, payload length |
+/// | 7 × 8 | `shard`, `step`, `base0`, `cells`, `footprint`, `n_lanes`, `n_nodes` |
+/// | `n_lanes` × 136 | per-lane counters |
+/// | `n_nodes` × (16 + `cells` × 8) | per node: first lane, end lane, mesh |
+/// | 8 + n × 97 | particle count, particle records |
+/// | 8 | FNV-1a 64 of every byte before it |
 #[derive(Debug)]
 struct ShardResult {
     shard: u64,
@@ -397,23 +427,38 @@ struct ShardResult {
     cells: u64,
     footprint: u64,
     lane_counters: Vec<EventCounters>,
-    lane_tallies: Vec<Vec<f64>>,
+    nodes: Vec<TallyNode>,
     particles: Vec<Particle>,
 }
 
 const SHARD_MAGIC: &[u8; 8] = b"NEUTSHRD";
-const SHARD_VERSION: u32 = 1;
+const SHARD_VERSION: u32 = 2;
 /// magic + version + payload length.
 const SHARD_HEADER_LEN: usize = 8 + 4 + 8;
 
 impl ShardResult {
-    fn to_bytes(&self) -> Vec<u8> {
-        let n_lanes = self.lane_counters.len();
-        let payload_len = 6 * 8
-            + n_lanes * (COUNTERS_RECORD_LEN + self.cells as usize * 8)
+    /// Serialized bytes of a result with this geometry.
+    fn wire_len(n_lanes: usize, n_nodes: usize, cells: usize, n_particles: usize) -> usize {
+        let payload = 7 * 8
+            + n_lanes * COUNTERS_RECORD_LEN
+            + n_nodes * (16 + cells * 8)
             + 8
-            + self.particles.len() * PARTICLE_RECORD_LEN;
-        let mut out = Vec::with_capacity(SHARD_HEADER_LEN + payload_len + 8);
+            + n_particles * PARTICLE_RECORD_LEN;
+        SHARD_HEADER_LEN + payload + 8
+    }
+
+    /// Serialize into `out`, emptied first.
+    fn to_bytes(&self, mut out: Vec<u8>) -> Vec<u8> {
+        let n_lanes = self.lane_counters.len();
+        let wire_len = Self::wire_len(
+            n_lanes,
+            self.nodes.len(),
+            self.cells as usize,
+            self.particles.len(),
+        );
+        let payload_len = wire_len - SHARD_HEADER_LEN - 8;
+        out.clear();
+        out.reserve(wire_len);
         out.extend_from_slice(SHARD_MAGIC);
         out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
         out.extend_from_slice(&(payload_len as u64).to_le_bytes());
@@ -425,14 +470,17 @@ impl ShardResult {
             self.cells,
             self.footprint,
             n_lanes as u64,
+            self.nodes.len() as u64,
         ] {
             out.extend_from_slice(&v.to_le_bytes());
         }
         for c in &self.lane_counters {
             put_counters(&mut out, c);
         }
-        for lane in &self.lane_tallies {
-            put_f64s(&mut out, lane);
+        for (lanes, mesh) in &self.nodes {
+            out.extend_from_slice(&(lanes.start as u64).to_le_bytes());
+            out.extend_from_slice(&(lanes.end as u64).to_le_bytes());
+            put_f64s(&mut out, mesh);
         }
         out.extend_from_slice(&(self.particles.len() as u64).to_le_bytes());
         for p in &self.particles {
@@ -478,30 +526,35 @@ impl ShardResult {
         let cells = r.u64().map_err(fail)?;
         let footprint = r.u64().map_err(fail)?;
         let n_lanes = r.u64().map_err(fail)?;
+        let n_nodes = r.u64().map_err(fail)?;
 
         // A corrupter can recompute the checksum, so these counts are as
-        // untrusted as the bytes: size the lane block with checked
-        // arithmetic and bound it by the payload actually present before
-        // anything is allocated from them.
-        let lane_block = usize::try_from(cells)
-            .ok()
-            .and_then(|c| c.checked_mul(8))
-            .and_then(|b| b.checked_add(COUNTERS_RECORD_LEN))
-            .zip(usize::try_from(n_lanes).ok())
-            .and_then(|(lane_len, n)| lane_len.checked_mul(n));
-        if lane_block.is_none_or(|b| b > r.remaining()) {
+        // untrusted as the bytes: size the counter and node blocks with
+        // checked arithmetic and bound them by the payload actually
+        // present before anything is allocated from them.
+        let times = |count: u64, len: usize| usize::try_from(count).ok()?.checked_mul(len);
+        let block = times(cells, 8)
+            .and_then(|mesh| mesh.checked_add(16))
+            .and_then(|node| times(n_nodes, node))
+            .zip(times(n_lanes, COUNTERS_RECORD_LEN))
+            .and_then(|(nodes, counters)| nodes.checked_add(counters));
+        if block.is_none_or(|b| b > r.remaining()) {
             return Err(format!(
-                "{n_lanes} lanes of {cells} cells exceed the payload"
+                "{n_lanes} lane counters and {n_nodes} nodes of {cells} cells exceed the payload"
             ));
         }
-        let (n_lanes, n_cells) = (n_lanes as usize, cells as usize);
+        let (n_lanes, n_nodes, n_cells) = (n_lanes as usize, n_nodes as usize, cells as usize);
         let mut lane_counters = Vec::with_capacity(n_lanes);
         for _ in 0..n_lanes {
             lane_counters.push(read_counters(&mut r).map_err(fail)?);
         }
-        let mut lane_tallies = Vec::with_capacity(n_lanes);
-        for _ in 0..n_lanes {
-            lane_tallies.push(r.f64s(n_cells).map_err(fail)?);
+        let mut nodes = Vec::with_capacity(n_nodes);
+        for _ in 0..n_nodes {
+            // Nothing is sized from the lane ids; `decode` holds them
+            // against the plan's cover.
+            let start = usize::try_from(r.u64().map_err(fail)?).unwrap_or(usize::MAX);
+            let end = usize::try_from(r.u64().map_err(fail)?).unwrap_or(usize::MAX);
+            nodes.push((start..end, r.f64s(n_cells).map_err(fail)?));
         }
         let n_particles = usize::try_from(r.u64().map_err(fail)?).unwrap_or(usize::MAX);
         if n_particles
@@ -524,7 +577,7 @@ impl ShardResult {
             cells,
             footprint,
             lane_counters,
-            lane_tallies,
+            nodes,
             particles,
         })
     }
@@ -553,12 +606,24 @@ struct AttemptTask {
     /// how thread exits interleave — peak RSS then differs by a shard's
     /// lanes from one run to the next (DESIGN.md §11).
     accum: TallyAccum,
+    /// The merge-tree nodes the attempt ships — the canonical cover of
+    /// the shard's global lanes — each with the mesh its lanes reduce
+    /// into, allocated by the supervisor for the same reason.
+    nodes: Vec<TallyNode>,
+    /// The buffer the result is serialized into, sized for it by the
+    /// supervisor — once more for that reason. At one mesh per node it is
+    /// small enough that the allocator would carve it from the attempt
+    /// thread's arena, where the coordinator frees it after the thread
+    /// is gone (`csp_t3_durable` peak RSS then read 167, 173 or 178 MB
+    /// from run to run).
+    wire: Vec<u8>,
     heartbeat: Arc<AtomicU64>,
 }
 
 /// One stateless shard attempt: the step engine's `begin_step` +
-/// `run_step` over the shard's column range, then serialization. Pure
-/// function of its inputs — re-running it reproduces the same bytes.
+/// `run_step` over the shard's column range, the reduction of its lanes
+/// to the tree nodes it ships, then serialization. Pure function of its
+/// inputs — re-running it reproduces the same bytes.
 fn run_attempt(task: AttemptTask) -> Vec<u8> {
     let AttemptTask {
         sim,
@@ -569,6 +634,8 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
         part,
         base0,
         mut accum,
+        mut nodes,
+        wire,
         heartbeat,
     } = task;
     let problem = sim.problem();
@@ -600,8 +667,17 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
     let footprint = accum.footprint_bytes() as u64;
-    let mut lane_tallies = accum.into_lane_partials();
-    lane_tallies.truncate(part.n_lanes);
+    // Each node is the subtree over its own lanes, whose shape depends
+    // only on their count: reduce them as the leaves of a tree of their
+    // own and the bits are the global tree's for that node.
+    let lanes = accum.into_lane_partials();
+    let first_lane = nodes.first().map_or(0, |(node, _)| node.start);
+    let (workers, _) = execution_workers(options.execution);
+    for (node, mesh) in &mut nodes {
+        let owned = &lanes[node.start - first_lane..node.end - first_lane];
+        merge_lanes_pairwise(owned, mesh, workers);
+    }
+    drop(lanes);
     let result = ShardResult {
         shard: shard as u64,
         step: step as u64,
@@ -609,10 +685,10 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
         cells: cells as u64,
         footprint,
         lane_counters,
-        lane_tallies,
+        nodes,
         particles: soa.to_aos(),
     };
-    let bytes = result.to_bytes();
+    let bytes = result.to_bytes(wire);
     heartbeat.fetch_add(1, Ordering::Relaxed);
     bytes
 }
@@ -741,7 +817,7 @@ impl ShardedSolve {
         }
 
         // Shard order is global lane order: concatenating the per-lane
-        // partials rebuilds the whole population's lane sequence.
+        // counters rebuilds the whole population's lane sequence.
         let lane_counters: Vec<EventCounters> = results
             .iter()
             .flat_map(|r| r.lane_counters.iter().copied())
@@ -749,7 +825,7 @@ impl ShardedSolve {
         debug_assert_eq!(lane_counters.len(), self.plan.part.n_lanes);
         let cells = sim.problem().mesh.num_cells();
         let (workers, _) = execution_workers(self.core.options().execution);
-        let merged = merge_shard_tallies(&results, cells, workers);
+        let merged = merge_shard_nodes(&results, cells, workers);
         let footprint = results.iter().map(|r| r.footprint as usize).sum();
         self.core.store_records(
             results
@@ -869,23 +945,25 @@ impl ShardedSolve {
         })
     }
 
-    /// Run one attempt of `shard` on its own thread under heartbeat
-    /// supervision. `fault`, when set, is injected into the attempt.
-    fn supervise(
-        &self,
-        sim: &Arc<Simulation>,
-        shard: usize,
-        soa: ParticleSoA,
-        fault: Option<ShardFaultKind>,
-    ) -> Result<ShardResult, ShardError> {
+    /// Everything an attempt of `shard` over the columns `soa` needs,
+    /// with its bulk storage — lanes, shipped nodes, wire buffer —
+    /// allocated here, on the supervisor's thread (see
+    /// [`AttemptTask::accum`]).
+    fn attempt_task(&self, sim: &Arc<Simulation>, shard: usize, soa: ParticleSoA) -> AttemptTask {
         let problem = sim.problem();
         let cells = problem.mesh.num_cells();
+        let lanes = self.plan.lane_range(shard);
         let part = LanePartition {
             n_items: soa.len(),
             lane_size: self.plan.part.lane_size,
-            n_lanes: self.plan.lane_range(shard).len(),
+            n_lanes: lanes.len(),
         };
-        let task = AttemptTask {
+        let nodes: Vec<TallyNode> = tree_cover(self.plan.part.n_lanes, lanes)
+            .into_iter()
+            .map(|node| (node, vec![0.0; cells]))
+            .collect();
+        let wire_len = ShardResult::wire_len(part.n_lanes, nodes.len(), cells, soa.len());
+        AttemptTask {
             sim: Arc::clone(sim),
             options: self.core.options(),
             part,
@@ -894,8 +972,23 @@ impl ShardedSolve {
             shard,
             base0: self.plan.particle_range(shard).start,
             accum: TallyAccum::new(problem.transport.tally_strategy, cells, part.n_lanes.max(1)),
+            nodes,
+            wire: Vec::with_capacity(wire_len),
             heartbeat: Arc::new(AtomicU64::new(0)),
-        };
+        }
+    }
+
+    /// Run one attempt of `shard` on its own thread under heartbeat
+    /// supervision. `fault`, when set, is injected into the attempt.
+    fn supervise(
+        &mut self,
+        sim: &Arc<Simulation>,
+        shard: usize,
+        soa: ParticleSoA,
+        fault: Option<ShardFaultKind>,
+    ) -> Result<ShardResult, ShardError> {
+        let cells = sim.problem().mesh.num_cells();
+        let task = self.attempt_task(sim, shard, soa);
         let heartbeat = Arc::clone(&task.heartbeat);
         let cancel = Arc::new(AtomicBool::new(false));
         let cancel_attempt = Arc::clone(&cancel);
@@ -944,7 +1037,10 @@ impl ShardedSolve {
         let mut last_progress = Instant::now();
         let verdict = loop {
             match rx.recv_timeout(poll) {
-                Ok(Ok(bytes)) => break self.decode(shard, cells, &bytes),
+                Ok(Ok(bytes)) => {
+                    self.stats.wire_bytes += bytes.len() as u64;
+                    break self.decode(shard, cells, &bytes);
+                }
                 Ok(Err(e)) => break Err(e),
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     let beat = heartbeat.load(Ordering::Relaxed);
@@ -990,6 +1086,13 @@ impl ShardedSolve {
                 "result geometry does not match the shard plan".to_owned(),
             ));
         }
+        let cover = tree_cover(self.plan.part.n_lanes, lanes);
+        if !result.nodes.iter().map(|(node, _)| node).eq(&cover) {
+            let found: Vec<_> = result.nodes.iter().map(|(node, _)| node).collect();
+            return Err(corrupt(format!(
+                "node lane ranges {found:?} are not the shard's cover {cover:?}"
+            )));
+        }
         if result.particles.len() != range.len() {
             return Err(corrupt(format!(
                 "result holds {} particles, shard owns {}",
@@ -1013,16 +1116,20 @@ impl ShardedSolve {
     }
 }
 
-/// The step's merged mesh from the shards' decoded lane partials. Shard
-/// order is global lane order, so the borrowed lanes, concatenated, are
-/// the whole population's lane sequence — and the merge over them is the
-/// very function an unsharded [`TallyAccum::merge`] runs.
-fn merge_shard_tallies(results: &[ShardResult], cells: usize, workers: usize) -> Vec<f64> {
-    let lanes: Vec<&[f64]> = results
+/// The step's merged mesh from the shards' decoded tree nodes. Shard
+/// order is global lane order, so the borrowed nodes, concatenated, tile
+/// the whole lane space — and the merge that finishes the tree above
+/// them is the very function an unsharded [`TallyAccum::merge`] runs
+/// over leaves.
+fn merge_shard_nodes(results: &[ShardResult], cells: usize, workers: usize) -> Vec<f64> {
+    let nodes: Vec<(Range<usize>, &[f64])> = results
         .iter()
-        .flat_map(|r| r.lane_tallies.iter().map(Vec::as_slice))
+        .flat_map(|r| &r.nodes)
+        .map(|(lanes, mesh)| (lanes.clone(), mesh.as_slice()))
         .collect();
-    merge_lanes_pairwise(&lanes, cells, workers)
+    let mut merged = vec![0.0; cells];
+    merge_nodes_pairwise(&nodes, &mut merged, workers);
+    merged
 }
 
 /// Render a caught panic payload for error reporting.
@@ -1118,20 +1225,41 @@ mod tests {
                 lost_energy_ev: 0.5,
                 ..EventCounters::default()
             }],
-            lane_tallies: vec![vec![1.25, -3.5]],
+            nodes: vec![(4..5, vec![1.25, -3.5])],
             particles,
         }
+    }
+
+    /// Payload words: shard, step, base0, cells, footprint, n_lanes,
+    /// n_nodes — the byte offset of word `k`.
+    fn header_word(k: usize) -> usize {
+        SHARD_HEADER_LEN + 8 * k
+    }
+
+    /// Byte offset of node `k`'s first-lane word (its end-lane word
+    /// follows) in a result with `n_lanes` lane counters.
+    fn node_word(n_lanes: usize, cells: usize, k: usize) -> usize {
+        header_word(7) + n_lanes * COUNTERS_RECORD_LEN + k * (16 + cells * 8)
+    }
+
+    /// Overwrite the `u64` at `off` and recompute the trailing checksum —
+    /// what a corrupter that knows the format would do.
+    fn rewrite_and_reseal(bytes: &mut [u8], off: usize, value: u64) {
+        bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        let n = bytes.len();
+        let sum = fnv1a64(bytes[..n - 8].iter().copied());
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
     fn shard_result_codec_round_trips_and_detects_corruption() {
         let result = sample_result();
-        let bytes = result.to_bytes();
+        let bytes = result.to_bytes(Vec::new());
         let back = ShardResult::from_bytes(&bytes).unwrap();
         assert_eq!(back.shard, 1);
         assert_eq!(back.step, 3);
         assert_eq!(back.lane_counters, result.lane_counters);
-        assert_eq!(back.lane_tallies, result.lane_tallies);
+        assert_eq!(back.nodes, result.nodes);
         assert_eq!(back.particles.len(), 1);
         assert_eq!(back.particles[0].key, 7);
 
@@ -1139,56 +1267,75 @@ mod tests {
         torn.truncate(bytes.len() - 3);
         assert!(ShardResult::from_bytes(&torn).is_err());
 
-        let mut flipped = bytes;
+        let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
         let err = ShardResult::from_bytes(&flipped).unwrap_err();
         assert!(err.contains("checksum"), "got: {err}");
+
+        // The per-lane wire format is gone, not forked: a version-1
+        // buffer is refused by name, valid checksum or not.
+        let mut v1 = bytes;
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        rewrite_and_reseal(&mut v1, header_word(0), 1);
+        let err = ShardResult::from_bytes(&v1).unwrap_err();
+        assert_eq!(err, "unsupported shard result version 1");
     }
 
-    /// The coordinator's merge over lanes that crossed the wire is the
-    /// unsharded merge: cut one accumulator's lanes into 1, 2, 3 and 5
-    /// shard results, round-trip each through the codec, and the replay
+    /// The coordinator's merge over nodes that crossed the wire is the
+    /// unsharded merge: cut one accumulator's lanes into 1, 2, 3, 5 and 7
+    /// shards, reduce each shard's lanes to its cover nodes as an attempt
+    /// does, round-trip each result through the codec, and the replay
     /// must land on `TallyAccum::merge`'s bits for any worker count.
     #[test]
-    fn coordinator_merge_over_decoded_lanes_equals_unsharded_merge() {
+    fn coordinator_merge_over_decoded_nodes_equals_unsharded_merge() {
         use neutral_mesh::TallyStrategy;
         let (cells, n_items) = (5000, 1000);
         let part = LanePartition::new(n_items, DEFAULT_LANES);
-        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, part.n_lanes);
-        for (l, mut view) in accum.lane_views().into_iter().enumerate() {
-            for i in 0..400 {
-                let cell = (l * 613 + i * 37) % cells;
-                view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
+        for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
+            let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
+            for (l, mut view) in accum.lane_views().into_iter().enumerate() {
+                for i in 0..400 {
+                    let cell = (l * 613 + i * 37) % cells;
+                    view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
+                }
             }
-        }
-        let expect = accum.merge();
-        let lanes = accum.into_lane_partials();
-        for n_shards in [1usize, 2, 3, 5] {
-            let plan = ShardPlan::new(n_items, n_shards);
-            let results: Vec<ShardResult> = (0..n_shards)
-                .map(|shard| {
-                    let owned = plan.lane_range(shard);
-                    let sent = ShardResult {
-                        shard: shard as u64,
-                        cells: cells as u64,
-                        lane_counters: vec![EventCounters::default(); owned.len()],
-                        lane_tallies: lanes[owned].to_vec(),
-                        particles: Vec::new(),
-                        ..sample_result()
-                    };
-                    ShardResult::from_bytes(&sent.to_bytes()).unwrap()
-                })
-                .collect();
-            for workers in [1, 2, 7] {
-                let merged = merge_shard_tallies(&results, cells, workers);
-                assert!(
-                    merged
-                        .iter()
-                        .zip(&expect)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{n_shards} shards, {workers} workers"
-                );
+            let expect = accum.merge();
+            let lanes = accum.into_lane_partials();
+            for n_shards in [1usize, 2, 3, 5, 7] {
+                let plan = ShardPlan::new(n_items, n_shards);
+                let results: Vec<ShardResult> = (0..n_shards)
+                    .map(|shard| {
+                        let owned = plan.lane_range(shard);
+                        let nodes = tree_cover(part.n_lanes, owned.clone())
+                            .into_iter()
+                            .map(|node| {
+                                let mut mesh = vec![0.0; cells];
+                                merge_lanes_pairwise(&lanes[node.clone()], &mut mesh, 2);
+                                (node, mesh)
+                            })
+                            .collect();
+                        let sent = ShardResult {
+                            shard: shard as u64,
+                            cells: cells as u64,
+                            lane_counters: vec![EventCounters::default(); owned.len()],
+                            nodes,
+                            particles: Vec::new(),
+                            ..sample_result()
+                        };
+                        ShardResult::from_bytes(&sent.to_bytes(Vec::new())).unwrap()
+                    })
+                    .collect();
+                for workers in [1, 2, 7] {
+                    let merged = merge_shard_nodes(&results, cells, workers);
+                    assert!(
+                        merged
+                            .iter()
+                            .zip(&expect)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{strategy:?}, {n_shards} shards, {workers} workers"
+                    );
+                }
             }
         }
     }
@@ -1196,35 +1343,267 @@ mod tests {
     #[test]
     fn huge_lane_geometry_with_valid_checksum_fails_cleanly() {
         // The shard-result twin of the checkpoint suite's hostile-header
-        // test: a corrupter can recompute the FNV checksum, so `cells`
-        // and `n_lanes` are untrusted. Plant values whose byte-size
-        // products wrap usize and re-checksum; the decoder must name the
-        // corruption instead of overflowing (a debug-build panic on the
-        // unsupervised coordinator thread) or allocating from the header.
-        let bytes = sample_result().to_bytes();
-        // Payload words: shard, step, base0, cells, footprint, n_lanes.
-        let cells_off = SHARD_HEADER_LEN + 8 * 3;
-        let n_lanes_off = SHARD_HEADER_LEN + 8 * 5;
-        assert_eq!(
-            u64::from_le_bytes(bytes[cells_off..cells_off + 8].try_into().unwrap()),
-            2,
-            "test out of sync with the payload layout"
-        );
+        // test: a corrupter can recompute the FNV checksum, so `cells`,
+        // `n_lanes` and `n_nodes` are untrusted. Plant values whose
+        // byte-size products wrap usize and re-checksum; the decoder must
+        // name the corruption instead of overflowing (a debug-build panic
+        // on the unsupervised coordinator thread) or allocating from the
+        // header.
+        let bytes = sample_result().to_bytes(Vec::new());
+        let (cells, n_lanes, n_nodes) = (header_word(3), header_word(5), header_word(6));
+        for (off, was) in [(cells, 2), (n_lanes, 1), (n_nodes, 1)] {
+            assert_eq!(
+                u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()),
+                was,
+                "test out of sync with the payload layout"
+            );
+        }
         for (off, huge) in [
             // (1<<61)+1 cells: `cells * 8` wraps to 8.
-            (cells_off, (1u64 << 61) + 1),
-            (cells_off, u64::MAX),
-            // Wraps the lane-block product while each factor fits.
-            (n_lanes_off, u64::MAX / 2 + 3),
-            (n_lanes_off, 1 << 40),
+            (cells, (1u64 << 61) + 1),
+            (cells, u64::MAX),
+            // `cells * 8 + 16` wraps with the product still in range.
+            (cells, (1u64 << 61) - 1),
+            // Wrap the counter or node block while each factor fits.
+            (n_lanes, u64::MAX / 2 + 3),
+            (n_lanes, 1 << 40),
+            (n_nodes, u64::MAX / 2 + 3),
+            (n_nodes, u64::MAX / 24 + 2),
+            (n_nodes, 1 << 40),
+            // One record too many for the bytes present.
+            (n_lanes, 2),
+            (n_nodes, 5),
         ] {
             let mut evil = bytes.clone();
-            evil[off..off + 8].copy_from_slice(&huge.to_le_bytes());
-            let n = evil.len();
-            let sum = fnv1a64(evil[..n - 8].iter().copied());
-            evil[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            rewrite_and_reseal(&mut evil, off, huge);
             let err = ShardResult::from_bytes(&evil).unwrap_err();
             assert!(err.contains("exceed the payload"), "field at {off}: {err}");
         }
     }
+
+    /// A 3-shard solve over a 16² csp: 50 particles in 25 lanes, so the
+    /// shards' lane ranges sit off the tree's node boundaries and every
+    /// cover has several nodes.
+    fn small_sharded_solve() -> (Arc<Simulation>, ShardedSolve) {
+        use crate::config::{ProblemScale, TallyStrategy, TestCase};
+        let scale = ProblemScale {
+            mesh_cells: 16,
+            particle_divisor: 20_000,
+        };
+        let mut problem = TestCase::Csp.build(scale, 11);
+        problem.transport.tally_strategy = TallyStrategy::Replicated;
+        let sim = Arc::new(Simulation::new(problem));
+        let options = RunOptions {
+            execution: Execution::Sequential,
+            ..RunOptions::default()
+        };
+        let solve = ShardedSolve::new(&sim, options, ShardConfig::new(3));
+        (sim, solve)
+    }
+
+    /// The bytes a clean attempt of `shard` reports.
+    fn attempt_bytes(sim: &Arc<Simulation>, solve: &ShardedSolve, shard: usize) -> Vec<u8> {
+        run_attempt(solve.attempt_task(sim, shard, solve.attempt_columns(shard)))
+    }
+
+    /// `decode`'s verdict on `bytes` as a named corruption of `shard`.
+    fn corrupt_detail(solve: &ShardedSolve, shard: usize, cells: usize, bytes: &[u8]) -> String {
+        match solve.decode(shard, cells, bytes) {
+            Err(ShardError::Corrupt { shard: s, detail }) if s == shard => detail,
+            other => panic!("expected a corrupt-result error, got {other:?}"),
+        }
+    }
+
+    /// The coordinator finishes the tree above whatever nodes a result
+    /// names, so it accepts exactly the canonical cover of the shard's
+    /// planned lanes: any other set of ranges — under a recomputed,
+    /// valid checksum — is a named corruption.
+    #[test]
+    fn decode_rejects_node_ranges_that_are_not_the_planned_cover() {
+        let (sim, solve) = small_sharded_solve();
+        let cells = sim.problem().mesh.num_cells();
+        assert_eq!(solve.plan().part.n_lanes, 25);
+        let shard = 1;
+        let cover = [8..9, 9..12, 12..15, 15..16];
+        assert_eq!(tree_cover(25, solve.plan().lane_range(shard)), cover);
+        let bytes = attempt_bytes(&sim, &solve, shard);
+        let decoded = solve.decode(shard, cells, &bytes).expect("clean result");
+        assert!(decoded.nodes.iter().map(|(node, _)| node).eq(&cover));
+
+        let node = |k: usize| node_word(8, cells, k);
+        for (what, off, value) in [
+            ("overlapping", node(1), 8),
+            ("gapped", node(1), 10),
+            ("out of the shard's range", node(3) + 8, 17),
+            ("out of the lane space", node(3) + 8, 40),
+            ("out of any lane space", node(3) + 8, u64::MAX),
+            ("reversed", node(0), 10),
+            ("empty", node(1) + 8, 9),
+        ] {
+            let mut evil = bytes.clone();
+            rewrite_and_reseal(&mut evil, off, value);
+            let detail = corrupt_detail(&solve, shard, cells, &evil);
+            assert!(detail.contains("not the shard's cover"), "{what}: {detail}");
+        }
+        // A seam moved on both sides still tiles 8..16 — with 8..10 and
+        // 10..12, neither of them a node of the tree over 25 lanes.
+        let mut evil = bytes.clone();
+        rewrite_and_reseal(&mut evil, node(0) + 8, 10);
+        rewrite_and_reseal(&mut evil, node(1), 10);
+        let detail = corrupt_detail(&solve, shard, cells, &evil);
+        assert!(
+            detail.contains("not the shard's cover"),
+            "non-node: {detail}"
+        );
+
+        // Another shard's (canonical) result is refused by identity.
+        let other = attempt_bytes(&sim, &solve, 0);
+        let detail = corrupt_detail(&solve, shard, cells, &other);
+        assert!(detail.contains("identity"), "{detail}");
+    }
+
+    /// Byte-level mutation fuzz of the `NEUTSHRD` decoder: 2 400 seeded
+    /// mutations of a valid multi-node result — bit flips, truncations,
+    /// extensions, and rewrites of every validated header field with the
+    /// checksum recomputed — each refused as a named corruption of the
+    /// shard, without a panic and without one allocation larger than the
+    /// buffer it was handed (the error's own text aside). (`footprint` is
+    /// the one header word left out: it is a diagnostic the coordinator
+    /// has nothing to hold against, so a resealed rewrite of it decodes.)
+    #[test]
+    fn decoder_mutation_fuzz_always_names_the_corruption() {
+        /// Upper bound on the `String` an error names its cause in.
+        const ERROR_TEXT: usize = 512;
+        let (sim, solve) = small_sharded_solve();
+        let cells = sim.problem().mesh.num_cells();
+        let shard = 1;
+        let bytes = attempt_bytes(&sim, &solve, shard);
+        let lanes = solve.plan().lane_range(shard);
+        let n_nodes = tree_cover(solve.plan().part.n_lanes, lanes.clone()).len();
+        let node = |k: usize| node_word(lanes.len(), cells, k);
+        // Every `u64` the decoder or the plan check validates: payload
+        // length, the header words but `footprint`, each node's lane
+        // range, and the particle count behind the last node.
+        let mut fields = vec![12, node(n_nodes)];
+        fields.extend([0, 1, 2, 3, 5, 6].map(header_word));
+        fields.extend((0..n_nodes).flat_map(|k| [node(k), node(k) + 8]));
+
+        let mut state = 20_170_905u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for case in 0..2_400 {
+            let mut evil = bytes.clone();
+            let what = match case % 4 {
+                0 => {
+                    let bit = next() as usize % (evil.len() * 8);
+                    evil[bit / 8] ^= 1 << (bit % 8);
+                    format!("bit {bit} flipped")
+                }
+                1 => {
+                    evil.truncate(next() as usize % evil.len());
+                    format!("truncated to {}", evil.len())
+                }
+                2 => {
+                    let extra = 1 + next() as usize % 64;
+                    evil.extend((0..extra).map(|_| next() as u8));
+                    format!("extended by {extra}")
+                }
+                _ => {
+                    let off = fields[next() as usize % fields.len()];
+                    let old = u64::from_le_bytes(evil[off..off + 8].try_into().unwrap());
+                    let new = match next() % 6 {
+                        0 => old.wrapping_add(1),
+                        1 => old.wrapping_sub(1),
+                        2 => next() % 64,
+                        3 => 1 << (next() % 64),
+                        4 => u64::MAX - next() % 4,
+                        _ => next(),
+                    };
+                    let new = if new == old { !old } else { new };
+                    rewrite_and_reseal(&mut evil, off, new);
+                    format!("u64 at {off}: {old} -> {new}, resealed")
+                }
+            };
+            let (verdict, largest) =
+                alloc_probe::largest_during(|| solve.decode(shard, cells, &evil));
+            match verdict {
+                Err(ShardError::Corrupt { shard: s, detail }) => {
+                    assert_eq!(s, shard, "case {case} ({what})");
+                    assert!(!detail.is_empty(), "case {case} ({what})");
+                }
+                other => panic!("case {case} ({what}): {:?}", other.map(|_| "decoded")),
+            }
+            assert!(
+                largest <= evil.len().max(ERROR_TEXT),
+                "case {case} ({what}): allocated {largest} B for a {} B buffer",
+                evil.len()
+            );
+        }
+    }
+
+    /// Records the largest single allocation a closure's thread asks for,
+    /// so the mutation fuzz can hold the decoder to "never allocates more
+    /// than the buffer it was handed". Installed for this crate's unit
+    /// tests only; every request goes to the system allocator unchanged.
+    mod alloc_probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        fn note(size: usize) {
+            // `try_with`: the allocator also runs while a thread's
+            // locals are torn down.
+            let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+        }
+
+        pub(super) struct Probe;
+
+        // SAFETY: every method forwards its arguments unchanged to
+        // `System`, which upholds the `GlobalAlloc` contract; the probe
+        // only reads the requested size, through a `const`-initialised
+        // thread-local that never allocates.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: the caller's contract, passed through.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: the caller's contract, passed through.
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: the caller's contract, passed through.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                // SAFETY: the caller's contract, passed through.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        /// Run `f`, returning its result and the largest allocation the
+        /// calling thread requested meanwhile.
+        pub(super) fn largest_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+            LARGEST.with(|largest| largest.set(0));
+            let out = f();
+            (out, LARGEST.with(Cell::get))
+        }
+    }
+
+    #[global_allocator]
+    static PROBE: alloc_probe::Probe = alloc_probe::Probe;
 }

@@ -18,9 +18,10 @@
 //! meshes arrive as untouched zero pages), the depth-first drivers have
 //! each worker claim — zero-fill — the lanes it tracks while Over Events
 //! leaves them lazy, and the caller folds it with
-//! `merge_with(workers)` (in place, no lane copied) or ships the lanes
-//! whole (`into_lane_partials`, a shard attempt) before dropping it. See
-//! "Lane lifecycle" in DESIGN.md §11.
+//! `merge_with(workers)` (in place, no lane copied) or takes the lanes
+//! whole (`into_lane_partials`: a shard attempt, which reduces them to
+//! the merge-tree nodes it ships) before dropping it. See "Lane
+//! lifecycle" in DESIGN.md §11.
 //!
 //! The dispatch table (`execution × tally × layout × scheme → arm`):
 //!

@@ -40,8 +40,22 @@
 //! dropped. A replicated lane mesh is *allocated lazily* (`vec![0.0; n]`
 //! maps untouched zero pages), *claimed* by the worker that will deposit
 //! into it ([`LaneSink::claim`] — the one zeroing rule), and *merged in
-//! place* ([`merge_lanes_pairwise`]: a cell-blocked pairwise tree over
-//! borrowed lanes, no lane is copied).
+//! place* ([`merge_nodes_pairwise`]: a cell-blocked pairwise tree over
+//! borrowed meshes, no lane is copied).
+//!
+//! # One merge, over tree nodes
+//!
+//! The tree over lanes `[lo, hi)` splits at `lo + (hi - lo) / 2`, so the
+//! shape of a subtree depends only on how many lanes it spans. Whoever
+//! holds the lanes of one node can therefore reduce that subtree alone,
+//! numbering its leaves from zero, and land on the bits the whole merge
+//! computes for that node. [`merge_nodes_pairwise`] takes such nodes —
+//! `(lane range, reduced mesh)` — and finishes the tree above them;
+//! per-lane partials are the case where every node is a leaf
+//! ([`merge_lanes_pairwise`], which [`TallyAccum::merge_with`] calls).
+//! [`tree_cover`] names the nodes a contiguous lane range reduces to,
+//! which is what a shard attempt ships instead of its lanes (DESIGN.md
+//! §11, §18).
 
 use crate::tally::AtomicTally;
 use std::collections::HashMap;
@@ -330,56 +344,113 @@ pub fn pairwise_sum(values: &[f64]) -> f64 {
     }
 }
 
-/// Cells per block of [`merge_lanes_pairwise`]: 32 KB of `f64`, so a
+/// Cells per block of [`merge_nodes_pairwise`]: 32 KB of `f64`, so a
 /// block's output and its ≤ log₂(lanes) partial sums stay cache-resident
-/// while the lanes stream through once.
+/// while the meshes stream through once.
 const MERGE_BLOCK: usize = 4096;
 
-/// Pairwise (binary-tree) merge of dense lane partials, in place: leaf
-/// `l` is `lanes[l]`, internal nodes add element-wise, and a node over
-/// lanes `[lo, hi)` splits at `mid = lo + (hi - lo) / 2`. The tree shape
-/// depends only on `lanes.len()`, so the result is a pure function of the
-/// lane partials — `workers` changes who computes a cell, never how.
-///
-/// The tree is evaluated one `MERGE_BLOCK`-cell (4096) block at a time over
-/// the *borrowed* lanes, straight into the output: no lane is copied,
-/// every lane is read exactly once, and the only transient memory is
-/// `log₂(lanes)` blocks of partial sums per worker. Blocks are
-/// independent, so they are dealt to `workers` scoped threads as
-/// contiguous runs of the output.
-///
-/// Exported so a cross-shard coordinator replays the exact reduction an
-/// unsharded [`TallyAccum::merge`] runs, over lanes decoded from
-/// whichever shard owns each (see `neutral_core::shard`).
+/// The canonical cover of `lanes` by nodes of the pairwise tree over
+/// `[0, n_lanes)`: the fewest tree nodes that tile `lanes`, in lane order
+/// (`[0, 10)` of 32 lanes is `[0, 8)` + `[8, 10)`). A node over `[lo, hi)`
+/// splits at `mid = lo + (hi - lo) / 2`, so each side of `lanes` meets at
+/// most one partly covered node per level and the cover holds at most
+/// 2⌈log₂ n_lanes⌉ nodes. This is the unit a shard ships: whoever holds
+/// the lanes of a cover node can reduce that whole subtree alone, and the
+/// tree over the covers of a partition of `[0, n_lanes)` is the tree over
+/// the lanes.
 ///
 /// # Panics
 ///
-/// Panics if a lane does not hold exactly `cells` values.
+/// Panics if `lanes` reaches past `n_lanes`.
 #[must_use]
-pub fn merge_lanes_pairwise<L>(lanes: &[L], cells: usize, workers: usize) -> Vec<f64>
+pub fn tree_cover(n_lanes: usize, lanes: Range<usize>) -> Vec<Range<usize>> {
+    fn descend(node: Range<usize>, lanes: &Range<usize>, cover: &mut Vec<Range<usize>>) {
+        if node.end <= lanes.start || lanes.end <= node.start {
+            return;
+        }
+        if lanes.start <= node.start && node.end <= lanes.end {
+            cover.push(node);
+            return;
+        }
+        let mid = node.start + (node.end - node.start) / 2;
+        descend(node.start..mid, lanes, cover);
+        descend(mid..node.end, lanes, cover);
+    }
+    assert!(lanes.end <= n_lanes, "lanes {lanes:?} of {n_lanes}");
+    let mut cover = Vec::new();
+    descend(0..n_lanes, &lanes, &mut cover);
+    cover
+}
+
+/// Whether `nodes` tile `root` in lane order with nodes of the pairwise
+/// tree rooted there — the split [`merge_block`] makes, checked once.
+fn tiles_tree<M>(root: Range<usize>, nodes: &[(Range<usize>, M)]) -> bool {
+    match nodes {
+        [] => root.is_empty(),
+        [(lanes, _)] => *lanes == root,
+        _ if root.len() < 2 => false,
+        _ => {
+            let mid = root.start + (root.end - root.start) / 2;
+            let (left, right) = nodes.split_at(nodes.partition_point(|(l, _)| l.start < mid));
+            tiles_tree(root.start..mid, left) && tiles_tree(mid..root.end, right)
+        }
+    }
+}
+
+/// Pairwise (binary-tree) merge of dense tally meshes into `out` — the
+/// one reduction of the deterministic backends. Conceptually: leaf `l` is
+/// lane `l`'s partial, internal nodes add element-wise, and a node over
+/// lanes `[lo, hi)` splits at `mid = lo + (hi - lo) / 2`. Each input is a
+/// node of that tree, `(lanes, mesh)` with `mesh` the already-reduced
+/// subtree over `lanes`, and the inputs tile `[0, n_lanes)` in lane
+/// order; the function finishes the tree above them. Per-lane input is
+/// the all-leaves case ([`merge_lanes_pairwise`]). A subtree's shape
+/// depends only on `hi - lo`, so a node reduced elsewhere — from leaves
+/// numbered `0..hi - lo` — holds the bits this function would have
+/// computed for it: the result is a pure function of the lane partials,
+/// whoever pre-reduced what, and `workers` changes who computes a cell,
+/// never how.
+///
+/// The tree is evaluated one `MERGE_BLOCK`-cell (4096) block at a time
+/// over the *borrowed* meshes, straight into `out`: nothing is copied,
+/// every mesh is read exactly once, and the only transient memory is
+/// `log₂(n_lanes)` blocks of partial sums per worker. Blocks are
+/// independent, so they are dealt to `workers` scoped threads as
+/// contiguous runs of `out`.
+///
+/// # Panics
+///
+/// Panics if a mesh does not hold exactly `out.len()` values, or if the
+/// nodes do not tile `[0, n_lanes)` with nodes of its tree.
+pub fn merge_nodes_pairwise<M>(nodes: &[(Range<usize>, M)], out: &mut [f64], workers: usize)
 where
-    L: AsRef<[f64]> + Sync,
+    M: AsRef<[f64]> + Sync,
 {
+    let cells = out.len();
     assert!(
-        lanes.iter().all(|l| l.as_ref().len() == cells),
-        "every lane must hold {cells} cells"
+        nodes.iter().all(|(_, m)| m.as_ref().len() == cells),
+        "every mesh must hold {cells} cells"
     );
-    let mut out = vec![0.0; cells];
-    // A node over three or more lanes parks its right half's sum in one
-    // block of scratch, so at most ⌈log₂ lanes⌉ are live at once.
-    let levels = lanes.len().next_power_of_two().ilog2() as usize;
+    let n_lanes = nodes.last().map_or(0, |(lanes, _)| lanes.end);
+    assert!(
+        tiles_tree(0..n_lanes, nodes),
+        "merge inputs must tile the pairwise tree over {n_lanes} lanes"
+    );
+    // A call over three or more nodes parks its right half's sum in one
+    // block of scratch, so at most ⌈log₂ n_lanes⌉ are live at once.
+    let levels = n_lanes.next_power_of_two().ilog2() as usize;
     let merge_run = |start: usize, run: &mut [f64]| {
         let mut scratch = vec![0.0; levels * MERGE_BLOCK.min(run.len())];
         let mut lo = start;
         for block in run.chunks_mut(MERGE_BLOCK) {
-            merge_block(lanes, lo, block, &mut scratch);
+            merge_block(nodes, lo, block, &mut scratch);
             lo += block.len();
         }
     };
     let blocks = cells.div_ceil(MERGE_BLOCK);
     let workers = workers.clamp(1, blocks.max(1));
     if workers == 1 {
-        merge_run(0, &mut out);
+        merge_run(0, out);
     } else {
         let run_len = blocks.div_ceil(workers) * MERGE_BLOCK;
         std::thread::scope(|scope| {
@@ -389,24 +460,51 @@ where
             }
         });
     }
-    out
 }
 
-/// One block of the pairwise tree: `out = Σ_tree lanes[..][lo..lo + out.len()]`.
-/// `scratch` supplies one `out`-sized buffer per level of recursion.
-fn merge_block<L: AsRef<[f64]>>(lanes: &[L], lo: usize, out: &mut [f64], scratch: &mut [f64]) {
+/// [`merge_nodes_pairwise`] over per-lane partials: leaf `l` is
+/// `lanes[l]`. What an unsharded [`TallyAccum::merge`] runs, and what a
+/// shard attempt runs over the lanes of each node it ships (see
+/// `neutral_core::shard`).
+///
+/// # Panics
+///
+/// Panics if a lane does not hold exactly `out.len()` values.
+pub fn merge_lanes_pairwise<L>(lanes: &[L], out: &mut [f64], workers: usize)
+where
+    L: AsRef<[f64]>,
+{
+    let leaves: Vec<(Range<usize>, &[f64])> = lanes
+        .iter()
+        .enumerate()
+        .map(|(l, lane)| (l..l + 1, lane.as_ref()))
+        .collect();
+    merge_nodes_pairwise(&leaves, out, workers);
+}
+
+/// One block of the pairwise tree over the lanes `nodes` tile:
+/// `out = Σ_tree nodes[..][lo..lo + out.len()]`. `scratch` supplies one
+/// `out`-sized buffer per level of recursion.
+fn merge_block<M: AsRef<[f64]>>(
+    nodes: &[(Range<usize>, M)],
+    lo: usize,
+    out: &mut [f64],
+    scratch: &mut [f64],
+) {
     let cells = lo..lo + out.len();
-    match lanes {
+    match nodes {
         [] => out.fill(0.0),
-        [a] => out.copy_from_slice(&a.as_ref()[cells]),
-        [a, b] => {
+        [(_, a)] => out.copy_from_slice(&a.as_ref()[cells]),
+        // Two nodes that tile a tree range are its two children.
+        [(_, a), (_, b)] => {
             let (a, b) = (&a.as_ref()[cells.clone()], &b.as_ref()[cells]);
             for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
                 *o = x + y;
             }
         }
-        _ => {
-            let (left, right) = lanes.split_at(lanes.len() / 2);
+        [(first, _), .., (last, _)] => {
+            let mid = first.start + (last.end - first.start) / 2;
+            let (left, right) = nodes.split_at(nodes.partition_point(|(l, _)| l.start < mid));
             let (partial, scratch) = scratch.split_at_mut(out.len());
             merge_block(left, lo, out, scratch);
             merge_block(right, lo, partial, scratch);
@@ -499,7 +597,9 @@ impl TallyAccumulator for ReplicatedAccum {
     }
 
     fn merge_with(&self, workers: usize) -> Vec<f64> {
-        merge_lanes_pairwise(&self.lanes, self.cells, workers)
+        let mut out = vec![0.0; self.cells];
+        merge_lanes_pairwise(&self.lanes, &mut out, workers);
+        out
     }
 
     fn footprint_bytes(&self) -> usize {
@@ -541,7 +641,7 @@ impl PrivatizedAccum {
 }
 
 /// Pairwise-tree sum of a cell's sparse lane contributions, emulating the
-/// dense tree of [`merge_lanes_pairwise`] over the lane range `[lo, hi)`:
+/// dense tree of [`merge_nodes_pairwise`] over the lane range `[lo, hi)`:
 /// `contribs` holds `(lane, value)` sorted by lane, absent lanes are the
 /// `0.0` identity, and the split point mirrors the dense tree's, so the
 /// result is bitwise what the dense merge would compute. (Deposits are
@@ -724,9 +824,10 @@ impl TallyAccum {
     /// `Privatized` each is the owned block plus spill entries
     /// re-densified (both hold each cell's adds in chronological order,
     /// so the materialised partial is bitwise what a dense lane would
-    /// hold). This is the serialisation unit of sharded solves: feeding
-    /// these partials to [`merge_lanes_pairwise`] reproduces
-    /// [`TallyAccum::merge`] bit for bit.
+    /// hold). A shard attempt takes its lanes this way and reduces them
+    /// to the tree nodes it ships: feeding these partials to
+    /// [`merge_lanes_pairwise`] reproduces [`TallyAccum::merge`] bit for
+    /// bit.
     ///
     /// # Panics
     ///
@@ -929,11 +1030,66 @@ mod tests {
         counts
     }
 
+    /// [`merge_lanes_pairwise`] into a fresh mesh.
+    fn merge_lanes<L: AsRef<[f64]>>(lanes: &[L], cells: usize, workers: usize) -> Vec<f64> {
+        let mut out = vec![f64::NAN; cells];
+        merge_lanes_pairwise(lanes, &mut out, workers);
+        out
+    }
+
+    fn assert_same_bits(got: &[f64], expect: &[f64], what: &dyn std::fmt::Display) {
+        assert_eq!(got.len(), expect.len(), "{what}");
+        for (c, (a, e)) in got.iter().zip(expect).enumerate() {
+            assert_eq!(a.to_bits(), e.to_bits(), "{what}, cell {c}");
+        }
+    }
+
+    /// The cover of every `[a, b)` of every tree up to 40 lanes tiles the
+    /// range in lane order with nodes of the global tree, and stays
+    /// within 2⌈log₂ n⌉ of them.
+    #[test]
+    fn tree_cover_tiles_any_range_with_few_tree_nodes() {
+        fn is_node(root: Range<usize>, lanes: &Range<usize>) -> bool {
+            let mid = root.start + (root.end - root.start) / 2;
+            root == *lanes
+                || root.len() > 1
+                    && (is_node(root.start..mid, lanes) || is_node(mid..root.end, lanes))
+        }
+        for n in 1usize..=40 {
+            let most = 2 * n.next_power_of_two().ilog2() as usize;
+            for a in 0..=n {
+                for b in a..=n {
+                    let cover = tree_cover(n, a..b);
+                    let mut next = a;
+                    for node in &cover {
+                        assert_eq!(node.start, next, "{n} lanes, [{a}, {b}): {cover:?}");
+                        assert!(is_node(0..n, node), "{n} lanes, [{a}, {b}): {node:?}");
+                        next = node.end;
+                    }
+                    assert_eq!(next, b, "{n} lanes, [{a}, {b}): {cover:?}");
+                    assert!(
+                        cover.len() <= most.max(1),
+                        "{n} lanes, [{a}, {b}): {cover:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(tree_cover(32, 0..10), [0..8, 8..10]);
+        assert_eq!(tree_cover(32, 10..21), [10..12, 12..16, 16..20, 20..21]);
+        assert_eq!(tree_cover(32, 16..32).len(), 1);
+        assert!(tree_cover(0, 0..0).is_empty());
+    }
+
     /// The blocked in-place merge is the recursive tree, bit for bit,
     /// across lane counts around the power-of-two edges, cell counts
     /// around the block edges, and any worker count — on data where a
     /// reshaped tree or a dropped `+ 0.0` would show: mixed signs and
-    /// magnitudes, `-0.0`, subnormals, and lanes that are mostly zero.
+    /// magnitudes, `-0.0`, subnormals, and lanes that are mostly or all
+    /// zero. And *merge over cover nodes ≡ merge over lanes*: cut the
+    /// lanes into shards the way `ShardPlan` does (1 … more shards than
+    /// lanes), reduce each shard's lanes to its cover nodes with leaves
+    /// renumbered from zero, and the merge over those nodes is the same
+    /// bits again.
     #[test]
     fn blocked_merge_matches_recursive_reference() {
         let value = |lane: usize, cell: usize| -> f64 {
@@ -941,6 +1097,9 @@ mod tests {
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add((cell as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9));
             let h = (h ^ (h >> 29)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            if lane % 7 == 4 {
+                return 0.0;
+            }
             let sparse = lane % 3 == 2;
             match (h >> 60, sparse) {
                 (0..=11, true) => 0.0,
@@ -958,19 +1117,49 @@ mod tests {
                     .collect();
                 let expect = merge_lanes_reference(&lanes);
                 for workers in merge_worker_counts() {
-                    let got = merge_lanes_pairwise(&lanes, cells, workers);
-                    assert_eq!(got.len(), cells);
-                    for (c, (a, e)) in got.iter().zip(&expect).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            e.to_bits(),
-                            "{n_lanes} lanes, {cells} cells, {workers} workers, cell {c}"
-                        );
+                    let at = format!("{n_lanes} lanes, {cells} cells, {workers} workers");
+                    assert_same_bits(&merge_lanes(&lanes, cells, workers), &expect, &at);
+                    for n_shards in [1usize, 2, 3, 5, 7, 32, 40] {
+                        let nodes: Vec<(Range<usize>, Vec<f64>)> = (0..n_shards)
+                            .flat_map(|s| {
+                                let owned =
+                                    (s * n_lanes / n_shards)..((s + 1) * n_lanes / n_shards);
+                                tree_cover(n_lanes, owned)
+                            })
+                            .map(|node| {
+                                let mesh = merge_lanes(&lanes[node.clone()], cells, workers);
+                                (node, mesh)
+                            })
+                            .collect();
+                        let mut got = vec![f64::NAN; cells];
+                        merge_nodes_pairwise(&nodes, &mut got, workers);
+                        assert_same_bits(&got, &expect, &format!("{at}, {n_shards} shards"));
                     }
                 }
             }
         }
-        assert_eq!(merge_lanes_pairwise::<Vec<f64>>(&[], 3, 2), vec![0.0; 3]);
+        assert_eq!(merge_lanes::<Vec<f64>>(&[], 3, 2), vec![0.0; 3]);
+    }
+
+    /// Inputs that are not a tiling of the tree — a gap, an overlap, a
+    /// range that is no node — would silently sum a different tree, so
+    /// the merge refuses them.
+    #[test]
+    fn merge_refuses_inputs_that_do_not_tile_the_tree() {
+        let mesh = [1.0, 2.0];
+        for ranges in [
+            vec![0..2, 3..4],       // gap
+            vec![0..2, 1..4],       // overlap
+            vec![0..3, 3..4],       // 0..3 is no node of the tree over 4
+            vec![1..2, 2..4],       // does not start at lane 0
+            vec![0..1, 1..1, 1..2], // empty node
+        ] {
+            let nodes: Vec<_> = ranges.iter().cloned().map(|r| (r, mesh)).collect();
+            let refused = std::panic::catch_unwind(|| {
+                merge_nodes_pairwise(&nodes, &mut [0.0; 2], 1);
+            });
+            assert!(refused.is_err(), "{ranges:?} merged");
+        }
     }
 
     /// Re-merging the consumed lane partials through the exported
@@ -994,7 +1183,7 @@ mod tests {
             let merged = accum.merge_with(2);
             assert_eq!(merged, accum.merge(), "{strategy:?}");
             let partials = accum.into_lane_partials();
-            let remerged = merge_lanes_pairwise(&partials, cells, 1);
+            let remerged = merge_lanes(&partials, cells, 1);
             assert_eq!(remerged, merge_lanes_reference(&partials), "{strategy:?}");
             for (c, (a, b)) in merged.iter().zip(&remerged).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{strategy:?} cell {c}");
