@@ -1,6 +1,6 @@
 //! Whole-solve scheme comparison at bench scale: Over Particles vs Over
-//! Events, sequential and parallel, plus the AoS/SoA layouts — the
-//! Criterion-tracked counterpart of Figures 5 and 9.
+//! Events, sequential and parallel — the Criterion-tracked counterpart of
+//! Figure 9.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neutral_core::prelude::*;
@@ -48,19 +48,6 @@ fn bench_schemes(c: &mut Criterion) {
             |b, sim| {
                 b.iter(|| {
                     black_box(sim.run(RunOptions {
-                        execution: Execution::Rayon,
-                        ..Default::default()
-                    }))
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("over_particles_soa", case.name()),
-            &sim,
-            |b, sim| {
-                b.iter(|| {
-                    black_box(sim.run(RunOptions {
-                        layout: Layout::Soa,
                         execution: Execution::Rayon,
                         ..Default::default()
                     }))

@@ -82,7 +82,7 @@ fn bench_lookup(c: &mut Criterion) {
         );
     }
 
-    // The batched lane-block API the event-based and SoA drivers use.
+    // The batched lane-block API the event-based driver uses.
     let n = jumps.len();
     for strategy in LookupStrategy::ALL {
         group.bench_with_input(

@@ -28,12 +28,12 @@ use neutral_bench::{banner, host_threads, print_table};
 use neutral_core::prelude::*;
 use std::time::Instant;
 
-/// `(label, scheme, layout)` of the four driver families.
-const DRIVERS: [(&str, Scheme, Layout); 4] = [
-    ("history", Scheme::OverParticles, Layout::Aos),
-    ("over_particles", Scheme::OverParticles, Layout::Aos),
-    ("over_events", Scheme::OverEvents, Layout::Aos),
-    ("soa", Scheme::OverParticles, Layout::Soa),
+/// `(label, scheme)` of the three driver families (`history` is Over
+/// Particles on one worker).
+const DRIVERS: [(&str, Scheme); 3] = [
+    ("history", Scheme::OverParticles),
+    ("over_particles", Scheme::OverParticles),
+    ("over_events", Scheme::OverEvents),
 ];
 
 /// Median of a non-empty sample (mutates order).
@@ -93,10 +93,9 @@ fn main() {
     ));
 
     let mut rows = Vec::new();
-    for (label, scheme, layout) in DRIVERS {
+    for (label, scheme) in DRIVERS {
         let options = RunOptions {
             scheme,
-            layout,
             execution: if label == "history" {
                 Execution::Sequential
             } else {

@@ -13,9 +13,8 @@
 //! fig03_tally_strategies [--quick] [--json PATH]`. `--quick` runs a
 //! seconds-scale smoke sweep (used by CI); `--json` additionally writes
 //! the measurements as a machine-readable
-//! [`neutral_bench::report::BenchReport`] (the perf-regression gate
-//! diffs these); measured numbers are only meaningful from `--release`
-//! builds.
+//! [`neutral_bench::report::BenchReport`]; measured numbers are only
+//! meaningful from `--release` builds.
 
 use neutral_bench::report::{BenchRecord, BenchReport};
 use neutral_bench::{banner, host_threads, print_table, thread_ladder};

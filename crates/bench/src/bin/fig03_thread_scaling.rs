@@ -1,13 +1,15 @@
 //! Figure 3: parallel efficiency of neutral (both schemes) vs the `flow`
 //! and `hot` comparators as thread count increases.
 //!
-//! Part 1 measures real efficiency curves on this host (Over-Particles via
-//! the explicit scheduler, Over-Events via Rayon pools, flow/hot via Rayon
-//! pools). Part 2 projects the curves onto the paper's dual-socket
-//! Broadwell and POWER8 with the architecture model, reproducing the
-//! NUMA-crossing drop (Broadwell, thread 23+) and the POWER8 cluster step
-//! functions at threads 6 and 11.
+//! Part 1 measures real efficiency curves on this host (Over-Particles as
+//! the paper ran it — particle-granular schedule into the shared atomic
+//! tally, `neutral_bench::baseline` — Over-Events via Rayon pools,
+//! flow/hot via Rayon pools). Part 2 projects the curves onto the
+//! paper's dual-socket Broadwell and POWER8 with the architecture model,
+//! reproducing the NUMA-crossing drop (Broadwell, thread 23+) and the
+//! POWER8 cluster step functions at threads 6 and 11.
 
+use neutral_bench::baseline::{median_baseline, Baseline};
 use neutral_bench::*;
 use neutral_core::prelude::*;
 use neutral_perf::arch::{BROADWELL_2S, POWER8_2S};
@@ -29,23 +31,16 @@ fn main() {
     let ladder = thread_ladder(max_t);
     println!("\n-- measured on this host ({max_t} logical CPUs), csp problem --");
 
+    let csp = TestCase::Csp.build(args.scale, args.seed);
     let mut rows = Vec::new();
     let mut baselines: Option<(f64, f64, f64, f64)> = None;
     for &t in &ladder {
         // Over Particles, explicit scheduler, dynamic chunks.
-        let op = run_median(
-            TestCase::Csp,
-            RunOptions {
-                execution: Execution::Scheduled {
-                    threads: t,
-                    schedule: Schedule::Dynamic { chunk: 64 },
-                },
-                ..Default::default()
-            },
-            &args,
-        )
-        .elapsed
-        .as_secs_f64();
+        let op = Baseline::Atomic {
+            threads: t,
+            schedule: Schedule::Dynamic { chunk: 64 },
+        };
+        let op = median_baseline(&csp, op, args.reps).elapsed.as_secs_f64();
 
         // Over Events on a Rayon pool of exactly t threads.
         let oe = with_pool(t, || {

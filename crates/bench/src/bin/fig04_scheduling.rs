@@ -5,8 +5,11 @@
 //! and POWER8 and found at most a 1.07x difference — the load imbalance of
 //! csp histories is smaller than VTune suggested (§VI-C). This binary
 //! measures the same sweep on this host with the explicit scheduler from
-//! `neutral-core::scheduler`.
+//! `neutral-core::scheduler`, at particle granularity into the shared
+//! atomic tally (`neutral_bench::baseline` — the solve path schedules
+//! whole lanes, where chunk sizes collapse).
 
+use neutral_bench::baseline::{median_baseline, Baseline};
 use neutral_bench::*;
 use neutral_core::prelude::*;
 
@@ -29,16 +32,10 @@ fn main() {
         Schedule::Guided { min_chunk: 64 },
     ];
 
+    let csp = TestCase::Csp.build(args.scale, args.seed);
     let mut times = Vec::new();
     for schedule in schedules {
-        let r = run_median(
-            TestCase::Csp,
-            RunOptions {
-                execution: Execution::Scheduled { threads, schedule },
-                ..Default::default()
-            },
-            &args,
-        );
+        let r = median_baseline(&csp, Baseline::Atomic { threads, schedule }, args.reps);
         times.push((schedule.label(), r.elapsed.as_secs_f64()));
     }
 

@@ -6,26 +6,26 @@
 //! particle in 1-2 adjacent cache lines while SoA touches one line per
 //! field and uses a single element from each (§VI-D).
 //!
-//! Since the column migration (DESIGN.md §19) the [`neutral_core::soa::ParticleSoA`]
-//! columns are the *canonical* storage inside every solve, so the three
-//! layouts this binary measures are now:
+//! The [`neutral_core::soa::ParticleSoA`] columns are the one storage of
+//! every solve (DESIGN.md §7), so the three rows are:
 //!
-//! * `Layout::Soa` — the column core read in place by the chunked
-//!   history driver. No gather/scatter step exists on this path any
-//!   more; this row measures the storage the whole codebase runs on.
-//! * `Layout::Aos` — the record-at-a-time history driver behind the one
-//!   remaining AoS seam: records are materialised from the columns once
-//!   per *timestep*, transported, and scattered back. This row carries
-//!   the seam cost the migration confined to the timestep boundary.
-//! * `Layout::SoaEventStepped` — columns with event-granular
-//!   load/store of the working state, reproducing the C code's
-//!   aliasing-forced memory behaviour and therefore the paper's SoA
-//!   penalty.
+//! * `columns` — the solve path: the lane driver tracking the columns in
+//!   place (one load and one store per history; Rust's `noalias` slices
+//!   keep the working state in registers).
+//! * `records` — the paper's fastest layout: `Particle` records under a
+//!   particle-granular schedule (`neutral_bench::baseline`).
+//! * `stepped` — columns with event-granular load/store of the working
+//!   state, reproducing the C code's aliasing-forced memory behaviour and
+//!   therefore the paper's SoA penalty (`neutral_bench::baseline`).
+//!
+//! All three deposit into one shared atomic mesh on all logical CPUs, so
+//! the rows differ in storage and access pattern only.
 //!
 //! `--quick` runs a seconds-scale smoke sweep (used by CI); `--json PATH`
 //! additionally writes the measurements as a machine-readable
 //! [`neutral_bench::report::BenchReport`].
 
+use neutral_bench::baseline::{median_baseline, Baseline};
 use neutral_bench::report::{BenchRecord, BenchReport};
 use neutral_bench::*;
 use neutral_core::prelude::*;
@@ -47,61 +47,60 @@ fn main() {
         "measured on this host (all logical CPUs)",
     );
 
+    let threads = host_threads();
+    let schedule = Schedule::Dynamic { chunk: 64 };
     let mut rows = Vec::new();
     for case in TestCase::ALL {
-        let mut time = |layout: Layout| {
-            let r = run_median(
-                case,
-                RunOptions {
-                    layout,
-                    execution: Execution::Rayon,
-                    ..Default::default()
-                },
-                &args,
-            );
+        let mut problem = case.build(args.scale, args.seed);
+        problem.transport.tally_strategy = TallyStrategy::Atomic;
+        let mut time = |layout: &str, r: RunReport| {
             report.push(
-                BenchRecord::new(format!("op/{}/{}", case.name(), layout.name()))
+                BenchRecord::new(format!("op/{}/{layout}", case.name()))
                     .config("part", "layouts")
                     .config("case", case.name())
                     .config("driver", "over_particles")
-                    .config("layout", layout.name())
+                    .config("layout", layout)
                     .metric("elapsed_s", r.elapsed.as_secs_f64())
                     .metric("events_per_s", r.events_per_second()),
             );
             r.elapsed.as_secs_f64()
         };
-        let ta = time(Layout::Aos);
-        let ts = time(Layout::Soa);
-        let te = time(Layout::SoaEventStepped);
+        let columns = RunOptions {
+            execution: Execution::Scheduled { threads, schedule },
+            ..Default::default()
+        };
+        let tc = time("columns", median_run(&problem, columns, args.reps));
+        let records = Baseline::Atomic { threads, schedule };
+        let tr = time("records", median_baseline(&problem, records, args.reps));
+        let stepped = Baseline::EventStepped { threads };
+        let te = time("stepped", median_baseline(&problem, stepped, args.reps));
         rows.push(vec![
             case.name().to_owned(),
-            format!("{ta:.3}"),
-            format!("{ts:.3}"),
+            format!("{tr:.3}"),
+            format!("{tc:.3}"),
             format!("{te:.3}"),
-            format!("{:.3}", ts / ta),
-            format!("{:.3}", te / ta),
+            format!("{:.3}", tc / tr),
+            format!("{:.3}", te / tr),
         ]);
     }
     print_table(
         &[
             "problem",
-            "AoS seam (s)",
+            "AoS records (s)",
             "SoA columns (s)",
             "SoA stepped (s)",
-            "columns/AoS",
-            "stepped/AoS",
+            "columns/records",
+            "stepped/records",
         ],
         &rows,
     );
     println!(
-        "\nPaper shape: SoA slower than AoS everywhere. The event-stepped SoA\n\
-         column reproduces that penalty (state forced through memory every\n\
-         event, as C aliasing forces). The columns row is the canonical\n\
-         storage every driver now reads in place; the AoS row pays the one\n\
-         remaining record-materialisation seam at each timestep boundary —\n\
-         so columns/AoS at or below 1.0 means the migration's per-step\n\
-         gather/scatter really is gone (BENCH_PR10.json records the A/B\n\
-         against the pre-migration tree)."
+        "\nPaper shape: SoA slower than AoS everywhere. The event-stepped row\n\
+         reproduces that penalty (state forced through memory every event, as\n\
+         C aliasing forces). The columns row is the storage every solve runs\n\
+         on, read in place: a history is one gather, a register-resident\n\
+         track and one scatter, so columns/records near 1.0 is the finding —\n\
+         the paper's penalty is the aliasing, not the layout."
     );
 
     if let Some(path) = &args.json {

@@ -10,6 +10,7 @@
 //! CPU count for neutral and flow. Part 2 reports the modeled SMT gains on
 //! the paper's three CPUs.
 
+use neutral_bench::baseline::{median_baseline, Baseline};
 use neutral_bench::*;
 use neutral_core::prelude::*;
 use neutral_perf::arch::{BROADWELL_2S, KNL_7210_MCDRAM, POWER8_2S};
@@ -35,21 +36,16 @@ fn main() {
     };
 
     println!("\n-- measured on this host ({max_t} logical CPUs) --");
+    let csp = TestCase::Csp.build(args.scale, args.seed);
     let mut rows = Vec::new();
     for &t in &sweep {
-        let neutral = run_median(
-            TestCase::Csp,
-            RunOptions {
-                execution: Execution::Scheduled {
-                    threads: t,
-                    schedule: Schedule::Dynamic { chunk: 64 },
-                },
-                ..Default::default()
-            },
-            &args,
-        )
-        .elapsed
-        .as_secs_f64();
+        let neutral = Baseline::Atomic {
+            threads: t,
+            schedule: Schedule::Dynamic { chunk: 64 },
+        };
+        let neutral = median_baseline(&csp, neutral, args.reps)
+            .elapsed
+            .as_secs_f64();
         let fl = with_pool(t.min(max_t * 4), || {
             let start = Instant::now();
             let _ = flow::run_flow_workload(512, 512, 10, t > 1);

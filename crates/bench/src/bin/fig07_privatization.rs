@@ -10,8 +10,12 @@
 //!
 //! This binary measures atomic vs privatised on this host for all three
 //! problems, reports the footprint arithmetic, and measures the
-//! merge-every-timestep variant.
+//! merge-every-timestep variant. Both sides are the paper's
+//! record-at-a-time baselines (`neutral_bench::baseline`): per-*thread*
+//! privatisation is not a configuration of the solve path, whose
+//! `replicated` strategy privatises per lane.
 
+use neutral_bench::baseline::{median_baseline, run_baseline, Baseline};
 use neutral_bench::*;
 use neutral_core::prelude::*;
 
@@ -28,21 +32,12 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in TestCase::ALL {
-        let atomic = run_median(
-            case,
-            RunOptions {
-                execution: Execution::Scheduled { threads, schedule },
-                ..Default::default()
-            },
-            &args,
-        );
-        let privatized = run_median(
-            case,
-            RunOptions {
-                execution: Execution::ScheduledPrivatized { threads, schedule },
-                ..Default::default()
-            },
-            &args,
+        let problem = case.build(args.scale, args.seed);
+        let atomic = median_baseline(&problem, Baseline::Atomic { threads, schedule }, args.reps);
+        let privatized = median_baseline(
+            &problem,
+            Baseline::Privatized { threads, schedule },
+            args.reps,
         );
         let (ta, tp) = (
             atomic.elapsed.as_secs_f64(),
@@ -73,17 +68,10 @@ fn main() {
     println!("\n-- merge-per-timestep variant (csp, 4 timesteps) --");
     let mut problem = TestCase::Csp.build(args.scale, args.seed);
     problem.n_timesteps = 4;
-    let sim = Simulation::new(problem);
-    let atomic = sim.run(RunOptions {
-        execution: Execution::Scheduled { threads, schedule },
-        ..Default::default()
-    });
+    let atomic = run_baseline(&problem, Baseline::Atomic { threads, schedule });
     // The privatised run merges at the end of every timestep by
     // construction of the step loop.
-    let privatized = sim.run(RunOptions {
-        execution: Execution::ScheduledPrivatized { threads, schedule },
-        ..Default::default()
-    });
+    let privatized = run_baseline(&problem, Baseline::Privatized { threads, schedule });
     println!(
         "  atomic {} s, privatised+merge-each-step {} s -> ratio {:.3} \
          (paper: per-step merging made privatisation slower than atomics)",

@@ -15,11 +15,8 @@
 //! computes bitwise identical physics, so the columns compare speed
 //! only. Part 2b sweeps the kernel-backend seam (DESIGN.md §19):
 //! scalar vs auto-vectorized vs explicit SIMD on the compaction-stress
-//! and collision-heavy shapes. Part 3 sweeps the between-timestep
-//! regroup subsystem
-//! (DESIGN.md §14) on multi-timestep scenarios. Part 4 models the KNL's
-//! AVX-512 advantage with the architecture model's vector-efficiency
-//! term.
+//! and collision-heavy shapes. Part 3 models the KNL's AVX-512
+//! advantage with the architecture model's vector-efficiency term.
 //!
 //! `--quick` runs a seconds-scale smoke sweep (used by CI); `--json PATH`
 //! additionally writes the measurements as a machine-readable
@@ -40,7 +37,6 @@ fn kernel_row(case: TestCase, args: &HarnessArgs, report: &mut BenchReport) -> V
                 scheme: Scheme::OverEvents,
                 backend,
                 execution: Execution::Rayon,
-                ..Default::default()
             },
             args,
         )
@@ -100,7 +96,6 @@ fn coherence_rows(args: &HarnessArgs, report: &mut BenchReport) -> Vec<Vec<Strin
                 scheme: Scheme::OverEvents,
                 backend,
                 execution: Execution::Rayon,
-                ..Default::default()
             },
             args.reps,
         );
@@ -187,7 +182,6 @@ fn backend_rows(args: &HarnessArgs, report: &mut BenchReport) -> Vec<Vec<String>
                     scheme: Scheme::OverEvents,
                     backend,
                     execution: Execution::Rayon,
-                    ..Default::default()
                 },
                 args.reps,
             );
@@ -210,72 +204,6 @@ fn backend_rows(args: &HarnessArgs, report: &mut BenchReport) -> Vec<Vec<String>
                     .metric("decide_s", t.decide.as_secs_f64())
                     .metric("events_per_s", r.events_per_second()),
             );
-        }
-    }
-    rows
-}
-
-/// Part 3: the regroup sweep (DESIGN.md §14) — between-timestep physical
-/// regrouping × policy × multi-timestep scenarios, on the deterministic
-/// replicated-tally path. `core_escape` (87% of the population dies in
-/// the first step's collision burst) is the shape `by_alive`/`by_cell`
-/// regrouping targets; multi-timestep `scatter` stresses the dense-core
-/// case. Every cell computes bitwise identical physics (the regroup
-/// suite enforces it), so the columns compare speed only — including
-/// the honest negative results where the permutation costs more than
-/// the coherence it buys.
-fn regroup_rows(args: &HarnessArgs, report: &mut BenchReport) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    let cases: [(&str, Problem); 2] = [
-        ("core_escape_t2", {
-            let mut p = Scenario::CoreEscape.build(args.scale, args.seed);
-            p.n_timesteps = 2;
-            p
-        }),
-        ("scatter_t3", {
-            let mut p = TestCase::Scatter.build(args.scale, args.seed);
-            p.n_timesteps = 3;
-            p
-        }),
-    ];
-    for (label, base_problem) in cases {
-        for backend in [Backend::Scalar, Backend::Vectorized] {
-            for policy in RegroupPolicy::ALL {
-                let mut problem = base_problem.clone();
-                problem.transport.tally_strategy = TallyStrategy::Replicated;
-                problem.transport.regroup_policy = policy;
-                let r = median_run(
-                    &problem,
-                    RunOptions {
-                        scheme: Scheme::OverEvents,
-                        backend,
-                        execution: Execution::Rayon,
-                        ..Default::default()
-                    },
-                    args.reps,
-                );
-                let style_name = backend.name();
-                rows.push(vec![
-                    label.to_owned(),
-                    style_name.to_owned(),
-                    policy.name().to_owned(),
-                    format!("{:.3}", r.elapsed.as_secs_f64()),
-                    format!("{:.3e}", r.events_per_second()),
-                    format!("{}", r.timesteps),
-                ]);
-                report.push(
-                    BenchRecord::new(format!("regroup/{label}/{style_name}/{}", policy.name()))
-                        .config("part", "regroup")
-                        .config("case", label)
-                        .config("driver", "over_events")
-                        .config("backend", style_name)
-                        .config("tally", "replicated")
-                        .config("regroup", policy.name())
-                        .metric("elapsed_s", r.elapsed.as_secs_f64())
-                        .metric("events_per_s", r.events_per_second())
-                        .metric("timesteps", r.timesteps as f64),
-                );
-            }
         }
     }
     rows
@@ -341,19 +269,6 @@ fn main() {
     println!(
         "  (all three backends compute bitwise-identical physics;\n\
          \x20  tests/tests/backend.rs enforces it)"
-    );
-
-    println!("\n-- regroup sweep: between-timestep physical regrouping (multi-timestep) --");
-    let rows = regroup_rows(&args, &mut report);
-    print_table(
-        &[
-            "problem", "kernels", "regroup", "time (s)", "events/s", "steps",
-        ],
-        &rows,
-    );
-    println!(
-        "  (identity travels with the particle; tests/tests/regroup.rs enforces\n\
-         \x20  bitwise-identical physics across every regroup row)"
     );
 
     println!("\n-- modeled whole-scheme vectorisation effect --");

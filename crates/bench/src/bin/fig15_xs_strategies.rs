@@ -14,9 +14,8 @@
 //! Run with `cargo run --release -p neutral-bench --bin
 //! fig15_xs_strategies [--quick] [--json PATH]`. `--json` additionally
 //! writes the measurements as a machine-readable
-//! [`neutral_bench::report::BenchReport`] (the perf-regression gate
-//! diffs these on the `lookups_per_s` metric). Measured numbers are
-//! only meaningful from `--release` builds.
+//! [`neutral_bench::report::BenchReport`]. Measured numbers are only
+//! meaningful from `--release` builds.
 
 use neutral_bench::report::{BenchRecord, BenchReport};
 use neutral_xs::{CrossSectionLibrary, LookupStrategy, XsHints};

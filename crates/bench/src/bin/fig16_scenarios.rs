@@ -4,8 +4,8 @@
 //! The paper's performance story is told on three single-material
 //! problems; this sweep asks how the driver families and the lookup
 //! backends rank once per-cell materials enter the picture. For every
-//! catalogue scenario it runs the four driver families (history,
-//! Over-Particles, Over-Events, SoA) under the hinted and unionized
+//! catalogue scenario it runs the three driver families (history,
+//! Over-Particles, Over-Events) under the hinted and unionized
 //! lookup backends and reports events/s, the event mix, and the material
 //! interface-crossing rate — the scenario-diversity counterpart of the
 //! Figure 15 lookup sweep.
@@ -20,12 +20,12 @@ use neutral_bench::report::{BenchRecord, BenchReport};
 use neutral_bench::{banner, host_threads, median_run, print_table};
 use neutral_core::prelude::*;
 
-/// `(label, scheme, layout)` of the four driver families.
-const DRIVERS: [(&str, Scheme, Layout); 4] = [
-    ("history", Scheme::OverParticles, Layout::Aos),
-    ("over_particles", Scheme::OverParticles, Layout::Aos),
-    ("over_events", Scheme::OverEvents, Layout::Aos),
-    ("soa", Scheme::OverParticles, Layout::Soa),
+/// `(label, scheme)` of the three driver families (`history` is Over
+/// Particles on one worker).
+const DRIVERS: [(&str, Scheme); 3] = [
+    ("history", Scheme::OverParticles),
+    ("over_particles", Scheme::OverParticles),
+    ("over_events", Scheme::OverEvents),
 ];
 
 fn main() {
@@ -83,10 +83,9 @@ fn main() {
         let mut rows = Vec::new();
         for &lookup in &lookups {
             problem.transport.xs_search = lookup;
-            for (label, scheme, layout) in DRIVERS {
+            for (label, scheme) in DRIVERS {
                 let options = RunOptions {
                     scheme,
-                    layout,
                     execution: if label == "history" {
                         Execution::Sequential
                     } else {

@@ -178,8 +178,12 @@ fn main() {
         times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    let binary = run_search(XsSearch::Binary);
-    for strategy in [XsSearch::Hinted, XsSearch::Unionized, XsSearch::Hashed] {
+    let binary = run_search(LookupStrategy::Binary);
+    for strategy in [
+        LookupStrategy::Hinted,
+        LookupStrategy::Unionized,
+        LookupStrategy::Hashed,
+    ] {
         let t = run_search(strategy);
         println!(
             "  end-to-end scatter solve: {} {t:.3} s vs binary {binary:.3} s -> {:.2}x",

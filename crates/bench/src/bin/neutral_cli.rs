@@ -3,14 +3,13 @@
 //!
 //! ```sh
 //! neutral_cli [problem.params | --scenario NAME] [--scale tiny|small|paper]
-//!             [--seed N] [--scheme op|oe] [--layout aos|soa|soa-stepped]
+//!             [--seed N] [--scheme op|oe]
 //!             [--threads N] [--schedule static|dynamic,N|guided,N]
 //!             [--lookup binary|hinted|unionized|hashed]
-//!             [--tally atomic|replicated|privatized]
+//!             [--tally replicated|privatized|atomic]
 //!             [--sort off|by_cell|by_energy_band|auto]
-//!             [--regroup off|by_cell|by_energy_band|by_alive]
 //!             [--backend scalar|vectorized|simd] [--timesteps N]
-//!             [--privatized] [--sequential] [--dump-tally FILE]
+//!             [--sequential] [--dump-tally FILE]
 //!             [--checkpoint FILE] [--fault SPEC]
 //!             [--shards N] [--shard-fault SPEC]
 //! ```
@@ -22,8 +21,7 @@
 //!
 //! `--backend` picks the Over-Events kernel backend (DESIGN.md §19),
 //! overriding the params file's `backend` key; all three compute
-//! bitwise-identical results. `--vectorized` is the historical
-//! shorthand for `--backend vectorized`.
+//! bitwise-identical results.
 //!
 //! `--checkpoint FILE` enables the checkpoint/restart subsystem: a
 //! crash-safe checkpoint is written to FILE at every census boundary,
@@ -35,8 +33,8 @@
 //!
 //! `--shards N` splits every timestep into N fault-isolated shards
 //! (DESIGN.md §18); results are bitwise identical to the unsharded run
-//! for any N. An atomic tally is upgraded to replicated (sharding rides
-//! on the deterministic merge). With `--checkpoint FILE`, shard retries
+//! for any N. An explicit `--tally atomic` is upgraded to replicated
+//! (sharding rides on the deterministic merge). With `--checkpoint FILE`, shard retries
 //! reload their census-boundary inputs from `FILE.shard<k>` stores.
 //! `--shard-fault SPEC` (e.g. `kill@1` or `hang@0:2,corrupt@1`)
 //! deterministically injects shard failures to exercise the
@@ -56,7 +54,6 @@ struct CliArgs {
     lookup: Option<LookupStrategy>,
     tally: Option<TallyStrategy>,
     sort: Option<SortPolicy>,
-    regroup: Option<RegroupPolicy>,
     timesteps: Option<usize>,
     dump_tally: Option<String>,
     checkpoint: Option<String>,
@@ -109,7 +106,6 @@ fn parse_args() -> Result<CliArgs, String> {
     let mut lookup = None;
     let mut tally = None;
     let mut sort = None;
-    let mut regroup = None;
     let mut timesteps = None;
     let mut dump_tally = None;
     let mut checkpoint = None;
@@ -118,7 +114,6 @@ fn parse_args() -> Result<CliArgs, String> {
     let mut shard_fault = None;
     let mut threads: Option<usize> = None;
     let mut schedule: Option<Schedule> = None;
-    let mut privatized = false;
 
     let mut i = 0;
     while i < argv.len() {
@@ -129,15 +124,6 @@ fn parse_args() -> Result<CliArgs, String> {
                     Some("op") => Scheme::OverParticles,
                     Some("oe") => Scheme::OverEvents,
                     other => return Err(format!("--scheme op|oe, got {other:?}")),
-                };
-            }
-            "--layout" => {
-                i += 1;
-                options.layout = match argv.get(i).map(String::as_str) {
-                    Some("aos") => Layout::Aos,
-                    Some("soa") => Layout::Soa,
-                    Some("soa-stepped") => Layout::SoaEventStepped,
-                    other => return Err(format!("--layout aos|soa|soa-stepped, got {other:?}")),
                 };
             }
             "--threads" => {
@@ -164,7 +150,7 @@ fn parse_args() -> Result<CliArgs, String> {
                 i += 1;
                 tally = Some(
                     argv.get(i)
-                        .ok_or("--tally atomic|replicated|privatized")?
+                        .ok_or("--tally replicated|privatized|atomic")?
                         .parse::<TallyStrategy>()?,
                 );
             }
@@ -174,14 +160,6 @@ fn parse_args() -> Result<CliArgs, String> {
                     argv.get(i)
                         .ok_or("--sort off|by_cell|by_energy_band|auto")?
                         .parse::<SortPolicy>()?,
-                );
-            }
-            "--regroup" => {
-                i += 1;
-                regroup = Some(
-                    argv.get(i)
-                        .ok_or("--regroup off|by_cell|by_energy_band|by_alive")?
-                        .parse::<RegroupPolicy>()?,
                 );
             }
             "--timesteps" => {
@@ -218,9 +196,7 @@ fn parse_args() -> Result<CliArgs, String> {
                 i += 1;
                 seed = Some(argv.get(i).and_then(|v| v.parse().ok()).ok_or("--seed N")?);
             }
-            "--privatized" => privatized = true,
             "--sequential" => options.execution = Execution::Sequential,
-            "--vectorized" => backend = Some(Backend::Vectorized),
             "--backend" => {
                 i += 1;
                 backend = Some(
@@ -274,16 +250,12 @@ fn parse_args() -> Result<CliArgs, String> {
         i += 1;
     }
 
-    if threads.is_some() || schedule.is_some() || privatized {
+    if threads.is_some() || schedule.is_some() {
         let threads = threads.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         let schedule = schedule.unwrap_or(Schedule::Dynamic { chunk: 64 });
-        options.execution = if privatized {
-            Execution::ScheduledPrivatized { threads, schedule }
-        } else {
-            Execution::Scheduled { threads, schedule }
-        };
+        options.execution = Execution::Scheduled { threads, schedule };
     }
 
     if params_file.is_some() && scenario.is_some() {
@@ -305,7 +277,6 @@ fn parse_args() -> Result<CliArgs, String> {
         lookup,
         tally,
         sort,
-        regroup,
         timesteps,
         dump_tally,
         checkpoint,
@@ -371,9 +342,6 @@ fn main() -> ExitCode {
     if let Some(sort) = args.sort {
         problem.transport.sort_policy = sort;
     }
-    if let Some(regroup) = args.regroup {
-        problem.transport.regroup_policy = regroup;
-    }
     if let Some(timesteps) = args.timesteps {
         problem.n_timesteps = timesteps;
     }
@@ -388,9 +356,8 @@ fn main() -> ExitCode {
     options.backend = args.backend.unwrap_or(params.backend);
     // Sharding rides on the deterministic lane merge: resolve the
     // configuration the way the solve registry does for every submission
-    // (atomic tally → replicated, per-thread privatized → scheduled;
-    // shards privatize per lane already).
-    if shards > 1 && resolve_deterministic(&mut problem, &mut options) {
+    // (an explicit atomic tally → replicated).
+    if shards > 1 && resolve_deterministic(&mut problem) {
         println!(
             "shards: resolved to the deterministic configuration (tally {})",
             problem.transport.tally_strategy.name()
@@ -411,12 +378,11 @@ fn main() -> ExitCode {
         problem.seed,
     );
     println!(
-        "options: {:?}, lookup: {}, tally: {}, sort: {}, regroup: {}, shards: {shards}",
+        "options: {:?}, lookup: {}, tally: {}, sort: {}, shards: {shards}",
         options,
         problem.transport.xs_search.name(),
         problem.transport.tally_strategy.name(),
-        problem.transport.sort_policy.name(),
-        problem.transport.regroup_policy.name()
+        problem.transport.sort_policy.name()
     );
 
     // CLI flags override the params file's checkpoint/fault keys.

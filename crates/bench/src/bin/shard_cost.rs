@@ -28,12 +28,10 @@ use neutral_core::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// `(label, scheme, layout)` of the driver families (history is
-/// excluded: its per-particle loop has no lane partition to shard).
-const DRIVERS: [(&str, Scheme, Layout); 3] = [
-    ("over_particles", Scheme::OverParticles, Layout::Aos),
-    ("over_events", Scheme::OverEvents, Layout::Aos),
-    ("soa", Scheme::OverParticles, Layout::Soa),
+/// `(label, scheme)` of the two schemes.
+const DRIVERS: [(&str, Scheme); 2] = [
+    ("over_particles", Scheme::OverParticles),
+    ("over_events", Scheme::OverEvents),
 ];
 
 /// Shard counts swept against the unsharded baseline: 2/4/8 cut 32
@@ -115,10 +113,9 @@ fn main() {
     ));
 
     let mut rows = Vec::new();
-    for (label, scheme, layout) in DRIVERS {
+    for (label, scheme) in DRIVERS {
         let options = RunOptions {
             scheme,
-            layout,
             execution: Execution::Scheduled {
                 threads,
                 schedule: Schedule::Dynamic { chunk: 64 },

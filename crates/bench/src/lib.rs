@@ -16,6 +16,7 @@
 
 #![warn(clippy::all)]
 
+pub mod baseline;
 pub mod report;
 pub mod serve_http;
 
@@ -124,7 +125,12 @@ pub fn run_median(case: TestCase, options: RunOptions, args: &HarnessArgs) -> Ru
 #[must_use]
 pub fn median_run(problem: &Problem, options: RunOptions, reps: usize) -> RunReport {
     let sim = Simulation::new(problem.clone());
-    let mut reports: Vec<RunReport> = (0..reps.max(1)).map(|_| sim.run(options)).collect();
+    median_of(reps, || sim.run(options))
+}
+
+/// The median-wall-clock report of `reps` (at least one) calls of `run`.
+pub(crate) fn median_of(reps: usize, run: impl Fn() -> RunReport) -> RunReport {
+    let mut reports: Vec<RunReport> = (0..reps.max(1)).map(|_| run()).collect();
     reports.sort_by_key(|r| r.elapsed);
     reports.swap_remove(reports.len() / 2)
 }

@@ -4,8 +4,8 @@
 //! machine half: a [`BenchReport`] collects one [`BenchRecord`] per
 //! measured configuration and serialises to a stable, diffable JSON file
 //! (hand-rolled — the environment has no serde), so perf results can be
-//! committed (`BENCH_PR4.json`) and regressed against instead of living
-//! only in terminal scrollback.
+//! committed (`bench/history/BENCH_PR4.json`) instead of living only in
+//! terminal scrollback.
 //!
 //! Usage from a figure binary:
 //!

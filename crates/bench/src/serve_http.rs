@@ -32,25 +32,24 @@
 //! lookup hashed             # binary|hinted|unionized|hashed
 //! tally replicated          # replicated|privatized (atomic resolves to replicated)
 //! sort by_cell              # off|by_cell|by_energy_band|auto
-//! regroup by_alive          # off|by_cell|by_energy_band|by_alive
 //! scheme oe                 # op|oe
-//! layout soa                # aos|soa|soa-stepped
-//! kernel vectorized         # scalar|vectorized
+//! backend vectorized        # scalar|vectorized|simd
 //! checkpoint_file /tmp/s.ckpt   # optional spill (exclusive per live solve)
 //! checkpoint_every 2        # boundaries between spills (default 1)
 //! shards 4                  # fault-isolated shard units per timestep (default 1)
 //! shard_fault kill@1        # injected shard failures (testing; needs shards >= 2)
 //! ```
 //!
-//! Requests choose *physics and driver shape*, never thread counts: the
+//! Requests choose *physics and scheme*, never thread counts: the
 //! service owns its worker configuration, and the bitwise-determinism
 //! invariant guarantees the results are identical to any other worker
 //! count — which is exactly what makes the fingerprint cache sound. The
 //! contract is enforced in the library, not here: the registry passes
 //! every submission through `resolve_deterministic` before fingerprinting
-//! it (an atomic default becomes `replicated`). This edge only validates
-//! input: a multi-threaded service refuses an *explicit* `tally atomic`
-//! with a 400 rather than silently serving something else.
+//! it (an `atomic` a single-thread service let through becomes
+//! `replicated`). This edge only validates input: a multi-threaded
+//! service refuses `tally atomic` with a 400 rather than silently serving
+//! something else.
 
 use minihttp::{Handler, Request, Response, Server, ServerHandle};
 use neutral_core::params::ParamsError;
@@ -232,9 +231,7 @@ struct SolveSpec {
     lookup: Option<LookupStrategy>,
     tally: Option<TallyStrategy>,
     sort: Option<SortPolicy>,
-    regroup: Option<RegroupPolicy>,
     scheme: Option<Scheme>,
-    layout: Option<Layout>,
     backend: Option<Backend>,
     checkpoint_file: Option<String>,
     checkpoint_every: usize,
@@ -257,9 +254,7 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
     let mut lookup = None;
     let mut tally = None;
     let mut sort = None;
-    let mut regroup = None;
     let mut scheme = None;
-    let mut layout = None;
     let mut backend = None;
     let mut checkpoint_file = None;
     let mut checkpoint_every = 1usize;
@@ -312,7 +307,6 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
             "lookup" => lookup = Some(value.parse::<LookupStrategy>().map_err(knob)?),
             "tally" => tally = Some(value.parse::<TallyStrategy>().map_err(knob)?),
             "sort" => sort = Some(value.parse::<SortPolicy>().map_err(knob)?),
-            "regroup" => regroup = Some(value.parse::<RegroupPolicy>().map_err(knob)?),
             "scheme" => {
                 scheme = Some(match value {
                     "op" => Scheme::OverParticles,
@@ -320,21 +314,7 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
                     other => return Err(perr(lineno, format!("scheme op|oe, got `{other}`"))),
                 })
             }
-            "layout" => {
-                layout = Some(match value {
-                    "aos" => Layout::Aos,
-                    "soa" => Layout::Soa,
-                    "soa-stepped" => Layout::SoaEventStepped,
-                    other => {
-                        return Err(perr(
-                            lineno,
-                            format!("layout aos|soa|soa-stepped, got `{other}`"),
-                        ))
-                    }
-                })
-            }
-            // `kernel` is the knob's former spelling, kept as an alias.
-            "backend" | "kernel" => backend = Some(value.parse::<Backend>().map_err(knob)?),
+            "backend" => backend = Some(value.parse::<Backend>().map_err(knob)?),
             "shards" => {
                 shards = value
                     .parse::<usize>()
@@ -364,9 +344,7 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
         lookup,
         tally,
         sort,
-        regroup,
         scheme,
-        layout,
         backend,
         checkpoint_file,
         checkpoint_every,
@@ -400,9 +378,6 @@ fn build_submit(
     if let Some(sort) = spec.sort {
         problem.transport.sort_policy = sort;
     }
-    if let Some(regroup) = spec.regroup {
-        problem.transport.regroup_policy = regroup;
-    }
     if let Some(timesteps) = spec.timesteps {
         problem.n_timesteps = timesteps;
     }
@@ -416,9 +391,6 @@ fn build_submit(
     if let Some(scheme) = spec.scheme {
         options.scheme = scheme;
     }
-    if let Some(layout) = spec.layout {
-        options.layout = layout;
-    }
     if let Some(backend) = spec.backend {
         options.backend = backend;
     }
@@ -428,11 +400,10 @@ fn build_submit(
             "`shard_fault` needs `shards` >= 2 (faults are injected per shard unit)",
         ));
     }
-    // What the registry will run (and fingerprint): scenario defaults —
-    // and an `atomic` a single-thread service let through — resolve to
-    // the deterministic configuration here, so the request already shows
-    // it.
-    resolve_deterministic(&mut problem, &mut options);
+    // What the registry will run (and fingerprint): an `atomic` a
+    // single-thread service let through resolves to the deterministic
+    // configuration here, so the request already shows it.
+    resolve_deterministic(&mut problem);
     let mut submit = SubmitRequest::new(problem, options);
     if let Some(path) = spec.checkpoint_file {
         submit = submit.checkpoint(path, spec.checkpoint_every);
@@ -556,11 +527,11 @@ mod tests {
             ok.problem.transport.tally_strategy,
             TallyStrategy::Replicated
         );
-        // Scenario defaults upgrade silently instead of failing.
-        let upgraded = build_submit(spec("scenario csp\nscale tiny\n"), 4, multi).unwrap();
-        assert_ne!(
-            upgraded.problem.transport.tally_strategy,
-            TallyStrategy::Atomic
+        // Scenario defaults are deterministic already.
+        let default = build_submit(spec("scenario csp\nscale tiny\n"), 4, multi).unwrap();
+        assert_eq!(
+            default.problem.transport.tally_strategy,
+            TallyStrategy::Replicated
         );
     }
 

@@ -157,6 +157,17 @@ fn coalescing_cache_and_bitwise_identity() {
         "cache hit must not run chunks"
     );
 
+    // The same body under the other scheme is a different solve — the
+    // two schemes' tallies differ in their last bits — not a hit onto
+    // the Over-Particles result.
+    let other_scheme = post_solve(addr, &format!("{}scheme oe\n", request_body(SEED)));
+    assert_eq!(other_scheme.status, 201, "{}", other_scheme.body_text());
+    assert_eq!(json_field(&other_scheme.body_text(), "admission"), "fresh");
+    let oe_id = other_scheme.header("x-solve-id").unwrap().to_string();
+    assert_ne!(oe_id, ids[0]);
+    assert_eq!(poll_until_terminal(addr, &oe_id), "done");
+    assert_eq!(service.registry().stats().solves_started, 3);
+
     handle.shutdown();
 }
 
@@ -205,6 +216,19 @@ fn bad_requests_are_named_errors() {
         body.contains("line 1") && body.contains("warp_core"),
         "{body}"
     );
+
+    // Keys the grammar used to accept are unknown keys now: named, with
+    // their line, never silently ignored.
+    for removed in ["layout soa", "regroup by_cell", "kernel vectorized"] {
+        let resp = post_solve(addr, &format!("scenario csp\nscale tiny\n{removed}\n"));
+        assert_eq!(resp.status, 400, "{removed}");
+        let body = resp.body_text();
+        let key = removed.split(' ').next().unwrap();
+        assert!(
+            body.contains("line 3") && body.contains(&format!("unknown key `{key}`")),
+            "{removed}: {body}"
+        );
+    }
 
     // Unknown id: 404; non-numeric id: 400.
     let resp = client::request(addr, "GET", "/solves/999", None).unwrap();

@@ -1,16 +1,16 @@
 //! Reusable scratch buffers for the batched (lane-block) hot paths.
 //!
-//! The event-based and SoA drivers stage per-particle lanes — energies,
+//! The event-based driver stages per-particle lanes — energies,
 //! material ids, table hints, lookup results, candidate distances — in
 //! temporary arrays before every batched cross-section lookup and every
-//! restructured kernel pass. Allocating those arrays per window/chunk
+//! restructured kernel pass. Allocating those arrays per window
 //! (`Vec::with_capacity` five-plus times per kernel invocation) puts the
 //! allocator on the hot path of exactly the loops the paper restructured
 //! for vector efficiency (§VI-G).
 //!
 //! A [`ScratchArena`] owns one copy of every such lane buffer. Each
-//! worker (or each breadth-first window, which is pinned to one worker
-//! per pass) holds one arena and reuses it across kernel invocations:
+//! breadth-first window (pinned to one worker per pass) holds one arena
+//! and reuses it across kernel invocations:
 //! after the first round every buffer has reached its high-water capacity
 //! and the steady-state loop performs no *per-particle lane* allocations
 //! (the remaining allocation per kernel pass is one `Vec` of window
@@ -24,11 +24,11 @@
 use neutral_xs::MaterialId;
 
 /// Reusable lane buffers for batched lookups, restructured kernel passes
-/// and coherence sorting. One arena per worker or per window; cleared
-/// (not shrunk) between uses so capacity is retained.
+/// and coherence sorting. One arena per window; cleared (not shrunk)
+/// between uses so capacity is retained.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
-    /// Compacted lane indices (window- or chunk-local).
+    /// Compacted lane indices (window-local).
     pub idx: Vec<u32>,
     /// Lane energies fed to the batched lookup (eV).
     pub energies: Vec<f64>,
@@ -58,14 +58,6 @@ pub struct ScratchArena {
     pub sort_keys: Vec<(u32, u32)>,
     /// Ping-pong buffer of [`radix_sort_pairs`].
     pub sort_tmp: Vec<(u32, u32)>,
-    /// Second key/payload buffer for two-stage sorts (the identity-order
-    /// flush under regrouping sorts by rank first, then re-sorts the
-    /// rank-ordered pairs by tally cell for the clustered flush).
-    pub sort_keys2: Vec<(u32, u32)>,
-    /// Permutation scratch of the between-timestep regroup stage
-    /// ([`crate::soa::regroup_soa_parallel`]); also a general `u32`
-    /// lane. Consumed by [`apply_permutation_in_place`].
-    pub perm: Vec<u32>,
     /// Staging lanes for mixed-material batched lookups
     /// ([`neutral_xs::MaterialSet::lookup_many_with_scratch`]), so
     /// multi-material lane blocks stop allocating per call.
@@ -94,8 +86,6 @@ impl ScratchArena {
         self.flags.clear();
         self.sort_keys.clear();
         self.sort_tmp.clear();
-        self.sort_keys2.clear();
-        self.perm.clear();
         self.xs.clear();
     }
 
@@ -114,50 +104,8 @@ impl ScratchArena {
             + self.f64_b.capacity() * 8
             + self.f64_c.capacity() * 8
             + self.flags.capacity()
-            + (self.sort_keys.capacity() + self.sort_tmp.capacity() + self.sort_keys2.capacity())
-                * 8
-            + self.perm.capacity() * 4
+            + (self.sort_keys.capacity() + self.sort_tmp.capacity()) * 8
             + self.xs.footprint_bytes()
-    }
-}
-
-/// Bit marking a `perm` entry as visited during the in-place cycle walk
-/// of [`apply_permutation_in_place`]; permutations are therefore limited
-/// to `2^31` elements (far beyond any population this repo runs).
-const PERM_VISITED: u32 = 1 << 31;
-
-/// Apply a permutation to `data` **in place** by walking its cycles:
-/// after the call, `data[k] == old_data[perm[k]]` for every `k`. `perm`
-/// must be a permutation of `0..data.len()` with entries below `2^31`;
-/// its contents are consumed (used as the visited bitmap of the cycle
-/// walk), so the caller reuses the buffer by refilling it. Each element
-/// is read once and written once — no `O(n)` element buffer, which is
-/// what lets the regroup stage permute the particle arrays with only a
-/// reusable `u32` scratch.
-pub fn apply_permutation_in_place<T: Copy>(data: &mut [T], perm: &mut [u32]) {
-    let n = data.len();
-    assert_eq!(n, perm.len(), "permutation length must match data");
-    assert!(n < PERM_VISITED as usize, "permutation too large");
-    for k in 0..n {
-        if perm[k] & PERM_VISITED != 0 {
-            continue;
-        }
-        // Walk the cycle starting at k: each slot takes the element its
-        // perm entry names, and the element displaced from k is held in
-        // `first` until the cycle closes.
-        let first = data[k];
-        let mut dst = k;
-        loop {
-            let src = (perm[dst] & !PERM_VISITED) as usize;
-            debug_assert!(src < n, "perm entry out of range");
-            perm[dst] |= PERM_VISITED;
-            if src == k {
-                data[dst] = first;
-                break;
-            }
-            data[dst] = data[src];
-            dst = src;
-        }
     }
 }
 
@@ -259,37 +207,6 @@ mod tests {
         let mut one = vec![(9, 7)];
         radix_sort_pairs(&mut one, &mut tmp);
         assert_eq!(one, vec![(9, 7)]);
-    }
-
-    #[test]
-    fn permutation_applies_in_place() {
-        // Random permutations of random sizes, checked against the
-        // gather definition new[k] = old[perm[k]].
-        let mut x = 0x1234_5678u64;
-        let mut rand = move |m: usize| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((x >> 33) as usize) % m
-        };
-        for n in [0usize, 1, 2, 3, 17, 256, 1000] {
-            let mut perm: Vec<u32> = (0..n as u32).collect();
-            for j in (1..n).rev() {
-                perm.swap(j, rand(j + 1));
-            }
-            let data: Vec<u64> = (0..n as u64).map(|v| v * 31 + 7).collect();
-            let expect: Vec<u64> = perm.iter().map(|&p| data[p as usize]).collect();
-            let mut got = data.clone();
-            let mut perm_scratch = perm.clone();
-            apply_permutation_in_place(&mut got, &mut perm_scratch);
-            assert_eq!(got, expect, "n={n}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length must match")]
-    fn permutation_rejects_length_mismatch() {
-        let mut data = [1, 2, 3];
-        let mut perm = vec![0u32, 1];
-        apply_permutation_in_place(&mut data, &mut perm);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 use crate::config::Problem;
 use crate::counters::EventCounters;
 use crate::particle::Particle;
-use crate::sim::{RunOptions, RunReport, Simulation, SolveCore};
+use crate::sim::{RunOptions, RunReport, Scheme, Simulation, SolveCore};
 use neutral_xs::XsHints;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -218,8 +218,8 @@ pub enum CheckpointError {
         /// Checksum recomputed over the file's bytes.
         found: u64,
     },
-    /// The checkpoint was written by a different problem/transport
-    /// configuration and must not be resumed.
+    /// The checkpoint was written by a different problem, transport
+    /// configuration or scheme and must not be resumed.
     ConfigMismatch {
         /// Fingerprint of the problem being resumed.
         expected: u64,
@@ -227,7 +227,7 @@ pub enum CheckpointError {
         found: u64,
     },
     /// The file checksums correctly but its contents are inconsistent
-    /// (impossible counts, non-permutation keys, trailing bytes, ...).
+    /// (impossible counts, records out of key order, trailing bytes, ...).
     Corrupt(String),
 }
 
@@ -268,13 +268,26 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Fingerprint of everything a checkpoint must agree with the resuming
-/// problem on: mesh shape, particle count, timestep controls, seed, and
-/// the full [`crate::config::TransportConfig`]. Two problems that could
-/// produce different trajectories get different fingerprints; resuming
-/// across a mismatch is a hard [`CheckpointError::ConfigMismatch`].
+/// Content address of a solve: the one `u64` that guards checkpoint
+/// resume ([`CheckpointError::ConfigMismatch`]), coalescing and the
+/// registry's result cache. It covers everything that can change a
+/// trajectory or a merged bit: seed, counts, timestep controls, mesh
+/// shape and extent, source, the full [`crate::config::TransportConfig`],
+/// the density field's bits, the material map, every material's table
+/// contents, and the driver family `scheme` (the two schemes accumulate
+/// the same terms in different orders, so their `f64` sums differ by
+/// ulps). The rest of [`RunOptions`] is deliberately absent: `execution`
+/// and `backend` are bitwise-free under the deterministic tally
+/// strategies, which is what lets one cached result answer any host
+/// width.
+///
+/// The scalars hash byte-wise; the bulk (≈ 1 MB of tables per material,
+/// 8 B per mesh cell) folds 64-bit words — [`Registry::submit`]
+/// fingerprints every submission.
+///
+/// [`Registry::submit`]: crate::registry::Registry::submit
 #[must_use]
-pub fn config_fingerprint(problem: &Problem) -> u64 {
+pub fn config_fingerprint(problem: &Problem, scheme: Scheme) -> u64 {
     let mut bytes: Vec<u8> = Vec::with_capacity(256);
     bytes.extend_from_slice(&problem.seed.to_le_bytes());
     bytes.extend_from_slice(&(problem.n_particles as u64).to_le_bytes());
@@ -290,10 +303,46 @@ pub fn config_fingerprint(problem: &Problem) -> u64 {
     bytes.extend_from_slice(&problem.source.x1.to_bits().to_le_bytes());
     bytes.extend_from_slice(&problem.source.y0.to_bits().to_le_bytes());
     bytes.extend_from_slice(&problem.source.y1.to_bits().to_le_bytes());
-    // The transport knobs (enums and floats alike) through their stable
-    // Debug rendering — any knob that can change a trajectory is in here.
-    bytes.extend_from_slice(format!("{:?}", problem.transport).as_bytes());
-    fnv1a64(bytes.into_iter())
+    // The transport knobs (enums and floats alike) and the scheme through
+    // their stable Debug rendering.
+    bytes.extend_from_slice(format!("{:?}{scheme:?}", problem.transport).as_bytes());
+    let mut hash = fnv1a64(bytes.into_iter());
+
+    hash = fold_words(hash, problem.mesh.density_field(), f64::to_bits);
+    hash = fold_words(hash, problem.mesh.material_map().ids(), u64::from);
+    for lib in problem.materials.libraries() {
+        for table in [&lib.absorb, &lib.scatter] {
+            hash = fold_words(hash, table.energies(), f64::to_bits);
+            hash = fold_words(hash, table.values(), f64::to_bits);
+        }
+    }
+    hash
+}
+
+/// Fold a run of values, each as one 64-bit word, into `hash`: word `k`
+/// into lane `k % 4` of four independent multiply-xorshift chains (one
+/// dependent chain would pay a multiply latency per word), then the run
+/// length and the lanes in order — so neither a changed word nor a moved
+/// run boundary cancels.
+fn fold_words<T: Copy>(hash: u64, values: &[T], word: impl Fn(T) -> u64) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, w: u64| {
+        let x = (h ^ w).wrapping_mul(K);
+        x ^ (x >> 32)
+    };
+    let mut lanes = [hash, hash ^ 1, hash ^ 2, hash ^ 3];
+    let mut blocks = values.chunks_exact(4);
+    for block in &mut blocks {
+        for (lane, &v) in lanes.iter_mut().zip(block) {
+            *lane = mix(*lane, word(v));
+        }
+    }
+    for (lane, &v) in lanes.iter_mut().zip(blocks.remainder()) {
+        *lane = mix(*lane, word(v));
+    }
+    lanes
+        .iter()
+        .fold(mix(hash, values.len() as u64), |h, &lane| mix(h, lane))
 }
 
 /// A complete resumable solve snapshot, taken at a census boundary.
@@ -313,8 +362,8 @@ pub struct Checkpoint {
     pub counters: EventCounters,
     /// Accumulated energy-deposition tally (merged mesh).
     pub tally: Vec<f64>,
-    /// The full particle population, in current (possibly regrouped)
-    /// storage order; each record carries its own identity and RNG state.
+    /// The full particle population, in key order; each record carries
+    /// its own identity and RNG state.
     pub particles: Vec<Particle>,
 }
 
@@ -938,7 +987,7 @@ mod tests {
         let problem = TestCase::Csp.build(ProblemScale::tiny(), 3);
         let particles = spawn_particles(&problem);
         Checkpoint {
-            fingerprint: config_fingerprint(&problem),
+            fingerprint: config_fingerprint(&problem, Scheme::OverParticles),
             next_step: 1,
             n_timesteps: 3,
             elapsed: Duration::from_millis(7),
@@ -1111,19 +1160,56 @@ mod tests {
         ));
     }
 
+    /// One field perturbed at a time — scalars, one cell of each mesh
+    /// field, one material's kind and seed, the scheme — must each move
+    /// the fingerprint.
     #[test]
     fn fingerprint_separates_configs() {
-        let a = TestCase::Csp.build(ProblemScale::tiny(), 3);
-        let mut b = a.clone();
-        b.seed = 4;
-        assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
-        let mut c = a.clone();
-        c.transport.weight_cutoff *= 2.0;
-        assert_ne!(config_fingerprint(&a), config_fingerprint(&c));
-        let mut d = a.clone();
-        d.n_timesteps += 1;
-        assert_ne!(config_fingerprint(&a), config_fingerprint(&d));
-        assert_eq!(config_fingerprint(&a), config_fingerprint(&a.clone()));
+        use neutral_xs::{MaterialKind, MaterialSet, MaterialSpec};
+        let spec = MaterialSpec {
+            kind: MaterialKind::Reference,
+            n_points: 64,
+            seed: 9,
+        };
+        let with_material = |spec: MaterialSpec| {
+            let mut p = TestCase::Csp.build(ProblemScale::tiny(), 3);
+            p.materials = MaterialSet::from_specs(&[spec]);
+            p
+        };
+        let base = with_material(spec);
+        let op = Scheme::OverParticles;
+        let want = config_fingerprint(&base, op);
+        assert_eq!(want, config_fingerprint(&base.clone(), op));
+
+        type Perturb = fn(&mut Problem);
+        let perturbations: [(&str, Perturb); 5] = [
+            ("seed", |p| p.seed = 4),
+            ("weight_cutoff", |p| p.transport.weight_cutoff *= 2.0),
+            ("n_timesteps", |p| p.n_timesteps += 1),
+            ("one cell's density", |p| {
+                p.mesh.density_field_mut()[77] *= 1.0 + f64::EPSILON;
+            }),
+            ("one cell's material id", |p| {
+                p.mesh.material_map_mut().set(5, 9, 1);
+            }),
+        ];
+        for (what, perturb) in perturbations {
+            let mut p = base.clone();
+            perturb(&mut p);
+            assert_ne!(config_fingerprint(&p, op), want, "{what}");
+        }
+        let kind = MaterialSpec {
+            kind: MaterialKind::Absorber,
+            ..spec
+        };
+        let seed = MaterialSpec { seed: 10, ..spec };
+        assert_ne!(config_fingerprint(&with_material(kind), op), want, "kind");
+        assert_ne!(config_fingerprint(&with_material(seed), op), want, "seed");
+        assert_ne!(
+            config_fingerprint(&base, Scheme::OverEvents),
+            want,
+            "scheme"
+        );
     }
 
     #[test]

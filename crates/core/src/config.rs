@@ -27,10 +27,6 @@ pub enum CollisionModel {
 /// [`neutral_xs::XsLookup`] for the backend contract.
 pub use neutral_xs::LookupStrategy;
 
-/// Pre-subsystem name of [`LookupStrategy`] (kept for compatibility; the
-/// old `CachedLinear` variant is now called `Hinted`).
-pub type XsSearch = LookupStrategy;
-
 /// How energy deposits are accumulated into the tally mesh: the paper's
 /// shared-atomic baseline plus the deterministic lane-replicated and
 /// cell-block-privatized backends. Re-exported from `neutral_mesh`; see
@@ -180,89 +176,6 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// How the particle population is **physically regrouped** at each census
-/// boundary of a multi-timestep run (DESIGN.md §14).
-///
-/// Where [`SortPolicy`] permutes iteration order only (and therefore
-/// loses on CPU whenever it turns state accesses into random gathers —
-/// the §13 finding), regrouping permutes the particles *themselves*, so
-/// the hot kernels keep walking plain ascending memory over a population
-/// that is now grouped by the chosen key. Identity moves with the
-/// physical record: `key`, the RNG stream counter, the cached table
-/// hints and the tally-lane assignment all travel with the particle, and
-/// the drivers anchor every order-sensitive `f64` accumulation to
-/// identity (`key`) order, so merged tallies, counters and
-/// RNG-consumption are bitwise identical to [`RegroupPolicy::Off`] for
-/// any worker count under the deterministic tally backends.
-///
-/// The permutation is applied **within each tally lane's block**: lanes
-/// are the unit of deterministic scheduling (a lane's windows/ranges are
-/// walked independently), so cross-lane movement would buy no extra
-/// locality while severing the lane identity that the bitwise-merge
-/// invariant rests on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum RegroupPolicy {
-    /// Never permute: particles stay at their birth positions (the seed
-    /// behaviour, and the baseline every other policy must reproduce
-    /// bitwise).
-    #[default]
-    Off,
-    /// Group each lane block by mesh cell (dead particles last): the
-    /// decide/collision kernels touch mesh cells in clustered order.
-    ByCell,
-    /// Group each lane block by energy band (dead particles last):
-    /// batched lookups walk monotone energy-grid runs in plain ascending
-    /// lane order.
-    ByEnergyBand,
-    /// Group survivors before dead particles (stream compaction of the
-    /// storage itself): live lanes become a contiguous prefix of every
-    /// window.
-    ByAlive,
-}
-
-impl RegroupPolicy {
-    /// All policies, in benchmarking order.
-    pub const ALL: [RegroupPolicy; 4] = [
-        RegroupPolicy::Off,
-        RegroupPolicy::ByCell,
-        RegroupPolicy::ByEnergyBand,
-        RegroupPolicy::ByAlive,
-    ];
-
-    /// Stable lower-case name (parameter files, CLI flags, figure output).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            RegroupPolicy::Off => "off",
-            RegroupPolicy::ByCell => "by_cell",
-            RegroupPolicy::ByEnergyBand => "by_energy_band",
-            RegroupPolicy::ByAlive => "by_alive",
-        }
-    }
-}
-
-impl std::str::FromStr for RegroupPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(RegroupPolicy::Off),
-            "by_cell" => Ok(RegroupPolicy::ByCell),
-            "by_energy_band" => Ok(RegroupPolicy::ByEnergyBand),
-            "by_alive" => Ok(RegroupPolicy::ByAlive),
-            other => Err(format!(
-                "unknown regroup policy `{other}` (off|by_cell|by_energy_band|by_alive)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for RegroupPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// What happens when a particle's weight falls below the cutoff
 /// (variance-reduction policy, paper §IV-E).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -300,10 +213,6 @@ pub struct TransportConfig {
     /// Coherence sort of the batched drivers' iteration lists
     /// (DESIGN.md §13; bitwise identical physics under every policy).
     pub sort_policy: SortPolicy,
-    /// Physical regrouping of the particle population at census
-    /// boundaries (DESIGN.md §14; bitwise identical physics under every
-    /// policy — identity moves with the particle).
-    pub regroup_policy: RegroupPolicy,
     /// Low-weight policy (termination vs Russian roulette).
     pub low_weight: LowWeightPolicy,
     /// Safety valve: abandon a history after this many events and count it
@@ -318,9 +227,8 @@ impl Default for TransportConfig {
             weight_cutoff: 1.0e-6,
             collision_model: CollisionModel::Analogue,
             xs_search: LookupStrategy::Hinted,
-            tally_strategy: TallyStrategy::Atomic,
+            tally_strategy: TallyStrategy::Replicated,
             sort_policy: SortPolicy::Off,
-            regroup_policy: RegroupPolicy::Off,
             low_weight: LowWeightPolicy::Terminate,
             max_events_per_history: 1_000_000,
         }
@@ -524,7 +432,7 @@ mod tests {
         assert!(t.weight_cutoff > 0.0 && t.weight_cutoff < 1.0);
         assert_eq!(t.collision_model, CollisionModel::Analogue);
         assert_eq!(t.sort_policy, SortPolicy::Off);
-        assert_eq!(t.regroup_policy, RegroupPolicy::Off);
+        assert_eq!(t.tally_strategy, TallyStrategy::Replicated);
     }
 
     #[test]
@@ -532,10 +440,6 @@ mod tests {
         for p in SortPolicy::ALL {
             assert_eq!(p.name().parse::<SortPolicy>().unwrap(), p);
         }
-        for p in RegroupPolicy::ALL {
-            assert_eq!(p.name().parse::<RegroupPolicy>().unwrap(), p);
-        }
         assert!("fastest".parse::<SortPolicy>().is_err());
-        assert!("fastest".parse::<RegroupPolicy>().is_err());
     }
 }

@@ -13,13 +13,14 @@
 //! * **Conservation** — population accounting (`deaths + stuck + alive
 //!   == histories`), non-negative finite tallies, and the energy balance
 //!   with its cutoff residual ([`crate::validate::EnergyBalance`]).
-//! * **Cross-driver agreement** — all four driver families compute the
+//! * **Cross-driver agreement** — all three driver families compute the
 //!   same physics: identical event counters, with bitwise tally and
-//!   energy-sum agreement among the history-order drivers (History,
-//!   Over Particles, SoA — the committed golden fixtures share one
-//!   tally hash across these) and reassociation-bounded agreement for
-//!   the breadth-first Over Events driver, whose different accumulation
-//!   order moves the `f64` sums by ulps.
+//!   energy-sum agreement within the history-order family (the
+//!   Over-Particles driver on one worker and on many — the committed
+//!   golden fixtures share one tally hash across these) and
+//!   reassociation-bounded agreement for the breadth-first Over Events
+//!   driver, whose different accumulation order moves the `f64` sums by
+//!   ulps.
 //! * **Worker invariance** — with a deterministic tally strategy,
 //!   merged tally bits and physics counters are identical for worker
 //!   counts {1, 2, 7} (DESIGN.md §11).
@@ -48,14 +49,12 @@
 //! integrated shrinking is traded for perfectly reproducible cases).
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{
-    Backend, CollisionModel, LookupStrategy, Problem, RegroupPolicy, SortPolicy, TallyStrategy,
-};
+use crate::config::{Backend, CollisionModel, LookupStrategy, Problem, SortPolicy, TallyStrategy};
 use crate::counters::EventCounters;
 use crate::params::ProblemParams;
 use crate::registry::{write_tally_dump, Registry, RegistryConfig, SolveState, SubmitRequest};
 use crate::scheduler::Schedule;
-use crate::sim::{Execution, Layout, RunOptions, RunReport, Scheme, Simulation, SolveCore};
+use crate::sim::{Execution, RunOptions, RunReport, Scheme, Simulation, SolveCore};
 use neutral_mesh::{MaterialId, Rect};
 use neutral_rng::{CounterStream, Threefry2x64};
 use neutral_xs::{MaterialKind, MaterialSpec};
@@ -68,7 +67,7 @@ pub fn rel_diff(a: f64, b: f64) -> f64 {
 
 /// Counters with the work/decision meters masked out: reducing search
 /// work (`cs_search_steps`) and choosing when to cluster the flush
-/// (`clustered_flushes`) are exactly what the sort/regroup stages are
+/// (`clustered_flushes`) are exactly what the sort stage is
 /// for — they move between policies without any physics change, so the
 /// policy-equality contracts exclude them.
 #[must_use]
@@ -173,27 +172,24 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The four driver families of the golden/equivalence suites, with run
+/// The three driver families of the golden/equivalence suites, with run
 /// options parameterised by worker count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriverKind {
-    /// Sequential history loop (Over Particles, AoS, one worker).
+    /// Over Particles on one worker: the sequential history loop.
     History,
-    /// Parallel Over Particles (AoS, explicit scheduler).
+    /// Parallel Over Particles (explicit scheduler).
     OverParticles,
     /// Breadth-first Over Events.
     OverEvents,
-    /// Over Particles on the SoA layout.
-    Soa,
 }
 
 impl DriverKind {
-    /// All four, in golden-fixture order.
-    pub const ALL: [DriverKind; 4] = [
+    /// All three, in golden-fixture order.
+    pub const ALL: [DriverKind; 3] = [
         DriverKind::History,
         DriverKind::OverParticles,
         DriverKind::OverEvents,
-        DriverKind::Soa,
     ];
 
     /// Stable name used in fixture files.
@@ -203,7 +199,6 @@ impl DriverKind {
             DriverKind::History => "history",
             DriverKind::OverParticles => "over_particles",
             DriverKind::OverEvents => "over_events",
-            DriverKind::Soa => "soa",
         }
     }
 
@@ -213,9 +208,8 @@ impl DriverKind {
             "history" => Ok(DriverKind::History),
             "over_particles" => Ok(DriverKind::OverParticles),
             "over_events" => Ok(DriverKind::OverEvents),
-            "soa" => Ok(DriverKind::Soa),
             other => Err(format!(
-                "unknown driver `{other}` (history|over_particles|over_events|soa)"
+                "unknown driver `{other}` (history|over_particles|over_events)"
             )),
         }
     }
@@ -226,7 +220,7 @@ impl DriverKind {
     /// The kernel backend defaults to scalar, overridable through the
     /// `NEUTRAL_TEST_BACKEND` environment variable
     /// (`scalar|vectorized|simd`) — every backend computes bitwise
-    /// identical results, so the golden/regroup/restart/shard suites
+    /// identical results, so the golden/restart/shard suites
     /// re-run unchanged under any value; the CI matrix leg that locks
     /// the explicit-SIMD backend against the committed fixtures is just
     /// `NEUTRAL_TEST_BACKEND=simd cargo test`. An unparsable value
@@ -244,29 +238,15 @@ impl DriverKind {
             threads: workers,
             schedule: Schedule::Dynamic { chunk: 16 },
         };
-        match self {
-            DriverKind::History => RunOptions {
-                execution: Execution::Sequential,
-                backend,
-                ..Default::default()
-            },
-            DriverKind::OverParticles => RunOptions {
-                execution: scheduled,
-                backend,
-                ..Default::default()
-            },
-            DriverKind::OverEvents => RunOptions {
-                scheme: Scheme::OverEvents,
-                execution: scheduled,
-                backend,
-                ..Default::default()
-            },
-            DriverKind::Soa => RunOptions {
-                layout: Layout::Soa,
-                execution: scheduled,
-                backend,
-                ..Default::default()
-            },
+        let (scheme, execution) = match self {
+            DriverKind::History => (Scheme::OverParticles, Execution::Sequential),
+            DriverKind::OverParticles => (Scheme::OverParticles, scheduled),
+            DriverKind::OverEvents => (Scheme::OverEvents, scheduled),
+        };
+        RunOptions {
+            scheme,
+            execution,
+            backend,
         }
     }
 }
@@ -310,7 +290,7 @@ pub struct FuzzCase {
     /// cases, the file stem for corpus replays).
     pub label: String,
     /// Driver family the case samples (the oracles additionally sweep
-    /// the other three for the cross-driver check).
+    /// the other two for the cross-driver check).
     pub driver: DriverKind,
     /// The sampled problem parameters.
     pub params: ProblemParams,
@@ -390,7 +370,6 @@ pub fn generate_with(seed: u64, index: u64, profile: FuzzProfile) -> FuzzCase {
     ]);
     p.tally_strategy = *g.pick(&[TallyStrategy::Replicated, TallyStrategy::Privatized]);
     p.sort_policy = *g.pick(&SortPolicy::ALL);
-    p.regroup_policy = *g.pick(&RegroupPolicy::ALL);
     // Kernel-backend axis (DESIGN.md §19): only the Over-Events driver
     // dispatches on it, but every sampled value rides through the
     // cross-backend oracle regardless of the case's own driver.
@@ -1200,9 +1179,6 @@ fn candidates_for(case: &FuzzCase, axis: ShrinkAxis) -> Vec<FuzzCase> {
             if case.params.sort_policy != SortPolicy::Off {
                 push(&|c| c.params.sort_policy = SortPolicy::Off);
             }
-            if case.params.regroup_policy != RegroupPolicy::Off {
-                push(&|c| c.params.regroup_policy = RegroupPolicy::Off);
-            }
             if case.params.lookup_strategy != LookupStrategy::Hinted {
                 push(&|c| c.params.lookup_strategy = LookupStrategy::Hinted);
             }
@@ -1241,8 +1217,8 @@ mod tests {
             assert_eq!(a.driver, b.driver);
             // Building twice yields the same fingerprint.
             assert_eq!(
-                crate::checkpoint::config_fingerprint(&a.params.build()),
-                crate::checkpoint::config_fingerprint(&b.params.build()),
+                crate::checkpoint::config_fingerprint(&a.params.build(), a.options(1).scheme),
+                crate::checkpoint::config_fingerprint(&b.params.build(), b.options(1).scheme),
             );
         }
     }
@@ -1264,8 +1240,8 @@ mod tests {
             assert_eq!(back.driver, case.driver, "case {index}");
             assert_eq!(back.to_params_text(), text, "case {index} text unstable");
             assert_eq!(
-                crate::checkpoint::config_fingerprint(&back.params.build()),
-                crate::checkpoint::config_fingerprint(&case.params.build()),
+                crate::checkpoint::config_fingerprint(&back.params.build(), back.options(1).scheme),
+                crate::checkpoint::config_fingerprint(&case.params.build(), case.options(1).scheme),
                 "case {index} fingerprint drifted through serialization"
             );
         }

@@ -60,32 +60,6 @@ pub fn track_to_census<R: CbRng, T: TallySink>(
     tally: &mut T,
     counters: &mut EventCounters,
 ) -> HistoryEnd {
-    track_to_census_inner(p, ctx, tally, counters, None)
-}
-
-/// As [`track_to_census`], but the caller has already resolved the
-/// particle's microscopic cross sections (e.g. through the batched
-/// `lookup_many` lane-block API) — the initial lookup is skipped and
-/// `micro` is used in its place. The caller must also have updated the
-/// particle's hints, so the trajectory is bitwise identical to the
-/// unprimed loop.
-pub fn track_to_census_primed<R: CbRng, T: TallySink>(
-    p: &mut Particle,
-    ctx: &TransportCtx<'_, R>,
-    tally: &mut T,
-    counters: &mut EventCounters,
-    micro: neutral_xs::MicroXs,
-) -> HistoryEnd {
-    track_to_census_inner(p, ctx, tally, counters, Some(micro))
-}
-
-fn track_to_census_inner<R: CbRng, T: TallySink>(
-    p: &mut Particle,
-    ctx: &TransportCtx<'_, R>,
-    tally: &mut T,
-    counters: &mut EventCounters,
-    primed: Option<neutral_xs::MicroXs>,
-) -> HistoryEnd {
     if p.dead {
         return HistoryEnd::Died;
     }
@@ -95,10 +69,7 @@ fn track_to_census_inner<R: CbRng, T: TallySink>(
     // the event that invalidates it. The local material id rides along
     // with the density — both change only at facet crossings.
     let mut local_mat = ctx.mesh.material(p.cellx as usize, p.celly as usize);
-    let mut micro = match primed {
-        Some(m) => m,
-        None => lookup_micro(p, ctx, local_mat, counters),
-    };
+    let mut micro = lookup_micro(p, ctx, local_mat, counters);
     let mut local_n = {
         counters.density_reads += 1;
         number_density(ctx.mesh.density(p.cellx as usize, p.celly as usize))

@@ -20,12 +20,14 @@
 //! * **Over Events** ([`over_events`], §V-B) — all histories advance one
 //!   event at a time through tight per-event kernels.
 //!
-//! Supporting machinery reproduces the paper's ablations: AoS vs SoA
-//! particle storage ([`soa`], §VI-D), OpenMP-style loop schedules
+//! Both track the canonical column storage ([`soa`]) in place, lane by
+//! lane, through the one step engine ([`step`]). Supporting machinery
+//! reproduces the paper's ablations: OpenMP-style loop schedules
 //! ([`scheduler`], §VI-C), shared-atomic vs privatised tallies (§VI-F,
 //! via [`neutral_mesh::tally`]), scalar vs vectorisable kernels (§VI-G),
 //! and full event instrumentation ([`counters`]) feeding the
-//! `neutral-perf` architecture model.
+//! `neutral-perf` architecture model; the record-at-a-time baselines
+//! behind Figs. 3–7 live in `neutral-bench`.
 //!
 //! # Quickstart
 //!
@@ -73,11 +75,11 @@ pub mod prelude {
     };
     pub use crate::config::Backend;
     pub use crate::config::{
-        CollisionModel, LookupStrategy, LowWeightPolicy, Problem, ProblemScale, RegroupPolicy,
-        SortPolicy, TallyStrategy, TestCase, TransportConfig, XsSearch,
+        CollisionModel, LookupStrategy, LowWeightPolicy, Problem, ProblemScale, SortPolicy,
+        TallyStrategy, TestCase, TransportConfig,
     };
     pub use crate::counters::EventCounters;
-    pub use crate::over_events::{force_simd_fallback, KernelStyle, KernelTimings};
+    pub use crate::over_events::{force_simd_fallback, KernelTimings};
     pub use crate::registry::{
         Admission, Registry, RegistryConfig, RegistryStats, SolveState, SolveStatus, SubmitError,
         SubmitReceipt, SubmitRequest,
@@ -89,8 +91,7 @@ pub mod prelude {
         ShardedSolve,
     };
     pub use crate::sim::{
-        resolve_deterministic, Execution, Layout, RunOptions, RunReport, Scheme, Simulation,
-        SolveCore,
+        resolve_deterministic, Execution, RunOptions, RunReport, Scheme, Simulation, SolveCore,
     };
     pub use crate::validate::EnergyBalance;
     pub use neutral_xs::{MaterialKind, MaterialSet, MaterialSpec};

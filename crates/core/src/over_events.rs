@@ -44,10 +44,6 @@ use std::time::{Duration, Instant};
 
 pub use crate::config::Backend;
 
-/// Former name of the kernel-backend knob, kept as an alias so existing
-/// call sites (and the `kernel_style` params spelling) keep compiling.
-pub type KernelStyle = Backend;
-
 /// The kernel-backend seam (DESIGN.md §19): one implementation per way
 /// of writing the per-round kernels. The trait carries exactly the two
 /// decisions that differ between backends — how the distance/selection
@@ -248,29 +244,13 @@ struct WindowState {
     /// This round's facet-tagged live subset (ascending; list mode only).
     facet: Vec<u32>,
     /// Every index that reached census, accumulated across rounds;
-    /// sorted into identity order before the final census kernel so the
-    /// census pass runs in the seed's sequence.
+    /// sorted ascending before the final census kernel so the census pass
+    /// runs in the seed's sequence.
     census: Vec<u32>,
-    /// This round's cutoff deaths as `(identity rank, lost energy)`;
-    /// summed in ascending rank order so `lost_energy_ev` accumulates in
-    /// exactly the seed's sequence whatever order the collision kernel
-    /// ran in (rank == global index when the storage is unpermuted).
+    /// This round's cutoff deaths as `(index, lost energy)`; summed in
+    /// ascending index order so `lost_energy_ev` accumulates in exactly
+    /// the seed's sequence whatever order the collision kernel ran in.
     deaths: Vec<(u32, f64)>,
-    /// Identity rank of each window slot: the particle's `key` (its
-    /// birth index), refreshed by the init kernel each solve. This is
-    /// the sort key that anchors every order-sensitive stream — death
-    /// sums, census order, tally-flush order — to identity order, which
-    /// under [`crate::config::RegroupPolicy`] is what keeps a regrouped
-    /// run bitwise identical to an unregrouped one.
-    rank: Vec<u32>,
-    /// Global index of this window's first slot (set once at state
-    /// construction); `rank[i] == base + i` exactly when the window's
-    /// storage order is identity order.
-    base: u32,
-    /// Whether this window's storage has been physically regrouped
-    /// (`rank[i] != base + i` somewhere): gates the identity-order sort
-    /// of the tally flush, so the unregrouped hot path stays untouched.
-    permuted: bool,
     /// Deposits drained by this window's last Round flush — the numerator
     /// of the [`crate::config::SortPolicy::Auto`] heuristic.
     last_flush_deposits: u32,
@@ -288,12 +268,11 @@ struct WindowState {
     /// decide (census departures) and collision (deaths) kernels — the
     /// occupancy the dispatch decides on without scanning anything.
     live: usize,
-    /// One past the last initially-active slot: the sweep bound. After a
-    /// `by_alive` regroup packs the live particles into a prefix, slots
+    /// One past the last initially-active slot: the sweep bound. Slots
     /// `scan..` are dead at init (zero pending, never revived — particles
     /// only *leave* the active set during a timestep), so every sweep
     /// loop iterates `0..scan` instead of the whole allocation. Equal to
-    /// the window length when the storage is unregrouped or fully live.
+    /// the window length while the window's last particle lives.
     scan: usize,
     /// Whether this round runs the sweep arm (set by `begin_round`).
     sweep: bool,
@@ -306,7 +285,7 @@ struct WindowState {
 
 /// Occupancy threshold of the hybrid dispatch: sweep while
 /// `live * SWEEP_DEN >= scan * SWEEP_NUM` (`scan` being the initially
-/// active prefix — the whole window when unregrouped).
+/// active prefix).
 const SWEEP_NUM: usize = 7;
 /// See [`SWEEP_NUM`].
 const SWEEP_DEN: usize = 8;
@@ -321,8 +300,7 @@ impl WindowState {
     /// Note that even list mode iterates in ascending index order: the
     /// particle state lives in index-ordered arrays, so a *permuted*
     /// iteration order would turn every state access into a random
-    /// gather (measurably slower on CPUs, where — unlike the GPU codes
-    /// that physically regroup particles — identity must stay put). The
+    /// gather (measurably slower on CPUs). The
     /// [`SortPolicy`] instead reorders the two memory streams where
     /// clustering pays: the separated tally flush and the batched
     /// lookup lane blocks.
@@ -350,7 +328,7 @@ impl WindowState {
 /// every arena and index list inside them, at their high-water
 /// capacities — are reused across timesteps instead of being reallocated
 /// per call (the ROADMAP "arena reuse across timesteps" item). Build one
-/// with [`EventState::ensure_with_base`].
+/// with [`EventState::ensure`].
 pub struct EventState {
     micro_a: Vec<f64>,
     micro_s: Vec<f64>,
@@ -365,16 +343,11 @@ pub struct EventState {
     /// Window size the state was built for; [`windows`] always cuts at
     /// this boundary, so the window count can never drift from `wins`.
     chunk: usize,
-    /// Global index of the first particle (non-zero only when this state
-    /// serves a shard's slice of a larger population — see
-    /// [`EventState::ensure_with_base`]).
-    base0: u32,
 }
 
 impl EventState {
-    /// State for `n` particles cut into `chunk`-sized windows, the first
-    /// particle sitting at global index `base0`.
-    fn new(n: usize, chunk: usize, base0: u32) -> Self {
+    /// State for `n` particles cut into `chunk`-sized windows.
+    fn new(n: usize, chunk: usize) -> Self {
         assert!(chunk > 0, "window chunk must be positive");
         let n_windows = if n == 0 { 0 } else { n.div_ceil(chunk) };
         Self {
@@ -387,41 +360,21 @@ impl EventState {
             pending_cell: vec![0; n],
             tag: vec![Tag::None; n],
             status: vec![Status::Active; n],
-            wins: (0..n_windows)
-                .map(|w| WindowState {
-                    base: base0 + (w * chunk) as u32,
-                    ..WindowState::default()
-                })
-                .collect(),
+            wins: (0..n_windows).map(|_| WindowState::default()).collect(),
             chunk,
-            base0,
         }
     }
 
     /// Reuse `slot`'s state when it already fits `n` particles in
-    /// `chunk`-sized windows starting at global index `base0` (non-zero
-    /// for a shard's contiguous slice of a larger population); (re)build
-    /// it otherwise. Returns the ready state. This is the seam the
-    /// multi-timestep loop calls every step: after the first step it is a
-    /// pure borrow.
-    ///
-    /// Window identity bases must be *global* particle indices: the init
-    /// kernel derives each window's `permuted` flag by comparing particle
-    /// keys (global birth indices) against `base + i`, and a shard whose
-    /// windows claimed local bases would falsely flag identity-ordered
-    /// storage as permuted and take a different (rank-sorting) flush arm
-    /// than the unsharded run.
-    pub fn ensure_with_base(
-        slot: &mut Option<EventState>,
-        n: usize,
-        chunk: usize,
-        base0: u32,
-    ) -> &mut EventState {
+    /// `chunk`-sized windows; (re)build it otherwise. Returns the ready
+    /// state. This is the seam the multi-timestep loop calls every step:
+    /// after the first step it is a pure borrow.
+    pub fn ensure(slot: &mut Option<EventState>, n: usize, chunk: usize) -> &mut EventState {
         let fits = slot
             .as_ref()
-            .is_some_and(|s| s.status.len() == n && s.chunk == chunk && s.base0 == base0);
+            .is_some_and(|s| s.status.len() == n && s.chunk == chunk);
         if !fits {
-            *slot = Some(EventState::new(n, chunk, base0));
+            *slot = Some(EventState::new(n, chunk));
         }
         slot.as_mut().expect("just ensured")
     }
@@ -543,23 +496,18 @@ fn windows<'a>(soa: &'a mut ParticleSoA, st: &'a mut EventState) -> Vec<Window<'
 /// left to the caller's fold.
 ///
 /// `state` is the reusable per-solve state (arrays + per-window arenas,
-/// allocated once across a multi-timestep run). A regrouped population
-/// needs no identity map here: windows keep walking their ranges in plain
-/// ascending order — the point of regrouping — while every
+/// allocated once across a multi-timestep run). Windows walk their
+/// ranges in plain ascending order, which is key order, and every
 /// order-sensitive `f64` stream (death sums, census order, tally-flush
-/// order) is anchored back to identity order via the per-slot rank the
-/// init kernel reads from the particle keys, so the merged tally and
-/// counters stay bitwise identical to the unregrouped run.
+/// order) is anchored to it.
 ///
 /// Each lane's counters accumulate **scalar, per lane, across every
 /// pass** (chronological within the lane), and only the caller runs the
 /// one pairwise reduction across lanes. That decomposition is what a
 /// shard — which sees only its own lanes, and whose round loop may run
 /// fewer rounds than the whole population's — can reproduce exactly:
-/// combined with the zero-drain flush no-op in `tally_kernel` and the
-/// global window bases of [`EventState::ensure_with_base`], a lane's
-/// counter partial is a pure function of that lane's particles. `base0`
-/// is the global index of the first particle (`0` when unsharded).
+/// combined with the zero-drain flush no-op in `tally_kernel`, a lane's
+/// counter partial is a pure function of that lane's particles.
 #[allow(clippy::too_many_arguments)] // the solve's full configuration surface
 pub fn run_over_events_lanes_partitioned<R: CbRng>(
     soa: &mut ParticleSoA,
@@ -570,7 +518,6 @@ pub fn run_over_events_lanes_partitioned<R: CbRng>(
     schedule: crate::scheduler::Schedule,
     state: &mut Option<EventState>,
     part: neutral_mesh::LanePartition,
-    base0: u32,
 ) -> (Vec<EventCounters>, KernelTimings) {
     use crate::scheduler::parallel_for_owned;
     use neutral_mesh::LaneSink;
@@ -583,7 +530,7 @@ pub fn run_over_events_lanes_partitioned<R: CbRng>(
     let mut views: Vec<LaneSink<'_>> = accum.lane_views();
     views.truncate(part.n_lanes);
 
-    let st = EventState::ensure_with_base(state, n, chunk, base0);
+    let st = EventState::ensure(state, n, chunk);
     let mut timings = KernelTimings::default();
     let mut lane_counters = vec![EventCounters::default(); part.n_lanes.max(1)];
 
@@ -712,9 +659,6 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> Event
         facet,
         census,
         deaths,
-        rank,
-        base,
-        permuted,
         last_flush_deposits,
         last_flush_cell_runs,
         probe_countdown,
@@ -729,19 +673,12 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> Event
     facet.clear();
     census.clear();
     deaths.clear();
-    rank.clear();
     *needs_compact = false;
-    *permuted = false;
     *last_flush_deposits = 0;
     *last_flush_cell_runs = 0;
     // First flush gathers data, second may probe (see AUTO_PROBE_INTERVAL).
     *probe_countdown = 1;
     for i in 0..n {
-        // Identity rank of the slot: the particle's key (= birth index).
-        // Equal to `base + i` exactly when the storage is unpermuted.
-        let key = w.p.key[i];
-        rank.push(key as u32);
-        *permuted |= key != u64::from(*base) + i as u64;
         // A previous timestep's runaway guard abandons histories without
         // flushing them; a reused state must not leak those deposits.
         w.pending[i] = 0.0;
@@ -760,9 +697,8 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> Event
         a.hints_scatter.push(w.p.scatter_hint[i]);
     }
     *live = active.len();
-    // Sweep bound: one past the last initially-active slot. A `by_alive`
-    // regroup packs the live population into a prefix, so this shrinks
-    // every sweep loop to the part of the window that can hold work.
+    // Sweep bound: one past the last initially-active slot, so every
+    // sweep loop covers only the part of the window that can hold work.
     *scan = active.last().map_or(0, |&i| i as usize + 1);
 
     a.out_absorb.resize(active.len(), 0.0);
@@ -1273,7 +1209,6 @@ fn collision_kernel<R: CbRng>(
         arena: a,
         coll,
         deaths,
-        rank,
         live,
         sweep,
         scan,
@@ -1374,7 +1309,7 @@ fn collision_kernel<R: CbRng>(
         c.lost_energy_ev = 0.0;
         let died = handle_collision(&mut p, &mut stream, micro, ctx.cfg, &mut c);
         if died {
-            deaths.push((rank[i], c.lost_energy_ev));
+            deaths.push((i as u32, c.lost_energy_ev));
             w.status[i] = Status::Dead;
             *live -= 1;
             *needs_compact = true;
@@ -1395,8 +1330,8 @@ fn collision_kernel<R: CbRng>(
         w.p.store(i, &p);
     }
 
-    // Deterministic `f64` reduction: lost energy sums in identity (rank)
-    // order — the sequence the uncompacted, unregrouped sweep produced.
+    // Deterministic `f64` reduction: lost energy sums in ascending index
+    // order — the sequence the uncompacted sweep produced.
     deaths.sort_unstable_by_key(|d| d.0);
     for &(_, e) in deaths.iter() {
         c.lost_energy_ev += e;
@@ -1644,8 +1579,6 @@ fn tally_kernel<T: TallySink>(
         arena: a,
         active,
         census,
-        rank,
-        permuted,
         last_flush_deposits,
         last_flush_cell_runs,
         probe_countdown,
@@ -1653,7 +1586,6 @@ fn tally_kernel<T: TallySink>(
         scan,
         ..
     } = &mut *w.ws;
-    let permuted = *permuted;
     let scan = *scan;
     let (sweep, indices): (bool, &[u32]) = match list {
         FlushList::Round => (*sweep, active),
@@ -1700,52 +1632,30 @@ fn tally_kernel<T: TallySink>(
         }};
     }
 
-    if permuted || cluster {
-        // Collect the flush candidates, then order them. The identity
-        // anchor: candidates are keyed by rank first, so the unclustered
-        // permuted flush drains in exactly the unregrouped sequence, and
-        // the clustered flush's stable cell sort keeps every cell's
-        // deposits in that same rank order — the same `f64` add sequence,
-        // and therefore the same bits, as the seed's unsorted flush.
+    if cluster {
+        // Collect the flush candidates keyed by tally cell, in ascending
+        // index order; the stable cell sort keeps every cell's deposits
+        // in that order — the same `f64` add sequence, and therefore the
+        // same bits, as the seed's unsorted flush.
         a.sort_keys.clear();
         if sweep {
-            #[allow(clippy::needless_range_loop)] // indexes three arrays
             for i in 0..scan {
                 if w.pending[i] != 0.0 {
-                    a.sort_keys.push((rank[i], i as u32));
+                    a.sort_keys.push((w.pending_cell[i], i as u32));
                 }
             }
         } else {
             for &iu in indices.iter() {
                 let i = iu as usize;
                 if w.pending[i] != 0.0 {
-                    a.sort_keys.push((rank[i], i as u32));
+                    a.sort_keys.push((w.pending_cell[i], iu));
                 }
             }
         }
-        if permuted {
-            crate::arena::radix_sort_pairs(&mut a.sort_keys, &mut a.sort_tmp);
-        }
-        // Unpermuted candidates were pushed in index order == rank order
-        // already, so the rank sort is skipped (bitwise a no-op).
-        if cluster {
-            a.sort_keys2.clear();
-            a.sort_keys2.extend(
-                a.sort_keys
-                    .iter()
-                    .map(|&(_, iu)| (w.pending_cell[iu as usize], iu)),
-            );
-            crate::arena::radix_sort_pairs(&mut a.sort_keys2, &mut a.sort_tmp);
-            for k in 0..a.sort_keys2.len() {
-                let (cell, iu) = a.sort_keys2[k];
-                drain!(cell, iu as usize);
-            }
-        } else {
-            for k in 0..a.sort_keys.len() {
-                let (_, iu) = a.sort_keys[k];
-                let i = iu as usize;
-                drain!(w.pending_cell[i], i);
-            }
+        crate::arena::radix_sort_pairs(&mut a.sort_keys, &mut a.sort_tmp);
+        for k in 0..a.sort_keys.len() {
+            let (cell, iu) = a.sort_keys[k];
+            drain!(cell, iu as usize);
         }
     } else if sweep {
         for i in 0..scan {
@@ -1790,25 +1700,14 @@ fn tally_kernel<T: TallySink>(
 }
 
 /// Handle every census arrival, accumulated across rounds in the
-/// window's census list. The list is sorted into identity (rank) order
-/// first so the pass (and the final flush that follows it) runs in the
-/// seed's sequence — census entries arrive round by round, not index by
-/// index, and under regrouping physical order is not identity order.
+/// window's census list. The list is sorted ascending first so the pass
+/// (and the final flush that follows it) runs in the seed's sequence —
+/// census entries arrive round by round, not index by index.
 fn census_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let nx = ctx.mesh.nx();
-    let WindowState {
-        census,
-        rank,
-        permuted,
-        ..
-    } = &mut *w.ws;
-    if *permuted {
-        census.sort_unstable_by_key(|&iu| rank[iu as usize]);
-    } else {
-        // rank == base + index: plain index order is identity order.
-        census.sort_unstable();
-    }
+    let census = &mut w.ws.census;
+    census.sort_unstable();
     for &iu in census.iter() {
         let i = iu as usize;
         debug_assert_eq!(w.status[i], Status::AtCensus);
@@ -1874,7 +1773,6 @@ mod tests {
             Schedule::Dynamic { chunk: 1 },
             state,
             part,
-            0,
         );
         (EventCounters::merge_deterministic(&partials), timings)
     }
@@ -1911,7 +1809,7 @@ mod tests {
             let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
             let n = particles.len();
             let tally = AtomicTally::new(problem.mesh.num_cells());
-            let mut st = EventState::new(n, n.max(1), 0);
+            let mut st = EventState::new(n, n.max(1));
             let mut ws = windows(&mut particles, &mut st);
             let w = &mut ws[0];
             init_kernel(w, &c);
@@ -1978,75 +1876,49 @@ mod tests {
         }
     }
 
-    /// The live-prefix sweep bound: after a `by_alive` regroup packs the
-    /// live population into a prefix, `scan` shrinks to the live count
-    /// (sweep loops skip the dead tail entirely), and the solve still
-    /// computes bitwise-identical tallies and counters — the regroup
-    /// identity invariant extended to the shortened sweep.
+    /// The live-prefix sweep bound: `scan` is one past the last slot alive
+    /// at init — holes inside it are swept and skipped, a dead tail is
+    /// never visited — and the shortened sweep is bitwise clean: a window
+    /// with a dead tail computes exactly what the same window cut off at
+    /// its last live particle computes.
     #[test]
-    fn scan_bound_tracks_live_prefix_after_regroup() {
+    fn scan_bound_tracks_live_prefix() {
         let (problem, rng) = fixture(TestCase::Scatter);
         let c = ctx(&problem, &rng);
-        let base = spawn_particles(&problem);
+        let mut base = spawn_particles(&problem);
         let n = base.len();
-
-        // Kill a scattered subset so the population is fragmented, then
-        // advance both copies one timestep: unregrouped vs by_alive.
-        let mut plain = base.clone();
-        for (i, p) in plain.iter_mut().enumerate() {
-            if i % 3 == 1 {
-                p.dead = true;
-            }
+        // A fragmented head (every third particle dead) and a dead tail.
+        let live_end = 2 * n / 3;
+        for (i, p) in base.iter_mut().enumerate() {
+            p.dead = i % 3 == 1 || i >= live_end;
         }
-        let mut packed = ParticleSoA::from_aos(&plain);
-        let moved = crate::soa::regroup_soa_parallel(
-            &mut packed,
-            crate::config::RegroupPolicy::ByAlive,
-            c.mesh.nx(),
-            n,
-            1,
-            Schedule::Static { chunk: None },
-            &mut Vec::new(),
-        );
-        assert!(moved, "fragmented population must actually regroup");
-        let mut packed = packed.to_aos();
-        let alive = plain.iter().filter(|p| !p.dead).count();
-        let plain_bound = plain.iter().rposition(|p| !p.dead).unwrap() + 1;
+        let bound = base.iter().rposition(|p| !p.dead).unwrap() + 1;
+        let alive = base.iter().filter(|p| !p.dead).count();
+        assert!(alive < bound && bound <= live_end && live_end < n);
 
-        // Init alone exposes the bound: one past the last alive slot for
-        // the fragmented window, the live prefix for the packed one.
-        let mut st = EventState::new(n, n.max(1), 0);
-        let mut probe = ParticleSoA::from_aos(&plain);
+        let mut st = EventState::new(n, n.max(1));
+        let mut probe = ParticleSoA::from_aos(&base);
         let mut ws = windows(&mut probe, &mut st);
         init_kernel(&mut ws[0], &c);
-        assert_eq!(ws[0].ws.scan, plain_bound, "fragmented scan bound");
-        assert!(alive < plain_bound, "fragmentation leaves holes in scan");
-        drop(ws);
-        let mut probe = ParticleSoA::from_aos(&packed);
-        let mut ws = windows(&mut probe, &mut st);
-        init_kernel(&mut ws[0], &c);
-        assert_eq!(ws[0].ws.scan, alive, "packed scan == live prefix");
+        assert_eq!(ws[0].ws.scan, bound, "scan == one past the last live slot");
+        assert_eq!(ws[0].ws.live, alive);
         drop(ws);
 
-        // And the shortened sweep is bitwise clean: identical tallies
-        // (per cell) and counters, with trajectories matching by key.
-        let run = |particles: &mut Vec<crate::particle::Particle>| {
+        let run = |particles: &[crate::particle::Particle]| {
             // One lane = one window over the whole population.
             let mut accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 1);
             let mut soa = ParticleSoA::from_aos(particles);
             let (counters, _t) =
                 run_rounds(&mut soa, &c, &mut accum, Backend::Scalar, 1, &mut None);
-            *particles = soa.to_aos();
             let bits: Vec<u64> = accum.merge().iter().map(|v| v.to_bits()).collect();
-            (counters, bits)
+            (counters, bits, soa.to_aos())
         };
-        let (c_plain, t_plain) = run(&mut plain);
-        let (c_packed, t_packed) = run(&mut packed);
-        assert_eq!(t_plain, t_packed, "tally bits");
-        assert_eq!(c_plain, c_packed, "counters");
-        let mut by_key = packed.clone();
-        by_key.sort_unstable_by_key(|p| p.key);
-        assert_eq!(plain, by_key, "trajectories (identity order)");
+        let (c_full, t_full, p_full) = run(&base);
+        let (c_cut, t_cut, p_cut) = run(&base[..bound]);
+        assert_eq!(t_full, t_cut, "tally bits");
+        assert_eq!(c_full, c_cut, "counters");
+        assert_eq!(p_full[..bound], p_cut[..], "trajectories");
+        assert_eq!(p_full[bound..], base[bound..], "the dead tail is untouched");
     }
 
     /// The headline validation property: Over Events computes the exact

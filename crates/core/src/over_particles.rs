@@ -1,29 +1,32 @@
 //! Drivers for the **Over Particles** parallelisation scheme (paper §V-A):
 //! each worker follows whole particle histories from birth to census.
 //!
-//! Three drivers share the same inner loop ([`crate::history`]):
+//! [`run_lanes_partitioned`] is the driver every solve, shard attempt and
+//! served request runs: whole tally lanes scheduled across workers, each
+//! history gathered from the canonical [`ParticleSoA`] columns, tracked
+//! to census in registers ([`crate::history`]) and scattered back, in
+//! key order, each lane depositing through its own lane sink.
 //!
-//! * [`run_sequential`] — the single-threaded baseline, generic over any
-//!   tally sink;
-//! * [`run_scheduled`] — explicit threads with OpenMP-style
-//!   static/dynamic/guided scheduling at particle granularity (for the
-//!   Fig 4/6 studies), with either the shared atomic tally or per-thread
-//!   privatised tallies (Fig 7);
-//! * [`run_lanes_partitioned`] — whole tally lanes scheduled across
-//!   workers, each depositing through its own lane sink: the
-//!   deterministic driver every solve, shard and served request runs.
+//! [`run_sequential`] and [`run_scheduled`] are the paper's
+//! record-at-a-time baselines — a plain loop, and explicit threads with
+//! OpenMP-style static/dynamic/guided scheduling at *particle*
+//! granularity into the shared atomic tally or per-thread privatised
+//! tallies. Nothing in this crate's solve path calls them: the figure
+//! binaries regenerate Figs. 3–7 with them (`neutral_bench::baseline`),
+//! and the tests use [`run_sequential`] as the history-order reference.
 //!
 //! All three resolve cross sections through the configured
 //! [`crate::config::LookupStrategy`] (via the history loop's shared
-//! `resolve_micro_xs` seam), so the lookup backend is swappable without
-//! touching any driver, and all three leave `census_energy_ev` to the
-//! step engine's one key-order fold ([`crate::soa::census_energy`]).
+//! `resolve_micro_xs` seam), and all three leave `census_energy_ev` to
+//! the caller (the step engine's one key-order fold,
+//! [`crate::soa::census_energy`]).
 
 use crate::counters::EventCounters;
 use crate::events::TallySink;
 use crate::history::{track_to_census, TransportCtx};
 use crate::particle::Particle;
 use crate::scheduler::{parallel_for_owned, parallel_for_stateful, Schedule, SharedSliceMut};
+use crate::soa::{ParticleSoA, SoAChunkMut};
 use neutral_mesh::tally::{AtomicTally, PrivatizedTally};
 use neutral_mesh::{LanePartition, LaneSink, TallyAccum};
 use neutral_rng::CbRng;
@@ -104,14 +107,16 @@ pub fn run_scheduled<R: CbRng>(
     merged
 }
 
-/// Track every particle on `n_threads` workers with the pluggable tally
-/// subsystem: the particle list is cut into the lanes of the *explicit*
-/// partition `part`, whole lanes are scheduled across the workers, and
-/// each lane deposits through its own [`LaneSink`], which the tracking
-/// worker [claims](LaneSink::claim) first. Returns the raw
-/// per-lane counters; the caller merges them with the deterministic
-/// pairwise reduction, so for the deterministic backends the merged tally
-/// *and* the counters are bitwise identical for any `n_threads`.
+/// Track the column population `soa` to census on `n_threads` workers:
+/// the columns are cut at the lane boundaries of the *explicit* partition
+/// `part`, whole lanes are scheduled across the workers, and each lane
+/// deposits through its own [`LaneSink`], which the tracking worker
+/// [claims](LaneSink::claim) first. Within a lane every live history is
+/// `load`ed, tracked to census and `store`d back in storage order — which
+/// is key order. Returns the raw per-lane counters; the caller merges
+/// them with the deterministic pairwise reduction, so for the
+/// deterministic backends the merged tally *and* the counters are bitwise
+/// identical for any `n_threads`.
 ///
 /// The partition is explicit because this is also the sharding seam: a
 /// shard holds a contiguous run of the global lane space, so it must
@@ -121,70 +126,50 @@ pub fn run_scheduled<R: CbRng>(
 /// to the merge-tree nodes that cover them; per-lane counters via this
 /// return value — to the coordinator, which finishes the global pairwise
 /// merges.
-///
-/// `order`, when present, is the identity map of a regrouped population
-/// (`order[k]` = physical position of the particle with key `k`, a
-/// permutation of `0..n` that never crosses a lane boundary): each lane
-/// then tracks *its own* particles in ascending key order, so every
-/// deposit and counter accumulates in exactly the sequence the
-/// unregrouped run produces — the identity-remap invariant of
-/// DESIGN.md §14. One extra gather per history; the history itself still
-/// runs register-resident.
 pub fn run_lanes_partitioned<R: CbRng>(
-    particles: &mut [Particle],
+    soa: &mut ParticleSoA,
     ctx: &TransportCtx<'_, R>,
     accum: &mut TallyAccum,
     n_threads: usize,
     schedule: Schedule,
-    order: Option<&[u32]>,
     part: LanePartition,
 ) -> Vec<EventCounters> {
     assert!(n_threads > 0, "need at least one thread");
     assert_eq!(
         part.n_items,
-        particles.len(),
-        "partition must cover the slice"
+        soa.len(),
+        "partition must cover the population"
     );
-    if let Some(ord) = order {
-        assert_eq!(ord.len(), particles.len(), "order must be a permutation");
-    }
-    let shared = SharedSliceMut::new(particles);
-
-    let mut states: Vec<(LaneSink<'_>, EventCounters)> = accum
-        .lane_views()
+    let mut states: Vec<(SoAChunkMut<'_>, LaneSink<'_>, EventCounters)> = soa
+        .chunks_mut(part.lane_size)
         .into_iter()
-        .take(part.n_lanes)
-        .map(|view| (view, EventCounters::default()))
+        .zip(accum.lane_views())
+        .map(|(chunk, sink)| (chunk, sink, EventCounters::default()))
         .collect();
     parallel_for_owned(
         n_threads,
         schedule.lane_granular(),
         &mut states,
-        |lane, (sink, local)| {
+        |_, (chunk, sink, counters)| {
             sink.claim();
-            match order {
-                None => {
-                    // SAFETY: lane ranges are disjoint (see LanePartition).
-                    let chunk = unsafe { shared.range_mut(part.range(lane)) };
-                    for p in chunk {
-                        track_to_census(p, ctx, sink, local);
-                    }
+            // Counted on the worker's stack and written back once: the
+            // lane states sit side by side in one `Vec`, and a counter
+            // bumped there on every event shares a cache line with the
+            // neighbouring lane's state, which another worker is reading
+            // (0.30 → 0.24 s per csp 512² step on two workers).
+            let mut local = EventCounters::default();
+            for i in 0..chunk.len() {
+                if chunk.dead[i] {
+                    continue;
                 }
-                Some(ord) => {
-                    for &pos in &ord[part.range(lane)] {
-                        let pos = pos as usize;
-                        // SAFETY: `order` is a permutation, and the key
-                        // ranges of distinct lanes are disjoint, so distinct
-                        // lanes touch disjoint physical positions.
-                        let p = unsafe { &mut shared.range_mut(pos..pos + 1)[0] };
-                        track_to_census(p, ctx, sink, local);
-                    }
-                }
+                let mut p = chunk.load(i);
+                track_to_census(&mut p, ctx, sink, &mut local);
+                chunk.store(i, &p);
             }
+            *counters = local;
         },
     );
-
-    states.iter().map(|(_, c)| *c).collect()
+    states.iter().map(|(_, _, c)| *c).collect()
 }
 
 #[cfg(test)]
@@ -229,21 +214,24 @@ mod tests {
             let mut seq_tally = SequentialTally::new(cells);
             let seq_counters = run_sequential(&mut seq_particles, &fx.ctx(), &mut seq_tally);
 
-            // Lane driver, shared atomic sink.
-            let mut lane_particles = spawn_particles(&fx.problem);
-            let part = LanePartition::new(lane_particles.len(), 16);
+            // Lane driver over the columns, shared atomic sink.
+            let mut lane_soa = ParticleSoA::from_aos(&spawn_particles(&fx.problem));
+            let part = LanePartition::new(lane_soa.len(), 16);
             let mut accum =
                 TallyAccum::new(neutral_mesh::TallyStrategy::Atomic, cells, part.n_lanes);
             let lane_counters = EventCounters::merge_deterministic(&run_lanes_partitioned(
-                &mut lane_particles,
+                &mut lane_soa,
                 &fx.ctx(),
                 &mut accum,
                 4,
                 Schedule::Dynamic { chunk: 1 },
-                None,
                 part,
             ));
-            assert_eq!(seq_particles, lane_particles, "{case:?}: particle states");
+            assert_eq!(
+                seq_particles,
+                lane_soa.to_aos(),
+                "{case:?}: particle states"
+            );
             assert_eq!(
                 seq_counters.total_events(),
                 lane_counters.total_events(),
@@ -330,8 +318,8 @@ mod tests {
         // `dirty` starts the driver from an accumulator whose lanes
         // already hold deposits: claiming a lane must wipe them.
         let run = |strategy: TallyStrategy, threads: usize, schedule: Schedule, dirty: bool| {
-            let mut particles = spawn_particles(&fx.problem);
-            let part = LanePartition::new(particles.len(), 16);
+            let mut soa = ParticleSoA::from_aos(&spawn_particles(&fx.problem));
+            let part = LanePartition::new(soa.len(), 16);
             let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
             if dirty {
                 for (l, mut view) in accum.lane_views().into_iter().enumerate() {
@@ -341,15 +329,14 @@ mod tests {
                 }
             }
             let counters = EventCounters::merge_deterministic(&run_lanes_partitioned(
-                &mut particles,
+                &mut soa,
                 &fx.ctx(),
                 &mut accum,
                 threads,
                 schedule,
-                None,
                 part,
             ));
-            (accum.merge_with(threads), counters, particles)
+            (accum.merge_with(threads), counters, soa.to_aos())
         };
         for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
             let (base_tally, base_counters, base_particles) =
@@ -398,8 +385,7 @@ mod tests {
         }
     }
 
-    /// The baseline arm reports its census residual through the step
-    /// engine's fold, like every other arm.
+    /// The census residual comes from the step engine's fold.
     #[test]
     fn census_energy_reported() {
         let fx = Fixture::new(TestCase::Stream);

@@ -42,11 +42,9 @@
 //! weight_cutoff 1.0e-6
 //! collision_model analogue     # or implicit_capture
 //! lookup_strategy hinted       # or binary | unionized | hashed
-//! tally_strategy atomic        # or replicated | privatized
+//! tally_strategy replicated    # or privatized | atomic
 //! sort_policy off              # or by_cell | by_energy_band | auto
-//! regroup_policy off           # or by_cell | by_energy_band | by_alive
-//! backend scalar               # or vectorized | simd (DESIGN.md §19;
-//!                              # `kernel_style` is accepted as an alias)
+//! backend scalar               # or vectorized | simd (DESIGN.md §19)
 //!
 //! # checkpoint/restart (optional)
 //! checkpoint_file run.ckpt     # enable checkpointed solves at this path
@@ -62,8 +60,7 @@
 
 use crate::checkpoint::FaultPlan;
 use crate::config::{
-    Backend, CollisionModel, LookupStrategy, Problem, RegroupPolicy, SortPolicy, TallyStrategy,
-    TransportConfig,
+    Backend, CollisionModel, LookupStrategy, Problem, SortPolicy, TallyStrategy, TransportConfig,
 };
 use crate::shard::ShardFaultPlan;
 use neutral_mesh::{MaterialId, Rect, StructuredMesh2D};
@@ -154,8 +151,6 @@ pub struct ProblemParams {
     pub tally_strategy: TallyStrategy,
     /// Coherence sort of the batched drivers (DESIGN.md §13).
     pub sort_policy: SortPolicy,
-    /// Between-timestep physical regrouping (DESIGN.md §14).
-    pub regroup_policy: RegroupPolicy,
     /// Over-Events kernel backend (DESIGN.md §19). Purely an execution
     /// concern — all backends compute bitwise-identical results — but a
     /// params file records it so a benchmark run is replayable from its
@@ -199,7 +194,6 @@ impl Default for ProblemParams {
             lookup_strategy: LookupStrategy::default(),
             tally_strategy: TallyStrategy::default(),
             sort_policy: SortPolicy::default(),
-            regroup_policy: RegroupPolicy::default(),
             backend: Backend::default(),
             checkpoint_file: None,
             fault: FaultPlan::none(),
@@ -298,12 +292,7 @@ impl ProblemParams {
                 "sort_policy" => {
                     p.sort_policy = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
                 }
-                "regroup_policy" => {
-                    p.regroup_policy = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
-                }
-                // `kernel_style` is the historical name of the knob (it
-                // predates the backend seam); both spell the same key.
-                "backend" | "kernel_style" => {
+                "backend" => {
                     p.backend = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
                 }
                 "checkpoint_file" => p.checkpoint_file = Some(one(&rest)?),
@@ -564,7 +553,6 @@ impl ProblemParams {
         let _ = writeln!(s, "lookup_strategy {}", self.lookup_strategy.name());
         let _ = writeln!(s, "tally_strategy {}", self.tally_strategy.name());
         let _ = writeln!(s, "sort_policy {}", self.sort_policy.name());
-        let _ = writeln!(s, "regroup_policy {}", self.regroup_policy.name());
         let _ = writeln!(s, "backend {}", self.backend.name());
         if let Some(path) = &self.checkpoint_file {
             let _ = writeln!(s, "checkpoint_file {path}");
@@ -649,7 +637,6 @@ impl ProblemParams {
                 xs_search: self.lookup_strategy,
                 tally_strategy: self.tally_strategy,
                 sort_policy: self.sort_policy,
-                regroup_policy: self.regroup_policy,
                 ..Default::default()
             },
         }
@@ -772,23 +759,6 @@ region 0.5 1.0 0.0 0.5 7.0
     }
 
     #[test]
-    fn parses_regroup_policy() {
-        for (name, expect) in [
-            ("off", RegroupPolicy::Off),
-            ("by_cell", RegroupPolicy::ByCell),
-            ("by_energy_band", RegroupPolicy::ByEnergyBand),
-            ("by_alive", RegroupPolicy::ByAlive),
-        ] {
-            let p = ProblemParams::parse(&format!("regroup_policy {name}\n")).unwrap();
-            assert_eq!(p.regroup_policy, expect);
-            assert_eq!(p.build().transport.regroup_policy, expect);
-        }
-        let e = ProblemParams::parse("nx 4\nregroup_policy shuffle\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("shuffle"));
-    }
-
-    #[test]
     fn parses_backend() {
         for (name, expect) in [
             ("scalar", Backend::Scalar),
@@ -797,12 +767,9 @@ region 0.5 1.0 0.0 0.5 7.0
         ] {
             let p = ProblemParams::parse(&format!("backend {name}\n")).unwrap();
             assert_eq!(p.backend, expect);
-            // `kernel_style` spells the same key.
-            let alias = ProblemParams::parse(&format!("kernel_style {name}\n")).unwrap();
-            assert_eq!(alias.backend, expect);
         }
-        // Round-trips through the serializer (the alias normalizes).
-        let p = ProblemParams::parse("kernel_style simd\n").unwrap();
+        // Round-trips through the serializer.
+        let p = ProblemParams::parse("backend simd\n").unwrap();
         let text = p.to_params_text();
         assert!(text.contains("backend simd"));
         assert_eq!(ProblemParams::parse(&text).unwrap().backend, Backend::Simd);

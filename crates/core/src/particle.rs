@@ -1,15 +1,16 @@
 //! Particle state and source sampling.
 //!
-//! The Array-of-Structures layout here is the paper's preferred CPU layout
-//! (§VI-D): one cache-resident struct per particle, loaded once and worked
-//! on for the whole history. The Structure-of-Arrays alternative lives in
-//! [`crate::soa`].
+//! The [`Particle`] record is the paper's preferred CPU layout (§VI-D):
+//! one struct per particle, loaded once and worked on for the whole
+//! history. Here it is the register bundle a history runs on and the
+//! record form of the serialization edges (checkpoints, the shard wire);
+//! populations are stored as columns, [`crate::soa::ParticleSoA`].
 
 use crate::config::Problem;
 use neutral_rng::{dist, CounterStream, Threefry2x64};
 use neutral_xs::XsHints;
 
-/// One Monte Carlo particle (AoS layout).
+/// One Monte Carlo particle (record form).
 ///
 /// Mirrors the original mini-app's particle record: position, direction,
 /// energy, weight, the two event timers (`dt_to_census`,
@@ -114,10 +115,21 @@ pub fn spawn_particles(problem: &Problem) -> Vec<Particle> {
         .collect()
 }
 
-/// Energy-band key of the regroup/sort stages: the exponent plus the top
-/// 8 mantissa bits, monotone for the positive energies in play (~0.4%
-/// bands) — the same banding the [`crate::config::SortPolicy`] lane sort
-/// uses.
+/// The first record that is out of place in a population whose first
+/// record sits at global index `base`, as `(position, key)`. Storage
+/// order is key order (DESIGN.md §7), so the decoders that accept records
+/// from outside the solve treat `Some` as corruption.
+pub(crate) fn first_out_of_key_order(records: &[Particle], base: usize) -> Option<(usize, u64)> {
+    records
+        .iter()
+        .enumerate()
+        .find(|(i, p)| p.key != (base + i) as u64)
+        .map(|(i, p)| (i, p.key))
+}
+
+/// Energy-band key of the [`crate::config::SortPolicy`] lane sort: the
+/// exponent plus the top 8 mantissa bits, monotone for the positive
+/// energies in play (~0.4% bands).
 #[inline]
 #[must_use]
 pub fn energy_band(energy_ev: f64) -> u32 {
@@ -127,9 +139,8 @@ pub fn energy_band(energy_ev: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ProblemScale, RegroupPolicy, TestCase};
-    use crate::scheduler::Schedule;
-    use crate::soa::{census_energy, regroup_soa_parallel, ParticleSoA};
+    use crate::config::{ProblemScale, TestCase};
+    use crate::soa::{census_energy, ParticleSoA};
 
     fn problem() -> Problem {
         TestCase::Stream.build(ProblemScale::tiny(), 42)
@@ -178,192 +189,11 @@ mod tests {
     fn total_weighted_energy_sums_alive_only() {
         let p = problem();
         let mut soa = ParticleSoA::from_aos(&spawn_particles(&p));
-        let full = census_energy(&soa, None);
+        let full = census_energy(&soa);
         assert!((full - p.n_particles as f64 * p.initial_energy_ev).abs() < 1e-3);
         soa.dead[0] = true;
-        let less = census_energy(&soa, None);
+        let less = census_energy(&soa);
         assert!((full - less - p.initial_energy_ev).abs() < 1e-3);
-    }
-
-    /// Regroup `particles` in `lane_size` blocks on `workers` workers,
-    /// returning the regrouped records and whether anything moved.
-    fn regroup(
-        particles: &[Particle],
-        policy: RegroupPolicy,
-        nx: usize,
-        lane_size: usize,
-        workers: usize,
-        schedule: Schedule,
-    ) -> (Vec<Particle>, bool) {
-        let mut soa = ParticleSoA::from_aos(particles);
-        let moved = regroup_soa_parallel(
-            &mut soa,
-            policy,
-            nx,
-            lane_size,
-            workers,
-            schedule,
-            &mut Vec::new(),
-        );
-        (soa.to_aos(), moved)
-    }
-
-    const SERIAL: Schedule = Schedule::Static { chunk: None };
-
-    #[test]
-    fn regroup_groups_within_lanes_and_keeps_identity() {
-        let p = problem();
-        let nx = p.mesh.nx();
-        let mut original = spawn_particles(&p);
-        let n = original.len();
-        // Kill a scattered subset and scramble cells so grouping is
-        // non-trivial.
-        for (i, part) in original.iter_mut().enumerate() {
-            if i % 3 == 0 {
-                part.dead = true;
-            }
-            part.cellx = (i as u32 * 7) % 11;
-            part.celly = (i as u32 * 3) % 5;
-        }
-        let lane_size = 16;
-        for policy in [
-            RegroupPolicy::ByAlive,
-            RegroupPolicy::ByCell,
-            RegroupPolicy::ByEnergyBand,
-        ] {
-            let (pop, moved) = regroup(&original, policy, nx, lane_size, 1, SERIAL);
-            assert!(moved, "{policy:?}");
-            let mut start = 0;
-            while start < n {
-                let end = (start + lane_size).min(n);
-                let lane = &pop[start..end];
-                // Same multiset of records (identity travels with the
-                // particle and never crosses a lane boundary)...
-                let mut keys: Vec<u64> = lane.iter().map(|p| p.key).collect();
-                keys.sort_unstable();
-                let expect: Vec<u64> = (start as u64..end as u64).collect();
-                assert_eq!(keys, expect, "{policy:?}: lane {start}..{end} membership");
-                for part in lane {
-                    assert_eq!(
-                        *part, original[part.key as usize],
-                        "{policy:?}: record moved intact"
-                    );
-                }
-                // ...grouped by the policy key, dead last, stable within
-                // equal groups (ascending key).
-                let group = |p: &Particle| match policy {
-                    RegroupPolicy::ByAlive => u64::from(p.dead),
-                    RegroupPolicy::ByCell => {
-                        if p.dead {
-                            u64::MAX
-                        } else {
-                            p.cell_index(nx) as u64
-                        }
-                    }
-                    _ => {
-                        if p.dead {
-                            u64::MAX
-                        } else {
-                            u64::from(energy_band(p.energy))
-                        }
-                    }
-                };
-                for w in lane.windows(2) {
-                    let (ga, gb) = (group(&w[0]), group(&w[1]));
-                    assert!(ga <= gb, "{policy:?}: lane not grouped");
-                    if ga == gb {
-                        assert!(w[0].key < w[1].key, "{policy:?}: equal group not stable");
-                    }
-                }
-                start = end;
-            }
-        }
-        // Off and an already-grouped lane report no movement.
-        let (pop, moved) = regroup(&original, RegroupPolicy::Off, nx, lane_size, 1, SERIAL);
-        assert!(!moved);
-        assert_eq!(pop, original);
-        let (grouped, _) = regroup(&original, RegroupPolicy::ByAlive, nx, lane_size, 1, SERIAL);
-        let (again, moved) = regroup(&grouped, RegroupPolicy::ByAlive, nx, lane_size, 1, SERIAL);
-        assert!(!moved);
-        assert_eq!(again, grouped);
-    }
-
-    #[test]
-    fn parallel_regroup_matches_serial_for_any_worker_count() {
-        let p = problem();
-        let nx = p.mesh.nx();
-        let mut original = spawn_particles(&p);
-        for (i, part) in original.iter_mut().enumerate() {
-            part.dead = i % 5 == 0;
-            part.cellx = (i as u32 * 13) % 17;
-            part.celly = (i as u32 * 7) % 9;
-        }
-        let lane_size = 16;
-        for policy in [
-            RegroupPolicy::ByAlive,
-            RegroupPolicy::ByCell,
-            RegroupPolicy::ByEnergyBand,
-        ] {
-            let (serial, moved) = regroup(&original, policy, nx, lane_size, 1, SERIAL);
-            for workers in [1usize, 2, 7] {
-                for schedule in [
-                    Schedule::Static { chunk: None },
-                    Schedule::Dynamic { chunk: 16 },
-                    Schedule::Guided { min_chunk: 2 },
-                ] {
-                    let (par, par_moved) =
-                        regroup(&original, policy, nx, lane_size, workers, schedule);
-                    assert_eq!(par_moved, moved, "{policy:?}/{workers}/{schedule:?}");
-                    assert_eq!(par, serial, "{policy:?}/{workers}/{schedule:?}");
-                }
-            }
-        }
-        // Off injects nothing regardless of worker count.
-        let (par, moved) = regroup(
-            &original,
-            RegroupPolicy::Off,
-            nx,
-            lane_size,
-            4,
-            Schedule::Dynamic { chunk: 1 },
-        );
-        assert!(!moved);
-        assert_eq!(par, original);
-    }
-
-    #[test]
-    fn ordered_energy_matches_identity_order() {
-        let p = problem();
-        let mut particles = spawn_particles(&p);
-        for (i, part) in particles.iter_mut().enumerate() {
-            // Distinct magnitudes so summation order matters in f64.
-            part.energy = 10f64.powi((i % 13) as i32 - 6);
-            part.dead = i % 4 == 0;
-        }
-        let baseline = census_energy(&ParticleSoA::from_aos(&particles), None);
-        let (pop, _) = regroup(
-            &particles,
-            RegroupPolicy::ByEnergyBand,
-            p.mesh.nx(),
-            8,
-            1,
-            SERIAL,
-        );
-        let mut order = vec![0u32; pop.len()];
-        for (pos, part) in pop.iter().enumerate() {
-            order[part.key as usize] = pos as u32;
-        }
-        let pop = ParticleSoA::from_aos(&pop);
-        let ordered = census_energy(&pop, Some(&order));
-        assert_eq!(
-            ordered.to_bits(),
-            baseline.to_bits(),
-            "identity-order fold must reproduce the unregrouped bits"
-        );
-        // Physical-order fold over the regrouped population generally
-        // does NOT (that is the hazard the ordered fold exists for).
-        let physical = census_energy(&pop, None);
-        assert!((physical - baseline).abs() <= 1e-9 * baseline.abs());
     }
 
     #[test]

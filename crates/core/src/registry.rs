@@ -11,8 +11,9 @@
 //! census-boundary chunk edges, never mid-kernel.
 //!
 //! The cache story rides on the bitwise-determinism invariant: merged
-//! tallies and counters depend only on the problem configuration (never
-//! on worker count or driver schedule), so [`config_fingerprint`] is a
+//! tallies and counters depend only on the problem's content and the
+//! scheme (never on worker count, schedule, shard count or kernel
+//! backend), and [`config_fingerprint`] covers exactly that, so it is a
 //! sound content address for finished results. [`Registry::submit`]
 //! makes that structural: every submission passes through
 //! [`resolve_deterministic`] *before* it is fingerprinted, so what is
@@ -417,8 +418,8 @@ impl Registry {
         // The determinism choke-point, applied unconditionally and
         // *before* fingerprinting: the cache address is the address of
         // what actually runs, whatever the host width or shard count.
-        resolve_deterministic(&mut req.problem, &mut req.options);
-        let fingerprint = config_fingerprint(&req.problem);
+        resolve_deterministic(&mut req.problem);
+        let fingerprint = config_fingerprint(&req.problem, req.options.scheme);
         let n_timesteps = req.problem.n_timesteps;
         let mesh_nx = req.problem.mesh.nx();
         let id = {
@@ -846,12 +847,10 @@ mod tests {
         p
     }
 
-    /// A direct run of the configuration the registry resolves
-    /// `problem` + default options to — what a served result must equal.
-    fn direct_run(mut problem: Problem) -> RunReport {
-        let mut options = RunOptions::default();
-        resolve_deterministic(&mut problem, &mut options);
-        Simulation::new(problem).run(options)
+    /// A direct run of `problem` under the default options — what a
+    /// served result must equal.
+    fn direct_run(problem: Problem) -> RunReport {
+        Simulation::new(problem).run(RunOptions::default())
     }
 
     fn throttled(runners: usize) -> Registry {
@@ -1055,9 +1054,6 @@ mod tests {
         // kill that must be retried — serves the exact bytes of the
         // ordinary unsharded path, with the retry visible in /stats.
         let registry = Registry::new(RegistryConfig::default());
-        // The bitwise reference is the *resolved* configuration the
-        // registry actually runs (atomic → replicated; the atomic merge
-        // order is not part of the deterministic contract).
         let direct = direct_run(tiny_problem(31, 3));
         let receipt = registry
             .submit(
@@ -1073,16 +1069,64 @@ mod tests {
         let stats = registry.stats();
         assert_eq!(stats.shard_retries, 1);
         assert_eq!(stats.shard_requeues, 1);
-        // The atomic default was resolved to a deterministic strategy
-        // *before* fingerprinting: an unsharded resubmission of the
-        // resolved problem cache-hits the sharded result.
-        let mut resolved = tiny_problem(31, 3);
-        resolve_deterministic(&mut resolved, &mut RunOptions::default());
+        // Shard count is bitwise-free, so it is not part of the cache
+        // address — and an explicit `atomic` request is resolved to the
+        // deterministic strategy *before* fingerprinting: an unsharded
+        // atomic resubmission cache-hits the sharded result.
+        let mut atomic = tiny_problem(31, 3);
+        atomic.transport.tally_strategy = crate::config::TallyStrategy::Atomic;
         let again = registry
-            .submit(SubmitRequest::new(resolved, RunOptions::default()))
+            .submit(SubmitRequest::new(atomic, RunOptions::default()))
             .unwrap();
         assert_eq!(again.admission, Admission::CacheHit);
         assert_eq!(again.id, receipt.id);
+    }
+
+    /// The cache address covers the content: problems that differ in one
+    /// cell's density, or one cell's material, or only in the scheme that
+    /// runs them, are distinct solves — never a hit onto the other's
+    /// tallies.
+    #[test]
+    fn one_cell_or_the_scheme_is_a_different_solve() {
+        use crate::sim::Scheme;
+        let registry = Registry::new(RegistryConfig::default());
+        let submit = |problem: Problem, scheme: Scheme| {
+            let options = RunOptions {
+                scheme,
+                ..RunOptions::default()
+            };
+            registry
+                .submit(SubmitRequest::new(problem, options))
+                .unwrap()
+        };
+        let mut denser = tiny_problem(41, 1);
+        denser.mesh.density_field_mut()[0] *= 2.0;
+        let mut two_materials = tiny_problem(41, 1);
+        two_materials.materials = neutral_xs::MaterialSet::from_libraries(vec![
+            two_materials.materials.library(0).clone(),
+            two_materials.materials.library(0).clone(),
+        ]);
+        let mut remapped = two_materials.clone();
+        remapped.mesh.material_map_mut().set(0, 0, 1);
+
+        let mut ids = Vec::new();
+        for (problem, scheme) in [
+            (tiny_problem(41, 1), Scheme::OverParticles),
+            (denser, Scheme::OverParticles),
+            (two_materials, Scheme::OverParticles),
+            (remapped, Scheme::OverParticles),
+            (tiny_problem(41, 1), Scheme::OverEvents),
+        ] {
+            let receipt = submit(problem, scheme);
+            assert_eq!(receipt.admission, Admission::Fresh);
+            registry.wait(receipt.id).unwrap();
+            ids.push(receipt.id);
+        }
+        assert_eq!(registry.stats().solves_started, ids.len() as u64);
+        // ...while the identical problem still hits.
+        let again = submit(tiny_problem(41, 1), Scheme::OverParticles);
+        assert_eq!(again.admission, Admission::CacheHit);
+        assert_eq!(again.id, ids[0]);
     }
 
     #[test]

@@ -144,46 +144,6 @@ where
     });
 }
 
-/// As [`parallel_for_owned`], but each *worker* additionally owns one
-/// element of `scratch` (its reusable [`crate::arena::ScratchArena`] or
-/// any other per-worker workspace): `body(item, &mut states[item],
-/// &mut scratch[worker])`. The worker count is `scratch.len()`.
-///
-/// Item state keeps the worker-count-independent ownership that makes
-/// the deterministic tally backends bitwise reproducible, while the
-/// scratch buffers — whose contents carry no cross-item meaning — are
-/// reused across every item a worker claims, so the per-item lane
-/// allocations disappear without multiplying arenas by the lane count.
-pub fn parallel_for_owned_scratch<S, W, F>(
-    schedule: Schedule,
-    states: &mut [S],
-    scratch: &mut [W],
-    body: F,
-) where
-    S: Send,
-    W: Send,
-    F: Fn(usize, &mut S, &mut W) + Sync,
-{
-    let n_threads = scratch.len();
-    assert!(n_threads > 0, "need at least one worker scratch");
-    let n_items = states.len();
-    if n_threads == 1 {
-        for (i, state) in states.iter_mut().enumerate() {
-            body(i, state, &mut scratch[0]);
-        }
-        return;
-    }
-    let shared = SharedSliceMut::new(states);
-    parallel_for_stateful(n_items, schedule, scratch, |w, range| {
-        // SAFETY: scheduler ranges are disjoint (see SharedSliceMut), and
-        // each range is expanded to per-item calls by this worker only.
-        let items = unsafe { shared.range_mut(range.clone()) };
-        for (off, state) in items.iter_mut().enumerate() {
-            body(range.start + off, state, w);
-        }
-    });
-}
-
 /// Convenience wrapper when the only per-thread state needed is the thread
 /// index: `body(thread_id, range)`.
 pub fn parallel_for<F>(n_threads: usize, n_items: usize, schedule: Schedule, body: F)

@@ -42,10 +42,10 @@ use crate::checkpoint::{
     PARTICLE_RECORD_LEN,
 };
 use crate::counters::EventCounters;
-use crate::particle::Particle;
-use crate::sim::{Execution, RunOptions, RunReport, Simulation, SolveCore};
+use crate::particle::{first_out_of_key_order, Particle};
+use crate::sim::{RunOptions, RunReport, Simulation, SolveCore};
 use crate::soa::ParticleSoA;
-use crate::step::{begin_step, execution_workers, run_step, StepScratch};
+use crate::step::{begin_step, execution_workers, run_step};
 use neutral_mesh::accum::{merge_lanes_pairwise, merge_nodes_pairwise, tree_cover, DEFAULT_LANES};
 use neutral_mesh::{LanePartition, TallyAccum};
 use std::fmt;
@@ -61,8 +61,8 @@ use std::time::{Duration, Instant};
 /// Shard boundaries always fall on **lane** boundaries: each shard owns a
 /// contiguous run of whole lanes, and with them the contiguous particle
 /// range those lanes cover. Because the lane decomposition is the unit of
-/// every deterministic reduction (tally merge, counter merge, regroup
-/// blocks), lane-aligned shards can each reproduce their lanes' partial
+/// every deterministic reduction (tally merge, counter merge),
+/// lane-aligned shards can each reproduce their lanes' partial
 /// results bit-for-bit and the coordinator can replay the global merges
 /// unchanged.
 #[derive(Clone, Copy, Debug)]
@@ -640,27 +640,11 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
     } = task;
     let problem = sim.problem();
     let cells = problem.mesh.num_cells();
-    let mut scratch = StepScratch::default();
-    begin_step(
-        &mut soa,
-        problem,
-        options.execution,
-        step,
-        part.lane_size,
-        base0,
-        &mut scratch,
-    );
+    begin_step(&mut soa, problem.dt, step);
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
-    let (mut lane_counters, _timings) = run_step(
-        &mut soa,
-        &sim.ctx(),
-        options,
-        part,
-        base0,
-        &mut accum,
-        &mut scratch,
-    );
+    let (mut lane_counters, _timings) =
+        run_step(&mut soa, &sim.ctx(), options, part, &mut accum, &mut None);
     // Empty populations can yield fewer (or one placeholder) counter
     // slots; normalize to exactly one per owned lane.
     lane_counters.resize(part.n_lanes, EventCounters::default());
@@ -709,20 +693,15 @@ pub struct ShardedSolve {
 impl ShardedSolve {
     /// Start a fresh sharded solve of `sim`'s problem.
     ///
-    /// Panics if the configured tally strategy is not deterministic or
-    /// the execution is `ScheduledPrivatized` — sharding is defined on
-    /// the lane engine only (callers apply
-    /// [`crate::sim::resolve_deterministic`] before getting here).
+    /// Panics if the configured tally strategy is not deterministic
+    /// (callers apply [`crate::sim::resolve_deterministic`] before
+    /// getting here).
     #[must_use]
     pub fn new(sim: &Simulation, options: RunOptions, config: ShardConfig) -> Self {
         assert!(config.n_shards >= 1, "need at least one shard");
         assert!(
             sim.problem().transport.tally_strategy.is_deterministic(),
             "sharded solves require a deterministic tally strategy"
-        );
-        assert!(
-            !matches!(options.execution, Execution::ScheduledPrivatized { .. }),
-            "sharded solves require a lane-decomposed execution"
         );
         let core = SolveCore::new(sim, options);
         let plan = ShardPlan::new(core.columns().len(), config.n_shards);
@@ -796,7 +775,7 @@ impl ShardedSolve {
     /// census boundary.
     pub fn step(&mut self, sim: &Arc<Simulation>) -> Result<bool, ShardError> {
         debug_assert_eq!(
-            config_fingerprint(sim.problem()),
+            config_fingerprint(sim.problem(), self.core.options().scheme),
             self.core.fingerprint(),
             "ShardedSolve stepped against a different simulation"
         );
@@ -1100,17 +1079,10 @@ impl ShardedSolve {
                 range.len()
             )));
         }
-        let base = range.start as u64;
-        let mut seen = vec![false; range.len()];
-        for p in &result.particles {
-            let k = p.key.wrapping_sub(base) as usize;
-            if k >= seen.len() || seen[k] {
-                return Err(corrupt(format!(
-                    "particle keys are not a permutation of the shard's range (key {})",
-                    p.key
-                )));
-            }
-            seen[k] = true;
+        if let Some((i, key)) = first_out_of_key_order(&result.particles, range.start) {
+            return Err(corrupt(format!(
+                "particle records are not in key order (record {i} of the shard's range has key {key})"
+            )));
         }
         Ok(result)
     }
@@ -1146,6 +1118,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Execution;
 
     #[test]
     fn fault_plan_round_trips() {

@@ -10,11 +10,11 @@ use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
 use crate::config::{Problem, TallyStrategy};
 use crate::counters::EventCounters;
 use crate::history::TransportCtx;
-use crate::over_events::{Backend, KernelTimings};
-use crate::particle::{spawn_particles, Particle};
+use crate::over_events::{Backend, EventState, KernelTimings};
+use crate::particle::{first_out_of_key_order, spawn_particles, Particle};
 use crate::scheduler::Schedule;
 use crate::soa::{census_energy, ParticleSoA};
-use crate::step::{begin_step, execution_workers, run_baseline, run_step, StepScratch};
+use crate::step::{begin_step, execution_workers, run_step};
 use crate::validate::{population_balance, EnergyBalance};
 use neutral_mesh::accum::DEFAULT_LANES;
 use neutral_mesh::{LanePartition, TallyAccum};
@@ -31,54 +31,21 @@ pub enum Scheme {
     OverEvents,
 }
 
-/// Particle storage layout (paper §VI-D). Only meaningful for
-/// [`Scheme::OverParticles`]; Over Events manages its own state arrays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Layout {
-    /// Array of Structures — the paper's fastest CPU layout.
-    #[default]
-    Aos,
-    /// Structure of Arrays, gathered once per history (register-cached
-    /// tracking; Rust's `noalias` slices permit this, unlike the C code).
-    Soa,
-    /// Structure of Arrays with event-granular gather/scatter and no
-    /// register caching — the memory behaviour that produced the paper's
-    /// SoA penalty (see [`crate::soa`]).
-    SoaEventStepped,
-}
-
-impl Layout {
-    /// Stable lower-case name (benchmark reports, figure output).
-    pub fn name(self) -> &'static str {
-        match self {
-            Layout::Aos => "aos",
-            Layout::Soa => "soa",
-            Layout::SoaEventStepped => "soa_stepped",
-        }
-    }
-}
-
-/// Threading configuration of a run. Which tally the run deposits into
-/// is the problem's [`TallyStrategy`]; the step engine's dispatch table
-/// ([`crate::step`]) combines the two.
+/// Threading configuration of a run: how many workers the step engine
+/// ([`crate::step`]) schedules whole tally lanes across. Which tally the
+/// run deposits into is the problem's [`TallyStrategy`]. Under the
+/// deterministic strategies results are bitwise identical for every
+/// value.
 #[derive(Clone, Copy, Debug)]
 pub enum Execution {
     /// Single-threaded.
     Sequential,
     /// One worker per thread of Rayon's current pool (global, or one the
-    /// caller installed), whole tally lanes scheduled dynamically.
+    /// caller installed), lanes scheduled dynamically.
     Rayon,
-    /// Explicit threads with an OpenMP-style schedule (paper §VI-C/E):
-    /// particle-granular on the record-at-a-time `atomic` baseline,
-    /// lane-granular everywhere else.
+    /// Explicit threads with an OpenMP-style schedule (paper §VI-C/E),
+    /// applied at lane granularity.
     Scheduled {
-        /// Number of worker threads.
-        threads: usize,
-        /// Loop schedule.
-        schedule: Schedule,
-    },
-    /// Explicit threads with one private tally mesh per thread (§VI-F).
-    ScheduledPrivatized {
         /// Number of worker threads.
         threads: usize,
         /// Loop schedule.
@@ -91,9 +58,7 @@ pub enum Execution {
 pub struct RunOptions {
     /// Parallelisation scheme.
     pub scheme: Scheme,
-    /// Particle storage layout (Over Particles only).
-    pub layout: Layout,
-    /// Threading + tally configuration.
+    /// Threading configuration.
     pub execution: Execution,
     /// Kernel backend for Over Events (§VI-G; DESIGN.md §19).
     pub backend: Backend,
@@ -103,7 +68,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         Self {
             scheme: Scheme::OverParticles,
-            layout: Layout::Aos,
             execution: Execution::Rayon,
             backend: Backend::Scalar,
         }
@@ -125,8 +89,8 @@ pub struct RunReport {
     pub alive: usize,
     /// Total source energy (weighted eV).
     pub initial_energy_ev: f64,
-    /// Tally memory footprint in bytes (includes all private copies for
-    /// the privatised configuration — the §VI-F blow-up).
+    /// Tally memory footprint in bytes (every lane mesh of the
+    /// replicated strategy included — the §VI-F blow-up).
     pub tally_footprint_bytes: usize,
     /// Timesteps executed.
     pub timesteps: usize,
@@ -168,28 +132,22 @@ impl RunReport {
     }
 }
 
-/// The determinism choke-point (DESIGN.md §16): rewrite `problem` and
-/// `options` into the configuration whose merged tallies and counters
-/// are a pure function of the problem — the only kind a result cache may
-/// fingerprint and a sharded solve can merge. The order-nondeterministic
-/// `atomic` tally becomes `replicated`, and the per-*thread*
-/// `ScheduledPrivatized` execution (whose merge depends on the thread
-/// count) becomes `Scheduled`. Returns whether anything changed.
+/// The determinism choke-point (DESIGN.md §16): an *explicit* request for
+/// the order-nondeterministic `atomic` tally becomes `replicated`, the
+/// strategy whose merged tallies and counters are a pure function of the
+/// problem — the only kind a result cache may fingerprint and a sharded
+/// solve can merge. Returns whether anything changed (never, for the
+/// default configuration).
 ///
 /// [`crate::registry::Registry::submit`] applies this to every
 /// submission *before* fingerprinting, so what is hashed is what runs on
 /// any host width; front-ends call it to show the resolved configuration.
-pub fn resolve_deterministic(problem: &mut Problem, options: &mut RunOptions) -> bool {
-    let mut changed = false;
-    if problem.transport.tally_strategy == TallyStrategy::Atomic {
+pub fn resolve_deterministic(problem: &mut Problem) -> bool {
+    let atomic = problem.transport.tally_strategy == TallyStrategy::Atomic;
+    if atomic {
         problem.transport.tally_strategy = TallyStrategy::Replicated;
-        changed = true;
     }
-    if let Execution::ScheduledPrivatized { threads, schedule } = options.execution {
-        options.execution = Execution::Scheduled { threads, schedule };
-        changed = true;
-    }
-    changed
+    atomic
 }
 
 /// A configured simulation: problem + spawned particle population.
@@ -239,15 +197,6 @@ impl Simulation {
     /// the report. Each call spawns a fresh particle population, so
     /// repeated calls with the same options are reproducible.
     ///
-    /// The per-solve scratch is created once per call and reused across
-    /// every timestep: the event-driver arenas, SoA buffers and regroup
-    /// scratch reach their high-water capacities in step one and are
-    /// never reallocated. At each census boundary the population is
-    /// physically regrouped per
-    /// [`crate::config::TransportConfig::regroup_policy`] — identity
-    /// travels with each record, so every policy reports bitwise the
-    /// same tallies and counters as `Off` under the deterministic tally
-    /// backends.
     #[must_use]
     pub fn run(&self, options: RunOptions) -> RunReport {
         let mut solve = SolveCore::new(self, options);
@@ -279,8 +228,7 @@ impl Simulation {
 /// tallies, counters and final particle records **byte-identical** to an
 /// uninterrupted [`Simulation::run`]: each particle record carries its
 /// own RNG key/counter (resuming the counter-based stream exactly, even
-/// mid-block), regrouped storage order is reconstructed from the records
-/// themselves, and every per-step driver state is rebuilt from scratch
+/// mid-block), and every per-step driver state is rebuilt from scratch
 /// each timestep by design.
 ///
 /// The handle is owning and thread-movable — the chunking seam the solve
@@ -296,12 +244,13 @@ pub struct SolveCore {
     /// construction (it also stamps every checkpoint).
     fingerprint: u64,
     n_timesteps: usize,
-    /// The canonical particle storage: one column per field, shared in
-    /// place by every driver. AoS [`Particle`] records exist only at the
-    /// serialization edges (checkpoints, shard wire bytes) and in the
-    /// step engine's record-at-a-time scratch.
+    /// The canonical particle storage: one column per field, in key
+    /// order, shared in place by both drivers. AoS [`Particle`] records
+    /// exist only at the serialization edges (checkpoints, shard wire
+    /// bytes).
     soa: ParticleSoA,
-    scratch: StepScratch,
+    /// The Over-Events state arrays, kept across timesteps.
+    oe_state: Option<EventState>,
     counters: EventCounters,
     kernel_timings: Option<KernelTimings>,
     tally: Vec<f64>,
@@ -324,10 +273,10 @@ impl SolveCore {
         problem.materials.prepare(problem.transport.xs_search);
         Self {
             options,
-            fingerprint: config_fingerprint(problem),
+            fingerprint: config_fingerprint(problem, options.scheme),
             n_timesteps: problem.n_timesteps,
             soa,
-            scratch: StepScratch::default(),
+            oe_state: None,
             counters: EventCounters::default(),
             kernel_timings: None,
             tally: vec![0.0; problem.mesh.num_cells()],
@@ -341,17 +290,17 @@ impl SolveCore {
     /// Resume a solve from a census-boundary checkpoint.
     ///
     /// Rejects, as hard errors: a checkpoint written by a different
-    /// problem/transport configuration
+    /// problem, transport configuration or scheme
     /// ([`CheckpointError::ConfigMismatch`]) and internally-inconsistent
-    /// contents — wrong particle or tally counts, keys that are not a
-    /// permutation ([`CheckpointError::Corrupt`]).
+    /// contents — wrong particle or tally counts, records out of key
+    /// order ([`CheckpointError::Corrupt`]).
     pub fn resume(
         sim: &Simulation,
         options: RunOptions,
         checkpoint: &Checkpoint,
     ) -> Result<Self, CheckpointError> {
         let problem = &sim.problem;
-        let expected = config_fingerprint(problem);
+        let expected = config_fingerprint(problem, options.scheme);
         if checkpoint.fingerprint != expected {
             return Err(CheckpointError::ConfigMismatch {
                 expected,
@@ -378,25 +327,19 @@ impl SolveCore {
                 problem.mesh.num_cells()
             )));
         }
-        let n = checkpoint.particles.len();
-        let mut seen = vec![false; n];
-        for p in &checkpoint.particles {
-            let k = p.key as usize;
-            if k >= n || seen[k] {
-                return Err(CheckpointError::Corrupt(format!(
-                    "particle keys are not a permutation (key {} duplicated or out of range)",
-                    p.key
-                )));
-            }
-            seen[k] = true;
+        if let Some((i, key)) = first_out_of_key_order(&checkpoint.particles, 0) {
+            return Err(CheckpointError::Corrupt(format!(
+                "particle records are not in key order (record {i} has key {key})"
+            )));
         }
+        let n = checkpoint.particles.len();
         problem.materials.prepare(problem.transport.xs_search);
         Ok(Self {
             options,
             fingerprint: expected,
             n_timesteps: problem.n_timesteps,
             soa: ParticleSoA::from_aos(&checkpoint.particles),
-            scratch: StepScratch::default(),
+            oe_state: None,
             counters: checkpoint.counters,
             kernel_timings: None,
             tally: checkpoint.tally.clone(),
@@ -425,7 +368,7 @@ impl SolveCore {
         self.n_timesteps
     }
 
-    /// The current particle records (current storage order) — the state a
+    /// The current particle records (key order) — the state a
     /// checkpoint would capture. Materialised from the canonical columns
     /// on each call (a serialization edge, not a hot path).
     #[must_use]
@@ -454,12 +397,10 @@ impl SolveCore {
     /// nothing) once all timesteps have run.
     ///
     /// This is the step engine's sequence over the whole population in
-    /// place: `begin_step`, one arm of the dispatch table,
-    /// `fold_step`. Regroup time is charged to the solve —
-    /// it is part of the cost the policy must win back.
+    /// place: `begin_step`, `run_step`, `fold_step`.
     pub fn step(&mut self, sim: &Simulation) -> bool {
         debug_assert_eq!(
-            config_fingerprint(&sim.problem),
+            config_fingerprint(&sim.problem, self.options.scheme),
             self.fingerprint,
             "SolveCore stepped against a different simulation"
         );
@@ -473,35 +414,20 @@ impl SolveCore {
         // same for ANY number of workers; workers beyond the lane count
         // simply find no lane to claim (see neutral_mesh::accum).
         let part = LanePartition::new(self.soa.len(), DEFAULT_LANES);
-        begin_step(
+        begin_step(&mut self.soa, sim.problem.dt, self.step);
+        let mut accum = TallyAccum::new(ctx.cfg.tally_strategy, self.tally.len(), part.n_lanes);
+        let (lane_counters, timings) = run_step(
             &mut self.soa,
-            &sim.problem,
-            self.options.execution,
-            self.step,
-            part.lane_size,
-            0,
-            &mut self.scratch,
+            &ctx,
+            self.options,
+            part,
+            &mut accum,
+            &mut self.oe_state,
         );
-        if let Some((counters, mesh, footprint)) =
-            run_baseline(&mut self.soa, &ctx, self.options, &mut self.scratch)
-        {
-            self.fold_step(&[counters], &mesh, footprint, None, started);
-        } else {
-            let mut accum = TallyAccum::new(ctx.cfg.tally_strategy, self.tally.len(), part.n_lanes);
-            let (lane_counters, timings) = run_step(
-                &mut self.soa,
-                &ctx,
-                self.options,
-                part,
-                0,
-                &mut accum,
-                &mut self.scratch,
-            );
-            let footprint = accum.footprint_bytes();
-            let (workers, _) = execution_workers(self.options.execution);
-            let merged = accum.merge_with(workers);
-            self.fold_step(&lane_counters, &merged, footprint, timings, started);
-        }
+        let footprint = accum.footprint_bytes();
+        let (workers, _) = execution_workers(self.options.execution);
+        let merged = accum.merge_with(workers);
+        self.fold_step(&lane_counters, &merged, footprint, timings, started);
         true
     }
 
@@ -521,7 +447,7 @@ impl SolveCore {
         started: Instant,
     ) {
         let mut step_counters = EventCounters::merge_deterministic(lane_counters);
-        step_counters.census_energy_ev = census_energy(&self.soa, self.scratch.order());
+        step_counters.census_energy_ev = census_energy(&self.soa);
         self.counters.merge(&step_counters);
         // The residual is a snapshot, not a sum across steps.
         self.counters.census_energy_ev = step_counters.census_energy_ev;
@@ -535,8 +461,8 @@ impl SolveCore {
     }
 
     /// Install the post-step records `shards` hand back (each a global
-    /// start index and that range's records, in storage order) and remap
-    /// identity over the whole population, ready for [`fold_step`].
+    /// start index and that range's records, in key order), ready for
+    /// [`fold_step`].
     ///
     /// [`fold_step`]: SolveCore::fold_step
     pub(crate) fn store_records<'a>(
@@ -548,13 +474,10 @@ impl SolveCore {
                 self.soa.store(base0 + i, p);
             }
         }
-        self.scratch.map_identity(&self.soa.key, 0);
     }
 
     /// Snapshot the complete resumable state at the current census
-    /// boundary (call between steps; the particle records are pre-regroup
-    /// for the next step, which [`SolveCore::resume`] replays exactly as
-    /// an uninterrupted run would).
+    /// boundary (call between steps).
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
@@ -665,19 +588,7 @@ mod tests {
                 ..Default::default()
             },
             RunOptions {
-                execution: Execution::ScheduledPrivatized {
-                    threads: 2,
-                    schedule: Schedule::Static { chunk: None },
-                },
-                ..Default::default()
-            },
-            RunOptions {
                 scheme: Scheme::OverEvents,
-                execution: Execution::Rayon,
-                ..Default::default()
-            },
-            RunOptions {
-                layout: Layout::Soa,
                 execution: Execution::Rayon,
                 ..Default::default()
             },
@@ -707,26 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn privatized_footprint_scales() {
-        let s = sim(TestCase::Csp);
-        let r2 = s.run(RunOptions {
-            execution: Execution::ScheduledPrivatized {
-                threads: 2,
-                schedule: Schedule::Static { chunk: None },
-            },
-            ..Default::default()
-        });
-        let r4 = s.run(RunOptions {
-            execution: Execution::ScheduledPrivatized {
-                threads: 4,
-                schedule: Schedule::Static { chunk: None },
-            },
-            ..Default::default()
-        });
-        assert_eq!(r4.tally_footprint_bytes, 2 * r2.tally_footprint_bytes);
-    }
-
-    #[test]
     fn tally_strategies_agree_on_physics() {
         let s = sim(TestCase::Csp);
         let base = s.run(RunOptions {
@@ -751,11 +642,6 @@ mod tests {
                 },
                 RunOptions {
                     scheme: Scheme::OverEvents,
-                    execution: Execution::Rayon,
-                    ..Default::default()
-                },
-                RunOptions {
-                    layout: Layout::Soa,
                     execution: Execution::Rayon,
                     ..Default::default()
                 },

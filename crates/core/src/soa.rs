@@ -1,25 +1,22 @@
-//! Structure-of-Arrays particle storage (paper §VI-D).
+//! Structure-of-Arrays particle storage (paper §VI-D): the canonical
+//! storage of every solve.
 //!
 //! The paper compares AoS and SoA particle layouts for the Over-Particles
 //! scheme on CPUs and finds AoS faster everywhere: with one thread per
 //! history, "each thread loads a cache line for each particle field, and
-//! only uses a single item" under SoA, while AoS loads the whole particle
-//! with one or two adjacent lines. This module provides the SoA layout —
-//! the canonical particle storage of every solve — and a lane-chunked
-//! driver so that Figure 5 can be reproduced with real measurements:
-//! histories `load` the particle (the per-field gather that costs SoA its
-//! performance), track it entirely in registers, and `store` it back.
+//! only uses a single item" under SoA, and in C the aliasing between the
+//! field arrays keeps history state out of registers. Rust's `&mut`
+//! slices are `noalias`, so here a history `load`s its particle once,
+//! tracks it in registers and `store`s it back, and the penalty does not
+//! appear (`fig05_soa_aos` measures the rows). Both drivers, the
+//! checkpoint and the shard wire read these columns. Storage order is key
+//! order: particle `i` of a population starting at global index `base`
+//! has `key == base + i`, always. AoS [`Particle`] records exist only at
+//! the serialization edges ([`ParticleSoA::from_aos`] /
+//! [`ParticleSoA::to_aos`]).
 
-use crate::arena::{apply_permutation_in_place, radix_sort_pairs, ScratchArena};
-use crate::config::{RegroupPolicy, SortPolicy};
-use crate::counters::EventCounters;
-use crate::events::{resolve_micro_xs_many, TallySink};
-use crate::history::{step_particle_uncached, track_to_census_primed, StepOutcome, TransportCtx};
-use crate::particle::{energy_band, Particle};
-use crate::scheduler::{parallel_for_owned_scratch, Schedule};
-use neutral_mesh::{LanePartition, LaneSink, TallyAccum};
-use neutral_rng::CbRng;
-use neutral_xs::{MicroXs, XsHints};
+use crate::particle::Particle;
+use neutral_xs::XsHints;
 use std::ops::Range;
 
 /// Particle population stored as one array per field.
@@ -58,11 +55,27 @@ pub struct ParticleSoA {
 }
 
 impl ParticleSoA {
-    /// Convert from the AoS layout.
+    /// Convert from the AoS layout (one pass over the records).
     #[must_use]
     pub fn from_aos(particles: &[Particle]) -> Self {
         let mut soa = Self::default();
-        soa.copy_from_aos(particles);
+        for p in particles {
+            soa.x.push(p.x);
+            soa.y.push(p.y);
+            soa.omega_x.push(p.omega_x);
+            soa.omega_y.push(p.omega_y);
+            soa.energy.push(p.energy);
+            soa.weight.push(p.weight);
+            soa.dt_to_census.push(p.dt_to_census);
+            soa.mfp_to_collision.push(p.mfp_to_collision);
+            soa.cellx.push(p.cellx);
+            soa.celly.push(p.celly);
+            soa.absorb_hint.push(p.xs_hints.absorb);
+            soa.scatter_hint.push(p.xs_hints.scatter);
+            soa.key.push(p.key);
+            soa.rng_counter.push(p.rng_counter);
+            soa.dead.push(p.dead);
+        }
         soa
     }
 
@@ -70,52 +83,6 @@ impl ParticleSoA {
     #[must_use]
     pub fn to_aos(&self) -> Vec<Particle> {
         (0..self.len()).map(|i| self.load(i)).collect()
-    }
-
-    /// Refill every column from an AoS population, reusing the existing
-    /// column capacity: the multi-timestep loop re-gathers the (possibly
-    /// regrouped) AoS master into the same SoA buffers each step instead
-    /// of allocating fifteen fresh `Vec`s per call. One pass over the
-    /// AoS array (like [`ParticleSoA::from_aos`]) — per-column passes
-    /// would re-read the 100-byte records fifteen times.
-    pub fn copy_from_aos(&mut self, particles: &[Particle]) {
-        macro_rules! clear_all {
-            ($($field:ident),+ $(,)?) => {$( self.$field.clear(); )+};
-        }
-        clear_all!(
-            x,
-            y,
-            omega_x,
-            omega_y,
-            energy,
-            weight,
-            dt_to_census,
-            mfp_to_collision,
-            cellx,
-            celly,
-            absorb_hint,
-            scatter_hint,
-            key,
-            rng_counter,
-            dead,
-        );
-        for p in particles {
-            self.x.push(p.x);
-            self.y.push(p.y);
-            self.omega_x.push(p.omega_x);
-            self.omega_y.push(p.omega_y);
-            self.energy.push(p.energy);
-            self.weight.push(p.weight);
-            self.dt_to_census.push(p.dt_to_census);
-            self.mfp_to_collision.push(p.mfp_to_collision);
-            self.cellx.push(p.cellx);
-            self.celly.push(p.celly);
-            self.absorb_hint.push(p.xs_hints.absorb);
-            self.scatter_hint.push(p.xs_hints.scatter);
-            self.key.push(p.key);
-            self.rng_counter.push(p.rng_counter);
-            self.dead.push(p.dead);
-        }
     }
 
     /// An owned copy of the column sub-range `range` — the input of a
@@ -146,17 +113,6 @@ impl ParticleSoA {
         )
     }
 
-    /// Gather every particle into `out`, replacing its contents — the
-    /// reusable-buffer counterpart of [`ParticleSoA::to_aos`] for the
-    /// serialization edges that convert every step.
-    pub fn to_aos_into(&self, out: &mut Vec<Particle>) {
-        out.clear();
-        out.reserve(self.len());
-        for i in 0..self.len() {
-            out.push(self.load(i));
-        }
-    }
-
     /// Number of particles.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -169,8 +125,8 @@ impl ParticleSoA {
         self.x.is_empty()
     }
 
-    /// Gather particle `i` from the field arrays — under SoA this is the
-    /// fifteen-array gather whose cache behaviour the paper discusses.
+    /// Gather particle `i` from the field arrays — the fifteen-array
+    /// gather whose cache behaviour the paper discusses.
     #[inline]
     #[must_use]
     pub fn load(&self, i: usize) -> Particle {
@@ -395,414 +351,29 @@ impl<'a> SoAChunkMut<'a> {
 /// Total weighted energy of the surviving population (eV) — the
 /// conservation budget, and the crate's one census-energy fold.
 ///
-/// Accumulated in **identity** (`key`) order: `order`, when present, is
-/// the identity map of a regrouped population (`order[k]` = position of
-/// key `k`); without it storage order *is* key order. A regrouped, a
-/// resumed and a sharded run must all report the exact bits the plain run
-/// reports, and this `f64` fold is one of the order-sensitive reductions
-/// the bitwise contract anchors to key order. (An all-dead population
-/// folds to `-0.0`, `Iterator::sum`'s empty value — on every path, since
-/// every path folds here.)
+/// Accumulated in storage order, which is key order: a fresh, a resumed
+/// and a sharded run all fold here over the same sequence, so this
+/// order-sensitive `f64` sum reports the same bits on every path. (An
+/// all-dead population folds to `-0.0`, `Iterator::sum`'s empty value.)
 #[must_use]
-pub fn census_energy(soa: &ParticleSoA, order: Option<&[u32]>) -> f64 {
+pub fn census_energy(soa: &ParticleSoA) -> f64 {
     (0..soa.len())
-        .map(|k| order.map_or(k, |ord| ord[k] as usize))
         .filter(|&i| !soa.dead[i])
         .map(|i| soa.weight[i] * soa.energy[i])
         .sum()
-}
-
-/// Physically regroup the population for the next timestep (DESIGN.md
-/// §14): within each tally-lane block of `lane_size` particles, stably
-/// permute every field column into the grouping `policy` asks for, dead
-/// particles always last. Identity — `key`, the RNG counter, the cached
-/// hints — moves with each particle (one shared lane permutation is
-/// applied to all fifteen columns); lane membership is preserved because
-/// the permutation never crosses a lane boundary, which (together with
-/// the drivers' identity-order accumulation anchors) keeps merged
-/// tallies and counters bitwise identical to [`RegroupPolicy::Off`].
-///
-/// The lane blocks are scheduled across `workers` workers through the
-/// lane scheduler. Each block is an independent, deterministic
-/// permutation, so the regrouped columns are identical for any worker
-/// count and any schedule. `scratches` is grown to one arena per worker
-/// and reused across calls. Returns `true` if any particle actually
-/// moved.
-pub fn regroup_soa_parallel(
-    soa: &mut ParticleSoA,
-    policy: RegroupPolicy,
-    nx: usize,
-    lane_size: usize,
-    workers: usize,
-    schedule: Schedule,
-    scratches: &mut Vec<ScratchArena>,
-) -> bool {
-    if policy == RegroupPolicy::Off || soa.is_empty() {
-        return false;
-    }
-    let lane_size = lane_size.max(1);
-    let workers = if workers <= 1 || soa.len() <= lane_size {
-        1
-    } else {
-        workers
-    };
-    if scratches.len() < workers {
-        scratches.resize_with(workers, ScratchArena::new);
-    }
-    let mut lanes: Vec<(SoAChunkMut<'_>, bool)> = soa
-        .chunks_mut(lane_size)
-        .into_iter()
-        .map(|lane| (lane, false))
-        .collect();
-    parallel_for_owned_scratch(
-        schedule.lane_granular(),
-        &mut lanes,
-        &mut scratches[..workers],
-        |_, (lane, moved), scratch| {
-            *moved = regroup_soa_block(lane, policy, nx, scratch);
-        },
-    );
-    lanes.iter().any(|&(_, moved)| moved)
-}
-
-/// Regroup one lane block of columns in place (the per-lane body of
-/// [`regroup_soa_parallel`]); returns `true` if any particle moved.
-fn regroup_soa_block(
-    lane: &mut SoAChunkMut<'_>,
-    policy: RegroupPolicy,
-    nx: usize,
-    scratch: &mut ScratchArena,
-) -> bool {
-    scratch.sort_keys.clear();
-    for i in 0..lane.len() {
-        let group = match policy {
-            RegroupPolicy::Off => unreachable!("rejected by the entry points"),
-            RegroupPolicy::ByAlive => u32::from(lane.dead[i]),
-            RegroupPolicy::ByCell => {
-                if lane.dead[i] {
-                    u32::MAX
-                } else {
-                    (lane.celly[i] as usize * nx + lane.cellx[i] as usize) as u32
-                }
-            }
-            RegroupPolicy::ByEnergyBand => {
-                if lane.dead[i] {
-                    u32::MAX
-                } else {
-                    energy_band(lane.energy[i])
-                }
-            }
-        };
-        scratch.sort_keys.push((group, i as u32));
-    }
-    // Stable by construction (payloads are insertion indices), so
-    // equal-group particles keep ascending key order within the lane.
-    radix_sort_pairs(&mut scratch.sort_keys, &mut scratch.sort_tmp);
-    if scratch
-        .sort_keys
-        .iter()
-        .enumerate()
-        .all(|(k, &(_, src))| src as usize == k)
-    {
-        return false;
-    }
-    // The cycle walk consumes the permutation buffer, so it is refilled
-    // per column from the sorted keys — fifteen cheap `u32` refills
-    // instead of fifteen whole-column staging buffers.
-    macro_rules! permute {
-        ($($field:ident),* $(,)?) => {$({
-            scratch.perm.clear();
-            scratch
-                .perm
-                .extend(scratch.sort_keys.iter().map(|&(_, src)| src));
-            apply_permutation_in_place(&mut lane.$field[..], &mut scratch.perm);
-        })*};
-    }
-    permute!(
-        x,
-        y,
-        omega_x,
-        omega_y,
-        energy,
-        weight,
-        dt_to_census,
-        mfp_to_collision,
-        cellx,
-        celly,
-        absorb_hint,
-        scatter_hint,
-        key,
-        rng_counter,
-        dead,
-    );
-    true
-}
-
-/// Track one SoA chunk to census: one batched lane-block lookup over the
-/// chunk's live lanes, then gather → track → scatter per history.
-///
-/// All staging lanes live in the caller's [`ScratchArena`] (per worker
-/// or per Rayon task), so the steady-state loop performs no per-lane
-/// allocations. Under [`SortPolicy::ByEnergyBand`] the lookup lanes are
-/// gathered in energy-band order — the batched lookup walks monotone
-/// energy-grid runs — while histories are still *tracked* in ascending
-/// lane order, so trajectories and deposit sequences stay bitwise
-/// identical to every other policy.
-///
-/// `order`, when present, is the chunk's identity walk over a regrouped
-/// population: the *global* physical positions of this lane's particles
-/// in ascending key order, plus the chunk's global base offset.
-/// Tracking (the order-sensitive deposit stream) then follows key order
-/// exactly as the unregrouped run would, while the columns themselves
-/// stay physically grouped.
-fn track_soa_chunk<R: CbRng, T: TallySink>(
-    chunk: &mut SoAChunkMut<'_>,
-    ctx: &TransportCtx<'_, R>,
-    sink: &mut T,
-    local: &mut EventCounters,
-    arena: &mut ScratchArena,
-    order: Option<(&[u32], u32)>,
-) {
-    let n = chunk.len();
-    let a = arena;
-    a.clear();
-    // Live lanes in identity (tracking) order — ascending lane order
-    // unregrouped, ascending key order regrouped — then (optionally)
-    // permuted into energy-band order for the lookup gather only.
-    match order {
-        None => {
-            for i in 0..n {
-                if !chunk.dead[i] {
-                    a.idx.push(i as u32);
-                }
-            }
-        }
-        Some((ord, base)) => {
-            debug_assert_eq!(ord.len(), n, "order must cover the chunk");
-            for &g in ord {
-                let i = (g - base) as usize;
-                if !chunk.dead[i] {
-                    a.idx.push(i as u32);
-                }
-            }
-        }
-    }
-    // Band-sorting the lanes only pays on the grid backends, whose
-    // batched lookup carries the run-detection memo; the walking
-    // backends would pay the sort and permuted gather for nothing.
-    let sort_lanes = ctx.cfg.sort_policy == SortPolicy::ByEnergyBand
-        && matches!(
-            ctx.cfg.xs_search,
-            crate::config::LookupStrategy::Unionized | crate::config::LookupStrategy::Hashed
-        );
-    if sort_lanes {
-        a.sort_keys.clear();
-        for &iu in &a.idx {
-            let band = crate::particle::energy_band(chunk.energy[iu as usize]);
-            a.sort_keys.push((band, iu));
-        }
-        radix_sort_pairs(&mut a.sort_keys, &mut a.sort_tmp);
-        a.idx.clear();
-        a.idx.extend(a.sort_keys.iter().map(|&(_, iu)| iu));
-    }
-    for &iu in &a.idx {
-        let i = iu as usize;
-        a.energies.push(chunk.energy[i]);
-        a.mats.push(
-            ctx.mesh
-                .material(chunk.cellx[i] as usize, chunk.celly[i] as usize),
-        );
-        a.hints_absorb.push(chunk.absorb_hint[i]);
-        a.hints_scatter.push(chunk.scatter_hint[i]);
-    }
-    a.out_absorb.resize(a.idx.len(), 0.0);
-    a.out_scatter.resize(a.idx.len(), 0.0);
-    resolve_micro_xs_many(
-        ctx.materials,
-        ctx.cfg.xs_search,
-        &a.mats,
-        &a.energies,
-        &mut a.hints_absorb,
-        &mut a.hints_scatter,
-        &mut a.out_absorb,
-        &mut a.out_scatter,
-        local,
-        &mut a.xs,
-    );
-    // Scatter the per-lane results back to lane-indexed storage, then
-    // track in identity order — the bitwise anchor.
-    a.f64_a.resize(n, 0.0);
-    a.f64_b.resize(n, 0.0);
-    for (j, &iu) in a.idx.iter().enumerate() {
-        let i = iu as usize;
-        chunk.absorb_hint[i] = a.hints_absorb[j];
-        chunk.scatter_hint[i] = a.hints_scatter[j];
-        a.f64_a[i] = a.out_absorb[j];
-        a.f64_b[i] = a.out_scatter[j];
-    }
-    let mut track = |i: usize, chunk: &mut SoAChunkMut<'_>| {
-        if chunk.dead[i] {
-            return;
-        }
-        let micro = MicroXs {
-            absorb_barns: a.f64_a[i],
-            scatter_barns: a.f64_b[i],
-        };
-        let mut p = chunk.load(i);
-        track_to_census_primed(&mut p, ctx, sink, local, micro);
-        chunk.store(i, &p);
-    };
-    match order {
-        None => {
-            for i in 0..n {
-                track(i, chunk);
-            }
-        }
-        Some((ord, base)) => {
-            for &g in ord {
-                track((g - base) as usize, chunk);
-            }
-        }
-    }
-}
-
-/// Track one SoA chunk with **event-granular** loads and stores: every
-/// event gathers the particle from the field arrays, steps it once
-/// without cached state, and scatters it back.
-///
-/// This reproduces the memory behaviour behind the paper's Figure 5 SoA
-/// penalty: in the original C code, aliasing between the SoA field arrays
-/// prevents the compiler from keeping history state in registers, so
-/// every event pays array traffic. (Rust's `&mut` slices are `noalias`,
-/// so the *cached* [`track_soa_chunk`] does not exhibit the penalty — a
-/// reproduction finding documented in EXPERIMENTS.md.) `order` carries
-/// the identity walk of a regrouped chunk, exactly as in
-/// [`track_soa_chunk`].
-fn track_soa_chunk_stepped<R: CbRng, T: TallySink>(
-    chunk: &mut SoAChunkMut<'_>,
-    ctx: &TransportCtx<'_, R>,
-    sink: &mut T,
-    local: &mut EventCounters,
-    order: Option<(&[u32], u32)>,
-) {
-    let max_events = ctx.cfg.max_events_per_history;
-    let mut track = |i: usize, chunk: &mut SoAChunkMut<'_>| {
-        let mut events = 0u64;
-        loop {
-            // Gather -> one event -> scatter: the per-event array
-            // traffic is the point of this driver.
-            let mut p = chunk.load(i);
-            let outcome = step_particle_uncached(&mut p, ctx, sink, local);
-            chunk.store(i, &p);
-            if outcome != StepOutcome::Continue {
-                break;
-            }
-            events += 1;
-            if events > max_events {
-                local.stuck += 1;
-                chunk.store(
-                    i,
-                    &Particle {
-                        dead: true,
-                        ..chunk.load(i)
-                    },
-                );
-                break;
-            }
-        }
-    };
-    match order {
-        None => {
-            for i in 0..chunk.len() {
-                track(i, chunk);
-            }
-        }
-        Some((ord, base)) => {
-            for &g in ord {
-                track((g - base) as usize, chunk);
-            }
-        }
-    }
-}
-
-/// Over-Particles lane driver for the SoA layouts: the population is cut
-/// at the lane boundaries of the *explicit* partition `part` (see
-/// `over_particles::run_lanes_partitioned` for why a shard cannot
-/// recompute it locally), whole lanes are scheduled across `n_threads`
-/// workers, and each lane deposits through its own [`LaneSink`], which the
-/// tracking worker [claims](LaneSink::claim) first. `stepped`
-/// selects the event-granular gather/scatter variant. Returns the raw
-/// per-lane counters; the deterministic merge and the census-energy fold
-/// belong to the caller, so with a deterministic backend the folded
-/// results are bitwise identical for any worker count.
-///
-/// `arenas` holds the per-worker scratch (grown to `n_threads` on
-/// demand) — callers that run many timesteps pass the same vector every
-/// step so the staging lanes are allocated once per solve, not once per
-/// call. `order`, when present, is the regrouped population's identity
-/// map (`order[k]` = physical position of key `k`, lane-local): each
-/// chunk then tracks in ascending key order, keeping every `f64` stream
-/// bitwise identical to the unregrouped run.
-#[allow(clippy::too_many_arguments)] // the solve's full configuration surface
-pub fn run_lanes_soa_partitioned<R: CbRng>(
-    soa: &mut ParticleSoA,
-    ctx: &TransportCtx<'_, R>,
-    accum: &mut TallyAccum,
-    n_threads: usize,
-    schedule: Schedule,
-    stepped: bool,
-    arenas: &mut Vec<ScratchArena>,
-    order: Option<&[u32]>,
-    part: LanePartition,
-) -> Vec<EventCounters> {
-    assert_eq!(
-        part.n_items,
-        soa.len(),
-        "partition must cover the population"
-    );
-    if let Some(ord) = order {
-        assert_eq!(ord.len(), soa.len(), "order must be a permutation");
-    }
-    let chunks = soa.chunks_mut(part.lane_size);
-    let mut states: Vec<(usize, SoAChunkMut<'_>, LaneSink<'_>, EventCounters)> = chunks
-        .into_iter()
-        .zip(accum.lane_views())
-        .enumerate()
-        .map(|(lane, (chunk, view))| (lane, chunk, view, EventCounters::default()))
-        .collect();
-    // One reusable arena per *worker*, not per lane: workers claim
-    // many lanes, and the staging lanes carry no cross-lane meaning.
-    if arenas.len() < n_threads {
-        arenas.resize_with(n_threads, ScratchArena::new);
-    }
-    parallel_for_owned_scratch(
-        schedule.lane_granular(),
-        &mut states,
-        &mut arenas[..n_threads],
-        |_, (lane, chunk, sink, local), arena| {
-            sink.claim();
-            let chunk_order = order.map(|ord| {
-                let range = part.range(*lane);
-                let base = range.start as u32;
-                (&ord[range], base)
-            });
-            if stepped {
-                track_soa_chunk_stepped(chunk, ctx, sink, local, chunk_order);
-            } else {
-                track_soa_chunk(chunk, ctx, sink, local, arena, chunk_order);
-            }
-        },
-    );
-    states.iter().map(|(_, _, _, c)| *c).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ProblemScale, TestCase};
-    use crate::over_particles::run_sequential;
+    use crate::counters::EventCounters;
+    use crate::history::TransportCtx;
+    use crate::over_particles::{run_lanes_partitioned, run_sequential};
     use crate::particle::spawn_particles;
+    use crate::scheduler::Schedule;
     use neutral_mesh::tally::SequentialTally;
+    use neutral_mesh::{LanePartition, TallyAccum, TallyStrategy};
     use neutral_rng::Threefry2x64;
 
     #[test]
@@ -826,15 +397,14 @@ mod tests {
         assert!(chunks.iter().all(|c| c.len() <= 7));
     }
 
-    /// Run the SoA lane driver over a fresh population on `threads`
+    /// Run the column lane driver over a fresh population on `threads`
     /// workers into a `strategy` accumulator — one whose lanes already
     /// hold deposits when `dirty` — returning the final columns, merged
     /// counters and mesh.
-    fn run_soa_lanes_with(
+    fn run_soa_lanes(
         problem: &crate::config::Problem,
         ctx: &TransportCtx<'_, Threefry2x64>,
-        stepped: bool,
-        strategy: neutral_mesh::TallyStrategy,
+        strategy: TallyStrategy,
         threads: usize,
         dirty: bool,
     ) -> (ParticleSoA, EventCounters, Vec<f64>) {
@@ -849,33 +419,13 @@ mod tests {
                 }
             }
         }
-        let partials = run_lanes_soa_partitioned(
-            &mut soa,
-            ctx,
-            &mut accum,
-            threads,
-            Schedule::Dynamic { chunk: 1 },
-            stepped,
-            &mut Vec::new(),
-            None,
-            part,
-        );
+        let schedule = Schedule::Dynamic { chunk: 1 };
+        let partials = run_lanes_partitioned(&mut soa, ctx, &mut accum, threads, schedule, part);
         let counters = EventCounters::merge_deterministic(&partials);
         (soa, counters, accum.merge_with(threads))
     }
 
-    /// The shared atomic sink (the paper's contended baseline behind the
-    /// lane engine) on two workers.
-    fn run_soa_lanes(
-        problem: &crate::config::Problem,
-        ctx: &TransportCtx<'_, Threefry2x64>,
-        stepped: bool,
-    ) -> (ParticleSoA, EventCounters, Vec<f64>) {
-        let atomic = neutral_mesh::TallyStrategy::Atomic;
-        run_soa_lanes_with(problem, ctx, stepped, atomic, 2, false)
-    }
-
-    /// Both SoA drivers claim a lane before depositing into it: started
+    /// The column driver claims a lane before depositing into it: started
     /// from a non-zero replicated accumulator, any worker count lands on
     /// the bits of the clean single-worker run.
     #[test]
@@ -888,67 +438,27 @@ mod tests {
             rng: &rng,
             cfg: &problem.transport,
         };
-        let replicated = neutral_mesh::TallyStrategy::Replicated;
-        for stepped in [false, true] {
-            let (base_soa, base_counters, base_tally) =
-                run_soa_lanes_with(&problem, &ctx, stepped, replicated, 1, false);
-            assert!(base_tally.iter().any(|&v| v > 0.0));
-            for threads in [1, 2, 7] {
-                let (soa, counters, tally) =
-                    run_soa_lanes_with(&problem, &ctx, stepped, replicated, threads, true);
-                assert_eq!(
-                    soa.to_aos(),
-                    base_soa.to_aos(),
-                    "stepped={stepped}/{threads}"
-                );
-                assert_eq!(counters, base_counters, "stepped={stepped}/{threads}");
-                assert!(
-                    tally
-                        .iter()
-                        .zip(&base_tally)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "stepped={stepped}/{threads}: merged tally bits differ"
-                );
-            }
+        let replicated = TallyStrategy::Replicated;
+        let (base_soa, base_counters, base_tally) =
+            run_soa_lanes(&problem, &ctx, replicated, 1, false);
+        assert!(base_tally.iter().any(|&v| v > 0.0));
+        for threads in [1, 2, 7] {
+            let (soa, counters, tally) = run_soa_lanes(&problem, &ctx, replicated, threads, true);
+            assert_eq!(soa, base_soa, "{threads}");
+            assert_eq!(counters, base_counters, "{threads}");
+            assert!(
+                tally
+                    .iter()
+                    .zip(&base_tally)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{threads}: merged tally bits differ"
+            );
         }
     }
 
-    #[test]
-    fn stepped_soa_driver_matches_trajectories() {
-        let problem = TestCase::Csp.build(ProblemScale::tiny(), 31);
-        let rng = Threefry2x64::new([problem.seed, 1]);
-        let ctx = TransportCtx {
-            mesh: &problem.mesh,
-            materials: &problem.materials,
-            rng: &rng,
-            cfg: &problem.transport,
-        };
-
-        let mut aos = spawn_particles(&problem);
-        let mut seq_tally = SequentialTally::new(problem.mesh.num_cells());
-        run_sequential(&mut aos, &ctx, &mut seq_tally);
-
-        let (soa, counters, tally) = run_soa_lanes(&problem, &ctx, true);
-
-        // Same trajectories, same physics...
-        let stepped = soa.to_aos();
-        for (a, b) in aos.iter().zip(&stepped) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-            assert_eq!(a.rng_counter, b.rng_counter);
-            assert_eq!(a.dead, b.dead);
-        }
-        let (a, b) = (seq_tally.total(), tally.iter().sum::<f64>());
-        assert!(((a - b) / a.abs().max(1e-30)).abs() < 1e-9);
-        // ...but strictly more memory traffic: a lookup + density read
-        // per event instead of per collision/facet.
-        assert!(counters.cs_lookups > counters.collisions);
-        assert!(counters.tally_flushes >= counters.facets);
-        assert_eq!(counters.stuck, 0);
-    }
-
+    /// Tracking the columns in place walks the record driver's
+    /// trajectories: same final particles, same counters — work meters
+    /// included — same physics.
     #[test]
     fn soa_driver_matches_aos_physics() {
         let problem = TestCase::Csp.build(ProblemScale::tiny(), 31);
@@ -964,11 +474,15 @@ mod tests {
         let mut seq_tally = SequentialTally::new(problem.mesh.num_cells());
         let seq_counters = run_sequential(&mut aos, &ctx, &mut seq_tally);
 
-        let (soa, soa_counters, tally) = run_soa_lanes(&problem, &ctx, false);
+        let (soa, soa_counters, tally) =
+            run_soa_lanes(&problem, &ctx, TallyStrategy::Atomic, 2, false);
 
         assert_eq!(soa.to_aos(), aos, "SoA trajectories must match AoS");
         assert_eq!(seq_counters.collisions, soa_counters.collisions);
         assert_eq!(seq_counters.facets, soa_counters.facets);
+        assert_eq!(seq_counters.cs_lookups, soa_counters.cs_lookups);
+        assert_eq!(seq_counters.density_reads, soa_counters.density_reads);
+        assert_eq!(soa_counters.batched_lookups, 0);
 
         let a = seq_tally.total();
         let b: f64 = tally.iter().sum();

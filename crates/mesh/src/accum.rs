@@ -112,12 +112,13 @@ pub enum TallyStrategy {
     /// compare-exchange adds — the paper's `#pragma omp atomic` baseline.
     /// Minimal footprint, contended hot path, not bitwise reproducible
     /// across thread counts.
-    #[default]
     Atomic,
     /// One private dense mesh per lane, pairwise-merged in lane order
     /// after the solve — the paper's privatisation (§VI-F) keyed on lanes
     /// instead of threads so the merge is deterministic. Footprint is
-    /// `lanes ×` the mesh.
+    /// `lanes ×` the mesh. The default: the configuration every served,
+    /// sharded and checkpointed solve runs.
+    #[default]
     Replicated,
     /// Cell-block ownership with a spill buffer: lane `l` owns the `l`-th
     /// contiguous block of one shared dense mesh and writes it directly;
@@ -248,8 +249,8 @@ impl LaneSink<'_> {
     /// a private dense mesh is zero-filled with plain stores, the shared
     /// and blocked sinks are left alone.
     ///
-    /// The depth-first lane drivers (`over_particles`, `soa`) call this
-    /// once per lane, on the worker that will track the lane. A lane's
+    /// The depth-first lane driver (`over_particles`) calls this once
+    /// per lane, on the worker that will track the lane. A lane's
     /// pages arrive untouched from the allocator, and `lane[cell] += v`
     /// *reads* a page before it writes it: the read maps the shared zero
     /// page, the write then takes a second, copy-on-write fault that

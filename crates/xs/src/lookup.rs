@@ -113,8 +113,8 @@ pub trait XsLookup: Send + Sync {
 
     /// Resolve a whole lane block of energies in one call: `out_absorb`
     /// and `out_scatter` receive the per-lane cross sections, the hint
-    /// slices are updated in place (these are the SoA hint lanes of the
-    /// event-based and SoA drivers). Returns the total grid steps walked.
+    /// slices are updated in place (these are the hint lanes of the
+    /// event-based driver). Returns the total grid steps walked.
     ///
     /// All five slices must have equal lengths.
     fn lookup_many(
@@ -431,8 +431,8 @@ impl UnionizedGrid {
 /// of energies is compared against the cached bin with one branch-light
 /// all-lanes test (a reduction of `RUN_BLOCK` independent compares the
 /// auto-vectoriser can chew), so the monotone runs that
-/// `by_energy_band` sorting and `ByEnergyBand` regrouping produce
-/// resolve at block granularity instead of lane granularity. Results are
+/// `by_energy_band` sorting produces resolve at block granularity
+/// instead of lane granularity. Results are
 /// bitwise identical to the scalar memo (`cs_search_steps` is already
 /// zero on memo hits, so not even the work meter moves on the block
 /// path).

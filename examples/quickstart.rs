@@ -24,8 +24,8 @@ fn main() {
 
     let sim = Simulation::new(problem);
 
-    // Default options: Over-Particles scheme, AoS layout, Rayon threading,
-    // shared atomic tally — the paper's fastest CPU configuration.
+    // Default options: Over-Particles scheme, Rayon threading, replicated
+    // (deterministic) tally — the configuration every served solve runs.
     let report = sim.run(RunOptions::default());
 
     println!("{}", report.summary());

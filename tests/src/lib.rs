@@ -27,28 +27,23 @@ pub fn tiny_with_tally(case: TestCase, seed: u64, strategy: TallyStrategy) -> Si
 
 /// The committed multi-timestep golden configs (fixture names
 /// `<case>_t<steps>`, seeds fixed forever): ≥ 2 timesteps so the
-/// between-timestep machinery — persistent transport state,
-/// census-boundary regrouping — actually executes. Captured by the
-/// golden suite under `RegroupPolicy::Off`; the regroup suite proves
-/// every other policy reproduces them byte-identically.
+/// between-timestep machinery — persistent transport state, the census
+/// timer reset — actually executes.
 pub const MULTISTEP_CONFIGS: [(TestCase, usize, u64); 2] =
     [(TestCase::Csp, 3, 41), (TestCase::Scatter, 2, 43)];
 
 /// Build a tiny-scale, multi-timestep simulation with an explicit tally
-/// strategy and regroup policy — the fixture shape of the regroup suite
-/// (≥ 2 timesteps so the between-timestep regroup stage and the
-/// persistent transport state actually execute).
+/// strategy (≥ 2 timesteps so the persistent transport state actually
+/// carries across a census boundary).
 pub fn tiny_multistep(
     case: TestCase,
     timesteps: usize,
     seed: u64,
     strategy: TallyStrategy,
-    regroup: RegroupPolicy,
 ) -> Simulation {
     let mut problem = case.build(ProblemScale::tiny(), seed);
     problem.n_timesteps = timesteps;
     problem.transport.tally_strategy = strategy;
-    problem.transport.regroup_policy = regroup;
     Simulation::new(problem)
 }
 

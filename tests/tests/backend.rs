@@ -30,30 +30,19 @@ fn assert_bitwise_tally(a: &[f64], b: &[f64], what: &str) {
 fn backends_bitwise_across_drivers_and_workers() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         for driver in DriverKind::ALL {
-            let base = tiny_multistep(
-                case,
-                steps,
-                seed,
-                TallyStrategy::Replicated,
-                RegroupPolicy::Off,
-            )
-            .run(RunOptions {
-                backend: Backend::Scalar,
-                ..driver.options(2)
-            });
+            let base =
+                tiny_multistep(case, steps, seed, TallyStrategy::Replicated).run(RunOptions {
+                    backend: Backend::Scalar,
+                    ..driver.options(2)
+                });
             for backend in Backend::ALL {
                 for workers in [1usize, 2, 7] {
-                    let r = tiny_multistep(
-                        case,
-                        steps,
-                        seed,
-                        TallyStrategy::Replicated,
-                        RegroupPolicy::Off,
-                    )
-                    .run(RunOptions {
-                        backend,
-                        ..driver.options(workers)
-                    });
+                    let r = tiny_multistep(case, steps, seed, TallyStrategy::Replicated).run(
+                        RunOptions {
+                            backend,
+                            ..driver.options(workers)
+                        },
+                    );
                     let what = format!(
                         "{}x{}/{}/{}/{}w",
                         case.name(),
@@ -94,14 +83,7 @@ fn backends_bitwise_across_drivers_and_workers() {
 fn forced_simd_fallback_is_bitwise_identical() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
     let run = || {
-        tiny_multistep(
-            case,
-            steps,
-            seed,
-            TallyStrategy::Replicated,
-            RegroupPolicy::ByCell,
-        )
-        .run(RunOptions {
+        tiny_multistep(case, steps, seed, TallyStrategy::Replicated).run(RunOptions {
             backend: Backend::Simd,
             ..DriverKind::OverEvents.options(3)
         })
@@ -124,8 +106,9 @@ fn forced_simd_fallback_is_bitwise_identical() {
 }
 
 /// The backend knob survives the params/CLI round trip: a params file
-/// carrying `backend simd` (or the `kernel_style` alias) parses to the
-/// backend the solve will run, and re-serializes canonically.
+/// carrying `backend simd` parses to the backend the solve will run, and
+/// re-serializes canonically. The knob has one spelling: its former
+/// `kernel_style` alias is an unknown key.
 #[test]
 fn backend_round_trips_through_params() {
     for backend in Backend::ALL {
@@ -136,6 +119,9 @@ fn backend_round_trips_through_params() {
             .to_params_text()
             .contains(&format!("backend {}", backend.name())));
     }
-    let alias = neutral_core::params::ProblemParams::parse("kernel_style simd\n").unwrap();
-    assert_eq!(alias.backend, Backend::Simd);
+    let alias = neutral_core::params::ProblemParams::parse("kernel_style simd\n").unwrap_err();
+    assert!(
+        alias.message.contains("unknown key `kernel_style`"),
+        "{alias}"
+    );
 }

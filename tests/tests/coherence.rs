@@ -5,8 +5,8 @@
 //!
 //! The suite locks three things:
 //!
-//! * **policy invariance** — for the batched drivers (Over-Events, SoA)
-//!   at worker counts {1, 2, 7}: merged tallies bitwise identical and
+//! * **policy invariance** — for the batched driver (Over-Events) at
+//!   worker counts {1, 2, 7}: merged tallies bitwise identical and
 //!   counters identical (modulo `cs_search_steps`, the search-work meter
 //!   the sort stage exists to reduce) across every policy;
 //! * **golden locks** — every committed golden fixture reproduces
@@ -39,7 +39,7 @@ fn run_with(
 fn sort_policies_are_bitwise_identical_on_batched_drivers() {
     let seed = 29;
     for case in [TestCase::Csp, TestCase::Scatter] {
-        for driver in [DriverKind::OverEvents, DriverKind::Soa] {
+        for driver in [DriverKind::OverEvents] {
             for lookup in [LookupStrategy::Hinted, LookupStrategy::Unionized] {
                 let base = run_with(case, seed, driver, 1, SortPolicy::Off, lookup);
                 for workers in [1usize, 2, 7] {
@@ -108,7 +108,7 @@ fn sort_policies_are_noops_for_unbatched_drivers() {
 }
 
 /// Every committed golden fixture — the paper's three configs and the
-/// four multi-material scenarios, across all four driver families —
+/// five catalogue scenarios, across all three driver families —
 /// reproduces byte-identically under every non-default sort policy.
 #[test]
 fn golden_fixtures_hold_under_every_sort_policy() {

@@ -65,8 +65,8 @@ fn params_serialization_is_a_fixpoint() {
         assert_eq!(back.to_params_text(), text, "case {index}");
         assert_eq!(back.driver, case.driver, "case {index}");
         assert_eq!(
-            config_fingerprint(&back.params.build()),
-            config_fingerprint(&case.params.build()),
+            config_fingerprint(&back.params.build(), back.options(1).scheme),
+            config_fingerprint(&case.params.build(), case.options(1).scheme),
             "case {index}: fingerprint drifted through text"
         );
     }
@@ -294,7 +294,6 @@ fn cross_backend_oracle_catches_backend_divergence() {
             threads: 2,
             schedule: Schedule::Dynamic { chunk: 16 },
         },
-        ..Default::default()
     });
     check_cross_backend(&case, &honest)
         .expect("scalar, vectorized and simd must be bitwise identical");
@@ -347,8 +346,8 @@ fn shrinker_emits_minimal_replayable_case() {
     let back = FuzzCase::from_params_text("repro", &text).expect("replayable");
     assert!(fails(&back), "replayed repro must still fail");
     assert_eq!(
-        config_fingerprint(&back.params.build()),
-        config_fingerprint(&minimal.params.build())
+        config_fingerprint(&back.params.build(), back.options(1).scheme),
+        config_fingerprint(&minimal.params.build(), minimal.options(1).scheme)
     );
 }
 

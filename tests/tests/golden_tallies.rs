@@ -1,4 +1,4 @@
-//! Golden-tally regression suite: three canonical configs × four drivers,
+//! Golden-tally regression suite: three canonical configs × three drivers,
 //! each locked against a committed JSON snapshot under `tests/golden/`.
 //!
 //! The snapshots are produced by the **replicated** tally strategy, whose
@@ -98,21 +98,14 @@ fn golden_tallies_match_fixtures() {
 }
 
 /// Multi-timestep runs locked the same way: one fixture per config ×
-/// driver, captured with the replicated strategy (and the default
-/// `RegroupPolicy::Off`).
+/// driver, captured with the replicated strategy.
 #[test]
 fn multistep_golden_tallies_match_fixtures() {
     let mut blessed = 0;
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         for driver in DriverKind::ALL {
-            let report = tiny_multistep(
-                case,
-                steps,
-                seed,
-                TallyStrategy::Replicated,
-                RegroupPolicy::Off,
-            )
-            .run(driver.options(GOLDEN_WORKERS));
+            let report = tiny_multistep(case, steps, seed, TallyStrategy::Replicated)
+                .run(driver.options(GOLDEN_WORKERS));
             assert_eq!(report.timesteps, steps);
             let name = format!("{}_t{}", case.name(), steps);
             let captured = GoldenTally::capture(&name, driver.name(), seed, &report);

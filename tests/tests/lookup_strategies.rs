@@ -56,10 +56,9 @@ fn sequential_tallies_bitwise_identical_across_strategies() {
     }
 }
 
-/// Every driver (over-particles AoS/SoA, over-events scalar/vectorized,
-/// scheduled, privatized) produces the same census tally for every
-/// strategy — up to floating-point summation order for the parallel
-/// reductions.
+/// Every driver (over-particles sequential/rayon/scheduled, over-events
+/// scalar/vectorized) produces the same census tally for every strategy
+/// — up to floating-point summation order for the parallel reductions.
 #[test]
 fn all_drivers_agree_for_every_strategy() {
     let seed = 23;
@@ -80,16 +79,6 @@ fn all_drivers_agree_for_every_strategy() {
                     ..Default::default()
                 },
                 RunOptions {
-                    layout: Layout::Soa,
-                    execution: Execution::Rayon,
-                    ..Default::default()
-                },
-                RunOptions {
-                    layout: Layout::SoaEventStepped,
-                    execution: Execution::Rayon,
-                    ..Default::default()
-                },
-                RunOptions {
                     scheme: Scheme::OverEvents,
                     execution: Execution::Sequential,
                     ..Default::default()
@@ -98,19 +87,11 @@ fn all_drivers_agree_for_every_strategy() {
                     scheme: Scheme::OverEvents,
                     backend: Backend::Vectorized,
                     execution: Execution::Rayon,
-                    ..Default::default()
                 },
                 RunOptions {
                     execution: Execution::Scheduled {
                         threads: 3,
                         schedule: Schedule::Dynamic { chunk: 16 },
-                    },
-                    ..Default::default()
-                },
-                RunOptions {
-                    execution: Execution::ScheduledPrivatized {
-                        threads: 2,
-                        schedule: Schedule::Static { chunk: None },
                     },
                     ..Default::default()
                 },

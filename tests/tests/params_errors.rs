@@ -37,6 +37,19 @@ fn unknown_keys_name_the_key_and_line() {
             e.message
         );
     }
+
+    // Keys this format used to accept are unknown keys like any other —
+    // named, with their line — never silently ignored.
+    for removed in ["regroup_policy by_cell", "kernel_style vectorized"] {
+        let e = fail(&format!("nx 10\n{removed}\n"));
+        let key = removed.split_whitespace().next().unwrap();
+        assert_eq!(e.line, 2, "{removed}");
+        assert!(
+            e.to_string()
+                .starts_with(&format!("params line 2: unknown key `{key}`")),
+            "{removed}: {e}"
+        );
+    }
 }
 
 #[test]
@@ -158,28 +171,24 @@ fn geometry_and_physics_range_errors_are_actionable() {
 #[test]
 fn backend_key_errors_are_line_numbered_and_actionable() {
     // Unknown backend values name the offender, list the menu, and
-    // carry the line — under both spellings of the key.
-    for key in ["backend", "kernel_style"] {
-        let e = fail(&format!("nx 10\n{key} turbo\n"));
-        assert_eq!(e.line, 2, "{key}");
-        assert!(e.message.contains("turbo"), "{key}: {}", e.message);
-        assert!(
-            e.message.contains("scalar|vectorized|simd"),
-            "error must list the valid backends: {}",
-            e.message
-        );
-        // Arity is enforced like every other key.
-        let e = fail(&format!("{key} scalar simd\n"));
-        assert_eq!(e.line, 1);
-        assert!(e.message.contains("exactly one value"), "{}", e.message);
-    }
-    // The happy path round-trips through the fixpoint serializer with
-    // the alias normalized to the canonical spelling.
-    let p = ProblemParams::parse("kernel_style vectorized\n").unwrap();
+    // carry the line.
+    let e = fail("nx 10\nbackend turbo\n");
+    assert_eq!(e.line, 2);
+    assert!(e.message.contains("turbo"), "{}", e.message);
+    assert!(
+        e.message.contains("scalar|vectorized|simd"),
+        "error must list the valid backends: {}",
+        e.message
+    );
+    // Arity is enforced like every other key.
+    let e = fail("backend scalar simd\n");
+    assert_eq!(e.line, 1);
+    assert!(e.message.contains("exactly one value"), "{}", e.message);
+    // The happy path round-trips through the fixpoint serializer.
+    let p = ProblemParams::parse("backend vectorized\n").unwrap();
     assert_eq!(p.backend, Backend::Vectorized);
     let text = p.to_params_text();
     assert!(text.contains("backend vectorized"), "{text}");
-    assert!(!text.contains("kernel_style"), "{text}");
     assert_eq!(
         ProblemParams::parse(&text).unwrap().backend,
         Backend::Vectorized
@@ -266,8 +275,8 @@ fault kill@1
     assert_eq!(p.fault.faults.len(), 1);
     let bare = ProblemParams::parse(&text.lines().take(7).collect::<Vec<_>>().join("\n")).unwrap();
     assert_eq!(
-        config_fingerprint(&p.build()),
-        config_fingerprint(&bare.build()),
+        config_fingerprint(&p.build(), Scheme::OverParticles),
+        config_fingerprint(&bare.build(), Scheme::OverParticles),
         "checkpoint keys must not change the problem fingerprint"
     );
     let report = Simulation::new(p.build()).run(RunOptions {

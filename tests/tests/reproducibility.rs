@@ -6,7 +6,7 @@ use neutral_core::history::TransportCtx;
 use neutral_core::over_particles::run_sequential;
 use neutral_core::particle::spawn_particles;
 use neutral_core::prelude::*;
-use neutral_integration::{rel_diff, tiny};
+use neutral_integration::{rel_diff, tiny, tiny_with_tally};
 use neutral_mesh::tally::SequentialTally;
 use neutral_rng::{Philox4x32, Threefry2x64};
 
@@ -33,19 +33,19 @@ fn sequential_runs_are_bitwise_reproducible() {
     }
 }
 
-/// Privatised tally + static schedule + fixed threads => bitwise
-/// reproducible *parallel* runs (deterministic slot merge order).
+/// Privatised tally => bitwise reproducible *parallel* runs, even under
+/// a dynamic schedule (deterministic lane merge order).
 #[test]
 fn privatized_parallel_runs_are_bitwise_reproducible() {
     let opts = RunOptions {
-        execution: Execution::ScheduledPrivatized {
+        execution: Execution::Scheduled {
             threads: 4,
-            schedule: Schedule::Static { chunk: None },
+            schedule: Schedule::Dynamic { chunk: 1 },
         },
         ..Default::default()
     };
-    let a = tiny(TestCase::Csp, 8).run(opts);
-    let b = tiny(TestCase::Csp, 8).run(opts);
+    let a = tiny_with_tally(TestCase::Csp, 8, TallyStrategy::Privatized).run(opts);
+    let b = tiny_with_tally(TestCase::Csp, 8, TallyStrategy::Privatized).run(opts);
     assert!(a
         .tally
         .iter()
@@ -62,8 +62,8 @@ fn atomic_parallel_runs_reproduce_physics_exactly() {
         execution: Execution::Rayon,
         ..Default::default()
     };
-    let a = tiny(TestCase::Scatter, 17).run(opts);
-    let b = tiny(TestCase::Scatter, 17).run(opts);
+    let a = tiny_with_tally(TestCase::Scatter, 17, TallyStrategy::Atomic).run(opts);
+    let b = tiny_with_tally(TestCase::Scatter, 17, TallyStrategy::Atomic).run(opts);
     assert_eq!(a.counters.collisions, b.counters.collisions);
     assert_eq!(a.counters.absorptions, b.counters.absorptions);
     assert_eq!(a.counters.facets, b.counters.facets);

@@ -1,5 +1,5 @@
 //! Checkpoint/restart verification: interrupt-resume bitwise identity
-//! across every driver × worker count × regroup policy, resumed runs
+//! across every driver × worker count, resumed runs
 //! locked against golden fixtures, and the fault-injection matrix
 //! (torn writes, bit flips, kills, config/version mismatches) proving
 //! every failure is recovered or cleanly reported — never silently
@@ -51,52 +51,47 @@ fn temp_store(tag: &str) -> (PathBuf, CheckpointStore) {
 }
 
 /// The acceptance matrix: for each multistep config × driver × workers
-/// {1, 2, 7} × {regroup off, by_alive}, a solve checkpointed at *every*
-/// census boundary — serialized to bytes and parsed back, exactly what
-/// the on-disk path does — and resumed produces tallies, counters and
-/// final particle records byte-identical to the uninterrupted run.
+/// {1, 2, 7}, a solve checkpointed at *every* census boundary —
+/// serialized to bytes and parsed back, exactly what the on-disk path
+/// does — and resumed produces tallies, counters and final particle
+/// records byte-identical to the uninterrupted run.
 #[test]
 fn interrupt_resume_is_bitwise_identical() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
-        for regroup in [RegroupPolicy::Off, RegroupPolicy::ByAlive] {
-            for driver in DriverKind::ALL {
-                for workers in WORKER_COUNTS {
-                    if driver == DriverKind::History && workers != 1 {
-                        continue; // History is the one-worker baseline.
-                    }
-                    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated, regroup);
-                    let options = driver.options(workers);
+        for driver in DriverKind::ALL {
+            for workers in WORKER_COUNTS {
+                if driver == DriverKind::History && workers != 1 {
+                    continue; // History is the one-worker baseline.
+                }
+                let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+                let options = driver.options(workers);
 
-                    let mut base = SolveCore::new(&sim, options);
-                    while base.step(&sim) {}
-                    let base_particles: Vec<Particle> = base.particles();
-                    let base_report = base.finish();
+                let mut base = SolveCore::new(&sim, options);
+                while base.step(&sim) {}
+                let base_particles: Vec<Particle> = base.particles();
+                let base_report = base.finish();
 
-                    for cut in 1..steps {
-                        let label = format!(
-                            "{case:?}/{}/{workers}w/{regroup:?} cut@{cut}",
-                            driver.name()
-                        );
-                        let mut first = SolveCore::new(&sim, options);
-                        for _ in 0..cut {
-                            assert!(first.step(&sim), "{label}: premature end");
-                        }
-                        // Through the real byte format, not just the
-                        // in-memory snapshot.
-                        let bytes = first.checkpoint().to_bytes();
-                        let ckpt = Checkpoint::from_bytes(&bytes)
-                            .unwrap_or_else(|e| panic!("{label}: reload failed: {e}"));
-                        let mut resumed = SolveCore::resume(&sim, options, &ckpt)
-                            .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
-                        while resumed.step(&sim) {}
-                        assert_eq!(
-                            resumed.particles(),
-                            base_particles,
-                            "{label}: final particle records diverge"
-                        );
-                        let report = resumed.finish();
-                        assert_reports_bitwise(&report, &base_report, &label);
+                for cut in 1..steps {
+                    let label = format!("{case:?}/{}/{workers}w cut@{cut}", driver.name());
+                    let mut first = SolveCore::new(&sim, options);
+                    for _ in 0..cut {
+                        assert!(first.step(&sim), "{label}: premature end");
                     }
+                    // Through the real byte format, not just the
+                    // in-memory snapshot.
+                    let bytes = first.checkpoint().to_bytes();
+                    let ckpt = Checkpoint::from_bytes(&bytes)
+                        .unwrap_or_else(|e| panic!("{label}: reload failed: {e}"));
+                    let mut resumed = SolveCore::resume(&sim, options, &ckpt)
+                        .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+                    while resumed.step(&sim) {}
+                    assert_eq!(
+                        resumed.particles(),
+                        base_particles,
+                        "{label}: final particle records diverge"
+                    );
+                    let report = resumed.finish();
+                    assert_reports_bitwise(&report, &base_report, &label);
                 }
             }
         }
@@ -113,13 +108,7 @@ fn resumed_runs_match_committed_goldens() {
     }
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         for driver in DriverKind::ALL {
-            let sim = tiny_multistep(
-                case,
-                steps,
-                seed,
-                TallyStrategy::Replicated,
-                RegroupPolicy::Off,
-            );
+            let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
             let options = driver.options(GOLDEN_WORKERS);
             let mut first = SolveCore::new(&sim, options);
             first.step(&sim);
@@ -156,13 +145,7 @@ fn restarted_golden_tallies_match_fixtures() {
         for driver in DriverKind::ALL {
             let name = format!("restart_{}_t{}", case.name(), steps);
             let (dir, store) = temp_store(&format!("golden_{}_{}", case.name(), driver.name()));
-            let sim = tiny_multistep(
-                case,
-                steps,
-                seed,
-                TallyStrategy::Replicated,
-                RegroupPolicy::Off,
-            );
+            let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
             let options = driver.options(GOLDEN_WORKERS);
             // Kill at the *last* boundary: the kill fires before that
             // boundary's write, so the store holds the previous
@@ -221,13 +204,7 @@ fn restarted_golden_tallies_match_fixtures() {
 #[test]
 fn kill_at_every_boundary_recovers_on_disk() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
-        let sim = tiny_multistep(
-            case,
-            steps,
-            seed,
-            TallyStrategy::Replicated,
-            RegroupPolicy::ByAlive,
-        );
+        let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
         let options = DriverKind::OverEvents.options(2);
         let baseline = sim.run(options);
 
@@ -268,13 +245,7 @@ fn kill_at_every_boundary_recovers_on_disk() {
 #[test]
 fn corrupted_checkpoints_recover_from_fallback() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
-    let sim = tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    );
+    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
     let options = DriverKind::History.options(1);
     let baseline = sim.run(options);
 
@@ -340,13 +311,7 @@ fn corrupted_checkpoints_recover_from_fallback() {
 #[test]
 fn length_field_bitflips_recover_from_fallback() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
-    let sim = tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    );
+    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
     let options = DriverKind::History.options(1);
     let baseline = sim.run(options);
 
@@ -388,19 +353,15 @@ fn length_field_bitflips_recover_from_fallback() {
     }
 }
 
-/// Hard-error paths: a checkpoint from a different configuration, an
-/// unsupported format version, and corruption with no valid fallback
-/// are all surfaced as errors naming the cause — never absorbed.
+/// Hard-error paths: a checkpoint from a different configuration
+/// (seed, one cell's density, a material's kind, the scheme), an
+/// unsupported format version, records out of key order, and corruption
+/// with no valid fallback are all surfaced as errors naming the cause —
+/// never absorbed.
 #[test]
 fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[1]; // scatter, 2 timesteps
-    let sim = tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    );
+    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
     let options = DriverKind::History.options(1);
     let (dir, store) = temp_store("hard_errors");
 
@@ -413,19 +374,51 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     let good = std::fs::read(store.path()).expect("checkpoint on disk");
 
     // A different seed is a different problem: hard ConfigMismatch.
-    let other = tiny_multistep(
-        case,
-        steps,
-        seed + 1,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    );
+    let other = tiny_multistep(case, steps, seed + 1, TallyStrategy::Replicated);
     let err = run_with_checkpoints(&other, options, &store, &FaultPlan::none()).unwrap_err();
     assert!(
         matches!(err, CheckpointError::ConfigMismatch { .. }),
         "expected ConfigMismatch, got {err}"
     );
     assert!(err.to_string().contains("different problem"));
+
+    // So is the same problem with one cell denser, with its material
+    // swapped for another kind, or run under the other scheme: each would
+    // continue the trajectories differently.
+    let mut denser = sim.problem().clone();
+    denser.mesh.density_field_mut()[0] *= 2.0;
+    let mut absorber = sim.problem().clone();
+    absorber.materials = MaterialSet::from_specs(&[MaterialSpec {
+        kind: MaterialKind::Absorber,
+        n_points: 30_000,
+        seed: seed ^ 0xc5_0dd,
+    }]);
+    let over_events = DriverKind::OverEvents.options(1);
+    for (what, problem, options) in [
+        ("density", denser, options),
+        ("material kind", absorber, options),
+        ("scheme", sim.problem().clone(), over_events),
+    ] {
+        let other = Simulation::new(problem);
+        let err = run_with_checkpoints(&other, options, &store, &FaultPlan::none()).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::ConfigMismatch { .. }),
+            "{what}: expected ConfigMismatch, got {err}"
+        );
+    }
+
+    // Two swapped records under a recomputed (valid) checksum: storage
+    // order is key order, so this is named corruption, not a resume.
+    let _ = std::fs::remove_file(store.fallback_path());
+    let mut swapped = Checkpoint::from_bytes(&good).unwrap();
+    swapped.particles.swap(3, 4);
+    store.save_raw(&swapped.to_bytes()).unwrap();
+    let _ = std::fs::remove_file(store.fallback_path()); // save_raw rotated
+    let err = run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap_err();
+    assert!(
+        matches!(&err, CheckpointError::Corrupt(msg) if msg.contains("key order")),
+        "expected Corrupt(key order), got {err}"
+    );
 
     // An unsupported version (correctly checksummed so the version check
     // itself fires) in the primary with no fallback: hard error.
@@ -469,13 +462,7 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
 #[test]
 fn completed_run_resumes_as_done() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[1];
-    let sim = tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    );
+    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
     let options = DriverKind::History.options(1);
     let (dir, store) = temp_store("completed");
 
@@ -505,13 +492,7 @@ fn completed_run_resumes_as_done() {
 #[test]
 fn checkpoint_preserves_tally_fingerprint() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    );
+    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
     let mut solve = SolveCore::new(&sim, DriverKind::History.options(1));
     solve.step(&sim);
     let ckpt = solve.checkpoint();

@@ -24,11 +24,7 @@ fn drivers_agree_on_multi_material_scenarios() {
         let sim = tiny_scenario_with_tally(scenario, 41, TallyStrategy::Replicated);
         let base = sim.run(DriverKind::History.options(1));
         assert!(base.counters.material_switches > 0, "{scenario:?}");
-        for driver in [
-            DriverKind::OverParticles,
-            DriverKind::OverEvents,
-            DriverKind::Soa,
-        ] {
+        for driver in [DriverKind::OverParticles, DriverKind::OverEvents] {
             let r = sim.run(driver.options(3));
             assert_eq!(
                 r.counters.collisions, base.counters.collisions,

@@ -4,11 +4,16 @@
 //! Both schemes advance every particle with the same event functions and
 //! the same per-particle counter-based RNG stream (paper §IV-F), so for a
 //! fixed seed every history follows the same trajectory regardless of
-//! scheme, kernel style, threading, layout or tally backend. Tallies may
+//! scheme, kernel backend, threading or tally backend. Tallies may
 //! differ only by floating-point summation order.
 
+use neutral_core::history::{track_to_census, TransportCtx};
+use neutral_core::particle::{spawn_particles, Particle};
 use neutral_core::prelude::*;
 use neutral_integration::{rel_diff, test_thread_counts, tiny, tiny_with_tally, DriverKind};
+use neutral_mesh::accum::DEFAULT_LANES;
+use neutral_mesh::{LanePartition, TallyAccum};
+use neutral_rng::Threefry2x64;
 
 fn base(case: TestCase, seed: u64) -> RunReport {
     tiny(case, seed).run(RunOptions {
@@ -59,20 +64,12 @@ fn every_execution_mode_matches_sequential() {
                     },
                 ),
                 (
-                    "scheduled-guided-privatized",
+                    "scheduled-guided",
                     RunOptions {
-                        execution: Execution::ScheduledPrivatized {
+                        execution: Execution::Scheduled {
                             threads: 4,
                             schedule: Schedule::Guided { min_chunk: 2 },
                         },
-                        ..Default::default()
-                    },
-                ),
-                (
-                    "soa",
-                    RunOptions {
-                        layout: Layout::Soa,
-                        execution: Execution::Rayon,
                         ..Default::default()
                     },
                 ),
@@ -90,13 +87,97 @@ fn every_execution_mode_matches_sequential() {
                         scheme: Scheme::OverEvents,
                         backend: Backend::Vectorized,
                         execution: Execution::Rayon,
-                        ..Default::default()
                     },
                 ),
             ];
             for (what, opts) in combos {
                 let r = tiny(case, seed).run(opts);
                 assert_same_physics(&reference, &r, &format!("{case:?}/{seed}/{what}"));
+            }
+        }
+    }
+}
+
+/// A safe, sequential reference for the one Over-Particles driver that
+/// shares none of its machinery — no columns, no scheduler, its own fold:
+/// the same [`LanePartition`] walked in order, [`track_to_census`] over
+/// `Particle` records into the same [`TallyAccum`] lane views. Returns
+/// the accumulated tally and counters of the whole solve.
+fn record_reference(problem: &Problem) -> (Vec<f64>, EventCounters) {
+    let rng = Threefry2x64::new([problem.seed, 1]);
+    let ctx = TransportCtx {
+        mesh: &problem.mesh,
+        materials: &problem.materials,
+        rng: &rng,
+        cfg: &problem.transport,
+    };
+    let cells = problem.mesh.num_cells();
+    let mut particles = spawn_particles(problem);
+    let part = LanePartition::new(particles.len(), DEFAULT_LANES);
+    let mut tally = vec![0.0; cells];
+    let mut counters = EventCounters::default();
+    for step in 0..problem.n_timesteps {
+        if step > 0 {
+            for p in particles.iter_mut().filter(|p| !p.dead) {
+                p.dt_to_census = problem.dt;
+            }
+        }
+        let mut accum = TallyAccum::new(problem.transport.tally_strategy, cells, part.n_lanes);
+        let mut lanes = Vec::new();
+        for (lane, mut sink) in accum.lane_views().into_iter().enumerate() {
+            sink.claim();
+            let mut local = EventCounters::default();
+            for p in &mut particles[part.range(lane)] {
+                track_to_census(p, &ctx, &mut sink, &mut local);
+            }
+            lanes.push(local);
+        }
+        let mut step_counters = EventCounters::merge_deterministic(&lanes);
+        step_counters.census_energy_ev = particles
+            .iter()
+            .filter(|p| !p.dead)
+            .map(Particle::weighted_energy)
+            .sum();
+        counters.merge(&step_counters);
+        counters.census_energy_ev = step_counters.census_energy_ev;
+        for (acc, v) in tally.iter_mut().zip(accum.merge()) {
+            *acc += v;
+        }
+    }
+    (tally, counters)
+}
+
+/// The column driver reproduces the record reference on tally bits and
+/// on **all 17** counter fields — the work meters (`batched_lookups`,
+/// `density_reads`, `cs_search_steps`, ...) included, which the golden
+/// fixtures do not record — for every catalogue scenario, on any worker
+/// count, over one and three timesteps.
+#[test]
+fn column_driver_matches_record_reference() {
+    for scenario in Scenario::ALL {
+        for timesteps in [1, 3] {
+            let mut problem = scenario.build(ProblemScale::tiny(), 53);
+            problem.n_timesteps = timesteps;
+            let (tally, counters) = record_reference(&problem);
+            assert_eq!(counters.batched_lookups, 0);
+            let sim = Simulation::new(problem);
+            for workers in test_thread_counts() {
+                let r = sim.run(DriverKind::OverParticles.options(workers));
+                let what = format!("{}/t{timesteps}/{workers}w", scenario.name());
+                assert_eq!(r.counters, counters, "{what}");
+                for (got, want) in [
+                    (r.counters.lost_energy_ev, counters.lost_energy_ev),
+                    (r.counters.census_energy_ev, counters.census_energy_ev),
+                ] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{what}: energy fold");
+                }
+                assert!(
+                    r.tally
+                        .iter()
+                        .zip(&tally)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{what}: tally bits"
+                );
             }
         }
     }

@@ -69,37 +69,32 @@ fn run_sharded(
 }
 
 /// The tentpole claim: for every multistep config × driver family ×
-/// deterministic tally strategy × regroup policy, a solve sharded
-/// {1, 2, 5} ways produces tallies, counters, alive counts and final
-/// particle records bitwise identical to the unsharded run.
+/// deterministic tally strategy, a solve sharded {1, 2, 5} ways produces
+/// tallies, counters, alive counts and final particle records bitwise
+/// identical to the unsharded run.
 #[test]
 fn sharded_is_bitwise_identical_to_unsharded() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
-            for regroup in [RegroupPolicy::Off, RegroupPolicy::ByAlive] {
-                for driver in DriverKind::ALL {
-                    let sim = Arc::new(tiny_multistep(case, steps, seed, strategy, regroup));
-                    let options = driver.options(WORKERS);
+            for driver in DriverKind::ALL {
+                let sim = Arc::new(tiny_multistep(case, steps, seed, strategy));
+                let options = driver.options(WORKERS);
 
-                    let mut base = SolveCore::new(&sim, options);
-                    while base.step(&sim) {}
-                    let base_particles: Vec<Particle> = base.particles();
-                    let base_report = base.finish();
+                let mut base = SolveCore::new(&sim, options);
+                while base.step(&sim) {}
+                let base_particles: Vec<Particle> = base.particles();
+                let base_report = base.finish();
 
-                    for n_shards in SHARD_COUNTS {
-                        let label = format!(
-                            "{case:?}/{}/{strategy:?}/{regroup:?} shards={n_shards}",
-                            driver.name()
-                        );
-                        let (report, particles, _) =
-                            run_sharded(&sim, options, fast_config(n_shards))
-                                .unwrap_or_else(|e| panic!("{label}: {e}"));
-                        assert_reports_bitwise(&report, &base_report, &label);
-                        assert_eq!(
-                            particles, base_particles,
-                            "{label}: final particle records diverge"
-                        );
-                    }
+                for n_shards in SHARD_COUNTS {
+                    let label =
+                        format!("{case:?}/{}/{strategy:?} shards={n_shards}", driver.name());
+                    let (report, particles, _) = run_sharded(&sim, options, fast_config(n_shards))
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_reports_bitwise(&report, &base_report, &label);
+                    assert_eq!(
+                        particles, base_particles,
+                        "{label}: final particle records diverge"
+                    );
                 }
             }
         }
@@ -112,13 +107,7 @@ fn sharded_is_bitwise_identical_to_unsharded() {
 #[test]
 fn every_injected_fault_recovers_identically() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = Arc::new(tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    ));
+    let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
     let options = DriverKind::OverParticles.options(WORKERS);
     let (clean_report, clean_particles, clean_stats) =
         run_sharded(&sim, options, fast_config(2)).expect("clean run");
@@ -144,13 +133,7 @@ fn every_injected_fault_recovers_identically() {
 #[test]
 fn persistent_faults_quarantine_with_named_cause() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = Arc::new(tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    ));
+    let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
     let options = DriverKind::OverParticles.options(WORKERS);
 
     for (kind, needle) in [
@@ -200,13 +183,7 @@ fn checkpoint_backed_retry_recovers_bitwise() {
     let base: PathBuf = dir.join("solve.ckpt");
 
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = Arc::new(tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::ByAlive,
-    ));
+    let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
     let options = DriverKind::OverEvents.options(WORKERS);
     let (clean_report, clean_particles, _) =
         run_sharded(&sim, options, fast_config(2)).expect("clean run");
@@ -238,13 +215,7 @@ fn checkpoint_backed_retry_recovers_bitwise() {
 #[test]
 fn sharded_checkpoint_matches_unsharded_checkpoint() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = Arc::new(tiny_multistep(
-        case,
-        steps,
-        seed,
-        TallyStrategy::Replicated,
-        RegroupPolicy::Off,
-    ));
+    let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
     let options = DriverKind::OverParticles.options(WORKERS);
 
     let mut base = SolveCore::new(&sim, options);
@@ -289,13 +260,7 @@ fn sharded_checkpoint_matches_unsharded_checkpoint() {
 fn one_plain_shard_is_the_unsharded_solve() {
     for driver in DriverKind::ALL {
         let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-        let sim = Arc::new(tiny_multistep(
-            case,
-            steps,
-            seed,
-            TallyStrategy::Replicated,
-            RegroupPolicy::ByCell,
-        ));
+        let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
         let options = driver.options(WORKERS);
         let mut core = SolveCore::new(&sim, options);
         let mut sharded = ShardedSolve::new(&sim, options, fast_config(1));
