@@ -37,7 +37,6 @@ fn bench_schemes(c: &mut Criterion) {
                     black_box(sim.run(RunOptions {
                         scheme: Scheme::OverEvents,
                         execution: Execution::Sequential,
-                        ..Default::default()
                     }))
                 });
             },

@@ -104,7 +104,6 @@ fn main() {
                     schedule: Schedule::Dynamic { chunk: 64 },
                 }
             },
-            ..Default::default()
         };
 
         let mut step_ms = Vec::new();

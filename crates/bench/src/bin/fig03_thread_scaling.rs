@@ -53,7 +53,6 @@ fn main() {
                     } else {
                         Execution::Rayon
                     },
-                    ..Default::default()
                 },
                 &args,
             )

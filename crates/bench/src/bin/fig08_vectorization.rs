@@ -1,22 +1,18 @@
-//! Figure 8: per-method vectorisation of the Over-Events kernels, plus
-//! the coherence subsystem sweep (compaction + sort policies).
+//! Figure 8: where the Over-Events time goes per kernel, and what vector
+//! units could buy.
 //!
 //! The paper restructured the Over-Events loops so the compiler could
 //! vectorise them — notably hoisting the atomic tally updates into a
 //! separate loop — and measured per-method speedups: on the Xeon only the
 //! facet events benefited; the KNL benefited for all methods (§VI-G).
 //!
-//! Part 1 measures the per-kernel wall-clock of the scalar vs restructured
-//! ("vectorizable") kernels on this host for a facet-heavy (stream) and a
-//! collision-heavy (scatter) problem. Part 2 sweeps the coherence
-//! subsystem (DESIGN.md §13): the event-based driver under every
-//! [`SortPolicy`], on the deterministic replicated-tally path whose
-//! separated flush dominates the seed profile — every cell of the sweep
-//! computes bitwise identical physics, so the columns compare speed
-//! only. Part 2b sweeps the kernel-backend seam (DESIGN.md §19):
-//! scalar vs auto-vectorized vs explicit SIMD on the compaction-stress
-//! and collision-heavy shapes. Part 3 models the KNL's AVX-512
-//! advantage with the architecture model's vector-efficiency term.
+//! Part 1 measures the per-kernel wall-clock shares of the round loop on
+//! this host for a facet-heavy (stream) and a collision-heavy (scatter)
+//! problem. Part 2 models the KNL's AVX-512 advantage with the
+//! architecture model's vector-efficiency term. The restructured and
+//! explicit-SIMD kernels this figure once timed against the scalar ones
+//! tied or lost on every shape and were removed; their measured rows are
+//! on record in `bench/history/BENCH_PR10.json` and DESIGN.md §19.
 //!
 //! `--quick` runs a seconds-scale smoke sweep (used by CI); `--json PATH`
 //! additionally writes the measurements as a machine-readable
@@ -29,183 +25,39 @@ use neutral_perf::arch::{BROADWELL_2S, KNL_7210_MCDRAM};
 use neutral_perf::calibrate::ModelParams;
 use neutral_perf::model::predict;
 
-fn kernel_row(case: TestCase, args: &HarnessArgs, report: &mut BenchReport) -> Vec<Vec<String>> {
-    let run = |backend| {
-        run_median(
-            case,
-            RunOptions {
-                scheme: Scheme::OverEvents,
-                backend,
-                execution: Execution::Rayon,
-            },
-            args,
-        )
-    };
-    let scalar_report = run(Backend::Scalar);
-    let vector_report = run(Backend::Vectorized);
-    for (name, r) in [("scalar", &scalar_report), ("vectorized", &vector_report)] {
-        report.push(
-            BenchRecord::new(format!("oe/{}/{name}", case.name()))
-                .config("part", "kernel_styles")
-                .config("case", case.name())
-                .config("backend", name)
-                .metric("elapsed_s", r.elapsed.as_secs_f64())
-                .metric("events_per_s", r.events_per_second()),
-        );
-    }
-    let scalar = scalar_report.kernel_timings.expect("OE reports timings");
-    let vector = vector_report.kernel_timings.expect("OE reports timings");
-
+fn kernel_rows(case: TestCase, args: &HarnessArgs, report: &mut BenchReport) -> Vec<Vec<String>> {
+    let r = run_median(
+        case,
+        RunOptions {
+            scheme: Scheme::OverEvents,
+            execution: Execution::Rayon,
+        },
+        args,
+    );
+    let t = r.kernel_timings.expect("OE reports timings");
+    let total = t.total().as_secs_f64().max(1e-9);
+    let kernels = [
+        ("decide (distances)", "decide_s", t.decide),
+        ("collision", "collision_s", t.collision),
+        ("facet", "facet_s", t.facet),
+        ("tally flush", "tally_s", t.tally),
+    ];
+    let mut record = BenchRecord::new(format!("oe/{}", case.name()))
+        .config("part", "kernel_shares")
+        .config("case", case.name())
+        .metric("elapsed_s", r.elapsed.as_secs_f64())
+        .metric("events_per_s", r.events_per_second());
     let mut rows = Vec::new();
-    for (name, s, v) in [
-        ("decide (distances)", scalar.decide, vector.decide),
-        ("collision", scalar.collision, vector.collision),
-        ("facet", scalar.facet, vector.facet),
-        ("tally flush", scalar.tally, vector.tally),
-    ] {
+    for (name, metric, d) in kernels {
+        record = record.metric(metric, d.as_secs_f64());
         rows.push(vec![
             case.name().to_owned(),
             name.to_owned(),
-            format!("{:.3}", s.as_secs_f64()),
-            format!("{:.3}", v.as_secs_f64()),
-            format!("{:.2}", s.as_secs_f64() / v.as_secs_f64().max(1e-9)),
+            format!("{:.3}", d.as_secs_f64()),
+            format!("{:.0}%", 100.0 * d.as_secs_f64() / total),
         ]);
     }
-    rows
-}
-
-/// Part 2: the coherence sweep — compacted event-based driver on the
-/// replicated-tally lane path. The paper's three cases run the scalar
-/// kernels per sort policy; `core_escape` (the catalogue's compaction
-/// stress shape: most histories die early, the rest stream thousands of
-/// rounds) runs both kernel styles — the vectorized kernels are where
-/// dead-lane dilution hurt the seed most, and where compaction pays
-/// 2x on this sweep.
-fn coherence_rows(args: &HarnessArgs, report: &mut BenchReport) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    let measure = |label: &str,
-                   problem: &mut Problem,
-                   backend: Backend,
-                   policy: SortPolicy,
-                   rows: &mut Vec<Vec<String>>,
-                   report: &mut BenchReport| {
-        problem.transport.sort_policy = policy;
-        let r = median_run(
-            problem,
-            RunOptions {
-                scheme: Scheme::OverEvents,
-                backend,
-                execution: Execution::Rayon,
-            },
-            args.reps,
-        );
-        let t = r.kernel_timings.expect("OE reports timings");
-        let style_name = backend.name();
-        rows.push(vec![
-            label.to_owned(),
-            style_name.to_owned(),
-            policy.name().to_owned(),
-            format!("{:.3}", r.elapsed.as_secs_f64()),
-            format!("{:.3e}", r.events_per_second()),
-            format!("{:.0}%", 100.0 * t.tally_fraction()),
-            format!("{}", r.counters.cs_search_steps),
-        ]);
-        report.push(
-            BenchRecord::new(format!("oe/{label}/{style_name}/{}", policy.name()))
-                .config("part", "coherence")
-                .config("case", label)
-                .config("driver", "over_events")
-                .config("backend", style_name)
-                .config("tally", "replicated")
-                .config("sort", policy.name())
-                .metric("elapsed_s", r.elapsed.as_secs_f64())
-                .metric("events_per_s", r.events_per_second())
-                .metric("tally_fraction", t.tally_fraction())
-                .metric("cs_search_steps", r.counters.cs_search_steps as f64),
-        );
-    };
-    for case in TestCase::ALL {
-        let mut problem = case.build(args.scale, args.seed);
-        problem.transport.tally_strategy = TallyStrategy::Replicated;
-        for policy in SortPolicy::ALL {
-            measure(
-                case.name(),
-                &mut problem,
-                Backend::Scalar,
-                policy,
-                &mut rows,
-                report,
-            );
-        }
-    }
-    let mut problem = Scenario::CoreEscape.build(args.scale, args.seed);
-    problem.transport.tally_strategy = TallyStrategy::Replicated;
-    for backend in [Backend::Scalar, Backend::Vectorized] {
-        for policy in SortPolicy::ALL {
-            measure(
-                "core_escape",
-                &mut problem,
-                backend,
-                policy,
-                &mut rows,
-                report,
-            );
-        }
-    }
-    rows
-}
-
-/// Part 2b: the kernel-backend sweep (DESIGN.md §19) — every
-/// [`Backend`] on the compaction-stress shape (`core_escape`, the
-/// round-count-heavy scenario where the decide kernel dominates) and on
-/// the collision-heavy `scatter` case, on the deterministic
-/// replicated-tally path. All three backends compute bitwise-identical
-/// physics (tests/tests/backend.rs enforces it), so the columns compare
-/// instruction selection only: auto-vectorised vs explicit AVX2 vs the
-/// scalar baseline.
-fn backend_rows(args: &HarnessArgs, report: &mut BenchReport) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
-    let cases: [(&str, Problem); 2] = [
-        (
-            "core_escape",
-            Scenario::CoreEscape.build(args.scale, args.seed),
-        ),
-        ("scatter", TestCase::Scatter.build(args.scale, args.seed)),
-    ];
-    for (label, base_problem) in cases {
-        for backend in Backend::ALL {
-            let mut problem = base_problem.clone();
-            problem.transport.tally_strategy = TallyStrategy::Replicated;
-            let r = median_run(
-                &problem,
-                RunOptions {
-                    scheme: Scheme::OverEvents,
-                    backend,
-                    execution: Execution::Rayon,
-                },
-                args.reps,
-            );
-            let t = r.kernel_timings.expect("OE reports timings");
-            rows.push(vec![
-                label.to_owned(),
-                backend.name().to_owned(),
-                format!("{:.3}", r.elapsed.as_secs_f64()),
-                format!("{:.3}", t.decide.as_secs_f64()),
-                format!("{:.3e}", r.events_per_second()),
-            ]);
-            report.push(
-                BenchRecord::new(format!("backend/{label}/{}", backend.name()))
-                    .config("part", "backends")
-                    .config("case", label)
-                    .config("driver", "over_events")
-                    .config("backend", backend.name())
-                    .config("tally", "replicated")
-                    .metric("elapsed_s", r.elapsed.as_secs_f64())
-                    .metric("decide_s", t.decide.as_secs_f64())
-                    .metric("events_per_s", r.events_per_second()),
-            );
-        }
-    }
+    report.push(record);
     rows
 }
 
@@ -222,54 +74,15 @@ fn main() {
     ));
     banner(
         "Figure 8",
-        "vectorisation per method + coherence sweep, Over Events",
-        "parts 1-2 measured on this host; part 3 modeled (KNL AVX-512 vs scalar)",
+        "per-kernel time shares + modeled vectorisation, Over Events",
+        "part 1 measured on this host; part 2 modeled (KNL AVX-512 vs scalar)",
     );
 
-    println!("\n-- measured per-kernel times, scalar vs restructured --");
+    println!("\n-- measured per-kernel times --");
     let mut rows = Vec::new();
-    rows.extend(kernel_row(TestCase::Stream, &args, &mut report));
-    rows.extend(kernel_row(TestCase::Scatter, &args, &mut report));
-    print_table(
-        &[
-            "problem",
-            "kernel",
-            "scalar (s)",
-            "restructured (s)",
-            "speedup",
-        ],
-        &rows,
-    );
-
-    println!("\n-- coherence sweep: compacted OE driver x sort policy (replicated tally) --");
-    let rows = coherence_rows(&args, &mut report);
-    print_table(
-        &[
-            "problem",
-            "kernels",
-            "sort",
-            "time (s)",
-            "events/s",
-            "tally share",
-            "search steps",
-        ],
-        &rows,
-    );
-    println!(
-        "  (physics is bitwise identical across every row of a problem; the\n\
-         \x20  coherence suite in tests/tests/coherence.rs enforces it)"
-    );
-
-    println!("\n-- backend sweep: scalar vs auto-vectorized vs explicit SIMD --");
-    let rows = backend_rows(&args, &mut report);
-    print_table(
-        &["problem", "backend", "time (s)", "decide (s)", "events/s"],
-        &rows,
-    );
-    println!(
-        "  (all three backends compute bitwise-identical physics;\n\
-         \x20  tests/tests/backend.rs enforces it)"
-    );
+    rows.extend(kernel_rows(TestCase::Stream, &args, &mut report));
+    rows.extend(kernel_rows(TestCase::Scatter, &args, &mut report));
+    print_table(&["problem", "kernel", "time (s)", "share"], &rows);
 
     println!("\n-- modeled whole-scheme vectorisation effect --");
     let params = ModelParams::default();

@@ -45,7 +45,6 @@ fn main() {
             RunOptions {
                 scheme: Scheme::OverEvents,
                 execution: Execution::Rayon,
-                ..Default::default()
             },
             &args,
         )

@@ -94,7 +94,6 @@ fn main() {
                             schedule: Schedule::Dynamic { chunk: 64 },
                         }
                     },
-                    ..Default::default()
                 };
                 let r = median_run(&problem, options, reps);
                 let c = &r.counters;

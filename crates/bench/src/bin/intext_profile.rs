@@ -104,7 +104,6 @@ fn main() {
         RunOptions {
             scheme: Scheme::OverEvents,
             execution: Execution::Sequential,
-            ..Default::default()
         },
         &args,
     );

@@ -6,9 +6,7 @@
 //!             [--seed N] [--scheme op|oe]
 //!             [--threads N] [--schedule static|dynamic,N|guided,N]
 //!             [--lookup binary|hinted|unionized|hashed]
-//!             [--tally replicated|privatized|atomic]
-//!             [--sort off|by_cell|by_energy_band|auto]
-//!             [--backend scalar|vectorized|simd] [--timesteps N]
+//!             [--tally replicated|privatized|atomic] [--timesteps N]
 //!             [--sequential] [--dump-tally FILE]
 //!             [--checkpoint FILE] [--fault SPEC]
 //!             [--shards N] [--shard-fault SPEC]
@@ -18,10 +16,6 @@
 //! (`neutral_core::scenario`) — `--scenario help` lists it. With neither
 //! a file nor a scenario, the built-in default (a small csp) runs. The
 //! tally dump is a plain-text `ix iy value` triple per non-empty cell.
-//!
-//! `--backend` picks the Over-Events kernel backend (DESIGN.md §19),
-//! overriding the params file's `backend` key; all three compute
-//! bitwise-identical results.
 //!
 //! `--checkpoint FILE` enables the checkpoint/restart subsystem: a
 //! crash-safe checkpoint is written to FILE at every census boundary,
@@ -50,10 +44,8 @@ struct CliArgs {
     scale: ProblemScale,
     seed: Option<u64>,
     options: RunOptions,
-    backend: Option<Backend>,
     lookup: Option<LookupStrategy>,
     tally: Option<TallyStrategy>,
-    sort: Option<SortPolicy>,
     timesteps: Option<usize>,
     dump_tally: Option<String>,
     checkpoint: Option<String>,
@@ -102,10 +94,8 @@ fn parse_args() -> Result<CliArgs, String> {
     let mut scale_flag: Option<ProblemScale> = None;
     let mut seed = None;
     let mut options = RunOptions::default();
-    let mut backend = None;
     let mut lookup = None;
     let mut tally = None;
-    let mut sort = None;
     let mut timesteps = None;
     let mut dump_tally = None;
     let mut checkpoint = None;
@@ -128,11 +118,14 @@ fn parse_args() -> Result<CliArgs, String> {
             }
             "--threads" => {
                 i += 1;
-                threads = Some(
-                    argv.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--threads N")?,
-                );
+                let n: usize = argv
+                    .get(i)
+                    .and_then(|v| v.parse().ok())
+                    .ok_or("--threads N")?;
+                if n == 0 {
+                    return Err("--threads needs at least one thread".into());
+                }
+                threads = Some(n);
             }
             "--schedule" => {
                 i += 1;
@@ -152,14 +145,6 @@ fn parse_args() -> Result<CliArgs, String> {
                     argv.get(i)
                         .ok_or("--tally replicated|privatized|atomic")?
                         .parse::<TallyStrategy>()?,
-                );
-            }
-            "--sort" => {
-                i += 1;
-                sort = Some(
-                    argv.get(i)
-                        .ok_or("--sort off|by_cell|by_energy_band|auto")?
-                        .parse::<SortPolicy>()?,
                 );
             }
             "--timesteps" => {
@@ -197,14 +182,6 @@ fn parse_args() -> Result<CliArgs, String> {
                 seed = Some(argv.get(i).and_then(|v| v.parse().ok()).ok_or("--seed N")?);
             }
             "--sequential" => options.execution = Execution::Sequential,
-            "--backend" => {
-                i += 1;
-                backend = Some(
-                    argv.get(i)
-                        .ok_or("--backend scalar|vectorized|simd")?
-                        .parse::<Backend>()?,
-                );
-            }
             "--dump-tally" => {
                 i += 1;
                 dump_tally = Some(argv.get(i).ok_or("--dump-tally FILE")?.clone());
@@ -273,10 +250,8 @@ fn parse_args() -> Result<CliArgs, String> {
         scale: scale_flag.unwrap_or_else(ProblemScale::small),
         seed,
         options,
-        backend,
         lookup,
         tally,
-        sort,
         timesteps,
         dump_tally,
         checkpoint,
@@ -339,9 +314,6 @@ fn main() -> ExitCode {
     if let Some(tally) = args.tally {
         problem.transport.tally_strategy = tally;
     }
-    if let Some(sort) = args.sort {
-        problem.transport.sort_policy = sort;
-    }
     if let Some(timesteps) = args.timesteps {
         problem.n_timesteps = timesteps;
     }
@@ -351,9 +323,7 @@ fn main() -> ExitCode {
         .shard_fault
         .clone()
         .unwrap_or_else(|| params.shard_fault.clone());
-    let mut options = args.options;
-    // `--backend` overrides the params file's `backend` key.
-    options.backend = args.backend.unwrap_or(params.backend);
+    let options = args.options;
     // Sharding rides on the deterministic lane merge: resolve the
     // configuration the way the solve registry does for every submission
     // (an explicit atomic tally → replicated).
@@ -378,11 +348,10 @@ fn main() -> ExitCode {
         problem.seed,
     );
     println!(
-        "options: {:?}, lookup: {}, tally: {}, sort: {}, shards: {shards}",
+        "options: {:?}, lookup: {}, tally: {}, shards: {shards}",
         options,
         problem.transport.xs_search.name(),
-        problem.transport.tally_strategy.name(),
-        problem.transport.sort_policy.name()
+        problem.transport.tally_strategy.name()
     );
 
     // CLI flags override the params file's checkpoint/fault keys.

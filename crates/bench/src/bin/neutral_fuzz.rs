@@ -2,11 +2,10 @@
 //! (DESIGN.md §17).
 //!
 //! Samples deterministic random workloads with `neutral_core::fuzz` and
-//! checks every one against the seven physics oracles (conservation,
+//! checks every one against the six physics oracles (conservation,
 //! cross-driver agreement, worker invariance, checkpoint round-trip,
-//! serve==direct, shard invariance, cross-backend agreement). A
-//! failing case is minimized with the shrinker and
-//! written next to the working directory as a replayable
+//! serve==direct, shard invariance). A failing case is minimized with
+//! the shrinker and written next to the working directory as a replayable
 //! `fuzz_failure_<seed>_<index>.params` file.
 //!
 //! ```text

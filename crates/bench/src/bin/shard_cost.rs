@@ -120,7 +120,6 @@ fn main() {
                 threads,
                 schedule: Schedule::Dynamic { chunk: 64 },
             },
-            ..Default::default()
         };
 
         // Unsharded baseline: time fused steps, keep the report for the

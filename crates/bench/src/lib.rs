@@ -151,7 +151,6 @@ pub fn paper_profile(case: TestCase, scheme: Scheme, args: &HarnessArgs) -> Kern
     let options = RunOptions {
         scheme,
         execution: Execution::Sequential,
-        ..Default::default()
     };
     let report = run_once(case, options, args);
     let kind = match scheme {

@@ -31,9 +31,7 @@
 //! timesteps 3               # optional override
 //! lookup hashed             # binary|hinted|unionized|hashed
 //! tally replicated          # replicated|privatized (atomic resolves to replicated)
-//! sort by_cell              # off|by_cell|by_energy_band|auto
 //! scheme oe                 # op|oe
-//! backend vectorized        # scalar|vectorized|simd
 //! checkpoint_file /tmp/s.ckpt   # optional spill (exclusive per live solve)
 //! checkpoint_every 2        # boundaries between spills (default 1)
 //! shards 4                  # fault-isolated shard units per timestep (default 1)
@@ -230,9 +228,7 @@ struct SolveSpec {
     timesteps: Option<usize>,
     lookup: Option<LookupStrategy>,
     tally: Option<TallyStrategy>,
-    sort: Option<SortPolicy>,
     scheme: Option<Scheme>,
-    backend: Option<Backend>,
     checkpoint_file: Option<String>,
     checkpoint_every: usize,
     shards: usize,
@@ -253,9 +249,7 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
     let mut timesteps = None;
     let mut lookup = None;
     let mut tally = None;
-    let mut sort = None;
     let mut scheme = None;
-    let mut backend = None;
     let mut checkpoint_file = None;
     let mut checkpoint_every = 1usize;
     let mut shards = 1usize;
@@ -306,7 +300,6 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
             }
             "lookup" => lookup = Some(value.parse::<LookupStrategy>().map_err(knob)?),
             "tally" => tally = Some(value.parse::<TallyStrategy>().map_err(knob)?),
-            "sort" => sort = Some(value.parse::<SortPolicy>().map_err(knob)?),
             "scheme" => {
                 scheme = Some(match value {
                     "op" => Scheme::OverParticles,
@@ -314,7 +307,6 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
                     other => return Err(perr(lineno, format!("scheme op|oe, got `{other}`"))),
                 })
             }
-            "backend" => backend = Some(value.parse::<Backend>().map_err(knob)?),
             "shards" => {
                 shards = value
                     .parse::<usize>()
@@ -343,9 +335,7 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
         timesteps,
         lookup,
         tally,
-        sort,
         scheme,
-        backend,
         checkpoint_file,
         checkpoint_every,
         shards,
@@ -360,8 +350,7 @@ fn build_submit(
     threads: usize,
     execution: Execution,
 ) -> Result<SubmitRequest, ParamsError> {
-    let params = spec.scenario.params(spec.scale, spec.seed);
-    let mut problem = params.build();
+    let mut problem = spec.scenario.params(spec.scale, spec.seed).build();
     if let Some(lookup) = spec.lookup {
         problem.transport.xs_search = lookup;
     }
@@ -375,24 +364,15 @@ fn build_submit(
         }
         problem.transport.tally_strategy = tally;
     }
-    if let Some(sort) = spec.sort {
-        problem.transport.sort_policy = sort;
-    }
     if let Some(timesteps) = spec.timesteps {
         problem.n_timesteps = timesteps;
     }
     let mut options = RunOptions {
         execution,
-        // Scenario params may record a kernel backend; the submission's
-        // `backend` knob overrides it below.
-        backend: params.backend,
         ..RunOptions::default()
     };
     if let Some(scheme) = spec.scheme {
         options.scheme = scheme;
-    }
-    if let Some(backend) = spec.backend {
-        options.backend = backend;
     }
     if !spec.shard_fault.is_empty() && spec.shards < 2 {
         return Err(perr(

@@ -219,7 +219,13 @@ fn bad_requests_are_named_errors() {
 
     // Keys the grammar used to accept are unknown keys now: named, with
     // their line, never silently ignored.
-    for removed in ["layout soa", "regroup by_cell", "kernel vectorized"] {
+    for removed in [
+        "layout soa",
+        "regroup by_cell",
+        "kernel vectorized",
+        "sort by_cell",
+        "backend simd",
+    ] {
         let resp = post_solve(addr, &format!("scenario csp\nscale tiny\n{removed}\n"));
         assert_eq!(resp.status, 400, "{removed}");
         let body = resp.body_text();

@@ -277,9 +277,8 @@ impl From<std::io::Error> for CheckpointError {
 /// contents, and the driver family `scheme` (the two schemes accumulate
 /// the same terms in different orders, so their `f64` sums differ by
 /// ulps). The rest of [`RunOptions`] is deliberately absent: `execution`
-/// and `backend` are bitwise-free under the deterministic tally
-/// strategies, which is what lets one cached result answer any host
-/// width.
+/// is bitwise-free under the deterministic tally strategies, which is
+/// what lets one cached result answer any host width.
 ///
 /// The scalars hash byte-wise; the bulk (≈ 1 MB of tables per material,
 /// 8 B per mesh cell) folds 64-bit words — [`Registry::submit`]

@@ -34,148 +34,6 @@ pub use neutral_xs::LookupStrategy;
 /// deterministic-merge invariant.
 pub use neutral_mesh::TallyStrategy;
 
-/// How the batched drivers order their compacted iteration lists before
-/// each round's kernels (the coherence sort stage; DESIGN.md §13).
-///
-/// Sorting permutes **iteration order only** — never the physical
-/// particle arrays. Lanes, tally lanes and the per-particle counter-based
-/// RNG streams are all keyed by fixed particle index, and every
-/// order-sensitive `f64` reduction in the kernels is anchored back to
-/// ascending index order, so each policy is bitwise identical to
-/// [`SortPolicy::Off`]; only the memory-access pattern (and therefore
-/// the speed) changes. The one observable that legitimately moves is the
-/// [`crate::EventCounters::cs_search_steps`] work meter — reducing search
-/// work is the point of [`SortPolicy::ByEnergyBand`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum SortPolicy {
-    /// Iterate the compacted list in ascending particle-index order (the
-    /// seed behaviour).
-    #[default]
-    Off,
-    /// Stable-sort the iteration list by mesh cell: mesh reads cluster
-    /// and the separated tally flush writes each cell's deposits
-    /// back-to-back instead of scattering across the tally mesh.
-    ByCell,
-    /// Stable-sort the iteration list by energy band (exponent plus the
-    /// top mantissa bits): batched `lookup_many` gathers walk monotone
-    /// energy-grid runs, which the unionized/hashed backends turn into
-    /// run-detection hits instead of fresh searches.
-    ByEnergyBand,
-    /// Autotuned [`SortPolicy::ByCell`]: each breadth-first window keeps a
-    /// cheap per-round heuristic (deposits ÷ distinct cells last round)
-    /// and enables the clustered flush only when deposits genuinely share
-    /// cells. Physics stays bitwise identical everywhere (a clustered
-    /// flush computes the same bits); the decisions are visible in the
-    /// [`crate::EventCounters::clustered_flushes`] meter, which — the
-    /// windows being cut at the fixed lane boundaries — is worker-count
-    /// independent.
-    Auto,
-}
-
-impl SortPolicy {
-    /// All policies, in benchmarking order.
-    pub const ALL: [SortPolicy; 4] = [
-        SortPolicy::Off,
-        SortPolicy::ByCell,
-        SortPolicy::ByEnergyBand,
-        SortPolicy::Auto,
-    ];
-
-    /// Stable lower-case name (parameter files, CLI flags, figure output).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SortPolicy::Off => "off",
-            SortPolicy::ByCell => "by_cell",
-            SortPolicy::ByEnergyBand => "by_energy_band",
-            SortPolicy::Auto => "auto",
-        }
-    }
-}
-
-impl std::str::FromStr for SortPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(SortPolicy::Off),
-            "by_cell" => Ok(SortPolicy::ByCell),
-            "by_energy_band" => Ok(SortPolicy::ByEnergyBand),
-            "auto" => Ok(SortPolicy::Auto),
-            other => Err(format!(
-                "unknown sort policy `{other}` (off|by_cell|by_energy_band|auto)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for SortPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Which kernel backend the Over-Events drivers dispatch to (DESIGN.md
-/// §19): one value per implementation of the crate's kernel-backend
-/// trait, the seam the paper's §VI-G scalar/vectorised comparison
-/// generalises into.
-///
-/// Every backend computes the same per-lane expressions in the same
-/// order — no FMA contraction, no reassociation — so all three are
-/// **bitwise identical** on every golden fixture; only the instruction
-/// selection (and therefore the speed) changes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Straightforward per-particle loops with early predicate exits.
-    #[default]
-    Scalar,
-    /// Restructured loops: branch-light arithmetic passes over whole
-    /// windows (auto-vectorisable), followed by short scalar fix-up
-    /// passes for the inherently branchy work (RNG, table walks, cell
-    /// updates) — the paper's §VI-G restructuring.
-    Vectorized,
-    /// Explicit-SIMD distance pass (`core::arch` AVX2 on `x86_64`),
-    /// runtime feature-detected; hosts without AVX2 fall back to the
-    /// scalar expressions lane for lane, bitwise identically.
-    Simd,
-}
-
-impl Backend {
-    /// All backends, in benchmarking order.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Vectorized, Backend::Simd];
-
-    /// Stable lower-case name (parameter files, CLI flags, figure output).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Vectorized => "vectorized",
-            Backend::Simd => "simd",
-        }
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(Backend::Scalar),
-            "vectorized" => Ok(Backend::Vectorized),
-            "simd" => Ok(Backend::Simd),
-            other => Err(format!(
-                "unknown backend `{other}` (scalar|vectorized|simd)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// What happens when a particle's weight falls below the cutoff
 /// (variance-reduction policy, paper §IV-E).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -210,9 +68,6 @@ pub struct TransportConfig {
     /// Tally-accumulation backend (§VI-F: shared atomics vs replication
     /// vs cell-block privatization).
     pub tally_strategy: TallyStrategy,
-    /// Coherence sort of the batched drivers' iteration lists
-    /// (DESIGN.md §13; bitwise identical physics under every policy).
-    pub sort_policy: SortPolicy,
     /// Low-weight policy (termination vs Russian roulette).
     pub low_weight: LowWeightPolicy,
     /// Safety valve: abandon a history after this many events and count it
@@ -228,7 +83,6 @@ impl Default for TransportConfig {
             collision_model: CollisionModel::Analogue,
             xs_search: LookupStrategy::Hinted,
             tally_strategy: TallyStrategy::Replicated,
-            sort_policy: SortPolicy::Off,
             low_weight: LowWeightPolicy::Terminate,
             max_events_per_history: 1_000_000,
         }
@@ -431,15 +285,6 @@ mod tests {
         assert_eq!(t.min_energy_ev, 1.0);
         assert!(t.weight_cutoff > 0.0 && t.weight_cutoff < 1.0);
         assert_eq!(t.collision_model, CollisionModel::Analogue);
-        assert_eq!(t.sort_policy, SortPolicy::Off);
         assert_eq!(t.tally_strategy, TallyStrategy::Replicated);
-    }
-
-    #[test]
-    fn policy_names_round_trip() {
-        for p in SortPolicy::ALL {
-            assert_eq!(p.name().parse::<SortPolicy>().unwrap(), p);
-        }
-        assert!("fastest".parse::<SortPolicy>().is_err());
     }
 }

@@ -39,12 +39,9 @@ pub struct EventCounters {
     pub tally_flushes: u64,
     /// Grid steps walked by the hinted cross-section searches (§VI-A).
     pub cs_search_steps: u64,
-    /// Tally-flush passes that ran the cell-clustered (radix-sorted)
-    /// flush — every pass under [`crate::SortPolicy::ByCell`], and
-    /// exactly the passes the per-window heuristic enabled under
-    /// [`crate::SortPolicy::Auto`]. A decision/work meter like
-    /// `cs_search_steps`: it moves between sort policies without any
-    /// physics change, so the policy-equality contract excludes it.
+    /// Always 0: the cell-clustered tally flush it counted was measured
+    /// and removed (DESIGN.md §13). The field stays because the
+    /// `NEUTCKPT` counter block and the benchmark harness name it.
     pub clustered_flushes: u64,
     /// Cross-section table lookups performed.
     pub cs_lookups: u64,

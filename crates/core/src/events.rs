@@ -195,13 +195,11 @@ pub fn facet_distance(
 /// `d.max(0.0)` with a pinned `+0.0` on the `-0.0` tie (a particle
 /// exactly on its cell edge travelling inward). `f64::max` lowers to
 /// `llvm.maxnum`, whose zero-sign result on equal operands is
-/// codegen-dependent — debug and release builds disagree — while the
-/// AVX2 `vmaxpd(d, 0.0)` of the explicit-SIMD distance pass always
-/// returns its second operand (`+0.0`). The explicit compare pins every
-/// build, every driver, and every backend to the vector semantics (a
-/// NaN also maps to `0.0` on both paths).
+/// codegen-dependent — debug and release builds disagree. The explicit
+/// compare pins every build and every driver to one result (a NaN also
+/// maps to `0.0`).
 #[inline(always)]
-pub fn clamp_nonneg(d: f64) -> f64 {
+fn clamp_nonneg(d: f64) -> f64 {
     if d > 0.0 {
         d
     } else {

@@ -33,9 +33,6 @@
 //! * **Shard invariance** — the solve split into {1, 2, 5} fault-isolated
 //!   shards merges bitwise identically to the unsharded run, and a shard
 //!   killed mid-flight and retried still reproduces it (DESIGN.md §18).
-//! * **Cross-backend agreement** — the Over-Events driver computes
-//!   bitwise-identical reports under every kernel backend (scalar,
-//!   auto-vectorized, explicit SIMD; DESIGN.md §19).
 //!
 //! A failing case is minimized axis by axis with [`shrink`] and emitted
 //! as a replayable params file ([`FuzzCase::to_params_text`]); the
@@ -49,8 +46,7 @@
 //! integrated shrinking is traded for perfectly reproducible cases).
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{Backend, CollisionModel, LookupStrategy, Problem, SortPolicy, TallyStrategy};
-use crate::counters::EventCounters;
+use crate::config::{CollisionModel, LookupStrategy, Problem, TallyStrategy};
 use crate::params::ProblemParams;
 use crate::registry::{write_tally_dump, Registry, RegistryConfig, SolveState, SubmitRequest};
 use crate::scheduler::Schedule;
@@ -63,18 +59,6 @@ use neutral_xs::{MaterialKind, MaterialSpec};
 #[must_use]
 pub fn rel_diff(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(1e-30)
-}
-
-/// Counters with the work/decision meters masked out: reducing search
-/// work (`cs_search_steps`) and choosing when to cluster the flush
-/// (`clustered_flushes`) are exactly what the sort stage is
-/// for — they move between policies without any physics change, so the
-/// policy-equality contracts exclude them.
-#[must_use]
-pub fn physics_counters(mut c: EventCounters) -> EventCounters {
-    c.cs_search_steps = 0;
-    c.clustered_flushes = 0;
-    c
 }
 
 /// Deterministic random-input generator for property tests and the
@@ -216,24 +200,8 @@ impl DriverKind {
 
     /// Run options driving this family on `workers` workers. `History`
     /// ignores the worker count (it is the one-worker baseline).
-    ///
-    /// The kernel backend defaults to scalar, overridable through the
-    /// `NEUTRAL_TEST_BACKEND` environment variable
-    /// (`scalar|vectorized|simd`) — every backend computes bitwise
-    /// identical results, so the golden/restart/shard suites
-    /// re-run unchanged under any value; the CI matrix leg that locks
-    /// the explicit-SIMD backend against the committed fixtures is just
-    /// `NEUTRAL_TEST_BACKEND=simd cargo test`. An unparsable value
-    /// panics: a typo'd CI variable silently running scalar would
-    /// green-wash the whole leg.
     #[must_use]
     pub fn options(self, workers: usize) -> RunOptions {
-        let backend = match std::env::var("NEUTRAL_TEST_BACKEND") {
-            Ok(v) if !v.is_empty() => v
-                .parse::<Backend>()
-                .unwrap_or_else(|e| panic!("NEUTRAL_TEST_BACKEND: {e}")),
-            _ => Backend::Scalar,
-        };
         let scheduled = Execution::Scheduled {
             threads: workers,
             schedule: Schedule::Dynamic { chunk: 16 },
@@ -243,11 +211,7 @@ impl DriverKind {
             DriverKind::OverParticles => (Scheme::OverParticles, scheduled),
             DriverKind::OverEvents => (Scheme::OverEvents, scheduled),
         };
-        RunOptions {
-            scheme,
-            execution,
-            backend,
-        }
+        RunOptions { scheme, execution }
     }
 }
 
@@ -369,11 +333,6 @@ pub fn generate_with(seed: u64, index: u64, profile: FuzzProfile) -> FuzzCase {
         LookupStrategy::Hashed,
     ]);
     p.tally_strategy = *g.pick(&[TallyStrategy::Replicated, TallyStrategy::Privatized]);
-    p.sort_policy = *g.pick(&SortPolicy::ALL);
-    // Kernel-backend axis (DESIGN.md §19): only the Over-Events driver
-    // dispatches on it, but every sampled value rides through the
-    // cross-backend oracle regardless of the case's own driver.
-    p.backend = *g.pick(&Backend::ALL);
     let driver = *g.pick(&DriverKind::ALL);
 
     p.validate()
@@ -398,16 +357,6 @@ fn rect_in(g: &mut Gen, width: f64, height: f64) -> Rect {
 }
 
 impl FuzzCase {
-    /// Run options for this case: the driver family's options with the
-    /// params file's kernel backend applied.
-    #[must_use]
-    pub fn options(&self, workers: usize) -> RunOptions {
-        RunOptions {
-            backend: self.params.backend,
-            ..self.driver.options(workers)
-        }
-    }
-
     /// Serialize as a replayable params file: a standard
     /// [`ProblemParams`] file (round-trips through
     /// [`ProblemParams::parse`], so `neutral_cli --params` runs it too)
@@ -441,7 +390,7 @@ impl FuzzCase {
     }
 }
 
-/// The seven differential oracles of [`run_case`].
+/// The six differential oracles of [`run_case`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oracle {
     /// Population/energy conservation with cutoff residual.
@@ -457,21 +406,17 @@ pub enum Oracle {
     /// Shard counts {1, 2, 5} merge bitwise identically, and a killed
     /// shard recovers identically through retry.
     ShardInvariance,
-    /// Every kernel backend (scalar / vectorized / simd) computes a
-    /// bitwise-identical Over-Events report (DESIGN.md §19).
-    CrossBackend,
 }
 
 impl Oracle {
-    /// All seven, in reporting order.
-    pub const ALL: [Oracle; 7] = [
+    /// All six, in reporting order.
+    pub const ALL: [Oracle; 6] = [
         Oracle::Conservation,
         Oracle::CrossDriver,
         Oracle::WorkerInvariance,
         Oracle::CheckpointRoundTrip,
         Oracle::ServeDirect,
         Oracle::ShardInvariance,
-        Oracle::CrossBackend,
     ];
 
     /// Stable lowercase name for reports and corpus tooling.
@@ -484,7 +429,6 @@ impl Oracle {
             Oracle::CheckpointRoundTrip => "checkpoint_roundtrip",
             Oracle::ServeDirect => "serve_direct",
             Oracle::ShardInvariance => "shard_invariance",
-            Oracle::CrossBackend => "cross_backend",
         }
     }
 }
@@ -549,16 +493,9 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let mut out = CaseOutcome::default();
 
     // One run per driver family (History is the one-worker baseline).
-    // Every family runs under the case's sampled kernel backend — only
-    // Over Events dispatches on it, so the cross-driver oracle doubles
-    // as a backend-vs-history-order differential check.
-    let opts = |d: DriverKind, workers: usize| RunOptions {
-        backend: case.params.backend,
-        ..d.options(workers)
-    };
     let runs: Vec<(DriverKind, RunReport)> = DriverKind::ALL
         .iter()
-        .map(|d| (*d, sim.run(opts(*d, BASE_WORKERS))))
+        .map(|d| (*d, sim.run(d.options(BASE_WORKERS))))
         .collect();
     let base = &runs
         .iter()
@@ -615,7 +552,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         .expect("sweep driver is in ALL")
         .1;
     for workers in [1usize, 7] {
-        let r = sim.run(opts(sweep, workers));
+        let r = sim.run(sweep.options(workers));
         let label = format!("{} @{BASE_WORKERS}w vs @{workers}w", sweep.name());
         let verdict = check_same_physics(&label, sweep_base, &r)
             .and_then(|()| check_energy_bits(&label, sweep_base, &r))
@@ -631,7 +568,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     // Oracle 4: checkpoint round-trip through the real byte format.
     if sim.problem().n_timesteps < 2 {
         out.skipped.push(Oracle::CheckpointRoundTrip);
-    } else if let Err(e) = checkpoint_roundtrip(&sim, opts(case.driver, BASE_WORKERS), base) {
+    } else if let Err(e) = checkpoint_roundtrip(&sim, case.driver.options(BASE_WORKERS), base) {
         out.failures.push(OracleFailure {
             oracle: Oracle::CheckpointRoundTrip,
             detail: e,
@@ -659,55 +596,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         });
     }
 
-    // Oracle 7: the kernel backends are bitwise interchangeable. Rides
-    // on the same deterministic-merge contract as sharding, so Atomic
-    // corpus cases skip it the same way.
-    if sim.problem().transport.tally_strategy == TallyStrategy::Atomic {
-        out.skipped.push(Oracle::CrossBackend);
-    } else {
-        let oe = &runs
-            .iter()
-            .find(|(d, _)| *d == DriverKind::OverEvents)
-            .expect("OverEvents is in ALL")
-            .1;
-        if let Err(e) = check_cross_backend(case, oe) {
-            out.failures.push(OracleFailure {
-                oracle: Oracle::CrossBackend,
-                detail: e,
-            });
-        }
-    }
-
     out
-}
-
-/// Run the case's Over-Events solve under every kernel backend *other*
-/// than the sampled one and demand each report reproduce `oe_report`
-/// (the sampled backend's run) bitwise — counters, tally bits,
-/// survivors. On hardware without AVX2 the `simd` backend takes its
-/// scalar fallback, which must also be bitwise identical, so the oracle
-/// holds (and keeps checking) everywhere.
-pub fn check_cross_backend(case: &FuzzCase, oe_report: &RunReport) -> Result<(), String> {
-    let sim = Simulation::new(case.params.build());
-    for backend in Backend::ALL {
-        if backend == case.params.backend {
-            continue;
-        }
-        let r = sim.run(RunOptions {
-            backend,
-            ..DriverKind::OverEvents.options(BASE_WORKERS)
-        });
-        check_reports_bitwise(
-            &format!(
-                "over_events backend {} vs {}",
-                case.params.backend.name(),
-                backend.name()
-            ),
-            oe_report,
-            &r,
-        )?;
-    }
-    Ok(())
 }
 
 /// Run the case's driver sharded {1, 2, 5} ways and demand each merge be
@@ -718,7 +607,7 @@ pub fn check_cross_backend(case: &FuzzCase, oe_report: &RunReport) -> Result<(),
 fn shard_invariance(case: &FuzzCase, direct: &RunReport) -> Result<(), String> {
     use crate::shard::{ShardConfig, ShardedSolve};
 
-    let options = case.options(BASE_WORKERS);
+    let options = case.driver.options(BASE_WORKERS);
     let sim = std::sync::Arc::new(Simulation::new(case.params.build()));
     let run = |config: ShardConfig| -> Result<(RunReport, crate::shard::ShardStats), String> {
         let mut solve = ShardedSolve::new(&sim, options, config);
@@ -793,7 +682,7 @@ fn serve_matches_direct(case: &FuzzCase, direct: &RunReport) -> Result<(), Strin
     let receipt = registry
         .submit(SubmitRequest::new(
             case.params.build(),
-            case.options(BASE_WORKERS),
+            case.driver.options(BASE_WORKERS),
         ))
         .map_err(|e| format!("submit: {e}"))?;
     let status = registry.wait(receipt.id).ok_or("entry vanished")?;
@@ -1176,9 +1065,6 @@ fn candidates_for(case: &FuzzCase, axis: ShrinkAxis) -> Vec<FuzzCase> {
             }
         }
         ShrinkAxis::Knobs => {
-            if case.params.sort_policy != SortPolicy::Off {
-                push(&|c| c.params.sort_policy = SortPolicy::Off);
-            }
             if case.params.lookup_strategy != LookupStrategy::Hinted {
                 push(&|c| c.params.lookup_strategy = LookupStrategy::Hinted);
             }
@@ -1190,9 +1076,6 @@ fn candidates_for(case: &FuzzCase, axis: ShrinkAxis) -> Vec<FuzzCase> {
             }
             if case.params.weight_cutoff != 1.0e-6 {
                 push(&|c| c.params.weight_cutoff = 1.0e-6);
-            }
-            if case.params.backend != Backend::Scalar {
-                push(&|c| c.params.backend = Backend::Scalar);
             }
         }
         ShrinkAxis::Driver => {
@@ -1217,8 +1100,14 @@ mod tests {
             assert_eq!(a.driver, b.driver);
             // Building twice yields the same fingerprint.
             assert_eq!(
-                crate::checkpoint::config_fingerprint(&a.params.build(), a.options(1).scheme),
-                crate::checkpoint::config_fingerprint(&b.params.build(), b.options(1).scheme),
+                crate::checkpoint::config_fingerprint(
+                    &a.params.build(),
+                    a.driver.options(1).scheme
+                ),
+                crate::checkpoint::config_fingerprint(
+                    &b.params.build(),
+                    b.driver.options(1).scheme
+                ),
             );
         }
     }
@@ -1240,8 +1129,14 @@ mod tests {
             assert_eq!(back.driver, case.driver, "case {index}");
             assert_eq!(back.to_params_text(), text, "case {index} text unstable");
             assert_eq!(
-                crate::checkpoint::config_fingerprint(&back.params.build(), back.options(1).scheme),
-                crate::checkpoint::config_fingerprint(&case.params.build(), case.options(1).scheme),
+                crate::checkpoint::config_fingerprint(
+                    &back.params.build(),
+                    back.driver.options(1).scheme
+                ),
+                crate::checkpoint::config_fingerprint(
+                    &case.params.build(),
+                    case.driver.options(1).scheme
+                ),
                 "case {index} fingerprint drifted through serialization"
             );
         }
@@ -1258,8 +1153,8 @@ mod tests {
         assert!(shrunk.params.regions.is_empty());
         assert_eq!(shrunk.params.material_count(), 1);
         assert_eq!(shrunk.driver, DriverKind::History);
-        assert_eq!(shrunk.params.sort_policy, SortPolicy::Off);
-        assert_eq!(shrunk.params.backend, Backend::Scalar);
+        assert_eq!(shrunk.params.lookup_strategy, LookupStrategy::Hinted);
+        assert_eq!(shrunk.params.tally_strategy, TallyStrategy::Replicated);
         // And the result is still a valid, replayable case.
         let text = shrunk.to_params_text();
         FuzzCase::from_params_text("shrunk", &text).expect("shrunk case must re-parse");

@@ -24,7 +24,7 @@
 //! lane, through the one step engine ([`step`]). Supporting machinery
 //! reproduces the paper's ablations: OpenMP-style loop schedules
 //! ([`scheduler`], §VI-C), shared-atomic vs privatised tallies (§VI-F,
-//! via [`neutral_mesh::tally`]), scalar vs vectorisable kernels (§VI-G),
+//! via [`neutral_mesh::tally`]), per-kernel timings (§VI-G),
 //! and full event instrumentation ([`counters`]) feeding the
 //! `neutral-perf` architecture model; the record-at-a-time baselines
 //! behind Figs. 3–7 live in `neutral-bench`.
@@ -73,13 +73,12 @@ pub mod prelude {
         config_fingerprint, run_with_checkpoints, Checkpoint, CheckpointError, CheckpointStore,
         Fault, FaultPlan, Recovery, SolveOutcome,
     };
-    pub use crate::config::Backend;
     pub use crate::config::{
-        CollisionModel, LookupStrategy, LowWeightPolicy, Problem, ProblemScale, SortPolicy,
-        TallyStrategy, TestCase, TransportConfig,
+        CollisionModel, LookupStrategy, LowWeightPolicy, Problem, ProblemScale, TallyStrategy,
+        TestCase, TransportConfig,
     };
     pub use crate::counters::EventCounters;
-    pub use crate::over_events::{force_simd_fallback, KernelTimings};
+    pub use crate::over_events::KernelTimings;
     pub use crate::registry::{
         Admission, Registry, RegistryConfig, RegistryStats, SolveState, SolveStatus, SubmitError,
         SubmitReceipt, SubmitRequest,

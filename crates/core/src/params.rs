@@ -43,8 +43,6 @@
 //! collision_model analogue     # or implicit_capture
 //! lookup_strategy hinted       # or binary | unionized | hashed
 //! tally_strategy replicated    # or privatized | atomic
-//! sort_policy off              # or by_cell | by_energy_band | auto
-//! backend scalar               # or vectorized | simd (DESIGN.md §19)
 //!
 //! # checkpoint/restart (optional)
 //! checkpoint_file run.ckpt     # enable checkpointed solves at this path
@@ -59,9 +57,7 @@
 //! `ProblemScale::small()`.
 
 use crate::checkpoint::FaultPlan;
-use crate::config::{
-    Backend, CollisionModel, LookupStrategy, Problem, SortPolicy, TallyStrategy, TransportConfig,
-};
+use crate::config::{CollisionModel, LookupStrategy, Problem, TallyStrategy, TransportConfig};
 use crate::shard::ShardFaultPlan;
 use neutral_mesh::{MaterialId, Rect, StructuredMesh2D};
 use neutral_xs::{constants, MaterialKind, MaterialSet, MaterialSpec};
@@ -149,13 +145,6 @@ pub struct ProblemParams {
     pub lookup_strategy: LookupStrategy,
     /// Tally-accumulation backend.
     pub tally_strategy: TallyStrategy,
-    /// Coherence sort of the batched drivers (DESIGN.md §13).
-    pub sort_policy: SortPolicy,
-    /// Over-Events kernel backend (DESIGN.md §19). Purely an execution
-    /// concern — all backends compute bitwise-identical results — but a
-    /// params file records it so a benchmark run is replayable from its
-    /// file alone.
-    pub backend: Backend,
     /// Checkpoint file path; `Some` enables checkpointed solves
     /// (crash-safe writes at every census boundary, resume on restart).
     pub checkpoint_file: Option<String>,
@@ -193,8 +182,6 @@ impl Default for ProblemParams {
             collision_model: CollisionModel::Analogue,
             lookup_strategy: LookupStrategy::default(),
             tally_strategy: TallyStrategy::default(),
-            sort_policy: SortPolicy::default(),
-            backend: Backend::default(),
             checkpoint_file: None,
             fault: FaultPlan::none(),
             shards: 1,
@@ -288,12 +275,6 @@ impl ProblemParams {
                 }
                 "tally_strategy" => {
                     p.tally_strategy = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
-                }
-                "sort_policy" => {
-                    p.sort_policy = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
-                }
-                "backend" => {
-                    p.backend = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
                 }
                 "checkpoint_file" => p.checkpoint_file = Some(one(&rest)?),
                 "fault" => {
@@ -552,8 +533,6 @@ impl ProblemParams {
         let _ = writeln!(s, "collision_model {model}");
         let _ = writeln!(s, "lookup_strategy {}", self.lookup_strategy.name());
         let _ = writeln!(s, "tally_strategy {}", self.tally_strategy.name());
-        let _ = writeln!(s, "sort_policy {}", self.sort_policy.name());
-        let _ = writeln!(s, "backend {}", self.backend.name());
         if let Some(path) = &self.checkpoint_file {
             let _ = writeln!(s, "checkpoint_file {path}");
         }
@@ -636,7 +615,6 @@ impl ProblemParams {
                 collision_model: self.collision_model,
                 xs_search: self.lookup_strategy,
                 tally_strategy: self.tally_strategy,
-                sort_policy: self.sort_policy,
                 ..Default::default()
             },
         }
@@ -739,44 +717,6 @@ region 0.5 1.0 0.0 0.5 7.0
         let e = ProblemParams::parse("nx 4\nlookup_strategy magic\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("magic"));
-    }
-
-    #[test]
-    fn parses_sort_policy() {
-        for (name, expect) in [
-            ("off", SortPolicy::Off),
-            ("by_cell", SortPolicy::ByCell),
-            ("by_energy_band", SortPolicy::ByEnergyBand),
-            ("auto", SortPolicy::Auto),
-        ] {
-            let p = ProblemParams::parse(&format!("sort_policy {name}\n")).unwrap();
-            assert_eq!(p.sort_policy, expect);
-            assert_eq!(p.build().transport.sort_policy, expect);
-        }
-        let e = ProblemParams::parse("nx 4\nsort_policy fastest\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("fastest"));
-    }
-
-    #[test]
-    fn parses_backend() {
-        for (name, expect) in [
-            ("scalar", Backend::Scalar),
-            ("vectorized", Backend::Vectorized),
-            ("simd", Backend::Simd),
-        ] {
-            let p = ProblemParams::parse(&format!("backend {name}\n")).unwrap();
-            assert_eq!(p.backend, expect);
-        }
-        // Round-trips through the serializer.
-        let p = ProblemParams::parse("backend simd\n").unwrap();
-        let text = p.to_params_text();
-        assert!(text.contains("backend simd"));
-        assert_eq!(ProblemParams::parse(&text).unwrap().backend, Backend::Simd);
-        // Unknown value: line-numbered, names the offender.
-        let e = ProblemParams::parse("nx 4\nbackend turbo\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("turbo"));
     }
 
     #[test]

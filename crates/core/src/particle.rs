@@ -127,15 +127,6 @@ pub(crate) fn first_out_of_key_order(records: &[Particle], base: usize) -> Optio
         .map(|(i, p)| (i, p.key))
 }
 
-/// Energy-band key of the [`crate::config::SortPolicy`] lane sort: the
-/// exponent plus the top 8 mantissa bits, monotone for the positive
-/// energies in play (~0.4% bands).
-#[inline]
-#[must_use]
-pub fn energy_band(energy_ev: f64) -> u32 {
-    (energy_ev.to_bits() >> 44) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,8 +12,8 @@
 //!
 //! The cache story rides on the bitwise-determinism invariant: merged
 //! tallies and counters depend only on the problem's content and the
-//! scheme (never on worker count, schedule, shard count or kernel
-//! backend), and [`config_fingerprint`] covers exactly that, so it is a
+//! scheme (never on worker count, schedule or shard count), and
+//! [`config_fingerprint`] covers exactly that, so it is a
 //! sound content address for finished results. [`Registry::submit`]
 //! makes that structural: every submission passes through
 //! [`resolve_deterministic`] *before* it is fingerprinted, so what is

@@ -10,7 +10,7 @@ use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
 use crate::config::{Problem, TallyStrategy};
 use crate::counters::EventCounters;
 use crate::history::TransportCtx;
-use crate::over_events::{Backend, EventState, KernelTimings};
+use crate::over_events::{EventState, KernelTimings};
 use crate::particle::{first_out_of_key_order, spawn_particles, Particle};
 use crate::scheduler::Schedule;
 use crate::soa::{census_energy, ParticleSoA};
@@ -60,8 +60,6 @@ pub struct RunOptions {
     pub scheme: Scheme,
     /// Threading configuration.
     pub execution: Execution,
-    /// Kernel backend for Over Events (§VI-G; DESIGN.md §19).
-    pub backend: Backend,
 }
 
 impl Default for RunOptions {
@@ -69,7 +67,6 @@ impl Default for RunOptions {
         Self {
             scheme: Scheme::OverParticles,
             execution: Execution::Rayon,
-            backend: Backend::Scalar,
         }
     }
 }
@@ -590,7 +587,6 @@ mod tests {
             RunOptions {
                 scheme: Scheme::OverEvents,
                 execution: Execution::Rayon,
-                ..Default::default()
             },
         ];
         for opts in combos {
@@ -611,7 +607,6 @@ mod tests {
         let r = s.run(RunOptions {
             scheme: Scheme::OverEvents,
             execution: Execution::Sequential,
-            ..Default::default()
         });
         let t = r.kernel_timings.expect("OE must report kernel timings");
         assert!(t.rounds > 0);
@@ -643,7 +638,6 @@ mod tests {
                 RunOptions {
                     scheme: Scheme::OverEvents,
                     execution: Execution::Rayon,
-                    ..Default::default()
                 },
             ] {
                 let r = s2.run(opts);

@@ -83,14 +83,7 @@ pub(crate) fn run_step(
         ),
         Scheme::OverEvents => {
             let (counters, timings) = run_over_events_lanes_partitioned(
-                soa,
-                ctx,
-                accum,
-                options.backend,
-                workers,
-                schedule,
-                oe_state,
-                part,
+                soa, ctx, accum, workers, schedule, oe_state, part,
             );
             (counters, Some(timings))
         }

@@ -252,22 +252,6 @@ impl StructuredMesh2D {
         )
     }
 
-    /// The x cell-edge coordinates (`nx + 1` entries, ascending). Same
-    /// values [`Self::cell_bounds`] reads — exposed as a slice so SIMD
-    /// kernels can gather edge pairs for several cells at once.
-    #[inline]
-    #[must_use]
-    pub fn edges_x(&self) -> &[f64] {
-        &self.edge_x
-    }
-
-    /// The y cell-edge coordinates (`ny + 1` entries, ascending).
-    #[inline]
-    #[must_use]
-    pub fn edges_y(&self) -> &[f64] {
-        &self.edge_y
-    }
-
     /// Cell width along x (uniform grid).
     #[must_use]
     pub fn cell_dx(&self) -> f64 {

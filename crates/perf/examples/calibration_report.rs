@@ -17,12 +17,10 @@ fn profiles(case: TestCase) -> (KernelProfile, KernelProfile) {
     let op = sim.run(RunOptions {
         scheme: Scheme::OverParticles,
         execution: Execution::Sequential,
-        ..Default::default()
     });
     let oe = sim.run(RunOptions {
         scheme: Scheme::OverEvents,
         execution: Execution::Sequential,
-        ..Default::default()
     });
 
     let particle_mult = scale.particle_divisor as f64;

@@ -430,9 +430,8 @@ impl UnionizedGrid {
 /// SIMD-width of the lane-blocked run-detection fast path: a whole block
 /// of energies is compared against the cached bin with one branch-light
 /// all-lanes test (a reduction of `RUN_BLOCK` independent compares the
-/// auto-vectoriser can chew), so the monotone runs that
-/// `by_energy_band` sorting produces resolve at block granularity
-/// instead of lane granularity. Results are
+/// auto-vectoriser can chew), so a monotone run of lanes in one bin
+/// resolves at block granularity instead of lane granularity. Results are
 /// bitwise identical to the scalar memo (`cs_search_steps` is already
 /// zero on memo hits, so not even the work meter moves on the block
 /// path).

@@ -19,12 +19,10 @@ fn main() {
     let op = sim.run(RunOptions {
         scheme: Scheme::OverParticles,
         execution: Execution::Rayon,
-        ..Default::default()
     });
     let oe = sim.run(RunOptions {
         scheme: Scheme::OverEvents,
         execution: Execution::Rayon,
-        ..Default::default()
     });
 
     println!("Over Particles: {}", op.summary());

@@ -3,7 +3,7 @@
 //! The actual integration tests live in `tests/tests/*.rs`; this crate
 //! provides shared fixtures. The deterministic property-test harness
 //! ([`Gen`], [`for_cases`]) and the driver-family/physics-comparison
-//! vocabulary ([`DriverKind`], [`physics_counters`], [`rel_diff`]) now
+//! vocabulary ([`DriverKind`], [`rel_diff`]) now
 //! live in [`neutral_core::fuzz`] — the generative fuzzer is built on
 //! them — and are re-exported here so the suites keep one import path.
 
@@ -11,7 +11,7 @@ use neutral_core::prelude::*;
 
 pub mod golden;
 
-pub use neutral_core::fuzz::{for_cases, physics_counters, rel_diff, DriverKind, Gen};
+pub use neutral_core::fuzz::{for_cases, rel_diff, DriverKind, Gen};
 
 /// Standard tiny-scale fixture used across the integration suite.
 pub fn tiny(case: TestCase, seed: u64) -> Simulation {

@@ -234,7 +234,6 @@ fn roulette_preserves_scheme_equivalence() {
     let oe = sim.run(RunOptions {
         scheme: Scheme::OverEvents,
         execution: Execution::Sequential,
-        ..Default::default()
     });
     assert_eq!(op.counters.collisions, oe.counters.collisions);
     assert_eq!(op.counters.deaths, oe.counters.deaths);

@@ -5,7 +5,7 @@
 //! 1. **Generator contracts** — same seed/index reproduce the same case
 //!    byte for byte; the params serialization round-trips losslessly.
 //! 2. **Live battery** — a handful of freshly generated cases pass all
-//!    seven oracles, and the committed corpus under `tests/corpus/`
+//!    six oracles, and the committed corpus under `tests/corpus/`
 //!    (fuzz-found, shrunk, frozen forever) replays green.
 //! 3. **Broken-oracle tests** — every oracle is fed a seeded mutation
 //!    it *must* catch. A comparator that silently passes corrupted
@@ -14,9 +14,9 @@
 
 use neutral_core::checkpoint::Checkpoint;
 use neutral_core::fuzz::{
-    check_conservation, check_cross_backend, check_energy_bits, check_energy_close,
-    check_reports_bitwise, check_same_physics, check_served_matches, check_tally_bitwise,
-    check_tally_reassoc, generate, generate_with, run_case, shrink, FuzzCase, FuzzProfile, Oracle,
+    check_conservation, check_energy_bits, check_energy_close, check_reports_bitwise,
+    check_same_physics, check_served_matches, check_tally_bitwise, check_tally_reassoc, generate,
+    generate_with, run_case, shrink, FuzzCase, FuzzProfile, Oracle,
 };
 use neutral_core::prelude::*;
 use neutral_integration::DriverKind;
@@ -65,8 +65,8 @@ fn params_serialization_is_a_fixpoint() {
         assert_eq!(back.to_params_text(), text, "case {index}");
         assert_eq!(back.driver, case.driver, "case {index}");
         assert_eq!(
-            config_fingerprint(&back.params.build(), back.options(1).scheme),
-            config_fingerprint(&case.params.build(), case.options(1).scheme),
+            config_fingerprint(&back.params.build(), back.driver.options(1).scheme),
+            config_fingerprint(&case.params.build(), case.driver.options(1).scheme),
             "case {index}: fingerprint drifted through text"
         );
     }
@@ -280,46 +280,6 @@ fn serve_oracle_catches_result_substitution() {
     assert!(check_served_matches(case.params.nx, &direct, &other).is_err());
 }
 
-#[test]
-fn cross_backend_oracle_catches_backend_divergence() {
-    // Pin the case to the Over-Events driver on the scalar backend; the
-    // oracle then sweeps vectorized and simd against the given report.
-    let mut case = live_case();
-    case.params.backend = Backend::Scalar;
-    let sim = Simulation::new(case.params.build());
-    let honest = sim.run(RunOptions {
-        scheme: Scheme::OverEvents,
-        backend: Backend::Scalar,
-        execution: Execution::Scheduled {
-            threads: 2,
-            schedule: Schedule::Dynamic { chunk: 16 },
-        },
-    });
-    check_cross_backend(&case, &honest)
-        .expect("scalar, vectorized and simd must be bitwise identical");
-
-    // A backend that moved one mantissa bit in one cell — the exact
-    // failure mode a mis-ordered SIMD expression would produce — must
-    // be caught. (The mutation stands in for the divergent backend: the
-    // oracle compares the given report against fresh runs.)
-    let mut divergent = honest.clone();
-    let hot = divergent
-        .tally
-        .iter()
-        .position(|v| *v > 0.0)
-        .expect("non-empty tally");
-    divergent.tally[hot] = f64::from_bits(divergent.tally[hot].to_bits() ^ 1);
-    assert!(
-        check_cross_backend(&case, &divergent).is_err(),
-        "single-ulp backend divergence slipped past the oracle"
-    );
-
-    // A counter drift (an event decided differently) is caught too.
-    let mut miscounted = honest.clone();
-    miscounted.counters.facets += 1;
-    assert!(check_cross_backend(&case, &miscounted).is_err());
-}
-
 // -------------------------------------------------------------------
 // Shrinker: a fuzz-found failure minimizes to a replayable file.
 // -------------------------------------------------------------------
@@ -346,12 +306,12 @@ fn shrinker_emits_minimal_replayable_case() {
     let back = FuzzCase::from_params_text("repro", &text).expect("replayable");
     assert!(fails(&back), "replayed repro must still fail");
     assert_eq!(
-        config_fingerprint(&back.params.build(), back.options(1).scheme),
-        config_fingerprint(&minimal.params.build(), minimal.options(1).scheme)
+        config_fingerprint(&back.params.build(), back.driver.options(1).scheme),
+        config_fingerprint(&minimal.params.build(), minimal.driver.options(1).scheme)
     );
 }
 
-/// The seven oracle names are stable (corpus tooling and CI grep on
+/// The six oracle names are stable (corpus tooling and CI grep on
 /// them) and every oracle is reachable from a generated case.
 #[test]
 fn oracle_battery_is_complete() {
@@ -364,8 +324,7 @@ fn oracle_battery_is_complete() {
             "worker_invariance",
             "checkpoint_roundtrip",
             "serve_direct",
-            "shard_invariance",
-            "cross_backend"
+            "shard_invariance"
         ]
     );
     // A multi-timestep case skips nothing.

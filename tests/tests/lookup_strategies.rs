@@ -57,7 +57,7 @@ fn sequential_tallies_bitwise_identical_across_strategies() {
 }
 
 /// Every driver (over-particles sequential/rayon/scheduled, over-events
-/// scalar/vectorized) produces the same census tally for every strategy
+/// sequential/rayon) produces the same census tally for every strategy
 /// — up to floating-point summation order for the parallel reductions.
 #[test]
 fn all_drivers_agree_for_every_strategy() {
@@ -81,11 +81,9 @@ fn all_drivers_agree_for_every_strategy() {
                 RunOptions {
                     scheme: Scheme::OverEvents,
                     execution: Execution::Sequential,
-                    ..Default::default()
                 },
                 RunOptions {
                     scheme: Scheme::OverEvents,
-                    backend: Backend::Vectorized,
                     execution: Execution::Rayon,
                 },
                 RunOptions {

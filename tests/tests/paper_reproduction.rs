@@ -20,7 +20,6 @@ fn profile(case: TestCase, scheme: Scheme) -> KernelProfile {
     let report = Simulation::new(problem).run(RunOptions {
         scheme,
         execution: Execution::Sequential,
-        ..Default::default()
     });
     let kind = match scheme {
         Scheme::OverParticles => SchemeKind::OverParticles,

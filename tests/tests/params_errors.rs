@@ -40,7 +40,12 @@ fn unknown_keys_name_the_key_and_line() {
 
     // Keys this format used to accept are unknown keys like any other —
     // named, with their line — never silently ignored.
-    for removed in ["regroup_policy by_cell", "kernel_style vectorized"] {
+    for removed in [
+        "regroup_policy by_cell",
+        "kernel_style vectorized",
+        "sort_policy by_cell",
+        "backend simd",
+    ] {
         let e = fail(&format!("nx 10\n{removed}\n"));
         let key = removed.split_whitespace().next().unwrap();
         assert_eq!(e.line, 2, "{removed}");
@@ -166,33 +171,6 @@ fn geometry_and_physics_range_errors_are_actionable() {
         .contains("source region outside the domain"));
     let e = fail("region 0.9 0.4 0.0 1.0 5.0\n");
     assert!(e.message.contains("inverted"), "{}", e.message);
-}
-
-#[test]
-fn backend_key_errors_are_line_numbered_and_actionable() {
-    // Unknown backend values name the offender, list the menu, and
-    // carry the line.
-    let e = fail("nx 10\nbackend turbo\n");
-    assert_eq!(e.line, 2);
-    assert!(e.message.contains("turbo"), "{}", e.message);
-    assert!(
-        e.message.contains("scalar|vectorized|simd"),
-        "error must list the valid backends: {}",
-        e.message
-    );
-    // Arity is enforced like every other key.
-    let e = fail("backend scalar simd\n");
-    assert_eq!(e.line, 1);
-    assert!(e.message.contains("exactly one value"), "{}", e.message);
-    // The happy path round-trips through the fixpoint serializer.
-    let p = ProblemParams::parse("backend vectorized\n").unwrap();
-    assert_eq!(p.backend, Backend::Vectorized);
-    let text = p.to_params_text();
-    assert!(text.contains("backend vectorized"), "{text}");
-    assert_eq!(
-        ProblemParams::parse(&text).unwrap().backend,
-        Backend::Vectorized
-    );
 }
 
 #[test]

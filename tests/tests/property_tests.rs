@@ -75,7 +75,6 @@ fn random_problems_scheme_equivalence() {
         let oe = sim.run(RunOptions {
             scheme: Scheme::OverEvents,
             execution: Execution::Sequential,
-            ..Default::default()
         });
         assert_eq!(op.counters.collisions, oe.counters.collisions);
         assert_eq!(op.counters.facets, oe.counters.facets);

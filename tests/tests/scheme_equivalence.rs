@@ -4,7 +4,7 @@
 //! Both schemes advance every particle with the same event functions and
 //! the same per-particle counter-based RNG stream (paper §IV-F), so for a
 //! fixed seed every history follows the same trajectory regardless of
-//! scheme, kernel backend, threading or tally backend. Tallies may
+//! scheme, threading or tally backend. Tallies may
 //! differ only by floating-point summation order.
 
 use neutral_core::history::{track_to_census, TransportCtx};
@@ -74,18 +74,16 @@ fn every_execution_mode_matches_sequential() {
                     },
                 ),
                 (
-                    "over-events-scalar",
+                    "over-events-sequential",
                     RunOptions {
                         scheme: Scheme::OverEvents,
                         execution: Execution::Sequential,
-                        ..Default::default()
                     },
                 ),
                 (
-                    "over-events-vectorized",
+                    "over-events-rayon",
                     RunOptions {
                         scheme: Scheme::OverEvents,
-                        backend: Backend::Vectorized,
                         execution: Execution::Rayon,
                     },
                 ),
@@ -189,7 +187,6 @@ fn per_cell_tallies_match_across_schemes() {
     let oe = tiny(TestCase::Csp, 42).run(RunOptions {
         scheme: Scheme::OverEvents,
         execution: Execution::Rayon,
-        ..Default::default()
     });
     let total = op.tally_total();
     let mut nonzero = 0;
