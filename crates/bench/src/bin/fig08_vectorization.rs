@@ -6,9 +6,9 @@
 //! separate loop — and measured per-method speedups: on the Xeon only the
 //! facet events benefited; the KNL benefited for all methods (§VI-G).
 //!
-//! Part 1 measures the per-kernel wall-clock shares of the round loop on
-//! this host for a facet-heavy (stream) and a collision-heavy (scatter)
-//! problem. Part 2 models the KNL's AVX-512 advantage with the
+//! Part 1 measures the per-kernel shares of the lane-local round loops
+//! on this host — busy time, summed over lanes — for a facet-heavy
+//! (stream) and a collision-heavy (scatter) problem. Part 2 models the KNL's AVX-512 advantage with the
 //! architecture model's vector-efficiency term. The restructured and
 //! explicit-SIMD kernels this figure once timed against the scalar ones
 //! tied or lost on every shape and were removed; their measured rows are
@@ -78,11 +78,11 @@ fn main() {
         "part 1 measured on this host; part 2 modeled (KNL AVX-512 vs scalar)",
     );
 
-    println!("\n-- measured per-kernel times --");
+    println!("\n-- measured per-kernel busy times (summed over lanes) --");
     let mut rows = Vec::new();
     rows.extend(kernel_rows(TestCase::Stream, &args, &mut report));
     rows.extend(kernel_rows(TestCase::Scatter, &args, &mut report));
-    print_table(&["problem", "kernel", "time (s)", "share"], &rows);
+    print_table(&["problem", "kernel", "busy (s)", "share"], &rows);
 
     println!("\n-- modeled whole-scheme vectorisation effect --");
     let params = ModelParams::default();

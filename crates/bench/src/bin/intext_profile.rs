@@ -109,7 +109,7 @@ fn main() {
     );
     let t = oe.kernel_timings.expect("OE timings");
     println!(
-        "  Over Events (csp): tally-flush kernel = {:.0}% of kernel time (paper: ~22%)",
+        "  Over Events (csp): tally-flush kernel = {:.0}% of kernel busy time, summed over lanes (paper: ~22%)",
         100.0 * t.tally_fraction()
     );
 

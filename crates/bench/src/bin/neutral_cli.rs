@@ -457,7 +457,7 @@ fn main() -> ExitCode {
     );
     if let Some(t) = report.kernel_timings {
         println!(
-            "kernels: {} rounds; decide {:?}, collision {:?}, facet {:?}, tally {:?} ({:.0}%), census {:?}",
+            "kernels (busy, summed over lanes): {} rounds; decide {:?}, collision {:?}, facet {:?}, tally {:?} ({:.0}%), census {:?}",
             t.rounds,
             t.decide,
             t.collision,

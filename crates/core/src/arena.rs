@@ -3,16 +3,14 @@
 //! The event-based driver stages per-particle lanes — energies,
 //! material ids, table hints, lookup results — in temporary arrays
 //! before every batched cross-section lookup. Allocating those arrays
-//! per window (`Vec::with_capacity` five-plus times per kernel
+//! per lane (`Vec::with_capacity` five-plus times per kernel
 //! invocation) puts the allocator on the hot path of the round loop.
 //!
 //! A [`ScratchArena`] owns one copy of every such lane buffer. Each
-//! breadth-first window (pinned to one worker per pass) holds one arena
-//! and reuses it across kernel invocations:
-//! after the first round every buffer has reached its high-water capacity
-//! and the steady-state loop performs no *per-particle lane* allocations
-//! (the remaining allocation per kernel pass is one `Vec` of window
-//! descriptors, O(windows) pointers, not O(particles) lanes).
+//! worker's Over-Events scratch holds one arena and reuses it across
+//! kernel invocations and across the lanes that worker runs: after the
+//! first round every buffer has reached its high-water capacity and the
+//! steady-state loop allocates nothing.
 //!
 //! The arena is plain data — clearing it between uses is the caller's
 //! responsibility (see [`ScratchArena::clear`]), and the buffers carry no
@@ -21,7 +19,7 @@
 
 use neutral_xs::MaterialId;
 
-/// Reusable lane buffers for batched lookups. One arena per window;
+/// Reusable lane buffers for batched lookups. One arena per worker;
 /// cleared (not shrunk) between uses so capacity is retained.
 #[derive(Debug, Default)]
 pub struct ScratchArena {

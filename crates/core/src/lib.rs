@@ -17,11 +17,12 @@
 //! * **Over Particles** ([`over_particles`], §V-A) — a thread follows each
 //!   history from birth to census, caching cross sections and densities in
 //!   registers;
-//! * **Over Events** ([`over_events`], §V-B) — all histories advance one
-//!   event at a time through tight per-event kernels.
+//! * **Over Events** ([`over_events`], §V-B) — a lane's histories advance
+//!   together, one event at a time, through tight per-event kernels.
 //!
-//! Both track the canonical column storage ([`soa`]) in place, lane by
-//! lane, through the one step engine ([`step`]). Supporting machinery
+//! Both are lane kernels over the canonical column storage ([`soa`]),
+//! run in place by the one lane driver of the one step engine ([`step`]):
+//! one fork-join per timestep, whichever scheme. Supporting machinery
 //! reproduces the paper's ablations: OpenMP-style loop schedules
 //! ([`scheduler`], §VI-C), shared-atomic vs privatised tallies (§VI-F,
 //! via [`neutral_mesh::tally`]), per-kernel timings (§VI-G),

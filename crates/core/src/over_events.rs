@@ -1,6 +1,11 @@
-//! Drivers for the **Over Events** parallelisation scheme (paper §V-B,
-//! Listing 2): progress *all* particle histories one event at a time, with
-//! one kernel per event class.
+//! The **Over Events** parallelisation scheme (paper §V-B, Listing 2):
+//! progress particle histories one event at a time, with one kernel per
+//! event class — written here as a *lane kernel*, `run_event_lane`: one
+//! worker takes one lane of the population through
+//! `init → (decide → collision → facet → flush)* → census → flush` until
+//! that lane has nothing live, then takes the next lane
+//! (`step::run_lanes`, one fork-join per step). The paper's
+//! whole-population form is the one-lane case of the same code.
 //!
 //! Properties the paper attributes to this scheme, all reproduced here:
 //!
@@ -10,7 +15,8 @@
 //!   measured and removed (DESIGN.md §19);
 //! * no register caching — the state the Over-Particles loop keeps in
 //!   registers (microscopic cross sections, local number density) lives in
-//!   per-particle arrays and is streamed from memory every round;
+//!   per-particle arrays and is re-read by every kernel of every round
+//!   (lane-sized, so from cache rather than from memory: DESIGN.md §8);
 //! * compacted access — the seed reproduced the paper's "every kernel
 //!   visits the whole particle list and checks a predicate" gathers; the
 //!   kernels now iterate maintained compacted index lists (the stream
@@ -20,8 +26,8 @@
 //! * batched atomics — deposits accumulate in a per-particle pending array
 //!   and a *separate* tally loop flushes them, which is the workaround the
 //!   paper used to get the other loops to vectorise (§VI-G);
-//! * per-kernel wall-clock timings ([`KernelTimings`]) — the data behind
-//!   the tally-share and vectorisation figures.
+//! * per-kernel timings ([`KernelTimings`]) — the data behind the
+//!   tally-share and vectorisation figures.
 
 use crate::arena::ScratchArena;
 use crate::counters::EventCounters;
@@ -30,14 +36,19 @@ use crate::events::{
     next_event_parts, resolve_micro_xs, resolve_micro_xs_many, NextEvent, TallySink,
 };
 use crate::history::TransportCtx;
-use crate::soa::{ParticleSoA, SoAChunkMut};
-use neutral_mesh::{Facet, StructuredMesh2D};
+use crate::soa::SoAChunkMut;
+use neutral_mesh::{Facet, LaneSink, StructuredMesh2D};
 use neutral_rng::{CbRng, CounterStream};
 use neutral_xs::constants::speed_m_per_s;
 use neutral_xs::{macroscopic_per_m, number_density, MaterialId, MicroXs, XsHints};
 use std::time::{Duration, Instant};
 
-/// Wall-clock time spent in each kernel, summed over rounds.
+/// Time spent in each kernel of one timestep (summed over timesteps in a
+/// [`crate::sim::RunReport`]). Every lane times its own kernels, so a
+/// duration is **busy time summed over lanes** — equal to wall-clock time
+/// on one worker, up to `workers` times it on several — and `rounds` is
+/// the deepest lane's count, which is what a whole-population round loop
+/// would have counted.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KernelTimings {
     /// Initial population of the per-particle cache arrays.
@@ -52,11 +63,25 @@ pub struct KernelTimings {
     pub tally: Duration,
     /// Final census kernel.
     pub census: Duration,
-    /// Number of breadth-first rounds executed.
+    /// Breadth-first rounds the deepest lane executed.
     pub rounds: u64,
 }
 
 impl KernelTimings {
+    /// A step's timings from its lanes': busy times add, `rounds` is the
+    /// maximum.
+    pub(crate) fn over_lanes(lanes: &[KernelTimings]) -> Self {
+        lanes.iter().fold(Self::default(), |acc, t| Self {
+            init: acc.init + t.init,
+            decide: acc.decide + t.decide,
+            collision: acc.collision + t.collision,
+            facet: acc.facet + t.facet,
+            tally: acc.tally + t.tally,
+            census: acc.census + t.census,
+            rounds: acc.rounds.max(t.rounds),
+        })
+    }
+
     /// Total time across all kernels.
     #[must_use]
     pub fn total(&self) -> Duration {
@@ -120,9 +145,9 @@ enum Status {
 
 /// Per-window coherence state that persists across kernel invocations:
 /// the compacted index lists, the occupancy-dispatch bookkeeping and the
-/// scratch arena for batched lookups. One instance per breadth-first
-/// window, created once per solve, so the steady-state round loop
-/// performs no allocations.
+/// scratch arena for batched lookups. Part of the worker's
+/// [`EventScratch`], re-derived by the init kernel for every lane, so the
+/// steady-state round loop performs no allocations.
 ///
 /// **Hybrid occupancy dispatch.** The seed's kernels swept the whole
 /// particle array and checked an alive/tag predicate per lane; pure
@@ -213,20 +238,20 @@ impl WindowState {
     }
 }
 
-/// The per-particle state arrays of the breadth-first driver — the data
-/// that the Over-Particles scheme would have kept in registers ("Any time
-/// data is to be cached, it must be stored per particle", §V-B) — plus
-/// the per-window coherence state (compacted index lists, occupancy
-/// bookkeeping, scratch arenas).
+/// One worker's Over-Events scratch: the per-particle state arrays of
+/// the breadth-first kernels — the data that the Over-Particles scheme
+/// would have kept in registers ("Any time data is to be cached, it must
+/// be stored per particle", §V-B) — plus the window's coherence state
+/// (compacted index lists, occupancy bookkeeping, scratch arena).
 ///
-/// One instance serves a whole multi-timestep solve: the init kernel
-/// re-derives every live field from the particle list at the start of
-/// each [`run_over_events_lanes_partitioned`] call, so the arrays — and
-/// every arena and index list inside them, at their high-water
-/// capacities — are reused across timesteps instead of being reallocated
-/// per call (the ROADMAP "arena reuse across timesteps" item). Build one
-/// with [`EventState::ensure`].
-pub struct EventState {
+/// Lane-sized, not population-sized: built empty inside a step
+/// ([`crate::step::run_lanes`]), grown to the first lane its worker
+/// takes and reused for every later one at that high-water capacity. The
+/// init kernel re-derives every field a round reads from the lane's
+/// particles, so nothing of one lane — its lists, its arena, a deposit
+/// the runaway guard abandoned — reaches the next.
+#[derive(Default)]
+pub(crate) struct EventScratch {
     micro_a: Vec<f64>,
     micro_s: Vec<f64>,
     n_dens: Vec<f64>,
@@ -236,61 +261,49 @@ pub struct EventState {
     pending_cell: Vec<u32>,
     tag: Vec<Tag>,
     status: Vec<Status>,
-    wins: Vec<WindowState>,
-    /// Window size the state was built for; [`windows`] always cuts at
-    /// this boundary, so the window count can never drift from `wins`.
-    chunk: usize,
+    ws: WindowState,
 }
 
-impl EventState {
-    /// State for `n` particles cut into `chunk`-sized windows.
-    fn new(n: usize, chunk: usize) -> Self {
-        assert!(chunk > 0, "window chunk must be positive");
-        let n_windows = if n == 0 { 0 } else { n.div_ceil(chunk) };
-        Self {
-            micro_a: vec![0.0; n],
-            micro_s: vec![0.0; n],
-            n_dens: vec![0.0; n],
-            mat: vec![0; n],
-            dist: vec![0.0; n],
-            pending: vec![0.0; n],
-            pending_cell: vec![0; n],
-            tag: vec![Tag::None; n],
-            status: vec![Status::Active; n],
-            wins: (0..n_windows).map(|_| WindowState::default()).collect(),
-            chunk,
+impl EventScratch {
+    /// The window over lane `p`: the first `p.len()` slots of every state
+    /// array (grown to fit), beside the lane's own column slices.
+    fn window<'a, 'p>(&'a mut self, p: &'a mut SoAChunkMut<'p>) -> Window<'a, 'p> {
+        let n = p.len();
+        if self.status.len() < n {
+            self.micro_a.resize(n, 0.0);
+            self.micro_s.resize(n, 0.0);
+            self.n_dens.resize(n, 0.0);
+            self.mat.resize(n, 0);
+            self.dist.resize(n, 0.0);
+            self.pending.resize(n, 0.0);
+            self.pending_cell.resize(n, 0);
+            self.tag.resize(n, Tag::None);
+            self.status.resize(n, Status::Dead);
         }
-    }
-
-    /// Reuse `slot`'s state when it already fits `n` particles in
-    /// `chunk`-sized windows; (re)build it otherwise. Returns the ready
-    /// state. This is the seam the multi-timestep loop calls every step:
-    /// after the first step it is a pure borrow.
-    pub fn ensure(slot: &mut Option<EventState>, n: usize, chunk: usize) -> &mut EventState {
-        let fits = slot
-            .as_ref()
-            .is_some_and(|s| s.status.len() == n && s.chunk == chunk);
-        if !fits {
-            *slot = Some(EventState::new(n, chunk));
+        Window {
+            p,
+            micro_a: &mut self.micro_a[..n],
+            micro_s: &mut self.micro_s[..n],
+            n_dens: &mut self.n_dens[..n],
+            mat: &mut self.mat[..n],
+            dist: &mut self.dist[..n],
+            pending: &mut self.pending[..n],
+            pending_cell: &mut self.pending_cell[..n],
+            tag: &mut self.tag[..n],
+            status: &mut self.status[..n],
+            ws: &mut self.ws,
         }
-        slot.as_mut().expect("just ensured")
-    }
-
-    /// Residual pending deposits (should be drained to zero by the final
-    /// census flush of every solve) — exposed for the state-reuse tests.
-    #[must_use]
-    pub fn pending_total(&self) -> f64 {
-        self.pending.iter().map(|v| v.abs()).sum()
     }
 }
 
-/// A disjoint mutable window across the particle columns and all state
-/// arrays. `p` is the window's slice of every [`ParticleSoA`] field
-/// column — the canonical particle storage; no AoS record exists inside
-/// the round kernels (branchy handlers gather one particle into a
-/// register bundle via [`SoAChunkMut::load`] and scatter it back).
-struct Window<'a> {
-    p: SoAChunkMut<'a>,
+/// One lane's mutable window: its slices of the particle columns and the
+/// worker's state arrays cut to the same length. `p` is the lane's slice
+/// of every [`crate::soa::ParticleSoA`] field column — the canonical
+/// particle storage; no AoS record exists inside the round kernels
+/// (branchy handlers gather one particle into a register bundle via
+/// [`SoAChunkMut::load`] and scatter it back).
+struct Window<'a, 'p> {
+    p: &'a mut SoAChunkMut<'p>,
     micro_a: &'a mut [f64],
     micro_s: &'a mut [f64],
     n_dens: &'a mut [f64],
@@ -303,188 +316,49 @@ struct Window<'a> {
     ws: &'a mut WindowState,
 }
 
-fn windows<'a>(soa: &'a mut ParticleSoA, st: &'a mut EventState) -> Vec<Window<'a>> {
-    let chunk = st.chunk;
-    struct Rest<'a> {
-        cols: SoAChunkMut<'a>,
-        micro_a: &'a mut [f64],
-        micro_s: &'a mut [f64],
-        n_dens: &'a mut [f64],
-        mat: &'a mut [MaterialId],
-        dist: &'a mut [f64],
-        pending: &'a mut [f64],
-        pending_cell: &'a mut [u32],
-        tag: &'a mut [Tag],
-        status: &'a mut [Status],
-    }
-    let mut rest = Rest {
-        cols: soa.view_mut(),
-        micro_a: &mut st.micro_a,
-        micro_s: &mut st.micro_s,
-        n_dens: &mut st.n_dens,
-        mat: &mut st.mat,
-        dist: &mut st.dist,
-        pending: &mut st.pending,
-        pending_cell: &mut st.pending_cell,
-        tag: &mut st.tag,
-        status: &mut st.status,
-    };
-    assert_eq!(
-        st.wins.len(),
-        if rest.cols.is_empty() {
-            0
-        } else {
-            rest.cols.len().div_ceil(chunk)
-        },
-        "particle list changed length since EventState::new"
-    );
-    let mut out = Vec::with_capacity(st.wins.len());
-    for ws in &mut st.wins {
-        let cut = chunk.min(rest.cols.len());
-        let (p0, p1) = rest.cols.split_at_mut(cut);
-        let (a0, a1) = rest.micro_a.split_at_mut(cut);
-        let (s0, s1) = rest.micro_s.split_at_mut(cut);
-        let (n0, n1) = rest.n_dens.split_at_mut(cut);
-        let (m0m, m1m) = rest.mat.split_at_mut(cut);
-        let (d0, d1) = rest.dist.split_at_mut(cut);
-        let (pe0, pe1) = rest.pending.split_at_mut(cut);
-        let (pc0, pc1) = rest.pending_cell.split_at_mut(cut);
-        let (t0, t1) = rest.tag.split_at_mut(cut);
-        let (st0, st1) = rest.status.split_at_mut(cut);
-        out.push(Window {
-            p: p0,
-            micro_a: a0,
-            micro_s: s0,
-            n_dens: n0,
-            mat: m0m,
-            dist: d0,
-            pending: pe0,
-            pending_cell: pc0,
-            tag: t0,
-            status: st0,
-            ws,
-        });
-        rest = Rest {
-            cols: p1,
-            micro_a: a1,
-            micro_s: s1,
-            n_dens: n1,
-            mat: m1m,
-            dist: d1,
-            pending: pe1,
-            pending_cell: pc1,
-            tag: t1,
-            status: st1,
-        };
-    }
-    debug_assert!(rest.cols.is_empty());
-    out
-}
-
-/// Run the Over-Events scheme to census against the pluggable tally
-/// subsystem (`neutral_mesh::accum`) — the crate's one timed round loop.
-/// The breadth-first windows are cut at the lane boundaries of the
-/// *explicit* partition `part`, every kernel schedules whole windows
-/// across `n_threads` workers, and the separated tally-flush kernel
-/// drains window `i`'s pending deposits through lane sink `i`. Returns
-/// the raw per-lane counters and the per-kernel timings; with a
-/// deterministic backend the caller's pairwise merge of both tally and
-/// counters is bitwise identical for any worker count. Census energy is
-/// left to the caller's fold.
+/// The Over-Events lane kernel — the body [`crate::step::run_lanes`]
+/// runs once per lane: take the lane `chunk` to census through the
+/// breadth-first kernels, draining its pending deposits through its own
+/// lane `sink` (left lazy, not [claimed](LaneSink::claim): see that
+/// method's doc), on the calling worker's `scratch`. Returns the lane's
+/// raw counters and the busy time of each kernel; census energy is left
+/// to the caller's fold.
 ///
-/// `state` is the reusable per-solve state (arrays + per-window arenas,
-/// allocated once across a multi-timestep run). Windows walk their
-/// ranges in plain ascending order, which is key order, and every
-/// order-sensitive `f64` stream (death sums, census order, tally-flush
-/// order) follows it.
+/// The lane walks its range in plain ascending order, which is key
+/// order, and every order-sensitive `f64` stream (death sums, census
+/// order, tally-flush order) follows it. Its counters accumulate scalar,
+/// chronologically, across every kernel call, and nothing outside the
+/// lane enters them: a lane's partial — tally and counters — is a pure
+/// function of that lane's particles, whichever worker runs it, in
+/// whatever order, beside whichever other lanes. That is what a shard,
+/// which sees only its own lanes, reproduces exactly, and why only the
+/// caller's one pairwise reduction across lanes has an order to fix.
 ///
-/// Each lane's counters accumulate **scalar, per lane, across every
-/// pass** (chronological within the lane), and only the caller runs the
-/// one pairwise reduction across lanes. That decomposition is what a
-/// shard — which sees only its own lanes, and whose round loop may run
-/// fewer rounds than the whole population's — can reproduce exactly: a
-/// round in which a window has nothing live adds nothing to its
-/// counters, so a lane's counter partial is a pure function of that
-/// lane's particles.
-pub fn run_over_events_lanes_partitioned<R: CbRng>(
-    soa: &mut ParticleSoA,
+/// `max_events_per_history` caps the lane's rounds (a history has one
+/// event per round): past it, whatever is still active is marked dead
+/// and counted `stuck`.
+pub(crate) fn run_event_lane<R: CbRng>(
+    scratch: &mut EventScratch,
+    chunk: &mut SoAChunkMut<'_>,
+    sink: &mut LaneSink<'_>,
     ctx: &TransportCtx<'_, R>,
-    accum: &mut neutral_mesh::TallyAccum,
-    n_threads: usize,
-    schedule: crate::scheduler::Schedule,
-    state: &mut Option<EventState>,
-    part: neutral_mesh::LanePartition,
-) -> (Vec<EventCounters>, KernelTimings) {
-    use crate::scheduler::parallel_for_owned;
-    use neutral_mesh::LaneSink;
-
-    let n = soa.len();
-    assert_eq!(part.n_items, n, "partition must cover the population");
-    let chunk = part.lane_size;
-    let schedule = schedule.lane_granular();
-    let mut views: Vec<LaneSink<'_>> = accum.lane_views();
-    views.truncate(part.n_lanes);
-
-    let st = EventState::ensure(state, n, chunk);
+) -> (EventCounters, KernelTimings) {
+    let w = &mut scratch.window(chunk);
+    let mut c = EventCounters::default();
     let mut timings = KernelTimings::default();
-    let mut lane_counters = vec![EventCounters::default(); part.n_lanes.max(1)];
 
-    // Apply `kernel` to every window, one worker per window, returning
-    // the per-window (= per-lane) counters in window order.
-    let run_pass = |soa: &mut ParticleSoA,
-                    st: &mut EventState,
-                    kernel: &(dyn Fn(&mut Window<'_>) -> EventCounters + Sync)|
-     -> Vec<EventCounters> {
-        let mut states: Vec<(Window<'_>, EventCounters)> = windows(soa, st)
-            .into_iter()
-            .map(|w| (w, EventCounters::default()))
-            .collect();
-        parallel_for_owned(n_threads, schedule, &mut states, |_, (w, c)| {
-            *c = kernel(w);
-        });
-        states.iter().map(|(_, c)| *c).collect()
-    };
-    // As `run_pass`, but pairing window `i` with lane sink `i` for the
-    // tally-flush kernel.
-    let run_tally_pass = |soa: &mut ParticleSoA,
-                          st: &mut EventState,
-                          views: &mut [LaneSink<'_>],
-                          list: FlushList|
-     -> Vec<EventCounters> {
-        let mut states: Vec<(Window<'_>, &mut LaneSink<'_>, EventCounters)> = windows(soa, st)
-            .into_iter()
-            .zip(views.iter_mut())
-            .map(|(w, v)| (w, v, EventCounters::default()))
-            .collect();
-        parallel_for_owned(n_threads, schedule, &mut states, |_, (w, v, c)| {
-            *c = tally_kernel(w, v, list);
-        });
-        states.iter().map(|(_, _, c)| *c).collect()
-    };
-    let accumulate = |lane_counters: &mut [EventCounters], partials: &[EventCounters]| {
-        for (lc, p) in lane_counters.iter_mut().zip(partials) {
-            lc.merge(p);
-        }
-    };
+    let t = Instant::now();
+    c.merge(&init_kernel(w, ctx));
+    timings.init = t.elapsed();
 
-    // --- init kernel.
-    let t0 = Instant::now();
-    accumulate(
-        &mut lane_counters,
-        &run_pass(soa, &mut *st, &|w| init_kernel(w, ctx)),
-    );
-    timings.init = t0.elapsed();
-
-    // --- breadth-first rounds.
-    let max_rounds = ctx.cfg.max_events_per_history;
     loop {
         timings.rounds += 1;
-        if timings.rounds > max_rounds {
-            for (i, s) in st.status.iter_mut().enumerate() {
+        if timings.rounds > ctx.cfg.max_events_per_history {
+            for (i, s) in w.status.iter_mut().enumerate() {
                 if *s == Status::Active {
                     *s = Status::Dead;
-                    soa.dead[i] = true;
-                    lane_counters[i / chunk].stuck += 1;
+                    w.p.dead[i] = true;
+                    c.stuck += 1;
                 }
             }
             break;
@@ -492,49 +366,31 @@ pub fn run_over_events_lanes_partitioned<R: CbRng>(
 
         let t = Instant::now();
         // The decide kernel counts nothing: it only tags.
-        parallel_for_owned(n_threads, schedule, &mut windows(soa, st), |_, w| {
-            decide_kernel(w, ctx.mesh);
-        });
+        decide_kernel(w, ctx.mesh);
         timings.decide += t.elapsed();
-        if st.wins.iter().all(|ws| ws.live == 0) {
+        if w.ws.live == 0 {
             break;
         }
 
         let t = Instant::now();
-        accumulate(
-            &mut lane_counters,
-            &run_pass(soa, &mut *st, &|w| collision_kernel(w, ctx)),
-        );
+        c.merge(&collision_kernel(w, ctx));
         timings.collision += t.elapsed();
 
         let t = Instant::now();
-        accumulate(
-            &mut lane_counters,
-            &run_pass(soa, &mut *st, &|w| facet_kernel(w, ctx)),
-        );
+        c.merge(&facet_kernel(w, ctx));
         timings.facet += t.elapsed();
 
         let t = Instant::now();
-        accumulate(
-            &mut lane_counters,
-            &run_tally_pass(soa, &mut *st, &mut views, FlushList::Round),
-        );
+        c.merge(&tally_kernel(w, sink, FlushList::Round));
         timings.tally += t.elapsed();
     }
 
-    // --- census kernel + final flush.
     let t = Instant::now();
-    accumulate(
-        &mut lane_counters,
-        &run_pass(soa, &mut *st, &|w| census_kernel(w, ctx)),
-    );
-    accumulate(
-        &mut lane_counters,
-        &run_tally_pass(soa, &mut *st, &mut views, FlushList::Census),
-    );
-    timings.census += t.elapsed();
+    c.merge(&census_kernel(w, ctx));
+    c.merge(&tally_kernel(w, sink, FlushList::Census));
+    timings.census = t.elapsed();
 
-    (lane_counters, timings)
+    (c, timings)
 }
 
 /// Populate the per-particle cache arrays and build the initial
@@ -542,8 +398,8 @@ pub fn run_over_events_lanes_partitioned<R: CbRng>(
 /// through one batched `lookup_many` call — the lane-block shape the
 /// unionized/hashed backends are built for. All staging lanes live in
 /// the window's [`ScratchArena`], so repeated invocations (one per
-/// window per timestep) allocate nothing once the arena has warmed up.
-fn init_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
+/// lane) allocate nothing once the arena has warmed up.
+fn init_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let n = w.p.len();
     let WindowState {
@@ -564,8 +420,8 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> Event
     census.clear();
     *needs_compact = false;
     for i in 0..n {
-        // A previous timestep's runaway guard abandons histories without
-        // flushing them; a reused state must not leak those deposits.
+        // A previous lane's runaway guard abandons histories without
+        // flushing them; a reused scratch must not leak those deposits.
         w.pending[i] = 0.0;
         if w.p.dead[i] {
             w.status[i] = Status::Dead;
@@ -623,7 +479,7 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> Event
 /// list arm additionally streams the tagged indices into the round's
 /// collision/facet lists, which is what shrinks every downstream
 /// kernel's trip count.
-fn decide_kernel(w: &mut Window<'_>, mesh: &StructuredMesh2D) {
+fn decide_kernel(w: &mut Window<'_, '_>, mesh: &StructuredMesh2D) {
     w.ws.begin_round(w.status);
     let WindowState {
         active,
@@ -704,7 +560,7 @@ fn decide_kernel(w: &mut Window<'_>, mesh: &StructuredMesh2D) {
     }
 }
 
-fn collision_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
+fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let nx = ctx.mesh.nx();
     let WindowState {
@@ -799,7 +655,7 @@ fn collision_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> 
     c
 }
 
-fn facet_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
+fn facet_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let nx = ctx.mesh.nx();
     let sweep = w.ws.sweep;
@@ -911,7 +767,11 @@ enum FlushList {
 
 /// The separated tally flush: drain every pending deposit of `list` into
 /// `sink`, in ascending index order.
-fn tally_kernel<T: TallySink>(w: &mut Window<'_>, sink: &mut T, list: FlushList) -> EventCounters {
+fn tally_kernel<T: TallySink>(
+    w: &mut Window<'_, '_>,
+    sink: &mut T,
+    list: FlushList,
+) -> EventCounters {
     let mut c = EventCounters::default();
     let mut drain = |i: usize| {
         if w.pending[i] != 0.0 {
@@ -932,7 +792,7 @@ fn tally_kernel<T: TallySink>(w: &mut Window<'_>, sink: &mut T, list: FlushList)
 /// window's census list. The list is sorted ascending first so the pass
 /// (and the final flush that follows it) runs in the seed's sequence —
 /// census entries arrive round by round, not index by index.
-fn census_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
+fn census_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let nx = ctx.mesh.nx();
     let census = &mut w.ws.census;
@@ -969,39 +829,75 @@ fn census_kernel<R: CbRng>(w: &mut Window<'_>, ctx: &TransportCtx<'_, R>) -> Eve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::fnv1a64;
     use crate::config::{ProblemScale, TestCase};
     use crate::over_particles::run_sequential;
-    use crate::particle::spawn_particles;
+    use crate::particle::{spawn_particles, Particle};
     use crate::scheduler::Schedule;
+    use crate::sim::Scheme;
+    use crate::soa::ParticleSoA;
+    use crate::step::run_step_scheduled;
     use neutral_mesh::tally::{AtomicTally, SequentialTally};
     use neutral_mesh::{LanePartition, TallyAccum, TallyStrategy};
     use neutral_rng::Threefry2x64;
 
-    /// The sinks every round-loop test runs under: the deterministic
+    /// The sinks every lane-kernel test runs under: the deterministic
     /// default and the paper's shared-atomic baseline.
     const SINKS: [TallyStrategy; 2] = [TallyStrategy::Replicated, TallyStrategy::Atomic];
 
-    /// Drive the round loop over the whole population — one window per
-    /// lane of `accum`, `workers` workers — and merge the per-lane
-    /// counters the way the step engine's fold does.
+    /// The step engine's Over-Events arm over the whole population — one
+    /// lane per lane of `accum`, `workers` workers under `schedule` —
+    /// returning the raw per-lane counters and the step's timings.
+    fn run_lanes_with(
+        soa: &mut ParticleSoA,
+        c: &TransportCtx<'_, Threefry2x64>,
+        accum: &mut TallyAccum,
+        workers: usize,
+        schedule: Schedule,
+    ) -> (Vec<EventCounters>, KernelTimings) {
+        let part = LanePartition::new(soa.len(), accum.n_lanes());
+        let config = (Scheme::OverEvents, workers, schedule);
+        let (partials, timings) = run_step_scheduled(soa, c, config, part, accum);
+        (partials, timings.expect("Over Events reports timings"))
+    }
+
+    /// [`run_lanes_with`] under `dynamic,1`, the per-lane counters merged
+    /// the way the step engine's fold does.
     fn run_rounds(
         soa: &mut ParticleSoA,
         c: &TransportCtx<'_, Threefry2x64>,
         accum: &mut TallyAccum,
         workers: usize,
-        state: &mut Option<EventState>,
     ) -> (EventCounters, KernelTimings) {
-        let part = LanePartition::new(soa.len(), accum.n_lanes());
-        let (partials, timings) = run_over_events_lanes_partitioned(
-            soa,
-            c,
-            accum,
-            workers,
-            Schedule::Dynamic { chunk: 1 },
-            state,
-            part,
-        );
+        let (partials, timings) =
+            run_lanes_with(soa, c, accum, workers, Schedule::Dynamic { chunk: 1 });
         (EventCounters::merge_deterministic(&partials), timings)
+    }
+
+    fn tally_bits(accum: &TallyAccum) -> Vec<u64> {
+        accum.merge().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A 5 000-particle `scatter` population cut into 16 lanes of 313 (a
+    /// tail lane of 305) whose even lanes reach census within a round or
+    /// two (their timers are a few centimetres of flight) while the even
+    /// lanes — the tail lane among them — run into a six-round runaway
+    /// guard: lanes of different depth and length, side by side.
+    fn uneven_lanes() -> (crate::config::Problem, Threefry2x64, Vec<Particle>) {
+        let (mut problem, rng) = fixture(TestCase::Scatter);
+        problem.transport.max_events_per_history = 6;
+        let mut particles = spawn_particles(&problem);
+        let part = LanePartition::new(particles.len(), 16);
+        assert_eq!(
+            (part.lane_size, part.n_lanes, part.range(15).len()),
+            (313, 16, 305)
+        );
+        for (i, p) in particles.iter_mut().enumerate() {
+            if part.lane_of(i).is_multiple_of(2) {
+                p.dt_to_census *= 1.0e-9;
+            }
+        }
+        (problem, rng, particles)
     }
 
     fn fixture(case: TestCase) -> (crate::config::Problem, Threefry2x64) {
@@ -1036,9 +932,9 @@ mod tests {
             let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
             let n = particles.len();
             let tally = AtomicTally::new(problem.mesh.num_cells());
-            let mut st = EventState::new(n, n.max(1));
-            let mut ws = windows(&mut particles, &mut st);
-            let w = &mut ws[0];
+            let mut scratch = EventScratch::default();
+            let mut lanes = particles.chunks_mut(n);
+            let w = &mut scratch.window(&mut lanes[0]);
             init_kernel(w, &c);
             let alive: Vec<u32> = (0..n as u32)
                 .filter(|&i| w.status[i as usize] == Status::Active)
@@ -1123,21 +1019,20 @@ mod tests {
         let alive = base.iter().filter(|p| !p.dead).count();
         assert!(alive < bound && bound <= live_end && live_end < n);
 
-        let mut st = EventState::new(n, n.max(1));
+        let mut scratch = EventScratch::default();
         let mut probe = ParticleSoA::from_aos(&base);
-        let mut ws = windows(&mut probe, &mut st);
-        init_kernel(&mut ws[0], &c);
-        assert_eq!(ws[0].ws.scan, bound, "scan == one past the last live slot");
-        assert_eq!(ws[0].ws.live, alive);
-        drop(ws);
+        let mut lanes = probe.chunks_mut(n);
+        let w = &mut scratch.window(&mut lanes[0]);
+        init_kernel(w, &c);
+        assert_eq!(w.ws.scan, bound, "scan == one past the last live slot");
+        assert_eq!(w.ws.live, alive);
 
         let run = |particles: &[crate::particle::Particle]| {
             // One lane = one window over the whole population.
             let mut accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 1);
             let mut soa = ParticleSoA::from_aos(particles);
-            let (counters, _t) = run_rounds(&mut soa, &c, &mut accum, 1, &mut None);
-            let bits: Vec<u64> = accum.merge().iter().map(|v| v.to_bits()).collect();
-            (counters, bits, soa.to_aos())
+            let (counters, _t) = run_rounds(&mut soa, &c, &mut accum, 1);
+            (counters, tally_bits(&accum), soa.to_aos())
         };
         let (c_full, t_full, p_full) = run(&base);
         let (c_cut, t_cut, p_cut) = run(&base[..bound]);
@@ -1162,7 +1057,7 @@ mod tests {
             for (sink, workers) in [(SINKS[0], 1), (SINKS[0], 4), (SINKS[1], 1), (SINKS[1], 4)] {
                 let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
                 let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-                let (oe_counters, _t) = run_rounds(&mut oe_soa, &c, &mut accum, workers, &mut None);
+                let (oe_counters, _t) = run_rounds(&mut oe_soa, &c, &mut accum, workers);
                 assert_eq!(
                     op_particles,
                     oe_soa.to_aos(),
@@ -1197,7 +1092,7 @@ mod tests {
         for sink in SINKS {
             let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
             let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            run_rounds(&mut oe_soa, &c, &mut accum, 1, &mut None);
+            run_rounds(&mut oe_soa, &c, &mut accum, 1);
             for (i, (a, b)) in op_tally.values().iter().zip(accum.merge()).enumerate() {
                 let scale = a.abs().max(total * 1e-12).max(1e-30);
                 assert!(
@@ -1215,7 +1110,7 @@ mod tests {
         for sink in SINKS {
             let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
             let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            let (_counters, t) = run_rounds(&mut particles, &c, &mut accum, 1, &mut None);
+            let (_counters, t) = run_rounds(&mut particles, &c, &mut accum, 1);
             assert!(t.rounds > 1, "{sink:?}");
             assert!(t.total() > Duration::ZERO, "{sink:?}");
             let f = t.tally_fraction();
@@ -1231,7 +1126,7 @@ mod tests {
         for sink in SINKS {
             let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
             let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            let (counters, _) = run_rounds(&mut particles, &c, &mut accum, 2, &mut None);
+            let (counters, _) = run_rounds(&mut particles, &c, &mut accum, 2);
             assert!(counters.stuck > 0, "{sink:?}");
             assert!(particles
                 .to_aos()
@@ -1240,97 +1135,118 @@ mod tests {
         }
     }
 
-    /// A reused `EventState` must behave exactly like a fresh one on
-    /// every subsequent timestep: same trajectories, counters and tally
-    /// bits — no stale per-window data (lists, arenas, pending deposits)
-    /// may survive the init kernel.
+    /// One scratch carried from lane to lane — across lanes of unequal
+    /// length, and past lanes that ran into the runaway guard — behaves
+    /// exactly like a fresh scratch per lane: nothing of a lane (lists,
+    /// arena, state beyond a shorter successor's length, an abandoned
+    /// deposit) survives the next lane's init kernel.
     #[test]
-    fn state_reuse_across_timesteps_matches_fresh_state() {
-        for (case, sink) in [
-            (TestCase::Scatter, SINKS[0]),
-            (TestCase::Scatter, SINKS[1]),
-            (TestCase::Csp, SINKS[0]),
-            (TestCase::Csp, SINKS[1]),
-        ] {
-            let (problem, rng) = fixture(case);
-            let c = ctx(&problem, &rng);
-            let run2 = |reuse: bool| {
-                let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-                let mut tally = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-                let mut slot: Option<EventState> = None;
-                let mut counters = EventCounters::default();
-                for step in 0..2 {
-                    if step > 0 {
-                        for i in 0..particles.len() {
-                            if !particles.dead[i] {
-                                particles.dt_to_census[i] = problem.dt;
-                            }
-                        }
-                    }
-                    let mut fresh: Option<EventState> = None;
-                    let st = if reuse { &mut slot } else { &mut fresh };
-                    let (c0, _) = run_rounds(&mut particles, &c, &mut tally, 1, st);
-                    counters.merge(&c0);
+    fn scratch_reuse_across_lanes_matches_fresh_scratch() {
+        let (problem, rng, particles) = uneven_lanes();
+        let c = ctx(&problem, &rng);
+        for sink in SINKS {
+            let run = |reuse: bool| {
+                let mut soa = ParticleSoA::from_aos(&particles);
+                let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+                let mut carried = EventScratch::default();
+                let mut counters = Vec::new();
+                let lanes = soa
+                    .chunks_mut(soa.len().div_ceil(16))
+                    .into_iter()
+                    .zip(accum.lane_views());
+                for (mut chunk, mut view) in lanes {
+                    let mut fresh = EventScratch::default();
+                    let scratch = if reuse { &mut carried } else { &mut fresh };
+                    counters.push(run_event_lane(scratch, &mut chunk, &mut view, &c).0);
                 }
-                (particles, counters, tally.merge(), slot)
+                (counters, tally_bits(&accum), soa.to_aos())
             };
-            let (pa, ca, ta, slot) = run2(true);
-            let (pb, cb, tb, _) = run2(false);
-            assert_eq!(pa, pb, "{case:?}/{sink:?}: trajectories");
-            assert_eq!(ca, cb, "{case:?}/{sink:?}: counters");
+            let (counters, tally, records) = run(true);
             assert!(
-                ta.iter().zip(&tb).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{case:?}/{sink:?}: tally bits"
+                counters.iter().any(|c| c.stuck > 0) && counters.iter().any(|c| c.stuck == 0),
+                "{sink:?}: the fixture must mix guarded and clean lanes"
             );
-            // A clean solve drains every pending deposit.
-            assert_eq!(
-                slot.expect("state was reused").pending_total(),
-                0.0,
-                "{case:?}/{sink:?}: residual pending deposits after a clean solve"
-            );
+            assert_eq!((counters, tally, records), run(false), "{sink:?}");
         }
     }
 
-    /// Even a runaway-guard abort leaves no pending deposits behind (the
-    /// guard fires at the top of a round, after the previous round's
-    /// flush), and a reused state after such an abort still matches a
-    /// fresh one bitwise. The init kernel additionally re-zeroes pending
-    /// defensively, so this invariant survives future changes to where
-    /// the guard fires.
+    /// Which worker runs a lane, in what order and beside which other
+    /// lanes is unobservable: every worker count × schedule gives the
+    /// bits of the one-worker run, and the deepest lane's round count is
+    /// the one-lane whole-population run's.
     #[test]
-    fn state_reuse_is_clean_after_runaway_abort() {
-        let (mut problem, rng) = fixture(TestCase::Scatter);
-        problem.transport.max_events_per_history = 6;
-        let c = ctx(&problem, &rng);
-        let run2 = |reuse: bool, sink: TallyStrategy| {
-            let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-            let mut tally = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            let mut slot: Option<EventState> = None;
-            for step in 0..2 {
-                if step > 0 {
-                    assert_eq!(
-                        slot.as_ref().map_or(0.0, EventState::pending_total),
-                        0.0,
-                        "an aborted solve must not leave pending deposits"
-                    );
-                    for i in 0..particles.len() {
-                        if !particles.dead[i] {
-                            particles.dt_to_census[i] = problem.dt;
-                        }
-                    }
+    fn lane_interleaving_is_unobservable() {
+        for case in [TestCase::Scatter, TestCase::Csp] {
+            let (problem, rng) = fixture(case);
+            let c = ctx(&problem, &rng);
+            let run = |lanes: usize, workers: usize, schedule: Schedule| {
+                let mut soa = ParticleSoA::from_aos(&spawn_particles(&problem));
+                let mut accum =
+                    TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), lanes);
+                let (counters, t) = run_lanes_with(&mut soa, &c, &mut accum, workers, schedule);
+                ((counters, tally_bits(&accum), soa.to_aos()), t.rounds)
+            };
+            let (base, rounds) = run(16, 1, Schedule::Static { chunk: None });
+            let (_, whole_population_rounds) = run(1, 1, Schedule::Static { chunk: None });
+            assert_eq!(rounds, whole_population_rounds, "{case:?}: rounds");
+            for workers in [1, 2, 7] {
+                for schedule in [
+                    Schedule::Static { chunk: None },
+                    Schedule::Dynamic { chunk: 1 },
+                    Schedule::Guided { min_chunk: 1 },
+                ] {
+                    let (bits, r) = run(16, workers, schedule);
+                    assert_eq!(r, rounds, "{case:?}/{workers}/{schedule:?}: rounds");
+                    assert!(bits == base, "{case:?}/{workers}/{schedule:?}: bits");
                 }
-                let mut fresh: Option<EventState> = None;
-                let st = if reuse { &mut slot } else { &mut fresh };
-                let _ = run_rounds(&mut particles, &c, &mut tally, 1, st);
             }
-            tally.merge().iter().sum::<f64>()
-        };
-        for sink in SINKS {
-            assert_eq!(
-                run2(true, sink).to_bits(),
-                run2(false, sink).to_bits(),
-                "{sink:?}: reused state after an abort diverges from fresh state"
-            );
         }
     }
+
+    /// The runaway guard is a per-lane round cap that marks the set the
+    /// whole-population cap marked: on lanes of different depth, the
+    /// per-lane `stuck` counts, the dead flags and the tally are the ones
+    /// the global round loop this kernel replaced produced (numbers taken
+    /// from a build of that loop on this fixture).
+    #[test]
+    fn lane_round_cap_marks_the_global_caps_stuck_set() {
+        let (problem, rng, particles) = uneven_lanes();
+        let c = ctx(&problem, &rng);
+        let mut soa = ParticleSoA::from_aos(&particles);
+        let mut accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 16);
+        let (counters, t) = run_lanes_with(
+            &mut soa,
+            &c,
+            &mut accum,
+            2,
+            Schedule::Guided { min_chunk: 1 },
+        );
+        let stuck: Vec<u64> = counters.iter().map(|c| c.stuck).collect();
+        assert_eq!(stuck, PARENT_STUCK_PER_LANE);
+        assert_eq!(t.rounds, 7, "the deepest lane stopped at the cap");
+        let dead = soa.dead.iter().filter(|&&d| d).count();
+        assert_eq!(dead, PARENT_DEAD);
+        let merged = EventCounters::merge_deterministic(&counters);
+        assert_eq!(
+            (
+                merged.collisions,
+                merged.facets,
+                merged.census,
+                merged.tally_flushes
+            ),
+            PARENT_EVENTS
+        );
+        let tally = accum.merge();
+        assert_eq!(
+            fnv1a64(tally.iter().flat_map(|v| v.to_bits().to_le_bytes())),
+            PARENT_TALLY_FNV
+        );
+    }
+
+    const PARENT_STUCK_PER_LANE: [u64; 16] = [
+        0, 313, 0, 313, 0, 313, 0, 313, 0, 313, 0, 313, 0, 313, 0, 305,
+    ];
+    const PARENT_DEAD: usize = 2496;
+    const PARENT_EVENTS: (u64, u64, u64, u64) = (14_697, 279, 2_504, 17_480);
+    const PARENT_TALLY_FNV: u64 = 0xa875_9103_04ea_70d2;
 }

@@ -1,11 +1,13 @@
 //! Drivers for the **Over Particles** parallelisation scheme (paper §V-A):
 //! each worker follows whole particle histories from birth to census.
 //!
-//! [`run_lanes_partitioned`] is the driver every solve, shard attempt and
-//! served request runs: whole tally lanes scheduled across workers, each
-//! history gathered from the canonical [`ParticleSoA`] columns, tracked
-//! to census in registers ([`crate::history`]) and scattered back, in
-//! key order, each lane depositing through its own lane sink.
+//! `track_lane` is the lane kernel every solve, shard attempt and
+//! served request runs under the step engine's lane driver
+//! (`step::run_lanes`: whole tally lanes scheduled across
+//! workers): each history gathered from the lane's slice of the canonical
+//! [`crate::soa::ParticleSoA`] columns, tracked to census in registers
+//! ([`crate::history`]) and scattered back, in key order, the lane
+//! depositing through its own lane sink.
 //!
 //! [`run_sequential`] and [`run_scheduled`] are the paper's
 //! record-at-a-time baselines — a plain loop, and explicit threads with
@@ -25,10 +27,10 @@ use crate::counters::EventCounters;
 use crate::events::TallySink;
 use crate::history::{track_to_census, TransportCtx};
 use crate::particle::Particle;
-use crate::scheduler::{parallel_for_owned, parallel_for_stateful, Schedule, SharedSliceMut};
-use crate::soa::{ParticleSoA, SoAChunkMut};
+use crate::scheduler::{parallel_for_stateful, Schedule, SharedSliceMut};
+use crate::soa::SoAChunkMut;
 use neutral_mesh::tally::{AtomicTally, PrivatizedTally};
-use neutral_mesh::{LanePartition, LaneSink, TallyAccum};
+use neutral_mesh::LaneSink;
 use neutral_rng::CbRng;
 
 /// Track every particle to census on the current thread.
@@ -107,69 +109,32 @@ pub fn run_scheduled<R: CbRng>(
     merged
 }
 
-/// Track the column population `soa` to census on `n_threads` workers:
-/// the columns are cut at the lane boundaries of the *explicit* partition
-/// `part`, whole lanes are scheduled across the workers, and each lane
-/// deposits through its own [`LaneSink`], which the tracking worker
-/// [claims](LaneSink::claim) first. Within a lane every live history is
-/// `load`ed, tracked to census and `store`d back in storage order — which
-/// is key order. Returns the raw per-lane counters; the caller merges
-/// them with the deterministic pairwise reduction, so for the
-/// deterministic backends the merged tally *and* the counters are bitwise
-/// identical for any `n_threads`.
-///
-/// The partition is explicit because this is also the sharding seam: a
-/// shard holds a contiguous run of the global lane space, so it must
-/// process its particles with the *global* `lane_size` (a tail shard's
-/// local `LanePartition::new` would compute a smaller one) and hand its
-/// partials — tally lanes via [`TallyAccum::into_lane_partials`], reduced
-/// to the merge-tree nodes that cover them; per-lane counters via this
-/// return value — to the coordinator, which finishes the global pairwise
-/// merges.
-pub fn run_lanes_partitioned<R: CbRng>(
-    soa: &mut ParticleSoA,
+/// The Over-Particles lane kernel — the body [`crate::step::run_lanes`]
+/// runs once per lane: the tracking worker [claims](LaneSink::claim) the
+/// lane's sink, then every live history of `chunk` is `load`ed, tracked to
+/// census and `store`d back in storage order — which is key order.
+/// Returns the lane's raw counters.
+pub(crate) fn track_lane<R: CbRng>(
+    chunk: &mut SoAChunkMut<'_>,
+    sink: &mut LaneSink<'_>,
     ctx: &TransportCtx<'_, R>,
-    accum: &mut TallyAccum,
-    n_threads: usize,
-    schedule: Schedule,
-    part: LanePartition,
-) -> Vec<EventCounters> {
-    assert!(n_threads > 0, "need at least one thread");
-    assert_eq!(
-        part.n_items,
-        soa.len(),
-        "partition must cover the population"
-    );
-    let mut states: Vec<(SoAChunkMut<'_>, LaneSink<'_>, EventCounters)> = soa
-        .chunks_mut(part.lane_size)
-        .into_iter()
-        .zip(accum.lane_views())
-        .map(|(chunk, sink)| (chunk, sink, EventCounters::default()))
-        .collect();
-    parallel_for_owned(
-        n_threads,
-        schedule.lane_granular(),
-        &mut states,
-        |_, (chunk, sink, counters)| {
-            sink.claim();
-            // Counted on the worker's stack and written back once: the
-            // lane states sit side by side in one `Vec`, and a counter
-            // bumped there on every event shares a cache line with the
-            // neighbouring lane's state, which another worker is reading
-            // (0.30 → 0.24 s per csp 512² step on two workers).
-            let mut local = EventCounters::default();
-            for i in 0..chunk.len() {
-                if chunk.dead[i] {
-                    continue;
-                }
-                let mut p = chunk.load(i);
-                track_to_census(&mut p, ctx, sink, &mut local);
-                chunk.store(i, &p);
-            }
-            *counters = local;
-        },
-    );
-    states.iter().map(|(_, _, c)| *c).collect()
+) -> EventCounters {
+    sink.claim();
+    // Counted on the worker's stack and written back once: the
+    // lane states sit side by side in one `Vec`, and a counter
+    // bumped there on every event shares a cache line with the
+    // neighbouring lane's state, which another worker is reading
+    // (0.30 → 0.24 s per csp 512² step on two workers).
+    let mut local = EventCounters::default();
+    for i in 0..chunk.len() {
+        if chunk.dead[i] {
+            continue;
+        }
+        let mut p = chunk.load(i);
+        track_to_census(&mut p, ctx, sink, &mut local);
+        chunk.store(i, &p);
+    }
+    local
 }
 
 #[cfg(test)]
@@ -177,7 +142,11 @@ mod tests {
     use super::*;
     use crate::config::{ProblemScale, TestCase};
     use crate::particle::spawn_particles;
+    use crate::sim::Scheme;
+    use crate::soa::ParticleSoA;
+    use crate::step::run_step_scheduled;
     use neutral_mesh::tally::SequentialTally;
+    use neutral_mesh::{LanePartition, TallyAccum};
     use neutral_rng::Threefry2x64;
 
     struct Fixture {
@@ -219,14 +188,10 @@ mod tests {
             let part = LanePartition::new(lane_soa.len(), 16);
             let mut accum =
                 TallyAccum::new(neutral_mesh::TallyStrategy::Atomic, cells, part.n_lanes);
-            let lane_counters = EventCounters::merge_deterministic(&run_lanes_partitioned(
-                &mut lane_soa,
-                &fx.ctx(),
-                &mut accum,
-                4,
-                Schedule::Dynamic { chunk: 1 },
-                part,
-            ));
+            let config = (Scheme::OverParticles, 4, Schedule::Dynamic { chunk: 1 });
+            let lane_counters = EventCounters::merge_deterministic(
+                &run_step_scheduled(&mut lane_soa, &fx.ctx(), config, part, &mut accum).0,
+            );
             assert_eq!(
                 seq_particles,
                 lane_soa.to_aos(),
@@ -328,14 +293,10 @@ mod tests {
                     }
                 }
             }
-            let counters = EventCounters::merge_deterministic(&run_lanes_partitioned(
-                &mut soa,
-                &fx.ctx(),
-                &mut accum,
-                threads,
-                schedule,
-                part,
-            ));
+            let config = (Scheme::OverParticles, threads, schedule);
+            let counters = EventCounters::merge_deterministic(
+                &run_step_scheduled(&mut soa, &fx.ctx(), config, part, &mut accum).0,
+            );
             (accum.merge_with(threads), counters, soa.to_aos())
         };
         for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {

@@ -125,21 +125,33 @@ where
     S: Send,
     F: Fn(usize, &mut S) + Sync,
 {
-    assert!(n_threads > 0, "need at least one worker");
+    let mut workers = vec![(); n_threads];
+    parallel_for_owned_with(&mut workers, schedule, states, |(), i, s| body(i, s));
+}
+
+/// [`parallel_for_owned`] on `workers.len()` workers, each of which also
+/// owns one element of `workers` for as long as it runs: the value
+/// `body(worker, item, &mut states[item])` reuses across the items that
+/// worker happens to take (a scratch buffer — nothing an item's result
+/// may depend on).
+pub(crate) fn parallel_for_owned_with<W, S, F>(
+    workers: &mut [W],
+    schedule: Schedule,
+    states: &mut [S],
+    body: F,
+) where
+    W: Send,
+    S: Send,
+    F: Fn(&mut W, usize, &mut S) + Sync,
+{
     let n_items = states.len();
-    if n_threads == 1 {
-        for (i, state) in states.iter_mut().enumerate() {
-            body(i, state);
-        }
-        return;
-    }
     let shared = SharedSliceMut::new(states);
-    parallel_for(n_threads, n_items, schedule, |_t, range| {
+    parallel_for_stateful(n_items, schedule, workers, |worker, range| {
         // SAFETY: scheduler ranges are disjoint (see SharedSliceMut), and
         // each range is expanded to per-item calls by this worker only.
         let items = unsafe { shared.range_mut(range.clone()) };
         for (off, state) in items.iter_mut().enumerate() {
-            body(range.start + off, state);
+            body(worker, range.start + off, state);
         }
     });
 }

@@ -643,8 +643,7 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
     begin_step(&mut soa, problem.dt, step);
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
-    let (mut lane_counters, _timings) =
-        run_step(&mut soa, &sim.ctx(), options, part, &mut accum, &mut None);
+    let (mut lane_counters, _timings) = run_step(&mut soa, &sim.ctx(), options, part, &mut accum);
     // Empty populations can yield fewer (or one placeholder) counter
     // slots; normalize to exactly one per owned lane.
     lane_counters.resize(part.n_lanes, EventCounters::default());

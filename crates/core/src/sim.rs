@@ -10,7 +10,7 @@ use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
 use crate::config::{Problem, TallyStrategy};
 use crate::counters::EventCounters;
 use crate::history::TransportCtx;
-use crate::over_events::{EventState, KernelTimings};
+use crate::over_events::KernelTimings;
 use crate::particle::{first_out_of_key_order, spawn_particles, Particle};
 use crate::scheduler::Schedule;
 use crate::soa::{census_energy, ParticleSoA};
@@ -27,7 +27,7 @@ pub enum Scheme {
     /// Depth-first: a thread follows a particle from birth to census.
     #[default]
     OverParticles,
-    /// Breadth-first: all histories advance one event class at a time.
+    /// Breadth-first: a lane's histories advance one event class at a time.
     OverEvents,
 }
 
@@ -80,7 +80,8 @@ pub struct RunReport {
     pub counters: EventCounters,
     /// The energy-deposition tally, merged ("compressed") to one mesh.
     pub tally: Vec<f64>,
-    /// Per-kernel timings (Over Events only).
+    /// Per-kernel busy times, summed over lanes and timesteps (Over
+    /// Events only).
     pub kernel_timings: Option<KernelTimings>,
     /// Number of histories that survived to the final census.
     pub alive: usize,
@@ -246,8 +247,6 @@ pub struct SolveCore {
     /// exist only at the serialization edges (checkpoints, shard wire
     /// bytes).
     soa: ParticleSoA,
-    /// The Over-Events state arrays, kept across timesteps.
-    oe_state: Option<EventState>,
     counters: EventCounters,
     kernel_timings: Option<KernelTimings>,
     tally: Vec<f64>,
@@ -273,7 +272,6 @@ impl SolveCore {
             fingerprint: config_fingerprint(problem, options.scheme),
             n_timesteps: problem.n_timesteps,
             soa,
-            oe_state: None,
             counters: EventCounters::default(),
             kernel_timings: None,
             tally: vec![0.0; problem.mesh.num_cells()],
@@ -336,7 +334,6 @@ impl SolveCore {
             fingerprint: expected,
             n_timesteps: problem.n_timesteps,
             soa: ParticleSoA::from_aos(&checkpoint.particles),
-            oe_state: None,
             counters: checkpoint.counters,
             kernel_timings: None,
             tally: checkpoint.tally.clone(),
@@ -413,14 +410,8 @@ impl SolveCore {
         let part = LanePartition::new(self.soa.len(), DEFAULT_LANES);
         begin_step(&mut self.soa, sim.problem.dt, self.step);
         let mut accum = TallyAccum::new(ctx.cfg.tally_strategy, self.tally.len(), part.n_lanes);
-        let (lane_counters, timings) = run_step(
-            &mut self.soa,
-            &ctx,
-            self.options,
-            part,
-            &mut accum,
-            &mut self.oe_state,
-        );
+        let (lane_counters, timings) =
+            run_step(&mut self.soa, &ctx, self.options, part, &mut accum);
         let footprint = accum.footprint_bytes();
         let (workers, _) = execution_workers(self.options.execution);
         let merged = accum.merge_with(workers);
@@ -523,17 +514,14 @@ fn accumulate(acc: &mut [f64], step: &[f64]) {
     }
 }
 
+/// Fold a step's timings into the solve's: busy times add across steps
+/// as they do across lanes; rounds add too.
 fn merge_timings(acc: &mut Option<KernelTimings>, timings: KernelTimings) {
     *acc = Some(match acc.take() {
         None => timings,
         Some(prev) => KernelTimings {
-            init: prev.init + timings.init,
-            decide: prev.decide + timings.decide,
-            collision: prev.collision + timings.collision,
-            facet: prev.facet + timings.facet,
-            tally: prev.tally + timings.tally,
-            census: prev.census + timings.census,
             rounds: prev.rounds + timings.rounds,
+            ..KernelTimings::over_lanes(&[prev, timings])
         },
     });
 }

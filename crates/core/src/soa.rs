@@ -369,9 +369,11 @@ mod tests {
     use crate::config::{ProblemScale, TestCase};
     use crate::counters::EventCounters;
     use crate::history::TransportCtx;
-    use crate::over_particles::{run_lanes_partitioned, run_sequential};
+    use crate::over_particles::run_sequential;
     use crate::particle::spawn_particles;
     use crate::scheduler::Schedule;
+    use crate::sim::Scheme;
+    use crate::step::run_step_scheduled;
     use neutral_mesh::tally::SequentialTally;
     use neutral_mesh::{LanePartition, TallyAccum, TallyStrategy};
     use neutral_rng::Threefry2x64;
@@ -419,8 +421,12 @@ mod tests {
                 }
             }
         }
-        let schedule = Schedule::Dynamic { chunk: 1 };
-        let partials = run_lanes_partitioned(&mut soa, ctx, &mut accum, threads, schedule, part);
+        let config = (
+            Scheme::OverParticles,
+            threads,
+            Schedule::Dynamic { chunk: 1 },
+        );
+        let (partials, _) = run_step_scheduled(&mut soa, ctx, config, part, &mut accum);
         let counters = EventCounters::merge_deterministic(&partials);
         (soa, counters, accum.merge_with(threads))
     }

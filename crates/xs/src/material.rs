@@ -175,15 +175,6 @@ impl LaneScratch {
         self.out_absorb.clear();
         self.out_scatter.clear();
     }
-
-    /// Total bytes currently reserved across all lanes.
-    #[must_use]
-    pub fn footprint_bytes(&self) -> usize {
-        self.idx.capacity() * 4
-            + self.energies.capacity() * 8
-            + (self.hints_absorb.capacity() + self.hints_scatter.capacity()) * 4
-            + (self.out_absorb.capacity() + self.out_scatter.capacity()) * 8
-    }
 }
 
 /// The per-material cross-section libraries of a transport problem,
@@ -546,8 +537,8 @@ mod tests {
             assert!(os.iter().zip(&os2).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
         // The scratch retains its high-water capacity between calls.
-        assert!(scratch.footprint_bytes() > 0);
         let cap = scratch.energies.capacity();
+        assert!(cap > 0);
         scratch.clear();
         assert_eq!(scratch.energies.capacity(), cap);
     }

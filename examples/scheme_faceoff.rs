@@ -50,7 +50,7 @@ fn main() {
 
     let t = oe.kernel_timings.expect("OE reports kernel timings");
     println!(
-        "OE kernel breakdown over {} rounds: decide {:.2}s, collision {:.2}s, facet {:.2}s, tally {:.2}s ({:.0}% of kernel time), census {:.2}s",
+        "OE kernel breakdown (busy time, summed over lanes) over {} rounds: decide {:.2}s, collision {:.2}s, facet {:.2}s, tally {:.2}s ({:.0}% of kernel time), census {:.2}s",
         t.rounds,
         t.decide.as_secs_f64(),
         t.collision.as_secs_f64(),
