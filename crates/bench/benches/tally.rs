@@ -88,22 +88,19 @@ fn bench_tally(c: &mut Criterion) {
     }
 
     // Deterministic pairwise merge over 16 populated lanes — the
-    // "compression" pass the replicated/privatized strategies pay once
-    // per timestep.
-    for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
-        group.bench_function(format!("accum_merge_16_lanes_{}", strategy.name()), |b| {
-            let mut accum = TallyAccum::new(strategy, cells, 16);
-            {
-                let mut views = accum.lane_views();
-                for (l, view) in views.iter_mut().enumerate() {
-                    for k in 0..1024usize {
-                        view.add((l * 4099 + k * 97) & (cells - 1), 1.0);
-                    }
+    // "compression" pass the replicated strategy pays once per timestep.
+    group.bench_function("accum_merge_16_lanes_replicated", |b| {
+        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, 16);
+        {
+            let mut views = accum.lane_views();
+            for (l, view) in views.iter_mut().enumerate() {
+                for k in 0..1024usize {
+                    view.add((l * 4099 + k * 97) & (cells - 1), 1.0);
                 }
             }
-            b.iter(|| black_box(accum.merge()));
-        });
-    }
+        }
+        b.iter(|| black_box(accum.merge()));
+    });
 
     group.finish();
 }

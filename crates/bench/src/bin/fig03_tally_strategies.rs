@@ -56,7 +56,7 @@ fn main() {
         "Figure 3 (tally strategies)",
         "thread scaling of the csp problem per tally backend",
         "measured on this host; atomic = shared CAS mesh, replicated = per-lane meshes \
-         + pairwise merge, privatized = cell-block ownership + spill",
+         + pairwise merge",
     );
 
     let max_t = host_threads();

@@ -30,7 +30,7 @@
 //! seed 42                   # default 20170905
 //! timesteps 3               # optional override
 //! lookup hashed             # binary|hinted|unionized|hashed
-//! tally replicated          # replicated|privatized (atomic resolves to replicated)
+//! tally replicated          # the default (atomic resolves to replicated)
 //! scheme oe                 # op|oe
 //! checkpoint_file /tmp/s.ckpt   # optional spill (exclusive per live solve)
 //! checkpoint_every 2        # boundaries between spills (default 1)
@@ -359,7 +359,7 @@ fn build_submit(
             return Err(perr(
                 0,
                 "tally `atomic` is not deterministic on a multi-threaded service; \
-                 use `replicated` or `privatized` (served results must be cacheable)",
+                 use `replicated` (served results must be cacheable)",
             ));
         }
         problem.transport.tally_strategy = tally;
@@ -480,6 +480,12 @@ mod tests {
 
         let err = parse_solve_request("seed 1 2\n").unwrap_err();
         assert!(err.to_string().contains("exactly one value"), "{err}");
+
+        // The removed tally value is a 400 that names its replacement.
+        let err = parse_solve_request("scenario csp\ntally privatized\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("`privatized` was removed"), "{err}");
+        assert!(err.message.contains("use `replicated`"), "{err}");
 
         let err = parse_solve_request("# only a comment\n").unwrap_err();
         assert!(err.to_string().contains("scenario"), "{err}");

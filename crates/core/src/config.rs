@@ -28,10 +28,9 @@ pub enum CollisionModel {
 pub use neutral_xs::LookupStrategy;
 
 /// How energy deposits are accumulated into the tally mesh: the paper's
-/// shared-atomic baseline plus the deterministic lane-replicated and
-/// cell-block-privatized backends. Re-exported from `neutral_mesh`; see
-/// [`neutral_mesh::accum`] for the backend contract and the
-/// deterministic-merge invariant.
+/// shared-atomic baseline or the deterministic lane-replicated backend.
+/// Re-exported from `neutral_mesh`; see [`neutral_mesh::accum`] for the
+/// backend contract and the deterministic-merge invariant.
 pub use neutral_mesh::TallyStrategy;
 
 /// What happens when a particle's weight falls below the cutoff

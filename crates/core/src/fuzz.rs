@@ -261,7 +261,7 @@ pub struct FuzzCase {
 }
 
 /// Deterministically sample case `index` of fuzz run `seed` at the
-/// default [`FuzzProfile`]. Same `(seed, index)` → same case, forever.
+/// default [`FuzzProfile`]. Same `(seed, index)` → same case, on every run of one build.
 #[must_use]
 pub fn generate(seed: u64, index: u64) -> FuzzCase {
     generate_with(seed, index, FuzzProfile::default())
@@ -316,9 +316,10 @@ pub fn generate_with(seed: u64, index: u64, profile: FuzzProfile) -> FuzzCase {
     }
     p.source = rect_in(g, p.width, p.height);
 
-    // Strategy knobs. Atomic tallies are deliberately excluded: they are
-    // the non-deterministic contended baseline, outside the bitwise
-    // invariant every differential oracle rides on (DESIGN.md §11).
+    // Strategy knobs. The tally strategy stays at the default
+    // `replicated`: atomic tallies are the non-deterministic contended
+    // baseline, outside the bitwise invariant every differential oracle
+    // rides on (DESIGN.md §11).
     p.collision_model = if g.chance(0.5) {
         CollisionModel::ImplicitCapture
     } else {
@@ -332,7 +333,6 @@ pub fn generate_with(seed: u64, index: u64, profile: FuzzProfile) -> FuzzCase {
         LookupStrategy::Unionized,
         LookupStrategy::Hashed,
     ]);
-    p.tally_strategy = *g.pick(&[TallyStrategy::Replicated, TallyStrategy::Privatized]);
     let driver = *g.pick(&DriverKind::ALL);
 
     p.validate()
@@ -1068,9 +1068,6 @@ fn candidates_for(case: &FuzzCase, axis: ShrinkAxis) -> Vec<FuzzCase> {
             if case.params.lookup_strategy != LookupStrategy::Hinted {
                 push(&|c| c.params.lookup_strategy = LookupStrategy::Hinted);
             }
-            if case.params.tally_strategy != TallyStrategy::Replicated {
-                push(&|c| c.params.tally_strategy = TallyStrategy::Replicated);
-            }
             if case.params.collision_model != CollisionModel::Analogue {
                 push(&|c| c.params.collision_model = CollisionModel::Analogue);
             }
@@ -1154,7 +1151,6 @@ mod tests {
         assert_eq!(shrunk.params.material_count(), 1);
         assert_eq!(shrunk.driver, DriverKind::History);
         assert_eq!(shrunk.params.lookup_strategy, LookupStrategy::Hinted);
-        assert_eq!(shrunk.params.tally_strategy, TallyStrategy::Replicated);
         // And the result is still a valid, replayable case.
         let text = shrunk.to_params_text();
         FuzzCase::from_params_text("shrunk", &text).expect("shrunk case must re-parse");

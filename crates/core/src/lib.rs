@@ -47,6 +47,8 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+#[cfg(test)]
+mod alloc_probe;
 pub mod arena;
 pub mod checkpoint;
 pub mod config;

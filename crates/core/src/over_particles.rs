@@ -299,32 +299,27 @@ mod tests {
             );
             (accum.merge_with(threads), counters, soa.to_aos())
         };
-        for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
-            let (base_tally, base_counters, base_particles) =
-                run(strategy, 1, Schedule::Static { chunk: None }, false);
-            for (threads, schedule, dirty) in [
-                (2, Schedule::Dynamic { chunk: 64 }, false),
-                (7, Schedule::Guided { min_chunk: 2 }, false),
-                (4, Schedule::Static { chunk: Some(8) }, false),
-                (1, Schedule::Static { chunk: None }, true),
-                (2, Schedule::Dynamic { chunk: 64 }, true),
-                (7, Schedule::Guided { min_chunk: 2 }, true),
-            ] {
-                // Only a private dense lane is the claiming worker's to wipe.
-                if dirty && strategy != TallyStrategy::Replicated {
-                    continue;
-                }
-                let (tally, counters, particles) = run(strategy, threads, schedule, dirty);
-                assert_eq!(particles, base_particles, "{strategy:?}/{threads}");
-                assert_eq!(counters, base_counters, "{strategy:?}/{threads}");
-                assert!(
-                    tally
-                        .iter()
-                        .zip(&base_tally)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{strategy:?}/{threads}/dirty={dirty}: merged tally bits differ"
-                );
-            }
+        let strategy = TallyStrategy::Replicated;
+        let (base_tally, base_counters, base_particles) =
+            run(strategy, 1, Schedule::Static { chunk: None }, false);
+        for (threads, schedule, dirty) in [
+            (2, Schedule::Dynamic { chunk: 64 }, false),
+            (7, Schedule::Guided { min_chunk: 2 }, false),
+            (4, Schedule::Static { chunk: Some(8) }, false),
+            (1, Schedule::Static { chunk: None }, true),
+            (2, Schedule::Dynamic { chunk: 64 }, true),
+            (7, Schedule::Guided { min_chunk: 2 }, true),
+        ] {
+            let (tally, counters, particles) = run(strategy, threads, schedule, dirty);
+            assert_eq!(particles, base_particles, "{threads}");
+            assert_eq!(counters, base_counters, "{threads}");
+            assert!(
+                tally
+                    .iter()
+                    .zip(&base_tally)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{threads}/dirty={dirty}: merged tally bits differ"
+            );
         }
         // The atomic backend computes the same physics (same deposit
         // multiset), just without the bitwise guarantee.

@@ -42,7 +42,7 @@
 //! weight_cutoff 1.0e-6
 //! collision_model analogue     # or implicit_capture
 //! lookup_strategy hinted       # or binary | unionized | hashed
-//! tally_strategy replicated    # or privatized | atomic
+//! tally_strategy replicated    # or atomic
 //!
 //! # checkpoint/restart (optional)
 //! checkpoint_file run.ckpt     # enable checkpointed solves at this path
@@ -252,6 +252,18 @@ impl ProblemParams {
                     .map_err(|_| err(lineno, format!("`{s}` is not a positive integer")))
             };
 
+            // `Rect::new` panics on what this refuses (`nan` and `inf`
+            // parse as numbers).
+            let rect = |v: &[f64]| -> Result<Rect, ParamsError> {
+                if !v[..4].iter().all(|x| x.is_finite()) {
+                    return Err(err(lineno, "rectangle bounds must be finite"));
+                }
+                if v[0] >= v[1] || v[2] >= v[3] {
+                    return Err(err(lineno, "rectangle bounds inverted"));
+                }
+                Ok(Rect::new(v[0], v[1], v[2], v[3]))
+            };
+
             match key {
                 "nx" => p.nx = parse_usize(&one(&rest)?)?,
                 "ny" => p.ny = parse_usize(&one(&rest)?)?,
@@ -298,11 +310,7 @@ impl ProblemParams {
                         return Err(err(lineno, "`source` takes 4 values"));
                     }
                     let v: Result<Vec<f64>, _> = rest.iter().map(|s| parse_f64(s)).collect();
-                    let v = v?;
-                    if v[0] >= v[1] || v[2] >= v[3] {
-                        return Err(err(lineno, "rectangle bounds inverted"));
-                    }
-                    p.source = Rect::new(v[0], v[1], v[2], v[3]);
+                    p.source = rect(&v?)?;
                 }
                 "region" => {
                     if rest.len() != 5 && rest.len() != 6 {
@@ -313,9 +321,7 @@ impl ProblemParams {
                     }
                     let v: Result<Vec<f64>, _> = rest[..5].iter().map(|s| parse_f64(s)).collect();
                     let v = v?;
-                    if v[0] >= v[1] || v[2] >= v[3] {
-                        return Err(err(lineno, "rectangle bounds inverted"));
-                    }
+                    let bounds = rect(&v)?;
                     let mat: MaterialId = match rest.get(5) {
                         None => 0,
                         Some(m) => m
@@ -323,8 +329,7 @@ impl ProblemParams {
                             .map_err(|_| err(lineno, format!("`{m}` is not a material id")))?,
                     };
                     explicit_regions = true;
-                    p.regions
-                        .push((Rect::new(v[0], v[1], v[2], v[3]), v[4], mat));
+                    p.regions.push((bounds, v[4], mat));
                 }
                 "material" => {
                     // material <id> <kind> [points] [seed]
@@ -724,7 +729,6 @@ region 0.5 1.0 0.0 0.5 7.0
         for (name, expect) in [
             ("atomic", TallyStrategy::Atomic),
             ("replicated", TallyStrategy::Replicated),
-            ("privatized", TallyStrategy::Privatized),
         ] {
             let p = ProblemParams::parse(&format!("tally_strategy {name}\n")).unwrap();
             assert_eq!(p.tally_strategy, expect);
@@ -733,6 +737,72 @@ region 0.5 1.0 0.0 0.5 7.0
         let e = ProblemParams::parse("nx 4\ntally_strategy magic\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("magic"));
+    }
+
+    /// Seeded mutation fuzz of the params-text parser: 2 400 mutations of
+    /// two catalogue files — bit flips, truncations, random extensions,
+    /// numeric tokens rewritten to edge values, misspelt keys — each
+    /// parsed to `Ok` or to a `ParamsError` naming a line of the input (0
+    /// for a file-level validation failure), without a panic and without
+    /// one allocation larger than the input plus the error's own text.
+    #[test]
+    fn parser_mutation_fuzz_never_panics_or_over_allocates() {
+        use crate::config::ProblemScale;
+        use crate::scenario::Scenario;
+        /// Upper bound on an error's text and the parser's fixed-size state.
+        const ERROR_TEXT: usize = 512;
+        let seeds = [Scenario::Csp, Scenario::FuelLattice]
+            .map(|s| s.params(ProblemScale::tiny(), 7).to_params_text());
+        let g = &mut crate::fuzz::Gen::new(20_170_905);
+        // Rewrite one token of one line, both chosen by `pick`: the key
+        // (gaining a suffix) or one of its values (replaced).
+        let retoken = |text: &[u8], pick: u64, key: bool, new: &str| -> Vec<u8> {
+            let text = std::str::from_utf8(text).unwrap();
+            let target = pick as usize % text.lines().count();
+            let mut out = String::new();
+            for (l, line) in text.lines().enumerate() {
+                let mut tokens: Vec<String> = line.split(' ').map(str::to_owned).collect();
+                if l == target && key {
+                    tokens[0] += new;
+                } else if l == target {
+                    let at = 1 + (pick >> 32) as usize % (tokens.len() - 1);
+                    tokens[at] = new.to_owned();
+                }
+                out += &(tokens.join(" ") + "\n");
+            }
+            out.into_bytes()
+        };
+        for case in 0..2_400usize {
+            let mut evil = seeds[case % 2].clone().into_bytes();
+            match case % 5 {
+                0 => {
+                    let bit = g.usize_in(0, evil.len() * 8);
+                    evil[bit / 8] ^= 1 << (bit % 8);
+                }
+                1 => evil.truncate(g.usize_in(0, evil.len())),
+                2 => {
+                    let extra = g.usize_in(1, 65);
+                    evil.extend((0..extra).map(|_| *g.pick(b" \n#0z-.e")));
+                }
+                3 => {
+                    let edge = ["0", "18446744073709551615", "1e400", "-1", ""];
+                    evil = retoken(&evil, g.u64_any(), false, g.pick::<&str>(&edge));
+                }
+                _ => evil = retoken(&evil, g.u64_any(), true, "s"),
+            }
+            let text = String::from_utf8_lossy(&evil);
+            let (verdict, largest) =
+                crate::alloc_probe::largest_during(|| ProblemParams::parse(&text));
+            if let Err(e) = verdict {
+                assert!(e.line <= text.lines().count(), "case {case}: {e}\n{text}");
+                assert!(!e.message.is_empty(), "case {case}:\n{text}");
+            }
+            assert!(
+                largest <= text.len() + ERROR_TEXT,
+                "case {case}: allocated {largest} B for a {} B input\n{text}",
+                text.len()
+            );
+        }
     }
 
     #[test]

@@ -1264,50 +1264,48 @@ mod tests {
         use neutral_mesh::TallyStrategy;
         let (cells, n_items) = (5000, 1000);
         let part = LanePartition::new(n_items, DEFAULT_LANES);
-        for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
-            let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
-            for (l, mut view) in accum.lane_views().into_iter().enumerate() {
-                for i in 0..400 {
-                    let cell = (l * 613 + i * 37) % cells;
-                    view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
-                }
+        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, part.n_lanes);
+        for (l, mut view) in accum.lane_views().into_iter().enumerate() {
+            for i in 0..400 {
+                let cell = (l * 613 + i * 37) % cells;
+                view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
             }
-            let expect = accum.merge();
-            let lanes = accum.into_lane_partials();
-            for n_shards in [1usize, 2, 3, 5, 7] {
-                let plan = ShardPlan::new(n_items, n_shards);
-                let results: Vec<ShardResult> = (0..n_shards)
-                    .map(|shard| {
-                        let owned = plan.lane_range(shard);
-                        let nodes = tree_cover(part.n_lanes, owned.clone())
-                            .into_iter()
-                            .map(|node| {
-                                let mut mesh = vec![0.0; cells];
-                                merge_lanes_pairwise(&lanes[node.clone()], &mut mesh, 2);
-                                (node, mesh)
-                            })
-                            .collect();
-                        let sent = ShardResult {
-                            shard: shard as u64,
-                            cells: cells as u64,
-                            lane_counters: vec![EventCounters::default(); owned.len()],
-                            nodes,
-                            particles: Vec::new(),
-                            ..sample_result()
-                        };
-                        ShardResult::from_bytes(&sent.to_bytes(Vec::new())).unwrap()
-                    })
-                    .collect();
-                for workers in [1, 2, 7] {
-                    let merged = merge_shard_nodes(&results, cells, workers);
-                    assert!(
-                        merged
-                            .iter()
-                            .zip(&expect)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{strategy:?}, {n_shards} shards, {workers} workers"
-                    );
-                }
+        }
+        let expect = accum.merge();
+        let lanes = accum.into_lane_partials();
+        for n_shards in [1usize, 2, 3, 5, 7] {
+            let plan = ShardPlan::new(n_items, n_shards);
+            let results: Vec<ShardResult> = (0..n_shards)
+                .map(|shard| {
+                    let owned = plan.lane_range(shard);
+                    let nodes = tree_cover(part.n_lanes, owned.clone())
+                        .into_iter()
+                        .map(|node| {
+                            let mut mesh = vec![0.0; cells];
+                            merge_lanes_pairwise(&lanes[node.clone()], &mut mesh, 2);
+                            (node, mesh)
+                        })
+                        .collect();
+                    let sent = ShardResult {
+                        shard: shard as u64,
+                        cells: cells as u64,
+                        lane_counters: vec![EventCounters::default(); owned.len()],
+                        nodes,
+                        particles: Vec::new(),
+                        ..sample_result()
+                    };
+                    ShardResult::from_bytes(&sent.to_bytes(Vec::new())).unwrap()
+                })
+                .collect();
+            for workers in [1, 2, 7] {
+                let merged = merge_shard_nodes(&results, cells, workers);
+                assert!(
+                    merged
+                        .iter()
+                        .zip(&expect)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{n_shards} shards, {workers} workers"
+                );
             }
         }
     }
@@ -1502,7 +1500,7 @@ mod tests {
                 }
             };
             let (verdict, largest) =
-                alloc_probe::largest_during(|| solve.decode(shard, cells, &evil));
+                crate::alloc_probe::largest_during(|| solve.decode(shard, cells, &evil));
             match verdict {
                 Err(ShardError::Corrupt { shard: s, detail }) => {
                     assert_eq!(s, shard, "case {case} ({what})");
@@ -1517,65 +1515,4 @@ mod tests {
             );
         }
     }
-
-    /// Records the largest single allocation a closure's thread asks for,
-    /// so the mutation fuzz can hold the decoder to "never allocates more
-    /// than the buffer it was handed". Installed for this crate's unit
-    /// tests only; every request goes to the system allocator unchanged.
-    mod alloc_probe {
-        use std::alloc::{GlobalAlloc, Layout, System};
-        use std::cell::Cell;
-
-        thread_local! {
-            static LARGEST: Cell<usize> = const { Cell::new(0) };
-        }
-
-        fn note(size: usize) {
-            // `try_with`: the allocator also runs while a thread's
-            // locals are torn down.
-            let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
-        }
-
-        pub(super) struct Probe;
-
-        // SAFETY: every method forwards its arguments unchanged to
-        // `System`, which upholds the `GlobalAlloc` contract; the probe
-        // only reads the requested size, through a `const`-initialised
-        // thread-local that never allocates.
-        unsafe impl GlobalAlloc for Probe {
-            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-                note(layout.size());
-                // SAFETY: the caller's contract, passed through.
-                unsafe { System.alloc(layout) }
-            }
-
-            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-                note(layout.size());
-                // SAFETY: the caller's contract, passed through.
-                unsafe { System.alloc_zeroed(layout) }
-            }
-
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-                // SAFETY: the caller's contract, passed through.
-                unsafe { System.dealloc(ptr, layout) }
-            }
-
-            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-                note(new_size);
-                // SAFETY: the caller's contract, passed through.
-                unsafe { System.realloc(ptr, layout, new_size) }
-            }
-        }
-
-        /// Run `f`, returning its result and the largest allocation the
-        /// calling thread requested meanwhile.
-        pub(super) fn largest_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-            LARGEST.with(|largest| largest.set(0));
-            let out = f();
-            (out, LARGEST.with(Cell::get))
-        }
-    }
-
-    #[global_allocator]
-    static PROBE: alloc_probe::Probe = alloc_probe::Probe;
 }

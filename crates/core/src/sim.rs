@@ -648,34 +648,32 @@ mod tests {
 
     #[test]
     fn deterministic_strategies_are_worker_count_invariant_at_sim_level() {
-        for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
-            let mut problem = TestCase::Csp.build(ProblemScale::tiny(), 3);
-            problem.transport.tally_strategy = strategy;
-            let s = Simulation::new(problem);
-            let run_with = |threads: usize| {
-                s.run(RunOptions {
-                    execution: Execution::Scheduled {
-                        threads,
-                        schedule: Schedule::Dynamic { chunk: 16 },
-                    },
-                    ..Default::default()
-                })
-            };
-            let seq = s.run(RunOptions {
-                execution: Execution::Sequential,
+        let mut problem = TestCase::Csp.build(ProblemScale::tiny(), 3);
+        problem.transport.tally_strategy = TallyStrategy::Replicated;
+        let s = Simulation::new(problem);
+        let run_with = |threads: usize| {
+            s.run(RunOptions {
+                execution: Execution::Scheduled {
+                    threads,
+                    schedule: Schedule::Dynamic { chunk: 16 },
+                },
                 ..Default::default()
-            });
-            for threads in [1, 2, 7] {
-                let r = run_with(threads);
-                assert_eq!(r.counters, seq.counters, "{strategy:?}/{threads}");
-                assert!(
-                    r.tally
-                        .iter()
-                        .zip(&seq.tally)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{strategy:?}/{threads}: merged tally bits differ from sequential"
-                );
-            }
+            })
+        };
+        let seq = s.run(RunOptions {
+            execution: Execution::Sequential,
+            ..Default::default()
+        });
+        for threads in [1, 2, 7] {
+            let r = run_with(threads);
+            assert_eq!(r.counters, seq.counters, "{threads}");
+            assert!(
+                r.tally
+                    .iter()
+                    .zip(&seq.tally)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{threads}: merged tally bits differ from sequential"
+            );
         }
     }
 

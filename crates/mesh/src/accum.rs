@@ -1,12 +1,12 @@
-//! Pluggable tally-accumulation backends with a deterministic merge.
+//! The two tally-accumulation backends and the deterministic merge.
 //!
 //! The paper's central on-node finding is that *how* the energy-deposition
 //! tally is accumulated — shared atomics versus thread-private replication
 //! (§VI-F, Figures 3/7/8) — decides thread scaling. This module makes that
-//! choice a runtime [`TallyStrategy`], mirroring the `XsLookup` backend
-//! layer in `neutral_xs`: every transport driver deposits through a
-//! [`LaneSink`] checked out from a [`TallyAccum`], and the backend decides
-//! what a deposit costs and what the merged mesh looks like.
+//! choice a runtime [`TallyStrategy`] with two values: every transport
+//! driver deposits through a [`LaneSink`] checked out from a
+//! [`TallyAccum`], which is either the paper's one shared atomic mesh or
+//! one private dense mesh per lane, merged deterministically.
 //!
 //! # Lanes and the deterministic-merge invariant
 //!
@@ -21,15 +21,15 @@
 //! are bitwise well-defined, and [`TallyAccum::merge`] combines them with
 //! a fixed pairwise (binary-tree) summation in lane order. The result:
 //!
-//! > For the `Replicated` and `Privatized` backends, the merged tally is
-//! > **bitwise identical** for any worker count and any schedule — the
-//! > lane count never depends on the worker count, and workers beyond it
-//! > simply find no lane to claim.
+//! > For the `Replicated` backend, the merged tally is **bitwise
+//! > identical** for any worker count and any schedule — the lane count
+//! > never depends on the worker count, and workers beyond it simply find
+//! > no lane to claim.
 //!
 //! The `Atomic` backend keeps the paper's single shared mesh, so
 //! concurrent CAS adds to one cell still commit in arrival order; it is
-//! bitwise reproducible only single-threaded, and agrees with the other
-//! backends to floating-point reassociation error otherwise (this is
+//! bitwise reproducible only single-threaded, and agrees with
+//! `Replicated` to floating-point reassociation error otherwise (this is
 //! exactly the reproducibility/footprint trade-off OpenMC and MC/DC
 //! document for their tally servers). See `DESIGN.md` §11.
 //!
@@ -58,45 +58,7 @@
 //! §11, §18).
 
 use crate::tally::AtomicTally;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
-
-/// Multiplicative hasher for the privatized spill maps, whose keys are
-/// plain `u32` cell indices: one `wrapping_mul` by a 64-bit odd constant
-/// (Fibonacci hashing) replaces the default SipHash on the write path of
-/// every out-of-block deposit. Deterministic and DoS-hardening-free by
-/// design — the keys are mesh cells, not attacker input, and the merged
-/// result never depends on map iteration order (per-cell contributions
-/// are re-sorted by lane before the pairwise tree).
-#[derive(Default)]
-pub struct CellHasher {
-    state: u64,
-}
-
-impl Hasher for CellHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Only taken for compound keys; fold bytes in deterministically.
-        for &b in bytes {
-            self.state = (self.state ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.state = u64::from(v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-/// The spill buffer of one privatized lane: running per-cell sums for
-/// deposits outside the lane's owned cell block.
-pub type SpillMap = HashMap<u32, f64, BuildHasherDefault<CellHasher>>;
 
 /// Default lane count: the concurrency ceiling of the lane-decomposed
 /// drivers (a lane is processed by one worker) and the replication
@@ -120,21 +82,11 @@ pub enum TallyStrategy {
     /// sharded and checkpointed solve runs.
     #[default]
     Replicated,
-    /// Cell-block ownership with a spill buffer: lane `l` owns the `l`-th
-    /// contiguous block of one shared dense mesh and writes it directly;
-    /// deposits outside the owned block spill to a per-lane sparse buffer
-    /// replayed at merge time. One dense mesh total plus sparse spill —
-    /// the low-footprint deterministic middle ground.
-    Privatized,
 }
 
 impl TallyStrategy {
     /// All strategies, in benchmarking order.
-    pub const ALL: [TallyStrategy; 3] = [
-        TallyStrategy::Atomic,
-        TallyStrategy::Replicated,
-        TallyStrategy::Privatized,
-    ];
+    pub const ALL: [TallyStrategy; 2] = [TallyStrategy::Atomic, TallyStrategy::Replicated];
 
     /// Stable lower-case name (used by parameter files, CLI flags and
     /// figure output).
@@ -143,7 +95,6 @@ impl TallyStrategy {
         match self {
             TallyStrategy::Atomic => "atomic",
             TallyStrategy::Replicated => "replicated",
-            TallyStrategy::Privatized => "privatized",
         }
     }
 
@@ -162,9 +113,16 @@ impl std::str::FromStr for TallyStrategy {
         match s {
             "atomic" => Ok(TallyStrategy::Atomic),
             "replicated" => Ok(TallyStrategy::Replicated),
-            "privatized" => Ok(TallyStrategy::Privatized),
+            // Every front door (params file, POST body, CLI flag) parses
+            // through here, so the removed value fails with one message.
+            "privatized" => Err(
+                "tally strategy `privatized` was removed (its spill maps grew to mesh size: \
+                 more memory and time than `replicated`); use `replicated`, which produces \
+                 the same bits"
+                    .to_string(),
+            ),
             other => Err(format!(
-                "unknown tally strategy `{other}` (atomic|replicated|privatized)"
+                "unknown tally strategy `{other}` (atomic|replicated)"
             )),
         }
     }
@@ -229,25 +187,12 @@ pub enum LaneSink<'a> {
     Shared(&'a AtomicTally),
     /// This lane's private dense mesh.
     Dense(&'a mut [f64]),
-    /// This lane's owned cell-block of the shared dense mesh plus its
-    /// sparse spill buffer for every other cell.
-    Blocked {
-        /// Cells `[block.start, block.end)` of the merged mesh, owned
-        /// exclusively by this lane.
-        owned: &'a mut [f64],
-        /// First cell index of `owned`.
-        block_start: usize,
-        /// Running per-cell sums for deposits outside the owned block.
-        /// Each cell's adds land in chronological order, which is what
-        /// makes the replayed partial bitwise-equal to a dense one.
-        spill: &'a mut SpillMap,
-    },
 }
 
 impl LaneSink<'_> {
     /// Claim this lane for the calling worker before its first deposit:
     /// a private dense mesh is zero-filled with plain stores, the shared
-    /// and blocked sinks are left alone.
+    /// mesh is left alone.
     ///
     /// The depth-first lane driver (`over_particles`) calls this once
     /// per lane, on the worker that will track the lane. A lane's
@@ -279,56 +224,8 @@ impl LaneSink<'_> {
         match self {
             LaneSink::Shared(mesh) => mesh.add(cell, value),
             LaneSink::Dense(lane) => lane[cell] += value,
-            LaneSink::Blocked {
-                owned,
-                block_start,
-                spill,
-            } => {
-                if let Some(slot) = cell
-                    .checked_sub(*block_start)
-                    .and_then(|off| owned.get_mut(off))
-                {
-                    *slot += value;
-                } else {
-                    *spill.entry(cell as u32).or_insert(0.0) += value;
-                }
-            }
         }
     }
-}
-
-/// A tally-accumulation backend: lane-indexed deposit sinks during the
-/// solve, one deterministic merged mesh afterwards.
-///
-/// Contract (enforced by the golden/equivalence/property suites):
-///
-/// * [`lane_views`](TallyAccumulator::lane_views) hands out exactly
-///   [`n_lanes`](TallyAccumulator::n_lanes) sinks, and sinks of distinct
-///   lanes may be driven concurrently;
-/// * [`merge_with`](TallyAccumulator::merge_with) combines lane partials
-///   with the shared pairwise reduction in lane order, so for the
-///   deterministic backends the result depends only on the per-lane
-///   deposit sequences — never on the worker count it is given.
-pub trait TallyAccumulator {
-    /// The backend's strategy tag.
-    fn strategy(&self) -> TallyStrategy;
-    /// Number of mesh cells.
-    fn cells(&self) -> usize;
-    /// Number of accumulation lanes.
-    fn n_lanes(&self) -> usize;
-    /// Check out one deposit sink per lane (disjoint except `Atomic`,
-    /// where every view aliases the shared mesh).
-    fn lane_views(&mut self) -> Vec<LaneSink<'_>>;
-    /// Merge all lanes into one mesh (deterministic pairwise reduction
-    /// for the deterministic backends), on up to `workers` threads where
-    /// the backend's merge is heavy enough to split.
-    fn merge_with(&self, workers: usize) -> Vec<f64>;
-    /// [`merge_with`](TallyAccumulator::merge_with) on the calling thread.
-    fn merge(&self) -> Vec<f64> {
-        self.merge_with(1)
-    }
-    /// Resident bytes of the backend's accumulation state.
-    fn footprint_bytes(&self) -> usize;
 }
 
 /// Pairwise (binary-tree) sum of a slice — the deterministic reduction
@@ -516,316 +413,133 @@ fn merge_block<M: AsRef<[f64]>>(
     }
 }
 
-/// The paper's shared-atomic backend: one mesh, every lane view aliases
-/// it, deposits are CAS read-modify-writes.
-#[derive(Debug)]
-pub struct AtomicAccum {
-    mesh: AtomicTally,
-    n_lanes: usize,
-}
-
-impl AtomicAccum {
-    /// Create a zeroed shared mesh served to `n_lanes` lanes.
-    #[must_use]
-    pub fn new(cells: usize, n_lanes: usize) -> Self {
-        Self {
-            mesh: AtomicTally::new(cells),
-            n_lanes: n_lanes.max(1),
-        }
-    }
-}
-
-impl TallyAccumulator for AtomicAccum {
-    fn strategy(&self) -> TallyStrategy {
-        TallyStrategy::Atomic
-    }
-
-    fn cells(&self) -> usize {
-        self.mesh.len()
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.n_lanes
-    }
-
-    fn lane_views(&mut self) -> Vec<LaneSink<'_>> {
-        let mesh = &self.mesh;
-        (0..self.n_lanes).map(|_| LaneSink::Shared(mesh)).collect()
-    }
-
-    fn merge_with(&self, _workers: usize) -> Vec<f64> {
-        self.mesh.snapshot()
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.mesh.footprint_bytes()
-    }
-}
-
-/// Lane-replicated backend: one private dense mesh per lane.
-#[derive(Debug)]
-pub struct ReplicatedAccum {
-    cells: usize,
-    lanes: Vec<Vec<f64>>,
-}
-
-impl ReplicatedAccum {
-    /// Create `n_lanes` zeroed private meshes of `cells` cells.
-    #[must_use]
-    pub fn new(cells: usize, n_lanes: usize) -> Self {
-        Self {
-            cells,
-            lanes: (0..n_lanes.max(1)).map(|_| vec![0.0; cells]).collect(),
-        }
-    }
-}
-
-impl TallyAccumulator for ReplicatedAccum {
-    fn strategy(&self) -> TallyStrategy {
-        TallyStrategy::Replicated
-    }
-
-    fn cells(&self) -> usize {
-        self.cells
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn lane_views(&mut self) -> Vec<LaneSink<'_>> {
-        self.lanes.iter_mut().map(|l| LaneSink::Dense(l)).collect()
-    }
-
-    fn merge_with(&self, workers: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.cells];
-        merge_lanes_pairwise(&self.lanes, &mut out, workers);
-        out
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        self.lanes.len() * self.cells * std::mem::size_of::<f64>()
-    }
-}
-
-/// Cell-block-ownership backend: lane `l` owns cell block `l` of one
-/// shared dense mesh and spills foreign-cell deposits to a sparse buffer.
-#[derive(Debug)]
-pub struct PrivatizedAccum {
-    cells: usize,
-    block_size: usize,
-    owned: Vec<Vec<f64>>,
-    spill: Vec<SpillMap>,
-}
-
-impl PrivatizedAccum {
-    /// Create the blocked mesh: `cells` split into `n_lanes` contiguous
-    /// owned blocks plus one empty spill buffer per lane.
-    #[must_use]
-    pub fn new(cells: usize, n_lanes: usize) -> Self {
-        let n_lanes = n_lanes.max(1);
-        let block_size = cells.div_ceil(n_lanes).max(1);
-        let owned = (0..n_lanes)
-            .map(|l| {
-                let start = (l * block_size).min(cells);
-                let end = ((l + 1) * block_size).min(cells);
-                vec![0.0; end - start]
-            })
-            .collect();
-        Self {
-            cells,
-            block_size,
-            owned,
-            spill: (0..n_lanes).map(|_| SpillMap::default()).collect(),
-        }
-    }
-}
-
-/// Pairwise-tree sum of a cell's sparse lane contributions, emulating the
-/// dense tree of [`merge_nodes_pairwise`] over the lane range `[lo, hi)`:
-/// `contribs` holds `(lane, value)` sorted by lane, absent lanes are the
-/// `0.0` identity, and the split point mirrors the dense tree's, so the
-/// result is bitwise what the dense merge would compute. (Deposits are
-/// non-negative, so `-0.0` leaves — the one case where dropping a `+ 0.0`
-/// would change bits — cannot occur.)
-fn tree_sum_sparse(lo: usize, hi: usize, contribs: &[(usize, f64)]) -> f64 {
-    match contribs.len() {
-        0 => 0.0,
-        1 => contribs[0].1,
-        _ => {
-            let mid = lo + (hi - lo) / 2;
-            let split = contribs.partition_point(|&(lane, _)| lane < mid);
-            tree_sum_sparse(lo, mid, &contribs[..split])
-                + tree_sum_sparse(mid, hi, &contribs[split..])
-        }
-    }
-}
-
-impl TallyAccumulator for PrivatizedAccum {
-    fn strategy(&self) -> TallyStrategy {
-        TallyStrategy::Privatized
-    }
-
-    fn cells(&self) -> usize {
-        self.cells
-    }
-
-    fn n_lanes(&self) -> usize {
-        self.owned.len()
-    }
-
-    fn lane_views(&mut self) -> Vec<LaneSink<'_>> {
-        let block_size = self.block_size;
-        let cells = self.cells;
-        self.owned
-            .iter_mut()
-            .zip(self.spill.iter_mut())
-            .enumerate()
-            .map(|(l, (owned, spill))| LaneSink::Blocked {
-                owned,
-                block_start: (l * block_size).min(cells),
-                spill,
-            })
-            .collect()
-    }
-
-    fn merge_with(&self, _workers: usize) -> Vec<f64> {
-        // Lane `l`'s partial for cell `c` is its owned-block slot when it
-        // owns `c`, its spill entry otherwise — per cell, both mechanisms
-        // applied the lane's adds in chronological order, so each partial
-        // is bitwise what a dense (`Replicated`) lane would hold. Rather
-        // than materialise those dense partials (lanes × mesh of
-        // transient memory — the very blow-up this backend exists to
-        // avoid), copy the disjoint owned blocks straight into the output
-        // and re-run the pairwise tree only for the sparse set of spilled
-        // cells.
-        let n_lanes = self.owned.len();
-        let mut out = vec![0.0; self.cells];
-        for (l, block) in self.owned.iter().enumerate() {
-            let start = (l * self.block_size).min(self.cells);
-            out[start..start + block.len()].copy_from_slice(block);
-        }
-        let mut touched: HashMap<u32, Vec<(usize, f64)>> = HashMap::new();
-        for (l, spill) in self.spill.iter().enumerate() {
-            for (&cell, &value) in spill {
-                touched.entry(cell).or_default().push((l, value));
-            }
-        }
-        for (cell, mut contribs) in touched {
-            let c = cell as usize;
-            contribs.push((c / self.block_size, out[c]));
-            contribs.sort_unstable_by_key(|&(lane, _)| lane);
-            out[c] = tree_sum_sparse(0, n_lanes, &contribs);
-        }
-        out
-    }
-
-    fn footprint_bytes(&self) -> usize {
-        let spill: usize = self
-            .spill
-            .iter()
-            .map(|s| s.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>()))
-            .sum();
-        self.cells * std::mem::size_of::<f64>() + spill
-    }
-}
-
-/// Runtime-dispatched accumulator: the concrete backend behind a
-/// [`TallyStrategy`], with the [`TallyAccumulator`] contract surfaced as
-/// inherent methods so callers need no trait import.
+/// The accumulator behind a [`TallyStrategy`]: lane-indexed deposit
+/// sinks during the solve, one merged mesh afterwards.
+///
+/// Contract (enforced by the golden/equivalence/property suites):
+///
+/// * [`lane_views`](TallyAccum::lane_views) hands out exactly
+///   [`n_lanes`](TallyAccum::n_lanes) sinks, and sinks of distinct lanes
+///   may be driven concurrently;
+/// * [`merge_with`](TallyAccum::merge_with) combines `Replicated` lane
+///   partials with the pairwise reduction in lane order, so the result
+///   depends only on the per-lane deposit sequences — never on the worker
+///   count it is given.
 #[derive(Debug)]
 pub enum TallyAccum {
-    /// Shared atomic mesh.
-    Atomic(AtomicAccum),
-    /// Per-lane replicated meshes.
-    Replicated(ReplicatedAccum),
-    /// Cell-block ownership with spill buffers.
-    Privatized(PrivatizedAccum),
+    /// The paper's shared-atomic backend: one mesh, every lane view
+    /// aliases it, deposits are CAS read-modify-writes.
+    Atomic {
+        /// The shared mesh.
+        mesh: AtomicTally,
+        /// How many lane views alias it.
+        n_lanes: usize,
+    },
+    /// One private dense mesh per lane, each `cells` long.
+    Replicated {
+        /// Number of mesh cells; every lane is this long.
+        cells: usize,
+        /// The lane meshes, in lane order.
+        lanes: Vec<Vec<f64>>,
+    },
 }
 
 impl TallyAccum {
     /// Build the backend for `strategy` over a `cells`-cell mesh with
-    /// `n_lanes` accumulation lanes.
+    /// `n_lanes` (at least one) accumulation lanes, all zeroed.
     #[must_use]
     pub fn new(strategy: TallyStrategy, cells: usize, n_lanes: usize) -> Self {
+        let n_lanes = n_lanes.max(1);
         match strategy {
-            TallyStrategy::Atomic => TallyAccum::Atomic(AtomicAccum::new(cells, n_lanes)),
-            TallyStrategy::Replicated => {
-                TallyAccum::Replicated(ReplicatedAccum::new(cells, n_lanes))
-            }
-            TallyStrategy::Privatized => {
-                TallyAccum::Privatized(PrivatizedAccum::new(cells, n_lanes))
-            }
-        }
-    }
-
-    fn inner(&self) -> &dyn TallyAccumulator {
-        match self {
-            TallyAccum::Atomic(a) => a,
-            TallyAccum::Replicated(a) => a,
-            TallyAccum::Privatized(a) => a,
-        }
-    }
-
-    fn inner_mut(&mut self) -> &mut dyn TallyAccumulator {
-        match self {
-            TallyAccum::Atomic(a) => a,
-            TallyAccum::Replicated(a) => a,
-            TallyAccum::Privatized(a) => a,
+            TallyStrategy::Atomic => TallyAccum::Atomic {
+                mesh: AtomicTally::new(cells),
+                n_lanes,
+            },
+            TallyStrategy::Replicated => TallyAccum::Replicated {
+                cells,
+                lanes: (0..n_lanes).map(|_| vec![0.0; cells]).collect(),
+            },
         }
     }
 
     /// The backend's strategy tag.
     #[must_use]
     pub fn strategy(&self) -> TallyStrategy {
-        self.inner().strategy()
+        match self {
+            TallyAccum::Atomic { .. } => TallyStrategy::Atomic,
+            TallyAccum::Replicated { .. } => TallyStrategy::Replicated,
+        }
     }
 
     /// Number of mesh cells.
     #[must_use]
     pub fn cells(&self) -> usize {
-        self.inner().cells()
+        match self {
+            TallyAccum::Atomic { mesh, .. } => mesh.len(),
+            TallyAccum::Replicated { cells, .. } => *cells,
+        }
     }
 
     /// Number of accumulation lanes.
     #[must_use]
     pub fn n_lanes(&self) -> usize {
-        self.inner().n_lanes()
+        match self {
+            TallyAccum::Atomic { n_lanes, .. } => *n_lanes,
+            TallyAccum::Replicated { lanes, .. } => lanes.len(),
+        }
     }
 
-    /// One deposit sink per lane (see [`TallyAccumulator::lane_views`]).
+    /// Check out one deposit sink per lane (disjoint for `Replicated`;
+    /// under `Atomic` every view aliases the shared mesh).
     pub fn lane_views(&mut self) -> Vec<LaneSink<'_>> {
-        self.inner_mut().lane_views()
+        match self {
+            TallyAccum::Atomic { mesh, n_lanes } => {
+                let mesh = &*mesh;
+                (0..*n_lanes).map(|_| LaneSink::Shared(mesh)).collect()
+            }
+            TallyAccum::Replicated { lanes, .. } => {
+                lanes.iter_mut().map(|l| LaneSink::Dense(l)).collect()
+            }
+        }
     }
 
-    /// Deterministically merged mesh, computed on the calling thread
-    /// (see [`TallyAccumulator::merge_with`]).
+    /// [`merge_with`](TallyAccum::merge_with) on the calling thread.
     #[must_use]
     pub fn merge(&self) -> Vec<f64> {
         self.merge_with(1)
     }
 
-    /// As [`merge`](TallyAccum::merge) — the same bits — with the
-    /// replicated backend's blocks split across up to `workers` threads.
+    /// Merge all lanes into one mesh: a snapshot of the shared mesh, or
+    /// the deterministic pairwise reduction of the replicated lanes with
+    /// its blocks split across up to `workers` threads (the same bits for
+    /// any `workers`).
     #[must_use]
     pub fn merge_with(&self, workers: usize) -> Vec<f64> {
-        self.inner().merge_with(workers)
+        match self {
+            TallyAccum::Atomic { mesh, .. } => mesh.snapshot(),
+            TallyAccum::Replicated { cells, lanes } => {
+                let mut out = vec![0.0; *cells];
+                merge_lanes_pairwise(lanes, &mut out, workers);
+                out
+            }
+        }
     }
 
     /// Resident bytes of the accumulation state.
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        self.inner().footprint_bytes()
+        match self {
+            TallyAccum::Atomic { mesh, .. } => mesh.footprint_bytes(),
+            TallyAccum::Replicated { cells, lanes } => {
+                lanes.len() * cells * std::mem::size_of::<f64>()
+            }
+        }
     }
 
     /// Consume the accumulator into its dense per-lane partials: for
     /// each lane, the per-cell sums that lane's deposit sequence
-    /// produced, independent of backend blocking. For `Replicated` these
-    /// are the lanes' private meshes, handed over by move; for
-    /// `Privatized` each is the owned block plus spill entries
-    /// re-densified (both hold each cell's adds in chronological order,
-    /// so the materialised partial is bitwise what a dense lane would
-    /// hold). A shard attempt takes its lanes this way and reduces them
+    /// produced — the `Replicated` lanes' private meshes, handed over by
+    /// move. A shard attempt takes its lanes this way and reduces them
     /// to the tree nodes it ships: feeding these partials to
     /// [`merge_lanes_pairwise`] reproduces [`TallyAccum::merge`] bit for
     /// bit.
@@ -837,25 +551,10 @@ impl TallyAccum {
     #[must_use]
     pub fn into_lane_partials(self) -> Vec<Vec<f64>> {
         match self {
-            TallyAccum::Atomic(_) => {
-                panic!("lane partials are only defined for deterministic tally strategies")
+            TallyAccum::Atomic { .. } => {
+                panic!("lane partials are only defined for the deterministic tally strategy")
             }
-            TallyAccum::Replicated(a) => a.lanes,
-            TallyAccum::Privatized(a) => a
-                .owned
-                .iter()
-                .zip(&a.spill)
-                .enumerate()
-                .map(|(lane, (owned, spill))| {
-                    let mut out = vec![0.0; a.cells];
-                    let start = (lane * a.block_size).min(a.cells);
-                    out[start..start + owned.len()].copy_from_slice(owned);
-                    for (&cell, &value) in spill {
-                        out[cell as usize] = value;
-                    }
-                    out
-                })
-                .collect(),
+            TallyAccum::Replicated { lanes, .. } => lanes,
         }
     }
 }
@@ -871,6 +570,8 @@ mod tests {
             assert_eq!(format!("{s}"), s.name());
         }
         assert!("magic".parse::<TallyStrategy>().is_err());
+        let removed = "privatized".parse::<TallyStrategy>().unwrap_err();
+        assert!(removed.contains("was removed") && removed.contains("use `replicated`"));
     }
 
     #[test]
@@ -910,8 +611,7 @@ mod tests {
     }
 
     /// The cross-backend keystone: identical per-lane deposit sequences
-    /// must merge to bitwise-identical meshes under Replicated and
-    /// Privatized, and to the same totals under Atomic.
+    /// must merge to the same totals under Atomic and Replicated.
     #[test]
     fn backends_agree_on_lane_deposits() {
         let cells = 37;
@@ -942,27 +642,23 @@ mod tests {
             }
             merged.push(accum.merge());
         }
-        let [atomic, replicated, privatized] = &merged[..] else {
+        let [atomic, replicated] = &merged[..] else {
             unreachable!()
         };
-        // Deterministic backends: bitwise identical.
-        for (c, (a, b)) in replicated.iter().zip(privatized).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "cell {c}");
-        }
-        // Atomic: same sums up to reassociation.
+        // Same sums up to reassociation.
         for (c, (a, b)) in atomic.iter().zip(replicated).enumerate() {
             assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "cell {c}");
         }
     }
 
     /// Concurrently driving disjoint lanes must not change the merged
-    /// bits of the deterministic backends.
+    /// bits of the deterministic backend.
     #[test]
     fn deterministic_merge_is_interleaving_invariant() {
         let cells = 64;
         let lanes = 8;
-        let run = |strategy: TallyStrategy, threaded: bool| -> Vec<f64> {
-            let mut accum = TallyAccum::new(strategy, cells, lanes);
+        let run = |threaded: bool| -> Vec<f64> {
+            let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, lanes);
             {
                 let views = accum.lane_views();
                 let work = |l: usize, view: &mut LaneSink<'_>| {
@@ -984,17 +680,12 @@ mod tests {
             }
             accum.merge()
         };
-        for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
-            let serial = run(strategy, false);
-            let threaded = run(strategy, true);
-            assert!(
-                serial
-                    .iter()
-                    .zip(&threaded)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{strategy:?}"
-            );
-        }
+        let serial = run(false);
+        let threaded = run(true);
+        assert!(serial
+            .iter()
+            .zip(&threaded)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     /// The clone-recursive pairwise merge the blocked one replaced, kept
@@ -1170,42 +861,24 @@ mod tests {
     fn lane_partials_remerge_bitwise() {
         let cells = 37;
         let lanes = 5;
-        for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
-            let mut accum = TallyAccum::new(strategy, cells, lanes);
-            {
-                let mut views = accum.lane_views();
-                for (l, view) in views.iter_mut().enumerate() {
-                    for i in 0..200 {
-                        let cell = (l * 17 + i * 13) % cells;
-                        view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
-                    }
-                }
-            }
-            let merged = accum.merge_with(2);
-            assert_eq!(merged, accum.merge(), "{strategy:?}");
-            let partials = accum.into_lane_partials();
-            let remerged = merge_lanes(&partials, cells, 1);
-            assert_eq!(remerged, merge_lanes_reference(&partials), "{strategy:?}");
-            for (c, (a, b)) in merged.iter().zip(&remerged).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{strategy:?} cell {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn privatized_spills_foreign_cells() {
-        let mut accum = PrivatizedAccum::new(100, 4); // blocks of 25
+        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, lanes);
         {
             let mut views = accum.lane_views();
-            views[0].add(3, 1.0); // owned by lane 0
-            views[0].add(80, 2.0); // spills (owned by lane 3)
-            views[3].add(80, 4.0); // owned by lane 3
+            for (l, view) in views.iter_mut().enumerate() {
+                for i in 0..200 {
+                    let cell = (l * 17 + i * 13) % cells;
+                    view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
+                }
+            }
         }
-        assert!(accum.spill[0].contains_key(&80));
-        let merged = accum.merge();
-        assert_eq!(merged[3], 1.0);
-        assert_eq!(merged[80], 6.0);
-        assert_eq!(accum.spill[0].len(), 1);
+        let merged = accum.merge_with(2);
+        assert_eq!(merged, accum.merge());
+        let partials = accum.into_lane_partials();
+        let remerged = merge_lanes(&partials, cells, 1);
+        assert_eq!(remerged, merge_lanes_reference(&partials));
+        for (c, (a, b)) in merged.iter().zip(&remerged).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "cell {c}");
+        }
     }
 
     #[test]
@@ -1214,14 +887,12 @@ mod tests {
         let lanes = 16;
         let atomic = TallyAccum::new(TallyStrategy::Atomic, cells, lanes).footprint_bytes();
         let replicated = TallyAccum::new(TallyStrategy::Replicated, cells, lanes).footprint_bytes();
-        let privatized = TallyAccum::new(TallyStrategy::Privatized, cells, lanes).footprint_bytes();
         assert_eq!(replicated, lanes * atomic);
-        assert_eq!(privatized, atomic); // empty spill: one dense mesh
     }
 
     /// `claim()` is the one zeroing rule: it wipes a dirtied dense lane
-    /// and nothing else — the shared mesh and an owned block hold other
-    /// lanes' or earlier deposits that a claim must not lose.
+    /// and nothing else — the shared mesh holds other lanes' deposits
+    /// that a claim must not lose.
     #[test]
     fn claim_zeroes_a_dirtied_dense_lane_only() {
         for strategy in TallyStrategy::ALL {

@@ -19,10 +19,10 @@
 //! * [`tally::PrivatizedTally`] — one private tally mesh per thread,
 //!   trading the atomics for a ×`n_threads` memory footprint (paper §VI-F);
 //! * [`tally::SequentialTally`] — the plain serial baseline;
-//! * [`accum`] — the pluggable tally-accumulation subsystem
-//!   ([`TallyStrategy`]: atomic / replicated / privatized backends behind
-//!   one lane-indexed deposit API, merged with a deterministic pairwise
-//!   reduction so parallel tallies are bitwise reproducible).
+//! * [`accum`] — the tally-accumulation subsystem ([`TallyStrategy`]:
+//!   the shared atomic mesh or lane-replicated meshes behind one
+//!   lane-indexed deposit API, the latter merged with a deterministic
+//!   pairwise reduction so parallel tallies are bitwise reproducible).
 //!
 //! # Example
 //!
@@ -47,6 +47,6 @@ mod grid;
 mod material;
 pub mod tally;
 
-pub use accum::{LanePartition, LaneSink, TallyAccum, TallyAccumulator, TallyStrategy};
+pub use accum::{LanePartition, LaneSink, TallyAccum, TallyStrategy};
 pub use grid::{Facet, Rect, StructuredMesh2D};
 pub use material::{MaterialId, MaterialMap};

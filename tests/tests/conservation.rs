@@ -128,28 +128,26 @@ fn conservation_under_every_tally_strategy() {
 }
 
 /// The cutoff residual is itself part of the deterministic merge: the
-/// deterministic strategies book bitwise-identical `lost_energy_ev` for
+/// deterministic strategy books bitwise-identical `lost_energy_ev` for
 /// any worker count.
 #[test]
 fn cutoff_residual_is_deterministic() {
-    for strategy in [TallyStrategy::Replicated, TallyStrategy::Privatized] {
-        let run = |workers: usize| {
-            let mut problem = TestCase::Scatter.build(ProblemScale::tiny(), 23);
-            problem.transport.weight_cutoff = 1.0e-3;
-            problem.transport.collision_model = CollisionModel::ImplicitCapture;
-            problem.transport.tally_strategy = strategy;
-            Simulation::new(problem).run(DriverKind::OverParticles.options(workers))
-        };
-        let base = run(1);
-        assert!(base.counters.lost_energy_ev > 0.0);
-        for workers in [2, 7] {
-            let r = run(workers);
-            assert_eq!(
-                r.counters.lost_energy_ev.to_bits(),
-                base.counters.lost_energy_ev.to_bits(),
-                "{strategy}/{workers}w: cutoff residual bits"
-            );
-        }
+    let run = |workers: usize| {
+        let mut problem = TestCase::Scatter.build(ProblemScale::tiny(), 23);
+        problem.transport.weight_cutoff = 1.0e-3;
+        problem.transport.collision_model = CollisionModel::ImplicitCapture;
+        problem.transport.tally_strategy = TallyStrategy::Replicated;
+        Simulation::new(problem).run(DriverKind::OverParticles.options(workers))
+    };
+    let base = run(1);
+    assert!(base.counters.lost_energy_ev > 0.0);
+    for workers in [2, 7] {
+        let r = run(workers);
+        assert_eq!(
+            r.counters.lost_energy_ev.to_bits(),
+            base.counters.lost_energy_ev.to_bits(),
+            "{workers}w: cutoff residual bits"
+        );
     }
 }
 

@@ -57,6 +57,37 @@ fn unknown_keys_name_the_key_and_line() {
     }
 }
 
+/// A value this format used to accept says that it was removed and what
+/// to write instead — the one message of `TallyStrategy`'s `FromStr`,
+/// with the line.
+#[test]
+fn removed_tally_strategy_names_its_replacement() {
+    let e = fail("nx 10\ntally_strategy privatized\n");
+    assert_eq!(e.line, 2);
+    assert!(e.message.contains("`privatized` was removed"), "{e}");
+    assert!(e.message.contains("use `replicated`"), "{e}");
+    // An unknown value lists the values there are, and only those.
+    let e = fail("tally_strategy magic\n");
+    assert!(e.message.contains("(atomic|replicated)"), "{e}");
+}
+
+/// `nan`, `inf` and overflowing literals parse as `f64`: a rectangle
+/// made of them is refused by line, never handed to `Rect::new`'s
+/// assertion (found by the parser's mutation fuzz).
+#[test]
+fn non_finite_rectangle_bounds_are_rejected() {
+    for (text, line) in [
+        ("source 0.4 1e400 0.4 0.6\n", 1),
+        ("nx 10\nsource nan 0.6 0.4 0.6\n", 2),
+        ("region 0.0 0.5 -inf 1.0 5.0\n", 1),
+        ("region 0.0 0.5 0.0 NaN 5.0 0\n", 1),
+    ] {
+        let e = fail(text);
+        assert_eq!(e.line, line, "{text:?}");
+        assert!(e.message.contains("must be finite"), "{text:?}: {e}");
+    }
+}
+
 #[test]
 fn out_of_range_timesteps_are_rejected() {
     // Zero parses but fails validation with an actionable message.

@@ -33,8 +33,9 @@ fn sequential_runs_are_bitwise_reproducible() {
     }
 }
 
-/// Privatised tally => bitwise reproducible *parallel* runs, even under
-/// a dynamic schedule (deterministic lane merge order).
+/// Lane-privatised (`replicated`) tally => bitwise reproducible
+/// *parallel* runs, even under a dynamic schedule (deterministic lane
+/// merge order).
 #[test]
 fn privatized_parallel_runs_are_bitwise_reproducible() {
     let opts = RunOptions {
@@ -44,8 +45,8 @@ fn privatized_parallel_runs_are_bitwise_reproducible() {
         },
         ..Default::default()
     };
-    let a = tiny_with_tally(TestCase::Csp, 8, TallyStrategy::Privatized).run(opts);
-    let b = tiny_with_tally(TestCase::Csp, 8, TallyStrategy::Privatized).run(opts);
+    let a = tiny_with_tally(TestCase::Csp, 8, TallyStrategy::Replicated).run(opts);
+    let b = tiny_with_tally(TestCase::Csp, 8, TallyStrategy::Replicated).run(opts);
     assert!(a
         .tally
         .iter()

@@ -1,6 +1,6 @@
 //! Multi-material scenario suite: the catalogue workloads must satisfy
 //! every invariant the paper's three cases do — cross-driver agreement,
-//! worker-count bitwise determinism of the deterministic tally backends,
+//! worker-count bitwise determinism of the deterministic tally backend,
 //! and conservation accounting — plus the multi-material-specific ones
 //! (material switches observed, per-cell material resolution).
 
@@ -11,9 +11,6 @@ use neutral_integration::{rel_diff, test_thread_counts, tiny_scenario_with_tally
 /// The two catalogue workloads the heavy sweeps run on: the most
 /// streaming-like and the most collision-like of the new scenarios.
 const SWEEP_SCENARIOS: [Scenario; 2] = [Scenario::ShieldedSlab, Scenario::FuelLattice];
-
-/// Deterministic tally backends with the worker-count-invariance promise.
-const DETERMINISTIC: [TallyStrategy; 2] = [TallyStrategy::Replicated, TallyStrategy::Privatized];
 
 /// Every driver family computes identical physics on every multi-material
 /// scenario: identical integer counters (collisions, facets, material
@@ -57,51 +54,48 @@ fn drivers_agree_on_multi_material_scenarios() {
 }
 
 /// The deterministic-merge invariant on multi-material workloads: for
-/// Replicated and Privatized, merged tallies AND counters are bitwise
-/// identical for any worker count, for all four driver families.
+/// Replicated, merged tallies AND counters are bitwise identical for any
+/// worker count, for all four driver families.
 #[test]
 fn worker_count_invariance_on_scenarios() {
     for scenario in SWEEP_SCENARIOS {
-        for strategy in DETERMINISTIC {
-            for driver in DriverKind::ALL {
-                let sim = tiny_scenario_with_tally(scenario, 43, strategy);
-                let base = sim.run(driver.options(1));
-                for workers in test_thread_counts() {
-                    let r = sim.run(driver.options(workers));
-                    assert_eq!(
-                        r.counters, base.counters,
-                        "{scenario:?}/{strategy:?}/{driver:?}/{workers} workers"
-                    );
-                    assert!(
-                        r.tally
-                            .iter()
-                            .zip(&base.tally)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{scenario:?}/{strategy:?}/{driver:?}/{workers} workers: \
-                         merged tally bits differ"
-                    );
-                }
+        for driver in DriverKind::ALL {
+            let sim = tiny_scenario_with_tally(scenario, 43, TallyStrategy::Replicated);
+            let base = sim.run(driver.options(1));
+            for workers in test_thread_counts() {
+                let r = sim.run(driver.options(workers));
+                assert_eq!(
+                    r.counters, base.counters,
+                    "{scenario:?}/{driver:?}/{workers} workers"
+                );
+                assert!(
+                    r.tally
+                        .iter()
+                        .zip(&base.tally)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{scenario:?}/{driver:?}/{workers} workers: merged tally bits differ"
+                );
             }
         }
     }
 }
 
-/// Replicated and Privatized agree with each other bit for bit on every
-/// scenario (they reduce the same lane partials the same way).
+/// The deterministic backend agrees with itself bit for bit across
+/// worker counts on every multi-material scenario, not only the two the
+/// sweep above runs.
 #[test]
 fn deterministic_backends_agree_on_scenarios() {
     for scenario in Scenario::MULTI_MATERIAL {
-        let a = tiny_scenario_with_tally(scenario, 47, TallyStrategy::Replicated)
-            .run(DriverKind::OverParticles.options(3));
-        let b = tiny_scenario_with_tally(scenario, 47, TallyStrategy::Privatized)
-            .run(DriverKind::OverParticles.options(5));
+        let sim = tiny_scenario_with_tally(scenario, 47, TallyStrategy::Replicated);
+        let a = sim.run(DriverKind::OverParticles.options(3));
+        let b = sim.run(DriverKind::OverParticles.options(5));
         assert_eq!(a.counters, b.counters, "{scenario:?}");
         assert!(
             a.tally
                 .iter()
                 .zip(&b.tally)
                 .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "{scenario:?}: replicated vs privatized bits differ"
+            "{scenario:?}: 3 vs 5 workers, bits differ"
         );
     }
 }

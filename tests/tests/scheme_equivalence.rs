@@ -200,7 +200,7 @@ fn per_cell_tallies_match_across_schemes() {
     assert!(nonzero > 10, "csp should light up many cells");
 }
 
-/// The tally-subsystem keystone: for every driver family and every
+/// The tally-subsystem keystone: for every driver family and the
 /// deterministic strategy, the merged tally is **bitwise identical** at
 /// worker counts {1, 2, 7} (plus `NEUTRAL_TEST_THREADS`), and identical
 /// to the same driver run sequentially. The atomic strategy reproduces
@@ -250,32 +250,15 @@ fn tally_strategies_are_worker_count_equivalent() {
     }
 }
 
-/// All three strategies agree with each other per driver: deterministic
-/// ones bitwise, atomic to reassociation error.
+/// The two strategies agree with each other per driver, to
+/// reassociation error.
 #[test]
 fn tally_strategies_agree_per_driver() {
     for driver in DriverKind::ALL {
         let replicated =
             tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Replicated).run(driver.options(2));
-        let privatized =
-            tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Privatized).run(driver.options(2));
         let atomic =
             tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Atomic).run(driver.options(2));
-        assert_eq!(
-            replicated.counters,
-            privatized.counters,
-            "{}",
-            driver.name()
-        );
-        assert!(
-            replicated
-                .tally
-                .iter()
-                .zip(&privatized.tally)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{}: replicated vs privatized bits",
-            driver.name()
-        );
         assert_eq!(
             atomic.counters.collisions,
             replicated.counters.collisions,
