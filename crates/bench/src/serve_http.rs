@@ -14,7 +14,7 @@
 //! | `GET /solves/:id/tallies` | finished tally dump (`ix iy value` text)       |
 //! | `DELETE /solves/:id`      | cancel (at the next census-boundary chunk)     |
 //! | `GET /scenarios`          | the scenario catalogue (JSON)                  |
-//! | `GET /stats`              | registry counters (JSON)                       |
+//! | `GET /stats`              | registry counters (JSON, `problems_built` too) |
 //! | `GET /healthz`            | liveness probe                                 |
 //!
 //! # Request grammar
@@ -48,8 +48,16 @@
 //! `replicated`). This edge only validates input: a multi-threaded
 //! service refuses `tally atomic` with a 400 rather than silently serving
 //! something else.
+//!
+//! A `POST` is validated, then reduced to a canonical key (the
+//! parameter set's fixpoint serialization plus the scheme) and handed to
+//! [`Registry::submit_with`] with a closure that builds the problem: a
+//! duplicate — in any key order, with or without comments — is admitted
+//! from the registry's key → fingerprint memo and never builds.
+//! `problems_built` in `/stats` counts the closures that ran.
 
-use minihttp::{Handler, Request, Response, Server, ServerHandle};
+use minihttp::{Handler, Request, Response, Server, ServerHandle, TEXT_PLAIN};
+use neutral_core::dump::tally_dump_capacity;
 use neutral_core::params::ParamsError;
 use neutral_core::prelude::*;
 use std::sync::Arc;
@@ -137,11 +145,11 @@ impl SolveService {
             Ok(spec) => spec,
             Err(e) => return Response::text(400, format!("{e}\n")),
         };
-        let submit = match build_submit(spec, self.threads, self.execution()) {
+        let (key, build) = match build_submit(spec, self.threads, self.execution()) {
             Ok(s) => s,
             Err(e) => return Response::text(400, format!("{e}\n")),
         };
-        match self.registry.submit(submit) {
+        match self.registry.submit_with(&key, build) {
             Ok(receipt) => {
                 let status = self
                     .registry
@@ -185,10 +193,11 @@ impl SolveService {
             );
         }
         let report = self.registry.result(id).expect("done solve has a result");
-        let mut out = Vec::with_capacity(report.tally.len() * 8);
+        let mut out = Vec::with_capacity(tally_dump_capacity(&report.tally, status.mesh_nx));
         write_tally_dump(&report.tally, status.mesh_nx, &mut out)
             .expect("writing to a Vec cannot fail");
-        Response::text(200, String::from_utf8(out).expect("dump is ASCII"))
+        // ASCII by construction: no UTF-8 validation pass over the body.
+        Response::bytes(200, TEXT_PLAIN, out)
     }
 
     fn cancel(&self, id: u64) -> Response {
@@ -214,10 +223,10 @@ pub fn serve(service: Arc<SolveService>, addr: &str) -> std::io::Result<ServerHa
     Ok(server.spawn(handler))
 }
 
-/// The shared tally dump writer now lives beside the registry (the fuzz
-/// suite's serve oracle uses it in-process); re-exported here for the
-/// CLI and the end-to-end tests.
-pub use neutral_core::registry::write_tally_dump;
+/// The shared tally dump writer lives in the library (the fuzz suite's
+/// serve oracle uses it in-process); re-exported here for the CLI and
+/// the end-to-end tests.
+pub use neutral_core::dump::write_tally_dump;
 
 /// A parsed `POST /solves` body.
 #[derive(Debug)]
@@ -343,16 +352,22 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
     })
 }
 
-/// Turn a parsed spec into a registry submission, enforcing the
-/// determinism contract that makes the result cache sound.
+/// Validate a parsed spec and turn it into a keyed registry submission:
+/// the memo key ([`Registry::submit_with`]) and the closure that builds
+/// the problem when the registry has not seen the key. Every override is
+/// a [`neutral_core::params::ProblemParams`] field, so the key — the
+/// parameter set's fixpoint serialization plus the scheme — is known
+/// before anything is built; `checkpoint_file` and `shards` stay out of
+/// it as they stay out of the fingerprint. Validation comes first: a bad
+/// request is a 400 whatever the memo holds.
 fn build_submit(
     spec: SolveSpec,
     threads: usize,
     execution: Execution,
-) -> Result<SubmitRequest, ParamsError> {
-    let mut problem = spec.scenario.params(spec.scale, spec.seed).build();
+) -> Result<(String, impl FnOnce() -> SubmitRequest), ParamsError> {
+    let mut params = spec.scenario.params(spec.scale, spec.seed);
     if let Some(lookup) = spec.lookup {
-        problem.transport.xs_search = lookup;
+        params.lookup_strategy = lookup;
     }
     if let Some(tally) = spec.tally {
         if tally == TallyStrategy::Atomic && threads > 1 {
@@ -362,36 +377,38 @@ fn build_submit(
                  use `replicated` (served results must be cacheable)",
             ));
         }
-        problem.transport.tally_strategy = tally;
+        params.tally_strategy = tally;
     }
     if let Some(timesteps) = spec.timesteps {
-        problem.n_timesteps = timesteps;
+        params.timesteps = timesteps;
     }
-    let mut options = RunOptions {
+    let options = RunOptions {
         execution,
-        ..RunOptions::default()
+        scheme: spec.scheme.unwrap_or_default(),
     };
-    if let Some(scheme) = spec.scheme {
-        options.scheme = scheme;
-    }
     if !spec.shard_fault.is_empty() && spec.shards < 2 {
         return Err(perr(
             0,
             "`shard_fault` needs `shards` >= 2 (faults are injected per shard unit)",
         ));
     }
-    // What the registry will run (and fingerprint): an `atomic` a
-    // single-thread service let through resolves to the deterministic
-    // configuration here, so the request already shows it.
-    resolve_deterministic(&mut problem);
-    let mut submit = SubmitRequest::new(problem, options);
-    if let Some(path) = spec.checkpoint_file {
-        submit = submit.checkpoint(path, spec.checkpoint_every);
-    }
-    if spec.shards > 1 {
-        submit = submit.sharded(spec.shards, spec.shard_fault);
-    }
-    Ok(submit)
+    let key = format!("{}scheme {:?}\n", params.to_params_text(), options.scheme);
+    let build = move || {
+        let mut problem = params.build();
+        // What the registry will run (and fingerprint): an `atomic` a
+        // single-thread service let through resolves to the deterministic
+        // configuration here, so the request already shows it.
+        resolve_deterministic(&mut problem);
+        let mut submit = SubmitRequest::new(problem, options);
+        if let Some(path) = spec.checkpoint_file {
+            submit = submit.checkpoint(path, spec.checkpoint_every);
+        }
+        if spec.shards > 1 {
+            submit = submit.sharded(spec.shards, spec.shard_fault);
+        }
+        submit
+    };
+    Ok((key, build))
 }
 
 fn with_id(raw: &str, f: impl FnOnce(u64) -> Response) -> Response {
@@ -449,12 +466,14 @@ fn stats_response(stats: &RegistryStats) -> Response {
         200,
         format!(
             "{{\"submitted\":{},\"coalesced\":{},\"cache_hits\":{},\"solves_started\":{},\
+             \"problems_built\":{},\
              \"chunks_run\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\
              \"shard_retries\":{},\"shard_requeues\":{}}}",
             stats.submitted,
             stats.coalesced,
             stats.cache_hits,
             stats.solves_started,
+            stats.problems_built,
             stats.chunks_run,
             stats.completed,
             stats.cancelled,
@@ -491,30 +510,36 @@ mod tests {
         assert!(err.to_string().contains("scenario"), "{err}");
     }
 
+    const MULTI: Execution = Execution::Scheduled {
+        threads: 4,
+        schedule: Schedule::Dynamic { chunk: 1 },
+    };
+
+    /// Parse `text`, validate it for a service of `threads`, and run the
+    /// build closure: the memo key and what the registry would be handed.
+    fn built(text: &str, threads: usize) -> Result<(String, SubmitRequest), ParamsError> {
+        let execution = if threads > 1 {
+            MULTI
+        } else {
+            Execution::Sequential
+        };
+        let (key, build) = build_submit(parse_solve_request(text)?, threads, execution)?;
+        Ok((key, build()))
+    }
+
     #[test]
     fn atomic_tally_is_rejected_multithreaded_only() {
-        let spec = |text: &str| parse_solve_request(text).unwrap();
-        let multi = Execution::Scheduled {
-            threads: 4,
-            schedule: Schedule::Dynamic { chunk: 1 },
-        };
-        let err =
-            build_submit(spec("scenario csp\nscale tiny\ntally atomic\n"), 4, multi).unwrap_err();
+        let err = built("scenario csp\nscale tiny\ntally atomic\n", 4).unwrap_err();
         assert!(err.to_string().contains("atomic"), "{err}");
         // A single-thread service accepts the spelling; like every
         // submission it resolves to the deterministic configuration.
-        let ok = build_submit(
-            spec("scenario csp\nscale tiny\ntally atomic\n"),
-            1,
-            Execution::Sequential,
-        )
-        .unwrap();
+        let (_, ok) = built("scenario csp\nscale tiny\ntally atomic\n", 1).unwrap();
         assert_eq!(
             ok.problem.transport.tally_strategy,
             TallyStrategy::Replicated
         );
         // Scenario defaults are deterministic already.
-        let default = build_submit(spec("scenario csp\nscale tiny\n"), 4, multi).unwrap();
+        let (_, default) = built("scenario csp\nscale tiny\n", 4).unwrap();
         assert_eq!(
             default.problem.transport.tally_strategy,
             TallyStrategy::Replicated
@@ -534,21 +559,169 @@ mod tests {
         assert!(err.to_string().contains("explode"), "{err}");
 
         // A fault plan without a shard split to inject into is an error.
-        let err = build_submit(
-            parse_solve_request("scenario csp\nscale tiny\nshard_fault kill@1\n").unwrap(),
-            1,
-            Execution::Sequential,
-        )
-        .unwrap_err();
+        let err = built("scenario csp\nscale tiny\nshard_fault kill@1\n", 1).unwrap_err();
         assert!(err.to_string().contains("shards"), "{err}");
 
-        let submit = build_submit(
-            parse_solve_request("scenario csp\nscale tiny\nshards 2\n").unwrap(),
-            1,
-            Execution::Sequential,
-        )
-        .unwrap();
+        let (key, submit) = built("scenario csp\nscale tiny\nshards 2\n", 1).unwrap();
         assert_eq!(submit.shards, 2);
+        // Bitwise-free execution detail: not part of the key.
+        assert_eq!(key, built("scenario csp\nscale tiny\n", 1).unwrap().0);
+    }
+
+    /// Equal keys must mean equal content addresses — the memo's whole
+    /// soundness condition — over generated request bodies: every
+    /// scenario, every lookup, both schemes, a timesteps override and the
+    /// three tally spellings a single-thread service accepts, each key
+    /// either absent or explicit.
+    #[test]
+    fn equal_memo_keys_mean_equal_fingerprints() {
+        use neutral_core::fuzz::Gen;
+        use std::collections::HashMap;
+        let g = &mut Gen::new(24);
+        let mut seen: HashMap<String, u64> = HashMap::new();
+        let mut repeats = 0;
+        for case in 0..96 {
+            // Scenarios in rotation so each is covered; the rest drawn.
+            let scenario = Scenario::ALL[case % Scenario::ALL.len()];
+            let mut body = format!("scenario {}\nscale tiny\n", scenario.name());
+            for (key, values) in [
+                ("lookup", &["binary", "hinted", "unionized", "hashed"][..]),
+                ("scheme", &["op", "oe"]),
+                ("timesteps", &["1", "2"]),
+                ("tally", &["replicated", "atomic"]),
+            ] {
+                if g.chance(0.6) {
+                    body += &format!("{key} {}\n", g.pick(values));
+                }
+            }
+            let (key, submit) = built(&body, 1).unwrap();
+            let fingerprint = config_fingerprint(&submit.problem, submit.options.scheme);
+            if let Some(earlier) = seen.insert(key, fingerprint) {
+                assert_eq!(earlier, fingerprint, "case {case}:\n{body}");
+                repeats += 1;
+            }
+        }
+        assert!(repeats >= 10, "only {repeats} keys were drawn twice");
+    }
+
+    #[test]
+    fn respelt_bodies_share_a_key_and_the_scheme_does_not() {
+        let key = |text: &str| built(text, 1).unwrap().0;
+        let plain = key("scenario csp\nscale tiny\ntimesteps 2\n");
+        for respelt in [
+            "scale tiny\ntimesteps 2\nscenario csp\n",
+            "# a comment\n\nscenario csp   # trailing\n\nscale tiny\ntimesteps 2\n",
+            "scenario csp\nscale tiny\ntimesteps 2\nseed 20170905\nscheme op\n",
+            "scenario csp\nscale tiny\ntimesteps 9\ntimesteps 2\ncheckpoint_every 3\n",
+        ] {
+            assert_eq!(key(respelt), plain, "{respelt}");
+        }
+        for other in [
+            "scenario csp\nscale tiny\ntimesteps 2\nscheme oe\n",
+            "scenario csp\nscale tiny\ntimesteps 2\nseed 1\n",
+            "scenario csp\nscale tiny\n",
+            "scenario csp\nscale tiny\ntimesteps 2\nlookup binary\n",
+        ] {
+            assert_ne!(key(other), plain, "{other}");
+        }
+    }
+
+    fn post(service: &SolveService, body: &str) -> Response {
+        service.handle(&Request {
+            method: "POST".into(),
+            path: "/solves".into(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        })
+    }
+
+    /// POST `body`, require a 201 and return `(id, admission)`.
+    fn admitted(service: &SolveService, body: &str) -> (u64, String) {
+        let response = post(service, body);
+        let text = String::from_utf8(response.body).unwrap();
+        assert_eq!(response.status, 201, "{text}");
+        let admission = text.split("\"admission\":\"").nth(1).unwrap();
+        let admission = admission.split('"').next().unwrap().to_owned();
+        let id = response.headers.iter().find(|(n, _)| n == "x-solve-id");
+        (id.unwrap().1.parse().unwrap(), admission)
+    }
+
+    #[test]
+    fn duplicate_post_is_a_hit_that_builds_nothing() {
+        let service = SolveService::new(ServeConfig::default());
+        let registry = service.registry();
+        let body = "scenario csp\nscale tiny\nseed 5\ntally replicated\n";
+        let (id, admission) = admitted(&service, body);
+        assert_eq!(admission, "fresh");
+        registry.wait(id).unwrap();
+        assert_eq!(registry.stats().problems_built, 1);
+
+        let respelt = "tally replicated\n# same solve\nseed 5\nscale tiny\nscenario csp\n";
+        for duplicate in [body, respelt] {
+            assert_eq!(admitted(&service, duplicate), (id, "cache_hit".to_owned()));
+        }
+        assert_eq!(registry.stats().problems_built, 1);
+
+        // PR 17's case, through the memo: the other scheme is another solve.
+        let (oe, admission) = admitted(&service, &format!("{body}scheme oe\n"));
+        assert_eq!(admission, "fresh");
+        assert_ne!(oe, id);
+        let stats = registry.stats();
+        assert_eq!((stats.problems_built, stats.solves_started), (2, 2));
+        let stats_json = String::from_utf8(stats_response(&stats).body).unwrap();
+        assert!(stats_json.contains("\"problems_built\":2"), "{stats_json}");
+    }
+
+    #[test]
+    fn primed_memo_does_not_let_a_bad_request_through() {
+        let multi = || {
+            SolveService::new(ServeConfig {
+                threads: 2,
+                ..ServeConfig::default()
+            })
+        };
+        let good = "scenario csp\nscale tiny\nseed 6\n";
+        let bad = [
+            format!("{good}tally atomic\n"),
+            format!("{good}shard_fault kill@1\n"),
+        ];
+        let unprimed = multi();
+        let primed = multi();
+        let (id, _) = admitted(&primed, good);
+        primed.registry().wait(id).unwrap();
+        for body in &bad {
+            let (cold, warm) = (post(&unprimed, body), post(&primed, body));
+            assert_eq!(cold.status, 400);
+            assert_eq!((warm.status, &warm.body), (400, &cold.body));
+        }
+        assert_eq!(primed.registry().stats().submitted, 1);
+    }
+
+    /// `serve_mix`-shaped traffic: cold bodies with unique seeds, each
+    /// duplicate sent after its original's POST was answered. Only the
+    /// cold ones build.
+    #[test]
+    fn duplicates_after_their_originals_build_nothing() {
+        let service = SolveService::new(ServeConfig::default());
+        let mut ids = Vec::new();
+        for k in 0..12u64 {
+            let scenario = ["csp", "stream", "fuel_lattice", "core_escape"][k as usize % 4];
+            let body = format!("scenario {scenario}\nscale tiny\nseed {k}\ntally replicated\n");
+            let (id, admission) = admitted(&service, &body);
+            assert_eq!(admission, "fresh");
+            let (again, admission) = admitted(&service, &body);
+            assert_eq!(again, id);
+            assert!(matches!(admission.as_str(), "coalesced" | "cache_hit"));
+            ids.push(id);
+        }
+        let stats = service.registry().stats();
+        assert_eq!(stats.problems_built, 12);
+        assert_eq!(stats.problems_built, stats.solves_started);
+        assert_eq!(stats.coalesced + stats.cache_hits, 12);
+        for id in ids {
+            service.registry().wait(id).unwrap();
+        }
     }
 
     #[test]

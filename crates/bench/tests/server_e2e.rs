@@ -127,8 +127,8 @@ fn coalescing_cache_and_bitwise_identity() {
     assert_eq!(stats.coalesced, 1, "{stats:?}");
 
     // Served tallies are bitwise identical to a direct run of the same
-    // config — through the text dump, whose `{:e}` floats round-trip
-    // exactly, so byte equality is bit equality. The direct run uses
+    // config — through the text dump, whose shortest-digits floats
+    // round-trip exactly, so byte equality is bit equality. The direct run uses
     // different execution (sequential vs the server's 2-thread lanes):
     // the determinism invariant says that must not matter.
     for (id, seed) in [(&ids[0], SEED), (&ids[2], SEED + 1)] {
@@ -145,13 +145,23 @@ fn coalescing_cache_and_bitwise_identity() {
 
     // Identical re-submission after completion: answered from the cache
     // without re-running transport.
-    let chunks_before = service.registry().stats().chunks_run;
+    let before = service.registry().stats();
+    let chunks_before = before.chunks_run;
     let resubmit = post_solve(addr, &request_body(SEED));
     assert_eq!(json_field(&resubmit.body_text(), "admission"), "cache_hit");
     assert_eq!(json_field(&resubmit.body_text(), "state"), "done");
     let stats = service.registry().stats();
     assert_eq!(stats.cache_hits, 1, "{stats:?}");
     assert_eq!(stats.solves_started, 2, "cache hit must not start a solve");
+    assert_eq!(
+        stats.problems_built, before.problems_built,
+        "cache hit must not rebuild the problem"
+    );
+    let served_stats = client::request(addr, "GET", "/stats", None).unwrap();
+    assert_eq!(
+        json_field(&served_stats.body_text(), "problems_built"),
+        stats.problems_built.to_string()
+    );
     assert_eq!(
         stats.chunks_run, chunks_before,
         "cache hit must not run chunks"

@@ -47,8 +47,9 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{CollisionModel, LookupStrategy, Problem, TallyStrategy};
+use crate::dump::write_tally_dump;
 use crate::params::ProblemParams;
-use crate::registry::{write_tally_dump, Registry, RegistryConfig, SolveState, SubmitRequest};
+use crate::registry::{Registry, RegistryConfig, SolveState, SubmitRequest};
 use crate::scheduler::Schedule;
 use crate::sim::{Execution, RunOptions, RunReport, Scheme, Simulation, SolveCore};
 use neutral_mesh::{MaterialId, Rect};

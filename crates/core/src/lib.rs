@@ -53,6 +53,7 @@ pub mod arena;
 pub mod checkpoint;
 pub mod config;
 pub mod counters;
+pub mod dump;
 pub mod events;
 pub mod fuzz;
 pub mod history;

@@ -24,6 +24,17 @@
 //! [`RegistryStats`], which the end-to-end tests use as solve-count
 //! instrumentation.
 //!
+//! Fingerprinting needs the built problem (its density field and tables
+//! are what is hashed), and building one costs more than answering from
+//! the cache. [`Registry::submit_with`] therefore takes a canonical
+//! request key and a build closure, and memoizes *key → fingerprint*: a
+//! key seen before whose fingerprint still holds an entry is admitted
+//! without building. There is still one identity function — the memo is
+//! a cache *of* `config_fingerprint`, indexed by text compared whole —
+//! and since building is a pure function of the key a memo row can be
+//! absent but never stale. [`RegistryStats::problems_built`] counts the
+//! closures that ran.
+//!
 //! Checkpoint spill is optional per solve ([`SubmitRequest::checkpoint`])
 //! and the registry enforces that no two *live* solves share one
 //! checkpoint file — the write-temp/rename protocol keeps concurrent
@@ -281,6 +292,10 @@ pub struct RegistryStats {
     pub cache_hits: u64,
     /// Underlying solves actually created (= fresh admissions).
     pub solves_started: u64,
+    /// Times a [`Registry::submit_with`] build closure ran: a keyed
+    /// submission the memo answered leaves this untouched, which is how
+    /// "a duplicate never rebuilds its problem" is seen rather than timed.
+    pub problems_built: u64,
     /// Timestep chunks executed across all solves.
     pub chunks_run: u64,
     /// Solves that ran to completion.
@@ -328,6 +343,11 @@ struct State {
     /// Content address → entry id, for live entries (coalescing) and
     /// done entries (result cache). Removed on cancel/failure.
     by_fingerprint: HashMap<u64, u64>,
+    /// Request key → content address, for [`Registry::submit_with`]: what
+    /// a build + fingerprint of that request came to. Building is a pure
+    /// function of the key, so a row is never stale, only absent; rows are
+    /// never removed (like `entries`, which they are bounded by).
+    memo: HashMap<String, u64>,
     /// Checkpoint files held by live entries (exclusivity guard).
     live_checkpoint_files: HashMap<PathBuf, u64>,
     queue: VecDeque<u64>,
@@ -385,6 +405,7 @@ impl Registry {
                 next_id: 1,
                 entries: HashMap::new(),
                 by_fingerprint: HashMap::new(),
+                memo: HashMap::new(),
                 live_checkpoint_files: HashMap::new(),
                 queue: VecDeque::new(),
                 stats: RegistryStats::default(),
@@ -414,6 +435,45 @@ impl Registry {
     /// population are built *outside* the registry lock and the new
     /// entry is queued.
     pub fn submit(&self, req: SubmitRequest) -> Result<SubmitReceipt, SubmitError> {
+        self.admit(req, None)
+    }
+
+    /// [`submit`](Self::submit) for a caller that has not built its
+    /// problem yet. `key` is a canonical text of the request (equal keys
+    /// must mean equal `build()` results — e.g. a fixpoint serialization
+    /// of the parameters plus the scheme); `build` must be a pure
+    /// function of it. A key submitted before, whose content address
+    /// still holds an entry, is admitted as a cache hit or coalesced
+    /// **without calling `build`**; anything else builds, is
+    /// fingerprinted and admitted exactly as by `submit`, and its key is
+    /// remembered. The content address stays [`config_fingerprint`]: the
+    /// key is only ever compared whole, as the index of a memo of that
+    /// function.
+    pub fn submit_with(
+        &self,
+        key: &str,
+        build: impl FnOnce() -> SubmitRequest,
+    ) -> Result<SubmitReceipt, SubmitError> {
+        {
+            let mut st = self.lock();
+            if st.shutdown {
+                return Err(SubmitError::ShuttingDown);
+            }
+            let known = st.memo.get(key).and_then(|fp| st.by_fingerprint.get(fp));
+            if let Some(&existing) = known {
+                return Ok(attach(&mut st, existing));
+            }
+        }
+        self.admit(build(), Some(key))
+    }
+
+    /// The one admission path; `built_for` is the memo key whose build
+    /// closure produced `req`, if one did.
+    fn admit(
+        &self,
+        req: SubmitRequest,
+        built_for: Option<&str>,
+    ) -> Result<SubmitReceipt, SubmitError> {
         let mut req = req;
         // The determinism choke-point, applied unconditionally and
         // *before* fingerprinting: the cache address is the address of
@@ -424,26 +484,17 @@ impl Registry {
         let mesh_nx = req.problem.mesh.nx();
         let id = {
             let mut st = self.lock();
+            if let Some(key) = built_for {
+                st.stats.problems_built += 1;
+                st.memo.insert(key.to_owned(), fingerprint);
+            }
             if st.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
-            st.stats.submitted += 1;
             if let Some(&existing) = st.by_fingerprint.get(&fingerprint) {
-                let admission = match st.entries[&existing].state {
-                    SolveState::Done => {
-                        st.stats.cache_hits += 1;
-                        Admission::CacheHit
-                    }
-                    _ => {
-                        st.stats.coalesced += 1;
-                        Admission::Coalesced
-                    }
-                };
-                return Ok(SubmitReceipt {
-                    id: existing,
-                    admission,
-                });
+                return Ok(attach(&mut st, existing));
             }
+            st.stats.submitted += 1;
             if let Some(path) = &req.checkpoint_file {
                 if let Some(&holder) = st.live_checkpoint_files.get(path) {
                     return Err(SubmitError::CheckpointFileBusy {
@@ -600,6 +651,23 @@ impl Drop for Registry {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Admit a submission onto the existing entry `id` that shares its content
+/// address: a cache hit if that solve is done, coalesced otherwise.
+fn attach(st: &mut State, id: u64) -> SubmitReceipt {
+    st.stats.submitted += 1;
+    let admission = match st.entries[&id].state {
+        SolveState::Done => {
+            st.stats.cache_hits += 1;
+            Admission::CacheHit
+        }
+        _ => {
+            st.stats.coalesced += 1;
+            Admission::Coalesced
+        }
+    };
+    SubmitReceipt { id, admission }
 }
 
 /// What one leased timestep chunk did to its solve.
@@ -817,25 +885,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The shared tally dump format: one `ix iy value` line per non-zero
-/// cell, values in `{:e}` form (Rust's float formatting round-trips
-/// exactly, so textual equality is bitwise equality — `neutral_cli
-/// --dump-tally` and `GET /solves/:id/tallies` produce byte-identical
-/// dumps for identical solves, which CI checks with `cmp` and the fuzz
-/// suite's serve oracle checks in-process).
-pub fn write_tally_dump(
-    tally: &[f64],
-    nx: usize,
-    out: &mut impl std::io::Write,
-) -> std::io::Result<()> {
-    for (i, &v) in tally.iter().enumerate() {
-        if v != 0.0 {
-            writeln!(out, "{} {} {v:e}", i % nx, i / nx)?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1046,6 +1095,89 @@ mod tests {
         );
         assert_eq!(registry.stats().cache_hits, 0);
         assert_eq!(registry.stats().coalesced, 0);
+    }
+
+    #[test]
+    fn keyed_resubmit_is_admitted_without_building() {
+        let registry = throttled(1);
+        let request = || SubmitRequest::new(tiny_problem(43, 3), RunOptions::default());
+        let never = || -> SubmitRequest { panic!("a memo hit must not build") };
+        let first = registry.submit_with("csp tiny 43 x3", request).unwrap();
+        assert_eq!(first.admission, Admission::Fresh);
+        // In flight: the key alone coalesces...
+        let joined = registry.submit_with("csp tiny 43 x3", never).unwrap();
+        assert_eq!(
+            (joined.admission, joined.id),
+            (Admission::Coalesced, first.id)
+        );
+        registry.wait(first.id).unwrap();
+        // ...and once done, hits the cache.
+        let hit = registry.submit_with("csp tiny 43 x3", never).unwrap();
+        assert_eq!((hit.admission, hit.id), (Admission::CacheHit, first.id));
+        // Another spelling of the same problem builds once, lands on the
+        // same address, and is remembered too.
+        let respelt = registry.submit_with("csp tiny 43 x3 # again", request);
+        assert_eq!(respelt.unwrap().admission, Admission::CacheHit);
+        let hit = registry.submit_with("csp tiny 43 x3 # again", never);
+        assert_eq!(hit.unwrap().admission, Admission::CacheHit);
+        // The unkeyed door shares the address space and builds nothing here.
+        assert_eq!(
+            registry.submit(request()).unwrap().admission,
+            Admission::CacheHit
+        );
+        let stats = registry.stats();
+        assert_eq!(stats.problems_built, 2);
+        assert_eq!(stats.solves_started, 1);
+        assert_eq!(
+            (stats.submitted, stats.coalesced, stats.cache_hits),
+            (6, 1, 4)
+        );
+    }
+
+    #[test]
+    fn released_fingerprint_makes_its_key_build_and_run_fresh_again() {
+        // Failed: the `runner_panic_fails_solve_and_releases_fingerprint`
+        // pattern, through the memo.
+        let registry = Registry::new(RegistryConfig {
+            runners: 1,
+            fault_panic_on_step: Some(1),
+            ..Default::default()
+        });
+        let request = || SubmitRequest::new(tiny_problem(47, 3), RunOptions::default());
+        let first = registry.submit_with("k", request).unwrap();
+        let status = registry.wait(first.id).unwrap();
+        assert!(matches!(status.state, SolveState::Failed(_)));
+        let again = registry.submit_with("k", request).unwrap();
+        assert_eq!(again.admission, Admission::Fresh);
+        assert_ne!(again.id, first.id);
+        assert_eq!(registry.stats().problems_built, 2);
+        registry.wait(again.id).unwrap();
+
+        // Cancelled.
+        let registry = throttled(1);
+        let request = || SubmitRequest::new(tiny_problem(48, 50), RunOptions::default());
+        let first = registry.submit_with("k", request).unwrap();
+        assert!(registry.cancel(first.id));
+        let status = registry.wait(first.id).unwrap();
+        assert_eq!(status.state, SolveState::Cancelled);
+        let again = registry.submit_with("k", request).unwrap();
+        assert_eq!(again.admission, Admission::Fresh);
+        assert!(registry.cancel(again.id));
+        assert_eq!(registry.stats().problems_built, 2);
+    }
+
+    #[test]
+    fn keyed_submit_after_shutdown_never_builds() {
+        let mut registry = Registry::new(RegistryConfig::default());
+        let request = || SubmitRequest::new(tiny_problem(49, 1), RunOptions::default());
+        let first = registry.submit_with("k", request).unwrap();
+        registry.wait(first.id).unwrap();
+        registry.shutdown();
+        for key in ["k", "unseen"] {
+            let refused = registry.submit_with(key, || panic!("shut down: must not build"));
+            assert!(matches!(refused, Err(SubmitError::ShuttingDown)));
+        }
+        assert_eq!(registry.stats().problems_built, 1);
     }
 
     #[test]

@@ -45,6 +45,33 @@ pub fn tally_hash(tally: &[f64]) -> u64 {
     fnv1a64(tally.iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
+/// The tally dump as it was written before the library formatted floats
+/// itself: `std`'s `{:e}`, line by line.
+#[must_use]
+pub fn reference_dump(tally: &[f64], nx: usize) -> Vec<u8> {
+    use std::io::Write;
+    let mut out = Vec::new();
+    for (i, &v) in tally.iter().enumerate() {
+        if v != 0.0 {
+            writeln!(out, "{} {} {v:e}", i % nx, i / nx).expect("writing to a Vec");
+        }
+    }
+    out
+}
+
+/// A fixture's run must also dump to the bytes the reference writer
+/// gives: the served and `--dump-tally` formats are pinned with the bits.
+pub fn assert_dump_matches_reference(name: &str, report: &RunReport) {
+    let nx = report.tally.len().isqrt();
+    let mut dump = Vec::new();
+    neutral_core::dump::write_tally_dump(&report.tally, nx, &mut dump).expect("writing to a Vec");
+    assert!(!dump.is_empty(), "{name}: empty dump");
+    assert!(
+        dump == reference_dump(&report.tally, nx),
+        "{name}: tally dump differs from the `{{:e}}` reference"
+    );
+}
+
 impl GoldenTally {
     /// Capture a run report into fixture fields.
     #[must_use]

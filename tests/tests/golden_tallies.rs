@@ -12,7 +12,9 @@
 //! `NEUTRAL_BLESS=1 cargo test -p neutral-integration --test golden_tallies`.
 
 use neutral_core::prelude::*;
-use neutral_integration::golden::{blessing, fixture_dir, GoldenTally};
+use neutral_integration::golden::{
+    assert_dump_matches_reference, blessing, fixture_dir, GoldenTally,
+};
 use neutral_integration::{
     tiny_multistep, tiny_scenario_with_tally, tiny_with_tally, DriverKind, MULTISTEP_CONFIGS,
 };
@@ -55,6 +57,7 @@ fn golden_tallies_match_fixtures() {
         for driver in DriverKind::ALL {
             let report = run(case, seed, driver, TallyStrategy::Replicated);
             let captured = GoldenTally::capture(case.name(), driver.name(), seed, &report);
+            assert_dump_matches_reference(case.name(), &report);
             let path = fixture_path(case.name(), driver);
 
             if blessing() {
@@ -97,6 +100,7 @@ fn multistep_golden_tallies_match_fixtures() {
             assert_eq!(report.timesteps, steps);
             let name = format!("{}_t{}", case.name(), steps);
             let captured = GoldenTally::capture(&name, driver.name(), seed, &report);
+            assert_dump_matches_reference(&name, &report);
             let path = fixture_dir().join(format!("{}_{}.json", name, driver.name()));
 
             if blessing() {
@@ -143,6 +147,7 @@ fn scenario_golden_tallies_match_fixtures() {
                 driver.name()
             );
             let captured = GoldenTally::capture(scenario.name(), driver.name(), seed, &report);
+            assert_dump_matches_reference(scenario.name(), &report);
             let path = fixture_path(scenario.name(), driver);
 
             if blessing() {

@@ -12,7 +12,9 @@
 
 use neutral_core::particle::Particle;
 use neutral_core::prelude::*;
-use neutral_integration::golden::{blessing, fixture_dir, tally_hash, GoldenTally};
+use neutral_integration::golden::{
+    assert_dump_matches_reference, blessing, fixture_dir, tally_hash, GoldenTally,
+};
 use neutral_integration::{tiny_multistep, DriverKind, MULTISTEP_CONFIGS};
 use std::path::PathBuf;
 
@@ -119,6 +121,7 @@ fn resumed_runs_match_committed_goldens() {
 
             let name = format!("{}_t{}", case.name(), steps);
             let captured = GoldenTally::capture(&name, driver.name(), seed, &report);
+            assert_dump_matches_reference(&name, &report);
             let path = fixture_dir().join(format!("{}_{}.json", name, driver.name()));
             let text = std::fs::read_to_string(&path).expect("committed multistep fixture");
             let expected = GoldenTally::from_json(&text).unwrap();
@@ -171,6 +174,7 @@ fn restarted_golden_tallies_match_fixtures() {
             let _ = std::fs::remove_dir_all(&dir);
 
             let captured = GoldenTally::capture(&name, driver.name(), seed, &report);
+            assert_dump_matches_reference(&name, &report);
             let path = fixture_dir().join(format!("{}_{}.json", name, driver.name()));
             if blessing() {
                 std::fs::create_dir_all(fixture_dir()).expect("create tests/golden");
