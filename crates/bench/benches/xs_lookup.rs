@@ -1,11 +1,11 @@
 //! Cross-section lookup strategies (§VI-A, extended): the paper's cached
-//! linear search and binary baseline, plus the unionized-grid and
-//! hashed-grid accelerations, on post-collision energy walks (~2% energy
-//! steps, the realistic access pattern) and on worst-case random jumps.
+//! linear search and binary baseline, plus the hashed-grid acceleration,
+//! on post-collision energy walks (~2% energy steps, the realistic access
+//! pattern) and on worst-case random jumps.
 //!
 //! The acceptance bar of the lookup subsystem is measured here: on a
-//! 4096-point table, `unionized` and `hashed` must beat `binary` by ≥ 2x
-//! (see also the `fig15_xs_strategies` sweep binary).
+//! 4096-point table, `hashed` must beat `binary` by ≥ 2x (see also the
+//! `fig15_xs_strategies` sweep binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neutral_xs::{CrossSectionLibrary, LookupStrategy, XsHints};
@@ -33,7 +33,6 @@ fn jump_energies(n: usize) -> Vec<f64> {
 
 fn bench_lookup(c: &mut Criterion) {
     let lib = CrossSectionLibrary::synthetic(30_000, 99);
-    lib.prepare(LookupStrategy::Unionized);
     lib.prepare(LookupStrategy::Hashed);
     let energies = walk_energies();
 

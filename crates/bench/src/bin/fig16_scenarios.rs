@@ -5,8 +5,8 @@
 //! problems; this sweep asks how the driver families and the lookup
 //! backends rank once per-cell materials enter the picture. For every
 //! catalogue scenario it runs the three driver families (history,
-//! Over-Particles, Over-Events) under the hinted and unionized
-//! lookup backends and reports events/s, the event mix, and the material
+//! Over-Particles, Over-Events) under the hinted and hashed
+//! lookup strategies and reports events/s, the event mix, and the material
 //! interface-crossing rate — the scenario-diversity counterpart of the
 //! Figure 15 lookup sweep.
 //!
@@ -59,7 +59,7 @@ fn main() {
     let lookups = if quick {
         vec![LookupStrategy::Hinted]
     } else {
-        vec![LookupStrategy::Hinted, LookupStrategy::Unionized]
+        vec![LookupStrategy::Hinted, LookupStrategy::Hashed]
     };
     let threads = host_threads();
     let mut report = BenchReport::new("fig16_scenarios");

@@ -178,11 +178,7 @@ fn main() {
         times[times.len() / 2]
     };
     let binary = run_search(LookupStrategy::Binary);
-    for strategy in [
-        LookupStrategy::Hinted,
-        LookupStrategy::Unionized,
-        LookupStrategy::Hashed,
-    ] {
+    for strategy in [LookupStrategy::Hinted, LookupStrategy::Hashed] {
         let t = run_search(strategy);
         println!(
             "  end-to-end scatter solve: {} {t:.3} s vs binary {binary:.3} s -> {:.2}x",

@@ -5,7 +5,7 @@
 //! neutral_cli [problem.params | --scenario NAME] [--scale tiny|small|paper]
 //!             [--seed N] [--scheme op|oe]
 //!             [--threads N] [--schedule static|dynamic,N|guided,N]
-//!             [--lookup binary|hinted|unionized|hashed]
+//!             [--lookup binary|hinted|hashed]
 //!             [--tally replicated|atomic] [--timesteps N]
 //!             [--sequential] [--dump-tally FILE]
 //!             [--checkpoint FILE] [--fault SPEC]
@@ -138,8 +138,9 @@ fn parse_args() -> Result<CliArgs, String> {
                 i += 1;
                 lookup = Some(
                     argv.get(i)
-                        .ok_or("--lookup binary|hinted|unionized|hashed")?
-                        .parse::<LookupStrategy>()?,
+                        .ok_or("--lookup binary|hinted|hashed")?
+                        .parse::<LookupStrategy>()
+                        .map_err(|e| format!("--lookup: {e}"))?,
                 );
             }
             "--tally" => {

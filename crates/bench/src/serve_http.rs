@@ -29,7 +29,7 @@
 //! scale tiny                # tiny|small|paper (default small)
 //! seed 42                   # default 20170905
 //! timesteps 3               # optional override
-//! lookup hashed             # binary|hinted|unionized|hashed
+//! lookup hashed             # binary|hinted|hashed
 //! tally replicated          # the default (atomic resolves to replicated)
 //! scheme oe                 # op|oe
 //! checkpoint_file /tmp/s.ckpt   # optional spill (exclusive per live solve)
@@ -506,6 +506,23 @@ mod tests {
         assert!(err.message.contains("`privatized` was removed"), "{err}");
         assert!(err.message.contains("use `replicated`"), "{err}");
 
+        // So are the removed lookup values, in the parser's own words.
+        let service = SolveService::new(ServeConfig::default());
+        for (value, says) in [
+            ("unionized", "use `hashed`, which produces the same bits"),
+            ("cached_linear", "was renamed `hinted`"),
+        ] {
+            let body = format!("scenario csp\nscale tiny\nlookup {value}\n");
+            let err = parse_solve_request(&body).unwrap_err();
+            assert_eq!(err.line, 3);
+            let expect = value.parse::<LookupStrategy>().unwrap_err();
+            assert_eq!(err.message, expect);
+            assert!(expect.contains(says), "{expect}");
+            let response = post(&service, &body);
+            assert_eq!(response.status, 400);
+            assert_eq!(response.body, format!("{err}\n").into_bytes());
+        }
+
         let err = parse_solve_request("# only a comment\n").unwrap_err();
         assert!(err.to_string().contains("scenario"), "{err}");
     }
@@ -585,7 +602,7 @@ mod tests {
             let scenario = Scenario::ALL[case % Scenario::ALL.len()];
             let mut body = format!("scenario {}\nscale tiny\n", scenario.name());
             for (key, values) in [
-                ("lookup", &["binary", "hinted", "unionized", "hashed"][..]),
+                ("lookup", &["binary", "hinted", "hashed"][..]),
                 ("scheme", &["op", "oe"]),
                 ("timesteps", &["1", "2"]),
                 ("tally", &["replicated", "atomic"]),

@@ -28,3 +28,28 @@ fn rejected_flags_exit_1_with_a_named_error() {
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
 }
+
+/// The removed lookup values fail with the parser's message, naming
+/// `--lookup` and the value to use instead.
+#[test]
+fn removed_lookup_values_name_their_replacement() {
+    for (value, says) in [
+        ("unionized", "was removed"),
+        ("cached_linear", "was renamed `hinted`"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_neutral_cli"))
+            .args(["--scenario", "csp", "--scale", "tiny", "--lookup", value])
+            .output()
+            .expect("spawn neutral_cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{value}: {stderr}");
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with("error: --lookup: "))
+            .unwrap_or_else(|| panic!("{value}: no `error: --lookup:` line in: {stderr}"));
+        assert!(line.contains(&format!("`{value}` {says}")), "{line}");
+        if value == "unionized" {
+            assert!(line.contains("use `hashed`"), "{line}");
+        }
+    }
+}

@@ -160,6 +160,26 @@ pub(crate) fn read_counters(r: &mut Reader<'_>) -> Result<EventCounters, Checkpo
     Ok(counters)
 }
 
+/// Refuse records whose cell lies off an `nx` × `ny` mesh. The kernels
+/// read a record's cell bounds, density and material through its cell
+/// index unchecked, so such a record — one that checksums correctly but
+/// was written for another mesh, or tampered with — must fail here, named,
+/// not panic on the first step after resume.
+pub(crate) fn check_cells_on_mesh(
+    records: &[Particle],
+    nx: usize,
+    ny: usize,
+) -> Result<(), CheckpointError> {
+    let off = |p: &Particle| p.cellx as usize >= nx || p.celly as usize >= ny;
+    match records.iter().position(off) {
+        None => Ok(()),
+        Some(i) => Err(CheckpointError::Corrupt(format!(
+            "particle record {i} lies in cell ({}, {}), off the {nx}x{ny} mesh",
+            records[i].cellx, records[i].celly
+        ))),
+    }
+}
+
 /// Read one particle record in the checkpoint wire layout.
 pub(crate) fn read_particle(r: &mut Reader<'_>) -> Result<Particle, CheckpointError> {
     Ok(Particle {
@@ -1147,6 +1167,128 @@ mod tests {
             Checkpoint::from_bytes(&wrong_version),
             Err(CheckpointError::UnsupportedVersion(99))
         ));
+    }
+
+    /// A real census-boundary checkpoint: tiny `csp`, one of its two
+    /// timesteps run.
+    fn real_checkpoint() -> (Simulation, RunOptions, Checkpoint) {
+        let mut problem = TestCase::Csp.build(ProblemScale::tiny(), 3);
+        problem.n_timesteps = 2;
+        let sim = Simulation::new(problem);
+        let options = RunOptions {
+            execution: crate::sim::Execution::Sequential,
+            ..RunOptions::default()
+        };
+        let mut core = SolveCore::new(&sim, options);
+        core.step(&sim);
+        (sim, options, core.checkpoint())
+    }
+
+    /// A record off the mesh, re-encoded through `to_bytes` so that it
+    /// checksums correctly, fails named at resume — before the first
+    /// step would index the mesh through its cell.
+    #[test]
+    fn off_mesh_records_fail_named_at_resume() {
+        let (sim, options, ckpt) = real_checkpoint();
+        let (nx, ny) = (sim.problem().mesh.nx(), sim.problem().mesh.ny());
+        for (record, cellx, celly) in [(17, nx as u32, 0), (400, 3, ny as u32 + 9)] {
+            let mut evil = ckpt.clone();
+            evil.particles[record].cellx = cellx;
+            evil.particles[record].celly = celly;
+            let decoded = Checkpoint::from_bytes(&evil.to_bytes()).unwrap();
+            match SolveCore::resume(&sim, options, &decoded) {
+                Err(CheckpointError::Corrupt(msg)) => assert_eq!(
+                    msg,
+                    format!(
+                        "particle record {record} lies in cell ({cellx}, {celly}), \
+                         off the {nx}x{ny} mesh"
+                    )
+                ),
+                other => panic!("record {record}: {:?}", other.map(|_| "resumed")),
+            }
+        }
+        assert!(SolveCore::resume(&sim, options, &ckpt).is_ok());
+    }
+
+    /// Seeded mutation fuzz of the decoder and the resume checks behind
+    /// it: 2 400 mutations of a real tiny `csp` checkpoint — bit flips,
+    /// truncations, extensions, and a count field set to `0`, `u64::MAX`
+    /// or one more than it holds — each resealed (length prefix and
+    /// checksum recomputed, so the body parser is reached instead of
+    /// every case stopping at `ChecksumMismatch`), then decoded and
+    /// resumed. Every outcome is `Ok` or a named `CheckpointError`, never
+    /// a panic, and no single allocation exceeds the input plus an
+    /// error's text.
+    #[test]
+    fn decoder_mutation_fuzz_resumes_or_names_the_corruption() {
+        /// Upper bound on an error's text and the resume's fixed-size state.
+        const ERROR_TEXT: usize = 512;
+        let (sim, options, ckpt) = real_checkpoint();
+        let bytes = ckpt.to_bytes();
+        // The count words: next_step, n_timesteps, n_tally, n_particles.
+        let n_tally_off = HEADER_LEN + 8 * 22;
+        let counts = [
+            HEADER_LEN + 8,
+            HEADER_LEN + 16,
+            n_tally_off,
+            n_tally_off + 8 + 8 * ckpt.tally.len(),
+        ];
+        let reseal = |b: &mut Vec<u8>| {
+            let n = b.len();
+            if n >= HEADER_LEN + 8 {
+                b[12..HEADER_LEN].copy_from_slice(&((n - HEADER_LEN - 8) as u64).to_le_bytes());
+                let sum = fnv1a64(b[..n - 8].iter().copied());
+                b[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            }
+        };
+        let g = &mut crate::fuzz::Gen::new(20_170_905);
+        let mut resumed = 0;
+        for case in 0..2_400usize {
+            let mut evil = bytes.clone();
+            let what = match case % 4 {
+                0 => {
+                    let bit = g.usize_in(0, evil.len() * 8);
+                    evil[bit / 8] ^= 1 << (bit % 8);
+                    format!("bit {bit} flipped")
+                }
+                1 => {
+                    evil.truncate(g.usize_in(0, evil.len()));
+                    format!("truncated to {}", evil.len())
+                }
+                2 => {
+                    let extra = g.usize_in(1, 65);
+                    evil.extend((0..extra).map(|_| g.usize_in(0, 256) as u8));
+                    format!("extended by {extra}")
+                }
+                _ => {
+                    let off = *g.pick(&counts);
+                    let n = u64::from_le_bytes(evil[off..off + 8].try_into().unwrap());
+                    let new = *g.pick(&[0, u64::MAX, n + 1]);
+                    evil[off..off + 8].copy_from_slice(&new.to_le_bytes());
+                    format!("count at {off}: {n} -> {new}")
+                }
+            };
+            reseal(&mut evil);
+            let (verdict, largest) = crate::alloc_probe::largest_during(|| {
+                let decoded = Checkpoint::from_bytes(&evil)?;
+                SolveCore::resume(&sim, options, &decoded).map(|_| ())
+            });
+            match verdict {
+                Ok(()) => resumed += 1,
+                Err(e @ (CheckpointError::Io(_) | CheckpointError::NotFound)) => {
+                    panic!("case {case} ({what}): a decoder reported {e}")
+                }
+                Err(e) => assert!(!e.to_string().is_empty(), "case {case} ({what})"),
+            }
+            assert!(
+                largest <= evil.len() + ERROR_TEXT,
+                "case {case} ({what}): allocated {largest} B for a {} B input",
+                evil.len()
+            );
+        }
+        // Flips in the tally, counters and particle payload that stay
+        // consistent resume: the fuzz reaches past the parser.
+        assert!(resumed > 100, "only {resumed} of 2 400 mutations resumed");
     }
 
     #[test]

@@ -22,9 +22,9 @@ pub enum CollisionModel {
 }
 
 /// How microscopic cross sections are looked up during tracking: the
-/// paper's two strategies (§VI-A) plus the unionized-grid and hashed-grid
-/// accelerations. Re-exported from `neutral_xs`; see
-/// [`neutral_xs::XsLookup`] for the backend contract.
+/// paper's two strategies (§VI-A) plus the hashed-grid acceleration.
+/// Re-exported from `neutral_xs`; see
+/// [`neutral_xs::CrossSectionLibrary::lookup_with`] for the contract.
 pub use neutral_xs::LookupStrategy;
 
 /// How energy deposits are accumulated into the tally mesh: the paper's
@@ -61,8 +61,8 @@ pub struct TransportConfig {
     pub weight_cutoff: f64,
     /// Collision resolution model.
     pub collision_model: CollisionModel,
-    /// Cross-section lookup strategy (§VI-A and the unionized/hashed
-    /// accelerations).
+    /// Cross-section lookup strategy (§VI-A and the hashed
+    /// acceleration).
     pub xs_search: LookupStrategy,
     /// Tally-accumulation backend (§VI-F: shared atomics vs replication
     /// vs cell-block privatization).

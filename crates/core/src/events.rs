@@ -79,7 +79,7 @@ impl<T: TallySink + ?Sized> TallySink for &mut T {
 /// and the instrumentation counters.
 ///
 /// This is the single seam between the transport kernels and the
-/// `neutral_xs` lookup-backend layer: every driver (history loop,
+/// `neutral_xs` lookup strategies: every driver (history loop,
 /// event kernels, SoA trackers) funnels through here, so switching
 /// [`LookupStrategy`] retunes all of them at once.
 #[inline]

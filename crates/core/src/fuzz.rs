@@ -328,12 +328,7 @@ pub fn generate_with(seed: u64, index: u64, profile: FuzzProfile) -> FuzzCase {
     };
     // An aggressive cutoff exercises the cutoff-residual accounting.
     p.weight_cutoff = if g.chance(0.3) { 1.0e-3 } else { 1.0e-6 };
-    p.lookup_strategy = *g.pick(&[
-        LookupStrategy::Binary,
-        LookupStrategy::Hinted,
-        LookupStrategy::Unionized,
-        LookupStrategy::Hashed,
-    ]);
+    p.lookup_strategy = *g.pick(&LookupStrategy::ALL);
     let driver = *g.pick(&DriverKind::ALL);
 
     p.validate()

@@ -396,7 +396,7 @@ pub(crate) fn run_event_lane<R: CbRng>(
 /// Populate the per-particle cache arrays and build the initial
 /// compacted index list. The cross sections of the whole window resolve
 /// through one batched `lookup_many` call — the lane-block shape the
-/// unionized/hashed backends are built for. All staging lanes live in
+/// hashed lookup's run-detection memo is built for. All staging lanes live in
 /// the window's [`ScratchArena`], so repeated invocations (one per
 /// lane) allocate nothing once the arena has warmed up.
 fn init_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
@@ -573,14 +573,11 @@ fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>)
         ..
     } = &mut *w.ws;
     let (sweep, scan) = (*sweep, *scan);
-    // The batched re-lookup pays a gather/scatter pass; only the grid
-    // backends, whose `lookup_many` has a sorted-block fast path, win it
-    // back. The walking backends keep the seed's per-particle calls
-    // (same lookups, same counters either way).
-    let batch = matches!(
-        ctx.cfg.xs_search,
-        crate::config::LookupStrategy::Unionized | crate::config::LookupStrategy::Hashed
-    );
+    // The batched re-lookup pays a gather/scatter pass; only `hashed`,
+    // whose `lookup_many` has a sorted-block fast path, wins it back. The
+    // walking strategies keep the seed's per-particle calls (same
+    // lookups, same counters either way).
+    let batch = ctx.cfg.xs_search == crate::config::LookupStrategy::Hashed;
 
     a.clear();
     let trips = if sweep { scan } else { coll.len() };

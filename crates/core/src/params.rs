@@ -41,7 +41,7 @@
 //! min_energy 1.0               # eV cutoff
 //! weight_cutoff 1.0e-6
 //! collision_model analogue     # or implicit_capture
-//! lookup_strategy hinted       # or binary | unionized | hashed
+//! lookup_strategy hinted       # or binary | hashed
 //! tally_strategy replicated    # or atomic
 //!
 //! # checkpoint/restart (optional)
@@ -712,7 +712,6 @@ region 0.5 1.0 0.0 0.5 7.0
         for (name, expect) in [
             ("binary", LookupStrategy::Binary),
             ("hinted", LookupStrategy::Hinted),
-            ("unionized", LookupStrategy::Unionized),
             ("hashed", LookupStrategy::Hashed),
         ] {
             let p = ProblemParams::parse(&format!("lookup_strategy {name}\n")).unwrap();

@@ -37,9 +37,9 @@
 //! snapshots, a retried shard reproduces the clean run's bits exactly.
 
 use crate::checkpoint::{
-    config_fingerprint, fnv1a64, put_counters, put_f64s, put_particle, read_counters,
-    read_particle, Checkpoint, CheckpointError, CheckpointStore, Reader, COUNTERS_RECORD_LEN,
-    PARTICLE_RECORD_LEN,
+    check_cells_on_mesh, config_fingerprint, fnv1a64, put_counters, put_f64s, put_particle,
+    read_counters, read_particle, Checkpoint, CheckpointError, CheckpointStore, Reader,
+    COUNTERS_RECORD_LEN, PARTICLE_RECORD_LEN,
 };
 use crate::counters::EventCounters;
 use crate::particle::{first_out_of_key_order, Particle};
@@ -864,7 +864,12 @@ impl ShardedSolve {
     /// The input population for an attempt of `shard`: the in-memory
     /// census-boundary columns, or — on retries with stores configured —
     /// the records reloaded through the on-disk protocol.
-    fn attempt_input(&self, shard: usize, retry: bool) -> Result<ParticleSoA, ShardError> {
+    fn attempt_input(
+        &self,
+        sim: &Simulation,
+        shard: usize,
+        retry: bool,
+    ) -> Result<ParticleSoA, ShardError> {
         if retry {
             if let Some(stores) = &self.stores {
                 let (ckpt, _recovery) = stores[shard].load().map_err(ShardError::Checkpoint)?;
@@ -877,6 +882,9 @@ impl ShardedSolve {
                         detail: "shard checkpoint does not match this shard/step".to_owned(),
                     });
                 }
+                let mesh = &sim.problem().mesh;
+                check_cells_on_mesh(&ckpt.particles, mesh.nx(), mesh.ny())
+                    .map_err(ShardError::Checkpoint)?;
                 return Ok(ParticleSoA::from_aos(&ckpt.particles));
             }
         }
@@ -897,7 +905,7 @@ impl ShardedSolve {
                     std::thread::sleep(backoff);
                 }
             }
-            let input = self.attempt_input(shard, attempt > 0)?;
+            let input = self.attempt_input(sim, shard, attempt > 0)?;
             let fault = self.config.fault_plan.take(shard);
             self.stats.attempts += 1;
             match self.supervise(sim, shard, input, fault) {
@@ -1430,6 +1438,44 @@ mod tests {
         let other = attempt_bytes(&sim, &solve, 0);
         let detail = corrupt_detail(&solve, shard, cells, &other);
         assert!(detail.contains("identity"), "{detail}");
+    }
+
+    /// A retry's input reloaded from a shard store goes through the same
+    /// on-mesh check as a resume: a record off the mesh is a named
+    /// corruption, not a panic inside the attempt.
+    #[test]
+    fn retry_reload_refuses_off_mesh_records() {
+        use crate::config::{ProblemScale, TestCase};
+        let dir =
+            std::env::temp_dir().join(format!("neutral_shard_offmesh_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sim = Arc::new(Simulation::new(
+            TestCase::Csp.build(ProblemScale::tiny(), 11),
+        ));
+        let mut config = ShardConfig::new(3);
+        config.checkpoint_base = Some(dir.join("run.ckpt"));
+        let options = RunOptions {
+            execution: Execution::Sequential,
+            ..RunOptions::default()
+        };
+        let solve = ShardedSolve::new(&sim, options, config);
+        solve.save_shard_checkpoints().unwrap();
+        let shard = 1;
+        assert!(solve.attempt_input(&sim, shard, true).is_ok());
+
+        let store = &solve.stores.as_ref().unwrap()[shard];
+        let (mut ckpt, _) = store.load().unwrap();
+        let nx = sim.problem().mesh.nx();
+        ckpt.particles[5].cellx = nx as u32;
+        store.save(&ckpt).unwrap();
+        match solve.attempt_input(&sim, shard, true) {
+            Err(ShardError::Checkpoint(CheckpointError::Corrupt(msg))) => {
+                assert!(msg.starts_with("particle record 5 lies in cell"), "{msg}");
+                assert!(msg.contains(&format!("off the {nx}x{nx} mesh")), "{msg}");
+            }
+            other => panic!("{:?}", other.map(|_| "reloaded")),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Byte-level mutation fuzz of the `NEUTSHRD` decoder: 2 400 seeded

@@ -6,7 +6,7 @@
 //! every timestep it advances goes through the one step engine in
 //! [`crate::step`].
 
-use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
+use crate::checkpoint::{check_cells_on_mesh, config_fingerprint, Checkpoint, CheckpointError};
 use crate::config::{Problem, TallyStrategy};
 use crate::counters::EventCounters;
 use crate::history::TransportCtx;
@@ -288,7 +288,7 @@ impl SolveCore {
     /// problem, transport configuration or scheme
     /// ([`CheckpointError::ConfigMismatch`]) and internally-inconsistent
     /// contents — wrong particle or tally counts, records out of key
-    /// order ([`CheckpointError::Corrupt`]).
+    /// order or off the mesh ([`CheckpointError::Corrupt`]).
     pub fn resume(
         sim: &Simulation,
         options: RunOptions,
@@ -327,6 +327,7 @@ impl SolveCore {
                 "particle records are not in key order (record {i} has key {key})"
             )));
         }
+        check_cells_on_mesh(&checkpoint.particles, problem.mesh.nx(), problem.mesh.ny())?;
         let n = checkpoint.particles.len();
         problem.materials.prepare(problem.transport.xs_search);
         Ok(Self {

@@ -303,7 +303,13 @@ impl<'a> SoAChunkMut<'a> {
     }
 
     /// Gather local particle `i` from the chunk's field slices.
-    #[inline]
+    ///
+    /// Always inlined, with [`Self::store`]: the collision kernel and the
+    /// track loop gather once per event, and whether plain `#[inline]`
+    /// took a fifteen-column gather turned on how the crate was split
+    /// into codegen units. Outlined, it cost ≈ 7 % of the `scatter` Over
+    /// Events solve time (512², two workers on a 2-vCPU Xeon).
+    #[inline(always)]
     #[must_use]
     pub fn load(&self, i: usize) -> Particle {
         Particle {
@@ -328,7 +334,7 @@ impl<'a> SoAChunkMut<'a> {
     }
 
     /// Scatter local particle `i` back.
-    #[inline]
+    #[inline(always)]
     pub fn store(&mut self, i: usize, p: &Particle) {
         self.x[i] = p.x;
         self.y[i] = p.y;

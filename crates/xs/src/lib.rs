@@ -17,14 +17,14 @@
 //!   microscopic → macroscopic conversion through the local mass density
 //!   (§IV-D: the macroscopic cross section is what couples every particle
 //!   to the computational mesh);
-//! * [`LookupStrategy`] / [`XsLookup`] — the pluggable lookup-backend
-//!   layer: `Binary` and `Hinted` (the paper's two strategies) plus the
-//!   `Unionized` merged-grid and `Hashed` log-bucket accelerations in the
-//!   XSBench/OpenMC lineage, all bitwise-equivalent, all supporting the
-//!   batched [`XsLookup::lookup_many`] lane-block API;
+//! * [`LookupStrategy`] — `Binary` and `Hinted` (the paper's two
+//!   strategies) plus the `Hashed` log-bucket acceleration of the
+//!   XSBench/OpenMC lineage, all bitwise-equivalent, dispatched by one
+//!   `match` in [`CrossSectionLibrary::lookup_with`] and its batched
+//!   lane-block form [`CrossSectionLibrary::lookup_many_with`];
 //! * [`MaterialSet`] / [`MaterialKind`] — the multi-material layer: an
 //!   indexed collection of per-material libraries (resolvable through any
-//!   lookup backend, per material) plus named synthetic-material
+//!   lookup strategy, per material) plus named synthetic-material
 //!   archetypes for the scenario catalogue (DESIGN.md §12).
 //!
 //! # Example
@@ -52,15 +52,13 @@ mod material;
 mod synth;
 mod table;
 
-pub use lookup::{
-    BinaryLookup, HashedGrid, HashedLookup, HintedLookup, LookupStrategy, UnionizedGrid,
-    UnionizedLookup, XsLookup,
-};
+pub use lookup::LookupStrategy;
 pub use material::{LaneScratch, MaterialId, MaterialKind, MaterialSet, MaterialSpec};
 pub use synth::{synthetic_capture, synthetic_scatter, SynthParams};
 pub use table::{lerp_segment, CrossSection};
 
 use constants::{AVOGADRO, BARN_M2, MOLAR_MASS_KG_MOL};
+use lookup::HashedGrid;
 use std::sync::OnceLock;
 
 /// Cached table indices from a particle's previous cross-section lookup.
@@ -118,17 +116,13 @@ pub fn macroscopic_per_m(micro_barns: f64, number_density_m3: f64) -> f64 {
 }
 
 /// The capture and elastic-scatter tables of the single material, plus
-/// lazily-built lookup acceleration structures (union grid, hash
-/// buckets) shared by all [`LookupStrategy`] backends.
+/// the lazily-built bucket index of [`LookupStrategy::Hashed`].
 #[derive(Clone, Debug)]
 pub struct CrossSectionLibrary {
     /// Capture (absorption) cross-section table.
     pub absorb: CrossSection,
     /// Elastic scattering cross-section table.
     pub scatter: CrossSection,
-    /// Union-grid accelerator, built on first use of
-    /// [`LookupStrategy::Unionized`] (or by [`Self::prepare`]).
-    unionized: OnceLock<UnionizedGrid>,
     /// Hash-bucket accelerator, built on first use of
     /// [`LookupStrategy::Hashed`] (or by [`Self::prepare`]).
     hashed: OnceLock<HashedGrid>,
@@ -153,19 +147,12 @@ impl CrossSectionLibrary {
         Self {
             absorb,
             scatter,
-            unionized: OnceLock::new(),
             hashed: OnceLock::new(),
         }
     }
 
-    /// The union-grid accelerator, built on first call.
-    pub fn unionized(&self) -> &UnionizedGrid {
-        self.unionized
-            .get_or_init(|| UnionizedGrid::build(&self.absorb, &self.scatter))
-    }
-
     /// The hash-bucket accelerator, built on first call.
-    pub fn hashed(&self) -> &HashedGrid {
+    pub(crate) fn hashed(&self) -> &HashedGrid {
         self.hashed
             .get_or_init(|| HashedGrid::build(&self.absorb, &self.scatter))
     }
@@ -173,27 +160,8 @@ impl CrossSectionLibrary {
     /// Force-build the acceleration structure `strategy` needs (if any),
     /// so construction cost stays out of timed transport regions.
     pub fn prepare(&self, strategy: LookupStrategy) {
-        match strategy {
-            LookupStrategy::Binary | LookupStrategy::Hinted => {}
-            LookupStrategy::Unionized => {
-                let _ = self.unionized();
-            }
-            LookupStrategy::Hashed => {
-                let _ = self.hashed();
-            }
-        }
-    }
-
-    /// A trait-object view of the backend for `strategy` (benchmarking
-    /// and generic tooling; the transport hot path uses
-    /// [`Self::lookup_with`] instead, which dispatches statically).
-    #[must_use]
-    pub fn backend(&self, strategy: LookupStrategy) -> Box<dyn XsLookup + '_> {
-        match strategy {
-            LookupStrategy::Binary => Box::new(BinaryLookup::new(self)),
-            LookupStrategy::Hinted => Box::new(HintedLookup::new(self)),
-            LookupStrategy::Unionized => Box::new(UnionizedLookup::new(self.unionized())),
-            LookupStrategy::Hashed => Box::new(HashedLookup::new(self, self.hashed())),
+        if strategy == LookupStrategy::Hashed {
+            let _ = self.hashed();
         }
     }
 
@@ -201,8 +169,8 @@ impl CrossSectionLibrary {
     /// the containing bins and returning the microscopic cross sections
     /// plus the linear-search steps walked (instrumentation).
     ///
-    /// All strategies return bitwise-identical values (the backends share
-    /// the clamping and interpolation arithmetic of
+    /// All strategies return bitwise-identical values (they share the
+    /// clamping and interpolation arithmetic of
     /// [`CrossSection::value_binary`]).
     #[inline]
     pub fn lookup_with(
@@ -212,20 +180,19 @@ impl CrossSectionLibrary {
         hints: &mut XsHints,
     ) -> (MicroXs, u32) {
         match strategy {
-            LookupStrategy::Binary => BinaryLookup::new(self).lookup(energy_ev, hints),
-            LookupStrategy::Hinted => HintedLookup::new(self).lookup(energy_ev, hints),
-            LookupStrategy::Unionized => {
-                UnionizedLookup::new(self.unionized()).lookup(energy_ev, hints)
-            }
-            LookupStrategy::Hashed => {
-                HashedLookup::new(self, self.hashed()).lookup(energy_ev, hints)
-            }
+            LookupStrategy::Binary => lookup::binary(self, energy_ev, hints),
+            LookupStrategy::Hinted => lookup::hinted(self, energy_ev, hints),
+            LookupStrategy::Hashed => lookup::hashed(self, self.hashed(), energy_ev, hints),
         }
     }
 
     /// Batched [`Self::lookup_with`]: resolve a whole lane block of
-    /// energies in one call (see [`XsLookup::lookup_many`]). Returns the
+    /// energies in one call. `out_absorb` and `out_scatter` receive the
+    /// per-lane cross sections and the hint slices are updated in place
+    /// (these are the hint lanes of the event-based driver). Returns the
     /// total linear-search steps walked.
+    ///
+    /// All five slices must have equal lengths.
     pub fn lookup_many_with(
         &self,
         strategy: LookupStrategy,
@@ -235,35 +202,21 @@ impl CrossSectionLibrary {
         out_absorb: &mut [f64],
         out_scatter: &mut [f64],
     ) -> u64 {
+        assert_eq!(energies.len(), hints_absorb.len());
+        assert_eq!(energies.len(), hints_scatter.len());
+        assert_eq!(energies.len(), out_absorb.len());
+        assert_eq!(energies.len(), out_scatter.len());
+        let (ha, hs, oa, os) = (hints_absorb, hints_scatter, out_absorb, out_scatter);
         match strategy {
-            LookupStrategy::Binary => BinaryLookup::new(self).lookup_many(
-                energies,
-                hints_absorb,
-                hints_scatter,
-                out_absorb,
-                out_scatter,
-            ),
-            LookupStrategy::Hinted => HintedLookup::new(self).lookup_many(
-                energies,
-                hints_absorb,
-                hints_scatter,
-                out_absorb,
-                out_scatter,
-            ),
-            LookupStrategy::Unionized => UnionizedLookup::new(self.unionized()).lookup_many(
-                energies,
-                hints_absorb,
-                hints_scatter,
-                out_absorb,
-                out_scatter,
-            ),
-            LookupStrategy::Hashed => HashedLookup::new(self, self.hashed()).lookup_many(
-                energies,
-                hints_absorb,
-                hints_scatter,
-                out_absorb,
-                out_scatter,
-            ),
+            LookupStrategy::Binary => lookup::per_lane(energies, ha, hs, oa, os, |e, hints| {
+                lookup::binary(self, e, hints)
+            }),
+            LookupStrategy::Hinted => lookup::per_lane(energies, ha, hs, oa, os, |e, hints| {
+                lookup::hinted(self, e, hints)
+            }),
+            LookupStrategy::Hashed => {
+                lookup::hashed_many(self, self.hashed(), energies, ha, hs, oa, os)
+            }
         }
     }
 

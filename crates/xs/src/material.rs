@@ -15,7 +15,7 @@
 //!
 //! Every lookup path of the single-material subsystem (strategy dispatch,
 //! batched lane blocks, acceleration-structure preparation) is available
-//! per material, so any [`LookupStrategy`] backend works unchanged in a
+//! per material, so any [`LookupStrategy`] works unchanged in a
 //! multi-material problem.
 
 use crate::lookup::LookupStrategy;
@@ -278,8 +278,8 @@ impl MaterialSet {
     /// `energies[i]` in material `mats[i]` for every `i`, updating the
     /// hint lanes in place. Returns the total linear-search steps walked.
     ///
-    /// Lane blocks are grouped by material and each group goes through the
-    /// backend's contiguous [`crate::XsLookup::lookup_many`] — a
+    /// Lane blocks are grouped by material and each group goes through
+    /// one contiguous [`CrossSectionLibrary::lookup_many_with`] — a
     /// single-material block (the common case, and always the paper's
     /// case) degenerates to one direct batched call with no gather. The
     /// results are bitwise identical to per-particle

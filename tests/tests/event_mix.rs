@@ -60,30 +60,28 @@ fn csp_is_mixed_and_realistic() {
 #[test]
 fn collision_grind_dwarfs_facet_grind() {
     // §VI-A: collisions ~18 ns, facets ~3 ns. Absolute numbers are
-    // host-dependent; the *ratio* (collision >= ~3x facet) is shape.
-    use std::time::Instant;
-
+    // host-dependent; the *ratio* (collision >= ~3x facet) is shape. Each
+    // problem's grind is its best solve time (spawn and set-up excluded)
+    // over interleaved repetitions, so a busy host slows both sides
+    // alike and a single slow run cannot decide the ratio.
+    let options = RunOptions {
+        execution: Execution::Sequential,
+        ..Default::default()
+    };
     let scatter = tiny(TestCase::Scatter, 3);
-    let t0 = Instant::now();
-    let rs = scatter.run(RunOptions {
-        execution: Execution::Sequential,
-        ..Default::default()
-    });
-    let scatter_time = t0.elapsed();
-    let ns_per_collision = scatter_time.as_nanos() as f64 / rs.counters.collisions.max(1) as f64;
-
     let stream = tiny(TestCase::Stream, 3);
-    let t0 = Instant::now();
-    let rf = stream.run(RunOptions {
-        execution: Execution::Sequential,
-        ..Default::default()
-    });
-    let stream_time = t0.elapsed();
-    let ns_per_facet = stream_time.as_nanos() as f64 / rf.counters.facets.max(1) as f64;
-
+    let (mut best_collision, mut best_facet) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let rs = scatter.run(options);
+        let ns = rs.elapsed.as_nanos() as f64 / rs.counters.collisions.max(1) as f64;
+        best_collision = best_collision.min(ns);
+        let rf = stream.run(options);
+        let ns = rf.elapsed.as_nanos() as f64 / rf.counters.facets.max(1) as f64;
+        best_facet = best_facet.min(ns);
+    }
     assert!(
-        ns_per_collision > 2.0 * ns_per_facet,
-        "collision {ns_per_collision:.1} ns vs facet {ns_per_facet:.1} ns"
+        best_collision > 2.0 * best_facet,
+        "collision {best_collision:.1} ns vs facet {best_facet:.1} ns"
     );
 }
 

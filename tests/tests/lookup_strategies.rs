@@ -14,7 +14,7 @@ fn with_strategy(case: TestCase, seed: u64, strategy: LookupStrategy) -> Simulat
     Simulation::new(problem)
 }
 
-/// Sequential over-particles runs are bitwise identical across all four
+/// Sequential over-particles runs are bitwise identical across all three
 /// strategies: same tally bits, same trajectories, same event counts.
 #[test]
 fn sequential_tallies_bitwise_identical_across_strategies() {
@@ -174,7 +174,7 @@ fn strategies_interchange_mid_run() {
     let mut e = 1.0e6;
     let mut i = 0;
     while e > 1.0 {
-        let strategy = LookupStrategy::ALL[i % 4];
+        let strategy = LookupStrategy::ALL[i % LookupStrategy::ALL.len()];
         let (micro, _) = xs.lookup_with(strategy, e, &mut hints);
         assert_eq!(
             micro.total_barns().to_bits(),

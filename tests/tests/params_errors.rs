@@ -71,6 +71,29 @@ fn removed_tally_strategy_names_its_replacement() {
     assert!(e.message.contains("(atomic|replicated)"), "{e}");
 }
 
+/// The same for the lookup axis: `unionized` was removed in favour of
+/// `hashed`, and `cached_linear` is the old spelling of `hinted`.
+#[test]
+fn removed_lookup_strategies_name_their_replacement() {
+    let e = fail("nx 10\nlookup_strategy unionized\n");
+    assert_eq!(e.line, 2);
+    assert!(
+        e.message
+            .starts_with("lookup strategy `unionized` was removed ("),
+        "{e}"
+    );
+    assert!(
+        e.message
+            .ends_with("; use `hashed`, which produces the same bits"),
+        "{e}"
+    );
+    let e = fail("nx 10\nny 10\nlookup_strategy cached_linear\n");
+    assert_eq!(e.line, 3);
+    assert!(e.message.contains("was renamed `hinted`"), "{e}");
+    let e = fail("lookup_strategy magic\n");
+    assert!(e.message.contains("(binary|hinted|hashed)"), "{e}");
+}
+
 /// `nan`, `inf` and overflowing literals parse as `f64`: a rectangle
 /// made of them is refused by line, never handed to `Rect::new`'s
 /// assertion (found by the parser's mutation fuzz).

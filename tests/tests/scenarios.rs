@@ -153,11 +153,7 @@ fn lookup_strategies_agree_on_scenarios() {
             Simulation::new(problem).run(DriverKind::OverParticles.options(2))
         };
         let base = run_with(LookupStrategy::Hinted);
-        for strategy in [
-            LookupStrategy::Binary,
-            LookupStrategy::Unionized,
-            LookupStrategy::Hashed,
-        ] {
+        for strategy in [LookupStrategy::Binary, LookupStrategy::Hashed] {
             let r = run_with(strategy);
             assert_eq!(
                 r.counters.collisions, base.counters.collisions,
