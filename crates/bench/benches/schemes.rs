@@ -42,15 +42,10 @@ fn bench_schemes(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("over_particles_rayon", case.name()),
+            BenchmarkId::new("over_particles_par", case.name()),
             &sim,
             |b, sim| {
-                b.iter(|| {
-                    black_box(sim.run(RunOptions {
-                        execution: Execution::Rayon,
-                        ..Default::default()
-                    }))
-                });
+                b.iter(|| black_box(sim.run(RunOptions::default())));
             },
         );
     }

@@ -1,7 +1,7 @@
 //! Checkpoint write/read cost record: what does crash safety cost per
 //! census boundary, relative to the transport work it protects?
 //!
-//! For each driver family the sweep runs a multi-timestep csp solve and
+//! For each scheme the sweep runs a multi-timestep csp solve and
 //! times the four phases of the checkpoint path at a census boundary:
 //!
 //! * `snapshot` — [`SolveCore::checkpoint`]: cloning particles + tally into
@@ -27,14 +27,6 @@ use neutral_bench::report::{BenchRecord, BenchReport};
 use neutral_bench::{banner, host_threads, print_table};
 use neutral_core::prelude::*;
 use std::time::Instant;
-
-/// `(label, scheme)` of the three driver families (`history` is Over
-/// Particles on one worker).
-const DRIVERS: [(&str, Scheme); 3] = [
-    ("history", Scheme::OverParticles),
-    ("over_particles", Scheme::OverParticles),
-    ("over_events", Scheme::OverEvents),
-];
 
 /// Median of a non-empty sample (mutates order).
 fn median(values: &mut [f64]) -> f64 {
@@ -93,18 +85,9 @@ fn main() {
     ));
 
     let mut rows = Vec::new();
-    for (label, scheme) in DRIVERS {
-        let options = RunOptions {
-            scheme,
-            execution: if label == "history" {
-                Execution::Sequential
-            } else {
-                Execution::Scheduled {
-                    threads,
-                    schedule: Schedule::Dynamic { chunk: 64 },
-                }
-            },
-        };
+    for scheme in Scheme::ALL {
+        let label = scheme.name();
+        let options = RunOptions::new(scheme, threads);
 
         let mut step_ms = Vec::new();
         let mut snapshot_ms = Vec::new();

@@ -3,7 +3,7 @@
 //!
 //! Part 1 measures real efficiency curves on this host (Over-Particles as
 //! the paper ran it — particle-granular schedule into the shared atomic
-//! tally, `neutral_bench::baseline` — Over-Events via Rayon pools,
+//! tally, `neutral_bench::baseline` — Over-Events on the lane scheduler,
 //! flow/hot via Rayon pools). Part 2 projects the curves onto the
 //! paper's dual-socket Broadwell and POWER8 with the architecture model,
 //! reproducing the NUMA-crossing drop (Broadwell, thread 23+) and the
@@ -42,23 +42,10 @@ fn main() {
         };
         let op = median_baseline(&csp, op, args.reps).elapsed.as_secs_f64();
 
-        // Over Events on a Rayon pool of exactly t threads.
-        let oe = with_pool(t, || {
-            run_median(
-                TestCase::Csp,
-                RunOptions {
-                    scheme: Scheme::OverEvents,
-                    execution: if t == 1 {
-                        Execution::Sequential
-                    } else {
-                        Execution::Rayon
-                    },
-                },
-                &args,
-            )
-        })
-        .elapsed
-        .as_secs_f64();
+        // Over Events on t lane-scheduler workers.
+        let oe = run_median(TestCase::Csp, RunOptions::new(Scheme::OverEvents, t), &args)
+            .elapsed
+            .as_secs_f64();
 
         // flow: fixed hydro workload.
         let fl = with_pool(t, || {

@@ -30,7 +30,7 @@ fn kernel_rows(case: TestCase, args: &HarnessArgs, report: &mut BenchReport) -> 
         case,
         RunOptions {
             scheme: Scheme::OverEvents,
-            execution: Execution::Rayon,
+            ..Default::default()
         },
         args,
     );

@@ -30,21 +30,14 @@ fn main() {
         let t_oe = predict(&oe, &BROADWELL_2S).total_s;
 
         // Host ground truth for the shape.
-        let h_op = run_median(
-            case,
-            RunOptions {
-                execution: Execution::Rayon,
-                ..Default::default()
-            },
-            &args,
-        )
-        .elapsed
-        .as_secs_f64();
+        let h_op = run_median(case, RunOptions::default(), &args)
+            .elapsed
+            .as_secs_f64();
         let h_oe = run_median(
             case,
             RunOptions {
                 scheme: Scheme::OverEvents,
-                execution: Execution::Rayon,
+                ..Default::default()
             },
             &args,
         )

@@ -1,11 +1,11 @@
-//! Figure 16 (repo extension): scenario-catalogue sweep — drivers × XS
+//! Figure 16 (repo extension): scenario-catalogue sweep — schemes × XS
 //! lookup strategies across the multi-material workloads.
 //!
 //! The paper's performance story is told on three single-material
-//! problems; this sweep asks how the driver families and the lookup
-//! backends rank once per-cell materials enter the picture. For every
-//! catalogue scenario it runs the three driver families (history,
-//! Over-Particles, Over-Events) under the hinted and hashed
+//! problems; this sweep asks how the schemes and the lookup backends
+//! rank once per-cell materials enter the picture. For every catalogue
+//! scenario it runs both schemes (Over-Particles, Over-Events) on every
+//! host thread under the hinted and hashed
 //! lookup strategies and reports events/s, the event mix, and the material
 //! interface-crossing rate — the scenario-diversity counterpart of the
 //! Figure 15 lookup sweep.
@@ -20,14 +20,6 @@ use neutral_bench::report::{BenchRecord, BenchReport};
 use neutral_bench::{banner, host_threads, median_run, print_table};
 use neutral_core::prelude::*;
 
-/// `(label, scheme)` of the three driver families (`history` is Over
-/// Particles on one worker).
-const DRIVERS: [(&str, Scheme); 3] = [
-    ("history", Scheme::OverParticles),
-    ("over_particles", Scheme::OverParticles),
-    ("over_events", Scheme::OverEvents),
-];
-
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let quick = argv.iter().any(|a| a == "--quick");
@@ -39,7 +31,7 @@ fn main() {
     let seed = 20_170_905;
     banner(
         "Figure 16 (scenario catalogue)",
-        "drivers x lookup strategies across the multi-material scenarios",
+        "schemes x lookup strategies across the multi-material scenarios",
         "measured on this host; every combination computes bitwise-identical \
          physics (deterministic replicated tally), so the columns are directly \
          comparable",
@@ -83,19 +75,9 @@ fn main() {
         let mut rows = Vec::new();
         for &lookup in &lookups {
             problem.transport.xs_search = lookup;
-            for (label, scheme) in DRIVERS {
-                let options = RunOptions {
-                    scheme,
-                    execution: if label == "history" {
-                        Execution::Sequential
-                    } else {
-                        Execution::Scheduled {
-                            threads,
-                            schedule: Schedule::Dynamic { chunk: 64 },
-                        }
-                    },
-                };
-                let r = median_run(&problem, options, reps);
+            for scheme in Scheme::ALL {
+                let label = scheme.name();
+                let r = median_run(&problem, RunOptions::new(scheme, threads), reps);
                 let c = &r.counters;
                 let histories = (c.census + c.deaths).max(1);
                 report.push(

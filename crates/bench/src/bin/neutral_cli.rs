@@ -107,6 +107,7 @@ fn parse_args() -> Result<CliArgs, String> {
     let mut shard_fault = None;
     let mut threads: Option<usize> = None;
     let mut schedule: Option<Schedule> = None;
+    let mut sequential = false;
 
     let mut i = 0;
     while i < argv.len() {
@@ -185,7 +186,7 @@ fn parse_args() -> Result<CliArgs, String> {
                 i += 1;
                 seed = Some(argv.get(i).and_then(|v| v.parse().ok()).ok_or("--seed N")?);
             }
-            "--sequential" => options.execution = Execution::Sequential,
+            "--sequential" => sequential = true,
             "--dump-tally" => {
                 i += 1;
                 dump_tally = Some(argv.get(i).ok_or("--dump-tally FILE")?.clone());
@@ -231,7 +232,15 @@ fn parse_args() -> Result<CliArgs, String> {
         i += 1;
     }
 
-    if threads.is_some() || schedule.is_some() {
+    if sequential {
+        if threads.is_some() || schedule.is_some() {
+            return Err(
+                "--sequential is --threads 1; give it alone, not with --threads or --schedule"
+                    .into(),
+            );
+        }
+        options.execution = Execution::Sequential;
+    } else if threads.is_some() || schedule.is_some() {
         let threads = threads.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });

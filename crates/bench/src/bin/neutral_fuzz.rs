@@ -3,7 +3,7 @@
 //!
 //! Samples deterministic random workloads with `neutral_core::fuzz` and
 //! checks every one against the six physics oracles (conservation,
-//! cross-driver agreement, worker invariance, checkpoint round-trip,
+//! cross-scheme agreement, worker invariance, checkpoint round-trip,
 //! serve==direct, shard invariance). A failing case is minimized with
 //! the shrinker and written next to the working directory as a replayable
 //! `fuzz_failure_<seed>_<index>.params` file.
@@ -91,14 +91,14 @@ fn parse_args() -> Result<CliArgs, String> {
 fn describe(case: &FuzzCase) -> String {
     let p = &case.params;
     format!(
-        "{}x{} mesh, {} particles, {} steps, {} mats, {} regions, {} driver",
+        "{}x{} mesh, {} particles, {} steps, {} mats, {} regions, {}",
         p.nx,
         p.ny,
         p.particles,
         p.timesteps,
         p.material_count(),
         p.regions.len(),
-        case.driver.name()
+        case.scheme.name()
     )
 }
 
@@ -174,7 +174,7 @@ fn emit_failure(seed: u64, index: u64, case: &FuzzCase) -> Result<PathBuf, Strin
 }
 
 /// Minimize a passing case along the size-only axes (keeping its
-/// driver/knob/material diversity) while it still passes and still
+/// scheme/knob/material diversity) while it still passes and still
 /// exercises real transport, then write it as a corpus entry.
 fn emit_corpus_entry(dir: &Path, case: &FuzzCase) -> Result<PathBuf, String> {
     let keeps_coverage = |c: &FuzzCase| {

@@ -1,7 +1,7 @@
 //! Sharded-solve cost record: what does fault isolation cost per
 //! timestep, relative to the unsharded solve it reproduces bit for bit?
 //!
-//! For each driver family the sweep runs a multi-timestep csp solve
+//! For each scheme the sweep runs a multi-timestep csp solve
 //! unsharded and then re-runs it through [`ShardedSolve`] at increasing
 //! shard counts (from 2: a plain one-shard solve steps the very same
 //! core in place, so its cost is the fused step's by construction),
@@ -27,12 +27,6 @@ use neutral_bench::{banner, host_threads, print_table};
 use neutral_core::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// `(label, scheme)` of the two schemes.
-const DRIVERS: [(&str, Scheme); 2] = [
-    ("over_particles", Scheme::OverParticles),
-    ("over_events", Scheme::OverEvents),
-];
 
 /// Shard counts swept against the unsharded baseline: 2/4/8 cut 32
 /// lanes on node boundaries, 3 does not (a multi-node cover per shard).
@@ -113,14 +107,9 @@ fn main() {
     ));
 
     let mut rows = Vec::new();
-    for (label, scheme) in DRIVERS {
-        let options = RunOptions {
-            scheme,
-            execution: Execution::Scheduled {
-                threads,
-                schedule: Schedule::Dynamic { chunk: 64 },
-            },
-        };
+    for scheme in Scheme::ALL {
+        let label = scheme.name();
+        let options = RunOptions::new(scheme, threads);
 
         // Unsharded baseline: time fused steps, keep the report for the
         // bitwise assertion below.

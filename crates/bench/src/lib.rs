@@ -135,7 +135,9 @@ pub(crate) fn median_of(reps: usize, run: impl Fn() -> RunReport) -> RunReport {
     reports.swap_remove(reports.len() / 2)
 }
 
-/// Run a closure inside a Rayon pool of exactly `threads` workers.
+/// Run a closure inside a Rayon pool of exactly `threads` workers (the
+/// `flow` and `hot` proxies; the transport library takes its worker count
+/// from [`RunOptions`]).
 pub fn with_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)

@@ -111,18 +111,6 @@ impl SolveService {
         &self.registry
     }
 
-    /// The execution every solve chunk runs with.
-    fn execution(&self) -> Execution {
-        if self.threads <= 1 {
-            Execution::Sequential
-        } else {
-            Execution::Scheduled {
-                threads: self.threads,
-                schedule: Schedule::Dynamic { chunk: 1 },
-            }
-        }
-    }
-
     /// Route one request. Pure function of the request + registry state.
     #[must_use]
     pub fn handle(&self, req: &Request) -> Response {
@@ -145,7 +133,7 @@ impl SolveService {
             Ok(spec) => spec,
             Err(e) => return Response::text(400, format!("{e}\n")),
         };
-        let (key, build) = match build_submit(spec, self.threads, self.execution()) {
+        let (key, build) = match build_submit(spec, self.threads) {
             Ok(s) => s,
             Err(e) => return Response::text(400, format!("{e}\n")),
         };
@@ -358,12 +346,12 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
 /// a [`neutral_core::params::ProblemParams`] field, so the key — the
 /// parameter set's fixpoint serialization plus the scheme — is known
 /// before anything is built; `checkpoint_file` and `shards` stay out of
-/// it as they stay out of the fingerprint. Validation comes first: a bad
-/// request is a 400 whatever the memo holds.
+/// it as they stay out of the fingerprint, and so does the service's
+/// worker count `threads`, which every chunk runs on. Validation comes
+/// first: a bad request is a 400 whatever the memo holds.
 fn build_submit(
     spec: SolveSpec,
     threads: usize,
-    execution: Execution,
 ) -> Result<(String, impl FnOnce() -> SubmitRequest), ParamsError> {
     let mut params = spec.scenario.params(spec.scale, spec.seed);
     if let Some(lookup) = spec.lookup {
@@ -382,10 +370,7 @@ fn build_submit(
     if let Some(timesteps) = spec.timesteps {
         params.timesteps = timesteps;
     }
-    let options = RunOptions {
-        execution,
-        scheme: spec.scheme.unwrap_or_default(),
-    };
+    let options = RunOptions::new(spec.scheme.unwrap_or_default(), threads);
     if !spec.shard_fault.is_empty() && spec.shards < 2 {
         return Err(perr(
             0,
@@ -527,20 +512,10 @@ mod tests {
         assert!(err.to_string().contains("scenario"), "{err}");
     }
 
-    const MULTI: Execution = Execution::Scheduled {
-        threads: 4,
-        schedule: Schedule::Dynamic { chunk: 1 },
-    };
-
     /// Parse `text`, validate it for a service of `threads`, and run the
     /// build closure: the memo key and what the registry would be handed.
     fn built(text: &str, threads: usize) -> Result<(String, SubmitRequest), ParamsError> {
-        let execution = if threads > 1 {
-            MULTI
-        } else {
-            Execution::Sequential
-        };
-        let (key, build) = build_submit(parse_solve_request(text)?, threads, execution)?;
+        let (key, build) = build_submit(parse_solve_request(text)?, threads)?;
         Ok((key, build()))
     }
 

@@ -7,25 +7,35 @@ use std::process::Command;
 #[test]
 fn rejected_flags_exit_1_with_a_named_error() {
     // `--sort` and `--backend` are flags the CLI used to accept;
-    // `--threads 0` used to reach an assert inside the driver.
-    for (flag, value) in [
-        ("--sort", "off"),
-        ("--backend", "scalar"),
-        ("--threads", "0"),
+    // `--threads 0` used to reach an assert inside the driver;
+    // `--sequential` beside a worker flag used to be silently overridden.
+    for (args, flag) in [
+        (&["--sort", "off"][..], "--sort"),
+        (&["--backend", "scalar"], "--backend"),
+        (&["--threads", "0"], "--threads"),
+        (
+            &["--sequential", "--threads", "2"],
+            "--sequential is --threads 1",
+        ),
+        (
+            &["--schedule", "guided", "--sequential"],
+            "--sequential is --threads 1",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_neutral_cli"))
-            .args(["--scenario", "csp", "--scale", "tiny", flag, value])
+            .args(["--scenario", "csp", "--scale", "tiny"])
+            .args(args)
             .output()
             .expect("spawn neutral_cli");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
             stderr
                 .lines()
                 .any(|l| l.starts_with("error:") && l.contains(flag)),
-            "{flag} {value}: no `error:` line naming the flag in: {stderr}"
+            "{args:?}: no `error:` line naming `{flag}` in: {stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 

@@ -294,7 +294,7 @@ impl From<std::io::Error> for CheckpointError {
 /// trajectory or a merged bit: seed, counts, timestep controls, mesh
 /// shape and extent, source, the full [`crate::config::TransportConfig`],
 /// the density field's bits, the material map, every material's table
-/// contents, and the driver family `scheme` (the two schemes accumulate
+/// contents, and the `scheme` (the two schemes accumulate
 /// the same terms in different orders, so their `f64` sums differ by
 /// ulps). The rest of [`RunOptions`] is deliberately absent: `execution`
 /// is bitwise-free under the deterministic tally strategies, which is

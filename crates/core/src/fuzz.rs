@@ -13,14 +13,10 @@
 //! * **Conservation** — population accounting (`deaths + stuck + alive
 //!   == histories`), non-negative finite tallies, and the energy balance
 //!   with its cutoff residual ([`crate::validate::EnergyBalance`]).
-//! * **Cross-driver agreement** — all three driver families compute the
-//!   same physics: identical event counters, with bitwise tally and
-//!   energy-sum agreement within the history-order family (the
-//!   Over-Particles driver on one worker and on many — the committed
-//!   golden fixtures share one tally hash across these) and
-//!   reassociation-bounded agreement for the breadth-first Over Events
-//!   driver, whose different accumulation order moves the `f64` sums by
-//!   ulps.
+//! * **Cross-scheme agreement** — Over Particles and Over Events compute
+//!   the same physics: identical event counters, and energy sums and
+//!   tallies equal to reassociation error (the breadth-first scheme's
+//!   different accumulation order moves the `f64` sums by ulps).
 //! * **Worker invariance** — with a deterministic tally strategy,
 //!   merged tally bits and physics counters are identical for worker
 //!   counts {1, 2, 7} (DESIGN.md §11).
@@ -50,8 +46,7 @@ use crate::config::{CollisionModel, LookupStrategy, Problem, TallyStrategy};
 use crate::dump::write_tally_dump;
 use crate::params::ProblemParams;
 use crate::registry::{Registry, RegistryConfig, SolveState, SubmitRequest};
-use crate::scheduler::Schedule;
-use crate::sim::{Execution, RunOptions, RunReport, Scheme, Simulation, SolveCore};
+use crate::sim::{RunOptions, RunReport, Scheme, Simulation, SolveCore};
 use neutral_mesh::{MaterialId, Rect};
 use neutral_rng::{CounterStream, Threefry2x64};
 use neutral_xs::{MaterialKind, MaterialSpec};
@@ -157,65 +152,6 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The three driver families of the golden/equivalence suites, with run
-/// options parameterised by worker count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DriverKind {
-    /// Over Particles on one worker: the sequential history loop.
-    History,
-    /// Parallel Over Particles (explicit scheduler).
-    OverParticles,
-    /// Breadth-first Over Events.
-    OverEvents,
-}
-
-impl DriverKind {
-    /// All three, in golden-fixture order.
-    pub const ALL: [DriverKind; 3] = [
-        DriverKind::History,
-        DriverKind::OverParticles,
-        DriverKind::OverEvents,
-    ];
-
-    /// Stable name used in fixture files.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            DriverKind::History => "history",
-            DriverKind::OverParticles => "over_particles",
-            DriverKind::OverEvents => "over_events",
-        }
-    }
-
-    /// Inverse of [`DriverKind::name`] (corpus-file `# driver` lines).
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "history" => Ok(DriverKind::History),
-            "over_particles" => Ok(DriverKind::OverParticles),
-            "over_events" => Ok(DriverKind::OverEvents),
-            other => Err(format!(
-                "unknown driver `{other}` (history|over_particles|over_events)"
-            )),
-        }
-    }
-
-    /// Run options driving this family on `workers` workers. `History`
-    /// ignores the worker count (it is the one-worker baseline).
-    #[must_use]
-    pub fn options(self, workers: usize) -> RunOptions {
-        let scheduled = Execution::Scheduled {
-            threads: workers,
-            schedule: Schedule::Dynamic { chunk: 16 },
-        };
-        let (scheme, execution) = match self {
-            DriverKind::History => (Scheme::OverParticles, Execution::Sequential),
-            DriverKind::OverParticles => (Scheme::OverParticles, scheduled),
-            DriverKind::OverEvents => (Scheme::OverEvents, scheduled),
-        };
-        RunOptions { scheme, execution }
-    }
-}
-
 /// Size envelope of generated cases. The default keeps a case's full
 /// oracle battery (~9 tiny runs) in the tens-of-milliseconds range; the
 /// quick profile is for CI smoke loops over many cases.
@@ -248,15 +184,15 @@ impl FuzzProfile {
 }
 
 /// One generated (or replayed) fuzz workload: a fully-validated
-/// parameter set plus the driver family to run it under.
+/// parameter set plus the scheme to run it under.
 #[derive(Debug, Clone)]
 pub struct FuzzCase {
     /// Human-readable provenance (`seed<seed>/case<index>` for generated
     /// cases, the file stem for corpus replays).
     pub label: String,
-    /// Driver family the case samples (the oracles additionally sweep
-    /// the other two for the cross-driver check).
-    pub driver: DriverKind,
+    /// Scheme the case samples (the oracles additionally run the other
+    /// one for the cross-scheme check).
+    pub scheme: Scheme,
     /// The sampled problem parameters.
     pub params: ProblemParams,
 }
@@ -329,13 +265,13 @@ pub fn generate_with(seed: u64, index: u64, profile: FuzzProfile) -> FuzzCase {
     // An aggressive cutoff exercises the cutoff-residual accounting.
     p.weight_cutoff = if g.chance(0.3) { 1.0e-3 } else { 1.0e-6 };
     p.lookup_strategy = *g.pick(&LookupStrategy::ALL);
-    let driver = *g.pick(&DriverKind::ALL);
+    let scheme = *g.pick(&Scheme::ALL);
 
     p.validate()
         .expect("generator produced an invalid parameter set");
     FuzzCase {
         label: format!("seed{seed}/case{index}"),
-        driver,
+        scheme,
         params: p,
     }
 }
@@ -356,31 +292,39 @@ impl FuzzCase {
     /// Serialize as a replayable params file: a standard
     /// [`ProblemParams`] file (round-trips through
     /// [`ProblemParams::parse`], so `neutral_cli --params` runs it too)
-    /// plus a `# driver <name>` comment directive the fuzzer reads back.
+    /// plus a `# driver <scheme>` comment directive the fuzzer reads back.
     #[must_use]
     pub fn to_params_text(&self) -> String {
         format!(
-            "# neutral_fuzz case {label}\n# driver {driver}\n{params}",
+            "# neutral_fuzz case {label}\n# driver {scheme}\n{params}",
             label = self.label,
-            driver = self.driver.name(),
+            scheme = self.scheme.name(),
             params = self.params.to_params_text()
         )
     }
 
     /// Parse a case emitted by [`FuzzCase::to_params_text`]. A missing
-    /// `# driver` directive defaults to `history`; the params body is
-    /// validated exactly as a CLI params file would be.
+    /// `# driver` directive defaults to `over_particles`; the params body
+    /// is validated exactly as a CLI params file would be.
     pub fn from_params_text(label: &str, text: &str) -> Result<Self, String> {
-        let mut driver = DriverKind::History;
+        let mut scheme = Scheme::OverParticles;
         for line in text.lines() {
             if let Some(name) = line.trim().strip_prefix("# driver ") {
-                driver = DriverKind::from_name(name.trim())?;
+                scheme = match name.trim() {
+                    "history" => {
+                        return Err("driver `history` was removed: it was `over_particles` \
+                                    on one worker, which the worker-invariance oracle runs; \
+                                    write `# driver over_particles`"
+                            .to_owned())
+                    }
+                    name => Scheme::from_name(name)?,
+                };
             }
         }
         let params = ProblemParams::parse(text).map_err(|e| e.to_string())?;
         Ok(Self {
             label: label.to_owned(),
-            driver,
+            scheme,
             params,
         })
     }
@@ -391,8 +335,8 @@ impl FuzzCase {
 pub enum Oracle {
     /// Population/energy conservation with cutoff residual.
     Conservation,
-    /// All driver families agree (bitwise where the fixtures do).
-    CrossDriver,
+    /// Both schemes agree (to reassociation error on the `f64` sums).
+    CrossScheme,
     /// Worker counts {1, 2, 7} are bitwise indistinguishable.
     WorkerInvariance,
     /// Checkpoint → bytes → resume reproduces the uninterrupted run.
@@ -408,7 +352,7 @@ impl Oracle {
     /// All six, in reporting order.
     pub const ALL: [Oracle; 6] = [
         Oracle::Conservation,
-        Oracle::CrossDriver,
+        Oracle::CrossScheme,
         Oracle::WorkerInvariance,
         Oracle::CheckpointRoundTrip,
         Oracle::ServeDirect,
@@ -420,7 +364,7 @@ impl Oracle {
     pub fn name(self) -> &'static str {
         match self {
             Oracle::Conservation => "conservation",
-            Oracle::CrossDriver => "cross_driver",
+            Oracle::CrossScheme => "cross_scheme",
             Oracle::WorkerInvariance => "worker_invariance",
             Oracle::CheckpointRoundTrip => "checkpoint_roundtrip",
             Oracle::ServeDirect => "serve_direct",
@@ -472,7 +416,7 @@ const BASE_WORKERS: usize = 2;
 /// few as 16 histories, where the track-length estimator's per-history
 /// relative variance (order 1) leaves a sampling defect of a few times
 /// `1/sqrt(n)` — calibration over hundreds of generated cases observed
-/// up to ±0.15 at a few hundred histories, identically on every driver.
+/// up to ±0.15 at a few hundred histories, identically under both schemes.
 /// `0.05 + 5/sqrt(n)` gives the systematic floor plus a ~5σ statistical
 /// allowance: never flaky in the fuzz envelope, while a genuine
 /// accounting bug (defect O(1)) still trips it at every sample size.
@@ -488,71 +432,49 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let sim = Simulation::new(problem);
     let mut out = CaseOutcome::default();
 
-    // One run per driver family (History is the one-worker baseline).
-    let runs: Vec<(DriverKind, RunReport)> = DriverKind::ALL
-        .iter()
-        .map(|d| (*d, sim.run(d.options(BASE_WORKERS))))
-        .collect();
-    let base = &runs
-        .iter()
-        .find(|(d, _)| *d == case.driver)
-        .expect("sampled driver is in ALL")
-        .1;
+    // One run per scheme; the sampled one is the baseline.
+    let options = RunOptions::new(case.scheme, BASE_WORKERS);
+    let [op, oe] = Scheme::ALL.map(|s| sim.run(RunOptions::new(s, BASE_WORKERS)));
+    let base = if case.scheme == Scheme::OverEvents {
+        &oe
+    } else {
+        &op
+    };
     out.events = base.counters.total_events();
     out.collisions = base.counters.collisions;
     out.facets = base.counters.facets;
 
-    // Oracle 1: conservation, on every family's run.
-    for (d, r) in &runs {
+    // Oracle 1: conservation, on both schemes' runs.
+    for (scheme, r) in Scheme::ALL.iter().zip([&op, &oe]) {
         if let Err(e) = check_conservation(sim.problem(), r) {
             out.failures.push(OracleFailure {
                 oracle: Oracle::Conservation,
-                detail: format!("{}: {e}", d.name()),
+                detail: format!("{}: {e}", scheme.name()),
             });
         }
     }
 
-    // Oracle 2: cross-driver agreement against the History baseline.
-    let hist = &runs[0].1;
-    for (d, r) in &runs[1..] {
-        let label = format!("history vs {}", d.name());
-        let verdict = check_same_physics(&label, hist, r).and_then(|()| {
-            if *d == DriverKind::OverEvents {
-                // Breadth-first accumulation reassociates the energy and
-                // tally sums — same terms, different order.
-                check_energy_close(&label, hist, r)
-                    .and_then(|()| check_tally_reassoc(&label, hist, r))
-            } else {
-                check_energy_bits(&label, hist, r)
-                    .and_then(|()| check_tally_bitwise(&label, hist, r))
-            }
+    // Oracle 2: cross-scheme agreement. Breadth-first accumulation
+    // reassociates the energy and tally sums — same terms, different
+    // order.
+    let label = format!("over_particles vs over_events @{BASE_WORKERS}w");
+    let verdict = check_same_physics(&label, &op, &oe)
+        .and_then(|()| check_energy_close(&label, &op, &oe))
+        .and_then(|()| check_tally_reassoc(&label, &op, &oe));
+    if let Err(e) = verdict {
+        out.failures.push(OracleFailure {
+            oracle: Oracle::CrossScheme,
+            detail: e,
         });
-        if let Err(e) = verdict {
-            out.failures.push(OracleFailure {
-                oracle: Oracle::CrossDriver,
-                detail: e,
-            });
-        }
     }
 
-    // Oracle 3: worker invariance on the sampled driver (History is the
-    // sequential baseline — sweep Over Particles in its place).
-    let sweep = if case.driver == DriverKind::History {
-        DriverKind::OverParticles
-    } else {
-        case.driver
-    };
-    let sweep_base = &runs
-        .iter()
-        .find(|(d, _)| *d == sweep)
-        .expect("sweep driver is in ALL")
-        .1;
+    // Oracle 3: worker invariance on the sampled scheme.
     for workers in [1usize, 7] {
-        let r = sim.run(sweep.options(workers));
-        let label = format!("{} @{BASE_WORKERS}w vs @{workers}w", sweep.name());
-        let verdict = check_same_physics(&label, sweep_base, &r)
-            .and_then(|()| check_energy_bits(&label, sweep_base, &r))
-            .and_then(|()| check_tally_bitwise(&label, sweep_base, &r));
+        let r = sim.run(RunOptions::new(case.scheme, workers));
+        let label = format!("{} @{BASE_WORKERS}w vs @{workers}w", case.scheme.name());
+        let verdict = check_same_physics(&label, base, &r)
+            .and_then(|()| check_energy_bits(&label, base, &r))
+            .and_then(|()| check_tally_bitwise(&label, base, &r));
         if let Err(e) = verdict {
             out.failures.push(OracleFailure {
                 oracle: Oracle::WorkerInvariance,
@@ -564,7 +486,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     // Oracle 4: checkpoint round-trip through the real byte format.
     if sim.problem().n_timesteps < 2 {
         out.skipped.push(Oracle::CheckpointRoundTrip);
-    } else if let Err(e) = checkpoint_roundtrip(&sim, case.driver.options(BASE_WORKERS), base) {
+    } else if let Err(e) = checkpoint_roundtrip(&sim, options, base) {
         out.failures.push(OracleFailure {
             oracle: Oracle::CheckpointRoundTrip,
             detail: e,
@@ -595,7 +517,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     out
 }
 
-/// Run the case's driver sharded {1, 2, 5} ways and demand each merge be
+/// Run the case's scheme sharded {1, 2, 5} ways and demand each merge be
 /// bitwise identical to the unsharded `direct` run; then kill shard 1's
 /// first attempt and demand the retried solve still reproduce it (with
 /// the retry actually visible in the stats — a fault that silently never
@@ -603,7 +525,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 fn shard_invariance(case: &FuzzCase, direct: &RunReport) -> Result<(), String> {
     use crate::shard::{ShardConfig, ShardedSolve};
 
-    let options = case.driver.options(BASE_WORKERS);
+    let options = RunOptions::new(case.scheme, BASE_WORKERS);
     let sim = std::sync::Arc::new(Simulation::new(case.params.build()));
     let run = |config: ShardConfig| -> Result<(RunReport, crate::shard::ShardStats), String> {
         let mut solve = ShardedSolve::new(&sim, options, config);
@@ -678,7 +600,7 @@ fn serve_matches_direct(case: &FuzzCase, direct: &RunReport) -> Result<(), Strin
     let receipt = registry
         .submit(SubmitRequest::new(
             case.params.build(),
-            case.driver.options(BASE_WORKERS),
+            RunOptions::new(case.scheme, BASE_WORKERS),
         ))
         .map_err(|e| format!("submit: {e}"))?;
     let status = registry.wait(receipt.id).ok_or("entry vanished")?;
@@ -746,14 +668,14 @@ pub fn check_conservation(problem: &Problem, r: &RunReport) -> Result<(), String
     Ok(())
 }
 
-/// Driver-portable physics equality: the event counters every family
+/// Scheme-portable physics equality: the event counters both schemes
 /// must reproduce exactly (collisions, facets, census, absorptions,
 /// scatters, reflections, deaths, stuck, lookups, material switches)
 /// and the surviving-population count. Work meters that legitimately
-/// differ between families (flush/batch/read counts) are excluded, and
-/// the `f64` energy sums are checked separately — bitwise within the
-/// history-order family ([`check_energy_bits`]), reassociation-bounded
-/// against the breadth-first driver ([`check_energy_close`]).
+/// differ between schemes (flush/batch/read counts) are excluded, and
+/// the `f64` energy sums are checked separately — bitwise within one
+/// scheme ([`check_energy_bits`]), reassociation-bounded across the two
+/// ([`check_energy_close`]).
 pub fn check_same_physics(label: &str, a: &RunReport, b: &RunReport) -> Result<(), String> {
     let (ca, cb) = (&a.counters, &b.counters);
     let ints = [
@@ -783,8 +705,7 @@ pub fn check_same_physics(label: &str, a: &RunReport, b: &RunReport) -> Result<(
 }
 
 /// Bitwise equality of the deterministically-merged energy sums
-/// (lost/census energy). Holds within the history-order driver family
-/// and across worker counts of any one driver.
+/// (lost/census energy). Holds across worker counts of either scheme.
 pub fn check_energy_bits(label: &str, a: &RunReport, b: &RunReport) -> Result<(), String> {
     let (ca, cb) = (&a.counters, &b.counters);
     let bits = [
@@ -800,7 +721,7 @@ pub fn check_energy_bits(label: &str, a: &RunReport, b: &RunReport) -> Result<()
 }
 
 /// Reassociation-bounded equality of the energy sums, for comparisons
-/// against the breadth-first driver: Over Events accumulates the same
+/// across schemes: Over Events accumulates the same
 /// per-history terms in a different order, so the sums agree only to
 /// floating-point reassociation error (calibration observed last-ulp
 /// differences; 1e-12 relative is ~4 orders of magnitude of headroom
@@ -838,7 +759,7 @@ pub fn check_tally_bitwise(label: &str, a: &RunReport, b: &RunReport) -> Result<
     Ok(())
 }
 
-/// Reassociation-bounded tally equality for the breadth-first driver:
+/// Reassociation-bounded tally equality across schemes:
 /// per-cell agreement within floating-point summation error and totals
 /// within 1e-9 (the scheme-equivalence suite's bounds).
 pub fn check_tally_reassoc(label: &str, a: &RunReport, b: &RunReport) -> Result<(), String> {
@@ -925,8 +846,8 @@ pub enum ShrinkAxis {
     XsPoints,
     /// Reset strategy knobs to their simplest settings, one at a time.
     Knobs,
-    /// Fall back to the sequential History driver.
-    Driver,
+    /// Fall back to Over Particles, the default scheme.
+    Scheme,
 }
 
 impl ShrinkAxis {
@@ -939,10 +860,10 @@ impl ShrinkAxis {
         ShrinkAxis::Materials,
         ShrinkAxis::XsPoints,
         ShrinkAxis::Knobs,
-        ShrinkAxis::Driver,
+        ShrinkAxis::Scheme,
     ];
 
-    /// The size-only subset (keeps knob/driver diversity — used when
+    /// The size-only subset (keeps knob/scheme diversity — used when
     /// minimizing corpus entries that must stay representative).
     pub const SIZE: [ShrinkAxis; 4] = [
         ShrinkAxis::Particles,
@@ -1071,9 +992,9 @@ fn candidates_for(case: &FuzzCase, axis: ShrinkAxis) -> Vec<FuzzCase> {
                 push(&|c| c.params.weight_cutoff = 1.0e-6);
             }
         }
-        ShrinkAxis::Driver => {
-            if case.driver != DriverKind::History {
-                push(&|c| c.driver = DriverKind::History);
+        ShrinkAxis::Scheme => {
+            if case.scheme != Scheme::OverParticles {
+                push(&|c| c.scheme = Scheme::OverParticles);
             }
         }
     }
@@ -1090,17 +1011,11 @@ mod tests {
             let a = generate(20_170_905, index);
             let b = generate(20_170_905, index);
             assert_eq!(a.to_params_text(), b.to_params_text(), "case {index}");
-            assert_eq!(a.driver, b.driver);
+            assert_eq!(a.scheme, b.scheme);
             // Building twice yields the same fingerprint.
             assert_eq!(
-                crate::checkpoint::config_fingerprint(
-                    &a.params.build(),
-                    a.driver.options(1).scheme
-                ),
-                crate::checkpoint::config_fingerprint(
-                    &b.params.build(),
-                    b.driver.options(1).scheme
-                ),
+                crate::checkpoint::config_fingerprint(&a.params.build(), a.scheme),
+                crate::checkpoint::config_fingerprint(&b.params.build(), b.scheme),
             );
         }
     }
@@ -1119,17 +1034,11 @@ mod tests {
             let text = case.to_params_text();
             let back = FuzzCase::from_params_text(&case.label, &text)
                 .unwrap_or_else(|e| panic!("case {index} failed to re-parse: {e}\n{text}"));
-            assert_eq!(back.driver, case.driver, "case {index}");
+            assert_eq!(back.scheme, case.scheme, "case {index}");
             assert_eq!(back.to_params_text(), text, "case {index} text unstable");
             assert_eq!(
-                crate::checkpoint::config_fingerprint(
-                    &back.params.build(),
-                    back.driver.options(1).scheme
-                ),
-                crate::checkpoint::config_fingerprint(
-                    &case.params.build(),
-                    case.driver.options(1).scheme
-                ),
+                crate::checkpoint::config_fingerprint(&back.params.build(), back.scheme),
+                crate::checkpoint::config_fingerprint(&case.params.build(), case.scheme),
                 "case {index} fingerprint drifted through serialization"
             );
         }
@@ -1145,7 +1054,7 @@ mod tests {
         assert_eq!((shrunk.params.nx, shrunk.params.ny), (8, 8));
         assert!(shrunk.params.regions.is_empty());
         assert_eq!(shrunk.params.material_count(), 1);
-        assert_eq!(shrunk.driver, DriverKind::History);
+        assert_eq!(shrunk.scheme, Scheme::OverParticles);
         assert_eq!(shrunk.params.lookup_strategy, LookupStrategy::Hinted);
         // And the result is still a valid, replayable case.
         let text = shrunk.to_params_text();

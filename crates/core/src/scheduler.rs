@@ -3,10 +3,10 @@
 //! The paper studies `schedule(static)`, `schedule(dynamic, n)` and
 //! `schedule(guided)` for the Over-Particles loop (§VI-C, Figure 4), and
 //! sweeps thread counts beyond the physical core count to measure
-//! hyperthreading and oversubscription effects (§VI-E, Figure 6). Rayon's
+//! hyperthreading and oversubscription effects (§VI-E, Figure 6). A
 //! work-stealing pool has no equivalent of these policies, so this module
-//! implements them directly: `n_threads` OS threads (via crossbeam's
-//! scoped spawn) pulling index ranges from a policy-specific dispenser.
+//! implements them directly: `n_threads` OS threads (`std::thread::scope`)
+//! pulling index ranges from a policy-specific dispenser.
 //!
 //! The dispatch semantics mirror OpenMP:
 //!
@@ -96,16 +96,16 @@ where
         return;
     }
     let dispenser = Dispenser::new();
-    crossbeam::scope(|scope| {
+    // A panicking worker makes `scope` panic here once every worker is joined.
+    std::thread::scope(|scope| {
         for (t, state) in states.iter_mut().enumerate() {
             let body = &body;
             let dispenser = &dispenser;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 serve_thread(t, n_threads, n_items, schedule, dispenser, state, body);
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 }
 
 /// Run `body` once for each of `states.len()` work items ("lanes"),
@@ -117,7 +117,7 @@ where
 /// accumulators (tally lanes, per-lane counters) are filled identically
 /// for any worker count and any schedule — this is what makes the
 /// deterministic tally backends (`neutral_mesh::accum`) worker-count
-/// invariant. Workers are real OS threads (crossbeam scoped spawn), so
+/// invariant. Workers are real OS threads (`std::thread::scope`), so
 /// chunked multi-worker runs execute genuinely concurrently against the
 /// chosen tally backend.
 pub fn parallel_for_owned<S, F>(n_threads: usize, schedule: Schedule, states: &mut [S], body: F)

@@ -31,6 +31,28 @@ pub enum Scheme {
     OverEvents,
 }
 
+impl Scheme {
+    /// Both schemes, in golden-fixture order.
+    pub const ALL: [Scheme; 2] = [Scheme::OverParticles, Scheme::OverEvents];
+
+    /// Stable name used in golden fixtures and fuzz-corpus files.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Scheme::OverParticles => "over_particles",
+            Scheme::OverEvents => "over_events",
+        }
+    }
+
+    /// Inverse of [`Scheme::name`].
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        Scheme::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| format!("unknown scheme `{name}` (over_particles|over_events)"))
+    }
+}
+
 /// Threading configuration of a run: how many workers the step engine
 /// ([`crate::step`]) schedules whole tally lanes across. Which tally the
 /// run deposits into is the problem's [`TallyStrategy`]. Under the
@@ -38,11 +60,8 @@ pub enum Scheme {
 /// value.
 #[derive(Clone, Copy, Debug)]
 pub enum Execution {
-    /// Single-threaded.
+    /// One worker, inline: `Scheduled` at one thread runs the same path.
     Sequential,
-    /// One worker per thread of Rayon's current pool (global, or one the
-    /// caller installed), lanes scheduled dynamically.
-    Rayon,
     /// Explicit threads with an OpenMP-style schedule (paper §VI-C/E),
     /// applied at lane granularity.
     Scheduled {
@@ -62,12 +81,25 @@ pub struct RunOptions {
     pub execution: Execution,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
+impl RunOptions {
+    /// `scheme` on `workers` threads, lanes dealt dynamically.
+    #[must_use]
+    pub fn new(scheme: Scheme, workers: usize) -> Self {
         Self {
-            scheme: Scheme::OverParticles,
-            execution: Execution::Rayon,
+            scheme,
+            execution: Execution::Scheduled {
+                threads: workers,
+                schedule: Schedule::Dynamic { chunk: 1 },
+            },
         }
+    }
+}
+
+impl Default for RunOptions {
+    /// Over Particles on every thread the host offers.
+    fn default() -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Self::new(Scheme::OverParticles, workers)
     }
 }
 
@@ -554,6 +586,8 @@ mod tests {
         ));
     }
 
+    /// The default (host width) and an explicit schedule reproduce the
+    /// sequential run bit for bit: the default tally is `replicated`.
     #[test]
     fn all_executions_agree_on_physics() {
         let s = sim(TestCase::Csp);
@@ -562,10 +596,7 @@ mod tests {
             ..Default::default()
         });
         let combos = [
-            RunOptions {
-                execution: Execution::Rayon,
-                ..Default::default()
-            },
+            RunOptions::default(),
             RunOptions {
                 execution: Execution::Scheduled {
                     threads: 3,
@@ -573,19 +604,16 @@ mod tests {
                 },
                 ..Default::default()
             },
-            RunOptions {
-                scheme: Scheme::OverEvents,
-                execution: Execution::Rayon,
-            },
         ];
         for opts in combos {
             let r = s.run(opts);
-            assert_eq!(r.counters.collisions, base.counters.collisions, "{opts:?}");
-            assert_eq!(r.counters.facets, base.counters.facets, "{opts:?}");
-            let (a, b) = (base.tally_total(), r.tally_total());
+            assert_eq!(r.counters, base.counters, "{opts:?}");
             assert!(
-                ((a - b) / a.abs().max(1e-30)).abs() < 1e-9,
-                "{opts:?}: tally {a} vs {b}"
+                r.tally
+                    .iter()
+                    .zip(&base.tally)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{opts:?}: tally bits differ from sequential"
             );
         }
     }
@@ -623,10 +651,6 @@ mod tests {
                         schedule: Schedule::Dynamic { chunk: 8 },
                     },
                     ..Default::default()
-                },
-                RunOptions {
-                    scheme: Scheme::OverEvents,
-                    execution: Execution::Rayon,
                 },
             ] {
                 let r = s2.run(opts);

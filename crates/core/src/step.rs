@@ -44,7 +44,6 @@ use neutral_rng::Threefry2x64;
 pub(crate) fn execution_workers(execution: Execution) -> (usize, Schedule) {
     match execution {
         Execution::Sequential => (1, Schedule::Static { chunk: None }),
-        Execution::Rayon => (rayon::current_num_threads(), Schedule::Dynamic { chunk: 1 }),
         Execution::Scheduled { threads, schedule } => (threads, schedule),
     }
 }

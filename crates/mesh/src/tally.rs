@@ -181,7 +181,7 @@ impl PrivatizedTally {
     }
 
     /// Disjoint mutable access to every thread's slot; hand one to each
-    /// worker (e.g. via `crossbeam::scope`).
+    /// worker (e.g. via `std::thread::scope`).
     pub fn slots_mut(&mut self) -> impl Iterator<Item = &mut TallySlot> {
         self.slots.iter_mut()
     }

@@ -24,8 +24,9 @@ fn main() {
 
     let sim = Simulation::new(problem);
 
-    // Default options: Over-Particles scheme, Rayon threading, replicated
-    // (deterministic) tally — the configuration every served solve runs.
+    // Default options: Over-Particles scheme on every host thread,
+    // replicated (deterministic) tally — the configuration every served
+    // solve runs.
     let report = sim.run(RunOptions::default());
 
     println!("{}", report.summary());

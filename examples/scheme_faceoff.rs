@@ -16,13 +16,10 @@ fn main() {
     let problem = TestCase::Csp.build(ProblemScale::small(), 99);
     let sim = Simulation::new(problem);
 
-    let op = sim.run(RunOptions {
-        scheme: Scheme::OverParticles,
-        execution: Execution::Rayon,
-    });
+    let op = sim.run(RunOptions::default());
     let oe = sim.run(RunOptions {
         scheme: Scheme::OverEvents,
-        execution: Execution::Rayon,
+        ..Default::default()
     });
 
     println!("Over Particles: {}", op.summary());

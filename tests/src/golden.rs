@@ -212,6 +212,49 @@ pub fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
 }
 
+/// Worker counts every fixture is checked at: one (the inline path) and
+/// two (real concurrency). Any count yields the same bits.
+pub const FIXTURE_WORKERS: [usize; 2] = [1, 2];
+
+/// The committed fixture of config `name` under `scheme`.
+#[must_use]
+pub fn fixture_path(name: &str, scheme: Scheme) -> PathBuf {
+    fixture_dir().join(format!("{name}_{}.json", scheme.name()))
+}
+
+/// Lock config `name` under `scheme` to its committed fixture:
+/// `run(workers)` solves it at each of [`FIXTURE_WORKERS`], and every run
+/// must capture the fixture's fields and dump to the reference bytes.
+/// When [`blessing`], the runs must agree with each other instead, and
+/// the fixture is rewritten from them.
+pub fn lock_fixture(name: &str, scheme: Scheme, seed: u64, run: impl Fn(usize) -> RunReport) {
+    let path = fixture_path(name, scheme);
+    let mut expected = (!blessing()).then(|| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing golden fixture {path:?} ({e}); run with NEUTRAL_BLESS=1 to generate")
+        });
+        GoldenTally::from_json(&text).expect("parse fixture")
+    });
+    for workers in FIXTURE_WORKERS {
+        let report = run(workers);
+        assert_dump_matches_reference(name, &report);
+        let captured = GoldenTally::capture(name, scheme.name(), seed, &report);
+        let expected = expected.get_or_insert_with(|| captured.clone());
+        assert_eq!(
+            captured.fields,
+            expected.fields,
+            "{name}/{}/{workers}w: run diverges from golden fixture {path:?} \
+             (if the physics change is intentional, re-bless)",
+            scheme.name()
+        );
+    }
+    if let Some(expected) = expected.filter(|_| blessing()) {
+        std::fs::create_dir_all(fixture_dir()).expect("create tests/golden");
+        std::fs::write(&path, expected.to_json()).expect("write fixture");
+        println!("blessed {path:?}");
+    }
+}
+
 /// Whether the suite should regenerate fixtures instead of comparing.
 #[must_use]
 pub fn blessing() -> bool {

@@ -2,16 +2,15 @@
 //!
 //! The actual integration tests live in `tests/tests/*.rs`; this crate
 //! provides shared fixtures. The deterministic property-test harness
-//! ([`Gen`], [`for_cases`]) and the driver-family/physics-comparison
-//! vocabulary ([`DriverKind`], [`rel_diff`]) now
-//! live in [`neutral_core::fuzz`] — the generative fuzzer is built on
-//! them — and are re-exported here so the suites keep one import path.
+//! ([`Gen`], [`for_cases`]) and [`rel_diff`] live in
+//! [`neutral_core::fuzz`] — the generative fuzzer is built on them — and
+//! are re-exported here so the suites keep one import path.
 
 use neutral_core::prelude::*;
 
 pub mod golden;
 
-pub use neutral_core::fuzz::{for_cases, rel_diff, DriverKind, Gen};
+pub use neutral_core::fuzz::{for_cases, rel_diff, Gen};
 
 /// Standard tiny-scale fixture used across the integration suite.
 pub fn tiny(case: TestCase, seed: u64) -> Simulation {

@@ -3,7 +3,7 @@
 
 use neutral_core::prelude::*;
 use neutral_core::validate::population_balance;
-use neutral_integration::{tiny, DriverKind};
+use neutral_integration::tiny;
 
 fn run_with_model(case: TestCase, model: CollisionModel, seed: u64) -> (RunReport, usize) {
     let mut problem = case.build(ProblemScale::tiny(), seed);
@@ -95,7 +95,7 @@ fn conservation_under_every_tally_strategy() {
             problem.transport.weight_cutoff = 1.0e-3;
             problem.transport.tally_strategy = strategy;
             let n = problem.n_particles;
-            let r = Simulation::new(problem).run(DriverKind::OverParticles.options(3));
+            let r = Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, 3));
 
             assert!(
                 population_balance(n as u64, &r.counters),
@@ -137,7 +137,7 @@ fn cutoff_residual_is_deterministic() {
         problem.transport.weight_cutoff = 1.0e-3;
         problem.transport.collision_model = CollisionModel::ImplicitCapture;
         problem.transport.tally_strategy = TallyStrategy::Replicated;
-        Simulation::new(problem).run(DriverKind::OverParticles.options(workers))
+        Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, workers))
     };
     let base = run(1);
     assert!(base.counters.lost_energy_ev > 0.0);

@@ -18,8 +18,9 @@ use neutral_core::fuzz::{
     check_same_physics, check_served_matches, check_tally_bitwise, check_tally_reassoc, generate,
     generate_with, run_case, shrink, FuzzCase, FuzzProfile, Oracle,
 };
+use neutral_core::params::ProblemParams;
 use neutral_core::prelude::*;
-use neutral_integration::DriverKind;
+use neutral_mesh::{MaterialId, Rect};
 use std::path::PathBuf;
 
 /// Fixed fuzz seed of this suite (distinct from CI's smoke seed so the
@@ -63,13 +64,121 @@ fn params_serialization_is_a_fixpoint() {
         let text = case.to_params_text();
         let back = FuzzCase::from_params_text(&case.label, &text).expect("round-trip parse");
         assert_eq!(back.to_params_text(), text, "case {index}");
-        assert_eq!(back.driver, case.driver, "case {index}");
+        assert_eq!(back.scheme, case.scheme, "case {index}");
         assert_eq!(
-            config_fingerprint(&back.params.build(), back.driver.options(1).scheme),
-            config_fingerprint(&case.params.build(), case.driver.options(1).scheme),
+            config_fingerprint(&back.params.build(), back.scheme),
+            config_fingerprint(&case.params.build(), case.scheme),
             "case {index}: fingerprint drifted through text"
         );
     }
+}
+
+/// The `history` driver was Over Particles on one worker; a corpus file
+/// still naming it fails with the name to write instead.
+#[test]
+fn removed_history_driver_names_over_particles() {
+    let case = generate(SEED, 0);
+    let directive = format!("# driver {}", case.scheme.name());
+    let text = case
+        .to_params_text()
+        .replace(&directive, "# driver history");
+    let err = FuzzCase::from_params_text("old", &text).expect_err("history must be refused");
+    assert!(err.contains("`history` was removed"), "{err}");
+    assert!(err.contains("# driver over_particles"), "{err}");
+}
+
+/// The content address separates every field a generated case varies:
+/// changing any one of them — a cell of the built mesh, a region, a
+/// material, a count, a transport knob or the scheme — changes
+/// `config_fingerprint`. A region edge that moves no cell centre changes
+/// no input, so it counts only where it moves one.
+#[test]
+fn fingerprint_changes_with_every_generated_field() {
+    let mut region_edges = 0;
+    let mut cell_materials = 0;
+    for index in 0..16 {
+        let case = generate(SEED, index);
+        let problem = case.params.build();
+        let base = config_fingerprint(&problem, case.scheme);
+        let assert_moves = |what: &str, problem: &Problem, scheme: Scheme| {
+            assert_ne!(
+                config_fingerprint(problem, scheme),
+                base,
+                "case {index}: changing {what} kept the address"
+            );
+        };
+        let vary = |what: &str, change: &dyn Fn(&mut ProblemParams)| {
+            let mut params = case.params.clone();
+            change(&mut params);
+            assert_moves(what, &params.build(), case.scheme);
+        };
+
+        let mut denser = problem.clone();
+        denser.mesh.density_field_mut()[0] *= 2.0;
+        assert_moves("one cell's density", &denser, case.scheme);
+        if case.params.material_count() > 1 {
+            let mut swapped = problem.clone();
+            let id = swapped.mesh.material_map().ids()[0];
+            let other = (usize::from(id) + 1) % case.params.material_count();
+            swapped
+                .mesh
+                .material_map_mut()
+                .set(0, 0, other as MaterialId);
+            assert_moves("one cell's material", &swapped, case.scheme);
+            cell_materials += 1;
+        }
+        if let Some(&(rect, _, _)) = case.params.regions.last() {
+            let mut params = case.params.clone();
+            let dx = params.width / params.nx as f64;
+            let top = &mut params.regions.last_mut().unwrap().0;
+            *top = if rect.x1 + dx <= params.width {
+                Rect::new(rect.x0, rect.x1 + dx, rect.y0, rect.y1)
+            } else {
+                Rect::new(rect.x0 - dx, rect.x1, rect.y0, rect.y1)
+            };
+            let moved = params.build();
+            if moved.mesh.density_field() != problem.mesh.density_field() {
+                assert_moves("one region edge", &moved, case.scheme);
+                region_edges += 1;
+            }
+        }
+        vary("a material's kind", &|p| {
+            let spec = &mut p.materials[0].1;
+            let i = MaterialKind::ALL
+                .iter()
+                .position(|k| *k == spec.kind)
+                .unwrap();
+            spec.kind = MaterialKind::ALL[(i + 1) % MaterialKind::ALL.len()];
+        });
+        vary("a material's table seed", &|p| p.materials[0].1.seed ^= 1);
+        vary("seed", &|p| p.seed ^= 1);
+        vary("particles", &|p| p.particles += 1);
+        vary("timesteps", &|p| p.timesteps += 1);
+        vary("lookup strategy", &|p| {
+            let i = LookupStrategy::ALL
+                .iter()
+                .position(|s| *s == p.lookup_strategy)
+                .unwrap();
+            p.lookup_strategy = LookupStrategy::ALL[(i + 1) % LookupStrategy::ALL.len()];
+        });
+        vary("collision model", &|p| {
+            p.collision_model = match p.collision_model {
+                CollisionModel::Analogue => CollisionModel::ImplicitCapture,
+                _ => CollisionModel::Analogue,
+            };
+        });
+        vary("weight cutoff", &|p| p.weight_cutoff *= 2.0);
+        let other = Scheme::ALL.into_iter().find(|s| *s != case.scheme).unwrap();
+        assert_moves("scheme", &problem, other);
+    }
+    assert!(
+        region_edges >= 8,
+        "only {region_edges} region edges moved a cell"
+    );
+    assert!(
+        cell_materials >= 8,
+        "only {cell_materials} multi-material cases"
+    );
 }
 
 // -------------------------------------------------------------------
@@ -128,7 +237,7 @@ fn conservation_oracle_catches_population_and_tally_corruption() {
     let case = live_case();
     let problem = case.params.build();
     let sim = Simulation::new(case.params.build());
-    let good = sim.run(case.driver.options(2));
+    let good = sim.run(RunOptions::new(case.scheme, 2));
     check_conservation(&problem, &good).expect("sane run must pass");
 
     // Mutation 1: one history ends twice (a driver double-counting
@@ -153,10 +262,10 @@ fn conservation_oracle_catches_population_and_tally_corruption() {
 }
 
 #[test]
-fn cross_driver_oracle_catches_single_bit_and_counter_divergence() {
+fn cross_scheme_oracle_catches_single_bit_and_counter_divergence() {
     let case = live_case();
     let sim = Simulation::new(case.params.build());
-    let a = sim.run(DriverKind::History.options(1));
+    let a = sim.run(RunOptions::new(Scheme::OverParticles, 1));
     let mut b = a.clone();
     check_same_physics("self", &a, &b).expect("identical runs must pass");
     check_tally_bitwise("self", &a, &b).expect("identical runs must pass");
@@ -182,9 +291,9 @@ fn cross_driver_oracle_catches_single_bit_and_counter_divergence() {
     miscounted.counters.collisions += 1;
     assert!(check_same_physics("offbyone", &a, &miscounted).is_err());
 
-    // Energy sums: a single-ulp drift trips the bitwise family check
-    // while staying inside the Over Events tolerance; a real term-sized
-    // drift trips both.
+    // Energy sums: a single-ulp drift trips the bitwise (one-scheme)
+    // check while staying inside the cross-scheme tolerance; a real
+    // term-sized drift trips both.
     let mut ulp = a.clone();
     ulp.counters.lost_energy_ev = f64::from_bits(ulp.counters.lost_energy_ev.to_bits() ^ 1);
     assert!(check_energy_bits("ulp", &a, &ulp).is_err());
@@ -200,8 +309,8 @@ fn cross_driver_oracle_catches_single_bit_and_counter_divergence() {
 fn worker_invariance_oracle_catches_schedule_dependent_results() {
     let case = live_case();
     let sim = Simulation::new(case.params.build());
-    let w2 = sim.run(DriverKind::OverParticles.options(2));
-    let w7 = sim.run(DriverKind::OverParticles.options(7));
+    let w2 = sim.run(RunOptions::new(Scheme::OverParticles, 2));
+    let w7 = sim.run(RunOptions::new(Scheme::OverParticles, 7));
     check_same_physics("2v7", &w2, &w7).expect("worker invariance must hold");
     check_energy_bits("2v7", &w2, &w7).expect("worker invariance must hold");
     check_tally_bitwise("2v7", &w2, &w7).expect("worker invariance must hold");
@@ -222,7 +331,7 @@ fn worker_invariance_oracle_catches_schedule_dependent_results() {
 fn checkpoint_oracle_catches_state_tampering_through_the_byte_format() {
     let case = live_case();
     let sim = Simulation::new(case.params.build());
-    let options = case.driver.options(2);
+    let options = RunOptions::new(case.scheme, 2);
     let direct = sim.run(options);
 
     // Honest round-trip through the real byte format: bitwise identical.
@@ -257,7 +366,7 @@ fn checkpoint_oracle_catches_state_tampering_through_the_byte_format() {
 fn serve_oracle_catches_result_substitution() {
     let case = live_case();
     let sim = Simulation::new(case.params.build());
-    let direct = sim.run(case.driver.options(2));
+    let direct = sim.run(RunOptions::new(case.scheme, 2));
     check_served_matches(case.params.nx, &direct, &direct.clone())
         .expect("a faithful served copy must pass");
 
@@ -276,7 +385,7 @@ fn serve_oracle_catches_result_substitution() {
     // same shape) must also be rejected.
     let mut other_params = case.params.clone();
     other_params.seed ^= 0xdead_beef;
-    let other = Simulation::new(other_params.build()).run(case.driver.options(2));
+    let other = Simulation::new(other_params.build()).run(RunOptions::new(case.scheme, 2));
     assert!(check_served_matches(case.params.nx, &direct, &other).is_err());
 }
 
@@ -300,14 +409,14 @@ fn shrinker_emits_minimal_replayable_case() {
     // ...free axes hit their floors...
     assert_eq!(minimal.params.particles, 16);
     assert_eq!(minimal.params.nx, 8);
-    assert_eq!(minimal.driver, DriverKind::History);
+    assert_eq!(minimal.scheme, Scheme::OverParticles);
     // ...and the minimized case replays from its own params text.
     let text = minimal.to_params_text();
     let back = FuzzCase::from_params_text("repro", &text).expect("replayable");
     assert!(fails(&back), "replayed repro must still fail");
     assert_eq!(
-        config_fingerprint(&back.params.build(), back.driver.options(1).scheme),
-        config_fingerprint(&minimal.params.build(), minimal.driver.options(1).scheme)
+        config_fingerprint(&back.params.build(), back.scheme),
+        config_fingerprint(&minimal.params.build(), minimal.scheme)
     );
 }
 
@@ -320,7 +429,7 @@ fn oracle_battery_is_complete() {
         names,
         [
             "conservation",
-            "cross_driver",
+            "cross_scheme",
             "worker_invariance",
             "checkpoint_roundtrip",
             "serve_direct",

@@ -56,9 +56,9 @@ fn sequential_tallies_bitwise_identical_across_strategies() {
     }
 }
 
-/// Every driver (over-particles sequential/rayon/scheduled, over-events
-/// sequential/rayon) produces the same census tally for every strategy
-/// — up to floating-point summation order for the parallel reductions.
+/// Every execution (over-particles sequential/default/scheduled,
+/// over-events sequential/default) produces the same census tally for
+/// every strategy — up to the schemes' floating-point summation order.
 #[test]
 fn all_drivers_agree_for_every_strategy() {
     let seed = 23;
@@ -74,17 +74,14 @@ fn all_drivers_agree_for_every_strategy() {
                     execution: Execution::Sequential,
                     ..Default::default()
                 },
-                RunOptions {
-                    execution: Execution::Rayon,
-                    ..Default::default()
-                },
+                RunOptions::default(),
                 RunOptions {
                     scheme: Scheme::OverEvents,
                     execution: Execution::Sequential,
                 },
                 RunOptions {
                     scheme: Scheme::OverEvents,
-                    execution: Execution::Rayon,
+                    ..Default::default()
                 },
                 RunOptions {
                     execution: Execution::Scheduled {

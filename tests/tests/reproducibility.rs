@@ -59,10 +59,7 @@ fn privatized_parallel_runs_are_bitwise_reproducible() {
 /// bitwise identical.
 #[test]
 fn atomic_parallel_runs_reproduce_physics_exactly() {
-    let opts = RunOptions {
-        execution: Execution::Rayon,
-        ..Default::default()
-    };
+    let opts = RunOptions::default();
     let a = tiny_with_tally(TestCase::Scatter, 17, TallyStrategy::Atomic).run(opts);
     let b = tiny_with_tally(TestCase::Scatter, 17, TallyStrategy::Atomic).run(opts);
     assert_eq!(a.counters.collisions, b.counters.collisions);

@@ -1,5 +1,5 @@
 //! Checkpoint/restart verification: interrupt-resume bitwise identity
-//! across every driver × worker count, resumed runs
+//! across every scheme × worker count, resumed runs
 //! locked against golden fixtures, and the fault-injection matrix
 //! (torn writes, bit flips, kills, config/version mismatches) proving
 //! every failure is recovered or cleanly reported — never silently
@@ -12,19 +12,12 @@
 
 use neutral_core::particle::Particle;
 use neutral_core::prelude::*;
-use neutral_integration::golden::{
-    assert_dump_matches_reference, blessing, fixture_dir, tally_hash, GoldenTally,
-};
-use neutral_integration::{tiny_multistep, DriverKind, MULTISTEP_CONFIGS};
+use neutral_integration::golden::{blessing, lock_fixture, tally_hash};
+use neutral_integration::{tiny_multistep, MULTISTEP_CONFIGS};
 use std::path::PathBuf;
 
 /// Workers exercised by the identity matrix (the acceptance set).
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
-
-/// Worker count used when checking resumed runs against the committed
-/// golden fixtures (any count yields the same bits; 2 exercises real
-/// concurrency, matching the golden suite).
-const GOLDEN_WORKERS: usize = 2;
 
 fn tally_bits(tally: &[f64]) -> Vec<u64> {
     tally.iter().map(|v| v.to_bits()).collect()
@@ -52,7 +45,7 @@ fn temp_store(tag: &str) -> (PathBuf, CheckpointStore) {
     (dir, store)
 }
 
-/// The acceptance matrix: for each multistep config × driver × workers
+/// The acceptance matrix: for each multistep config × scheme × workers
 /// {1, 2, 7}, a solve checkpointed at *every* census boundary —
 /// serialized to bytes and parsed back, exactly what the on-disk path
 /// does — and resumed produces tallies, counters and final particle
@@ -60,13 +53,10 @@ fn temp_store(tag: &str) -> (PathBuf, CheckpointStore) {
 #[test]
 fn interrupt_resume_is_bitwise_identical() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
-        for driver in DriverKind::ALL {
+        for scheme in Scheme::ALL {
             for workers in WORKER_COUNTS {
-                if driver == DriverKind::History && workers != 1 {
-                    continue; // History is the one-worker baseline.
-                }
                 let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-                let options = driver.options(workers);
+                let options = RunOptions::new(scheme, workers);
 
                 let mut base = SolveCore::new(&sim, options);
                 while base.step(&sim) {}
@@ -74,7 +64,7 @@ fn interrupt_resume_is_bitwise_identical() {
                 let base_report = base.finish();
 
                 for cut in 1..steps {
-                    let label = format!("{case:?}/{}/{workers}w cut@{cut}", driver.name());
+                    let label = format!("{case:?}/{}/{workers}w cut@{cut}", scheme.name());
                     let mut first = SolveCore::new(&sim, options);
                     for _ in 0..cut {
                         assert!(first.step(&sim), "{label}: premature end");
@@ -109,29 +99,18 @@ fn resumed_runs_match_committed_goldens() {
         return;
     }
     for (case, steps, seed) in MULTISTEP_CONFIGS {
-        for driver in DriverKind::ALL {
-            let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-            let options = driver.options(GOLDEN_WORKERS);
-            let mut first = SolveCore::new(&sim, options);
-            first.step(&sim);
-            let ckpt = Checkpoint::from_bytes(&first.checkpoint().to_bytes()).unwrap();
-            let mut resumed = SolveCore::resume(&sim, options, &ckpt).unwrap();
-            while resumed.step(&sim) {}
-            let report = resumed.finish();
-
+        for scheme in Scheme::ALL {
             let name = format!("{}_t{}", case.name(), steps);
-            let captured = GoldenTally::capture(&name, driver.name(), seed, &report);
-            assert_dump_matches_reference(&name, &report);
-            let path = fixture_dir().join(format!("{}_{}.json", name, driver.name()));
-            let text = std::fs::read_to_string(&path).expect("committed multistep fixture");
-            let expected = GoldenTally::from_json(&text).unwrap();
-            assert_eq!(
-                captured.fields,
-                expected.fields,
-                "{}/{}: resumed run diverges from the committed golden fixture",
-                name,
-                driver.name()
-            );
+            lock_fixture(&name, scheme, seed, |workers| {
+                let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+                let options = RunOptions::new(scheme, workers);
+                let mut first = SolveCore::new(&sim, options);
+                first.step(&sim);
+                let ckpt = Checkpoint::from_bytes(&first.checkpoint().to_bytes()).unwrap();
+                let mut resumed = SolveCore::resume(&sim, options, &ckpt).unwrap();
+                while resumed.step(&sim) {}
+                resumed.finish()
+            });
         }
     }
 }
@@ -139,28 +118,33 @@ fn resumed_runs_match_committed_goldens() {
 /// Golden fixtures for the full store-backed restart path: a solve
 /// killed by an injected fault at the first census boundary, then
 /// resumed from disk by a second `run_with_checkpoints` call. One
-/// fixture per multistep config × driver; regenerate with
+/// fixture per multistep config × scheme; regenerate with
 /// `NEUTRAL_BLESS=1 cargo test -p neutral-integration --test restart`.
 #[test]
 fn restarted_golden_tallies_match_fixtures() {
-    let mut blessed = 0;
     for (case, steps, seed) in MULTISTEP_CONFIGS {
-        for driver in DriverKind::ALL {
+        for scheme in Scheme::ALL {
             let name = format!("restart_{}_t{}", case.name(), steps);
-            let (dir, store) = temp_store(&format!("golden_{}_{}", case.name(), driver.name()));
-            let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-            let options = driver.options(GOLDEN_WORKERS);
-            // Kill at the *last* boundary: the kill fires before that
-            // boundary's write, so the store holds the previous
-            // boundary's checkpoint and the second invocation performs a
-            // genuine from-disk resume of the final timestep.
-            let plan: FaultPlan = format!("kill@{steps}").parse().unwrap();
-            match run_with_checkpoints(&sim, options, &store, &plan).unwrap() {
-                SolveOutcome::Killed { after_step } => assert_eq!(after_step, steps),
-                SolveOutcome::Complete { .. } => panic!("kill must interrupt the solve"),
-            }
-            let report =
-                match run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap() {
+            lock_fixture(&name, scheme, seed, |workers| {
+                let (dir, store) = temp_store(&format!(
+                    "golden_{}_{}_{workers}",
+                    case.name(),
+                    scheme.name()
+                ));
+                let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+                let options = RunOptions::new(scheme, workers);
+                // Kill at the *last* boundary: the kill fires before that
+                // boundary's write, so the store holds the previous
+                // boundary's checkpoint and the second invocation performs
+                // a genuine from-disk resume of the final timestep.
+                let plan: FaultPlan = format!("kill@{steps}").parse().unwrap();
+                match run_with_checkpoints(&sim, options, &store, &plan).unwrap() {
+                    SolveOutcome::Killed { after_step } => assert_eq!(after_step, steps),
+                    SolveOutcome::Complete { .. } => panic!("kill must interrupt the solve"),
+                }
+                let outcome = run_with_checkpoints(&sim, options, &store, &FaultPlan::none());
+                let _ = std::fs::remove_dir_all(&dir);
+                match outcome.unwrap() {
                     SolveOutcome::Complete {
                         report,
                         resumed_from,
@@ -170,35 +154,9 @@ fn restarted_golden_tallies_match_fixtures() {
                         report
                     }
                     SolveOutcome::Killed { .. } => unreachable!("no faults planned"),
-                };
-            let _ = std::fs::remove_dir_all(&dir);
-
-            let captured = GoldenTally::capture(&name, driver.name(), seed, &report);
-            assert_dump_matches_reference(&name, &report);
-            let path = fixture_dir().join(format!("{}_{}.json", name, driver.name()));
-            if blessing() {
-                std::fs::create_dir_all(fixture_dir()).expect("create tests/golden");
-                std::fs::write(&path, captured.to_json()).expect("write fixture");
-                blessed += 1;
-                continue;
-            }
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "missing golden fixture {path:?} ({e}); run with NEUTRAL_BLESS=1 to generate"
-                )
+                }
             });
-            let expected = GoldenTally::from_json(&text).unwrap();
-            assert_eq!(
-                captured.fields,
-                expected.fields,
-                "{}/{}: restarted run diverges from golden fixture {path:?}",
-                name,
-                driver.name()
-            );
         }
-    }
-    if blessed > 0 {
-        println!("blessed {blessed} restart fixtures");
     }
 }
 
@@ -209,7 +167,7 @@ fn restarted_golden_tallies_match_fixtures() {
 fn kill_at_every_boundary_recovers_on_disk() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-        let options = DriverKind::OverEvents.options(2);
+        let options = RunOptions::new(Scheme::OverEvents, 2);
         let baseline = sim.run(options);
 
         for kill_at in 1..=steps {
@@ -250,7 +208,7 @@ fn kill_at_every_boundary_recovers_on_disk() {
 fn corrupted_checkpoints_recover_from_fallback() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
     let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-    let options = DriverKind::History.options(1);
+    let options = RunOptions::new(Scheme::OverParticles, 1);
     let baseline = sim.run(options);
 
     for (spec, expect_truncated) in [("torn@2,kill@2", true), ("bitflip@2,kill@2", false)] {
@@ -316,7 +274,7 @@ fn corrupted_checkpoints_recover_from_fallback() {
 fn length_field_bitflips_recover_from_fallback() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
     let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-    let options = DriverKind::History.options(1);
+    let options = RunOptions::new(Scheme::OverParticles, 1);
     let baseline = sim.run(options);
 
     for offset in 12..20 {
@@ -366,7 +324,7 @@ fn length_field_bitflips_recover_from_fallback() {
 fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[1]; // scatter, 2 timesteps
     let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-    let options = DriverKind::History.options(1);
+    let options = RunOptions::new(Scheme::OverParticles, 1);
     let (dir, store) = temp_store("hard_errors");
 
     // Interrupt after boundary 1 so the store holds a real checkpoint.
@@ -397,7 +355,7 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
         n_points: 30_000,
         seed: seed ^ 0xc5_0dd,
     }]);
-    let over_events = DriverKind::OverEvents.options(1);
+    let over_events = RunOptions::new(Scheme::OverEvents, 1);
     for (what, problem, options) in [
         ("density", denser, options),
         ("material kind", absorber, options),
@@ -467,7 +425,7 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
 fn completed_run_resumes_as_done() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[1];
     let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-    let options = DriverKind::History.options(1);
+    let options = RunOptions::new(Scheme::OverParticles, 1);
     let (dir, store) = temp_store("completed");
 
     let first = match run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap() {
@@ -497,7 +455,7 @@ fn completed_run_resumes_as_done() {
 fn checkpoint_preserves_tally_fingerprint() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
     let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
-    let mut solve = SolveCore::new(&sim, DriverKind::History.options(1));
+    let mut solve = SolveCore::new(&sim, RunOptions::new(Scheme::OverParticles, 1));
     solve.step(&sim);
     let ckpt = solve.checkpoint();
     let back = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();

@@ -1,51 +1,51 @@
 //! Multi-material scenario suite: the catalogue workloads must satisfy
-//! every invariant the paper's three cases do — cross-driver agreement,
+//! every invariant the paper's three cases do — cross-scheme agreement,
 //! worker-count bitwise determinism of the deterministic tally backend,
 //! and conservation accounting — plus the multi-material-specific ones
 //! (material switches observed, per-cell material resolution).
 
 use neutral_core::prelude::*;
 use neutral_core::validate::population_balance;
-use neutral_integration::{rel_diff, test_thread_counts, tiny_scenario_with_tally, DriverKind};
+use neutral_integration::{rel_diff, test_thread_counts, tiny_scenario_with_tally};
 
 /// The two catalogue workloads the heavy sweeps run on: the most
 /// streaming-like and the most collision-like of the new scenarios.
 const SWEEP_SCENARIOS: [Scenario; 2] = [Scenario::ShieldedSlab, Scenario::FuelLattice];
 
-/// Every driver family computes identical physics on every multi-material
+/// Both schemes compute identical physics on every multi-material
 /// scenario: identical integer counters (collisions, facets, material
 /// switches, ...) and tally totals within reassociation error.
 #[test]
 fn drivers_agree_on_multi_material_scenarios() {
     for scenario in Scenario::MULTI_MATERIAL {
         let sim = tiny_scenario_with_tally(scenario, 41, TallyStrategy::Replicated);
-        let base = sim.run(DriverKind::History.options(1));
+        let base = sim.run(RunOptions::new(Scheme::OverParticles, 1));
         assert!(base.counters.material_switches > 0, "{scenario:?}");
-        for driver in [DriverKind::OverParticles, DriverKind::OverEvents] {
-            let r = sim.run(driver.options(3));
+        for scheme in Scheme::ALL {
+            let r = sim.run(RunOptions::new(scheme, 3));
             assert_eq!(
                 r.counters.collisions, base.counters.collisions,
-                "{scenario:?}/{driver:?}"
+                "{scenario:?}/{scheme:?}"
             );
             assert_eq!(
                 r.counters.facets, base.counters.facets,
-                "{scenario:?}/{driver:?}"
+                "{scenario:?}/{scheme:?}"
             );
             assert_eq!(
                 r.counters.material_switches, base.counters.material_switches,
-                "{scenario:?}/{driver:?}"
+                "{scenario:?}/{scheme:?}"
             );
             assert_eq!(
                 r.counters.cs_lookups, base.counters.cs_lookups,
-                "{scenario:?}/{driver:?}"
+                "{scenario:?}/{scheme:?}"
             );
             assert_eq!(
                 r.counters.deaths, base.counters.deaths,
-                "{scenario:?}/{driver:?}"
+                "{scenario:?}/{scheme:?}"
             );
             assert!(
                 rel_diff(base.tally_total(), r.tally_total()) < 1e-9,
-                "{scenario:?}/{driver:?}: tally {} vs {}",
+                "{scenario:?}/{scheme:?}: tally {} vs {}",
                 base.tally_total(),
                 r.tally_total()
             );
@@ -55,25 +55,25 @@ fn drivers_agree_on_multi_material_scenarios() {
 
 /// The deterministic-merge invariant on multi-material workloads: for
 /// Replicated, merged tallies AND counters are bitwise identical for any
-/// worker count, for all four driver families.
+/// worker count, under both schemes.
 #[test]
 fn worker_count_invariance_on_scenarios() {
     for scenario in SWEEP_SCENARIOS {
-        for driver in DriverKind::ALL {
+        for scheme in Scheme::ALL {
             let sim = tiny_scenario_with_tally(scenario, 43, TallyStrategy::Replicated);
-            let base = sim.run(driver.options(1));
+            let base = sim.run(RunOptions::new(scheme, 1));
             for workers in test_thread_counts() {
-                let r = sim.run(driver.options(workers));
+                let r = sim.run(RunOptions::new(scheme, workers));
                 assert_eq!(
                     r.counters, base.counters,
-                    "{scenario:?}/{driver:?}/{workers} workers"
+                    "{scenario:?}/{scheme:?}/{workers} workers"
                 );
                 assert!(
                     r.tally
                         .iter()
                         .zip(&base.tally)
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{scenario:?}/{driver:?}/{workers} workers: merged tally bits differ"
+                    "{scenario:?}/{scheme:?}/{workers} workers: merged tally bits differ"
                 );
             }
         }
@@ -87,8 +87,8 @@ fn worker_count_invariance_on_scenarios() {
 fn deterministic_backends_agree_on_scenarios() {
     for scenario in Scenario::MULTI_MATERIAL {
         let sim = tiny_scenario_with_tally(scenario, 47, TallyStrategy::Replicated);
-        let a = sim.run(DriverKind::OverParticles.options(3));
-        let b = sim.run(DriverKind::OverParticles.options(5));
+        let a = sim.run(RunOptions::new(Scheme::OverParticles, 3));
+        let b = sim.run(RunOptions::new(Scheme::OverParticles, 5));
         assert_eq!(a.counters, b.counters, "{scenario:?}");
         assert!(
             a.tally
@@ -100,23 +100,23 @@ fn deterministic_backends_agree_on_scenarios() {
     }
 }
 
-/// Population accounting holds on every scenario, for every driver:
+/// Population accounting holds on every scenario, under both schemes:
 /// census + deaths + stuck == histories, and nothing gets stuck.
 #[test]
 fn population_conserved_on_scenarios() {
     for scenario in Scenario::MULTI_MATERIAL {
-        for driver in DriverKind::ALL {
+        for scheme in Scheme::ALL {
             let sim = tiny_scenario_with_tally(scenario, 53, TallyStrategy::Replicated);
             let n = sim.problem().n_particles as u64;
-            let r = sim.run(driver.options(2));
+            let r = sim.run(RunOptions::new(scheme, 2));
             assert!(
                 population_balance(n, &r.counters),
-                "{scenario:?}/{driver:?}: census {} + deaths {} + stuck {} != {n}",
+                "{scenario:?}/{scheme:?}: census {} + deaths {} + stuck {} != {n}",
                 r.counters.census,
                 r.counters.deaths,
                 r.counters.stuck
             );
-            assert_eq!(r.counters.stuck, 0, "{scenario:?}/{driver:?}");
+            assert_eq!(r.counters.stuck, 0, "{scenario:?}/{scheme:?}");
         }
     }
 }
@@ -130,7 +130,7 @@ fn energy_balance_on_scenarios() {
         let mut problem = scenario.build(ProblemScale::tiny(), 59);
         problem.transport.collision_model = CollisionModel::ImplicitCapture;
         problem.transport.tally_strategy = TallyStrategy::Replicated;
-        let r = Simulation::new(problem).run(DriverKind::History.options(1));
+        let r = Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, 1));
         let b = r.energy_balance();
         assert!(b.weak_invariants_hold(), "{scenario:?}: {b:?}");
         let defect = b.relative_defect();
@@ -150,7 +150,7 @@ fn lookup_strategies_agree_on_scenarios() {
             let mut problem = scenario.build(ProblemScale::tiny(), 61);
             problem.transport.xs_search = strategy;
             problem.transport.tally_strategy = TallyStrategy::Replicated;
-            Simulation::new(problem).run(DriverKind::OverParticles.options(2))
+            Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, 2))
         };
         let base = run_with(LookupStrategy::Hinted);
         for strategy in [LookupStrategy::Binary, LookupStrategy::Hashed] {

@@ -10,7 +10,7 @@
 use neutral_core::history::{track_to_census, TransportCtx};
 use neutral_core::particle::{spawn_particles, Particle};
 use neutral_core::prelude::*;
-use neutral_integration::{rel_diff, test_thread_counts, tiny, tiny_with_tally, DriverKind};
+use neutral_integration::{rel_diff, test_thread_counts, tiny, tiny_with_tally};
 use neutral_mesh::accum::DEFAULT_LANES;
 use neutral_mesh::{LanePartition, TallyAccum};
 use neutral_rng::Threefry2x64;
@@ -46,13 +46,7 @@ fn every_execution_mode_matches_sequential() {
         for seed in [3, 1777] {
             let reference = base(case, seed);
             let combos: Vec<(&str, RunOptions)> = vec![
-                (
-                    "rayon",
-                    RunOptions {
-                        execution: Execution::Rayon,
-                        ..Default::default()
-                    },
-                ),
+                ("default", RunOptions::default()),
                 (
                     "scheduled-static",
                     RunOptions {
@@ -81,10 +75,10 @@ fn every_execution_mode_matches_sequential() {
                     },
                 ),
                 (
-                    "over-events-rayon",
+                    "over-events-default",
                     RunOptions {
                         scheme: Scheme::OverEvents,
-                        execution: Execution::Rayon,
+                        ..Default::default()
                     },
                 ),
             ];
@@ -160,7 +154,7 @@ fn column_driver_matches_record_reference() {
             assert_eq!(counters.batched_lookups, 0);
             let sim = Simulation::new(problem);
             for workers in test_thread_counts() {
-                let r = sim.run(DriverKind::OverParticles.options(workers));
+                let r = sim.run(RunOptions::new(Scheme::OverParticles, workers));
                 let what = format!("{}/t{timesteps}/{workers}w", scenario.name());
                 assert_eq!(r.counters, counters, "{what}");
                 for (got, want) in [
@@ -186,7 +180,7 @@ fn per_cell_tallies_match_across_schemes() {
     let op = base(TestCase::Csp, 42);
     let oe = tiny(TestCase::Csp, 42).run(RunOptions {
         scheme: Scheme::OverEvents,
-        execution: Execution::Rayon,
+        ..Default::default()
     });
     let total = op.tally_total();
     let mut nonzero = 0;
@@ -200,22 +194,22 @@ fn per_cell_tallies_match_across_schemes() {
     assert!(nonzero > 10, "csp should light up many cells");
 }
 
-/// The tally-subsystem keystone: for every driver family and the
+/// The tally-subsystem keystone: for both schemes and the
 /// deterministic strategy, the merged tally is **bitwise identical** at
 /// worker counts {1, 2, 7} (plus `NEUTRAL_TEST_THREADS`), and identical
-/// to the same driver run sequentially. The atomic strategy reproduces
+/// to the same scheme run on one worker. The atomic strategy reproduces
 /// the same physics (integer counters exactly, per-cell tallies to
 /// floating-point reassociation error).
 #[test]
 fn tally_strategies_are_worker_count_equivalent() {
     let case = TestCase::Csp;
     let seed = 42;
-    for driver in DriverKind::ALL {
+    for scheme in Scheme::ALL {
         for strategy in TallyStrategy::ALL {
-            let reference = tiny_with_tally(case, seed, strategy).run(driver.options(1));
+            let reference = tiny_with_tally(case, seed, strategy).run(RunOptions::new(scheme, 1));
             for workers in test_thread_counts() {
-                let r = tiny_with_tally(case, seed, strategy).run(driver.options(workers));
-                let what = format!("{}/{}/{workers}w", driver.name(), strategy.name());
+                let r = tiny_with_tally(case, seed, strategy).run(RunOptions::new(scheme, workers));
+                let what = format!("{}/{}/{workers}w", scheme.name(), strategy.name());
                 assert_eq!(
                     r.counters.collisions, reference.counters.collisions,
                     "{what}"
@@ -250,25 +244,25 @@ fn tally_strategies_are_worker_count_equivalent() {
     }
 }
 
-/// The two strategies agree with each other per driver, to
+/// The two strategies agree with each other per scheme, to
 /// reassociation error.
 #[test]
 fn tally_strategies_agree_per_driver() {
-    for driver in DriverKind::ALL {
-        let replicated =
-            tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Replicated).run(driver.options(2));
-        let atomic =
-            tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Atomic).run(driver.options(2));
+    for scheme in Scheme::ALL {
+        let replicated = tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Replicated)
+            .run(RunOptions::new(scheme, 2));
+        let atomic = tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Atomic)
+            .run(RunOptions::new(scheme, 2));
         assert_eq!(
             atomic.counters.collisions,
             replicated.counters.collisions,
             "{}",
-            driver.name()
+            scheme.name()
         );
         assert!(
             rel_diff(atomic.tally_total(), replicated.tally_total()) < 1e-9,
             "{}: atomic total",
-            driver.name()
+            scheme.name()
         );
     }
 }

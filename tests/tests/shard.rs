@@ -1,13 +1,13 @@
 //! Sharded-solve verification (DESIGN.md §18): sharded runs must be
 //! **bitwise identical** to the unsharded run for any shard count,
-//! across every driver family and both deterministic tally strategies;
+//! under both schemes at one and two workers;
 //! every injected shard fault must either recover to the identical
 //! result via retry or fail with a named cause; and the retry path must
 //! work through the real on-disk per-shard checkpoint protocol.
 
 use neutral_core::particle::Particle;
 use neutral_core::prelude::*;
-use neutral_integration::{tiny_multistep, DriverKind, MULTISTEP_CONFIGS};
+use neutral_integration::{tiny_multistep, MULTISTEP_CONFIGS};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,9 +16,17 @@ use std::time::Duration;
 /// smallest real split, 5 = uneven lane division).
 const SHARD_COUNTS: [usize; 3] = [1, 2, 5];
 
-/// Worker count for the matrix (2 exercises real concurrency inside
-/// each shard attempt; any count yields the same bits).
+/// Worker count for the fault matrix (2 exercises real concurrency
+/// inside each shard attempt; any count yields the same bits).
 const WORKERS: usize = 2;
+
+/// Every (scheme, workers) pair of the scheme matrix: each scheme on the
+/// inline one-worker path and on [`WORKERS`].
+fn scheme_matrix() -> impl Iterator<Item = (Scheme, usize)> {
+    Scheme::ALL
+        .into_iter()
+        .flat_map(|scheme| [1, WORKERS].map(|workers| (scheme, workers)))
+}
 
 fn tally_bits(tally: &[f64]) -> Vec<u64> {
     tally.iter().map(|v| v.to_bits()).collect()
@@ -68,16 +76,16 @@ fn run_sharded(
     Ok((solve.finish(), particles, stats))
 }
 
-/// The tentpole claim: for every multistep config × driver family, under
-/// the deterministic tally strategy, a solve sharded {1, 2, 5} ways produces
+/// The tentpole claim: for every multistep config × scheme × workers,
+/// under the deterministic tally strategy, a solve sharded {1, 2, 5} ways produces
 /// tallies, counters, alive counts and final particle records bitwise
 /// identical to the unsharded run.
 #[test]
 fn sharded_is_bitwise_identical_to_unsharded() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
-        for driver in DriverKind::ALL {
+        for (scheme, workers) in scheme_matrix() {
             let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
-            let options = driver.options(WORKERS);
+            let options = RunOptions::new(scheme, workers);
 
             let mut base = SolveCore::new(&sim, options);
             while base.step(&sim) {}
@@ -85,7 +93,7 @@ fn sharded_is_bitwise_identical_to_unsharded() {
             let base_report = base.finish();
 
             for n_shards in SHARD_COUNTS {
-                let label = format!("{case:?}/{} shards={n_shards}", driver.name());
+                let label = format!("{case:?}/{}/{workers}w shards={n_shards}", scheme.name());
                 let (report, particles, _) = run_sharded(&sim, options, fast_config(n_shards))
                     .unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_reports_bitwise(&report, &base_report, &label);
@@ -105,7 +113,7 @@ fn sharded_is_bitwise_identical_to_unsharded() {
 fn every_injected_fault_recovers_identically() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
     let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
-    let options = DriverKind::OverParticles.options(WORKERS);
+    let options = RunOptions::new(Scheme::OverParticles, WORKERS);
     let (clean_report, clean_particles, clean_stats) =
         run_sharded(&sim, options, fast_config(2)).expect("clean run");
     assert_eq!(clean_stats.retries, 0);
@@ -131,7 +139,7 @@ fn every_injected_fault_recovers_identically() {
 fn persistent_faults_quarantine_with_named_cause() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
     let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
-    let options = DriverKind::OverParticles.options(WORKERS);
+    let options = RunOptions::new(Scheme::OverParticles, WORKERS);
 
     for (kind, needle) in [
         ("kill", "died"),
@@ -181,7 +189,7 @@ fn checkpoint_backed_retry_recovers_bitwise() {
 
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
     let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
-    let options = DriverKind::OverEvents.options(WORKERS);
+    let options = RunOptions::new(Scheme::OverEvents, WORKERS);
     let (clean_report, clean_particles, _) =
         run_sharded(&sim, options, fast_config(2)).expect("clean run");
 
@@ -213,7 +221,7 @@ fn checkpoint_backed_retry_recovers_bitwise() {
 fn sharded_checkpoint_matches_unsharded_checkpoint() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
     let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
-    let options = DriverKind::OverParticles.options(WORKERS);
+    let options = RunOptions::new(Scheme::OverParticles, WORKERS);
 
     let mut base = SolveCore::new(&sim, options);
     assert!(base.step(&sim));
@@ -255,27 +263,28 @@ fn sharded_checkpoint_matches_unsharded_checkpoint() {
 /// the `SolveCore`'s at every census boundary.
 #[test]
 fn one_plain_shard_is_the_unsharded_solve() {
-    for driver in DriverKind::ALL {
+    for (scheme, workers) in scheme_matrix() {
         let (case, steps, seed) = MULTISTEP_CONFIGS[0];
         let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
-        let options = driver.options(WORKERS);
+        let options = RunOptions::new(scheme, workers);
+        let what = format!("{}/{workers}w", scheme.name());
         let mut core = SolveCore::new(&sim, options);
         let mut sharded = ShardedSolve::new(&sim, options, fast_config(1));
         loop {
             let more = core.step(&sim);
-            assert_eq!(sharded.step(&sim).expect("step"), more, "{}", driver.name());
+            assert_eq!(sharded.step(&sim).expect("step"), more, "{what}");
             if !more {
                 break;
             }
             let (mut a, mut b) = (core.checkpoint(), sharded.checkpoint());
             a.elapsed = Duration::ZERO;
             b.elapsed = Duration::ZERO;
-            assert_eq!(a.particles, b.particles, "{}: records", driver.name());
-            assert_eq!(a.to_bytes(), b.to_bytes(), "{}: checkpoint", driver.name());
+            assert_eq!(a.particles, b.particles, "{what}: records");
+            assert_eq!(a.to_bytes(), b.to_bytes(), "{what}: checkpoint");
         }
         assert_eq!(sharded.stats(), ShardStats::default(), "nothing supervised");
         let (a, b) = (core.finish(), sharded.finish());
-        assert_reports_bitwise(&a, &b, driver.name());
+        assert_reports_bitwise(&a, &b, &what);
         assert_eq!(a.tally_footprint_bytes, b.tally_footprint_bytes);
         assert_eq!(a.kernel_timings.is_some(), b.kernel_timings.is_some());
     }
@@ -294,15 +303,11 @@ fn all_dead_step_agrees_on_energy_bits() {
     problem.n_timesteps = ALL_DEAD_STEPS;
     problem.transport.tally_strategy = TallyStrategy::Replicated;
     let sim = Arc::new(Simulation::new(problem));
-    for driver in DriverKind::ALL {
-        let options = driver.options(WORKERS);
+    for (scheme, workers) in scheme_matrix() {
+        let options = RunOptions::new(scheme, workers);
+        let what = format!("{}/{workers}w", scheme.name());
         let fused = sim.run(options);
-        assert_eq!(
-            fused.alive,
-            0,
-            "{}: fixture must kill everyone",
-            driver.name()
-        );
+        assert_eq!(fused.alive, 0, "{what}: fixture must kill everyone");
         let (sharded, _, _) = run_sharded(&sim, options, fast_config(2)).expect("sharded");
         for (name, a, b) in [
             (
@@ -316,18 +321,12 @@ fn all_dead_step_agrees_on_energy_bits() {
                 sharded.counters.lost_energy_ev,
             ),
         ] {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{}: {name} {a:?} vs {b:?}",
-                driver.name()
-            );
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: {name} {a:?} vs {b:?}");
         }
         assert_eq!(
             fused.counters.census_energy_ev.to_bits(),
             (-0.0f64).to_bits(),
-            "{}: an empty fold is -0.0",
-            driver.name()
+            "{what}: an empty fold is -0.0"
         );
     }
 }
