@@ -1,6 +1,6 @@
 //! Tally update costs (§V-C, §VI-F, §VII-A): the atomic CAS-loop add —
 //! uncontended, contended, and the privatised plain-store alternative —
-//! plus the pluggable accumulator backends' deposit and merge costs.
+//! plus the accumulator backends' deposit and fold costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neutral_mesh::tally::{AtomicTally, PrivatizedTally, SequentialTally};
@@ -87,19 +87,19 @@ fn bench_tally(c: &mut Criterion) {
         });
     }
 
-    // Deterministic pairwise merge over 16 populated lanes — the
-    // "compression" pass the replicated strategy pays once per timestep.
-    group.bench_function("accum_merge_16_lanes_replicated", |b| {
-        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, 16);
-        {
-            let mut views = accum.lane_views();
-            for (l, view) in views.iter_mut().enumerate() {
+    // The replicated strategy's whole step: 16 lanes opened, populated
+    // and closed in order, each folded up the pairwise tree as it closes.
+    group.bench_function("accum_fold_16_lanes_replicated", |b| {
+        b.iter(|| {
+            let accum = TallyAccum::new(TallyStrategy::Replicated, cells, 16);
+            for l in accum.lanes() {
+                let mut view = accum.open(l);
                 for k in 0..1024usize {
                     view.add((l * 4099 + k * 97) & (cells - 1), 1.0);
                 }
             }
-        }
-        b.iter(|| black_box(accum.merge()));
+            black_box(accum.merge())
+        });
     });
 
     group.finish();

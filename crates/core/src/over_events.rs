@@ -319,8 +319,8 @@ struct Window<'a, 'p> {
 /// The Over-Events lane kernel — the body [`crate::step::run_lanes`]
 /// runs once per lane: take the lane `chunk` to census through the
 /// breadth-first kernels, draining its pending deposits through its own
-/// lane `sink` (left lazy, not [claimed](LaneSink::claim): see that
-/// method's doc), on the calling worker's `scratch`. Returns the lane's
+/// lane `sink` (opened — zero-filled — on the calling worker, as for Over
+/// Particles), on the calling worker's `scratch`. Returns the lane's
 /// raw counters and the busy time of each kernel; census energy is left
 /// to the caller's fold.
 ///
@@ -856,7 +856,7 @@ mod tests {
     fn run_lanes_with(
         soa: &mut ParticleSoA,
         c: &TransportCtx<'_, Threefry2x64>,
-        accum: &mut TallyAccum,
+        accum: &TallyAccum,
         workers: usize,
         schedule: Schedule,
     ) -> (Vec<EventCounters>, KernelTimings) {
@@ -871,7 +871,7 @@ mod tests {
     fn run_rounds(
         soa: &mut ParticleSoA,
         c: &TransportCtx<'_, Threefry2x64>,
-        accum: &mut TallyAccum,
+        accum: &TallyAccum,
         workers: usize,
     ) -> (EventCounters, KernelTimings) {
         let (partials, timings) =
@@ -879,7 +879,7 @@ mod tests {
         (EventCounters::merge_deterministic(&partials), timings)
     }
 
-    fn tally_bits(accum: &TallyAccum) -> Vec<u64> {
+    fn tally_bits(accum: TallyAccum) -> Vec<u64> {
         accum.merge().iter().map(|v| v.to_bits()).collect()
     }
 
@@ -1034,10 +1034,10 @@ mod tests {
 
         let run = |particles: &[crate::particle::Particle]| {
             // One lane = one window over the whole population.
-            let mut accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 1);
+            let accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 1);
             let mut soa = ParticleSoA::from_aos(particles);
-            let (counters, _t) = run_rounds(&mut soa, &c, &mut accum, 1);
-            (counters, tally_bits(&accum), soa.to_aos())
+            let (counters, _t) = run_rounds(&mut soa, &c, &accum, 1);
+            (counters, tally_bits(accum), soa.to_aos())
         };
         let (c_full, t_full, p_full) = run(&base);
         let (c_cut, t_cut, p_cut) = run(&base[..bound]);
@@ -1061,8 +1061,8 @@ mod tests {
 
             for (sink, workers) in [(SINKS[0], 1), (SINKS[0], 4), (SINKS[1], 1), (SINKS[1], 4)] {
                 let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-                let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-                let (oe_counters, _t) = run_rounds(&mut oe_soa, &c, &mut accum, workers);
+                let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+                let (oe_counters, _t) = run_rounds(&mut oe_soa, &c, &accum, workers);
                 assert_eq!(
                     op_particles,
                     oe_soa.to_aos(),
@@ -1096,8 +1096,8 @@ mod tests {
         let total = op_tally.total();
         for sink in SINKS {
             let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-            let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            run_rounds(&mut oe_soa, &c, &mut accum, 1);
+            let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+            run_rounds(&mut oe_soa, &c, &accum, 1);
             for (i, (a, b)) in op_tally.values().iter().zip(accum.merge()).enumerate() {
                 let scale = a.abs().max(total * 1e-12).max(1e-30);
                 assert!(
@@ -1114,8 +1114,8 @@ mod tests {
         let c = ctx(&problem, &rng);
         for sink in SINKS {
             let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-            let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            let (_counters, t) = run_rounds(&mut particles, &c, &mut accum, 1);
+            let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+            let (_counters, t) = run_rounds(&mut particles, &c, &accum, 1);
             assert!(t.rounds > 1, "{sink:?}");
             assert!(t.total() > Duration::ZERO, "{sink:?}");
             let f = t.tally_fraction();
@@ -1130,8 +1130,8 @@ mod tests {
         let c = ctx(&problem, &rng);
         for sink in SINKS {
             let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-            let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            let (counters, _) = run_rounds(&mut particles, &c, &mut accum, 2);
+            let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+            let (counters, _) = run_rounds(&mut particles, &c, &accum, 2);
             assert!(counters.stuck > 0, "{sink:?}");
             assert!(particles
                 .to_aos()
@@ -1152,19 +1152,20 @@ mod tests {
         for sink in SINKS {
             let run = |reuse: bool| {
                 let mut soa = ParticleSoA::from_aos(&particles);
-                let mut accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+                let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
                 let mut carried = EventScratch::default();
                 let mut counters = Vec::new();
                 let lanes = soa
                     .chunks_mut(soa.len().div_ceil(16))
                     .into_iter()
-                    .zip(accum.lane_views());
-                for (mut chunk, mut view) in lanes {
+                    .zip(accum.lanes());
+                for (mut chunk, lane) in lanes {
+                    let mut view = accum.open(lane);
                     let mut fresh = EventScratch::default();
                     let scratch = if reuse { &mut carried } else { &mut fresh };
                     counters.push(run_event_lane(scratch, &mut chunk, &mut view, &c).0);
                 }
-                (counters, tally_bits(&accum), soa.to_aos())
+                (counters, tally_bits(accum), soa.to_aos())
             };
             let (counters, tally, records) = run(true);
             assert!(
@@ -1186,10 +1187,10 @@ mod tests {
             let c = ctx(&problem, &rng);
             let run = |lanes: usize, workers: usize, schedule: Schedule| {
                 let mut soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-                let mut accum =
+                let accum =
                     TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), lanes);
-                let (counters, t) = run_lanes_with(&mut soa, &c, &mut accum, workers, schedule);
-                ((counters, tally_bits(&accum), soa.to_aos()), t.rounds)
+                let (counters, t) = run_lanes_with(&mut soa, &c, &accum, workers, schedule);
+                ((counters, tally_bits(accum), soa.to_aos()), t.rounds)
             };
             let (base, rounds) = run(16, 1, Schedule::Static { chunk: None });
             let (_, whole_population_rounds) = run(1, 1, Schedule::Static { chunk: None });
@@ -1218,14 +1219,9 @@ mod tests {
         let (problem, rng, particles) = uneven_lanes();
         let c = ctx(&problem, &rng);
         let mut soa = ParticleSoA::from_aos(&particles);
-        let mut accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 16);
-        let (counters, t) = run_lanes_with(
-            &mut soa,
-            &c,
-            &mut accum,
-            2,
-            Schedule::Guided { min_chunk: 1 },
-        );
+        let accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 16);
+        let (counters, t) =
+            run_lanes_with(&mut soa, &c, &accum, 2, Schedule::Guided { min_chunk: 1 });
         let stuck: Vec<u64> = counters.iter().map(|c| c.stuck).collect();
         assert_eq!(stuck, PARENT_STUCK_PER_LANE);
         assert_eq!(t.rounds, 7, "the deepest lane stopped at the cap");

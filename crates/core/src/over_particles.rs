@@ -110,16 +110,15 @@ pub fn run_scheduled<R: CbRng>(
 }
 
 /// The Over-Particles lane kernel — the body [`crate::step::run_lanes`]
-/// runs once per lane: the tracking worker [claims](LaneSink::claim) the
-/// lane's sink, then every live history of `chunk` is `load`ed, tracked to
-/// census and `store`d back in storage order — which is key order.
-/// Returns the lane's raw counters.
+/// runs once per lane, into the lane's sink the tracking worker opened:
+/// every live history of `chunk` is `load`ed, tracked to census and
+/// `store`d back in storage order — which is key order. Returns the
+/// lane's raw counters.
 pub(crate) fn track_lane<R: CbRng>(
     chunk: &mut SoAChunkMut<'_>,
     sink: &mut LaneSink<'_>,
     ctx: &TransportCtx<'_, R>,
 ) -> EventCounters {
-    sink.claim();
     // Counted on the worker's stack and written back once: the
     // lane states sit side by side in one `Vec`, and a counter
     // bumped there on every event shares a cache line with the
@@ -186,11 +185,10 @@ mod tests {
             // Lane driver over the columns, shared atomic sink.
             let mut lane_soa = ParticleSoA::from_aos(&spawn_particles(&fx.problem));
             let part = LanePartition::new(lane_soa.len(), 16);
-            let mut accum =
-                TallyAccum::new(neutral_mesh::TallyStrategy::Atomic, cells, part.n_lanes);
+            let accum = TallyAccum::new(neutral_mesh::TallyStrategy::Atomic, cells, part.n_lanes);
             let config = (Scheme::OverParticles, 4, Schedule::Dynamic { chunk: 1 });
             let lane_counters = EventCounters::merge_deterministic(
-                &run_step_scheduled(&mut lane_soa, &fx.ctx(), config, part, &mut accum).0,
+                &run_step_scheduled(&mut lane_soa, &fx.ctx(), config, part, &accum).0,
             );
             assert_eq!(
                 seq_particles,
@@ -280,37 +278,29 @@ mod tests {
         use neutral_mesh::TallyStrategy;
         let fx = Fixture::new(TestCase::Csp);
         let cells = fx.problem.mesh.num_cells();
-        // `dirty` starts the driver from an accumulator whose lanes
-        // already hold deposits: claiming a lane must wipe them.
-        let run = |strategy: TallyStrategy, threads: usize, schedule: Schedule, dirty: bool| {
+        // Above one lane the fold hands recycled, dirty meshes to the
+        // lanes opened after the first merge: opening must wipe them.
+        let run = |strategy: TallyStrategy, threads: usize, schedule: Schedule| {
             let mut soa = ParticleSoA::from_aos(&spawn_particles(&fx.problem));
             let part = LanePartition::new(soa.len(), 16);
-            let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
-            if dirty {
-                for (l, mut view) in accum.lane_views().into_iter().enumerate() {
-                    for cell in 0..cells {
-                        view.add(cell, 1.0e9 * (1 + l + cell) as f64);
-                    }
-                }
-            }
+            let accum =
+                TallyAccum::for_lanes(strategy, cells, part.n_lanes, 0..part.n_lanes, threads);
             let config = (Scheme::OverParticles, threads, schedule);
             let counters = EventCounters::merge_deterministic(
-                &run_step_scheduled(&mut soa, &fx.ctx(), config, part, &mut accum).0,
+                &run_step_scheduled(&mut soa, &fx.ctx(), config, part, &accum).0,
             );
-            (accum.merge_with(threads), counters, soa.to_aos())
+            (accum.merge(), counters, soa.to_aos())
         };
         let strategy = TallyStrategy::Replicated;
         let (base_tally, base_counters, base_particles) =
-            run(strategy, 1, Schedule::Static { chunk: None }, false);
-        for (threads, schedule, dirty) in [
-            (2, Schedule::Dynamic { chunk: 64 }, false),
-            (7, Schedule::Guided { min_chunk: 2 }, false),
-            (4, Schedule::Static { chunk: Some(8) }, false),
-            (1, Schedule::Static { chunk: None }, true),
-            (2, Schedule::Dynamic { chunk: 64 }, true),
-            (7, Schedule::Guided { min_chunk: 2 }, true),
+            run(strategy, 1, Schedule::Static { chunk: None });
+        for (threads, schedule) in [
+            (2, Schedule::Dynamic { chunk: 64 }),
+            (7, Schedule::Guided { min_chunk: 2 }),
+            (4, Schedule::Static { chunk: Some(8) }),
+            (2, Schedule::Dynamic { chunk: 1 }),
         ] {
-            let (tally, counters, particles) = run(strategy, threads, schedule, dirty);
+            let (tally, counters, particles) = run(strategy, threads, schedule);
             assert_eq!(particles, base_particles, "{threads}");
             assert_eq!(counters, base_counters, "{threads}");
             assert!(
@@ -318,22 +308,16 @@ mod tests {
                     .iter()
                     .zip(&base_tally)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{threads}/dirty={dirty}: merged tally bits differ"
+                "{threads}/{schedule:?}: merged tally bits differ"
             );
         }
         // The atomic backend computes the same physics (same deposit
         // multiset), just without the bitwise guarantee.
-        let (atomic, counters, _) = run(
-            TallyStrategy::Atomic,
-            7,
-            Schedule::Dynamic { chunk: 8 },
-            false,
-        );
+        let (atomic, counters, _) = run(TallyStrategy::Atomic, 7, Schedule::Dynamic { chunk: 8 });
         let (replicated, base_counters, _) = run(
             TallyStrategy::Replicated,
             1,
             Schedule::Static { chunk: None },
-            false,
         );
         assert_eq!(counters.collisions, base_counters.collisions);
         for (a, b) in atomic.iter().zip(&replicated) {

@@ -17,12 +17,12 @@
 //! What crosses the wire is a **node of the global merge tree**, not a
 //! lane. The pairwise tree over lanes `[lo, hi)` splits at
 //! `lo + (hi - lo) / 2`, so a subtree's shape depends only on how many
-//! lanes it spans: an attempt that owns global lanes `[a, b)` reduces
-//! them — with [`merge_lanes_pairwise`], the function an unsharded merge
-//! runs — into the canonical cover of `[a, b)` by nodes of the tree over
-//! all lanes ([`tree_cover`]: one node per shard at 2/4/8 shards over 32
-//! lanes, `[0, 10)` = `[0, 8)` + `[8, 10)`), and the coordinator finishes
-//! the same tree above those nodes ([`merge_nodes_pairwise`]). No bit
+//! lanes it spans: an attempt that owns global lanes `[a, b)` folds them
+//! as they close — the fold an unsharded step runs, stopped lower — into
+//! the canonical cover of `[a, b)` by nodes of the tree over all lanes
+//! ([`tree_cover`]: one node per shard at 2/4/8 shards over 32 lanes,
+//! `[0, 10)` = `[0, 8)` + `[8, 10)`), and the coordinator finishes the
+//! same tree above those nodes ([`merge_nodes_pairwise`]). No bit
 //! changes; a 16-lane shard encodes, checksums and decodes one mesh
 //! instead of sixteen.
 //!
@@ -46,7 +46,7 @@ use crate::particle::{first_out_of_key_order, Particle};
 use crate::sim::{RunOptions, RunReport, Simulation, SolveCore};
 use crate::soa::ParticleSoA;
 use crate::step::{begin_step, execution_workers, run_step};
-use neutral_mesh::accum::{merge_lanes_pairwise, merge_nodes_pairwise, tree_cover, DEFAULT_LANES};
+use neutral_mesh::accum::{merge_nodes_pairwise, tree_cover, DEFAULT_LANES};
 use neutral_mesh::{LanePartition, TallyAccum};
 use std::fmt;
 use std::ops::Range;
@@ -597,21 +597,18 @@ struct AttemptTask {
     part: LanePartition,
     /// Global particle index of the range's first particle.
     base0: usize,
-    /// The attempt's tally sink, one lane per lane of `part` — allocated
-    /// by the supervisor, not on the attempt thread. The lane meshes are
-    /// the bulk of a step's memory: on the coordinator's heap the decoded
-    /// result reuses the space the attempt freed before it reported,
-    /// whereas a thread about to exit would hold them in its own
-    /// allocator arena, which returns or keeps freed memory depending on
-    /// how thread exits interleave — peak RSS then differs by a shard's
-    /// lanes from one run to the next (DESIGN.md §11).
+    /// The attempt's tally: a fold over the shard's global lanes that
+    /// stops at their cover nodes — the nodes it ships — with its mesh
+    /// pool allocated by the supervisor, not on the attempt thread. The
+    /// meshes are the bulk of a step's memory: on the coordinator's heap
+    /// the decoded result reuses the space the attempt freed before it
+    /// reported, whereas a thread about to exit would hold them in its
+    /// own allocator arena, which returns or keeps freed memory depending
+    /// on how thread exits interleave — peak RSS then differs by a
+    /// shard's meshes from one run to the next (DESIGN.md §11).
     accum: TallyAccum,
-    /// The merge-tree nodes the attempt ships — the canonical cover of
-    /// the shard's global lanes — each with the mesh its lanes reduce
-    /// into, allocated by the supervisor for the same reason.
-    nodes: Vec<TallyNode>,
     /// The buffer the result is serialized into, sized for it by the
-    /// supervisor — once more for that reason. At one mesh per node it is
+    /// supervisor — for the same reason. At one mesh per node it is
     /// small enough that the allocator would carve it from the attempt
     /// thread's arena, where the coordinator frees it after the thread
     /// is gone (`csp_t3_durable` peak RSS then read 167, 173 or 178 MB
@@ -621,9 +618,10 @@ struct AttemptTask {
 }
 
 /// One stateless shard attempt: the step engine's `begin_step` +
-/// `run_step` over the shard's column range, the reduction of its lanes
-/// to the tree nodes it ships, then serialization. Pure function of its
-/// inputs — re-running it reproduces the same bytes.
+/// `run_step` over the shard's column range, which folds its lanes into
+/// the tree nodes it ships, then serialization. Pure function of its
+/// inputs — re-running it reproduces the same bytes (the `footprint`
+/// diagnostic aside, above one worker).
 fn run_attempt(task: AttemptTask) -> Vec<u8> {
     let AttemptTask {
         sim,
@@ -633,8 +631,7 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
         shard,
         part,
         base0,
-        mut accum,
-        mut nodes,
+        accum,
         wire,
         heartbeat,
     } = task;
@@ -643,32 +640,20 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
     begin_step(&mut soa, problem.dt, step);
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
-    let (mut lane_counters, _timings) = run_step(&mut soa, &sim.ctx(), options, part, &mut accum);
+    let (mut lane_counters, _timings) = run_step(&mut soa, &sim.ctx(), options, part, &accum);
     // Empty populations can yield fewer (or one placeholder) counter
     // slots; normalize to exactly one per owned lane.
     lane_counters.resize(part.n_lanes, EventCounters::default());
     heartbeat.fetch_add(1, Ordering::Relaxed);
 
-    let footprint = accum.footprint_bytes() as u64;
-    // Each node is the subtree over its own lanes, whose shape depends
-    // only on their count: reduce them as the leaves of a tree of their
-    // own and the bits are the global tree's for that node.
-    let lanes = accum.into_lane_partials();
-    let first_lane = nodes.first().map_or(0, |(node, _)| node.start);
-    let (workers, _) = execution_workers(options.execution);
-    for (node, mesh) in &mut nodes {
-        let owned = &lanes[node.start - first_lane..node.end - first_lane];
-        merge_lanes_pairwise(owned, mesh, workers);
-    }
-    drop(lanes);
     let result = ShardResult {
         shard: shard as u64,
         step: step as u64,
         base0: base0 as u64,
         cells: cells as u64,
-        footprint,
+        footprint: accum.footprint_bytes() as u64,
         lane_counters,
-        nodes,
+        nodes: accum.into_nodes(),
         particles: soa.to_aos(),
     };
     let bytes = result.to_bytes(wire);
@@ -804,7 +789,13 @@ impl ShardedSolve {
         let cells = sim.problem().mesh.num_cells();
         let (workers, _) = execution_workers(self.core.options().execution);
         let merged = merge_shard_nodes(&results, cells, workers);
-        let footprint = results.iter().map(|r| r.footprint as usize).sum();
+        // The attempts ran one after another: the step's high-water is
+        // the largest of theirs, not their sum.
+        let footprint = results
+            .iter()
+            .map(|r| r.footprint as usize)
+            .max()
+            .unwrap_or(0);
         self.core.store_records(
             results
                 .iter()
@@ -932,7 +923,7 @@ impl ShardedSolve {
     }
 
     /// Everything an attempt of `shard` over the columns `soa` needs,
-    /// with its bulk storage — lanes, shipped nodes, wire buffer —
+    /// with its bulk storage — the fold's mesh pool, the wire buffer —
     /// allocated here, on the supervisor's thread (see
     /// [`AttemptTask::accum`]).
     fn attempt_task(&self, sim: &Arc<Simulation>, shard: usize, soa: ParticleSoA) -> AttemptTask {
@@ -944,21 +935,25 @@ impl ShardedSolve {
             lane_size: self.plan.part.lane_size,
             n_lanes: lanes.len(),
         };
-        let nodes: Vec<TallyNode> = tree_cover(self.plan.part.n_lanes, lanes)
-            .into_iter()
-            .map(|node| (node, vec![0.0; cells]))
-            .collect();
-        let wire_len = ShardResult::wire_len(part.n_lanes, nodes.len(), cells, soa.len());
+        let n_nodes = tree_cover(self.plan.part.n_lanes, lanes.clone()).len();
+        let wire_len = ShardResult::wire_len(part.n_lanes, n_nodes, cells, soa.len());
+        let options = self.core.options();
+        let (workers, _) = execution_workers(options.execution);
         AttemptTask {
             sim: Arc::clone(sim),
-            options: self.core.options(),
+            options,
             part,
             soa,
             step: self.core.steps_done(),
             shard,
             base0: self.plan.particle_range(shard).start,
-            accum: TallyAccum::new(problem.transport.tally_strategy, cells, part.n_lanes.max(1)),
-            nodes,
+            accum: TallyAccum::for_lanes(
+                problem.transport.tally_strategy,
+                cells,
+                self.plan.part.n_lanes,
+                lanes,
+                workers,
+            ),
             wire: Vec::with_capacity(wire_len),
             heartbeat: Arc::new(AtomicU64::new(0)),
         }
@@ -1098,8 +1093,7 @@ impl ShardedSolve {
 /// The step's merged mesh from the shards' decoded tree nodes. Shard
 /// order is global lane order, so the borrowed nodes, concatenated, tile
 /// the whole lane space — and the merge that finishes the tree above
-/// them is the very function an unsharded [`TallyAccum::merge`] runs
-/// over leaves.
+/// them computes the root an unsharded step's fold ends in.
 fn merge_shard_nodes(results: &[ShardResult], cells: usize, workers: usize) -> Vec<f64> {
     let nodes: Vec<(Range<usize>, &[f64])> = results
         .iter()
@@ -1263,42 +1257,46 @@ mod tests {
     }
 
     /// The coordinator's merge over nodes that crossed the wire is the
-    /// unsharded merge: cut one accumulator's lanes into 1, 2, 3, 5 and 7
-    /// shards, reduce each shard's lanes to its cover nodes as an attempt
-    /// does, round-trip each result through the codec, and the replay
-    /// must land on `TallyAccum::merge`'s bits for any worker count.
+    /// unsharded fold: deposit the same lane sequences into one
+    /// whole-tree accumulator and — cut into 1, 2, 3, 5 and 7 shards —
+    /// into one accumulator over each shard's lanes, as an attempt does;
+    /// round-trip each shard's nodes through the codec, and the replay
+    /// must land on the whole tree's root bits for any worker count.
     #[test]
     fn coordinator_merge_over_decoded_nodes_equals_unsharded_merge() {
         use neutral_mesh::TallyStrategy;
         let (cells, n_items) = (5000, 1000);
         let part = LanePartition::new(n_items, DEFAULT_LANES);
-        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, part.n_lanes);
-        for (l, mut view) in accum.lane_views().into_iter().enumerate() {
-            for i in 0..400 {
-                let cell = (l * 613 + i * 37) % cells;
-                view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
+        let deposit = |accum: &TallyAccum| {
+            for l in accum.lanes() {
+                let mut view = accum.open(l);
+                for i in 0..400 {
+                    let cell = (l * 613 + i * 37) % cells;
+                    view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
+                }
             }
-        }
-        let expect = accum.merge();
-        let lanes = accum.into_lane_partials();
+        };
+        let whole = TallyAccum::new(TallyStrategy::Replicated, cells, part.n_lanes);
+        deposit(&whole);
+        let expect = whole.merge();
         for n_shards in [1usize, 2, 3, 5, 7] {
             let plan = ShardPlan::new(n_items, n_shards);
             let results: Vec<ShardResult> = (0..n_shards)
                 .map(|shard| {
                     let owned = plan.lane_range(shard);
-                    let nodes = tree_cover(part.n_lanes, owned.clone())
-                        .into_iter()
-                        .map(|node| {
-                            let mut mesh = vec![0.0; cells];
-                            merge_lanes_pairwise(&lanes[node.clone()], &mut mesh, 2);
-                            (node, mesh)
-                        })
-                        .collect();
+                    let accum = TallyAccum::for_lanes(
+                        TallyStrategy::Replicated,
+                        cells,
+                        part.n_lanes,
+                        owned.clone(),
+                        2,
+                    );
+                    deposit(&accum);
                     let sent = ShardResult {
                         shard: shard as u64,
                         cells: cells as u64,
                         lane_counters: vec![EventCounters::default(); owned.len()],
-                        nodes,
+                        nodes: accum.into_nodes(),
                         particles: Vec::new(),
                         ..sample_result()
                     };

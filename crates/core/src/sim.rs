@@ -119,8 +119,11 @@ pub struct RunReport {
     pub alive: usize,
     /// Total source energy (weighted eV).
     pub initial_energy_ev: f64,
-    /// Tally memory footprint in bytes (every lane mesh of the
-    /// replicated strategy included — the §VI-F blow-up).
+    /// Tally memory footprint of the last timestep in bytes: the shared
+    /// mesh under `atomic`; under `replicated` the most lane meshes that
+    /// were open or parked in its fold at once (⌈log₂ lanes⌉ + 1 on one
+    /// worker). A measured diagnostic like `elapsed`: above one worker it
+    /// depends on the order the lanes finished in.
     pub tally_footprint_bytes: usize,
     /// Timesteps executed.
     pub timesteps: usize,
@@ -439,26 +442,32 @@ impl SolveCore {
         // The lane count is fixed (never derived from the worker count),
         // so the merge order — and therefore the merged bits — are the
         // same for ANY number of workers; workers beyond the lane count
-        // simply find no lane to claim (see neutral_mesh::accum).
+        // simply find no lane to take (see neutral_mesh::accum).
         let part = LanePartition::new(self.soa.len(), DEFAULT_LANES);
         begin_step(&mut self.soa, sim.problem.dt, self.step);
-        let mut accum = TallyAccum::new(ctx.cfg.tally_strategy, self.tally.len(), part.n_lanes);
-        let (lane_counters, timings) =
-            run_step(&mut self.soa, &ctx, self.options, part, &mut accum);
-        let footprint = accum.footprint_bytes();
         let (workers, _) = execution_workers(self.options.execution);
-        let merged = accum.merge_with(workers);
-        self.fold_step(&lane_counters, &merged, footprint, timings, started);
+        let accum = TallyAccum::for_lanes(
+            ctx.cfg.tally_strategy,
+            self.tally.len(),
+            part.n_lanes,
+            0..part.n_lanes,
+            workers,
+        );
+        let (lane_counters, timings) = run_step(&mut self.soa, &ctx, self.options, part, &accum);
+        // The lanes were folded as they closed: what is left is the root.
+        let footprint = accum.footprint_bytes();
+        let root = accum.merge();
+        self.fold_step(&lane_counters, &root, footprint, timings, started);
         true
     }
 
     /// Close a timestep: merge the per-lane counters deterministically
     /// (global lane order), fold the survivors' energy in key order,
     /// accumulate the step's pairwise-merged mesh `step_tally` into the
-    /// running tally, and advance the step index and the solve clock
-    /// (running since `started`). The one place a step's results enter
-    /// the solve — the in-place step and the shard coordinator both end
-    /// here, so they cannot disagree on a bit.
+    /// running tally, record the step's tally `footprint`, and advance the
+    /// step index and the solve clock (running since `started`). The one
+    /// place a step's results enter the solve — the in-place step and the
+    /// shard coordinator both end here, so they cannot disagree on a bit.
     pub(crate) fn fold_step(
         &mut self,
         lane_counters: &[EventCounters],
@@ -615,6 +624,35 @@ mod tests {
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{opts:?}: tally bits differ from sequential"
             );
+        }
+    }
+
+    /// The fold's live-mesh bound, end to end: on one worker the lanes
+    /// close in order, so a 32-lane step holds at most ⌈log₂ 32⌉ + 1 = 6
+    /// meshes — exactly the footprint the report carries, under both
+    /// schemes — and at 2 and 7 workers fewer than the one mesh per lane
+    /// an unfolded accumulator holds.
+    #[test]
+    fn tally_footprint_is_the_folds_live_mesh_high_water() {
+        let s = sim(TestCase::Csp);
+        let part = LanePartition::new(s.problem().n_particles, DEFAULT_LANES);
+        assert_eq!(part.n_lanes, 32, "the fixture must fill every lane");
+        let mesh = s.problem().mesh.num_cells() * std::mem::size_of::<f64>();
+        for scheme in Scheme::ALL {
+            let r = s.run(RunOptions::new(scheme, 1));
+            assert_eq!(
+                r.tally_footprint_bytes,
+                6 * mesh,
+                "{scheme:?} on one worker"
+            );
+            for workers in [2, 7] {
+                let r = s.run(RunOptions::new(scheme, workers));
+                assert!(
+                    r.tally_footprint_bytes < 32 * mesh,
+                    "{scheme:?} on {workers} workers: {} meshes",
+                    r.tally_footprint_bytes / mesh
+                );
+            }
         }
     }
 

@@ -406,66 +406,25 @@ mod tests {
     }
 
     /// Run the column lane driver over a fresh population on `threads`
-    /// workers into a `strategy` accumulator — one whose lanes already
-    /// hold deposits when `dirty` — returning the final columns, merged
-    /// counters and mesh.
+    /// workers into a `strategy` accumulator, returning the final columns,
+    /// merged counters and mesh.
     fn run_soa_lanes(
         problem: &crate::config::Problem,
         ctx: &TransportCtx<'_, Threefry2x64>,
         strategy: TallyStrategy,
         threads: usize,
-        dirty: bool,
     ) -> (ParticleSoA, EventCounters, Vec<f64>) {
         let mut soa = ParticleSoA::from_aos(&spawn_particles(problem));
         let part = LanePartition::new(soa.len(), 16);
-        let cells = problem.mesh.num_cells();
-        let mut accum = TallyAccum::new(strategy, cells, part.n_lanes);
-        if dirty {
-            for (l, mut view) in accum.lane_views().into_iter().enumerate() {
-                for cell in 0..cells {
-                    view.add(cell, 1.0e9 * (1 + l + cell) as f64);
-                }
-            }
-        }
+        let accum = TallyAccum::new(strategy, problem.mesh.num_cells(), part.n_lanes);
         let config = (
             Scheme::OverParticles,
             threads,
             Schedule::Dynamic { chunk: 1 },
         );
-        let (partials, _) = run_step_scheduled(&mut soa, ctx, config, part, &mut accum);
+        let (partials, _) = run_step_scheduled(&mut soa, ctx, config, part, &accum);
         let counters = EventCounters::merge_deterministic(&partials);
-        (soa, counters, accum.merge_with(threads))
-    }
-
-    /// The column driver claims a lane before depositing into it: started
-    /// from a non-zero replicated accumulator, any worker count lands on
-    /// the bits of the clean single-worker run.
-    #[test]
-    fn soa_lane_driver_wipes_claimed_lanes() {
-        let problem = TestCase::Csp.build(ProblemScale::tiny(), 99);
-        let rng = Threefry2x64::new([problem.seed, 1]);
-        let ctx = TransportCtx {
-            mesh: &problem.mesh,
-            materials: &problem.materials,
-            rng: &rng,
-            cfg: &problem.transport,
-        };
-        let replicated = TallyStrategy::Replicated;
-        let (base_soa, base_counters, base_tally) =
-            run_soa_lanes(&problem, &ctx, replicated, 1, false);
-        assert!(base_tally.iter().any(|&v| v > 0.0));
-        for threads in [1, 2, 7] {
-            let (soa, counters, tally) = run_soa_lanes(&problem, &ctx, replicated, threads, true);
-            assert_eq!(soa, base_soa, "{threads}");
-            assert_eq!(counters, base_counters, "{threads}");
-            assert!(
-                tally
-                    .iter()
-                    .zip(&base_tally)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{threads}: merged tally bits differ"
-            );
-        }
+        (soa, counters, accum.merge())
     }
 
     /// Tracking the columns in place walks the record driver's
@@ -486,8 +445,7 @@ mod tests {
         let mut seq_tally = SequentialTally::new(problem.mesh.num_cells());
         let seq_counters = run_sequential(&mut aos, &ctx, &mut seq_tally);
 
-        let (soa, soa_counters, tally) =
-            run_soa_lanes(&problem, &ctx, TallyStrategy::Atomic, 2, false);
+        let (soa, soa_counters, tally) = run_soa_lanes(&problem, &ctx, TallyStrategy::Atomic, 2);
 
         assert_eq!(soa.to_aos(), aos, "SoA trajectories must match AoS");
         assert_eq!(seq_counters.collisions, soa_counters.collisions);

@@ -10,24 +10,27 @@
 //! 3. `SolveCore::fold_step` — deterministic counter merge, key-order
 //!    census-energy fold, running-tally accumulate.
 //!
-//! The [`TallyAccum`] is not step state: the caller allocates a fresh one
-//! per step (lane meshes arrive as untouched zero pages), the
-//! depth-first driver has each worker claim — zero-fill — the lanes it
-//! tracks while Over Events leaves them lazy, and the caller folds it
-//! with `merge_with(workers)` (in place, no lane copied) or takes the
-//! lanes whole (`into_lane_partials`: a shard attempt, which reduces them
-//! to the merge-tree nodes it ships) before dropping it. See "Lane
-//! lifecycle" in DESIGN.md §11.
+//! The [`TallyAccum`] is not step state: the caller builds a fresh one per
+//! step on its own thread — under `replicated`, a fold whose mesh pool
+//! holds `min(lanes, workers + ⌈log₂ lanes⌉ + 1)` meshes — and each worker
+//! *opens* the lanes it tracks (a pooled mesh, zero-filled on that worker)
+//! and *closes* them as they finish, which folds them up the pairwise
+//! tree while the other workers track. Both schemes do this the same way.
+//! What is left when the step's fork-join returns is the tree's root (the
+//! caller's `merge`) or, for a shard attempt, the tree nodes covering its
+//! lanes (`into_nodes`), which it ships. See "Lane lifecycle" in
+//! DESIGN.md §11.
 //!
 //! Both schemes run through the one lane driver, `run_lanes`: the
-//! columns cut at the partition's lane boundaries, zipped with the
-//! accumulator's lane views, and **one fork-join per step** whose body is
-//! the scheme's lane kernel — for any [`Execution`] and any tally strategy
-//! (`atomic` is the [`TallyAccum::Atomic`] sink):
+//! columns cut at the partition's lane boundaries, each paired with its
+//! global lane, and **one fork-join per step** whose body opens the lane,
+//! runs the scheme's lane kernel and closes the lane — for any
+//! [`Execution`] and any tally strategy (`atomic` is the
+//! [`TallyAccum::Atomic`] sink, whose open and close do nothing):
 //!
 //! | scheme | lane kernel | per-worker scratch |
 //! |---|---|---|
-//! | Over Particles | `track_lane`: `claim`, then `load` → `track_to_census` → `store` per history | none |
+//! | Over Particles | `track_lane`: `load` → `track_to_census` → `store` per history | none |
 //! | Over Events | `run_event_lane`: `init → (decide → collision → facet → flush)* → census → flush` until the lane has nothing live | one lane-sized `EventScratch` |
 
 use crate::counters::EventCounters;
@@ -61,26 +64,27 @@ pub(crate) fn begin_step(soa: &mut ParticleSoA, dt: f64, step: usize) {
 }
 
 /// The one lane driver: cut `soa` at the lane boundaries of the
-/// *explicit* partition `part`, pair lane `i` with lane sink `i` of
-/// `accum`, and run `kernel` once per lane on `workers` workers under
-/// `schedule` — one fork-join. Each worker owns one `W` (built empty,
-/// filled by the kernel) that it reuses across the lanes it happens to
-/// take; a lane's output may not depend on it. Returns the per-lane
-/// outputs in lane order: with a deterministic backend the caller's
-/// pairwise merge of tally and counters is then bitwise identical for
-/// any worker count and schedule.
+/// *explicit* partition `part`, pair chunk `i` with lane `i` of `accum`'s
+/// lanes, and run `kernel` once per lane on `workers` workers under
+/// `schedule` — one fork-join. The worker that takes a lane opens its
+/// sink, runs the kernel into it and drops it, which closes the lane and
+/// folds it into `accum`'s tree on that worker. Each worker owns one `W`
+/// (built empty, filled by the kernel) that it reuses across the lanes it
+/// happens to take; a lane's output may not depend on it. Returns the
+/// per-lane outputs in lane order: with a deterministic backend the
+/// folded tally and the caller's pairwise counter merge are then bitwise
+/// identical for any worker count and schedule.
 ///
 /// The partition is explicit because this is also the sharding seam: a
 /// shard holds a contiguous run of the global lane space, so it must
 /// process its particles with the *global* `lane_size` (a tail shard's
-/// local `LanePartition::new` would compute a smaller one) and hand its
-/// partials — tally lanes via [`TallyAccum::into_lane_partials`], reduced
-/// to the merge-tree nodes that cover them; per-lane counters via this
-/// return value — to the coordinator, which finishes the global pairwise
-/// merges.
+/// local `LanePartition::new` would compute a smaller one), fold its
+/// lanes into the global tree's nodes that cover them, and hand those
+/// nodes and its per-lane counters (this return value) to the
+/// coordinator, which finishes the global pairwise merges.
 pub(crate) fn run_lanes<W, O, K>(
     soa: &mut ParticleSoA,
-    accum: &mut TallyAccum,
+    accum: &TallyAccum,
     part: LanePartition,
     workers: usize,
     schedule: Schedule,
@@ -96,29 +100,31 @@ where
         soa.len(),
         "partition must cover the population"
     );
-    let mut lanes: Vec<(SoAChunkMut<'_>, LaneSink<'_>, O)> = soa
-        .chunks_mut(part.lane_size)
-        .into_iter()
-        .zip(accum.lane_views())
-        .map(|(chunk, sink)| (chunk, sink, O::default()))
+    let mut lanes: Vec<(usize, SoAChunkMut<'_>, O)> = accum
+        .lanes()
+        .zip(soa.chunks_mut(part.lane_size))
+        .map(|(lane, chunk)| (lane, chunk, O::default()))
         .collect();
     let mut scratch: Vec<W> = (0..workers).map(|_| W::default()).collect();
     parallel_for_owned_with(
         &mut scratch,
         schedule.lane_granular(),
         &mut lanes,
-        |scratch, _, (chunk, sink, out)| *out = kernel(scratch, chunk, sink),
+        |scratch, _, (lane, chunk, out)| {
+            let mut sink = accum.open(*lane);
+            *out = kernel(scratch, chunk, &mut sink);
+        },
     );
     // Copied out, not collected in place: a result that reuses the lane
-    // vector's buffer — allocated right after the lane meshes — outlives
-    // them and pins the top of the heap (+4 MB peak RSS per process in
-    // the repo benchmark's multi-solve runs).
+    // vector's buffer — allocated right after the mesh pool — outlives
+    // the pool and pins the top of the heap (+4 MB peak RSS per process
+    // in the repo benchmark's multi-solve runs).
     lanes.iter().map(|(_, _, out)| *out).collect()
 }
 
 /// Advance the column range `soa` one timestep: `part` is the explicit
-/// lane partition of the range (global lane size), `accum` the tally sink
-/// with one lane view per lane of `part`. Returns the raw per-lane
+/// lane partition of the range (global lane size), `accum` the tally with
+/// one lane per lane of `part`, each opened and closed here. Returns the raw per-lane
 /// counters (census energy left to the fold) and, for Over Events, the
 /// step's kernel timings.
 pub(crate) fn run_step(
@@ -126,7 +132,7 @@ pub(crate) fn run_step(
     ctx: &TransportCtx<'_, Threefry2x64>,
     options: RunOptions,
     part: LanePartition,
-    accum: &mut TallyAccum,
+    accum: &TallyAccum,
 ) -> (Vec<EventCounters>, Option<KernelTimings>) {
     let (workers, schedule) = execution_workers(options.execution);
     match options.scheme {
@@ -159,7 +165,7 @@ pub(crate) fn run_step_scheduled(
     ctx: &TransportCtx<'_, Threefry2x64>,
     (scheme, threads, schedule): (Scheme, usize, Schedule),
     part: LanePartition,
-    accum: &mut TallyAccum,
+    accum: &TallyAccum,
 ) -> (Vec<EventCounters>, Option<KernelTimings>) {
     let execution = Execution::Scheduled { threads, schedule };
     run_step(soa, ctx, RunOptions { scheme, execution }, part, accum)

@@ -6,7 +6,7 @@
 //! choice a runtime [`TallyStrategy`] with two values: every transport
 //! driver deposits through a [`LaneSink`] checked out from a
 //! [`TallyAccum`], which is either the paper's one shared atomic mesh or
-//! one private dense mesh per lane, merged deterministically.
+//! one private dense mesh per open lane, folded deterministically.
 //!
 //! # Lanes and the deterministic-merge invariant
 //!
@@ -18,13 +18,13 @@
 //! size is independent of how many workers execute the solve (see
 //! [`LanePartition`]). A lane is the unit of scheduling — exactly one
 //! worker processes a lane's particles, in index order — so lane partials
-//! are bitwise well-defined, and [`TallyAccum::merge`] combines them with
-//! a fixed pairwise (binary-tree) summation in lane order. The result:
+//! are bitwise well-defined, and the accumulator combines them with a
+//! fixed pairwise (binary-tree) summation in lane order. The result:
 //!
 //! > For the `Replicated` backend, the merged tally is **bitwise
 //! > identical** for any worker count and any schedule — the lane count
 //! > never depends on the worker count, and workers beyond it simply find
-//! > no lane to claim.
+//! > no lane to take.
 //!
 //! The `Atomic` backend keeps the paper's single shared mesh, so
 //! concurrent CAS adds to one cell still commit in arrival order; it is
@@ -35,13 +35,19 @@
 //!
 //! # Lane lifecycle
 //!
-//! An accumulator lives for one timestep: the step engine allocates it,
-//! the drivers deposit, [`TallyAccum::merge_with`] folds it, it is
-//! dropped. A replicated lane mesh is *allocated lazily* (`vec![0.0; n]`
-//! maps untouched zero pages), *claimed* by the worker that will deposit
-//! into it ([`LaneSink::claim`] — the one zeroing rule), and *merged in
-//! place* ([`merge_nodes_pairwise`]: a cell-blocked pairwise tree over
-//! borrowed meshes, no lane is copied).
+//! An accumulator lives for one timestep. Under `replicated` it is a
+//! [`LaneFold`]: the pairwise tree over its lanes and a pool of dense
+//! meshes that the thread building the accumulator preallocates. A worker
+//! *opens* a lane ([`TallyAccum::open`]) and gets a pooled mesh,
+//! zero-filled with plain stores on that worker; the lane's [`LaneSink`]
+//! deposits into it; dropping the sink *closes* the lane. Closing parks
+//! the mesh at the lane's tree leaf — or, when the leaf's sibling is
+//! already parked, adds the two (the `x + y` of [`merge_nodes_pairwise`]),
+//! returns the consumed mesh to the pool and repeats one level up. The
+//! fold stops at the [`tree_cover`] nodes of the accumulator's lanes: the
+//! root for a whole step ([`TallyAccum::merge`]), the wire nodes for a
+//! shard attempt ([`TallyAccum::into_nodes`]). A step therefore holds
+//! about `⌈log₂ lanes⌉ + workers` meshes instead of one per lane.
 //!
 //! # One merge, over tree nodes
 //!
@@ -49,16 +55,15 @@
 //! shape of a subtree depends only on how many lanes it spans. Whoever
 //! holds the lanes of one node can therefore reduce that subtree alone,
 //! numbering its leaves from zero, and land on the bits the whole merge
-//! computes for that node. [`merge_nodes_pairwise`] takes such nodes —
-//! `(lane range, reduced mesh)` — and finishes the tree above them;
-//! per-lane partials are the case where every node is a leaf
-//! ([`merge_lanes_pairwise`], which [`TallyAccum::merge_with`] calls).
-//! [`tree_cover`] names the nodes a contiguous lane range reduces to,
-//! which is what a shard attempt ships instead of its lanes (DESIGN.md
-//! §11, §18).
+//! computes for that node — which is why the fold may add siblings in
+//! whatever order their lanes finish. [`merge_nodes_pairwise`] takes such
+//! nodes — `(lane range, reduced mesh)` — and finishes the tree above
+//! them: the shard coordinator runs it over the nodes the attempts ship
+//! (DESIGN.md §11, §18).
 
 use crate::tally::AtomicTally;
 use std::ops::Range;
+use std::sync::{Mutex, MutexGuard};
 
 /// Default lane count: the concurrency ceiling of the lane-decomposed
 /// drivers (a lane is processed by one worker) and the replication
@@ -75,11 +80,12 @@ pub enum TallyStrategy {
     /// Minimal footprint, contended hot path, not bitwise reproducible
     /// across thread counts.
     Atomic,
-    /// One private dense mesh per lane, pairwise-merged in lane order
-    /// after the solve — the paper's privatisation (§VI-F) keyed on lanes
-    /// instead of threads so the merge is deterministic. Footprint is
-    /// `lanes ×` the mesh. The default: the configuration every served,
-    /// sharded and checkpointed solve runs.
+    /// One private dense mesh per open lane, folded up the pairwise tree
+    /// in lane order as lanes close — the paper's privatisation (§VI-F)
+    /// keyed on lanes instead of threads so the merge is deterministic.
+    /// Footprint is the meshes open or parked at once: about
+    /// `⌈log₂ lanes⌉ + workers` of them. The default: the configuration
+    /// every served, sharded and checkpointed solve runs.
     #[default]
     Replicated,
 }
@@ -178,52 +184,45 @@ impl LanePartition {
     }
 }
 
-/// A worker-side deposit handle for one lane. Checked out from
-/// [`TallyAccum::lane_views`]; the caller must drive each view from one
-/// worker at a time (the lane-granular schedulers guarantee this).
+/// A worker-side deposit handle for one open lane, from
+/// [`TallyAccum::open`] or [`TallyAccum::lane_views`]; the caller must
+/// drive each sink from one worker at a time (the lane-granular
+/// schedulers guarantee this).
 #[derive(Debug)]
 pub enum LaneSink<'a> {
     /// All lanes alias one shared atomic mesh (contended CAS adds).
     Shared(&'a AtomicTally),
-    /// This lane's private dense mesh.
-    Dense(&'a mut [f64]),
+    /// A lane of a [`LaneFold`] and its private dense mesh.
+    Dense(OpenLane<'a>),
 }
 
 impl LaneSink<'_> {
-    /// Claim this lane for the calling worker before its first deposit:
-    /// a private dense mesh is zero-filled with plain stores, the shared
-    /// mesh is left alone.
-    ///
-    /// The depth-first lane driver (`over_particles`) calls this once
-    /// per lane, on the worker that will track the lane. A lane's
-    /// pages arrive untouched from the allocator, and `lane[cell] += v`
-    /// *reads* a page before it writes it: the read maps the shared zero
-    /// page, the write then takes a second, copy-on-write fault that
-    /// flushes the page from every other worker's TLB. Those histories
-    /// walk nearly the whole mesh, so writing the lane first halves the
-    /// faults (one plain write fault per page; 30 592 → 15 296 per csp
-    /// 512² step) and takes the cross-CPU flushes out of the track loop.
-    /// It also makes a driver's result independent of what the lane held.
-    ///
-    /// Over Events deliberately does **not** claim: its windows deposit
-    /// into a sparse subset of each lane's pages, so an eager fill only
-    /// commits memory nobody reads (`scatter` 512², 32 lanes: peak RSS
-    /// 110 → 155 MB for no wall gain). It relies on the allocator's zero
-    /// pages instead, which is why the step engine allocates a fresh
-    /// accumulator per step.
-    #[inline]
-    pub fn claim(&mut self) {
-        if let LaneSink::Dense(lane) = self {
-            lane.fill(0.0);
-        }
-    }
-
     /// Add `value` to `cell` through this lane's backend mechanism.
     #[inline]
     pub fn add(&mut self, cell: usize, value: f64) {
         match self {
             LaneSink::Shared(mesh) => mesh.add(cell, value),
-            LaneSink::Dense(lane) => lane[cell] += value,
+            LaneSink::Dense(lane) => lane.mesh[cell] += value,
+        }
+    }
+}
+
+/// An open lane of a [`LaneFold`]: the lane's private mesh, all `+0.0`
+/// when opened. Dropping it closes the lane, which folds the mesh up the
+/// tree on the dropping thread.
+#[derive(Debug)]
+pub struct OpenLane<'a> {
+    fold: &'a LaneFold,
+    lane: usize,
+    mesh: Vec<f64>,
+}
+
+impl Drop for OpenLane<'_> {
+    fn drop(&mut self) {
+        // A lane dropped while its worker unwinds a panic closes nothing:
+        // the step is lost anyway, and a second panic here would abort.
+        if !std::thread::panicking() {
+            self.fold.close(self.lane, std::mem::take(&mut self.mesh));
         }
     }
 }
@@ -296,18 +295,17 @@ fn tiles_tree<M>(root: Range<usize>, nodes: &[(Range<usize>, M)]) -> bool {
 }
 
 /// Pairwise (binary-tree) merge of dense tally meshes into `out` — the
-/// one reduction of the deterministic backends. Conceptually: leaf `l` is
+/// tree every deterministic reduction computes. Conceptually: leaf `l` is
 /// lane `l`'s partial, internal nodes add element-wise, and a node over
 /// lanes `[lo, hi)` splits at `mid = lo + (hi - lo) / 2`. Each input is a
 /// node of that tree, `(lanes, mesh)` with `mesh` the already-reduced
-/// subtree over `lanes`, and the inputs tile `[0, n_lanes)` in lane
-/// order; the function finishes the tree above them. Per-lane input is
-/// the all-leaves case ([`merge_lanes_pairwise`]). A subtree's shape
-/// depends only on `hi - lo`, so a node reduced elsewhere — from leaves
-/// numbered `0..hi - lo` — holds the bits this function would have
-/// computed for it: the result is a pure function of the lane partials,
-/// whoever pre-reduced what, and `workers` changes who computes a cell,
-/// never how.
+/// subtree over `lanes` (a [`LaneFold`]'s output), and the inputs tile
+/// `[0, n_lanes)` in lane order; the function finishes the tree above
+/// them. A subtree's shape depends only on `hi - lo`, so a node reduced
+/// elsewhere — from leaves numbered `0..hi - lo` — holds the bits this
+/// function would have computed for it: the result is a pure function of
+/// the lane partials, whoever pre-reduced what, and `workers` changes who
+/// computes a cell, never how.
 ///
 /// The tree is evaluated one `MERGE_BLOCK`-cell (4096) block at a time
 /// over the *borrowed* meshes, straight into `out`: nothing is copied,
@@ -360,26 +358,6 @@ where
     }
 }
 
-/// [`merge_nodes_pairwise`] over per-lane partials: leaf `l` is
-/// `lanes[l]`. What an unsharded [`TallyAccum::merge`] runs, and what a
-/// shard attempt runs over the lanes of each node it ships (see
-/// `neutral_core::shard`).
-///
-/// # Panics
-///
-/// Panics if a lane does not hold exactly `out.len()` values.
-pub fn merge_lanes_pairwise<L>(lanes: &[L], out: &mut [f64], workers: usize)
-where
-    L: AsRef<[f64]>,
-{
-    let leaves: Vec<(Range<usize>, &[f64])> = lanes
-        .iter()
-        .enumerate()
-        .map(|(l, lane)| (l..l + 1, lane.as_ref()))
-        .collect();
-    merge_nodes_pairwise(&leaves, out, workers);
-}
-
 /// One block of the pairwise tree over the lanes `nodes` tile:
 /// `out = Σ_tree nodes[..][lo..lo + out.len()]`. `scratch` supplies one
 /// `out`-sized buffer per level of recursion.
@@ -413,18 +391,253 @@ fn merge_block<M: AsRef<[f64]>>(
     }
 }
 
+/// The `replicated` backend: the pairwise tree over a contiguous run of
+/// lanes, folded as the lanes close (see "Lane lifecycle" in the module
+/// docs).
+///
+/// A lane is *opened* once, on the worker that deposits into it, and gets
+/// a mesh from the pool, zero-filled there with plain stores: written
+/// first, a fresh page takes one write fault instead of a read fault on
+/// the shared zero page and then a copy-on-write fault that shoots it out
+/// of every other worker's TLB. *Closing* the lane parks its mesh at its
+/// leaf, or — when the sibling node is already parked — adds the two into
+/// the left one, hands the right one back to the pool and repeats one
+/// level up, stopping at the nodes of [`tree_cover`]`(n_lanes, lanes)`.
+/// Whoever closes second does the add, and the add is the tree's
+/// `x + y`, so the bits do not depend on the completion order. A lane
+/// that is never opened is opened and closed when the fold is taken
+/// apart, so it folds as an all-`+0.0` mesh, as the tree says it must.
+///
+/// The pool starts at `min(lanes, workers + ⌈log₂ lanes⌉ + 1)` meshes,
+/// allocated by the thread that builds the fold — a thread that outlives
+/// the step's workers (DESIGN.md §11) — and grows only if it runs dry.
+/// Closed in lane order, the lanes hold at most `⌈log₂ lanes⌉ + 1` meshes
+/// at once: the open lane and one parked node per level above it.
+#[derive(Debug)]
+pub struct LaneFold {
+    cells: usize,
+    /// Lanes of the whole tree.
+    n_lanes: usize,
+    /// The lanes this fold owns.
+    lanes: Range<usize>,
+    /// The subtrees under the cover nodes of `lanes`, each in pre-order
+    /// (a left child precedes its right sibling), covers in lane order.
+    tree: Vec<TreeNode>,
+    /// `tree` index of each owned lane's leaf.
+    leaf: Vec<usize>,
+    state: Mutex<FoldState>,
+}
+
+#[derive(Debug)]
+struct TreeNode {
+    lanes: Range<usize>,
+    /// Parent and sibling in `tree`; `None` at a cover node, where the
+    /// fold stops.
+    up: Option<(usize, usize)>,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LaneState {
+    Unopened,
+    Open,
+    Closed,
+}
+
+#[derive(Debug)]
+struct FoldState {
+    /// Per owned lane.
+    lanes: Vec<LaneState>,
+    /// Per `tree` node: its reduced mesh, parked until its sibling
+    /// finishes or, at a cover node, until the fold is taken apart.
+    parked: Vec<Option<Vec<f64>>>,
+    /// Meshes out of use; recycled ones hold stale values.
+    pool: Vec<Vec<f64>>,
+    /// Meshes open or parked now, and the most there ever were.
+    live: usize,
+    high_water: usize,
+}
+
+impl LaneFold {
+    fn new(cells: usize, n_lanes: usize, lanes: Range<usize>, workers: usize) -> Self {
+        let mut tree = Vec::new();
+        let mut leaf = vec![0; lanes.len()];
+        for cover in tree_cover(n_lanes, lanes.clone()) {
+            grow(&mut tree, &mut leaf, lanes.start, cover);
+        }
+        let depth = lanes.len().next_power_of_two().trailing_zeros() as usize;
+        let pool = (0..lanes.len().min(workers + depth + 1))
+            .map(|_| vec![0.0; cells])
+            .collect();
+        let state = FoldState {
+            lanes: vec![LaneState::Unopened; lanes.len()],
+            parked: tree.iter().map(|_| None).collect(),
+            pool,
+            live: 0,
+            high_water: 0,
+        };
+        Self {
+            cells,
+            n_lanes,
+            lanes,
+            tree,
+            leaf,
+            state: Mutex::new(state),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, FoldState> {
+        self.state.lock().expect("lane fold state poisoned")
+    }
+
+    /// Move `lane` from `from` to `to`, or panic naming the misuse.
+    fn advance(&self, lane: usize, from: LaneState, to: LaneState) {
+        assert!(
+            self.lanes.contains(&lane),
+            "lane {lane} is outside this accumulator's lanes {:?}",
+            self.lanes
+        );
+        let mut st = self.lock();
+        let state = &mut st.lanes[lane - self.lanes.start];
+        assert!(
+            *state == from,
+            "lane {lane} is {state:?}, expected {from:?}"
+        );
+        *state = to;
+    }
+
+    /// Open `lane`: a pooled mesh, zero-filled on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not one of the fold's lanes or was opened
+    /// before.
+    fn open(&self, lane: usize) -> Vec<f64> {
+        self.advance(lane, LaneState::Unopened, LaneState::Open);
+        let pooled = {
+            let mut st = self.lock();
+            st.live += 1;
+            st.high_water = st.high_water.max(st.live);
+            st.pool.pop()
+        };
+        let mut mesh = pooled.unwrap_or_else(|| vec![0.0; self.cells]);
+        mesh.fill(0.0);
+        mesh
+    }
+
+    /// Close `lane` with its partial `mesh` and fold it as far up the
+    /// tree as its finished siblings allow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not one of the fold's open lanes, or `mesh`
+    /// does not hold one value per cell.
+    fn close(&self, lane: usize, mesh: Vec<f64>) {
+        assert_eq!(mesh.len(), self.cells, "lane {lane}'s mesh");
+        self.advance(lane, LaneState::Open, LaneState::Closed);
+        self.fold_up(self.leaf[lane - self.lanes.start], mesh);
+    }
+
+    /// Park `mesh` as the reduced subtree `node`, or — if its sibling is
+    /// parked already — add the two into the left one, pool the right one
+    /// and carry on at the parent.
+    fn fold_up(&self, mut node: usize, mut mesh: Vec<f64>) {
+        loop {
+            let mut st = self.lock();
+            let Some((parent, sibling)) = self.tree[node].up else {
+                st.parked[node] = Some(mesh);
+                return;
+            };
+            let Some(parked) = st.parked[sibling].take() else {
+                st.parked[node] = Some(mesh);
+                return;
+            };
+            drop(st);
+            let (mut left, right) = if node < sibling {
+                (mesh, parked)
+            } else {
+                (parked, mesh)
+            };
+            for (x, y) in left.iter_mut().zip(&right) {
+                *x += y;
+            }
+            {
+                let mut st = self.lock();
+                st.live -= 1;
+                st.pool.push(right);
+            }
+            (node, mesh) = (parent, left);
+        }
+    }
+
+    /// Fold every never-opened lane as an all-`+0.0` mesh and hand out
+    /// the cover nodes of the fold's lanes, in lane order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane is still open.
+    fn into_nodes(self) -> Vec<(Range<usize>, Vec<f64>)> {
+        for lane in self.lanes.clone() {
+            let state = self.lock().lanes[lane - self.lanes.start];
+            assert!(state != LaneState::Open, "lane {lane} is still open");
+            if state == LaneState::Unopened {
+                self.close(lane, self.open(lane));
+            }
+        }
+        let mut st = self.state.into_inner().expect("lane fold state poisoned");
+        self.tree
+            .iter()
+            .enumerate()
+            .filter(|(_, node)| node.up.is_none())
+            .map(|(at, node)| {
+                let mesh = st.parked[at].take().expect("every lane closed");
+                (node.lanes.clone(), mesh)
+            })
+            .collect()
+    }
+
+    /// Bytes of the most meshes that were open or parked at once.
+    fn footprint_bytes(&self) -> usize {
+        self.lock().high_water * self.cells * std::mem::size_of::<f64>()
+    }
+}
+
+/// Append the subtree over `lanes` to `tree` in pre-order, recording its
+/// leaves in `leaf` (indexed from `first_lane`); returns its root.
+fn grow(
+    tree: &mut Vec<TreeNode>,
+    leaf: &mut [usize],
+    first_lane: usize,
+    lanes: Range<usize>,
+) -> usize {
+    let at = tree.len();
+    tree.push(TreeNode {
+        lanes: lanes.clone(),
+        up: None,
+    });
+    if lanes.len() == 1 {
+        leaf[lanes.start - first_lane] = at;
+    } else {
+        let mid = lanes.start + lanes.len() / 2;
+        let left = grow(tree, leaf, first_lane, lanes.start..mid);
+        let right = grow(tree, leaf, first_lane, mid..lanes.end);
+        tree[left].up = Some((at, right));
+        tree[right].up = Some((at, left));
+    }
+    at
+}
+
 /// The accumulator behind a [`TallyStrategy`]: lane-indexed deposit
-/// sinks during the solve, one merged mesh afterwards.
+/// sinks during the solve, the reduced mesh afterwards.
 ///
 /// Contract (enforced by the golden/equivalence/property suites):
 ///
-/// * [`lane_views`](TallyAccum::lane_views) hands out exactly
-///   [`n_lanes`](TallyAccum::n_lanes) sinks, and sinks of distinct lanes
-///   may be driven concurrently;
-/// * [`merge_with`](TallyAccum::merge_with) combines `Replicated` lane
-///   partials with the pairwise reduction in lane order, so the result
-///   depends only on the per-lane deposit sequences — never on the worker
-///   count it is given.
+/// * [`open`](TallyAccum::open) hands out one sink per lane of
+///   [`lanes`](TallyAccum::lanes), and sinks of distinct lanes may be
+///   driven — and dropped — concurrently;
+/// * under `Replicated` the lane partials are folded with the pairwise
+///   tree in lane order, so [`merge`](TallyAccum::merge) and
+///   [`into_nodes`](TallyAccum::into_nodes) depend only on the per-lane
+///   deposit sequences — never on which worker closed which lane when.
 #[derive(Debug)]
 pub enum TallyAccum {
     /// The paper's shared-atomic backend: one mesh, every lane view
@@ -432,129 +645,140 @@ pub enum TallyAccum {
     Atomic {
         /// The shared mesh.
         mesh: AtomicTally,
-        /// How many lane views alias it.
-        n_lanes: usize,
+        /// The lanes whose views alias it.
+        lanes: Range<usize>,
     },
-    /// One private dense mesh per lane, each `cells` long.
-    Replicated {
-        /// Number of mesh cells; every lane is this long.
-        cells: usize,
-        /// The lane meshes, in lane order.
-        lanes: Vec<Vec<f64>>,
-    },
+    /// Private dense meshes, folded as their lanes close.
+    Replicated(LaneFold),
 }
 
 impl TallyAccum {
     /// Build the backend for `strategy` over a `cells`-cell mesh with
-    /// `n_lanes` (at least one) accumulation lanes, all zeroed.
+    /// `n_lanes` (at least one) accumulation lanes, for one worker.
     #[must_use]
     pub fn new(strategy: TallyStrategy, cells: usize, n_lanes: usize) -> Self {
         let n_lanes = n_lanes.max(1);
+        Self::for_lanes(strategy, cells, n_lanes, 0..n_lanes, 1)
+    }
+
+    /// Build the backend for `strategy` over the lanes `lanes` of the
+    /// `n_lanes`-lane tree — all of them for a whole step, a shard's run
+    /// of them for a shard attempt — with a mesh pool sized for `workers`
+    /// concurrent workers. Allocated on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` reaches past `n_lanes`.
+    #[must_use]
+    pub fn for_lanes(
+        strategy: TallyStrategy,
+        cells: usize,
+        n_lanes: usize,
+        lanes: Range<usize>,
+        workers: usize,
+    ) -> Self {
+        assert!(lanes.end <= n_lanes, "lanes {lanes:?} of {n_lanes}");
         match strategy {
             TallyStrategy::Atomic => TallyAccum::Atomic {
                 mesh: AtomicTally::new(cells),
-                n_lanes,
+                lanes,
             },
-            TallyStrategy::Replicated => TallyAccum::Replicated {
-                cells,
-                lanes: (0..n_lanes).map(|_| vec![0.0; cells]).collect(),
-            },
+            TallyStrategy::Replicated => {
+                TallyAccum::Replicated(LaneFold::new(cells, n_lanes, lanes, workers))
+            }
         }
     }
 
-    /// The backend's strategy tag.
+    /// The lanes this accumulator takes deposits for (global indices).
     #[must_use]
-    pub fn strategy(&self) -> TallyStrategy {
+    pub fn lanes(&self) -> Range<usize> {
         match self {
-            TallyAccum::Atomic { .. } => TallyStrategy::Atomic,
-            TallyAccum::Replicated { .. } => TallyStrategy::Replicated,
-        }
-    }
-
-    /// Number of mesh cells.
-    #[must_use]
-    pub fn cells(&self) -> usize {
-        match self {
-            TallyAccum::Atomic { mesh, .. } => mesh.len(),
-            TallyAccum::Replicated { cells, .. } => *cells,
+            TallyAccum::Atomic { lanes, .. } => lanes.clone(),
+            TallyAccum::Replicated(fold) => fold.lanes.clone(),
         }
     }
 
     /// Number of accumulation lanes.
     #[must_use]
     pub fn n_lanes(&self) -> usize {
+        self.lanes().len()
+    }
+
+    /// Open `lane` for deposits on the calling worker: a zeroed private
+    /// mesh that folds into the tree when the sink drops, or a view of
+    /// the shared mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not one of [`lanes`](TallyAccum::lanes), or
+    /// (`Replicated`) was opened before.
+    pub fn open(&self, lane: usize) -> LaneSink<'_> {
         match self {
-            TallyAccum::Atomic { n_lanes, .. } => *n_lanes,
-            TallyAccum::Replicated { lanes, .. } => lanes.len(),
+            TallyAccum::Atomic { mesh, lanes } => {
+                assert!(lanes.contains(&lane), "lane {lane} is outside {lanes:?}");
+                LaneSink::Shared(mesh)
+            }
+            TallyAccum::Replicated(fold) => LaneSink::Dense(OpenLane {
+                fold,
+                lane,
+                mesh: fold.open(lane),
+            }),
         }
     }
 
-    /// Check out one deposit sink per lane (disjoint for `Replicated`;
-    /// under `Atomic` every view aliases the shared mesh).
+    /// [`open`](TallyAccum::open) every lane at once, in lane order.
     pub fn lane_views(&mut self) -> Vec<LaneSink<'_>> {
-        match self {
-            TallyAccum::Atomic { mesh, n_lanes } => {
-                let mesh = &*mesh;
-                (0..*n_lanes).map(|_| LaneSink::Shared(mesh)).collect()
-            }
-            TallyAccum::Replicated { lanes, .. } => {
-                lanes.iter_mut().map(|l| LaneSink::Dense(l)).collect()
-            }
-        }
+        let this = &*self;
+        this.lanes().map(|lane| this.open(lane)).collect()
     }
 
-    /// [`merge_with`](TallyAccum::merge_with) on the calling thread.
+    /// The merged mesh: a snapshot of the shared mesh, or the root of the
+    /// fold — every lane never opened counted as `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane is still open, or (`Replicated`) the accumulator
+    /// owns only part of the tree: that one ships
+    /// [`into_nodes`](TallyAccum::into_nodes) instead.
     #[must_use]
-    pub fn merge(&self) -> Vec<f64> {
-        self.merge_with(1)
-    }
-
-    /// Merge all lanes into one mesh: a snapshot of the shared mesh, or
-    /// the deterministic pairwise reduction of the replicated lanes with
-    /// its blocks split across up to `workers` threads (the same bits for
-    /// any `workers`).
-    #[must_use]
-    pub fn merge_with(&self, workers: usize) -> Vec<f64> {
+    pub fn merge(self) -> Vec<f64> {
         match self {
             TallyAccum::Atomic { mesh, .. } => mesh.snapshot(),
-            TallyAccum::Replicated { cells, lanes } => {
-                let mut out = vec![0.0; *cells];
-                merge_lanes_pairwise(lanes, &mut out, workers);
-                out
+            TallyAccum::Replicated(fold) => {
+                let whole = 0..fold.n_lanes;
+                match <[_; 1]>::try_from(fold.into_nodes()) {
+                    Ok([(lanes, root)]) if lanes == whole => root,
+                    _ => panic!("only an accumulator over the whole tree merges to one mesh"),
+                }
             }
         }
     }
 
-    /// Resident bytes of the accumulation state.
-    #[must_use]
-    pub fn footprint_bytes(&self) -> usize {
-        match self {
-            TallyAccum::Atomic { mesh, .. } => mesh.footprint_bytes(),
-            TallyAccum::Replicated { cells, lanes } => {
-                lanes.len() * cells * std::mem::size_of::<f64>()
-            }
-        }
-    }
-
-    /// Consume the accumulator into its dense per-lane partials: for
-    /// each lane, the per-cell sums that lane's deposit sequence
-    /// produced — the `Replicated` lanes' private meshes, handed over by
-    /// move. A shard attempt takes its lanes this way and reduces them
-    /// to the tree nodes it ships: feeding these partials to
-    /// [`merge_lanes_pairwise`] reproduces [`TallyAccum::merge`] bit for
-    /// bit.
+    /// The reduced [`tree_cover`] nodes of the accumulator's lanes, in
+    /// lane order — what a shard attempt ships, and what
+    /// [`merge_nodes_pairwise`] finishes the tree from.
     ///
     /// # Panics
     ///
     /// Panics for the `Atomic` backend, whose shared mesh has no
-    /// well-defined per-lane decomposition.
+    /// well-defined per-lane decomposition, or if a lane is still open.
     #[must_use]
-    pub fn into_lane_partials(self) -> Vec<Vec<f64>> {
+    pub fn into_nodes(self) -> Vec<(Range<usize>, Vec<f64>)> {
         match self {
             TallyAccum::Atomic { .. } => {
-                panic!("lane partials are only defined for the deterministic tally strategy")
+                panic!("tree nodes are only defined for the deterministic tally strategy")
             }
-            TallyAccum::Replicated { lanes, .. } => lanes,
+            TallyAccum::Replicated(fold) => fold.into_nodes(),
+        }
+    }
+
+    /// Resident bytes of the accumulation state: the shared mesh, or the
+    /// high-water of meshes open or parked at once so far.
+    #[must_use]
+    pub fn footprint_bytes(&self) -> usize {
+        match self {
+            TallyAccum::Atomic { mesh, .. } => mesh.footprint_bytes(),
+            TallyAccum::Replicated(fold) => fold.footprint_bytes(),
         }
     }
 }
@@ -722,11 +946,45 @@ mod tests {
         counts
     }
 
-    /// [`merge_lanes_pairwise`] into a fresh mesh.
-    fn merge_lanes<L: AsRef<[f64]>>(lanes: &[L], cells: usize, workers: usize) -> Vec<f64> {
+    /// [`merge_nodes_pairwise`] over per-lane partials (leaf `l` is
+    /// `lanes[l]`) into a fresh mesh.
+    fn merge_lanes(lanes: &[Vec<f64>], cells: usize, workers: usize) -> Vec<f64> {
+        let leaves: Vec<(Range<usize>, &[f64])> = lanes
+            .iter()
+            .enumerate()
+            .map(|(l, lane)| (l..l + 1, lane.as_slice()))
+            .collect();
         let mut out = vec![f64::NAN; cells];
-        merge_lanes_pairwise(lanes, &mut out, workers);
+        merge_nodes_pairwise(&leaves, &mut out, workers);
         out
+    }
+
+    /// Lane `lane`'s partial at `cell` in the merge and fold tests: data
+    /// where a reshaped tree or a dropped `+ 0.0` would show — mixed signs
+    /// and magnitudes, `-0.0`, subnormals, and lanes that are mostly or
+    /// all zero.
+    fn lane_value(lane: usize, cell: usize) -> f64 {
+        let h = (lane as u64 + 1)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add((cell as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9));
+        let h = (h ^ (h >> 29)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        if lane % 7 == 4 {
+            return 0.0;
+        }
+        let sparse = lane % 3 == 2;
+        match (h >> 60, sparse) {
+            (0..=11, true) => 0.0,
+            (0 | 12, _) => -0.0,
+            (1 | 13, _) => f64::from_bits(h & 0xf_ffff), // subnormal
+            (2, _) => -f64::MIN_POSITIVE / 4.0,
+            (k, _) => (h >> 11) as f64 * 2f64.powi(k as i32 * 7 - 100) * (1.0 - (h & 2) as f64),
+        }
+    }
+
+    fn lane_partials(n_lanes: usize, cells: usize) -> Vec<Vec<f64>> {
+        (0..n_lanes)
+            .map(|l| (0..cells).map(|c| lane_value(l, c)).collect())
+            .collect()
     }
 
     fn assert_same_bits(got: &[f64], expect: &[f64], what: &dyn std::fmt::Display) {
@@ -774,39 +1032,18 @@ mod tests {
 
     /// The blocked in-place merge is the recursive tree, bit for bit,
     /// across lane counts around the power-of-two edges, cell counts
-    /// around the block edges, and any worker count — on data where a
-    /// reshaped tree or a dropped `+ 0.0` would show: mixed signs and
-    /// magnitudes, `-0.0`, subnormals, and lanes that are mostly or all
-    /// zero. And *merge over cover nodes ≡ merge over lanes*: cut the
+    /// around the block edges, and any worker count — on [`lane_value`]'s
+    /// data. And *merge over cover nodes ≡ merge over lanes*: cut the
     /// lanes into shards the way `ShardPlan` does (1 … more shards than
     /// lanes), reduce each shard's lanes to its cover nodes with leaves
     /// renumbered from zero, and the merge over those nodes is the same
     /// bits again.
     #[test]
     fn blocked_merge_matches_recursive_reference() {
-        let value = |lane: usize, cell: usize| -> f64 {
-            let h = (lane as u64 + 1)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add((cell as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9));
-            let h = (h ^ (h >> 29)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            if lane % 7 == 4 {
-                return 0.0;
-            }
-            let sparse = lane % 3 == 2;
-            match (h >> 60, sparse) {
-                (0..=11, true) => 0.0,
-                (0 | 12, _) => -0.0,
-                (1 | 13, _) => f64::from_bits(h & 0xf_ffff), // subnormal
-                (2, _) => -f64::MIN_POSITIVE / 4.0,
-                (k, _) => (h >> 11) as f64 * 2f64.powi(k as i32 * 7 - 100) * (1.0 - (h & 2) as f64),
-            }
-        };
         let b = MERGE_BLOCK;
         for n_lanes in [1usize, 2, 3, 5, 31, 32, 33] {
             for cells in [1, b - 1, b, b + 1, 3 * b + 7] {
-                let lanes: Vec<Vec<f64>> = (0..n_lanes)
-                    .map(|l| (0..cells).map(|c| value(l, c)).collect())
-                    .collect();
+                let lanes = lane_partials(n_lanes, cells);
                 let expect = merge_lanes_reference(&lanes);
                 for workers in merge_worker_counts() {
                     let at = format!("{n_lanes} lanes, {cells} cells, {workers} workers");
@@ -830,7 +1067,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(merge_lanes::<Vec<f64>>(&[], 3, 2), vec![0.0; 3]);
+        assert_eq!(merge_lanes(&[], 3, 2), vec![0.0; 3]);
     }
 
     /// Inputs that are not a tiling of the tree — a gap, an overlap, a
@@ -854,65 +1091,206 @@ mod tests {
         }
     }
 
-    /// Re-merging the consumed lane partials through the exported
-    /// pairwise tree must reproduce `merge()` bitwise — the contract
-    /// the sharded executor's cross-shard reduction stands on.
+    /// splitmix64: the tests' seeded shuffles.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn shuffled(lanes: &[usize], seed: u64) -> Vec<usize> {
+        let mut out = lanes.to_vec();
+        let mut state = seed;
+        for i in (1..out.len()).rev() {
+            out.swap(i, splitmix(&mut state) as usize % (i + 1));
+        }
+        out
+    }
+
+    /// Open, fill with its partial and close every lane of `order` on
+    /// `threads` threads that take the lanes in that order from a shared
+    /// counter — the dynamic lane dispatch of `parallel_for_owned`, so the
+    /// lanes finish in whatever order the threads reach them.
+    fn close_lanes(fold: &LaneFold, lanes: &[Vec<f64>], order: &[usize], threads: usize) {
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let work = || {
+            while let Some(&lane) =
+                order.get(next.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
+            {
+                let mut mesh = fold.open(lane);
+                mesh.copy_from_slice(&lanes[lane]);
+                fold.close(lane, mesh);
+            }
+        };
+        std::thread::scope(|s| {
+            for _ in 1..threads {
+                s.spawn(work);
+            }
+            work();
+        });
+    }
+
+    /// The fold is the tree, bit for bit, in any completion order: lanes
+    /// closed in order, in reverse and in seeded shuffles, on one thread
+    /// and racing on {2, 3, 7}; and over sub-ranges cut the way
+    /// `ShardPlan` cuts them (1 … more shards than lanes). Every output is
+    /// exactly the range's `tree_cover`, every node is
+    /// `merge_lanes_reference` over its lanes, and the shards' nodes
+    /// finish to the whole tree's bits. One lane is never opened — an
+    /// all-`+0.0` lane to the reference — beside a lane of `-0.0`s, so the
+    /// `x + 0.0` it folds as must reach the output.
     #[test]
-    fn lane_partials_remerge_bitwise() {
-        let cells = 37;
-        let lanes = 5;
-        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, lanes);
-        {
-            let mut views = accum.lane_views();
-            for (l, view) in views.iter_mut().enumerate() {
-                for i in 0..200 {
-                    let cell = (l * 17 + i * 13) % cells;
-                    view.add(cell, 0.1 + ((l * 31 + i * 7) % 100) as f64 * 1.7e-3);
+    fn fold_is_the_tree_in_any_completion_order() {
+        let cells = 97;
+        for n_lanes in [1usize, 2, 3, 5, 31, 32, 33] {
+            let unopened = n_lanes / 2;
+            let mut lanes = lane_partials(n_lanes, cells);
+            lanes[unopened].fill(0.0);
+            if let Some(negative) = lanes.get_mut(unopened ^ 1) {
+                negative.fill(-0.0);
+            }
+            let closed: Vec<usize> = (0..n_lanes).filter(|&l| l != unopened).collect();
+            let check = |fold: LaneFold, owned: Range<usize>, what: &str| {
+                let nodes = fold.into_nodes();
+                let ranges: Vec<Range<usize>> = nodes.iter().map(|(r, _)| r.clone()).collect();
+                assert_eq!(ranges, tree_cover(n_lanes, owned), "{what}");
+                for (node, mesh) in &nodes {
+                    let expect = merge_lanes_reference(&lanes[node.clone()]);
+                    assert_same_bits(mesh, &expect, &format!("{what}, node {node:?}"));
+                }
+                nodes
+            };
+
+            let mut orders = vec![
+                ("in order", closed.clone()),
+                ("reversed", closed.iter().rev().copied().collect()),
+            ];
+            orders.extend((1..=3).map(|seed| ("shuffled", shuffled(&closed, seed))));
+            for (name, order) in &orders {
+                for threads in [1, 2, 3, 7] {
+                    let fold = LaneFold::new(cells, n_lanes, 0..n_lanes, threads);
+                    close_lanes(&fold, &lanes, order, threads);
+                    check(
+                        fold,
+                        0..n_lanes,
+                        &format!("{n_lanes} lanes {name} on {threads}"),
+                    );
                 }
             }
-        }
-        let merged = accum.merge_with(2);
-        assert_eq!(merged, accum.merge());
-        let partials = accum.into_lane_partials();
-        let remerged = merge_lanes(&partials, cells, 1);
-        assert_eq!(remerged, merge_lanes_reference(&partials));
-        for (c, (a, b)) in merged.iter().zip(&remerged).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "cell {c}");
+
+            let whole = merge_lanes_reference(&lanes);
+            for n_shards in [1usize, 2, 3, 5, 7, 32, 40] {
+                let mut nodes = Vec::new();
+                for s in 0..n_shards {
+                    let owned = (s * n_lanes / n_shards)..((s + 1) * n_lanes / n_shards);
+                    if owned.is_empty() {
+                        continue;
+                    }
+                    let fold = LaneFold::new(cells, n_lanes, owned.clone(), 2);
+                    let mine: Vec<usize> = owned.clone().filter(|&l| l != unopened).collect();
+                    close_lanes(&fold, &lanes, &shuffled(&mine, s as u64), 2);
+                    let what = format!("{n_lanes} lanes, shard {s} of {n_shards}");
+                    nodes.extend(check(fold, owned, &what));
+                }
+                let mut merged = vec![f64::NAN; cells];
+                merge_nodes_pairwise(&nodes, &mut merged, 1);
+                let what = format!("{n_lanes} lanes over {n_shards} shards");
+                assert_same_bits(&merged, &whole, &what);
+            }
         }
     }
 
+    /// A lane is opened once and closed once, and only by the fold that
+    /// owns it: anything else would fold a lane twice or into the wrong
+    /// tree, so it panics — as does taking the result apart while a lane
+    /// is still open.
+    #[test]
+    fn fold_refuses_a_second_close_and_lanes_it_does_not_own() {
+        let refused = |what: &str, misuse: &dyn Fn(&LaneFold)| {
+            let fold = LaneFold::new(4, 8, 2..6, 1);
+            let mesh = fold.open(3);
+            fold.close(3, mesh);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| misuse(&fold)));
+            assert!(caught.is_err(), "{what} was accepted");
+        };
+        refused("a second close", &|fold| fold.close(3, vec![0.0; 4]));
+        refused("a close of a lane never opened", &|fold| {
+            fold.close(4, vec![0.0; 4])
+        });
+        refused("a close outside the range", &|fold| {
+            fold.close(1, vec![0.0; 4])
+        });
+        refused("a second open", &|fold| drop(fold.open(3)));
+        refused("an open outside the range", &|fold| drop(fold.open(6)));
+
+        let accum = TallyAccum::new(TallyStrategy::Replicated, 4, 2);
+        std::mem::forget(accum.open(1));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| accum.merge()));
+        assert!(
+            caught.is_err(),
+            "a merge with lane 1 still open was accepted"
+        );
+    }
+
+    /// `open` is the one zeroing rule: a mesh the fold took back into its
+    /// pool still holds what it was added from, and the next lane opened
+    /// on it starts from `+0.0` all the same.
+    #[test]
+    fn open_hands_out_zeros_after_a_dirty_close() {
+        let fold = LaneFold::new(16, 4, 0..4, 1);
+        for lane in [0, 1] {
+            let mut mesh = fold.open(lane);
+            mesh.fill(-1.5);
+            fold.close(lane, mesh);
+        }
+        // Lanes 0 and 1 are siblings: closing 1 added its mesh into 0's
+        // and pooled it, dirty.
+        let (recycled, stale) = {
+            let st = fold.lock();
+            let mesh = st.pool.last().expect("a recycled mesh");
+            (mesh.as_ptr(), mesh[0])
+        };
+        assert_eq!(stale, -1.5);
+        let mesh = fold.open(2);
+        assert_eq!(
+            mesh.as_ptr(),
+            recycled,
+            "the recycled mesh comes back first"
+        );
+        assert!(mesh.iter().all(|v| v.to_bits() == 0), "opened as +0.0");
+        fold.close(2, mesh);
+        let mut root = fold.into_nodes();
+        assert_eq!(root.len(), 1);
+        assert!(root.pop().unwrap().1.iter().all(|&v| v == -3.0));
+    }
+
+    /// What `footprint_bytes` reports: the shared mesh under `atomic`;
+    /// under `replicated` the most meshes open or parked at once — which
+    /// lanes opened and closed one at a time, in order, hold to exactly
+    /// `⌈log₂ lanes⌉ + 1` (6 of 32), and every lane open at once
+    /// (`lane_views`) to one mesh per lane.
     #[test]
     fn footprints_rank_as_documented() {
-        let cells = 10_000;
-        let lanes = 16;
-        let atomic = TallyAccum::new(TallyStrategy::Atomic, cells, lanes).footprint_bytes();
-        let replicated = TallyAccum::new(TallyStrategy::Replicated, cells, lanes).footprint_bytes();
-        assert_eq!(replicated, lanes * atomic);
-    }
-
-    /// `claim()` is the one zeroing rule: it wipes a dirtied dense lane
-    /// and nothing else — the shared mesh holds other lanes' deposits
-    /// that a claim must not lose.
-    #[test]
-    fn claim_zeroes_a_dirtied_dense_lane_only() {
-        for strategy in TallyStrategy::ALL {
-            let mut accum = TallyAccum::new(strategy, 16, 3);
-            {
-                let mut views = accum.lane_views();
-                for v in views.iter_mut() {
-                    v.add(5, 1.0);
-                    v.add(15, 2.0);
-                }
-                for v in views.iter_mut() {
-                    v.claim();
-                }
+        let cells = 100;
+        let mesh = cells * std::mem::size_of::<f64>();
+        let atomic = TallyAccum::new(TallyStrategy::Atomic, cells, 16);
+        assert_eq!(atomic.footprint_bytes(), mesh);
+        for n_lanes in 1usize..=40 {
+            let accum = TallyAccum::new(TallyStrategy::Replicated, cells, n_lanes);
+            assert_eq!(accum.footprint_bytes(), 0, "{n_lanes} lanes, none open");
+            for lane in accum.lanes() {
+                drop(accum.open(lane));
             }
-            let merged = accum.merge();
-            if strategy == TallyStrategy::Replicated {
-                assert!(merged.iter().all(|v| v.to_bits() == 0), "dense lanes wiped");
-            } else {
-                assert_eq!((merged[5], merged[15]), (3.0, 6.0), "{strategy:?} kept");
-            }
+            let depth = n_lanes.next_power_of_two().ilog2() as usize;
+            assert_eq!(
+                accum.footprint_bytes(),
+                (depth + 1) * mesh,
+                "{n_lanes} lanes"
+            );
         }
+        let mut all_open = TallyAccum::new(TallyStrategy::Replicated, cells, 32);
+        drop(all_open.lane_views());
+        assert_eq!(all_open.footprint_bytes(), 32 * mesh);
     }
 }

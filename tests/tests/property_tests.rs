@@ -8,7 +8,7 @@ use neutral_core::scheduler::{parallel_for, parallel_for_owned, Schedule};
 use neutral_core::validate::population_balance;
 use neutral_integration::{for_cases, Gen};
 use neutral_mesh::accum::pairwise_sum;
-use neutral_mesh::{LaneSink, Rect, StructuredMesh2D, TallyAccum, TallyStrategy};
+use neutral_mesh::{Rect, StructuredMesh2D, TallyAccum, TallyStrategy};
 use neutral_xs::{CrossSectionLibrary, SynthParams, XsHints};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -197,9 +197,11 @@ fn arbitrary_deposits(g: &mut Gen, lanes: usize, cells: usize) -> Vec<Vec<(usize
         .collect()
 }
 
-/// Random per-lane partial deposits merged under shuffled lane-processing
+/// Random per-lane partial deposits folded under shuffled lane-processing
 /// orders (and worker counts) must produce bitwise-identical meshes for
-/// the deterministic backend — the deterministic-merge invariant.
+/// the deterministic backend — the deterministic-merge invariant. Each
+/// lane is opened and closed on the worker that takes it, so the fold
+/// runs on the workers, in whatever order the lanes finish.
 #[test]
 fn deterministic_merge_shuffle_invariance() {
     for_cases(24, |g| {
@@ -210,25 +212,22 @@ fn deterministic_merge_shuffle_invariance() {
 
         let mut merged: Vec<Vec<f64>> = Vec::new();
         for (round, &n_threads) in workers.iter().enumerate() {
-            let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, lanes);
-            {
-                // Shuffle which lane is processed when by scheduling
-                // the lanes dynamically over the workers; the merge
-                // must not care.
-                let mut states: Vec<(usize, LaneSink<'_>)> =
-                    accum.lane_views().into_iter().enumerate().collect();
-                // Vary the schedule between rounds too.
-                let schedule = if round % 2 == 0 {
-                    Schedule::Dynamic { chunk: 1 }
-                } else {
-                    Schedule::Guided { min_chunk: 1 }
-                };
-                parallel_for_owned(n_threads, schedule, &mut states, |_, (lane, view)| {
-                    for &(cell, value) in &deposits[*lane] {
-                        view.add(cell, value);
-                    }
-                });
-            }
+            let accum = TallyAccum::new(TallyStrategy::Replicated, cells, lanes);
+            // Shuffle which lane is processed when by scheduling the
+            // lanes dynamically over the workers; the fold must not care.
+            let mut order: Vec<usize> = accum.lanes().collect();
+            // Vary the schedule between rounds too.
+            let schedule = if round % 2 == 0 {
+                Schedule::Dynamic { chunk: 1 }
+            } else {
+                Schedule::Guided { min_chunk: 1 }
+            };
+            parallel_for_owned(n_threads, schedule, &mut order, |_, lane| {
+                let mut view = accum.open(*lane);
+                for &(cell, value) in &deposits[*lane] {
+                    view.add(cell, value);
+                }
+            });
             merged.push(accum.merge());
         }
         for other in &merged[1..] {
@@ -254,12 +253,9 @@ fn backends_cross_agree_on_random_deposits() {
         let mut merged = Vec::new();
         for strategy in TallyStrategy::ALL {
             let mut accum = TallyAccum::new(strategy, cells, lanes);
-            {
-                let mut views = accum.lane_views();
-                for (lane, view) in views.iter_mut().enumerate() {
-                    for &(cell, value) in &deposits[lane] {
-                        view.add(cell, value);
-                    }
+            for (lane, mut view) in accum.lane_views().into_iter().enumerate() {
+                for &(cell, value) in &deposits[lane] {
+                    view.add(cell, value);
                 }
             }
             merged.push(accum.merge());

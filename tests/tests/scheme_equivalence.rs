@@ -93,7 +93,7 @@ fn every_execution_mode_matches_sequential() {
 /// A safe, sequential reference for the one Over-Particles driver that
 /// shares none of its machinery — no columns, no scheduler, its own fold:
 /// the same [`LanePartition`] walked in order, [`track_to_census`] over
-/// `Particle` records into the same [`TallyAccum`] lane views. Returns
+/// `Particle` records into the same [`TallyAccum`] lanes. Returns
 /// the accumulated tally and counters of the whole solve.
 fn record_reference(problem: &Problem) -> (Vec<f64>, EventCounters) {
     let rng = Threefry2x64::new([problem.seed, 1]);
@@ -114,10 +114,10 @@ fn record_reference(problem: &Problem) -> (Vec<f64>, EventCounters) {
                 p.dt_to_census = problem.dt;
             }
         }
-        let mut accum = TallyAccum::new(problem.transport.tally_strategy, cells, part.n_lanes);
+        let accum = TallyAccum::new(problem.transport.tally_strategy, cells, part.n_lanes);
         let mut lanes = Vec::new();
-        for (lane, mut sink) in accum.lane_views().into_iter().enumerate() {
-            sink.claim();
+        for lane in accum.lanes() {
+            let mut sink = accum.open(lane);
             let mut local = EventCounters::default();
             for p in &mut particles[part.range(lane)] {
                 track_to_census(p, &ctx, &mut sink, &mut local);

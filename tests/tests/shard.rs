@@ -258,9 +258,12 @@ fn sharded_checkpoint_matches_unsharded_checkpoint() {
 
 /// One plain shard (no fault plan, no spill base) *is* the unsharded
 /// solve: it steps the wrapped core in place, so the report, the particle
-/// records and every checkpoint byte — diagnostics like the tally
-/// footprint and kernel timings included, the wall clock aside — equal
-/// the `SolveCore`'s at every census boundary.
+/// records and every checkpoint byte equal the `SolveCore`'s at every
+/// census boundary. Two diagnostics are zeroed before the byte compare,
+/// because the two solves are separate runs: the wall clock, and the
+/// tally footprint — the high-water of live lane meshes, which above one
+/// worker depends on the order the lanes finished in. On one worker the
+/// lanes close in order, and the footprints must match too.
 #[test]
 fn one_plain_shard_is_the_unsharded_solve() {
     for (scheme, workers) in scheme_matrix() {
@@ -277,15 +280,19 @@ fn one_plain_shard_is_the_unsharded_solve() {
                 break;
             }
             let (mut a, mut b) = (core.checkpoint(), sharded.checkpoint());
-            a.elapsed = Duration::ZERO;
-            b.elapsed = Duration::ZERO;
+            for ckpt in [&mut a, &mut b] {
+                ckpt.elapsed = Duration::ZERO;
+                ckpt.tally_footprint_bytes = 0;
+            }
             assert_eq!(a.particles, b.particles, "{what}: records");
             assert_eq!(a.to_bytes(), b.to_bytes(), "{what}: checkpoint");
         }
         assert_eq!(sharded.stats(), ShardStats::default(), "nothing supervised");
         let (a, b) = (core.finish(), sharded.finish());
         assert_reports_bitwise(&a, &b, &what);
-        assert_eq!(a.tally_footprint_bytes, b.tally_footprint_bytes);
+        if workers == 1 {
+            assert_eq!(a.tally_footprint_bytes, b.tally_footprint_bytes, "{what}");
+        }
         assert_eq!(a.kernel_timings.is_some(), b.kernel_timings.is_some());
     }
 }
