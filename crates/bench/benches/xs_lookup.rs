@@ -5,10 +5,12 @@
 //!
 //! The acceptance bar of the lookup subsystem is measured here: on a
 //! 4096-point table, `hashed` must beat `binary` by ≥ 2x (see also the
-//! `fig15_xs_strategies` sweep binary).
+//! `fig15_xs_strategies` sweep binary). The `xs_table_build` group times
+//! what every problem build pays before the first lookup: synthesizing a
+//! material's capture and scatter tables.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use neutral_xs::{CrossSectionLibrary, LookupStrategy, XsHints};
+use neutral_xs::{CrossSectionLibrary, LookupStrategy, MaterialKind, MaterialSpec, XsHints};
 use std::hint::black_box;
 
 /// A realistic post-collision energy trajectory: 1 MeV decaying by ~2%
@@ -110,9 +112,26 @@ fn bench_lookup(c: &mut Criterion) {
     group.finish();
 }
 
+/// Building a material's two tables — the whole cold set-up of a problem
+/// build — at the product's default table size.
+fn bench_table_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("xs_table_build");
+    for kind in MaterialKind::ALL {
+        let spec = MaterialSpec {
+            kind,
+            n_points: 30_000,
+            seed: 99,
+        };
+        group.bench_with_input(BenchmarkId::new("build", kind.name()), &spec, |b, spec| {
+            b.iter(|| black_box(spec).build());
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_lookup
+    targets = bench_lookup, bench_table_build
 }
 criterion_main!(benches);

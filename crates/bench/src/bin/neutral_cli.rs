@@ -29,9 +29,10 @@
 //! requires `--checkpoint`.
 //!
 //! `--shards N` splits every timestep into N fault-isolated shards
-//! (DESIGN.md §18); results are bitwise identical to the unsharded run
-//! for any N, and `--tally atomic` is upgraded here too (sharding rides
-//! on the deterministic merge). With `--checkpoint FILE`, shard retries
+//! (DESIGN.md §18, N ≤ 32: a shard owns whole lanes); results are
+//! bitwise identical to the unsharded run for any N, and `--tally
+//! atomic` is upgraded here too (sharding rides on the deterministic
+//! merge). With `--checkpoint FILE`, shard retries
 //! reload their census-boundary inputs from `FILE.shard<k>` stores.
 //! `--shard-fault SPEC` (e.g. `kill@1` or `hang@0:2,corrupt@1`)
 //! deterministically injects shard failures to exercise the
@@ -39,6 +40,7 @@
 
 use neutral_core::params::ProblemParams;
 use neutral_core::prelude::*;
+use neutral_core::shard::check_shard_count;
 use std::process::ExitCode;
 
 struct CliArgs {
@@ -209,9 +211,7 @@ fn parse_args() -> Result<CliArgs, String> {
                     .get(i)
                     .and_then(|v| v.parse().ok())
                     .ok_or("--shards N")?;
-                if n == 0 {
-                    return Err("--shards needs at least one shard".into());
-                }
+                check_shard_count(n).map_err(|e| format!("--shards: {e}"))?;
                 shards = Some(n);
             }
             "--shard-fault" => {

@@ -34,7 +34,7 @@
 //! scheme oe                 # op|oe
 //! checkpoint_file /tmp/s.ckpt   # optional spill (exclusive per live solve)
 //! checkpoint_every 2        # boundaries between spills (default 1)
-//! shards 4                  # fault-isolated shard units per timestep (default 1)
+//! shards 4                  # fault-isolated shard units per timestep (1..=32, default 1)
 //! shard_fault kill@1        # injected shard failures (testing; needs shards >= 2)
 //! ```
 //!
@@ -60,6 +60,7 @@ use minihttp::{Handler, Request, Response, Server, ServerHandle, TEXT_PLAIN};
 use neutral_core::dump::tally_dump_capacity;
 use neutral_core::params::ParamsError;
 use neutral_core::prelude::*;
+use neutral_core::shard::check_shard_count;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -308,9 +309,7 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
                 shards = value
                     .parse::<usize>()
                     .map_err(|_| perr(lineno, format!("`{value}` is not a positive integer")))?;
-                if shards == 0 {
-                    return Err(perr(lineno, "shards needs at least one shard"));
-                }
+                check_shard_count(shards).map_err(knob)?;
             }
             "shard_fault" => shard_fault = value.parse::<ShardFaultPlan>().map_err(knob)?,
             "checkpoint_file" => checkpoint_file = Some(value.to_string()),
@@ -546,6 +545,27 @@ mod tests {
 
         let err = parse_solve_request("scenario csp\nshards 0\n").unwrap_err();
         assert!(err.to_string().contains("at least one shard"), "{err}");
+
+        // One shard per lane at most: a shard past the 32nd lane owns
+        // nothing, and 2^40 of them would be stepped (and allocated for)
+        // every timestep. Refused by line, as a 400, before any build.
+        let spec = parse_solve_request("scenario csp\nshards 32\n").unwrap();
+        assert_eq!(spec.shards, 32);
+        let service = SolveService::new(ServeConfig::default());
+        for n in ["33", "1099511627776"] {
+            let body = format!("scenario csp\nscale tiny\nshards {n}\n");
+            let err = parse_solve_request(&body).unwrap_err();
+            assert_eq!(err.line, 3, "{n}");
+            assert!(
+                err.message
+                    .starts_with(&format!("{n} shards is more than the 32 lanes")),
+                "{err}"
+            );
+            let response = post(&service, &body);
+            assert_eq!(response.status, 400, "{n}");
+            assert_eq!(response.body, format!("{err}\n").into_bytes());
+        }
+        assert_eq!(service.registry().stats().problems_built, 0);
 
         let err = parse_solve_request("scenario csp\nshard_fault explode@1\n").unwrap_err();
         assert!(err.to_string().contains("explode"), "{err}");

@@ -21,6 +21,18 @@ fn rejected_flags_exit_1_with_a_named_error() {
             &["--schedule", "guided", "--sequential"],
             "--sequential is --threads 1",
         ),
+        // A solve has 32 lanes and a shard owns whole lanes: `--shards`
+        // past that used to be accepted, and 2^40 aborted allocating one
+        // result slot per shard.
+        (&["--shards", "0"], "--shards: need at least one shard"),
+        (
+            &["--shards", "33"],
+            "--shards: 33 shards is more than the 32 lanes",
+        ),
+        (
+            &["--shards", "1099511627776"],
+            "--shards: 1099511627776 shards is more than the 32 lanes",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_neutral_cli"))
             .args(["--scenario", "csp", "--scale", "tiny"])

@@ -49,7 +49,7 @@
 //! fault kill@2                 # inject faults (testing; see FaultPlan)
 //!
 //! # sharded execution (optional; DESIGN.md §18)
-//! shards 4                     # split each solve into 4 fault-isolated shards
+//! shards 4                     # split each solve into 4 fault-isolated shards (1..=32)
 //! shard_fault kill@1           # inject shard faults (testing; see ShardFaultPlan)
 //! ```
 //!
@@ -58,7 +58,7 @@
 
 use crate::checkpoint::FaultPlan;
 use crate::config::{CollisionModel, LookupStrategy, Problem, TallyStrategy, TransportConfig};
-use crate::shard::ShardFaultPlan;
+use crate::shard::{check_shard_count, ShardFaultPlan};
 use neutral_mesh::{MaterialId, Rect, StructuredMesh2D};
 use neutral_xs::{constants, MaterialKind, MaterialSet, MaterialSpec};
 use std::fmt;
@@ -292,7 +292,10 @@ impl ProblemParams {
                 "fault" => {
                     p.fault = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
                 }
-                "shards" => p.shards = parse_usize(&one(&rest)?)?,
+                "shards" => {
+                    p.shards = parse_usize(&one(&rest)?)?;
+                    check_shard_count(p.shards).map_err(|e| err(lineno, e))?;
+                }
                 "shard_fault" => {
                     p.shard_fault = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
                 }
@@ -442,7 +445,7 @@ impl ProblemParams {
             "weight cutoff must be in [0, 1)",
         )?;
         check(self.xs_points >= 2, "cross-section table needs >= 2 points")?;
-        check(self.shards >= 1, "need at least one shard")?;
+        check_shard_count(self.shards).map_err(|e| err(0, e))?;
         let inside =
             |r: &Rect| r.x0 >= 0.0 && r.x1 <= self.width && r.y0 >= 0.0 && r.y1 <= self.height;
         check(inside(&self.source), "source region outside the domain")?;

@@ -107,6 +107,27 @@ impl ShardPlan {
     }
 }
 
+/// Check a requested shard count against what a solve can be cut into:
+/// at least one shard, and no more than the [`DEFAULT_LANES`] lanes every
+/// solve has, since a shard owns whole lanes and every shard past the
+/// last lane would own nothing yet still be stepped (and, with a
+/// checkpoint file, get a store of its own). The one check and message
+/// behind every front door: the `shards` params key, the `POST /solves`
+/// key and `neutral_cli --shards`. [`ShardPlan`] itself accepts any
+/// positive count.
+pub fn check_shard_count(n_shards: usize) -> Result<(), String> {
+    if n_shards == 0 {
+        return Err("need at least one shard".into());
+    }
+    if n_shards > DEFAULT_LANES {
+        return Err(format!(
+            "{n_shards} shards is more than the {DEFAULT_LANES} lanes of a solve \
+             (a shard owns whole lanes)"
+        ));
+    }
+    Ok(())
+}
+
 /// A fault the harness injects into shard attempts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardFaultKind {

@@ -54,7 +54,7 @@ mod table;
 
 pub use lookup::LookupStrategy;
 pub use material::{LaneScratch, MaterialId, MaterialKind, MaterialSet, MaterialSpec};
-pub use synth::{synthetic_capture, synthetic_scatter, SynthParams};
+pub use synth::{synthetic_tables, SynthParams};
 pub use table::{lerp_segment, CrossSection};
 
 use constants::{AVOGADRO, BARN_M2, MOLAR_MASS_KG_MOL};
@@ -134,11 +134,7 @@ impl CrossSectionLibrary {
     /// resonance structure. Defaults live in [`SynthParams`].
     #[must_use]
     pub fn synthetic(n_points: usize, seed: u64) -> Self {
-        let params = SynthParams::default();
-        Self::from_tables(
-            synthetic_capture(n_points, seed, &params),
-            synthetic_scatter(n_points, seed ^ 0x5eed_5eed, &params),
-        )
+        synthetic_tables(n_points, seed, &SynthParams::default())
     }
 
     /// Build a library from explicit tables.

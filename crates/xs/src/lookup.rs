@@ -407,13 +407,13 @@ mod tests {
     /// different, partially overlapping energy ranges.
     fn mismatched_lib() -> CrossSectionLibrary {
         let a = CrossSection::new(
-            (0..40)
-                .map(|i| (0.5 * 1.4f64.powi(i), 10.0 + (i as f64).sin().abs()))
-                .collect(),
+            (0..40).map(|i| 0.5 * 1.4f64.powi(i)).collect(),
+            (0..40).map(|i| 10.0 + (i as f64).sin().abs()).collect(),
         );
         let s = CrossSection::new(
+            (0..23).map(|i| 2.0 * 1.9f64.powi(i)).collect(),
             (0..23)
-                .map(|i| (2.0 * 1.9f64.powi(i), 5.0 + (i as f64 * 0.7).cos().abs()))
+                .map(|i| 5.0 + (i as f64 * 0.7).cos().abs())
                 .collect(),
         );
         CrossSectionLibrary::from_tables(a, s)

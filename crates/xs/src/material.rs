@@ -130,11 +130,7 @@ impl MaterialSpec {
     /// Generate the material's cross-section library.
     #[must_use]
     pub fn build(&self) -> CrossSectionLibrary {
-        let params = self.kind.synth_params();
-        CrossSectionLibrary::from_tables(
-            crate::synth::synthetic_capture(self.n_points, self.seed, &params),
-            crate::synth::synthetic_scatter(self.n_points, self.seed ^ 0x5eed_5eed, &params),
-        )
+        crate::synth::synthetic_tables(self.n_points, self.seed, &self.kind.synth_params())
     }
 }
 

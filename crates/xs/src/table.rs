@@ -38,27 +38,42 @@ pub struct CrossSection {
 }
 
 impl CrossSection {
-    /// Build a table from `(energy, value)` pairs.
+    /// Build a table from its energy and value columns.
     ///
     /// # Panics
-    /// If fewer than two points are given, energies are not strictly
-    /// increasing, or any value is negative or non-finite.
+    /// If the columns differ in length, fewer than two points are given,
+    /// energies are not strictly increasing, or any value is negative or
+    /// non-finite.
     #[must_use]
-    pub fn new(points: Vec<(f64, f64)>) -> Self {
-        assert!(points.len() >= 2, "need at least two table points");
-        for w in points.windows(2) {
-            assert!(
-                w[0].0 < w[1].0,
-                "energy grid must be strictly increasing ({} !< {})",
-                w[0].0,
-                w[1].0
-            );
+    pub fn new(energy: Vec<f64>, value: Vec<f64>) -> Self {
+        assert_eq!(
+            energy.len(),
+            value.len(),
+            "energy and value columns differ in length"
+        );
+        assert!(energy.len() >= 2, "need at least two table points");
+        // One branch-free pass over the whole table, which vectorizes;
+        // only a table that fails it is walked again for the first bad
+        // point. (`0.0..=f64::MAX` holds no NaN and no infinity.)
+        let finite = 0.0..=f64::MAX;
+        let increasing = energy.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
+        let in_range = energy.iter().zip(&value).fold(true, |ok, (&e, &v)| {
+            ok & (e > 0.0) & finite.contains(&e) & finite.contains(&v)
+        });
+        if !(increasing && in_range) {
+            for w in energy.windows(2) {
+                assert!(
+                    w[0] < w[1],
+                    "energy grid must be strictly increasing ({} !< {})",
+                    w[0],
+                    w[1]
+                );
+            }
+            for (&e, &v) in energy.iter().zip(&value) {
+                assert!(e.is_finite() && e > 0.0, "energies must be positive");
+                assert!(v.is_finite() && v >= 0.0, "values must be non-negative");
+            }
         }
-        for &(e, v) in &points {
-            assert!(e.is_finite() && e > 0.0, "energies must be positive");
-            assert!(v.is_finite() && v >= 0.0, "values must be non-negative");
-        }
-        let (energy, value) = points.into_iter().unzip();
         Self { energy, value }
     }
 
@@ -208,7 +223,7 @@ mod tests {
     use super::*;
 
     fn table() -> CrossSection {
-        CrossSection::new(vec![(1.0, 10.0), (2.0, 20.0), (4.0, 10.0), (8.0, 40.0)])
+        CrossSection::new(vec![1.0, 2.0, 4.0, 8.0], vec![10.0, 20.0, 10.0, 40.0])
     }
 
     #[test]
@@ -313,12 +328,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn rejects_unsorted_grid() {
-        let _ = CrossSection::new(vec![(2.0, 1.0), (1.0, 1.0)]);
+        let _ = CrossSection::new(vec![2.0, 1.0], vec![1.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_values() {
-        let _ = CrossSection::new(vec![(1.0, -1.0), (2.0, 1.0)]);
+        let _ = CrossSection::new(vec![1.0, 2.0], vec![-1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn rejects_ragged_columns() {
+        let _ = CrossSection::new(vec![1.0, 2.0, 3.0], vec![1.0, 1.0]);
+    }
+
+    /// Non-finite points pass every ordering comparison they can, so the
+    /// branch-free pass must still send them to the reporting walk.
+    #[test]
+    fn rejects_non_finite_points() {
+        for (energy, value, says) in [
+            (
+                vec![1.0, f64::INFINITY],
+                vec![1.0, 1.0],
+                "energies must be positive",
+            ),
+            (
+                vec![1.0, 2.0],
+                vec![1.0, f64::NAN],
+                "values must be non-negative",
+            ),
+            (
+                vec![1.0, 2.0],
+                vec![f64::INFINITY, 1.0],
+                "values must be non-negative",
+            ),
+        ] {
+            let panic =
+                std::panic::catch_unwind(|| CrossSection::new(energy, value)).expect_err(says);
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&says));
+        }
     }
 }

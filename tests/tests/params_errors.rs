@@ -227,6 +227,38 @@ fn geometry_and_physics_range_errors_are_actionable() {
     assert!(e.message.contains("inverted"), "{}", e.message);
 }
 
+/// `shards` is 1..=32: a shard owns whole lanes of a solve's 32, so a
+/// larger count is refused by line (it used to parse, and a shard past
+/// the last lane owns nothing but is still stepped every timestep) — and
+/// a parameter set built in code is refused by `validate` the same way.
+#[test]
+fn shard_counts_past_the_lane_count_are_rejected() {
+    assert_eq!(ProblemParams::parse("shards 32\n").unwrap().shards, 32);
+    for (text, line, says) in [
+        ("shards 0\n", 1, "need at least one shard"),
+        (
+            "nx 10\nshards 33\n",
+            2,
+            "33 shards is more than the 32 lanes",
+        ),
+        (
+            "scenario csp\nshards 1099511627776\n",
+            2,
+            "1099511627776 shards is more than the 32 lanes of a solve",
+        ),
+    ] {
+        let e = fail(text);
+        assert_eq!(e.line, line, "{text:?}");
+        assert!(e.message.starts_with(says), "{text:?}: {e}");
+    }
+    let p = ProblemParams {
+        shards: 33,
+        ..ProblemParams::default()
+    };
+    let e = p.validate().unwrap_err();
+    assert!(e.message.contains("more than the 32 lanes"), "{e}");
+}
+
 #[test]
 fn checkpoint_file_key_parses_and_enforces_arity() {
     let p = ProblemParams::parse("checkpoint_file run.ckpt\n").unwrap();

@@ -176,9 +176,10 @@ fn synthetic_tables_shape() {
     for_cases(24, |g| {
         let points = g.usize_in(64, 512);
         let seed = g.usize_in(0, 1000) as u64;
-        let p = SynthParams::default();
-        let capture = neutral_xs::synthetic_capture(points, seed, &p);
+        let lib = neutral_xs::synthetic_tables(points, seed, &SynthParams::default());
+        let capture = &lib.absorb;
         assert!(capture.values().iter().all(|&v| v > 0.0));
+        assert!(lib.scatter.values().iter().all(|&v| v > 0.0));
         assert!(capture.value_binary(1e-3) > capture.value_binary(1e6));
     });
 }

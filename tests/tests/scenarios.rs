@@ -141,6 +141,62 @@ fn energy_balance_on_scenarios() {
     }
 }
 
+/// The content address of every catalogue scenario at `tiny`, seed
+/// 20 170 905, under both schemes. The registry's memo and result cache
+/// key on these values, and so does the `ConfigMismatch` guard of every
+/// checkpoint already on disk. The address hashes every table bit, so a
+/// table build that moves one bit fails here even for a scenario no
+/// golden covers.
+#[test]
+fn catalogue_fingerprints_are_pinned() {
+    const PINNED: [(Scenario, u64, u64); 8] = [
+        (
+            Scenario::Stream,
+            0x1329_c95d_1832_03f5,
+            0xde17_8319_2475_acb3,
+        ),
+        (
+            Scenario::Scatter,
+            0xcd38_59a6_cf23_9944,
+            0x1feb_c0b8_fc82_74a3,
+        ),
+        (Scenario::Csp, 0x7e72_6714_08d5_d7a2, 0xa2ce_9305_75ff_da9d),
+        (
+            Scenario::ShieldedSlab,
+            0xbdc4_0c66_061d_ffa2,
+            0xeb75_49f0_4db1_15c3,
+        ),
+        (
+            Scenario::StreamingDuct,
+            0x1be0_6378_a881_586f,
+            0x9f54_3e0b_e6eb_a9c6,
+        ),
+        (
+            Scenario::GradedModerator,
+            0x8f69_a465_d0e0_979a,
+            0xa881_4190_504c_8e70,
+        ),
+        (
+            Scenario::FuelLattice,
+            0xf19c_2ac5_02fb_3838,
+            0x63bf_c83e_e1f1_3fc7,
+        ),
+        (
+            Scenario::CoreEscape,
+            0xd060_5521_492b_2693,
+            0x26f7_9b95_0de0_b6f5,
+        ),
+    ];
+    assert_eq!(PINNED.map(|(s, _, _)| s), Scenario::ALL);
+    for (scenario, op, oe) in PINNED {
+        let problem = scenario.build(ProblemScale::tiny(), 20_170_905);
+        for (scheme, want) in [(Scheme::OverParticles, op), (Scheme::OverEvents, oe)] {
+            let got = config_fingerprint(&problem, scheme);
+            assert_eq!(got, want, "{scenario:?}/{scheme:?}: {got:#018x}");
+        }
+    }
+}
+
 /// Lookup backends stay bitwise-equivalent per material: switching the
 /// strategy must not change a single bit of a multi-material solve.
 #[test]
