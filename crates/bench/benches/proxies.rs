@@ -1,5 +1,6 @@
 //! Comparator mini-app benchmarks: one `flow` hydro step and one `hot` CG
-//! solve, serial vs Rayon — the bandwidth-bound baselines of Figure 3.
+//! solve, at one and two threads — the bandwidth-bound baselines of
+//! Figure 3.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neutral_proxies::{flow, hot};
@@ -9,29 +10,21 @@ fn bench_proxies(c: &mut Criterion) {
     let mut group = c.benchmark_group("proxies");
     group.sample_size(10);
 
-    group.bench_function("flow_step_serial_256", |b| {
-        let mut s = flow::FlowState::sod_x(256, 256, flow::FlowBc::Periodic);
-        let dt = s.cfl_dt(0.4);
-        b.iter(|| {
-            s.step(black_box(dt), false);
+    for threads in [1, 2] {
+        group.bench_function(format!("flow_step_{threads}t_256"), |b| {
+            let mut s = flow::FlowState::sod_x(256, 256, flow::FlowBc::Periodic);
+            let dt = s.cfl_dt(0.4, threads);
+            b.iter(|| {
+                s.step(black_box(dt), threads);
+            });
         });
-    });
+    }
 
-    group.bench_function("flow_step_rayon_256", |b| {
-        let mut s = flow::FlowState::sod_x(256, 256, flow::FlowBc::Periodic);
-        let dt = s.cfl_dt(0.4);
-        b.iter(|| {
-            s.step(black_box(dt), true);
+    for threads in [1, 2] {
+        group.bench_function(format!("hot_cg_{threads}t_128"), |b| {
+            b.iter(|| black_box(hot::run_hot_workload(128, 128, threads)));
         });
-    });
-
-    group.bench_function("hot_cg_serial_128", |b| {
-        b.iter(|| black_box(hot::run_hot_workload(128, 128, false)));
-    });
-
-    group.bench_function("hot_cg_rayon_128", |b| {
-        b.iter(|| black_box(hot::run_hot_workload(128, 128, true)));
-    });
+    }
 
     group.finish();
 }

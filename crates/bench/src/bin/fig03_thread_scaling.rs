@@ -4,10 +4,10 @@
 //! Part 1 measures real efficiency curves on this host (Over-Particles as
 //! the paper ran it — particle-granular schedule into the shared atomic
 //! tally, `neutral_bench::baseline` — Over-Events on the lane scheduler,
-//! flow/hot via Rayon pools). Part 2 projects the curves onto the
-//! paper's dual-socket Broadwell and POWER8 with the architecture model,
-//! reproducing the NUMA-crossing drop (Broadwell, thread 23+) and the
-//! POWER8 cluster step functions at threads 6 and 11.
+//! flow/hot as static blocks on the same scheduler). Part 2 projects the
+//! curves onto the paper's dual-socket Broadwell and POWER8 with the
+//! architecture model, reproducing the NUMA-crossing drop (Broadwell,
+//! thread 23+) and the POWER8 cluster step functions at threads 6 and 11.
 
 use neutral_bench::baseline::{median_baseline, Baseline};
 use neutral_bench::*;
@@ -48,18 +48,14 @@ fn main() {
             .as_secs_f64();
 
         // flow: fixed hydro workload.
-        let fl = with_pool(t, || {
-            let start = Instant::now();
-            let _ = flow::run_flow_workload(512, 512, 10, t > 1);
-            start.elapsed().as_secs_f64()
-        });
+        let start = Instant::now();
+        let _ = flow::run_flow_workload(512, 512, 10, t);
+        let fl = start.elapsed().as_secs_f64();
 
         // hot: fixed CG workload.
-        let ht = with_pool(t, || {
-            let start = Instant::now();
-            let _ = hot::run_hot_workload(512, 512, t > 1);
-            start.elapsed().as_secs_f64()
-        });
+        let start = Instant::now();
+        let _ = hot::run_hot_workload(512, 512, t);
+        let ht = start.elapsed().as_secs_f64();
 
         let (b_op, b_oe, b_fl, b_ht) = *baselines.get_or_insert((op, oe, fl, ht));
         let eff = |base: f64, now: f64| base / (t as f64 * now);

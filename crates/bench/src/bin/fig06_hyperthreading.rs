@@ -46,11 +46,9 @@ fn main() {
         let neutral = median_baseline(&csp, neutral, args.reps)
             .elapsed
             .as_secs_f64();
-        let fl = with_pool(t.min(max_t * 4), || {
-            let start = Instant::now();
-            let _ = flow::run_flow_workload(512, 512, 10, t > 1);
-            start.elapsed().as_secs_f64()
-        });
+        let start = Instant::now();
+        let _ = flow::run_flow_workload(512, 512, 10, t);
+        let fl = start.elapsed().as_secs_f64();
         rows.push(vec![
             format!("{t}{}", if t > max_t { " (oversub)" } else { "" }),
             format!("{neutral:.3}"),

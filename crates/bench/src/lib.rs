@@ -135,17 +135,6 @@ pub(crate) fn median_of(reps: usize, run: impl Fn() -> RunReport) -> RunReport {
     reports.swap_remove(reports.len() / 2)
 }
 
-/// Run a closure inside a Rayon pool of exactly `threads` workers (the
-/// `flow` and `hot` proxies; the transport library takes its worker count
-/// from [`RunOptions`]).
-pub fn with_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build thread pool")
-        .install(f)
-}
-
 /// Measure a case at test scale and extrapolate its profile to the
 /// paper's full scale for the architecture model.
 #[must_use]

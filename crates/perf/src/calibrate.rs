@@ -11,8 +11,8 @@
 //! * **Behavioural constants** — memory-level parallelism per thread, the
 //!   SIMD-expressible fraction of the Over-Events kernels, GPU divergence
 //!   penalties. These were tuned (coarsely, by hand) so that the model's
-//!   headline ratios land inside the bands the paper reports; the tuning
-//!   targets and the achieved values are tabulated in `EXPERIMENTS.md`.
+//!   headline ratios land inside the bands the paper reports; those bands
+//!   are asserted in `tests/tests/paper_reproduction.rs`.
 //!
 //! Nothing here is fitted per-figure: one parameter set drives every
 //! prediction in every figure.

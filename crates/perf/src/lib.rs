@@ -25,7 +25,7 @@
 //! Bandwidth and instruction-throughput terms bound the schemes that
 //! stream (Over Events) or vectorise (KNL). Calibration constants live in
 //! [`calibrate`] and are validated against the paper's headline ratios in
-//! this crate's tests and in `EXPERIMENTS.md`.
+//! this crate's tests and in `tests/tests/paper_reproduction.rs`.
 //!
 //! The GPU occupancy sub-model ([`occupancy`]) reproduces the paper's
 //! register-pressure arithmetic exactly: 79 registers/thread on the P100

@@ -7,7 +7,7 @@
 //! makes the mini-app memory-bandwidth bound and near-perfectly scalable
 //! until the memory controllers saturate (paper §VI-B).
 
-use rayon::prelude::*;
+use crate::blocks::{block_len, map_blocks, run_blocks};
 
 /// Ratio of specific heats (diatomic ideal gas).
 pub const GAMMA: f64 = 1.4;
@@ -103,23 +103,27 @@ impl FlowState {
         (GAMMA - 1.0) * (self.e[i] - ke)
     }
 
-    /// Largest |u| + c over the grid (for the CFL condition).
+    /// Largest |u| + c over the grid (for the CFL condition), as a
+    /// max-reduction over `threads` blocks.
     #[must_use]
-    pub fn max_wave_speed(&self) -> f64 {
-        (0..self.rho.len())
-            .map(|i| {
-                let rho = self.rho[i];
-                let u = (self.mx[i] / rho).abs().max((self.my[i] / rho).abs());
-                let c = (GAMMA * self.pressure(i).max(0.0) / rho).sqrt();
-                u + c
-            })
-            .fold(0.0, f64::max)
+    pub fn max_wave_speed(&self, threads: usize) -> f64 {
+        let speed = |i: usize| {
+            let rho = self.rho[i];
+            let u = (self.mx[i] / rho).abs().max((self.my[i] / rho).abs());
+            let c = (GAMMA * self.pressure(i).max(0.0) / rho).sqrt();
+            u + c
+        };
+        map_blocks(self.rho.len(), threads, |r| {
+            r.map(speed).fold(0.0, f64::max)
+        })
+        .into_iter()
+        .fold(0.0, f64::max)
     }
 
     /// CFL-limited timestep.
     #[must_use]
-    pub fn cfl_dt(&self, cfl: f64) -> f64 {
-        cfl * self.dx.min(self.dy) / self.max_wave_speed()
+    pub fn cfl_dt(&self, cfl: f64, threads: usize) -> f64 {
+        cfl * self.dx.min(self.dy) / self.max_wave_speed(threads)
     }
 
     /// Totals of the conserved quantities `(mass, momentum_x, momentum_y,
@@ -135,11 +139,12 @@ impl FlowState {
         )
     }
 
-    /// Advance one timestep (x-sweep then y-sweep). `parallel` runs the
-    /// sweeps on Rayon's current pool.
-    pub fn step(&mut self, dt: f64, parallel: bool) {
-        self.sweep_x(dt, parallel);
-        self.sweep_y(dt, parallel);
+    /// Advance one timestep (x-sweep then y-sweep). Each pass over the
+    /// grid runs as `threads` contiguous blocks on neutral's scheduler;
+    /// the result is bit-identical at every thread count.
+    pub fn step(&mut self, dt: f64, threads: usize) {
+        self.sweep(true, dt / self.dx, threads);
+        self.sweep(false, dt / self.dy, threads);
     }
 
     /// Neighbour index with boundary handling.
@@ -153,74 +158,46 @@ impl FlowState {
         (iy * nx + ix) as usize
     }
 
-    fn sweep_x(&mut self, dt: f64, parallel: bool) {
-        let lambda = dt / self.dx;
-        let nx = self.nx;
-        let flux = self.compute_fluxes(true, parallel);
-        self.apply_fluxes(&flux, lambda, nx, 1, parallel);
-    }
-
-    fn sweep_y(&mut self, dt: f64, parallel: bool) {
-        let lambda = dt / self.dy;
-        let nx = self.nx;
-        let flux = self.compute_fluxes(false, parallel);
-        self.apply_fluxes(&flux, lambda, nx, nx, parallel);
+    fn sweep(&mut self, xdir: bool, lambda: f64, threads: usize) {
+        let flux = self.compute_fluxes(xdir, threads);
+        self.apply_fluxes(&flux, lambda, xdir, threads);
     }
 
     /// Rusanov flux at the *left/lower* face of every cell, for the given
     /// sweep direction. Returns four arrays (mass, mom-normal,
     /// mom-transverse, energy) of length `nx*ny`.
-    fn compute_fluxes(&self, xdir: bool, parallel: bool) -> [Vec<f64>; 4] {
+    fn compute_fluxes(&self, xdir: bool, threads: usize) -> [Vec<f64>; 4] {
         let n = self.rho.len();
-        let nx = self.nx;
-        let mut f0 = vec![0.0; n];
-        let mut f1 = vec![0.0; n];
-        let mut f2 = vec![0.0; n];
-        let mut f3 = vec![0.0; n];
-
-        let face = |i: usize, out: (&mut f64, &mut f64, &mut f64, &mut f64)| {
-            let ix = (i % nx) as isize;
-            let iy = (i / nx) as isize;
-            let (il, ir) = if xdir {
-                (self.nbr(ix - 1, iy), i)
-            } else {
-                (self.nbr(ix, iy - 1), i)
-            };
-            let (fl, sl) = self.phys_flux(il, xdir);
-            let (fr, sr) = self.phys_flux(ir, xdir);
-            let smax = sl.max(sr);
-            let ul = [self.rho[il], self.mx[il], self.my[il], self.e[il]];
-            let ur = [self.rho[ir], self.mx[ir], self.my[ir], self.e[ir]];
-            *out.0 = 0.5 * (fl[0] + fr[0]) - 0.5 * smax * (ur[0] - ul[0]);
-            *out.1 = 0.5 * (fl[1] + fr[1]) - 0.5 * smax * (ur[1] - ul[1]);
-            *out.2 = 0.5 * (fl[2] + fr[2]) - 0.5 * smax * (ur[2] - ul[2]);
-            *out.3 = 0.5 * (fl[3] + fr[3]) - 0.5 * smax * (ur[3] - ul[3]);
-        };
-
-        if parallel {
-            (
-                f0.par_iter_mut(),
-                (f1.par_iter_mut(), (f2.par_iter_mut(), f3.par_iter_mut())),
-            )
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(i, (a, (b, (c, d))))| face(i, (a, b, c, d)));
-        } else {
-            for i in 0..n {
-                // Split borrows: take raw pointers per element is overkill;
-                // use index-wise writes through a small closure instead.
-                let mut a = 0.0;
-                let mut b = 0.0;
-                let mut c = 0.0;
-                let mut d = 0.0;
-                face(i, (&mut a, &mut b, &mut c, &mut d));
-                f0[i] = a;
-                f1[i] = b;
-                f2[i] = c;
-                f3[i] = d;
+        let per = block_len(n, threads);
+        let mut flux = [(); 4].map(|()| vec![0.0; n]);
+        let mut blocks = lock_step_blocks(&mut flux, per);
+        run_blocks(&mut blocks, move |b, f| {
+            for j in 0..f[0].len() {
+                let face = self.face_flux(b * per + j, xdir);
+                for (fk, v) in f.iter_mut().zip(face) {
+                    fk[j] = v;
+                }
             }
-        }
-        [f0, f1, f2, f3]
+        });
+        flux
+    }
+
+    /// Rusanov flux at the left/lower face of cell `i`.
+    #[inline]
+    fn face_flux(&self, i: usize, xdir: bool) -> [f64; 4] {
+        let ix = (i % self.nx) as isize;
+        let iy = (i / self.nx) as isize;
+        let (il, ir) = if xdir {
+            (self.nbr(ix - 1, iy), i)
+        } else {
+            (self.nbr(ix, iy - 1), i)
+        };
+        let (fl, sl) = self.phys_flux(il, xdir);
+        let (fr, sr) = self.phys_flux(ir, xdir);
+        let smax = sl.max(sr);
+        let ul = [self.rho[il], self.mx[il], self.my[il], self.e[il]];
+        let ur = [self.rho[ir], self.mx[ir], self.my[ir], self.e[ir]];
+        std::array::from_fn(|k| 0.5 * (fl[k] + fr[k]) - 0.5 * smax * (ur[k] - ul[k]))
     }
 
     /// Physical Euler flux of cell `i` in the sweep direction, plus the
@@ -255,25 +232,15 @@ impl FlowState {
         }
     }
 
-    /// Conservative update: `U[i] -= lambda * (flux[right_face] - flux[i])`.
-    /// `stride` is 1 for x sweeps and `nx` for y sweeps.
-    fn apply_fluxes(
-        &mut self,
-        flux: &[Vec<f64>; 4],
-        lambda: f64,
-        nx: usize,
-        stride: usize,
-        parallel: bool,
-    ) {
-        let n = self.rho.len();
-        let ny = self.ny;
-        let bc = self.bc;
-        let right_face = |i: usize| -> usize {
-            // Index of the face array entry holding this cell's
-            // right/upper face = left face of the next cell along stride.
+    /// Conservative update: `U[i] -= lambda * (flux[right_face] - flux[i])`,
+    /// where the right face is the next cell's left face along x
+    /// (`xdir`) or y.
+    fn apply_fluxes(&mut self, flux: &[Vec<f64>; 4], lambda: f64, xdir: bool, threads: usize) {
+        let (nx, ny, bc) = (self.nx, self.ny, self.bc);
+        let right_face = move |i: usize| -> usize {
             let ix = i % nx;
             let iy = i / nx;
-            if stride == 1 {
+            if xdir {
                 let nxt = match bc {
                     FlowBc::Periodic => (ix + 1) % nx,
                     FlowBc::Transmissive => (ix + 1).min(nx - 1),
@@ -287,50 +254,41 @@ impl FlowState {
                 nyt * nx + ix
             }
         };
-
-        let update = |i: usize, rho: &mut f64, mx: &mut f64, my: &mut f64, e: &mut f64| {
-            let r = right_face(i);
-            // At a transmissive edge the "next" cell is the cell itself, so
-            // the outflow face reuses the physical flux of the cell — a
-            // zero-gradient approximation.
-            *rho -= lambda * (flux[0][r] - flux[0][i]);
-            *mx -= lambda * (flux[1][r] - flux[1][i]);
-            *my -= lambda * (flux[2][r] - flux[2][i]);
-            *e -= lambda * (flux[3][r] - flux[3][i]);
-        };
-
-        if parallel {
-            (
-                self.rho.par_iter_mut(),
-                (
-                    self.mx.par_iter_mut(),
-                    (self.my.par_iter_mut(), self.e.par_iter_mut()),
-                ),
-            )
-                .into_par_iter()
-                .enumerate()
-                .for_each(|(i, (r, (mx, (my, e))))| update(i, r, mx, my, e));
-        } else {
-            for i in 0..n {
-                let (mut r, mut mx, mut my, mut e) =
-                    (self.rho[i], self.mx[i], self.my[i], self.e[i]);
-                update(i, &mut r, &mut mx, &mut my, &mut e);
-                self.rho[i] = r;
-                self.mx[i] = mx;
-                self.my[i] = my;
-                self.e[i] = e;
+        let per = block_len(self.rho.len(), threads);
+        let mut state = [&mut self.rho, &mut self.mx, &mut self.my, &mut self.e];
+        let mut blocks = lock_step_blocks(&mut state, per);
+        run_blocks(&mut blocks, move |b, u| {
+            for j in 0..u[0].len() {
+                let i = b * per + j;
+                let r = right_face(i);
+                // At a transmissive edge the "next" cell is the cell itself,
+                // so the outflow face reuses the physical flux of the cell —
+                // a zero-gradient approximation.
+                for (uk, fk) in u.iter_mut().zip(flux) {
+                    uk[j] -= lambda * (fk[r] - fk[i]);
+                }
             }
-        }
+        });
     }
+}
+
+/// Four equal-length arrays cut into lock-step blocks of `per` elements.
+fn lock_step_blocks<A: AsMut<[f64]>>(arrays: &mut [A; 4], per: usize) -> Vec<[&mut [f64]; 4]> {
+    let [a, b, c, d] = arrays.each_mut().map(|x| x.as_mut().chunks_mut(per));
+    a.zip(b)
+        .zip(c)
+        .zip(d)
+        .map(|(((a, b), c), d)| [a, b, c, d])
+        .collect()
 }
 
 /// Run `steps` CFL-limited steps; returns the final state. This is the
 /// fixed workload the figure harness times at different thread counts.
-pub fn run_flow_workload(nx: usize, ny: usize, steps: usize, parallel: bool) -> FlowState {
+pub fn run_flow_workload(nx: usize, ny: usize, steps: usize, threads: usize) -> FlowState {
     let mut s = FlowState::sod_x(nx, ny, FlowBc::Transmissive);
     for _ in 0..steps {
-        let dt = s.cfl_dt(0.4);
-        s.step(dt, parallel);
+        let dt = s.cfl_dt(0.4, threads);
+        s.step(dt, threads);
     }
     s
 }
@@ -344,8 +302,8 @@ mod tests {
         let mut s = FlowState::uniform(32, 32, 1.0, 1.0, 1.0, 1.0, FlowBc::Periodic);
         let before = s.rho.clone();
         for _ in 0..5 {
-            let dt = s.cfl_dt(0.4);
-            s.step(dt, false);
+            let dt = s.cfl_dt(0.4, 1);
+            s.step(dt, 1);
         }
         for (a, b) in before.iter().zip(&s.rho) {
             assert!((a - b).abs() < 1e-12, "uniform state drifted");
@@ -357,8 +315,8 @@ mod tests {
         let mut s = FlowState::sod_x(64, 8, FlowBc::Periodic);
         let (m0, px0, py0, e0) = s.totals();
         for _ in 0..20 {
-            let dt = s.cfl_dt(0.4);
-            s.step(dt, false);
+            let dt = s.cfl_dt(0.4, 1);
+            s.step(dt, 1);
         }
         let (m1, px1, py1, e1) = s.totals();
         assert!((m0 - m1).abs() / m0 < 1e-12, "mass drift");
@@ -377,8 +335,8 @@ mod tests {
         let mut s = FlowState::sod_x(nx, 1, FlowBc::Transmissive);
         let mut t = 0.0;
         while t < 0.2 {
-            let dt = s.cfl_dt(0.4).min(0.2 - t);
-            s.step(dt, false);
+            let dt = s.cfl_dt(0.4, 1).min(0.2 - t);
+            s.step(dt, 1);
             t += dt;
         }
         // All densities within [0.125, 1.0] (no over/undershoot blow-ups).
@@ -402,21 +360,26 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_steps_agree() {
-        let mut a = FlowState::sod_x(64, 16, FlowBc::Periodic);
-        let mut b = a.clone();
+        let mut serial = FlowState::sod_x(64, 16, FlowBc::Periodic);
+        let mut threaded = [2, 3, 7].map(|t| (t, serial.clone()));
         for _ in 0..5 {
-            let dt = a.cfl_dt(0.4);
-            a.step(dt, false);
-            b.step(dt, true);
+            let dt = serial.cfl_dt(0.4, 1);
+            serial.step(dt, 1);
+            for (t, s) in &mut threaded {
+                assert_eq!(s.cfl_dt(0.4, *t).to_bits(), dt.to_bits());
+                s.step(dt, *t);
+            }
         }
-        for (x, y) in a.rho.iter().zip(&b.rho) {
-            assert_eq!(x.to_bits(), y.to_bits(), "parallel sweep diverged");
+        for (t, s) in &threaded {
+            for (x, y) in serial.rho.iter().zip(&s.rho) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{t}-thread sweep diverged");
+            }
         }
     }
 
     #[test]
     fn workload_runs() {
-        let s = run_flow_workload(64, 8, 3, false);
+        let s = run_flow_workload(64, 8, 3, 1);
         assert_eq!(s.nx(), 64);
         assert!(s.rho.iter().all(|&r| r > 0.0));
     }

@@ -5,8 +5,8 @@
 //! `neutral-perf`, and asserts the published ratio within a tolerance
 //! band. Bands are deliberately wide — the claim being regression-tested
 //! is the paper's *shape* (who wins, by roughly what factor), not the
-//! third significant digit of a model. `EXPERIMENTS.md` tabulates the
-//! exact model values alongside the paper's.
+//! third significant digit of a model. The figure binaries
+//! (`crates/bench/src/bin/fig*.rs`) print the modeled values.
 
 use neutral_core::prelude::*;
 use neutral_perf::arch::{BROADWELL_2S, K20X, KNL_7210_DRAM, KNL_7210_MCDRAM, P100, POWER8_2S};
