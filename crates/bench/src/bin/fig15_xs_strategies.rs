@@ -139,7 +139,9 @@ fn main() {
         }
         println!();
     }
-    println!("(acceptance: hashed ≥ 2x over binary at 4096 points)");
+    println!(
+        "(both tables share one grid: every strategy searches it once per lookup; DESIGN.md §4)"
+    );
 
     if let Some(path) = &json {
         report.write(path).expect("write --json report");

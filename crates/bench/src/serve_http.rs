@@ -580,6 +580,27 @@ mod tests {
         assert_eq!(key, built("scenario csp\nscale tiny\n", 1).unwrap().0);
     }
 
+    /// The request grammar names a scenario, never its geometry or
+    /// energies, so the values a params file refuses as unbuildable
+    /// (`width inf`, `nx 100000000000`, `initial_energy inf`) reach the
+    /// service only as unknown keys: a line-numbered 400, before any
+    /// build.
+    #[test]
+    fn unbuildable_values_are_400s_before_any_build() {
+        let service = SolveService::new(ServeConfig::default());
+        for line in ["width inf", "nx 100000000000", "initial_energy inf"] {
+            let body = format!("scenario csp\nscale tiny\n{line}\n");
+            let err = parse_solve_request(&body).unwrap_err();
+            assert_eq!(err.line, 3, "{line}");
+            let key = line.split(' ').next().unwrap();
+            assert_eq!(err.message, format!("unknown key `{key}`"));
+            let response = post(&service, &body);
+            assert_eq!(response.status, 400, "{line}");
+            assert_eq!(response.body, format!("{err}\n").into_bytes());
+        }
+        assert_eq!(service.registry().stats().problems_built, 0);
+    }
+
     /// Equal keys must mean equal content addresses — the memo's whole
     /// soundness condition — over generated request bodies: every
     /// scenario, every lookup, both schemes, a timesteps override and the

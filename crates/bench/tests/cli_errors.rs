@@ -75,3 +75,44 @@ fn removed_lookup_values_name_their_replacement() {
         }
     }
 }
+
+/// A params file whose values parse as numbers but cannot be built fails
+/// with the file's line-numbered error and exit 1: `width inf` used to
+/// panic (exit 101), `nx 100000000000` to abort allocating 800 GB
+/// (exit 134), and `initial_energy inf` to run to a `NaN` tally.
+#[test]
+fn unbuildable_params_files_exit_1_with_the_line() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, text, says) in [
+        (
+            "width",
+            "nx 16\nwidth inf\n",
+            "params line 2: `inf` is not a finite number",
+        ),
+        (
+            "cells",
+            "nx 100000000000\n",
+            "params line 1: a 100000000000 × 1000 mesh is more than 2^32 cells",
+        ),
+        (
+            "energy",
+            "nx 16\nny 16\ninitial_energy inf\n",
+            "params line 3: `inf` is not a finite number",
+        ),
+    ] {
+        let path = dir.join(format!("unbuildable_{name}.params"));
+        std::fs::write(&path, text).expect("write params file");
+        let out = Command::new(env!("CARGO_BIN_EXE_neutral_cli"))
+            .arg(&path)
+            .output()
+            .expect("spawn neutral_cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with(&format!("error: {says}"))),
+            "{name}: no `error: {says}` line in: {stderr}"
+        );
+    }
+}

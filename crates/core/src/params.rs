@@ -91,6 +91,20 @@ fn err(line: usize, message: impl Into<String>) -> ParamsError {
     }
 }
 
+/// The most cells a mesh may have: particles carry their cell as two
+/// `u32` coordinates, and Over Events parks a pending deposit's cell as
+/// one `u32` flat index, so a larger mesh would wrap silently.
+const MAX_CELLS: u64 = 1 << 32;
+
+fn check_cells(nx: usize, ny: usize) -> Result<(), String> {
+    match (nx as u64).checked_mul(ny as u64) {
+        Some(cells) if cells <= MAX_CELLS => Ok(()),
+        _ => Err(format!(
+            "a {nx} × {ny} mesh is more than 2^32 cells (cell indices are 32-bit)"
+        )),
+    }
+}
+
 /// Default table-generation seed of material `id` when a `material` line
 /// omits it: decorrelated per id, and exactly the pre-subsystem
 /// `seed ^ 0xc5_0dd` for material 0 (so single-material problems keep
@@ -198,6 +212,9 @@ impl ProblemParams {
             ..Self::default()
         };
         let mut explicit_regions = false;
+        // The line of the last `nx`/`ny` key, where an oversized mesh is
+        // reported.
+        let mut dims_line = 0;
         let mut first_key = true;
         let mut scenario_seen = false;
         // `material` lines with omitted points/seed resolve against the
@@ -243,9 +260,19 @@ impl ProblemParams {
                 }
                 Ok(rest[0].to_owned())
             };
-            let parse_f64 = |s: &str| -> Result<f64, ParamsError> {
+            let parse_num = |s: &str| -> Result<f64, ParamsError> {
                 s.parse()
                     .map_err(|_| err(lineno, format!("`{s}` is not a number")))
+            };
+            // `nan`, `inf` and overflowing literals parse as `f64`, and no
+            // real here may be one: an infinite extent panics building the
+            // mesh, an infinite energy tallies `NaN`.
+            let parse_f64 = |s: &str| -> Result<f64, ParamsError> {
+                let v = parse_num(s)?;
+                if !v.is_finite() {
+                    return Err(err(lineno, format!("`{s}` is not a finite number")));
+                }
+                Ok(v)
             };
             let parse_usize = |s: &str| -> Result<usize, ParamsError> {
                 s.parse()
@@ -265,8 +292,8 @@ impl ProblemParams {
             };
 
             match key {
-                "nx" => p.nx = parse_usize(&one(&rest)?)?,
-                "ny" => p.ny = parse_usize(&one(&rest)?)?,
+                "nx" => (p.nx, dims_line) = (parse_usize(&one(&rest)?)?, lineno),
+                "ny" => (p.ny, dims_line) = (parse_usize(&one(&rest)?)?, lineno),
                 "width" => p.width = parse_f64(&one(&rest)?)?,
                 "height" => p.height = parse_f64(&one(&rest)?)?,
                 "density" => p.density = parse_f64(&one(&rest)?)?,
@@ -312,7 +339,7 @@ impl ProblemParams {
                     if rest.len() != 4 {
                         return Err(err(lineno, "`source` takes 4 values"));
                     }
-                    let v: Result<Vec<f64>, _> = rest.iter().map(|s| parse_f64(s)).collect();
+                    let v: Result<Vec<f64>, _> = rest.iter().map(|s| parse_num(s)).collect();
                     p.source = rect(&v?)?;
                 }
                 "region" => {
@@ -322,9 +349,9 @@ impl ProblemParams {
                             "`region` takes `x0 x1 y0 y1 rho [material_id]`",
                         ));
                     }
-                    let v: Result<Vec<f64>, _> = rest[..5].iter().map(|s| parse_f64(s)).collect();
-                    let v = v?;
-                    let bounds = rect(&v)?;
+                    let v: Result<Vec<f64>, _> = rest[..4].iter().map(|s| parse_num(s)).collect();
+                    let bounds = rect(&v?)?;
+                    let rho = parse_f64(rest[4])?;
                     let mat: MaterialId = match rest.get(5) {
                         None => 0,
                         Some(m) => m
@@ -332,7 +359,7 @@ impl ProblemParams {
                             .map_err(|_| err(lineno, format!("`{m}` is not a material id")))?,
                     };
                     explicit_regions = true;
-                    p.regions.push((bounds, v[4], mat));
+                    p.regions.push((bounds, rho, mat));
                 }
                 "material" => {
                     // material <id> <kind> [points] [seed]
@@ -413,6 +440,7 @@ impl ProblemParams {
         if !explicit_regions && p.regions.is_empty() {
             // No region lines: keep a homogeneous field (background only).
         }
+        check_cells(p.nx, p.ny).map_err(|e| err(dims_line, e))?;
         p.validate()?;
         Ok(p)
     }
@@ -428,6 +456,25 @@ impl ProblemParams {
     pub fn validate(&self) -> Result<(), ParamsError> {
         let check = |ok: bool, msg: &str| if ok { Ok(()) } else { Err(err(0, msg)) };
         check(self.nx > 0 && self.ny > 0, "mesh must have cells")?;
+        check_cells(self.nx, self.ny).map_err(|e| err(0, e))?;
+        let reals = [
+            self.width,
+            self.height,
+            self.density,
+            self.dt,
+            self.initial_energy,
+            self.min_energy,
+            self.weight_cutoff,
+        ];
+        let rects = std::iter::once(&self.source).chain(self.regions.iter().map(|(r, _, _)| r));
+        check(
+            reals.iter().all(|v| v.is_finite())
+                && rects
+                    .flat_map(|r| [r.x0, r.x1, r.y0, r.y1])
+                    .all(f64::is_finite)
+                && self.regions.iter().all(|(_, rho, _)| rho.is_finite()),
+            "every real parameter must be finite",
+        )?;
         check(
             self.width > 0.0 && self.height > 0.0,
             "domain must have extent",

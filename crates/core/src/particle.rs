@@ -74,6 +74,17 @@ impl Particle {
 pub fn spawn_particles(problem: &Problem) -> Vec<Particle> {
     let rng = Threefry2x64::new([problem.seed, 0]);
     let src = problem.source;
+    // Seed the cross-section hints with a binary search into the *birth
+    // cell's* material tables: there is no previous lookup to walk from
+    // at birth, and walking from index 0 would be a pathological cold
+    // start. Every particle is born at one energy, so one search per
+    // material serves them all.
+    let birth_hints: Vec<XsHints> = problem
+        .materials
+        .libraries()
+        .iter()
+        .map(|lib| lib.bins_binary(problem.initial_energy_ev))
+        .collect();
     (0..problem.n_particles)
         .map(|id| {
             let key = id as u64;
@@ -84,17 +95,7 @@ pub fn spawn_particles(problem: &Problem) -> Vec<Particle> {
             let (omega_x, omega_y) = dist::isotropic_direction(&mut stream, &mut counter);
             let mfp = dist::exponential_mfp(&mut stream, &mut counter);
             let (cellx, celly) = problem.mesh.locate(x, y);
-            // Seed the cross-section hints with a binary search into the
-            // *birth cell's* material tables: there is no previous lookup
-            // to walk from at birth, and walking from index 0 would be a
-            // pathological cold start.
-            let lib = problem
-                .materials
-                .library(problem.mesh.material(cellx, celly));
-            let xs_hints = XsHints {
-                absorb: lib.absorb.bin_index_binary(problem.initial_energy_ev) as u32,
-                scatter: lib.scatter.bin_index_binary(problem.initial_energy_ev) as u32,
-            };
+            let xs_hints = birth_hints[usize::from(problem.mesh.material(cellx, celly))];
             Particle {
                 x,
                 y,

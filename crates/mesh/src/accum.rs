@@ -38,16 +38,28 @@
 //! An accumulator lives for one timestep. Under `replicated` it is a
 //! [`LaneFold`]: the pairwise tree over its lanes and a pool of dense
 //! meshes that the thread building the accumulator preallocates. A worker
-//! *opens* a lane ([`TallyAccum::open`]) and gets a pooled mesh,
-//! zero-filled with plain stores on that worker; the lane's [`LaneSink`]
-//! deposits into it; dropping the sink *closes* the lane. Closing parks
-//! the mesh at the lane's tree leaf — or, when the leaf's sibling is
-//! already parked, adds the two (the `x + y` of [`merge_nodes_pairwise`]),
-//! returns the consumed mesh to the pool and repeats one level up. The
-//! fold stops at the [`tree_cover`] nodes of the accumulator's lanes: the
-//! root for a whole step ([`TallyAccum::merge`]), the wire nodes for a
-//! shard attempt ([`TallyAccum::into_nodes`]). A step therefore holds
-//! about `⌈log₂ lanes⌉ + workers` meshes instead of one per lane.
+//! *opens* a lane ([`TallyAccum::open`]) and gets a pooled mesh; the
+//! lane's [`LaneSink`] deposits into it; dropping the sink *closes* the
+//! lane. Closing parks the mesh at the lane's tree leaf — or, when the
+//! leaf's sibling is already parked, adds the two (the `x + y` of
+//! [`merge_nodes_pairwise`]), returns the consumed mesh to the pool and
+//! repeats one level up. The fold stops at the [`tree_cover`] nodes of
+//! the accumulator's lanes: the root for a whole step
+//! ([`TallyAccum::merge`]), the wire nodes for a shard attempt
+//! ([`TallyAccum::into_nodes`]). A step therefore holds about
+//! `⌈log₂ lanes⌉ + workers` meshes instead of one per lane.
+//!
+//! A lane pays only for the `MERGE_BLOCK`-cell blocks it deposits into.
+//! Each mesh knows which of its blocks are *live* (hold the lane's or
+//! node's values) and which are *stale* (left by an earlier user of the
+//! pooled mesh); every other block is all `+0.0`. A block is zero-filled,
+//! with plain stores, on the lane's first deposit into it; the fold adds
+//! a block live on both sides, copies one live only on the right and
+//! skips the rest; and a node is handed out with its stale blocks zeroed.
+//! No cell ever holds `-0.0` — it starts at `+0.0` and only receives
+//! `+=`, and under round-to-nearest `+0.0 + -0.0` and `x + -x` are both
+//! `+0.0` — so the skipped `x + 0.0` and the copied `0.0 + y` are `x` and
+//! `y` bit for bit: the result is the dense tree's (DESIGN.md §11).
 //!
 //! # One merge, over tree nodes
 //!
@@ -63,6 +75,7 @@
 
 use crate::tally::AtomicTally;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Default lane count: the concurrency ceiling of the lane-decomposed
@@ -83,8 +96,9 @@ pub enum TallyStrategy {
     /// One private dense mesh per open lane, folded up the pairwise tree
     /// in lane order as lanes close — the paper's privatisation (§VI-F)
     /// keyed on lanes instead of threads so the merge is deterministic.
-    /// Footprint is the meshes open or parked at once: about
-    /// `⌈log₂ lanes⌉ + workers` of them. The default: the configuration
+    /// Footprint is the blocks deposited into in the meshes open or parked
+    /// at once — about `⌈log₂ lanes⌉ + workers` meshes' worth when every
+    /// lane touches every block. The default: the configuration
     /// every served, sharded and checkpointed solve runs.
     #[default]
     Replicated,
@@ -202,19 +216,58 @@ impl LaneSink<'_> {
     pub fn add(&mut self, cell: usize, value: f64) {
         match self {
             LaneSink::Shared(mesh) => mesh.add(cell, value),
-            LaneSink::Dense(lane) => lane.mesh[cell] += value,
+            LaneSink::Dense(lane) => lane.add(cell, value),
         }
     }
 }
 
-/// An open lane of a [`LaneFold`]: the lane's private mesh, all `+0.0`
-/// when opened. Dropping it closes the lane, which folds the mesh up the
-/// tree on the dropping thread.
+/// An open lane of a [`LaneFold`]: the lane's private mesh, `+0.0` in
+/// every cell until the lane deposits there. Dropping it closes the lane,
+/// which folds the mesh up the tree on the dropping thread.
 #[derive(Debug)]
 pub struct OpenLane<'a> {
     fold: &'a LaneFold,
     lane: usize,
-    mesh: Vec<f64>,
+    mesh: LaneMesh,
+    /// The cells of the run of consecutive live blocks around the
+    /// previous deposit, as `start, len`: a deposit inside it skips the
+    /// block test and costs one compare. Once the blocks a lane deposits
+    /// into are consecutive — all of them on `csp`, the ones around the
+    /// source on `scatter` — every deposit lands inside.
+    run_start: usize,
+    run_len: usize,
+}
+
+impl OpenLane<'_> {
+    #[inline]
+    fn add(&mut self, cell: usize, value: f64) {
+        if cell.wrapping_sub(self.run_start) >= self.run_len {
+            self.enter(cell / MERGE_BLOCK);
+        }
+        self.mesh.values[cell] += value;
+    }
+
+    /// A deposit outside the current run: make `block` live if this is
+    /// the lane's first deposit into it — zero-filled with plain stores,
+    /// so an untouched page takes one write fault, never a read fault and
+    /// a copy-on-write fault, and a stale block forgets its earlier user
+    /// — and take the run of live blocks around it.
+    #[cold]
+    #[inline(never)]
+    fn enter(&mut self, block: usize) {
+        if !self.mesh.live.contains(block) {
+            let cells = self.mesh.make_live(block);
+            self.fold.count_live(cells);
+        }
+        let live = &self.mesh.live;
+        let first = block - (0..block).rev().take_while(|&b| live.contains(b)).count();
+        let end = block
+            + (block..live.capacity())
+                .take_while(|&b| live.contains(b))
+                .count();
+        self.run_start = first * MERGE_BLOCK;
+        self.run_len = (end * MERGE_BLOCK).min(self.mesh.values.len()) - self.run_start;
+    }
 }
 
 impl Drop for OpenLane<'_> {
@@ -243,8 +296,148 @@ pub fn pairwise_sum(values: &[f64]) -> f64 {
 
 /// Cells per block of [`merge_nodes_pairwise`]: 32 KB of `f64`, so a
 /// block's output and its ≤ log₂(lanes) partial sums stay cache-resident
-/// while the meshes stream through once.
+/// while the meshes stream through once. Also the unit a lane mesh
+/// zero-fills, folds and hands out by ([`LaneMesh`]).
 const MERGE_BLOCK: usize = 4096;
+
+/// A lane's or tree node's dense mesh and the state of each of its
+/// `MERGE_BLOCK` blocks: *live* blocks hold the node's values; *stale*
+/// ones — written, but not live — whatever an earlier user of the pooled
+/// mesh left there; and every other block is all `+0.0`, never written
+/// since it was allocated.
+#[derive(Debug, Default)]
+struct LaneMesh {
+    values: Vec<f64>,
+    live: BlockSet,
+    /// Blocks written since the mesh was allocated: the live ones and
+    /// the stale ones.
+    written: BlockSet,
+}
+
+impl LaneMesh {
+    /// A mesh of `cells` `+0.0`s, nothing resident yet.
+    fn new(cells: usize) -> Self {
+        let blocks = cells.div_ceil(MERGE_BLOCK);
+        Self {
+            values: vec![0.0; cells],
+            live: BlockSet::new(blocks),
+            written: BlockSet::new(blocks),
+        }
+    }
+
+    fn cells(&self, block: usize) -> Range<usize> {
+        block * MERGE_BLOCK..((block + 1) * MERGE_BLOCK).min(self.values.len())
+    }
+
+    /// Zero-fill `block` and make it live; returns its cell count.
+    fn make_live(&mut self, block: usize) -> usize {
+        let cells = self.cells(block);
+        self.values[cells.clone()].fill(0.0);
+        self.live.insert(block);
+        self.written.insert(block);
+        cells.len()
+    }
+
+    /// `self += right`, block by block, where `self` is the left node:
+    /// add a block live on both sides, copy one live only in `right`.
+    /// Returns the cells of the blocks added, which `right` no longer
+    /// needs to hold.
+    fn absorb(&mut self, right: &LaneMesh) -> usize {
+        let mut shared = 0;
+        for block in right.live.iter() {
+            let cells = self.cells(block);
+            let (x, y) = (&mut self.values[cells.clone()], &right.values[cells]);
+            if self.live.contains(block) {
+                for (x, y) in x.iter_mut().zip(y) {
+                    *x += y;
+                }
+                shared += x.len();
+            } else {
+                x.copy_from_slice(y);
+                self.live.insert(block);
+                self.written.insert(block);
+            }
+        }
+        shared
+    }
+
+    /// Back to the pool: what was live is stale to the next user.
+    fn retire(&mut self) {
+        self.live.clear();
+    }
+
+    /// The node as a dense mesh: stale blocks zeroed, blocks never
+    /// written left untouched.
+    fn into_dense(mut self) -> Vec<f64> {
+        for block in self.written.iter() {
+            if !self.live.contains(block) {
+                let cells = self.cells(block);
+                self.values[cells].fill(0.0);
+            }
+        }
+        self.values
+    }
+}
+
+/// One bit per block of a mesh, kept in whole 64-byte lines: each mesh's
+/// bits sit on cache lines of their own, so the worker that marks a block
+/// live never invalidates a line that another worker's lane reads on its
+/// deposit path (8-byte sets, packed side by side by the allocator, cost
+/// `csp` Over Particles 15 % at two workers). A 512² mesh needs one line;
+/// one line covers 512 blocks, 2 048² cells.
+#[derive(Clone, Debug, Default)]
+struct BlockSet(Vec<BlockLine>);
+
+#[derive(Clone, Copy, Debug, Default)]
+#[repr(align(64))]
+struct BlockLine([u64; 8]);
+
+impl BlockSet {
+    const PER_LINE: usize = 512;
+
+    fn new(blocks: usize) -> Self {
+        Self(vec![BlockLine::default(); blocks.div_ceil(Self::PER_LINE)])
+    }
+
+    /// Line, word and bit of `block`.
+    fn slot(block: usize) -> (usize, usize, u64) {
+        let line = block / Self::PER_LINE;
+        (line, block % Self::PER_LINE / 64, 1 << (block % 64))
+    }
+
+    /// Blocks the set can hold.
+    fn capacity(&self) -> usize {
+        self.0.len() * Self::PER_LINE
+    }
+
+    fn contains(&self, block: usize) -> bool {
+        let (line, word, bit) = Self::slot(block);
+        self.0[line].0[word] & bit != 0
+    }
+
+    fn insert(&mut self, block: usize) {
+        let (line, word, bit) = Self::slot(block);
+        self.0[line].0[word] |= bit;
+    }
+
+    fn clear(&mut self) {
+        self.0.fill(BlockLine::default());
+    }
+
+    /// The blocks in the set, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.0.iter().flat_map(|line| line.0);
+        words.enumerate().flat_map(|(w, mut word)| {
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+}
 
 /// The canonical cover of `lanes` by nodes of the pairwise tree over
 /// `[0, n_lanes)`: the fewest tree nodes that tile `lanes`, in lane order
@@ -396,23 +589,25 @@ fn merge_block<M: AsRef<[f64]>>(
 /// docs).
 ///
 /// A lane is *opened* once, on the worker that deposits into it, and gets
-/// a mesh from the pool, zero-filled there with plain stores: written
-/// first, a fresh page takes one write fault instead of a read fault on
-/// the shared zero page and then a copy-on-write fault that shoots it out
-/// of every other worker's TLB. *Closing* the lane parks its mesh at its
-/// leaf, or — when the sibling node is already parked — adds the two into
-/// the left one, hands the right one back to the pool and repeats one
-/// level up, stopping at the nodes of [`tree_cover`]`(n_lanes, lanes)`.
-/// Whoever closes second does the add, and the add is the tree's
-/// `x + y`, so the bits do not depend on the completion order. A lane
-/// that is never opened is opened and closed when the fold is taken
+/// a mesh from the pool. Its first deposit into a block zero-fills that
+/// block there with plain stores: written first, a fresh page takes one
+/// write fault instead of a read fault on the shared zero page and then a
+/// copy-on-write fault that shoots it out of every other worker's TLB.
+/// *Closing* the lane parks its mesh at its leaf, or — when the sibling
+/// node is already parked — adds the two into the left one, hands the
+/// right one back to the pool and repeats one level up, stopping at the
+/// nodes of [`tree_cover`]`(n_lanes, lanes)`. Whoever closes second does
+/// the add, and the add is the tree's `x + y` over the blocks either side
+/// deposited into, so the bits do not depend on the completion order. A
+/// lane that is never opened is opened and closed when the fold is taken
 /// apart, so it folds as an all-`+0.0` mesh, as the tree says it must.
 ///
 /// The pool starts at `min(lanes, workers + ⌈log₂ lanes⌉ + 1)` meshes,
 /// allocated by the thread that builds the fold — a thread that outlives
 /// the step's workers (DESIGN.md §11) — and grows only if it runs dry.
 /// Closed in lane order, the lanes hold at most `⌈log₂ lanes⌉ + 1` meshes
-/// at once: the open lane and one parked node per level above it.
+/// at once: the open lane and one parked node per level above it. Only
+/// their live blocks are ever written, so only those become resident.
 #[derive(Debug)]
 pub struct LaneFold {
     cells: usize,
@@ -426,6 +621,10 @@ pub struct LaneFold {
     /// `tree` index of each owned lane's leaf.
     leaf: Vec<usize>,
     state: Mutex<FoldState>,
+    /// Cells in live blocks of open or parked meshes now, and the most
+    /// there ever were.
+    live_cells: AtomicUsize,
+    peak_cells: AtomicUsize,
 }
 
 #[derive(Debug)]
@@ -449,12 +648,9 @@ struct FoldState {
     lanes: Vec<LaneState>,
     /// Per `tree` node: its reduced mesh, parked until its sibling
     /// finishes or, at a cover node, until the fold is taken apart.
-    parked: Vec<Option<Vec<f64>>>,
-    /// Meshes out of use; recycled ones hold stale values.
-    pool: Vec<Vec<f64>>,
-    /// Meshes open or parked now, and the most there ever were.
-    live: usize,
-    high_water: usize,
+    parked: Vec<Option<LaneMesh>>,
+    /// Meshes out of use; recycled ones carry stale blocks.
+    pool: Vec<LaneMesh>,
 }
 
 impl LaneFold {
@@ -466,14 +662,12 @@ impl LaneFold {
         }
         let depth = lanes.len().next_power_of_two().trailing_zeros() as usize;
         let pool = (0..lanes.len().min(workers + depth + 1))
-            .map(|_| vec![0.0; cells])
+            .map(|_| LaneMesh::new(cells))
             .collect();
         let state = FoldState {
             lanes: vec![LaneState::Unopened; lanes.len()],
             parked: tree.iter().map(|_| None).collect(),
             pool,
-            live: 0,
-            high_water: 0,
         };
         Self {
             cells,
@@ -482,6 +676,8 @@ impl LaneFold {
             tree,
             leaf,
             state: Mutex::new(state),
+            live_cells: AtomicUsize::new(0),
+            peak_cells: AtomicUsize::new(0),
         }
     }
 
@@ -505,23 +701,28 @@ impl LaneFold {
         *state = to;
     }
 
-    /// Open `lane`: a pooled mesh, zero-filled on the calling thread.
+    /// Open `lane` on a pooled mesh, no block of it live yet.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is not one of the fold's lanes or was opened
     /// before.
-    fn open(&self, lane: usize) -> Vec<f64> {
+    fn open(&self, lane: usize) -> OpenLane<'_> {
         self.advance(lane, LaneState::Unopened, LaneState::Open);
-        let pooled = {
-            let mut st = self.lock();
-            st.live += 1;
-            st.high_water = st.high_water.max(st.live);
-            st.pool.pop()
-        };
-        let mut mesh = pooled.unwrap_or_else(|| vec![0.0; self.cells]);
-        mesh.fill(0.0);
-        mesh
+        let pooled = self.lock().pool.pop();
+        OpenLane {
+            fold: self,
+            lane,
+            mesh: pooled.unwrap_or_else(|| LaneMesh::new(self.cells)),
+            run_start: 0,
+            run_len: 0,
+        }
+    }
+
+    /// `cells` more cells became live.
+    fn count_live(&self, cells: usize) {
+        let now = self.live_cells.fetch_add(cells, Ordering::Relaxed) + cells;
+        self.peak_cells.fetch_max(now, Ordering::Relaxed);
     }
 
     /// Close `lane` with its partial `mesh` and fold it as far up the
@@ -531,8 +732,8 @@ impl LaneFold {
     ///
     /// Panics if `lane` is not one of the fold's open lanes, or `mesh`
     /// does not hold one value per cell.
-    fn close(&self, lane: usize, mesh: Vec<f64>) {
-        assert_eq!(mesh.len(), self.cells, "lane {lane}'s mesh");
+    fn close(&self, lane: usize, mesh: LaneMesh) {
+        assert_eq!(mesh.values.len(), self.cells, "lane {lane}'s mesh");
         self.advance(lane, LaneState::Open, LaneState::Closed);
         self.fold_up(self.leaf[lane - self.lanes.start], mesh);
     }
@@ -540,7 +741,7 @@ impl LaneFold {
     /// Park `mesh` as the reduced subtree `node`, or — if its sibling is
     /// parked already — add the two into the left one, pool the right one
     /// and carry on at the parent.
-    fn fold_up(&self, mut node: usize, mut mesh: Vec<f64>) {
+    fn fold_up(&self, mut node: usize, mut mesh: LaneMesh) {
         loop {
             let mut st = self.lock();
             let Some((parent, sibling)) = self.tree[node].up else {
@@ -552,25 +753,22 @@ impl LaneFold {
                 return;
             };
             drop(st);
-            let (mut left, right) = if node < sibling {
+            let (mut left, mut right) = if node < sibling {
                 (mesh, parked)
             } else {
                 (parked, mesh)
             };
-            for (x, y) in left.iter_mut().zip(&right) {
-                *x += y;
-            }
-            {
-                let mut st = self.lock();
-                st.live -= 1;
-                st.pool.push(right);
-            }
+            let shared = left.absorb(&right);
+            self.live_cells.fetch_sub(shared, Ordering::Relaxed);
+            right.retire();
+            self.lock().pool.push(right);
             (node, mesh) = (parent, left);
         }
     }
 
     /// Fold every never-opened lane as an all-`+0.0` mesh and hand out
-    /// the cover nodes of the fold's lanes, in lane order.
+    /// the cover nodes of the fold's lanes, in lane order, as dense
+    /// meshes.
     ///
     /// # Panics
     ///
@@ -580,7 +778,7 @@ impl LaneFold {
             let state = self.lock().lanes[lane - self.lanes.start];
             assert!(state != LaneState::Open, "lane {lane} is still open");
             if state == LaneState::Unopened {
-                self.close(lane, self.open(lane));
+                drop(self.open(lane));
             }
         }
         let mut st = self.state.into_inner().expect("lane fold state poisoned");
@@ -590,14 +788,15 @@ impl LaneFold {
             .filter(|(_, node)| node.up.is_none())
             .map(|(at, node)| {
                 let mesh = st.parked[at].take().expect("every lane closed");
-                (node.lanes.clone(), mesh)
+                (node.lanes.clone(), mesh.into_dense())
             })
             .collect()
     }
 
-    /// Bytes of the most meshes that were open or parked at once.
+    /// Bytes of the most live blocks that open or parked meshes held at
+    /// once.
     fn footprint_bytes(&self) -> usize {
-        self.lock().high_water * self.cells * std::mem::size_of::<f64>()
+        self.peak_cells.load(Ordering::Relaxed) * std::mem::size_of::<f64>()
     }
 }
 
@@ -704,9 +903,9 @@ impl TallyAccum {
         self.lanes().len()
     }
 
-    /// Open `lane` for deposits on the calling worker: a zeroed private
-    /// mesh that folds into the tree when the sink drops, or a view of
-    /// the shared mesh.
+    /// Open `lane` for deposits on the calling worker: a private mesh,
+    /// `+0.0` wherever the lane deposits, that folds into the tree when
+    /// the sink drops, or a view of the shared mesh.
     ///
     /// # Panics
     ///
@@ -718,11 +917,7 @@ impl TallyAccum {
                 assert!(lanes.contains(&lane), "lane {lane} is outside {lanes:?}");
                 LaneSink::Shared(mesh)
             }
-            TallyAccum::Replicated(fold) => LaneSink::Dense(OpenLane {
-                fold,
-                lane,
-                mesh: fold.open(lane),
-            }),
+            TallyAccum::Replicated(fold) => LaneSink::Dense(fold.open(lane)),
         }
     }
 
@@ -773,7 +968,7 @@ impl TallyAccum {
     }
 
     /// Resident bytes of the accumulation state: the shared mesh, or the
-    /// high-water of meshes open or parked at once so far.
+    /// high-water of live blocks in meshes open or parked at once so far.
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
         match self {
@@ -1108,19 +1303,81 @@ mod tests {
         out
     }
 
-    /// Open, fill with its partial and close every lane of `order` on
-    /// `threads` threads that take the lanes in that order from a shared
-    /// counter — the dynamic lane dispatch of `parallel_for_owned`, so the
-    /// lanes finish in whatever order the threads reach them.
-    fn close_lanes(fold: &LaneFold, lanes: &[Vec<f64>], order: &[usize], threads: usize) {
+    /// Lane `lane`'s deposits over `cells` cells in the fold tests, one of
+    /// six shapes by `lane % 6`: none at all, one block, every block,
+    /// pairs that cancel to `+0.0`, explicit `-0.0`s beside
+    /// [`lane_value`]'s mixed data, and a few cells anywhere — so a
+    /// recycled mesh comes back with stale blocks the next lane skips,
+    /// overwrites or adds into.
+    fn lane_deposits(lane: usize, cells: usize) -> Vec<(usize, f64)> {
+        let blocks = cells.div_ceil(MERGE_BLOCK);
+        let block = |b: usize| b * MERGE_BLOCK..((b + 1) * MERGE_BLOCK).min(cells);
+        let mut state = lane as u64 ^ 0x5eed;
+        let mut pick =
+            |within: Range<usize>| within.start + splitmix(&mut state) as usize % within.len();
+        let value = |cell: usize| lane_value(lane, cell);
+        match lane % 6 {
+            0 => Vec::new(),
+            1 => {
+                let b = block(lane / 6 % blocks);
+                (0..40)
+                    .map(|_| pick(b.clone()))
+                    .map(|c| (c, value(c)))
+                    .collect()
+            }
+            2 => (0..blocks)
+                .flat_map(|b| (0..8).map(move |_| b))
+                .map(|b| pick(block(b)))
+                .map(|c| (c, value(c)))
+                .collect(),
+            3 => {
+                let hit: Vec<usize> = (0..16).map(|_| pick(0..cells)).collect();
+                let there = hit.iter().map(|&c| (c, value(c) + 1.0));
+                let back = hit.iter().map(|&c| (c, -(value(c) + 1.0)));
+                there.chain(back).collect()
+            }
+            4 => (0..32)
+                .map(|i| {
+                    let c = pick(0..cells);
+                    (c, if i % 2 == 0 { -0.0 } else { value(c) })
+                })
+                .collect(),
+            _ => (0..24)
+                .map(|_| pick(0..cells))
+                .map(|c| (c, value(c)))
+                .collect(),
+        }
+    }
+
+    /// What `deposits` leave in a dense mesh of `cells` `+0.0`s: the
+    /// lane partial the reference merges.
+    fn deposited(deposits: &[(usize, f64)], cells: usize) -> Vec<f64> {
+        let mut mesh = vec![0.0; cells];
+        for &(cell, value) in deposits {
+            mesh[cell] += value;
+        }
+        mesh
+    }
+
+    /// Open, deposit into and close every lane of `order` on `threads`
+    /// threads that take the lanes in that order from a shared counter —
+    /// the dynamic lane dispatch of `parallel_for_owned`, so the lanes
+    /// finish in whatever order the threads reach them.
+    fn close_lanes(
+        fold: &LaneFold,
+        deposits: &[Vec<(usize, f64)>],
+        order: &[usize],
+        threads: usize,
+    ) {
         let next = std::sync::atomic::AtomicUsize::new(0);
         let work = || {
             while let Some(&lane) =
                 order.get(next.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
             {
-                let mut mesh = fold.open(lane);
-                mesh.copy_from_slice(&lanes[lane]);
-                fold.close(lane, mesh);
+                let mut open = fold.open(lane);
+                for &(cell, value) in &deposits[lane] {
+                    open.add(cell, value);
+                }
             }
         };
         std::thread::scope(|s| {
@@ -1131,33 +1388,42 @@ mod tests {
         });
     }
 
-    /// The fold is the tree, bit for bit, in any completion order: lanes
-    /// closed in order, in reverse and in seeded shuffles, on one thread
-    /// and racing on {2, 3, 7}; and over sub-ranges cut the way
+    /// The fold is the dense tree, bit for bit, in any completion order:
+    /// lanes closed in order, in reverse and in seeded shuffles, on one
+    /// thread and racing on {2, 3, 7}; and over sub-ranges cut the way
     /// `ShardPlan` cuts them (1 … more shards than lanes). Every output is
-    /// exactly the range's `tree_cover`, every node is
-    /// `merge_lanes_reference` over its lanes, and the shards' nodes
-    /// finish to the whole tree's bits. One lane is never opened — an
-    /// all-`+0.0` lane to the reference — beside a lane of `-0.0`s, so the
-    /// `x + 0.0` it folds as must reach the output.
+    /// exactly the range's `tree_cover`, and every node is
+    /// `merge_lanes_reference` over the lanes' dense partials. The lanes
+    /// touch no block, one or all of them ([`lane_deposits`]), so pooled
+    /// meshes come back with stale blocks; one lane is never opened, and
+    /// its neighbour deposits only `-0.0`s, which must land as `+0.0`.
     #[test]
     fn fold_is_the_tree_in_any_completion_order() {
-        let cells = 97;
-        for n_lanes in [1usize, 2, 3, 5, 31, 32, 33] {
+        for n_lanes in [1usize, 2, 3, 5, 31, 32, 33, 256, 1024] {
+            // Four blocks, the last one short; two past a few dozen lanes,
+            // where the dense partials the reference needs add up.
+            let blocks = if n_lanes <= 33 { 3 } else { 1 };
+            let cells = blocks * MERGE_BLOCK + 7;
             let unopened = n_lanes / 2;
-            let mut lanes = lane_partials(n_lanes, cells);
-            lanes[unopened].fill(0.0);
-            if let Some(negative) = lanes.get_mut(unopened ^ 1) {
-                negative.fill(-0.0);
+            let mut deposits: Vec<_> = (0..n_lanes).map(|l| lane_deposits(l, cells)).collect();
+            deposits[unopened].clear();
+            if let Some(negative) = deposits.get_mut(unopened ^ 1) {
+                *negative = (0..cells).step_by(97).map(|c| (c, -0.0)).collect();
             }
+            let lanes: Vec<Vec<f64>> = deposits.iter().map(|d| deposited(d, cells)).collect();
+            let whole = merge_lanes_reference(&lanes);
             let closed: Vec<usize> = (0..n_lanes).filter(|&l| l != unopened).collect();
             let check = |fold: LaneFold, owned: Range<usize>, what: &str| {
                 let nodes = fold.into_nodes();
                 let ranges: Vec<Range<usize>> = nodes.iter().map(|(r, _)| r.clone()).collect();
                 assert_eq!(ranges, tree_cover(n_lanes, owned), "{what}");
                 for (node, mesh) in &nodes {
-                    let expect = merge_lanes_reference(&lanes[node.clone()]);
-                    assert_same_bits(mesh, &expect, &format!("{what}, node {node:?}"));
+                    let what = format!("{what}, node {node:?}");
+                    if *node == (0..n_lanes) {
+                        assert_same_bits(mesh, &whole, &what);
+                    } else {
+                        assert_same_bits(mesh, &merge_lanes_reference(&lanes[node.clone()]), &what);
+                    }
                 }
                 nodes
             };
@@ -1166,11 +1432,12 @@ mod tests {
                 ("in order", closed.clone()),
                 ("reversed", closed.iter().rev().copied().collect()),
             ];
-            orders.extend((1..=3).map(|seed| ("shuffled", shuffled(&closed, seed))));
+            let shuffles = if n_lanes <= 33 { 3 } else { 1 };
+            orders.extend((1..=shuffles).map(|seed| ("shuffled", shuffled(&closed, seed))));
             for (name, order) in &orders {
                 for threads in [1, 2, 3, 7] {
                     let fold = LaneFold::new(cells, n_lanes, 0..n_lanes, threads);
-                    close_lanes(&fold, &lanes, order, threads);
+                    close_lanes(&fold, &deposits, order, threads);
                     check(
                         fold,
                         0..n_lanes,
@@ -1179,7 +1446,6 @@ mod tests {
                 }
             }
 
-            let whole = merge_lanes_reference(&lanes);
             for n_shards in [1usize, 2, 3, 5, 7, 32, 40] {
                 let mut nodes = Vec::new();
                 for s in 0..n_shards {
@@ -1189,7 +1455,7 @@ mod tests {
                     }
                     let fold = LaneFold::new(cells, n_lanes, owned.clone(), 2);
                     let mine: Vec<usize> = owned.clone().filter(|&l| l != unopened).collect();
-                    close_lanes(&fold, &lanes, &shuffled(&mine, s as u64), 2);
+                    close_lanes(&fold, &deposits, &shuffled(&mine, s as u64), 2);
                     let what = format!("{n_lanes} lanes, shard {s} of {n_shards}");
                     nodes.extend(check(fold, owned, &what));
                 }
@@ -1201,6 +1467,66 @@ mod tests {
         }
     }
 
+    /// The block sets grow with the mesh: a mesh past 2 048² cells spans
+    /// 1 025 blocks, three 512-block lines, and lanes that deposit on
+    /// both sides of every line edge fold to the dense tree — compared on
+    /// the touched blocks, and every other cell handed out `+0.0`.
+    #[test]
+    fn sparse_fold_spans_meshes_past_one_block_line() {
+        let cells = 2048 * 2048 + 5;
+        let touched = [0usize, 511, 512, 1023, 1024];
+        let n_lanes = 5;
+        let deposits: Vec<Vec<(usize, f64)>> = (0..n_lanes)
+            .map(|l| {
+                (0..=l)
+                    .map(|k| touched[(l + k) % touched.len()] * MERGE_BLOCK + 3 * k)
+                    .map(|c| (c.min(cells - 1), lane_value(l, c) + 0.5))
+                    .collect()
+            })
+            .collect();
+        // The same deposits on a mesh of just the touched blocks.
+        let compact = |cell: usize| {
+            let at = touched
+                .iter()
+                .position(|&b| b == cell / MERGE_BLOCK)
+                .unwrap();
+            at * MERGE_BLOCK + cell % MERGE_BLOCK
+        };
+        let small = touched.len() * MERGE_BLOCK;
+        let lanes: Vec<Vec<f64>> = deposits
+            .iter()
+            .map(|d| {
+                let d: Vec<_> = d.iter().map(|&(c, v)| (compact(c), v)).collect();
+                deposited(&d, small)
+            })
+            .collect();
+        let expect = merge_lanes_reference(&lanes);
+        for threads in [1, 3] {
+            let fold = LaneFold::new(cells, n_lanes, 0..n_lanes, threads);
+            let order: Vec<usize> = (0..n_lanes).rev().collect();
+            close_lanes(&fold, &deposits, &order, threads);
+            let [(_, root)] = <[_; 1]>::try_from(fold.into_nodes()).unwrap();
+            for (c, v) in root.iter().enumerate() {
+                let b = c / MERGE_BLOCK;
+                if !touched.contains(&b) {
+                    assert_eq!(v.to_bits(), 0, "cell {c} on {threads} threads");
+                }
+            }
+            let got: Vec<f64> = touched
+                .iter()
+                .flat_map(|&b| {
+                    let block = b * MERGE_BLOCK..((b + 1) * MERGE_BLOCK).min(cells);
+                    let pad = MERGE_BLOCK - block.len();
+                    root[block]
+                        .iter()
+                        .copied()
+                        .chain(std::iter::repeat_n(0.0, pad))
+                })
+                .collect();
+            assert_same_bits(&got, &expect, &format!("{threads} threads"));
+        }
+    }
+
     /// A lane is opened once and closed once, and only by the fold that
     /// owns it: anything else would fold a lane twice or into the wrong
     /// tree, so it panics — as does taking the result apart while a lane
@@ -1209,17 +1535,16 @@ mod tests {
     fn fold_refuses_a_second_close_and_lanes_it_does_not_own() {
         let refused = |what: &str, misuse: &dyn Fn(&LaneFold)| {
             let fold = LaneFold::new(4, 8, 2..6, 1);
-            let mesh = fold.open(3);
-            fold.close(3, mesh);
+            drop(fold.open(3));
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| misuse(&fold)));
             assert!(caught.is_err(), "{what} was accepted");
         };
-        refused("a second close", &|fold| fold.close(3, vec![0.0; 4]));
+        refused("a second close", &|fold| fold.close(3, LaneMesh::new(4)));
         refused("a close of a lane never opened", &|fold| {
-            fold.close(4, vec![0.0; 4])
+            fold.close(4, LaneMesh::new(4))
         });
         refused("a close outside the range", &|fold| {
-            fold.close(1, vec![0.0; 4])
+            fold.close(1, LaneMesh::new(4))
         });
         refused("a second open", &|fold| drop(fold.open(3)));
         refused("an open outside the range", &|fold| drop(fold.open(6)));
@@ -1233,43 +1558,61 @@ mod tests {
         );
     }
 
-    /// `open` is the one zeroing rule: a mesh the fold took back into its
-    /// pool still holds what it was added from, and the next lane opened
-    /// on it starts from `+0.0` all the same.
+    /// A mesh the fold took back into its pool still holds what was
+    /// added into it, as stale blocks, and the next lane opened on it
+    /// reads `+0.0` all the same: its first deposit into a block
+    /// zero-fills the block, and a stale block it never deposits into is
+    /// zeroed when its node is handed out.
     #[test]
     fn open_hands_out_zeros_after_a_dirty_close() {
-        let fold = LaneFold::new(16, 4, 0..4, 1);
+        let cells = 2 * MERGE_BLOCK;
+        // Lanes 0..3 of 4: the cover is [0, 2) and [2, 3).
+        let fold = LaneFold::new(cells, 4, 0..3, 1);
         for lane in [0, 1] {
-            let mut mesh = fold.open(lane);
-            mesh.fill(-1.5);
-            fold.close(lane, mesh);
+            let mut open = fold.open(lane);
+            for cell in 0..cells {
+                open.add(cell, -1.5);
+            }
         }
         // Lanes 0 and 1 are siblings: closing 1 added its mesh into 0's
-        // and pooled it, dirty.
+        // and pooled it, both its blocks stale.
         let (recycled, stale) = {
             let st = fold.lock();
             let mesh = st.pool.last().expect("a recycled mesh");
-            (mesh.as_ptr(), mesh[0])
+            assert_eq!(mesh.live.iter().count(), 0);
+            assert_eq!(mesh.written.iter().collect::<Vec<_>>(), [0, 1]);
+            (mesh.values.as_ptr(), mesh.values[0])
         };
         assert_eq!(stale, -1.5);
-        let mesh = fold.open(2);
+        let mut open = fold.open(2);
         assert_eq!(
-            mesh.as_ptr(),
+            open.mesh.values.as_ptr(),
             recycled,
             "the recycled mesh comes back first"
         );
-        assert!(mesh.iter().all(|v| v.to_bits() == 0), "opened as +0.0");
-        fold.close(2, mesh);
-        let mut root = fold.into_nodes();
-        assert_eq!(root.len(), 1);
-        assert!(root.pop().unwrap().1.iter().all(|&v| v == -3.0));
+        open.add(1, 0.25);
+        let block: Vec<f64> = (0..MERGE_BLOCK)
+            .map(|c| if c == 1 { 0.25 } else { 0.0 })
+            .collect();
+        assert_same_bits(&open.mesh.values[..MERGE_BLOCK], &block, &"first block");
+        drop(open);
+        let nodes = fold.into_nodes();
+        assert_eq!(nodes[0].0, 0..2);
+        assert!(nodes[0].1.iter().all(|&v| v == -3.0));
+        assert_eq!(nodes[1].0, 2..3);
+        let mut lane_2 = vec![0.0; cells];
+        lane_2[1] = 0.25;
+        assert_same_bits(&nodes[1].1, &lane_2, &"lane 2, its stale block zeroed");
     }
 
     /// What `footprint_bytes` reports: the shared mesh under `atomic`;
-    /// under `replicated` the most meshes open or parked at once — which
-    /// lanes opened and closed one at a time, in order, hold to exactly
-    /// `⌈log₂ lanes⌉ + 1` (6 of 32), and every lane open at once
-    /// (`lane_views`) to one mesh per lane.
+    /// under `replicated` the most live blocks that open or parked meshes
+    /// held at once — which lanes opened and closed one at a time, in
+    /// order, each depositing into every block, hold to exactly
+    /// `⌈log₂ lanes⌉ + 1` meshes (6 of 32), and every lane open at once
+    /// (`lane_views`) to one mesh per lane. Lanes that deposit nothing
+    /// hold nothing, and lanes that deposit into one block of three hold
+    /// one block each.
     #[test]
     fn footprints_rank_as_documented() {
         let cells = 100;
@@ -1282,6 +1625,16 @@ mod tests {
             for lane in accum.lanes() {
                 drop(accum.open(lane));
             }
+            assert_eq!(
+                accum.footprint_bytes(),
+                0,
+                "{n_lanes} lanes, none deposited"
+            );
+
+            let accum = TallyAccum::new(TallyStrategy::Replicated, cells, n_lanes);
+            for lane in accum.lanes() {
+                accum.open(lane).add(lane % cells, 1.0);
+            }
             let depth = n_lanes.next_power_of_two().ilog2() as usize;
             assert_eq!(
                 accum.footprint_bytes(),
@@ -1289,8 +1642,18 @@ mod tests {
                 "{n_lanes} lanes"
             );
         }
+        let sparse = TallyAccum::new(TallyStrategy::Replicated, 3 * MERGE_BLOCK, 32);
+        for lane in sparse.lanes() {
+            sparse.open(lane).add(MERGE_BLOCK + lane, 1.0);
+        }
+        assert_eq!(sparse.footprint_bytes(), 6 * MERGE_BLOCK * 8);
+
         let mut all_open = TallyAccum::new(TallyStrategy::Replicated, cells, 32);
-        drop(all_open.lane_views());
+        let mut views = all_open.lane_views();
+        for lane in &mut views {
+            lane.add(7, 1.0);
+        }
+        drop(views);
         assert_eq!(all_open.footprint_bytes(), 32 * mesh);
     }
 }

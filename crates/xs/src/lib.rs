@@ -116,13 +116,18 @@ pub fn macroscopic_per_m(micro_barns: f64, number_density_m3: f64) -> f64 {
 }
 
 /// The capture and elastic-scatter tables of the single material, plus
-/// the lazily-built bucket index of [`LookupStrategy::Hashed`].
+/// the lazily-built bucket index of [`LookupStrategy::Hashed`]. The
+/// tables are fixed once the library is built: what the lookups derive
+/// from them is computed once.
 #[derive(Clone, Debug)]
 pub struct CrossSectionLibrary {
     /// Capture (absorption) cross-section table.
     pub absorb: CrossSection,
     /// Elastic scattering cross-section table.
     pub scatter: CrossSection,
+    /// Whether both tables lie on one energy grid (every synthetic
+    /// library does): then one bin search serves both.
+    shared_grid: bool,
     /// Hash-bucket accelerator, built on first use of
     /// [`LookupStrategy::Hashed`] (or by [`Self::prepare`]).
     hashed: OnceLock<HashedGrid>,
@@ -141,6 +146,7 @@ impl CrossSectionLibrary {
     #[must_use]
     pub fn from_tables(absorb: CrossSection, scatter: CrossSection) -> Self {
         Self {
+            shared_grid: absorb.energies() == scatter.energies(),
             absorb,
             scatter,
             hashed: OnceLock::new(),
@@ -150,7 +156,7 @@ impl CrossSectionLibrary {
     /// The hash-bucket accelerator, built on first call.
     pub(crate) fn hashed(&self) -> &HashedGrid {
         self.hashed
-            .get_or_init(|| HashedGrid::build(&self.absorb, &self.scatter))
+            .get_or_init(|| HashedGrid::build(&self.absorb, &self.scatter, self.shared_grid))
     }
 
     /// Force-build the acceleration structure `strategy` needs (if any),
@@ -230,16 +236,39 @@ impl CrossSectionLibrary {
 
     /// As [`Self::lookup`], also returning the number of linear-search
     /// steps taken (for the event-counter instrumentation feeding the
-    /// architecture performance model).
+    /// architecture performance model). Counted per table: on a shared
+    /// grid with equal hints the one walk serves both tables and counts
+    /// twice, as the two walks it replaces would.
     #[inline]
     pub fn lookup_counted(&self, energy_ev: f64, hints: &mut XsHints) -> ((f64, f64), u32) {
         let mut ia = hints.absorb as usize;
+        if self.shared_grid && hints.absorb == hints.scatter {
+            let (a, steps) = self.absorb.value_hinted_counted(energy_ev, &mut ia);
+            let s = self.scatter.value_at_bin(energy_ev, ia);
+            (hints.absorb, hints.scatter) = (ia as u32, ia as u32);
+            return ((a, s), 2 * steps);
+        }
         let mut is = hints.scatter as usize;
         let (a, na) = self.absorb.value_hinted_counted(energy_ev, &mut ia);
         let (s, ns) = self.scatter.value_hinted_counted(energy_ev, &mut is);
         hints.absorb = ia as u32;
         hints.scatter = is as u32;
         ((a, s), na + ns)
+    }
+
+    /// The containing (clamped) bins of `energy_ev` in both tables, by
+    /// binary search — one search when the tables share a grid. What a
+    /// particle's hints are seeded with where there is no earlier lookup
+    /// to walk from.
+    #[must_use]
+    pub fn bins_binary(&self, energy_ev: f64) -> XsHints {
+        let absorb = self.absorb.bin_index_binary(energy_ev) as u32;
+        let scatter = if self.shared_grid {
+            absorb
+        } else {
+            self.scatter.bin_index_binary(energy_ev) as u32
+        };
+        XsHints { absorb, scatter }
     }
 
     /// Look up both tables by binary search (the baseline the cached
@@ -288,6 +317,77 @@ mod tests {
             let hinted = lib.lookup(e, &mut hints);
             let binary = lib.lookup_binary(e);
             assert_eq!(hinted, binary, "mismatch at E={e}");
+        }
+    }
+
+    /// One walk (or one binary search) per shared grid is the two it
+    /// replaces: from any pair of hints — equal, unequal, past the end of
+    /// the table — at energies below, inside and above the tables, on a
+    /// shared grid and on a mismatched pair, `hinted` leaves the values,
+    /// hints and step count of the two per-table walks, and `binary` the
+    /// values and bins of two per-table searches.
+    #[test]
+    fn one_search_per_shared_grid_is_the_two_per_table_searches() {
+        let shared = CrossSectionLibrary::synthetic(600, 11);
+        assert!(shared.shared_grid);
+        let other = CrossSectionLibrary::synthetic(450, 12);
+        let mismatched = CrossSectionLibrary::from_tables(shared.absorb.clone(), other.scatter);
+        assert!(!mismatched.shared_grid);
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for lib in [&shared, &mismatched] {
+            let n = lib.absorb.len() as u64;
+            let (lo, hi) = lib.absorb.energy_range();
+            let (log_lo, log_hi) = ((lo / 10.0).ln(), (hi * 10.0).ln());
+            for case in 0..20_000 {
+                let r = next();
+                let e = match r % 8 {
+                    0 => lib.absorb.energies()[(r >> 8) as usize % n as usize],
+                    1 => [lo, hi, lo / 2.0, hi * 2.0][(r >> 8) as usize % 4],
+                    _ => {
+                        (log_lo + (log_hi - log_lo) * (r >> 11) as f64 / (1u64 << 53) as f64).exp()
+                    }
+                };
+                let absorb = (next() % (n + 8)) as u32;
+                let scatter = if case % 2 == 0 {
+                    absorb
+                } else {
+                    (next() % (n + 8)) as u32
+                };
+
+                let mut hints = XsHints { absorb, scatter };
+                let ((a, s), steps) = lib.lookup_counted(e, &mut hints);
+                let (mut ia, mut is) = (absorb as usize, scatter as usize);
+                let (ra, na) = lib.absorb.value_hinted_counted(e, &mut ia);
+                let (rs, ns) = lib.scatter.value_hinted_counted(e, &mut is);
+                let what = format!("E={e}, hints ({absorb}, {scatter})");
+                assert_eq!(
+                    (a.to_bits(), s.to_bits()),
+                    (ra.to_bits(), rs.to_bits()),
+                    "{what}"
+                );
+                assert_eq!(
+                    (hints.absorb, hints.scatter),
+                    (ia as u32, is as u32),
+                    "{what}"
+                );
+                assert_eq!(steps, na + ns, "{what}");
+
+                let mut hints = XsHints { absorb, scatter };
+                let (micro, _) = lib.lookup_with(LookupStrategy::Binary, e, &mut hints);
+                let bins = XsHints {
+                    absorb: lib.absorb.bin_index_binary(e) as u32,
+                    scatter: lib.scatter.bin_index_binary(e) as u32,
+                };
+                assert_eq!(hints, bins, "{what}");
+                assert_eq!(lib.bins_binary(e), bins, "{what}");
+                assert_eq!(micro, lib.lookup_binary(e), "{what}");
+            }
         }
     }
 

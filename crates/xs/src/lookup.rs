@@ -99,24 +99,21 @@ impl std::fmt::Display for LookupStrategy {
     }
 }
 
-/// Binary search in both tables. Unlike
+/// Binary search in both tables — one search on a shared grid. Unlike
 /// [`CrossSectionLibrary::lookup_binary`] it leaves the hints at the
 /// containing bins, so strategies stay interchangeable mid-run.
 #[inline]
 pub(crate) fn binary(lib: &CrossSectionLibrary, e: f64, hints: &mut XsHints) -> (MicroXs, u32) {
-    let one = |t: &CrossSection, hint: &mut u32| {
-        let i = t.bin_index_binary(e);
-        *hint = i as u32;
-        t.value_at_bin(e, i)
-    };
+    *hints = lib.bins_binary(e);
     let micro = MicroXs {
-        absorb_barns: one(&lib.absorb, &mut hints.absorb),
-        scatter_barns: one(&lib.scatter, &mut hints.scatter),
+        absorb_barns: lib.absorb.value_at_bin(e, hints.absorb as usize),
+        scatter_barns: lib.scatter.value_at_bin(e, hints.scatter as usize),
     };
     (micro, 0)
 }
 
-/// The paper's cached linear search: walk each table from its hint.
+/// The paper's cached linear search: walk each table from its hint — one
+/// walk on a shared grid when the hints agree.
 #[inline]
 pub(crate) fn hinted(lib: &CrossSectionLibrary, e: f64, hints: &mut XsHints) -> (MicroXs, u32) {
     let ((absorb_barns, scatter_barns), steps) = lib.lookup_counted(e, hints);
@@ -235,8 +232,7 @@ pub(crate) struct HashedGrid {
 }
 
 impl HashedGrid {
-    pub(crate) fn build(absorb: &CrossSection, scatter: &CrossSection) -> Self {
-        let shared = absorb.energies() == scatter.energies();
+    pub(crate) fn build(absorb: &CrossSection, scatter: &CrossSection, shared: bool) -> Self {
         Self {
             absorb: TableHash::build(absorb.energies()),
             scatter: (!shared).then(|| TableHash::build(scatter.energies())),

@@ -259,6 +259,70 @@ fn shard_counts_past_the_lane_count_are_rejected() {
     assert!(e.message.contains("more than the 32 lanes"), "{e}");
 }
 
+/// Values that parse as numbers but describe no buildable problem fail
+/// named, at their line: an infinite extent used to panic building the
+/// mesh, an infinite birth energy to tally `NaN`, and a mesh past 2^32
+/// cells to abort the process allocating it (cell indices are 32-bit,
+/// so it would also have wrapped). A parameter set built in code is
+/// refused by `validate` the same way.
+#[test]
+fn unbuildable_values_fail_named_at_their_line() {
+    for (text, line, says) in [
+        ("nx 10\nwidth inf\n", 2, "`inf` is not a finite number"),
+        ("height -inf\n", 1, "`-inf` is not a finite number"),
+        ("density NaN\n", 1, "`NaN` is not a finite number"),
+        ("dt inf\n", 1, "`inf` is not a finite number"),
+        ("initial_energy inf\n", 1, "`inf` is not a finite number"),
+        ("min_energy nan\n", 1, "`nan` is not a finite number"),
+        ("weight_cutoff -inf\n", 1, "`-inf` is not a finite number"),
+        ("source 0 inf 0 1\n", 1, "rectangle bounds must be finite"),
+        ("region 0 1 0 1 inf\n", 1, "`inf` is not a finite number"),
+        (
+            "nx 100000000000\n",
+            1,
+            "a 100000000000 × 1000 mesh is more than 2^32 cells",
+        ),
+        (
+            "nx 65536\nseed 3\nny 65537\n",
+            3,
+            "a 65536 × 65537 mesh is more than 2^32 cells",
+        ),
+    ] {
+        let e = fail(text);
+        assert_eq!(e.line, line, "{text:?}: {e}");
+        assert!(e.message.starts_with(says), "{text:?}: {e}");
+    }
+    // 2^32 cells is the last mesh a cell index reaches (parsed, not built).
+    let p = ProblemParams::parse("nx 65536\nny 65536\n").unwrap();
+    assert_eq!(p.nx * p.ny, 1 << 32);
+
+    for (what, p) in [
+        (
+            "width",
+            ProblemParams {
+                width: f64::INFINITY,
+                ..ProblemParams::default()
+            },
+        ),
+        (
+            "initial_energy",
+            ProblemParams {
+                initial_energy: f64::INFINITY,
+                ..ProblemParams::default()
+            },
+        ),
+        (
+            "nx",
+            ProblemParams {
+                nx: 1 << 33,
+                ..ProblemParams::default()
+            },
+        ),
+    ] {
+        assert!(p.validate().is_err(), "{what}");
+    }
+}
+
 #[test]
 fn checkpoint_file_key_parses_and_enforces_arity() {
     let p = ProblemParams::parse("checkpoint_file run.ckpt\n").unwrap();
