@@ -113,7 +113,8 @@ fn bench_lookup(c: &mut Criterion) {
 }
 
 /// Building a material's two tables — the whole cold set-up of a problem
-/// build — at the product's default table size.
+/// build — at the product's default table size. Each library drops before
+/// the next build, so every build synthesizes (none is an intern hit).
 fn bench_table_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("xs_table_build");
     for kind in MaterialKind::ALL {

@@ -14,7 +14,7 @@
 //! | `GET /solves/:id/tallies` | finished tally dump (`ix iy value` text)       |
 //! | `DELETE /solves/:id`      | cancel (at the next census-boundary chunk)     |
 //! | `GET /scenarios`          | the scenario catalogue (JSON)                  |
-//! | `GET /stats`              | registry counters (JSON, `problems_built` too) |
+//! | `GET /stats`              | registry and table counters (JSON)             |
 //! | `GET /healthz`            | liveness probe                                 |
 //!
 //! # Request grammar
@@ -55,6 +55,10 @@
 //! duplicate — in any key order, with or without comments — is admitted
 //! from the registry's key → fingerprint memo and never builds.
 //! `problems_built` in `/stats` counts the closures that ran.
+//! `tables_built` and `tables_shared` count the process's material-table
+//! builds ([`neutral_xs::table_stats`]): a closure whose material specs a
+//! live solve already holds shares its tables instead of synthesizing
+//! them (DESIGN.md §4).
 
 use minihttp::{Handler, Request, Response, Server, ServerHandle, TEXT_PLAIN};
 use neutral_core::dump::tally_dump_capacity;
@@ -119,7 +123,7 @@ impl SolveService {
         match (req.method.as_str(), segments.as_slice()) {
             ("GET", ["healthz"]) => Response::text(200, "ok\n"),
             ("GET", ["scenarios"]) => scenarios_response(),
-            ("GET", ["stats"]) => stats_response(&self.registry.stats()),
+            ("GET", ["stats"]) => stats_response(&self.registry.stats(), neutral_xs::table_stats()),
             ("POST", ["solves"]) => self.submit(req),
             ("GET", ["solves", id]) => with_id(id, |id| self.status(id)),
             ("GET", ["solves", id, "tallies"]) => with_id(id, |id| self.tallies(id)),
@@ -445,12 +449,12 @@ fn scenarios_response() -> Response {
     Response::json(200, format!("[{}]", items.join(",")))
 }
 
-fn stats_response(stats: &RegistryStats) -> Response {
+fn stats_response(stats: &RegistryStats, tables: neutral_xs::TableStats) -> Response {
     Response::json(
         200,
         format!(
             "{{\"submitted\":{},\"coalesced\":{},\"cache_hits\":{},\"solves_started\":{},\
-             \"problems_built\":{},\
+             \"problems_built\":{},\"tables_built\":{},\"tables_shared\":{},\
              \"chunks_run\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\
              \"shard_retries\":{},\"shard_requeues\":{}}}",
             stats.submitted,
@@ -458,6 +462,8 @@ fn stats_response(stats: &RegistryStats) -> Response {
             stats.cache_hits,
             stats.solves_started,
             stats.problems_built,
+            tables.built,
+            tables.shared,
             stats.chunks_run,
             stats.completed,
             stats.cancelled,
@@ -702,7 +708,8 @@ mod tests {
         assert_ne!(oe, id);
         let stats = registry.stats();
         assert_eq!((stats.problems_built, stats.solves_started), (2, 2));
-        let stats_json = String::from_utf8(stats_response(&stats).body).unwrap();
+        let tables = neutral_xs::table_stats();
+        let stats_json = String::from_utf8(stats_response(&stats, tables).body).unwrap();
         assert!(stats_json.contains("\"problems_built\":2"), "{stats_json}");
     }
 

@@ -79,7 +79,8 @@ fn removed_lookup_values_name_their_replacement() {
 /// A params file whose values parse as numbers but cannot be built fails
 /// with the file's line-numbered error and exit 1: `width inf` used to
 /// panic (exit 101), `nx 100000000000` to abort allocating 800 GB
-/// (exit 134), and `initial_energy inf` to run to a `NaN` tally.
+/// (exit 134), `initial_energy inf` to run to a `NaN` tally, and a
+/// 5 · 10^9-point material table to abort allocating 40 GB (exit 134).
 #[test]
 fn unbuildable_params_files_exit_1_with_the_line() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
@@ -98,6 +99,11 @@ fn unbuildable_params_files_exit_1_with_the_line() {
             "energy",
             "nx 16\nny 16\ninitial_energy inf\n",
             "params line 3: `inf` is not a finite number",
+        ),
+        (
+            "points",
+            "nx 16\nmaterial 0 reference 5000000000 7\n",
+            "params line 2: a 5000000000-point table has more than 2^32 bins",
         ),
     ] {
         let path = dir.join(format!("unbuildable_{name}.params"));

@@ -37,7 +37,7 @@
 //! initial_energy 1.0e6         # eV
 //!
 //! # transport controls
-//! xs_points 30000
+//! xs_points 30000              # at most 2^32 + 1 (bin indices are 32-bit)
 //! min_energy 1.0               # eV cutoff
 //! weight_cutoff 1.0e-6
 //! collision_model analogue     # or implicit_capture
@@ -102,6 +102,21 @@ fn check_cells(nx: usize, ny: usize) -> Result<(), String> {
         _ => Err(format!(
             "a {nx} × {ny} mesh is more than 2^32 cells (cell indices are 32-bit)"
         )),
+    }
+}
+
+/// The most energy points a table may have: a lookup leaves a particle's
+/// bin (at most `points − 2`) in a `u32` hint (`XsHints`, the Over Events
+/// hint columns), so a larger table would wrap silently.
+const MAX_XS_POINTS: u64 = u32::MAX as u64 + 2;
+
+fn check_xs_points(points: usize) -> Result<(), String> {
+    if points as u64 <= MAX_XS_POINTS {
+        Ok(())
+    } else {
+        Err(format!(
+            "a {points}-point table has more than 2^32 bins (bin indices are 32-bit)"
+        ))
     }
 }
 
@@ -306,7 +321,10 @@ impl ProblemParams {
                         .map_err(|_| err(lineno, "seed must be a u64"))?;
                 }
                 "initial_energy" => p.initial_energy = parse_f64(&one(&rest)?)?,
-                "xs_points" => p.xs_points = parse_usize(&one(&rest)?)?,
+                "xs_points" => {
+                    p.xs_points = parse_usize(&one(&rest)?)?;
+                    check_xs_points(p.xs_points).map_err(|e| err(lineno, e))?;
+                }
                 "min_energy" => p.min_energy = parse_f64(&one(&rest)?)?,
                 "weight_cutoff" => p.weight_cutoff = parse_f64(&one(&rest)?)?,
                 "lookup_strategy" => {
@@ -374,6 +392,9 @@ impl ProblemParams {
                         Some(k) => k.parse().map_err(|e: String| err(lineno, e))?,
                     };
                     let n_points = rest.get(2).map(|v| parse_usize(v)).transpose()?;
+                    if let Some(points) = n_points {
+                        check_xs_points(points).map_err(|e| err(lineno, e))?;
+                    }
                     let seed = rest
                         .get(3)
                         .map(|v| {
@@ -492,6 +513,7 @@ impl ProblemParams {
             "weight cutoff must be in [0, 1)",
         )?;
         check(self.xs_points >= 2, "cross-section table needs >= 2 points")?;
+        check_xs_points(self.xs_points).map_err(|e| err(0, e))?;
         check_shard_count(self.shards).map_err(|e| err(0, e))?;
         let inside =
             |r: &Rect| r.x0 >= 0.0 && r.x1 <= self.width && r.y0 >= 0.0 && r.y1 <= self.height;
@@ -512,6 +534,7 @@ impl ProblemParams {
         }
         for (_, spec) in &self.materials {
             check(spec.n_points >= 2, "material table needs >= 2 points")?;
+            check_xs_points(spec.n_points).map_err(|e| err(0, e))?;
         }
         // Material 0 may default to the reference kind, but every other
         // id up to the highest declared one must be declared explicitly —
@@ -679,6 +702,7 @@ impl ProblemParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn defaults_build_a_csp_like_problem() {
@@ -931,6 +955,30 @@ region 0.5 1.0 0.0 1.0 5.0 2
         assert_eq!(p.material_count(), 2);
         let problem = p.build();
         assert!(!problem.mesh.material_map().is_homogeneous());
+    }
+
+    /// Problems whose material specs match share their libraries
+    /// (DESIGN.md §4, the intern): texts that differ only in `timesteps`
+    /// or `particles` hold the same tables, and so does a clone; another
+    /// seed holds its own.
+    #[test]
+    fn equal_material_specs_share_libraries() {
+        let text = "scenario fuel_lattice\nseed 31\nnx 16\nny 16\n";
+        let build = |text: &str| ProblemParams::parse(text).unwrap().build();
+        let shared = |a: &Problem, b: &Problem| -> Vec<bool> {
+            let (a, b) = (a.materials.libraries(), b.materials.libraries());
+            assert_eq!(a.len(), b.len());
+            a.iter().zip(b).map(|(x, y)| Arc::ptr_eq(x, y)).collect()
+        };
+        let base = build(text);
+        assert_eq!(base.materials.len(), 2);
+        for extra in ["timesteps 4\n", "particles 77\n"] {
+            let other = build(&format!("{text}{extra}"));
+            assert_eq!(shared(&base, &other), [true, true], "{extra}");
+        }
+        assert_eq!(shared(&base, &base.clone()), [true, true]);
+        let reseeded = build(&text.replace("seed 31", "seed 32"));
+        assert_eq!(shared(&base, &reseeded), [false, false]);
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! * [`MaterialSet`] / [`MaterialKind`] — the multi-material layer: an
 //!   indexed collection of per-material libraries (resolvable through any
 //!   lookup strategy, per material) plus named synthetic-material
-//!   archetypes for the scenario catalogue (DESIGN.md §12).
+//!   archetypes for the scenario catalogue (DESIGN.md §12). A spec's
+//!   library is interned: while some set holds it, every build of the
+//!   same [`MaterialSpec`] shares it ([`table_stats`] counts both
+//!   outcomes; DESIGN.md §4).
 //!
 //! # Example
 //!
@@ -47,11 +50,13 @@
 #![warn(clippy::all)]
 
 pub mod constants;
+mod intern;
 mod lookup;
 mod material;
 mod synth;
 mod table;
 
+pub use intern::{table_stats, TableStats};
 pub use lookup::LookupStrategy;
 pub use material::{LaneScratch, MaterialId, MaterialKind, MaterialSet, MaterialSpec};
 pub use synth::{synthetic_tables, SynthParams};
@@ -131,6 +136,9 @@ pub struct CrossSectionLibrary {
     /// Hash-bucket accelerator, built on first use of
     /// [`LookupStrategy::Hashed`] (or by [`Self::prepare`]).
     hashed: OnceLock<HashedGrid>,
+    /// Set on the one library the intern publishes for a spec: dropping
+    /// it removes the intern's entry.
+    interned: intern::Tag,
 }
 
 impl CrossSectionLibrary {
@@ -150,6 +158,7 @@ impl CrossSectionLibrary {
             absorb,
             scatter,
             hashed: OnceLock::new(),
+            interned: intern::Tag::default(),
         }
     }
 

@@ -8,7 +8,8 @@
 //!   presets for the §IV-D table generator) so scenarios and parameter
 //!   files can say "absorber" instead of spelling out eight numbers;
 //! * [`MaterialSpec`] — a declarative description of one material (kind,
-//!   table size, generation seed) that builds its library on demand;
+//!   table size, generation seed) that builds its library on demand, or
+//!   shares the one a live problem already holds (`crate::intern`);
 //! * [`MaterialSet`] — the indexed collection of per-material libraries a
 //!   transport solve resolves cross sections through. Material ids are
 //!   the per-cell indices stored in the mesh's material map.
@@ -21,6 +22,7 @@
 use crate::lookup::LookupStrategy;
 use crate::synth::SynthParams;
 use crate::{CrossSectionLibrary, MicroXs, XsHints};
+use std::sync::Arc;
 
 /// Per-cell material index, as stored in the mesh's material map.
 pub type MaterialId = u16;
@@ -28,7 +30,7 @@ pub type MaterialId = u16;
 /// Named synthetic-material archetypes: parameter presets for the
 /// §IV-D dummy-table generator, spanning the behaviours the scenario
 /// catalogue needs (see `DESIGN.md` §12).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum MaterialKind {
     /// The paper's original material (the [`SynthParams::default`]
     /// tables): scatter-dominated with a moderate capture component.
@@ -115,8 +117,9 @@ impl std::fmt::Display for MaterialKind {
     }
 }
 
-/// Declarative description of one material's synthetic tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Declarative description of one material's synthetic tables, and the
+/// whole key of the library intern: every field joins it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MaterialSpec {
     /// Archetype selecting the table-shape parameters.
     pub kind: MaterialKind,
@@ -127,10 +130,15 @@ pub struct MaterialSpec {
 }
 
 impl MaterialSpec {
-    /// Generate the material's cross-section library.
+    /// The material's cross-section library: the one some live holder of
+    /// this spec already shares, or a fresh synthesis published for the
+    /// next build to share. Either way the bits of
+    /// [`crate::synthetic_tables`] at this spec.
     #[must_use]
-    pub fn build(&self) -> CrossSectionLibrary {
-        crate::synth::synthetic_tables(self.n_points, self.seed, &self.kind.synth_params())
+    pub fn build(&self) -> Arc<CrossSectionLibrary> {
+        crate::intern::interned(self, || {
+            crate::synth::synthetic_tables(self.n_points, self.seed, &self.kind.synth_params())
+        })
     }
 }
 
@@ -178,24 +186,39 @@ impl LaneScratch {
 ///
 /// A single-material set (the paper's configuration) behaves exactly like
 /// the bare [`CrossSectionLibrary`] it wraps: [`MaterialSet::library`]
-/// with id 0 is a plain slice index, so the hot path pays one predictable
-/// load for the material layer.
+/// with id 0 is a plain slice index and one pointer load, so the hot path
+/// pays two predictable loads for the material layer.
+///
+/// The libraries are shared: cloning a set (and so a problem) copies
+/// pointers, not tables.
 #[derive(Clone, Debug)]
 pub struct MaterialSet {
-    libs: Vec<CrossSectionLibrary>,
+    libs: Vec<Arc<CrossSectionLibrary>>,
 }
 
 impl MaterialSet {
     /// A one-material set — the paper's single-material configuration.
     #[must_use]
     pub fn single(lib: CrossSectionLibrary) -> Self {
-        Self { libs: vec![lib] }
+        Self::from_libraries(vec![lib])
     }
 
-    /// Build a set from explicit libraries (id = position). Panics on an
-    /// empty list: material 0 must always resolve.
+    /// Build a set from explicit libraries (id = position); custom
+    /// tables are not interned. Panics on an empty list: material 0 must
+    /// always resolve.
     #[must_use]
     pub fn from_libraries(libs: Vec<CrossSectionLibrary>) -> Self {
+        Self::from_shared(libs.into_iter().map(Arc::new).collect())
+    }
+
+    /// Build a set from specs (id = position), sharing each library a
+    /// live holder of its spec already has ([`MaterialSpec::build`]).
+    #[must_use]
+    pub fn from_specs(specs: &[MaterialSpec]) -> Self {
+        Self::from_shared(specs.iter().map(MaterialSpec::build).collect())
+    }
+
+    fn from_shared(libs: Vec<Arc<CrossSectionLibrary>>) -> Self {
         assert!(
             !libs.is_empty(),
             "a material set needs at least one material"
@@ -205,12 +228,6 @@ impl MaterialSet {
             "too many materials for a MaterialId"
         );
         Self { libs }
-    }
-
-    /// Build a set from specs (id = position).
-    #[must_use]
-    pub fn from_specs(specs: &[MaterialSpec]) -> Self {
-        Self::from_libraries(specs.iter().map(MaterialSpec::build).collect())
     }
 
     /// Number of materials.
@@ -235,7 +252,7 @@ impl MaterialSet {
     /// The library of material `id`.
     ///
     /// This is the hot-path resolution seam: one bounds-checked slice
-    /// index per material switch.
+    /// index and one pointer load per material switch.
     #[inline]
     #[must_use]
     pub fn library(&self, id: MaterialId) -> &CrossSectionLibrary {
@@ -244,7 +261,7 @@ impl MaterialSet {
 
     /// All libraries, in id order.
     #[must_use]
-    pub fn libraries(&self) -> &[CrossSectionLibrary] {
+    pub fn libraries(&self) -> &[Arc<CrossSectionLibrary>] {
         &self.libs
     }
 
@@ -379,10 +396,7 @@ impl MaterialSet {
     /// excluded, matching [`CrossSectionLibrary::footprint_bytes`]).
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        self.libs
-            .iter()
-            .map(CrossSectionLibrary::footprint_bytes)
-            .sum()
+        self.libs.iter().map(|lib| lib.footprint_bytes()).sum()
     }
 }
 

@@ -167,7 +167,7 @@ pub fn synthetic_tables(n_points: usize, seed: u64, p: &SynthParams) -> CrossSec
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{macroscopic_per_m, number_density, MaterialKind, MaterialSpec};
 
@@ -229,7 +229,7 @@ mod tests {
         CrossSection::new(energy, value)
     }
 
-    fn assert_same_bits(what: &str, got: &CrossSection, want: &CrossSection) {
+    pub(crate) fn assert_same_bits(what: &str, got: &CrossSection, want: &CrossSection) {
         assert_eq!(got.len(), want.len(), "{what}: length");
         for (column, g, w) in [
             ("energy", got.energies(), want.energies()),

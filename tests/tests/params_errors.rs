@@ -263,8 +263,9 @@ fn shard_counts_past_the_lane_count_are_rejected() {
 /// named, at their line: an infinite extent used to panic building the
 /// mesh, an infinite birth energy to tally `NaN`, and a mesh past 2^32
 /// cells to abort the process allocating it (cell indices are 32-bit,
-/// so it would also have wrapped). A parameter set built in code is
-/// refused by `validate` the same way.
+/// so it would also have wrapped); so did a table past 2^32 bins (bin
+/// hints are 32-bit). A parameter set built in code is refused by
+/// `validate` the same way.
 #[test]
 fn unbuildable_values_fail_named_at_their_line() {
     for (text, line, says) in [
@@ -287,6 +288,16 @@ fn unbuildable_values_fail_named_at_their_line() {
             3,
             "a 65536 × 65537 mesh is more than 2^32 cells",
         ),
+        (
+            "xs_points 4294967298\n",
+            1,
+            "a 4294967298-point table has more than 2^32 bins",
+        ),
+        (
+            "nx 16\nmaterial 0 reference 5000000000 7\n",
+            2,
+            "a 5000000000-point table has more than 2^32 bins",
+        ),
     ] {
         let e = fail(text);
         assert_eq!(e.line, line, "{text:?}: {e}");
@@ -295,6 +306,9 @@ fn unbuildable_values_fail_named_at_their_line() {
     // 2^32 cells is the last mesh a cell index reaches (parsed, not built).
     let p = ProblemParams::parse("nx 65536\nny 65536\n").unwrap();
     assert_eq!(p.nx * p.ny, 1 << 32);
+    // Bin 2^32 − 1 is the last a hint reaches: a table of 2^32 + 1 points.
+    let p = ProblemParams::parse("xs_points 4294967297\nmaterial 1 fuel 4294967297\n").unwrap();
+    assert_eq!(p.materials[0].1.n_points, p.xs_points);
 
     for (what, p) in [
         (
@@ -315,6 +329,27 @@ fn unbuildable_values_fail_named_at_their_line() {
             "nx",
             ProblemParams {
                 nx: 1 << 33,
+                ..ProblemParams::default()
+            },
+        ),
+        (
+            "xs_points",
+            ProblemParams {
+                xs_points: 1 << 33,
+                ..ProblemParams::default()
+            },
+        ),
+        (
+            "material points",
+            ProblemParams {
+                materials: vec![(
+                    0,
+                    MaterialSpec {
+                        kind: MaterialKind::Reference,
+                        n_points: 1 << 33,
+                        seed: 7,
+                    },
+                )],
                 ..ProblemParams::default()
             },
         ),
