@@ -332,7 +332,7 @@ pub fn config_fingerprint(problem: &Problem, scheme: Scheme) -> u64 {
     for lib in problem.materials.libraries() {
         for table in [&lib.absorb, &lib.scatter] {
             hash = fold_words(hash, table.energies(), f64::to_bits);
-            hash = fold_words(hash, table.values(), f64::to_bits);
+            hash = fold_words(hash, &table.values(), f64::to_bits);
         }
     }
     hash

@@ -15,10 +15,12 @@
 
 use crate::{CrossSectionLibrary, MaterialSpec};
 use std::collections::HashMap;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, PoisonError, Weak};
 
-/// Process-wide counts of [`MaterialSpec::build`] calls, by outcome.
-/// Every call adds one to exactly one field.
+/// Process-wide counts of [`MaterialSpec::build`] calls, by outcome —
+/// every call adds one to exactly one of `built` and `shared` — and of
+/// the table points synthesized so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Builds that synthesized the library they returned.
@@ -27,6 +29,10 @@ pub struct TableStats {
     /// holder still kept alive. A build that loses a publishing race
     /// counts here: its own synthesis is discarded.
     pub shared: u64,
+    /// Points of synthesized tables whose values lookups have filled,
+    /// over every table of the process. A build fills none; a point
+    /// counts once per table, when its block is first read.
+    pub points_filled: u64,
 }
 
 #[derive(Default)]
@@ -105,7 +111,10 @@ pub(crate) fn interned(
 /// The process-wide [`TableStats`] so far.
 #[must_use]
 pub fn table_stats() -> TableStats {
-    intern().stats
+    TableStats {
+        points_filled: crate::table::POINTS_FILLED.load(Relaxed),
+        ..intern().stats
+    }
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ mod table;
 pub use intern::{table_stats, TableStats};
 pub use lookup::LookupStrategy;
 pub use material::{LaneScratch, MaterialId, MaterialKind, MaterialSet, MaterialSpec};
-pub use synth::{synthetic_tables, SynthParams};
+pub use synth::{synthetic_tables, SynthParams, SynthTable, Synthesis, SYNTH_VERSION};
 pub use table::{lerp_segment, CrossSection};
 
 use constants::{AVOGADRO, BARN_M2, MOLAR_MASS_KG_MOL};
@@ -397,6 +397,43 @@ mod tests {
                 assert_eq!(lib.bins_binary(e), bins, "{what}");
                 assert_eq!(micro, lib.lookup_binary(e), "{what}");
             }
+        }
+    }
+
+    /// Building and preparing a synthesized library fills no value, and a
+    /// lookup fills only the block it reads: one block per table at
+    /// 1 MeV, whatever the strategy, and the two end blocks for the
+    /// clamped reads below and above the grid.
+    #[test]
+    fn a_lookup_fills_only_the_blocks_it_reads() {
+        use crate::table::BLOCK;
+        let n = 30_000;
+        let filled = |lib: &CrossSectionLibrary| {
+            [&lib.absorb, &lib.scatter].map(CrossSection::points_filled)
+        };
+        for strategy in LookupStrategy::ALL {
+            let lib = CrossSectionLibrary::synthetic(n, 0x1a2e);
+            lib.prepare(strategy);
+            let _ = lib.bins_binary(1.0e6);
+            assert_eq!(filled(&lib), [0, 0], "{strategy:?}: built and prepared");
+            let mut hints = lib.bins_binary(1.0e6);
+            let _ = lib.lookup_with(strategy, 1.0e6, &mut hints);
+            assert_eq!(
+                filled(&lib),
+                [BLOCK; 2],
+                "{strategy:?}: one lookup at 1 MeV"
+            );
+            let (lo, hi) = lib.absorb.energy_range();
+            let energies = [lo / 2.0, hi * 2.0];
+            let (mut ha, mut hs) = ([0; 2], [0; 2]);
+            let (mut oa, mut os) = ([0.0; 2], [0.0; 2]);
+            lib.lookup_many_with(strategy, &energies, &mut ha, &mut hs, &mut oa, &mut os);
+            let last = n - (n - 1) / BLOCK * BLOCK;
+            assert_eq!(
+                filled(&lib),
+                [2 * BLOCK + last; 2],
+                "{strategy:?}: clamped reads"
+            );
         }
     }
 

@@ -272,13 +272,14 @@ fn locate(eg: &[f64], h: &TableHash, e: f64, run: &mut Option<usize>) -> (Bin, u
 }
 
 /// Value and hint of table `t` at `e` in `bin`: the clamping of
-/// [`CrossSection::value_binary`], the hint of the hinted walk.
+/// [`CrossSection::value_binary`], the hint of the hinted walk. The end
+/// values go through [`CrossSection::value`], which fills one block.
 #[inline]
 fn eval(t: &CrossSection, bin: Bin, e: f64) -> (f64, u32) {
     let n = t.len();
     match bin {
-        Bin::Below => (t.values()[0], 0),
-        Bin::Above => (t.values()[n - 1], (n - 2) as u32),
+        Bin::Below => (t.value(0), 0),
+        Bin::Above => (t.value(n - 1), (n - 2) as u32),
         Bin::In(i) => (t.lerp(i, e), i as u32),
     }
 }

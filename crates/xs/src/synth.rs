@@ -17,16 +17,23 @@
 //!
 //! Generation is deterministic: the resonance structure comes from the
 //! Threefry CBRNG, so a `(n_points, seed)` pair always produces the same
-//! tables on every platform. Both tables of a material are built in one
-//! pass over one grid ([`synthetic_tables`]; `DESIGN.md` §4 "How a table
+//! tables on every platform. Both tables of a material share one grid,
+//! and a table's values are computed a block at a time where a lookup
+//! first reads them ([`synthetic_tables`]; `DESIGN.md` §4 "How a table
 //! is built").
 
 use crate::table::CrossSection;
 use crate::CrossSectionLibrary;
 use neutral_rng::{CounterStream, Threefry2x64};
+use std::sync::Mutex;
+
+/// Version of the generator's arithmetic. A synthesized table's content
+/// address is its [`Synthesis`] and this number, not its values: bump it
+/// whenever a change to this module moves a single table bit.
+pub const SYNTH_VERSION: u64 = 1;
 
 /// Parameters of the synthetic tables.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SynthParams {
     /// Lowest tabulated energy (eV).
     pub e_min_ev: f64,
@@ -69,6 +76,7 @@ fn energy_grid(n: usize, p: &SynthParams) -> Vec<f64> {
 }
 
 /// One Lorentzian resonance in log-energy space.
+#[derive(Debug)]
 struct Resonance {
     /// log of the resonance energy
     log_e: f64,
@@ -112,63 +120,140 @@ fn ripple_modes(seed: u64) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Generate both tables of one material on one log-spaced grid of
-/// `n_points` energies:
+/// Which of a material's two tables a synthesized table is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SynthTable {
+    /// The capture (absorption) table.
+    Capture = 0,
+    /// The elastic-scatter table.
+    Scatter = 1,
+}
+
+/// What a synthesized table is a pure function of, besides its point
+/// count and [`SYNTH_VERSION`]: the table, the material's seed and its
+/// generator parameters.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Synthesis {
+    /// Capture or scatter.
+    pub table: SynthTable,
+    /// The material's seed (the scatter table draws from
+    /// `seed ^ 0x5eed_5eed`).
+    pub seed: u64,
+    /// The generator parameters.
+    pub params: SynthParams,
+}
+
+/// The terms a table's points are built from, drawn once per table.
+#[derive(Debug)]
+enum Terms {
+    Capture(Vec<Resonance>),
+    Scatter(Vec<(f64, f64)>),
+}
+
+/// A synthesized table's generator: its [`Synthesis`], the terms drawn
+/// from it, and the lock its block fills run under.
+#[derive(Debug)]
+pub(crate) struct Synthesized {
+    synthesis: Synthesis,
+    terms: Terms,
+    pub(crate) lock: Mutex<()>,
+}
+
+impl Synthesized {
+    pub(crate) fn synthesis(&self) -> &Synthesis {
+        &self.synthesis
+    }
+
+    /// The values of the grid points `energy` (one block's segment):
+    ///
+    /// * **capture** — a `1/v` baseline times `1 +` a sum of Lorentzian
+    ///   resonances drawn from `seed`;
+    /// * **elastic scatter** — a flat baseline with a mild ripple drawn
+    ///   from `seed ^ 0x5eed_5eed` and a gentle high-energy roll-off.
+    ///
+    /// The resonance sum runs resonance-major (one resonance over every
+    /// point of the segment, then the next), so its two divides per term
+    /// run over whole columns. Each point still adds the same terms in
+    /// the same order as a per-point sum would, with exactly rounded `/`
+    /// and `sqrt` and the same libm calls on the same arguments, so every
+    /// value has the bits of the per-point generators.
+    pub(crate) fn fill(&self, energy: &[f64], out: &mut [f64]) {
+        let p = &self.synthesis.params;
+        for (l, &e) in out.iter_mut().zip(energy) {
+            *l = e.ln();
+        }
+        match &self.terms {
+            Terms::Capture(resonances) => {
+                // Every term is positive, so a point's first `+=` yields
+                // that term exactly: the zero start changes no bit.
+                let mut boost = [0.0; crate::table::BLOCK + 1];
+                let boost = &mut boost[..out.len()];
+                for r in resonances {
+                    for (b, &l) in boost.iter_mut().zip(out.iter()) {
+                        let d = (l - r.log_e) / r.width;
+                        *b += r.amplitude / (1.0 + d * d);
+                    }
+                }
+                for ((v, &e), &b) in out.iter_mut().zip(energy).zip(boost.iter()) {
+                    // 1/v baseline anchored at 1 MeV.
+                    *v = p.capture_at_1mev_barns * (1.0e6 / e).sqrt() * (1.0 + b);
+                }
+            }
+            Terms::Scatter(modes) => {
+                for (v, &e) in out.iter_mut().zip(energy) {
+                    let log_e = *v;
+                    let ripple: f64 = modes
+                        .iter()
+                        .map(|&(phase, freq)| 0.03 * (freq * log_e + phase).sin())
+                        .sum();
+                    // Roll off above ~5 MeV, as real elastic cross
+                    // sections do.
+                    let rolloff = 1.0 / (1.0 + (e / 5.0e6).powi(2));
+                    *v = (p.scatter_base_barns * (1.0 + ripple) * (0.25 + 0.75 * rolloff)).max(1.0);
+                }
+            }
+        }
+    }
+}
+
+/// Synthesize both tables of one material on one log-spaced grid of
+/// `n_points` energies (see [`Synthesized::fill`] for their shapes).
 ///
-/// * **capture** — a `1/v` baseline times `1 +` a sum of Lorentzian
-///   resonances drawn from `seed`;
-/// * **elastic scatter** — a flat baseline with a mild ripple drawn from
-///   `seed ^ 0x5eed_5eed` and a gentle high-energy roll-off.
-///
-/// The grid and every point's `ln` are computed once for both tables, and
-/// the resonance sum runs resonance-major (one resonance over every point,
-/// then the next), so its two divides per term run over whole columns.
-/// Each point still adds the same terms in the same order as a per-point
-/// sum would, with exactly rounded `/` and `sqrt` and the same libm calls
-/// on the same arguments, so every value keeps its bits.
+/// The grid is computed here, because every lookup searches it. The
+/// values are not: each table fills a block of its points the first time
+/// a lookup reads it, with the bits an eager build would have stored.
+/// What is drawn per table (the resonance forest, the ripple modes) is
+/// drawn here, once.
 #[must_use]
 pub fn synthetic_tables(n_points: usize, seed: u64, p: &SynthParams) -> CrossSectionLibrary {
     let energy = energy_grid(n_points, p);
-    let log_e: Vec<f64> = energy.iter().map(|e| e.ln()).collect();
-
-    // Every term is positive, so a point's first `+=` yields that term
-    // exactly: the zero start changes no bit of the sum.
-    let mut boost = vec![0.0; n_points];
-    for r in resonance_forest(seed, p) {
-        for (b, &l) in boost.iter_mut().zip(&log_e) {
-            let d = (l - r.log_e) / r.width;
-            *b += r.amplitude / (1.0 + d * d);
-        }
-    }
-    // The two work columns become the two value columns in place: every
-    // fresh column (240 KB at 30 000 points) costs the build page faults.
-    let mut capture = boost;
-    for (v, &e) in capture.iter_mut().zip(&energy) {
-        // 1/v baseline anchored at 1 MeV.
-        *v = p.capture_at_1mev_barns * (1.0e6 / e).sqrt() * (1.0 + *v);
-    }
-    let modes = ripple_modes(seed ^ 0x5eed_5eed);
-    let mut scatter = log_e;
-    for (v, &e) in scatter.iter_mut().zip(&energy) {
-        let log_e = *v;
-        let ripple: f64 = modes
-            .iter()
-            .map(|&(phase, freq)| 0.03 * (freq * log_e + phase).sin())
-            .sum();
-        // Roll off above ~5 MeV, as real elastic cross sections do.
-        let rolloff = 1.0 / (1.0 + (e / 5.0e6).powi(2));
-        *v = (p.scatter_base_barns * (1.0 + ripple) * (0.25 + 0.75 * rolloff)).max(1.0);
-    }
-
+    let table = |table: SynthTable, terms: Terms| Synthesized {
+        synthesis: Synthesis {
+            table,
+            seed,
+            params: p.clone(),
+        },
+        terms,
+        lock: Mutex::new(()),
+    };
+    let capture = table(
+        SynthTable::Capture,
+        Terms::Capture(resonance_forest(seed, p)),
+    );
+    let scatter = table(
+        SynthTable::Scatter,
+        Terms::Scatter(ripple_modes(seed ^ 0x5eed_5eed)),
+    );
     CrossSectionLibrary::from_tables(
-        CrossSection::new(energy.clone(), capture),
-        CrossSection::new(energy, scatter),
+        CrossSection::synthesized(energy.clone(), capture),
+        CrossSection::synthesized(energy, scatter),
     )
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::table::{lerp_segment, BLOCK};
     use crate::{macroscopic_per_m, number_density, MaterialKind, MaterialSpec};
 
     /// The per-point capture generator [`synthetic_tables`] replaced,
@@ -233,7 +318,7 @@ pub(crate) mod tests {
         assert_eq!(got.len(), want.len(), "{what}: length");
         for (column, g, w) in [
             ("energy", got.energies(), want.energies()),
-            ("value", got.values(), want.values()),
+            ("value", &got.values(), &want.values()),
         ] {
             for (i, (a, b)) in g.iter().zip(w).enumerate() {
                 assert_eq!(
@@ -245,27 +330,75 @@ pub(crate) mod tests {
         }
     }
 
-    /// The one-pass build is the per-point build, bit for bit, through
-    /// both doors that synthesize tables: every kind, table sizes from
-    /// the minimum to the product default, and seeds at both ends of
-    /// `u64`.
+    /// A fixed shuffle of `0..n` (xorshift Fisher–Yates).
+    fn shuffled(n: usize, mut state: u64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        for j in (1..n).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            order.swap(j, (state % (j as u64 + 1)) as usize);
+        }
+        order
+    }
+
+    /// Table `got` read in `order` through its one-value accessor, and
+    /// interpolated across every block edge *before* anything else is
+    /// read, is the dense table `want`, bit for bit.
+    fn assert_reads_bits(what: &str, got: &CrossSection, want: &CrossSection, order: &[usize]) {
+        assert_eq!(got.energies().len(), want.len(), "{what}: length");
+        let (wg, wv) = (want.energies(), want.values());
+        for edge in (BLOCK..want.len()).step_by(BLOCK) {
+            for i in [edge - 1, edge.min(want.len() - 2)] {
+                let e = 0.5 * (wg[i] + wg[i + 1]);
+                let expect = lerp_segment(e, wg[i], wg[i + 1], wv[i], wv[i + 1]);
+                let lerp = got.lerp(i, e);
+                assert_eq!(lerp.to_bits(), expect.to_bits(), "{what}: lerp in bin {i}");
+            }
+        }
+        for &k in order {
+            let (a, b) = (got.value(k), wv[k]);
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: value[{k}] {a:e} vs {b:e}"
+            );
+            let (a, b) = (got.energies()[k], wg[k]);
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: energy[{k}] {a:e} vs {b:e}"
+            );
+        }
+        assert_eq!(got.points_filled(), want.len(), "{what}: every point read");
+    }
+
+    /// Lazy tables are the per-point build, bit for bit, through both
+    /// doors that synthesize tables: every kind, table sizes around one
+    /// block and at the product default, and seeds at both ends of `u64`,
+    /// read in a shuffled order after an interpolation across every
+    /// block edge.
     #[test]
-    fn one_pass_tables_are_the_per_point_tables_bit_for_bit() {
-        for n in [2, 3, 17, 64, 513, 4_096, 30_000] {
+    fn lazy_tables_are_the_per_point_tables_bit_for_bit() {
+        for n in [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 30_000] {
             for seed in [0, 1, 20_170_905, u64::MAX] {
+                let order = shuffled(n, seed | 1);
                 for kind in MaterialKind::ALL {
                     let p = kind.synth_params();
+                    let what = format!("{kind} n={n} seed={seed}");
+                    let capture = synthetic_capture(n, seed, &p);
+                    let scatter = synthetic_scatter(n, seed ^ 0x5eed_5eed, &p);
+                    let fresh = synthetic_tables(n, seed, &p);
+                    assert_reads_bits(&format!("{what} capture"), &fresh.absorb, &capture, &order);
+                    assert_reads_bits(&format!("{what} scatter"), &fresh.scatter, &scatter, &order);
                     let lib = MaterialSpec {
                         kind,
                         n_points: n,
                         seed,
                     }
                     .build();
-                    let what = format!("{kind} n={n} seed={seed}");
-                    let capture = synthetic_capture(n, seed, &p);
-                    let scatter = synthetic_scatter(n, seed ^ 0x5eed_5eed, &p);
-                    assert_same_bits(&format!("{what} capture"), &lib.absorb, &capture);
-                    assert_same_bits(&format!("{what} scatter"), &lib.scatter, &scatter);
+                    assert_same_bits(&format!("{what} spec capture"), &lib.absorb, &capture);
+                    assert_same_bits(&format!("{what} spec scatter"), &lib.scatter, &scatter);
                     if kind == MaterialKind::Reference {
                         let lib = CrossSectionLibrary::synthetic(n, seed);
                         assert_same_bits(
@@ -279,6 +412,50 @@ pub(crate) mod tests {
                             &scatter,
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Readers racing on one fresh library — each reading every point of
+    /// both tables in its own order, all released at once — converge on
+    /// the per-point bits. Eight fresh libraries per thread count, so a
+    /// block published before its values shows.
+    #[test]
+    fn racing_readers_converge_on_the_same_bits() {
+        let n = 30_000;
+        for threads in [2, 3, 7] {
+            let seed = 0x7ace + threads as u64;
+            let p = MaterialKind::Fuel.synth_params();
+            let want = [
+                synthetic_capture(n, seed, &p),
+                synthetic_scatter(n, seed ^ 0x5eed_5eed, &p),
+            ];
+            let bits = want.each_ref().map(|t| t.values());
+            let orders: Vec<_> = (0..threads)
+                .map(|t| shuffled(n, 0x9e37 + t as u64))
+                .collect();
+            for round in 0..8 {
+                let lib = synthetic_tables(n, seed, &p);
+                let tables = [&lib.absorb, &lib.scatter];
+                let start = std::sync::Barrier::new(threads);
+                std::thread::scope(|s| {
+                    for order in &orders {
+                        let (tables, bits, start) = (&tables, &bits, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            for &k in order {
+                                for (table, want) in tables.iter().zip(bits) {
+                                    let (a, b) = (table.value(k), want[k]);
+                                    let what = format!("{threads} threads, round {round}: [{k}]");
+                                    assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+                                }
+                            }
+                        });
+                    }
+                });
+                for (table, want) in tables.into_iter().zip(&want) {
+                    assert_same_bits(&format!("{threads} threads, round {round}"), table, want);
                 }
             }
         }

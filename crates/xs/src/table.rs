@@ -18,6 +18,15 @@
 //!   expensive binary search at each step. This particular optimisation
 //!   improved the performance of the csp problem by 1.3x".
 
+use crate::synth::{Synthesis, Synthesized};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::{Arc, PoisonError};
+
+/// Points of synthesized tables filled in this process, over every
+/// table (a statistic: it orders nothing).
+pub(crate) static POINTS_FILLED: AtomicU64 = AtomicU64::new(0);
+
 /// Linear interpolation over one grid segment — the single arithmetic
 /// kernel shared by every lookup backend, so that any backend that finds
 /// the same containing bin produces bitwise-identical values.
@@ -28,13 +37,86 @@ pub fn lerp_segment(e: f64, e0: f64, e1: f64, v0: f64, v1: f64) -> f64 {
     v0 + t * (v1 - v0)
 }
 
+/// Points per value block of a synthesized table: the unit its values
+/// are filled in, on first read. Measured, not tuned per problem
+/// (`DESIGN.md` §4, "How a table is built").
+pub(crate) const BLOCK: usize = 256;
+
 /// A continuous-energy cross-section table (energies in eV, values in
 /// barns), linearly interpolated between grid points and clamped to the
 /// end values outside the tabulated range.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The energy grid is always whole. The values of a table built by
+/// [`CrossSection::new`] are whole too; those of a synthesized table
+/// ([`crate::synthetic_tables`]) are computed a block of [`BLOCK`]
+/// points at a time, the first time a lookup reads the block, and are
+/// then the bits an eager build would have stored.
+#[derive(Debug)]
 pub struct CrossSection {
     energy: Vec<f64>,
-    value: Vec<f64>,
+    /// The values' `f64` bits. Loaded `Relaxed`: a value is read only
+    /// after an `Acquire` load saw its block's `ready` bit, which the
+    /// filler set with `Release` after storing the block.
+    value: Box<[AtomicU64]>,
+    /// One bit per block: set once the block's segment — its own points
+    /// and the first point of the next block, so one bit covers a `lerp`
+    /// — holds its values. All set on a dense table.
+    ready: Box<[AtomicU64]>,
+    /// How the values of a synthesized table are computed; `None` on a
+    /// dense one.
+    synth: Option<Arc<Synthesized>>,
+}
+
+impl Clone for CrossSection {
+    /// A table of its own, with the values filled so far.
+    fn clone(&self) -> Self {
+        let copy = |words: &[AtomicU64]| {
+            words
+                .iter()
+                .map(|w| AtomicU64::new(w.load(Acquire)))
+                .collect()
+        };
+        Self {
+            energy: self.energy.clone(),
+            value: copy(&self.value),
+            ready: copy(&self.ready),
+            synth: self.synth.clone(),
+        }
+    }
+}
+
+impl PartialEq for CrossSection {
+    /// Equal grids and equal values; fills every block of both tables.
+    fn eq(&self, other: &Self) -> bool {
+        self.energy == other.energy && self.values() == other.values()
+    }
+}
+
+/// Check an energy grid: at least two points, positive, finite and
+/// strictly increasing.
+fn check_grid(energy: &[f64]) {
+    assert!(energy.len() >= 2, "need at least two table points");
+    // One branch-free pass over the whole grid, which vectorizes; only a
+    // grid that fails it is walked again for the first bad point.
+    // (`0.0..=f64::MAX` holds no NaN and no infinity.)
+    let finite = 0.0..=f64::MAX;
+    let increasing = energy.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
+    let in_range = energy
+        .iter()
+        .fold(true, |ok, &e| ok & (e > 0.0) & finite.contains(&e));
+    if !(increasing && in_range) {
+        for w in energy.windows(2) {
+            assert!(
+                w[0] < w[1],
+                "energy grid must be strictly increasing ({} !< {})",
+                w[0],
+                w[1]
+            );
+        }
+        for &e in energy {
+            assert!(e.is_finite() && e > 0.0, "energies must be positive");
+        }
+    }
 }
 
 impl CrossSection {
@@ -51,30 +133,99 @@ impl CrossSection {
             value.len(),
             "energy and value columns differ in length"
         );
-        assert!(energy.len() >= 2, "need at least two table points");
-        // One branch-free pass over the whole table, which vectorizes;
-        // only a table that fails it is walked again for the first bad
-        // point. (`0.0..=f64::MAX` holds no NaN and no infinity.)
+        check_grid(&energy);
         let finite = 0.0..=f64::MAX;
-        let increasing = energy.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
-        let in_range = energy.iter().zip(&value).fold(true, |ok, (&e, &v)| {
-            ok & (e > 0.0) & finite.contains(&e) & finite.contains(&v)
-        });
-        if !(increasing && in_range) {
-            for w in energy.windows(2) {
-                assert!(
-                    w[0] < w[1],
-                    "energy grid must be strictly increasing ({} !< {})",
-                    w[0],
-                    w[1]
-                );
-            }
-            for (&e, &v) in energy.iter().zip(&value) {
-                assert!(e.is_finite() && e > 0.0, "energies must be positive");
+        if !value.iter().fold(true, |ok, v| ok & finite.contains(v)) {
+            for &v in &value {
                 assert!(v.is_finite() && v >= 0.0, "values must be non-negative");
             }
         }
-        Self { energy, value }
+        let blocks = energy.len().div_ceil(BLOCK);
+        let mut ready: Box<[AtomicU64]> = (0..blocks.div_ceil(64))
+            .map(|_| AtomicU64::new(!0))
+            .collect();
+        if blocks % 64 != 0 {
+            *ready.last_mut().expect("two points make a block").get_mut() =
+                (1 << (blocks % 64)) - 1;
+        }
+        Self {
+            energy,
+            value: value
+                .into_iter()
+                .map(|v| AtomicU64::new(v.to_bits()))
+                .collect(),
+            ready,
+            synth: None,
+        }
+    }
+
+    /// A synthesized table on `energy`: no value is computed until a
+    /// lookup reads its block.
+    pub(crate) fn synthesized(energy: Vec<f64>, synth: Synthesized) -> Self {
+        check_grid(&energy);
+        let blocks = energy.len().div_ceil(BLOCK);
+        Self {
+            value: (0..energy.len()).map(|_| AtomicU64::new(0)).collect(),
+            ready: (0..blocks.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            energy,
+            synth: Some(Arc::new(synth)),
+        }
+    }
+
+    /// What a synthesized table is a function of; `None` for a table
+    /// built from explicit columns.
+    #[must_use]
+    pub fn synthesis(&self) -> Option<&Synthesis> {
+        self.synth.as_deref().map(Synthesized::synthesis)
+    }
+
+    /// Make sure block `block`'s segment holds its values: the one
+    /// readiness test of a value read.
+    #[inline]
+    fn ensure(&self, block: usize) {
+        if self.ready[block / 64].load(Acquire) & (1 << (block % 64)) == 0 {
+            self.fill(block);
+        }
+    }
+
+    /// Compute and publish block `block`'s segment. Fills of one table
+    /// run one at a time, so a block is computed once however many
+    /// threads race to read it.
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, block: usize) {
+        let synth = self
+            .synth
+            .as_deref()
+            .expect("a table built from columns has every block ready");
+        // The guard orders fills and protects no data: a fill that
+        // panicked published nothing, so the next one starts over.
+        let _fill = synth.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let (word, bit) = (&self.ready[block / 64], 1 << (block % 64));
+        if word.load(Acquire) & bit != 0 {
+            return;
+        }
+        let lo = block * BLOCK;
+        let hi = (lo + BLOCK).min(self.energy.len() - 1);
+        let mut values = [0.0; BLOCK + 1];
+        let values = &mut values[..=hi - lo];
+        synth.fill(&self.energy[lo..=hi], values);
+        for (slot, v) in self.value[lo..=hi].iter().zip(values.iter()) {
+            slot.store(v.to_bits(), Relaxed);
+        }
+        word.fetch_or(bit, Release);
+        let own = (lo + BLOCK).min(self.energy.len()) - lo;
+        POINTS_FILLED.fetch_add(own as u64, Relaxed);
+    }
+
+    /// Value `k`, filling its block first if no lookup has read it yet.
+    #[inline]
+    #[must_use]
+    pub fn value(&self, k: usize) -> f64 {
+        self.ensure(k / BLOCK);
+        f64::from_bits(self.value[k].load(Relaxed))
     }
 
     /// Number of grid points.
@@ -95,10 +246,24 @@ impl CrossSection {
         &self.energy
     }
 
-    /// The tabulated values.
+    /// The tabulated values, copied out. Fills every block of a
+    /// synthesized table; lookups read single values through
+    /// [`Self::value`], which fills only the block read.
     #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.value
+    pub fn values(&self) -> Vec<f64> {
+        (0..self.value.len()).map(|k| self.value(k)).collect()
+    }
+
+    /// Points whose values are in place: every point of a table built
+    /// from columns, the points of the blocks read so far of a
+    /// synthesized one.
+    #[must_use]
+    pub fn points_filled(&self) -> usize {
+        let n = self.energy.len();
+        (0..n.div_ceil(BLOCK))
+            .filter(|b| self.ready[b / 64].load(Relaxed) & (1 << (b % 64)) != 0)
+            .map(|b| (b * BLOCK + BLOCK).min(n) - b * BLOCK)
+            .sum()
     }
 
     /// Lowest and highest tabulated energies.
@@ -109,14 +274,17 @@ impl CrossSection {
 
     /// Interpolate within bin `i` (callers guarantee `e` has been clamped
     /// into the table range and `i < len-1`).
+    /// One readiness test covers both values: block `i / BLOCK`'s
+    /// segment runs to the first point of the next block.
     #[inline]
     pub(crate) fn lerp(&self, i: usize, e: f64) -> f64 {
+        self.ensure(i / BLOCK);
         lerp_segment(
             e,
             self.energy[i],
             self.energy[i + 1],
-            self.value[i],
-            self.value[i + 1],
+            f64::from_bits(self.value[i].load(Relaxed)),
+            f64::from_bits(self.value[i + 1].load(Relaxed)),
         )
     }
 
@@ -132,10 +300,10 @@ impl CrossSection {
     pub fn value_at_bin(&self, energy_ev: f64, bin: usize) -> f64 {
         let n = self.energy.len();
         if energy_ev <= self.energy[0] {
-            return self.value[0];
+            return self.value(0);
         }
         if energy_ev >= self.energy[n - 1] {
-            return self.value[n - 1];
+            return self.value(n - 1);
         }
         self.lerp(bin.min(n - 2), energy_ev)
     }
@@ -163,10 +331,10 @@ impl CrossSection {
     pub fn value_binary(&self, energy_ev: f64) -> f64 {
         let n = self.energy.len();
         if energy_ev <= self.energy[0] {
-            return self.value[0];
+            return self.value(0);
         }
         if energy_ev >= self.energy[n - 1] {
-            return self.value[n - 1];
+            return self.value(n - 1);
         }
         // partition_point returns the first index with energy > e; the
         // containing bin starts one before it.
@@ -191,11 +359,11 @@ impl CrossSection {
         let mut steps = 0u32;
         if energy_ev <= self.energy[0] {
             *hint = 0;
-            return (self.value[0], steps);
+            return (self.value(0), steps);
         }
         if energy_ev >= self.energy[n - 1] {
             *hint = n - 2;
-            return (self.value[n - 1], steps);
+            return (self.value(n - 1), steps);
         }
         // Walk up while the bin is below the energy...
         while self.energy[i + 1] <= energy_ev {
