@@ -56,7 +56,7 @@ use crate::config::Problem;
 use crate::counters::EventCounters;
 use crate::particle::Particle;
 use crate::sim::{RunOptions, RunReport, Scheme, Simulation, SolveCore};
-use neutral_xs::XsHints;
+use neutral_xs::{CrossSection, SynthParams, Synthesis, XsHints, SYNTH_VERSION};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -293,16 +293,20 @@ impl From<std::io::Error> for CheckpointError {
 /// registry's result cache. It covers everything that can change a
 /// trajectory or a merged bit: seed, counts, timestep controls, mesh
 /// shape and extent, source, the full [`crate::config::TransportConfig`],
-/// the density field's bits, the material map, every material's table
-/// contents, and the `scheme` (the two schemes accumulate
+/// the density field's bits, the material map, every material's tables,
+/// and the `scheme` (the two schemes accumulate
 /// the same terms in different orders, so their `f64` sums differ by
 /// ulps). The rest of [`RunOptions`] is deliberately absent: `execution`
 /// is bitwise-free under the deterministic tally strategies, which is
 /// what lets one cached result answer any host width.
 ///
-/// The scalars hash byte-wise; the bulk (≈ 1 MB of tables per material,
-/// 8 B per mesh cell) folds 64-bit words — [`Registry::submit`]
-/// fingerprints every submission.
+/// A table is hashed by what it is: a synthesized table by its spec
+/// ([`Synthesis`], point count and [`SYNTH_VERSION`]), so addressing a
+/// problem reads none of its lazily filled values; a table built from
+/// explicit columns by every energy and value bit. The scalars hash
+/// byte-wise; the bulk (8 B per mesh cell, and any explicit table)
+/// folds 64-bit words — [`Registry::submit`] fingerprints every
+/// submission.
 ///
 /// [`Registry::submit`]: crate::registry::Registry::submit
 #[must_use]
@@ -331,11 +335,49 @@ pub fn config_fingerprint(problem: &Problem, scheme: Scheme) -> u64 {
     hash = fold_words(hash, problem.mesh.material_map().ids(), u64::from);
     for lib in problem.materials.libraries() {
         for table in [&lib.absorb, &lib.scatter] {
-            hash = fold_words(hash, table.energies(), f64::to_bits);
-            hash = fold_words(hash, &table.values(), f64::to_bits);
+            hash = match table.synthesis() {
+                Some(synthesis) => fold_words(hash, &synthesis_words(table, synthesis), |w| w),
+                None => {
+                    hash = fold_words(hash, table.energies(), f64::to_bits);
+                    fold_words(hash, &table.values(), f64::to_bits)
+                }
+            };
         }
     }
     hash
+}
+
+/// The content address of a synthesized table: what its grid and every
+/// value are a pure function of (DESIGN.md §16). Destructured, so a
+/// generator parameter added later must join it to compile.
+fn synthesis_words(table: &CrossSection, synthesis: &Synthesis) -> [u64; 11] {
+    let Synthesis {
+        table: which,
+        seed,
+        params:
+            SynthParams {
+                e_min_ev,
+                e_max_ev,
+                capture_at_1mev_barns,
+                scatter_base_barns,
+                n_resonances,
+                res_lo_ev,
+                res_hi_ev,
+            },
+    } = synthesis;
+    [
+        SYNTH_VERSION,
+        *which as u64,
+        table.len() as u64,
+        *seed,
+        e_min_ev.to_bits(),
+        e_max_ev.to_bits(),
+        capture_at_1mev_barns.to_bits(),
+        scatter_base_barns.to_bits(),
+        *n_resonances as u64,
+        res_lo_ev.to_bits(),
+        res_hi_ev.to_bits(),
+    ]
 }
 
 /// Fold a run of values, each as one 64-bit word, into `hash`: word `k`

@@ -89,7 +89,8 @@ fn removed_history_driver_names_over_particles() {
 
 /// The content address separates every field a generated case varies:
 /// changing any one of them — a cell of the built mesh, a region, a
-/// material, a count, a transport knob or the scheme — changes
+/// material's kind, table size or table seed (a synthesized table is
+/// addressed by that spec), a count, a transport knob or the scheme — changes
 /// `config_fingerprint`. A region edge that moves no cell centre changes
 /// no input, so it counts only where it moves one.
 #[test]
@@ -151,6 +152,9 @@ fn fingerprint_changes_with_every_generated_field() {
             spec.kind = MaterialKind::ALL[(i + 1) % MaterialKind::ALL.len()];
         });
         vary("a material's table seed", &|p| p.materials[0].1.seed ^= 1);
+        vary("a material's table size", &|p| {
+            p.materials[0].1.n_points += 1
+        });
         vary("seed", &|p| p.seed ^= 1);
         vary("particles", &|p| p.particles += 1);
         vary("timesteps", &|p| p.timesteps += 1);

@@ -141,60 +141,214 @@ fn energy_balance_on_scenarios() {
     }
 }
 
+/// The seed of the pinned catalogue builds below.
+const PIN_SEED: u64 = 20_170_905;
+
 /// The content address of every catalogue scenario at `tiny`, seed
 /// 20 170 905, under both schemes. The registry's memo and result cache
 /// key on these values, and so does the `ConfigMismatch` guard of every
-/// checkpoint already on disk. The address hashes every table bit, so a
-/// table build that moves one bit fails here even for a scenario no
-/// golden covers.
+/// checkpoint already on disk. A synthesized table is addressed by its
+/// spec, not its values, so a table build that moves a bit does not fail
+/// here: `catalogue_tables_are_pinned` guards the bits.
 #[test]
 fn catalogue_fingerprints_are_pinned() {
     const PINNED: [(Scenario, u64, u64); 8] = [
         (
             Scenario::Stream,
-            0x1329_c95d_1832_03f5,
-            0xde17_8319_2475_acb3,
+            0xd362_c1db_eb7e_b289,
+            0x89d9_878e_f838_0dbf,
         ),
         (
             Scenario::Scatter,
-            0xcd38_59a6_cf23_9944,
-            0x1feb_c0b8_fc82_74a3,
+            0x90fc_6880_7a63_5736,
+            0x92ab_6697_7ac5_6997,
         ),
-        (Scenario::Csp, 0x7e72_6714_08d5_d7a2, 0xa2ce_9305_75ff_da9d),
+        (Scenario::Csp, 0x4235_733d_d7a9_5493, 0x4c87_4cec_a06f_29c0),
         (
             Scenario::ShieldedSlab,
-            0xbdc4_0c66_061d_ffa2,
-            0xeb75_49f0_4db1_15c3,
+            0x8bcd_0d5f_22fe_b5c3,
+            0x8d62_1ebf_be20_4c2a,
         ),
         (
             Scenario::StreamingDuct,
-            0x1be0_6378_a881_586f,
-            0x9f54_3e0b_e6eb_a9c6,
+            0x9e2c_ec81_befd_a30e,
+            0x9ee3_11a4_ce41_fa20,
         ),
         (
             Scenario::GradedModerator,
-            0x8f69_a465_d0e0_979a,
-            0xa881_4190_504c_8e70,
+            0x8009_699a_8d8c_c534,
+            0x00be_b488_325c_1424,
         ),
         (
             Scenario::FuelLattice,
-            0xf19c_2ac5_02fb_3838,
-            0x63bf_c83e_e1f1_3fc7,
+            0xb4d0_bc2e_1e8e_55a7,
+            0xf9fe_dadb_46e1_5e69,
         ),
         (
             Scenario::CoreEscape,
-            0xd060_5521_492b_2693,
-            0x26f7_9b95_0de0_b6f5,
+            0x2afd_906e_d59e_5876,
+            0x818a_79c4_c662_cb8d,
         ),
     ];
     assert_eq!(PINNED.map(|(s, _, _)| s), Scenario::ALL);
     for (scenario, op, oe) in PINNED {
-        let problem = scenario.build(ProblemScale::tiny(), 20_170_905);
+        let problem = scenario.build(ProblemScale::tiny(), PIN_SEED);
         for (scheme, want) in [(Scheme::OverParticles, op), (Scheme::OverEvents, oe)] {
             let got = config_fingerprint(&problem, scheme);
             assert_eq!(got, want, "{scenario:?}/{scheme:?}: {got:#018x}");
         }
     }
+}
+
+/// Every catalogue problem's tables, filled in full, folded bit by bit
+/// (FNV-1a over every energy and value word of every material).
+fn table_digest(problem: &Problem) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for lib in problem.materials.libraries() {
+        for table in [&lib.absorb, &lib.scatter] {
+            for word in table.energies().iter().chain(&table.values()) {
+                for byte in word.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+    }
+    hash
+}
+
+/// The bits of every catalogue material. The content address names a
+/// synthesized table by its spec, so this digest is what catches a
+/// generator change that moves one table bit.
+#[test]
+fn catalogue_tables_are_pinned() {
+    const PINNED: [(Scenario, u64); 8] = [
+        (Scenario::Stream, 0x0e3a_6ad2_e738_9ee5),
+        (Scenario::Scatter, 0x0e3a_6ad2_e738_9ee5),
+        (Scenario::Csp, 0x0e3a_6ad2_e738_9ee5),
+        (Scenario::ShieldedSlab, 0x7839_425e_c437_84bc),
+        (Scenario::StreamingDuct, 0x6f40_4e07_76af_5f0d),
+        (Scenario::GradedModerator, 0x8b53_22e7_4b55_6901),
+        (Scenario::FuelLattice, 0x05b2_540d_7ce2_03f7),
+        (Scenario::CoreEscape, 0x0e3a_6ad2_e738_9ee5),
+    ];
+    assert_eq!(PINNED.map(|(s, _)| s), Scenario::ALL);
+    for (scenario, want) in PINNED {
+        let got = table_digest(&scenario.build(ProblemScale::tiny(), PIN_SEED));
+        assert_eq!(
+            got, want,
+            "{scenario:?}: table digest {got:#018x}. A synthesized table bit moved: \
+             bump `neutral_xs::SYNTH_VERSION` (the content address names tables by spec), \
+             then re-pin this digest and `catalogue_fingerprints_are_pinned`"
+        );
+    }
+}
+
+/// `problem` with every material's tables copied into explicit columns.
+fn with_explicit_tables(problem: &Problem) -> Problem {
+    let dense = |t: &neutral_xs::CrossSection| {
+        neutral_xs::CrossSection::new(t.energies().to_vec(), t.values())
+    };
+    let libs = problem
+        .materials
+        .libraries()
+        .iter()
+        .map(|lib| {
+            neutral_xs::CrossSectionLibrary::from_tables(dense(&lib.absorb), dense(&lib.scatter))
+        })
+        .collect();
+    Problem {
+        materials: MaterialSet::from_libraries(libs),
+        ..problem.clone()
+    }
+}
+
+/// The catalogue addresses when every table was hashed by its values:
+/// what a table built from explicit columns still hashes by. Checkpoints
+/// written by a catalogue problem before tables were addressed by spec
+/// carry these.
+const VALUE_ADDRESSED: [(Scenario, u64, u64); 8] = [
+    (
+        Scenario::Stream,
+        0x1329_c95d_1832_03f5,
+        0xde17_8319_2475_acb3,
+    ),
+    (
+        Scenario::Scatter,
+        0xcd38_59a6_cf23_9944,
+        0x1feb_c0b8_fc82_74a3,
+    ),
+    (Scenario::Csp, 0x7e72_6714_08d5_d7a2, 0xa2ce_9305_75ff_da9d),
+    (
+        Scenario::ShieldedSlab,
+        0xbdc4_0c66_061d_ffa2,
+        0xeb75_49f0_4db1_15c3,
+    ),
+    (
+        Scenario::StreamingDuct,
+        0x1be0_6378_a881_586f,
+        0x9f54_3e0b_e6eb_a9c6,
+    ),
+    (
+        Scenario::GradedModerator,
+        0x8f69_a465_d0e0_979a,
+        0xa881_4190_504c_8e70,
+    ),
+    (
+        Scenario::FuelLattice,
+        0xf19c_2ac5_02fb_3838,
+        0x63bf_c83e_e1f1_3fc7,
+    ),
+    (
+        Scenario::CoreEscape,
+        0xd060_5521_492b_2693,
+        0x26f7_9b95_0de0_b6f5,
+    ),
+];
+
+/// A table built from explicit columns keeps the value hash, even when
+/// its columns are a synthesized table's exact bits: the spec address
+/// travels with the synthesized table, not with its values. Copied into
+/// explicit columns, every catalogue problem hashes to its value address.
+#[test]
+fn explicit_tables_with_synthesized_bits_keep_the_value_hash() {
+    assert_eq!(VALUE_ADDRESSED.map(|(s, _, _)| s), Scenario::ALL);
+    for (scenario, op, oe) in VALUE_ADDRESSED {
+        let problem = scenario.build(ProblemScale::tiny(), PIN_SEED);
+        let explicit = with_explicit_tables(&problem);
+        for (scheme, want) in [(Scheme::OverParticles, op), (Scheme::OverEvents, oe)] {
+            let got = config_fingerprint(&explicit, scheme);
+            assert_eq!(got, want, "{scenario:?}/{scheme:?}: {got:#018x}");
+            assert_ne!(
+                got,
+                config_fingerprint(&problem, scheme),
+                "{scenario:?}/{scheme:?}"
+            );
+        }
+    }
+}
+
+/// A checkpoint written when the catalogue was addressed by table
+/// values fails to resume by name: `ConfigMismatch`, naming both
+/// addresses, never a silent resume or a panic.
+#[test]
+fn a_value_addressed_checkpoint_fails_config_mismatch() {
+    let (_, op, _) = VALUE_ADDRESSED[2];
+    let sim = Simulation::new(Scenario::Csp.build(ProblemScale::tiny(), PIN_SEED));
+    let options = RunOptions::new(Scheme::OverParticles, 1);
+    let mut core = SolveCore::new(&sim, options);
+    core.step(&sim);
+    let mut old = core.checkpoint();
+    old.fingerprint = op;
+    let old = Checkpoint::from_bytes(&old.to_bytes()).expect("a well-formed checkpoint");
+    let err = SolveCore::resume(&sim, options, &old)
+        .err()
+        .expect("a value-addressed checkpoint");
+    let expected = config_fingerprint(sim.problem(), Scheme::OverParticles);
+    assert!(
+        matches!(err, CheckpointError::ConfigMismatch { expected: e, found } if e == expected && found == op),
+        "{err}"
+    );
+    assert!(err.to_string().contains("different problem"), "{err}");
 }
 
 /// Lookup backends stay bitwise-equivalent per material: switching the
