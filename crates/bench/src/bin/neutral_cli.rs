@@ -476,6 +476,18 @@ fn main() -> ExitCode {
             sim.problem().materials.len()
         );
     }
+    // A build computes the tables' energy grids; a solve fills the value
+    // blocks it reads (DESIGN.md §4).
+    let (filled, points) = sim
+        .problem()
+        .materials
+        .libraries()
+        .iter()
+        .flat_map(|lib| [&lib.absorb, &lib.scatter])
+        .fold((0, 0), |(filled, points), t| {
+            (filled + t.points_filled(), points + t.len())
+        });
+    println!("tables: {filled} of {points} points filled");
     let balance = report.energy_balance();
     println!(
         "energy: source {:.4e} eV, deposited {:.4e} eV, residual {:.4e} eV, lost {:.4e} eV",

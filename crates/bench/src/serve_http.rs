@@ -58,7 +58,9 @@
 //! `tables_built` and `tables_shared` count the process's material-table
 //! builds ([`neutral_xs::table_stats`]): a closure whose material specs a
 //! live solve already holds shares its tables instead of synthesizing
-//! them (DESIGN.md §4).
+//! them (DESIGN.md §4). `table_points_filled` counts the table points
+//! solves have read into being: a build computes only the energy grid,
+//! and a table's values are filled a block at a time where read.
 
 use minihttp::{Handler, Request, Response, Server, ServerHandle, TEXT_PLAIN};
 use neutral_core::dump::tally_dump_capacity;
@@ -455,6 +457,7 @@ fn stats_response(stats: &RegistryStats, tables: neutral_xs::TableStats) -> Resp
         format!(
             "{{\"submitted\":{},\"coalesced\":{},\"cache_hits\":{},\"solves_started\":{},\
              \"problems_built\":{},\"tables_built\":{},\"tables_shared\":{},\
+             \"table_points_filled\":{},\
              \"chunks_run\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\
              \"shard_retries\":{},\"shard_requeues\":{}}}",
             stats.submitted,
@@ -464,6 +467,7 @@ fn stats_response(stats: &RegistryStats, tables: neutral_xs::TableStats) -> Resp
             stats.problems_built,
             tables.built,
             tables.shared,
+            tables.points_filled,
             stats.chunks_run,
             stats.completed,
             stats.cancelled,

@@ -1,8 +1,9 @@
 //! The material-table intern seen through the solve service (DESIGN.md
 //! §4, §16): a sweep over `timesteps` whose second solve is posted while
 //! the first still runs shares the first's tables, and both still serve
-//! the bits of a direct run. This file holds one test, so the
-//! process-wide `tables_built` / `tables_shared` counts it reads from
+//! the bits of a direct run, having filled under half of the table
+//! points. This file holds one test, so the process-wide `tables_built`
+//! / `tables_shared` / `table_points_filled` counts it reads from
 //! `/stats` are its own.
 
 use minihttp::{Request, Response};
@@ -61,8 +62,15 @@ fn overlapping_sweep_synthesizes_its_tables_once() {
     assert_eq!(counter(&stats, "tables_built"), 1, "{stats}");
     assert_eq!(counter(&stats, "tables_shared"), 1, "{stats}");
 
-    for (id, timesteps) in ids.into_iter().zip([3, 4]) {
+    // The solves filled only the table blocks they read, once for both.
+    for &id in &ids {
         assert_eq!(registry.wait(id).unwrap().state, SolveState::Done);
+    }
+    let (_, stats) = request(&service, "GET", "/stats", "");
+    let filled = counter(&stats, "table_points_filled");
+    assert!(filled > 0 && filled < 30_000, "{stats}");
+
+    for (id, timesteps) in ids.into_iter().zip([3, 4]) {
         let (served, _) = request(&service, "GET", &format!("/solves/{id}/tallies"), "");
         assert_eq!(served.status, 200);
         let mut problem = Scenario::Csp.params(ProblemScale::tiny(), SEED).build();
