@@ -183,7 +183,7 @@ impl CrossSection {
 
     /// Make sure block `block`'s segment holds its values: the one
     /// readiness test of a value read.
-    #[inline]
+    #[inline(always)]
     fn ensure(&self, block: usize) {
         if self.ready[block / 64].load(Acquire) & (1 << (block % 64)) == 0 {
             self.fill(block);
@@ -275,8 +275,10 @@ impl CrossSection {
     /// Interpolate within bin `i` (callers guarantee `e` has been clamped
     /// into the table range and `i < len-1`).
     /// One readiness test covers both values: block `i / BLOCK`'s
-    /// segment runs to the first point of the next block.
-    #[inline]
+    /// segment runs to the first point of the next block. Always
+    /// inlined, as before the readiness test: an outlined `lerp` is a
+    /// call per lookup on the kernels' hot path.
+    #[inline(always)]
     pub(crate) fn lerp(&self, i: usize, e: f64) -> f64 {
         self.ensure(i / BLOCK);
         lerp_segment(
