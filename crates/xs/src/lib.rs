@@ -9,7 +9,9 @@
 //!
 //! * [`constants`] — the physical constants of the transport model;
 //! * [`CrossSection`] — a continuous-energy table with linear
-//!   interpolation, looked up either by binary search or by a *cached
+//!   interpolation (a synthesized table fills its values a block at a
+//!   time where a lookup first reads them, `DESIGN.md` §4), looked up
+//!   either by binary search or by a *cached
 //!   linear search* that walks from the previous lookup's index. The
 //!   cached search exploits the small energy jumps between consecutive
 //!   collisions and bought the paper a 1.3x speedup on `csp` (§VI-A);
@@ -144,7 +146,8 @@ pub struct CrossSectionLibrary {
 impl CrossSectionLibrary {
     /// Generate the dummy tables described in §IV-D with `n_points`
     /// log-spaced energy points each, using `seed` for the synthetic
-    /// resonance structure. Defaults live in [`SynthParams`].
+    /// resonance structure. Defaults live in [`SynthParams`]. The values
+    /// are computed where lookups first read them.
     #[must_use]
     pub fn synthetic(n_points: usize, seed: u64) -> Self {
         synthetic_tables(n_points, seed, &SynthParams::default())

@@ -164,12 +164,8 @@ impl Synthesized {
         &self.synthesis
     }
 
-    /// The values of the grid points `energy` (one block's segment):
-    ///
-    /// * **capture** — a `1/v` baseline times `1 +` a sum of Lorentzian
-    ///   resonances drawn from `seed`;
-    /// * **elastic scatter** — a flat baseline with a mild ripple drawn
-    ///   from `seed ^ 0x5eed_5eed` and a gentle high-energy roll-off.
+    /// The values of the grid points `energy` (one block's segment) into
+    /// `out`, each exactly as the per-point generators compute it.
     ///
     /// The resonance sum runs resonance-major (one resonance over every
     /// point of the segment, then the next), so its two divides per term
@@ -217,7 +213,12 @@ impl Synthesized {
 }
 
 /// Synthesize both tables of one material on one log-spaced grid of
-/// `n_points` energies (see [`Synthesized::fill`] for their shapes).
+/// `n_points` energies:
+///
+/// * **capture** — a `1/v` baseline times `1 +` a sum of Lorentzian
+///   resonances drawn from `seed`;
+/// * **elastic scatter** — a flat baseline with a mild ripple drawn from
+///   `seed ^ 0x5eed_5eed` and a gentle high-energy roll-off.
 ///
 /// The grid is computed here, because every lookup searches it. The
 /// values are not: each table fills a block of its points the first time

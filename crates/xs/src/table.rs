@@ -48,9 +48,9 @@ pub(crate) const BLOCK: usize = 256;
 ///
 /// The energy grid is always whole. The values of a table built by
 /// [`CrossSection::new`] are whole too; those of a synthesized table
-/// ([`crate::synthetic_tables`]) are computed a block of [`BLOCK`]
-/// points at a time, the first time a lookup reads the block, and are
-/// then the bits an eager build would have stored.
+/// ([`crate::synthetic_tables`]) are computed a block of 256 points at
+/// a time, the first time a lookup reads the block, and are then the
+/// bits an eager build would have stored.
 #[derive(Debug)]
 pub struct CrossSection {
     energy: Vec<f64>,
@@ -76,13 +76,24 @@ impl Clone for CrossSection {
                 .map(|w| AtomicU64::new(w.load(Acquire)))
                 .collect()
         };
+        // The bits first: a block a racing fill publishes after this
+        // copy stays unready in the clone, whatever its values copied as.
+        let ready = copy(&self.ready);
         Self {
             energy: self.energy.clone(),
             value: copy(&self.value),
-            ready: copy(&self.ready),
+            ready,
             synth: self.synth.clone(),
         }
     }
+}
+
+/// A ready bitset for a table of `n` points, every block set or none.
+fn ready_bits(n: usize, set: bool) -> Box<[AtomicU64]> {
+    let words = n.div_ceil(BLOCK).div_ceil(64);
+    (0..words)
+        .map(|_| AtomicU64::new(if set { !0 } else { 0 }))
+        .collect()
 }
 
 impl PartialEq for CrossSection {
@@ -140,21 +151,13 @@ impl CrossSection {
                 assert!(v.is_finite() && v >= 0.0, "values must be non-negative");
             }
         }
-        let blocks = energy.len().div_ceil(BLOCK);
-        let mut ready: Box<[AtomicU64]> = (0..blocks.div_ceil(64))
-            .map(|_| AtomicU64::new(!0))
-            .collect();
-        if blocks % 64 != 0 {
-            *ready.last_mut().expect("two points make a block").get_mut() =
-                (1 << (blocks % 64)) - 1;
-        }
         Self {
+            ready: ready_bits(energy.len(), true),
             energy,
             value: value
                 .into_iter()
                 .map(|v| AtomicU64::new(v.to_bits()))
                 .collect(),
-            ready,
             synth: None,
         }
     }
@@ -163,12 +166,9 @@ impl CrossSection {
     /// lookup reads its block.
     pub(crate) fn synthesized(energy: Vec<f64>, synth: Synthesized) -> Self {
         check_grid(&energy);
-        let blocks = energy.len().div_ceil(BLOCK);
         Self {
             value: (0..energy.len()).map(|_| AtomicU64::new(0)).collect(),
-            ready: (0..blocks.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            ready: ready_bits(energy.len(), false),
             energy,
             synth: Some(Arc::new(synth)),
         }
