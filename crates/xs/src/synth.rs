@@ -17,7 +17,7 @@
 //!
 //! Generation is deterministic: the resonance structure comes from the
 //! Threefry CBRNG, so a `(n_points, seed)` pair always produces the same
-//! tables on every platform. Both tables of a material share one grid,
+//! tables on every platform. Both tables of a material lie on one grid,
 //! and a table's values are computed a block at a time where a lookup
 //! first reads them ([`synthetic_tables`]; `DESIGN.md` §4 "How a table
 //! is built").
