@@ -338,7 +338,7 @@ pub fn config_fingerprint(problem: &Problem, scheme: Scheme) -> u64 {
             hash = match table.synthesis() {
                 Some(synthesis) => fold_words(hash, &synthesis_words(table, synthesis), |w| w),
                 None => {
-                    hash = fold_words(hash, table.energies(), f64::to_bits);
+                    let hash = fold_words(hash, table.energies(), f64::to_bits);
                     fold_words(hash, &table.values(), f64::to_bits)
                 }
             };
