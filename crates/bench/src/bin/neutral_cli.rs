@@ -461,7 +461,7 @@ fn main() -> ExitCode {
                         return ExitCode::SUCCESS;
                     }
                     Err(e) => {
-                        eprintln!("error: {e}");
+                        eprintln!("error: checkpoint {path}: {e}");
                         return ExitCode::FAILURE;
                     }
                 }

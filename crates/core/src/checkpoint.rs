@@ -2,18 +2,19 @@
 //! fault-injection harness that proves it (DESIGN.md §15).
 //!
 //! A checkpoint captures the **complete resumable state** of a solve at a
-//! census boundary: every particle record (position, direction, energy,
+//! census boundary: every particle's columns (position, direction, energy,
 //! weight, event timers, cell, cached table hints, and — crucially — the
 //! per-particle counter-based RNG key/counter pair, which makes each
-//! record self-contained: re-opening stream `key` at `rng_counter`
+//! particle self-contained: re-opening stream `key` at `rng_counter`
 //! reproduces the next draw exactly, even mid-block), the accumulated
 //! tally mesh and event counters, the timestep index, and a fingerprint
 //! of the full problem/`TransportConfig` so a checkpoint can never be
 //! resumed against a different problem silently.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
-//! Little-endian, length-prefixed, checksummed:
+//! Little-endian, length-prefixed, checksummed — the `Frame` the shard
+//! wire (`NEUTSHRD`) shares:
 //!
 //! ```text
 //! magic "NEUTCKPT" | version u32 | payload_len u64 | payload | fnv1a64 u64
@@ -24,7 +25,9 @@
 //! FNV-1a's per-byte step is bijective in the running hash, so any
 //! single-byte corruption is detected with certainty; `payload_len` lets
 //! the reader distinguish a torn (truncated) file from a bit-flipped one
-//! and report the actual cause.
+//! and report the actual cause. The particles travel as columns, each one
+//! little-endian run ([`ParticleSoA`]'s codec); a version-1 file (one
+//! 97-byte record per particle) fails `UnsupportedVersion(1)`.
 //!
 //! # Crash safety
 //!
@@ -54,9 +57,9 @@
 
 use crate::config::Problem;
 use crate::counters::EventCounters;
-use crate::particle::Particle;
 use crate::sim::{RunOptions, RunReport, Scheme, Simulation, SolveCore};
-use neutral_xs::{CrossSection, SynthParams, Synthesis, XsHints, SYNTH_VERSION};
+use crate::soa::ParticleSoA;
+use neutral_xs::{CrossSection, SynthParams, Synthesis, SYNTH_VERSION};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -65,35 +68,98 @@ use std::time::Duration;
 pub const MAGIC: &[u8; 8] = b"NEUTCKPT";
 
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Bytes before the payload: magic + version + payload length.
 const HEADER_LEN: usize = 8 + 4 + 8;
 
-/// Serialized size of one particle record (shared with the shard-result
-/// codec in [`crate::shard`]).
-pub(crate) const PARTICLE_RECORD_LEN: usize = 8 * 8 + 4 * 4 + 2 * 8 + 1;
+/// The frame both containers are sealed in and opened through:
+/// `magic | version u32 | payload_len u64 | payload | fnv1a64 u64`, the
+/// checksum over every byte before it.
+pub(crate) struct Frame {
+    pub(crate) magic: &'static [u8; 8],
+    pub(crate) version: u32,
+}
 
-/// Append one particle record in the checkpoint wire layout.
-pub(crate) fn put_particle(out: &mut Vec<u8>, p: &Particle) {
-    for v in [
-        p.x,
-        p.y,
-        p.omega_x,
-        p.omega_y,
-        p.energy,
-        p.weight,
-        p.dt_to_census,
-        p.mfp_to_collision,
-    ] {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+/// The checkpoint's frame.
+const CHECKPOINT: Frame = Frame {
+    magic: MAGIC,
+    version: VERSION,
+};
+
+impl Frame {
+    /// Bytes of a framed `payload_len`-byte payload.
+    pub(crate) fn wire_len(payload_len: usize) -> usize {
+        HEADER_LEN + payload_len + 8
     }
-    for v in [p.cellx, p.celly, p.xs_hints.absorb, p.xs_hints.scatter] {
-        out.extend_from_slice(&v.to_le_bytes());
+
+    /// Frame the `payload_len` bytes `write` appends, into `out` (emptied
+    /// first, its capacity reused).
+    pub(crate) fn seal(
+        &self,
+        mut out: Vec<u8>,
+        payload_len: usize,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        out.clear();
+        out.reserve(Self::wire_len(payload_len));
+        out.extend_from_slice(self.magic);
+        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&(payload_len as u64).to_le_bytes());
+        write(&mut out);
+        debug_assert_eq!(out.len(), HEADER_LEN + payload_len);
+        let checksum = fnv1a64(out.iter().copied());
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
     }
-    out.extend_from_slice(&p.key.to_le_bytes());
-    out.extend_from_slice(&p.rng_counter.to_le_bytes());
-    out.push(u8::from(p.dead));
+
+    /// Check magic, version, length and checksum, and hand back a reader
+    /// over the payload. Each failure is named: a wrong magic is
+    /// [`CheckpointError::BadMagic`], another version
+    /// [`CheckpointError::UnsupportedVersion`], a buffer shorter than its
+    /// length prefix promises [`CheckpointError::Truncated`], one longer
+    /// [`CheckpointError::Corrupt`] (trailing bytes), and a payload that
+    /// does not hash to its trailer [`CheckpointError::ChecksumMismatch`].
+    pub(crate) fn open<'a>(&self, buf: &'a [u8]) -> Result<Reader<'a>, CheckpointError> {
+        if buf.len() < 8 {
+            return Err(CheckpointError::Truncated);
+        }
+        if &buf[..8] != self.magic {
+            return Err(CheckpointError::BadMagic);
+        }
+        if buf.len() < HEADER_LEN {
+            return Err(CheckpointError::Truncated);
+        }
+        let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
+        if version != self.version {
+            return Err(CheckpointError::UnsupportedVersion(version));
+        }
+        // The length field is corruption-controlled: validate it against
+        // the actual buffer length (in wide arithmetic, so a flipped high
+        // bit cannot overflow the total) before it is used for anything —
+        // an oversized claim reads as Truncated, never as an allocation.
+        let payload_len = u64::from_le_bytes(buf[12..20].try_into().unwrap());
+        let total_wide = HEADER_LEN as u128 + payload_len as u128 + 8;
+        if (buf.len() as u128) < total_wide {
+            return Err(CheckpointError::Truncated);
+        }
+        let total = total_wide as usize; // fits: bounded by buf.len()
+        if buf.len() > total {
+            return Err(CheckpointError::Corrupt(format!(
+                "{} trailing bytes after checksum",
+                buf.len() - total
+            )));
+        }
+        let expected = u64::from_le_bytes(buf[total - 8..].try_into().unwrap());
+        let found = fnv1a64(buf[..total - 8].iter().copied());
+        if expected != found {
+            return Err(CheckpointError::ChecksumMismatch { expected, found });
+        }
+        Ok(Reader {
+            buf: &buf[HEADER_LEN..total - 8],
+            pos: 0,
+        })
+    }
 }
 
 /// Serialized size of one [`EventCounters`] block (15 integer counters
@@ -135,6 +201,18 @@ pub(crate) fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
     }
 }
 
+/// Bytes [`put_particles`] appends for `particles`.
+pub(crate) fn particles_len(particles: &ParticleSoA) -> usize {
+    8 + particles.len() * ParticleSoA::wire_len_per_particle()
+}
+
+/// Append a population — its count, then its columns — as the last
+/// block of either container's payload.
+pub(crate) fn put_particles(out: &mut Vec<u8>, particles: &ParticleSoA) {
+    out.extend_from_slice(&(particles.len() as u64).to_le_bytes());
+    particles.put_columns(out);
+}
+
 /// Read one counters block in the checkpoint wire layout.
 pub(crate) fn read_counters(r: &mut Reader<'_>) -> Result<EventCounters, CheckpointError> {
     let mut counters = EventCounters {
@@ -160,49 +238,6 @@ pub(crate) fn read_counters(r: &mut Reader<'_>) -> Result<EventCounters, Checkpo
     Ok(counters)
 }
 
-/// Refuse records whose cell lies off an `nx` × `ny` mesh. The kernels
-/// read a record's cell bounds, density and material through its cell
-/// index unchecked, so such a record — one that checksums correctly but
-/// was written for another mesh, or tampered with — must fail here, named,
-/// not panic on the first step after resume.
-pub(crate) fn check_cells_on_mesh(
-    records: &[Particle],
-    nx: usize,
-    ny: usize,
-) -> Result<(), CheckpointError> {
-    let off = |p: &Particle| p.cellx as usize >= nx || p.celly as usize >= ny;
-    match records.iter().position(off) {
-        None => Ok(()),
-        Some(i) => Err(CheckpointError::Corrupt(format!(
-            "particle record {i} lies in cell ({}, {}), off the {nx}x{ny} mesh",
-            records[i].cellx, records[i].celly
-        ))),
-    }
-}
-
-/// Read one particle record in the checkpoint wire layout.
-pub(crate) fn read_particle(r: &mut Reader<'_>) -> Result<Particle, CheckpointError> {
-    Ok(Particle {
-        x: r.f64()?,
-        y: r.f64()?,
-        omega_x: r.f64()?,
-        omega_y: r.f64()?,
-        energy: r.f64()?,
-        weight: r.f64()?,
-        dt_to_census: r.f64()?,
-        mfp_to_collision: r.f64()?,
-        cellx: r.u32()?,
-        celly: r.u32()?,
-        xs_hints: XsHints {
-            absorb: r.u32()?,
-            scatter: r.u32()?,
-        },
-        key: r.u64()?,
-        rng_counter: r.u64()?,
-        dead: r.u8()? != 0,
-    })
-}
-
 /// FNV-1a 64-bit over a byte stream — the same hash the golden-tally
 /// fixtures lock with (`neutral-integration`'s `golden::fnv1a64`).
 #[must_use]
@@ -215,7 +250,8 @@ pub fn fnv1a64(bytes: impl Iterator<Item = u8>) -> u64 {
     hash
 }
 
-/// Everything that can go wrong loading or resuming a checkpoint. Every
+/// Everything that can go wrong loading or resuming a checkpoint — and,
+/// through the shared `Frame` and codec, decoding a shard result. Every
 /// variant names its cause — corruption is never silently absorbed.
 #[derive(Debug)]
 pub enum CheckpointError {
@@ -247,7 +283,7 @@ pub enum CheckpointError {
         found: u64,
     },
     /// The file checksums correctly but its contents are inconsistent
-    /// (impossible counts, records out of key order, trailing bytes, ...).
+    /// (impossible counts, particles out of key order, trailing bytes, ...).
     Corrupt(String),
 }
 
@@ -256,22 +292,24 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::NotFound => write!(f, "no checkpoint found"),
-            CheckpointError::BadMagic => write!(f, "not a checkpoint file (bad magic)"),
+            // The framing and content variants are worded for both
+            // containers: a shard result reports them too (`ShardError::Corrupt`).
+            CheckpointError::BadMagic => write!(f, "bad magic (not a checkpoint or shard result)"),
             CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (this build reads {VERSION})")
+                write!(f, "unsupported format version {v} (written by another build)")
             }
             CheckpointError::Truncated => {
-                write!(f, "checkpoint truncated (torn write: file shorter than its length prefix)")
+                write!(f, "truncated (torn write: shorter than its length prefix)")
             }
             CheckpointError::ChecksumMismatch { expected, found } => write!(
                 f,
-                "checkpoint checksum mismatch (stored {expected:#018x}, computed {found:#018x}): file corrupted"
+                "checksum mismatch (stored {expected:#018x}, computed {found:#018x}): bytes corrupted"
             ),
             CheckpointError::ConfigMismatch { expected, found } => write!(
                 f,
                 "checkpoint belongs to a different problem (config fingerprint {found:#018x}, this problem is {expected:#018x})"
             ),
-            CheckpointError::Corrupt(msg) => write!(f, "checkpoint corrupt: {msg}"),
+            CheckpointError::Corrupt(msg) => write!(f, "corrupt contents: {msg}"),
         }
     }
 }
@@ -423,48 +461,32 @@ pub struct Checkpoint {
     pub counters: EventCounters,
     /// Accumulated energy-deposition tally (merged mesh).
     pub tally: Vec<f64>,
-    /// The full particle population, in key order; each record carries
+    /// The full particle population, in key order; each particle carries
     /// its own identity and RNG state.
-    pub particles: Vec<Particle>,
+    pub particles: ParticleSoA,
 }
 
 impl Checkpoint {
     /// Serialize to the versioned, length-prefixed, checksummed format.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload_len = 5 * 8
-            + 17 * 8
-            + 8
-            + self.tally.len() * 8
-            + 8
-            + self.particles.len() * PARTICLE_RECORD_LEN;
-        let mut out = Vec::with_capacity(HEADER_LEN + payload_len + 8);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-
-        let put_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-
-        put_u64(&mut out, self.fingerprint);
-        put_u64(&mut out, self.next_step as u64);
-        put_u64(&mut out, self.n_timesteps as u64);
-        put_u64(&mut out, self.elapsed.as_nanos() as u64);
-        put_u64(&mut out, self.tally_footprint_bytes as u64);
-
-        put_counters(&mut out, &self.counters);
-
-        put_u64(&mut out, self.tally.len() as u64);
-        put_f64s(&mut out, &self.tally);
-
-        put_u64(&mut out, self.particles.len() as u64);
-        for p in &self.particles {
-            put_particle(&mut out, p);
-        }
-
-        debug_assert_eq!(out.len(), HEADER_LEN + payload_len);
-        let checksum = fnv1a64(out.iter().copied());
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        let payload_len =
+            5 * 8 + COUNTERS_RECORD_LEN + 8 + self.tally.len() * 8 + particles_len(&self.particles);
+        CHECKPOINT.seal(Vec::new(), payload_len, |out| {
+            for v in [
+                self.fingerprint,
+                self.next_step as u64,
+                self.n_timesteps as u64,
+                self.elapsed.as_nanos() as u64,
+                self.tally_footprint_bytes as u64,
+            ] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            put_counters(out, &self.counters);
+            out.extend_from_slice(&(self.tally.len() as u64).to_le_bytes());
+            put_f64s(out, &self.tally);
+            put_particles(out, &self.particles);
+        })
     }
 
     /// Parse and validate a checkpoint, naming the failure cause: torn
@@ -472,85 +494,25 @@ impl Checkpoint {
     /// reports [`CheckpointError::ChecksumMismatch`], inconsistent (but
     /// correctly-checksummed) contents report [`CheckpointError::Corrupt`].
     pub fn from_bytes(buf: &[u8]) -> Result<Self, CheckpointError> {
-        if buf.len() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        if &buf[..8] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        if buf.len() < HEADER_LEN {
-            return Err(CheckpointError::Truncated);
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        if version != VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        // The length field is corruption-controlled: validate it against
-        // the actual buffer length (in wide arithmetic, so a flipped high
-        // bit cannot overflow the total) before it is used for anything —
-        // an oversized claim reads as Truncated, never as an allocation.
-        let payload_len = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        let total_wide = HEADER_LEN as u128 + payload_len as u128 + 8;
-        if (buf.len() as u128) < total_wide {
-            return Err(CheckpointError::Truncated);
-        }
-        let total = total_wide as usize; // fits: bounded by buf.len()
-        debug_assert!(total <= buf.len());
-        if buf.len() > total {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after checksum",
-                buf.len() - total
-            )));
-        }
-        let expected = u64::from_le_bytes(buf[total - 8..].try_into().unwrap());
-        let found = fnv1a64(buf[..total - 8].iter().copied());
-        if expected != found {
-            return Err(CheckpointError::ChecksumMismatch { expected, found });
-        }
-
-        let mut r = Reader {
-            buf: &buf[HEADER_LEN..total - 8],
-            pos: 0,
-        };
+        let mut r = CHECKPOINT.open(buf)?;
         let fingerprint = r.u64()?;
         let next_step = r.u64()? as usize;
         let n_timesteps = r.u64()? as usize;
         let elapsed = Duration::from_nanos(r.u64()?);
         let tally_footprint_bytes = r.u64()? as usize;
-
         let counters = read_counters(&mut r)?;
 
         let n_tally = r.u64()? as usize;
         // checked_mul: the count is corruption-controlled, and a wrapping
         // product could sneak a huge count past the size guard and into
         // Vec::with_capacity.
-        let tally_bytes = n_tally.checked_mul(8).ok_or_else(|| {
-            CheckpointError::Corrupt(format!("tally count {n_tally} exceeds payload"))
-        })?;
-        if tally_bytes > r.remaining() {
+        if n_tally.checked_mul(8).is_none_or(|b| b > r.remaining()) {
             return Err(CheckpointError::Corrupt(format!(
                 "tally count {n_tally} exceeds payload"
             )));
         }
         let tally = r.f64s(n_tally)?;
-
-        let n_particles = r.u64()? as usize;
-        let particle_bytes = n_particles
-            .checked_mul(PARTICLE_RECORD_LEN)
-            .ok_or_else(|| {
-                CheckpointError::Corrupt(format!(
-                    "particle count {n_particles} inconsistent with payload size"
-                ))
-            })?;
-        if particle_bytes != r.remaining() {
-            return Err(CheckpointError::Corrupt(format!(
-                "particle count {n_particles} inconsistent with payload size"
-            )));
-        }
-        let mut particles = Vec::with_capacity(n_particles);
-        for _ in 0..n_particles {
-            particles.push(read_particle(&mut r)?);
-        }
+        let particles = r.particles()?;
 
         if next_step > n_timesteps {
             return Err(CheckpointError::Corrupt(format!(
@@ -578,11 +540,7 @@ pub(crate) struct Reader<'a> {
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
+impl Reader<'_> {
     pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -604,14 +562,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
     pub(crate) fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -627,6 +577,20 @@ impl<'a> Reader<'a> {
             .chunks_exact(8)
             .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
             .collect())
+    }
+
+    /// A population written by [`put_particles`]. Its count is
+    /// corruption-controlled, so it must account for exactly the bytes
+    /// left before anything is allocated from it.
+    pub(crate) fn particles(&mut self) -> Result<ParticleSoA, CheckpointError> {
+        let n = usize::try_from(self.u64()?).unwrap_or(usize::MAX);
+        let len = self.remaining();
+        if n.checked_mul(ParticleSoA::wire_len_per_particle()) != Some(len) {
+            return Err(CheckpointError::Corrupt(format!(
+                "particle count {n} inconsistent with payload size"
+            )));
+        }
+        ParticleSoA::get_columns(self.take(len)?, n).map_err(CheckpointError::Corrupt)
     }
 }
 
@@ -1039,14 +1003,14 @@ pub fn run_with_checkpoints(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{ProblemScale, TestCase};
     use crate::particle::spawn_particles;
 
     fn sample_checkpoint() -> Checkpoint {
         let problem = TestCase::Csp.build(ProblemScale::tiny(), 3);
-        let particles = spawn_particles(&problem);
+        let particles = ParticleSoA::from_aos(&spawn_particles(&problem));
         Checkpoint {
             fingerprint: config_fingerprint(&problem, Scheme::OverParticles),
             next_step: 1,
@@ -1226,7 +1190,7 @@ mod tests {
         (sim, options, core.checkpoint())
     }
 
-    /// A record off the mesh, re-encoded through `to_bytes` so that it
+    /// A particle off the mesh, re-encoded through `to_bytes` so that it
     /// checksums correctly, fails named at resume — before the first
     /// step would index the mesh through its cell.
     #[test]
@@ -1235,14 +1199,14 @@ mod tests {
         let (nx, ny) = (sim.problem().mesh.nx(), sim.problem().mesh.ny());
         for (record, cellx, celly) in [(17, nx as u32, 0), (400, 3, ny as u32 + 9)] {
             let mut evil = ckpt.clone();
-            evil.particles[record].cellx = cellx;
-            evil.particles[record].celly = celly;
+            evil.particles.cellx[record] = cellx;
+            evil.particles.celly[record] = celly;
             let decoded = Checkpoint::from_bytes(&evil.to_bytes()).unwrap();
             match SolveCore::resume(&sim, options, &decoded) {
                 Err(CheckpointError::Corrupt(msg)) => assert_eq!(
                     msg,
                     format!(
-                        "particle record {record} lies in cell ({cellx}, {celly}), \
+                        "particle {record} lies in cell ({cellx}, {celly}), \
                          off the {nx}x{ny} mesh"
                     )
                 ),
@@ -1250,6 +1214,114 @@ mod tests {
             }
         }
         assert!(SolveCore::resume(&sim, options, &ckpt).is_ok());
+    }
+
+    /// A hand-built checkpoint whose columns disagree in length fails
+    /// named at resume instead of panicking on the first short column.
+    #[test]
+    fn ragged_columns_fail_named_at_resume() {
+        let (sim, options, ckpt) = real_checkpoint();
+        let n = ckpt.particles.len();
+        let mut ragged = ckpt.clone();
+        ragged.particles.dead.pop();
+        match SolveCore::resume(&sim, options, &ragged) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(
+                msg.starts_with("column lengths") && msg.contains(&format!("the {n} particles")),
+                "{msg}"
+            ),
+            other => panic!("{:?}", other.map(|_| "resumed")),
+        }
+    }
+
+    /// A version-1 buffer (one 97-byte record per particle) under a
+    /// recomputed checksum is refused by its version, not misread as
+    /// columns.
+    #[test]
+    fn version_1_files_fail_by_version() {
+        let mut v1 = sample_checkpoint().to_bytes();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let n = v1.len();
+        let sum = fnv1a64(v1[..n - 8].iter().copied());
+        v1[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::from_bytes(&v1),
+            Err(CheckpointError::UnsupportedVersion(1))
+        ));
+    }
+
+    /// The `dead` column is the last run before the checksum; a byte
+    /// there other than 0 or 1 under a recomputed checksum is refused
+    /// by name, not read as `true`.
+    #[test]
+    fn dead_bytes_other_than_0_or_1_fail() {
+        let mut evil = sample_checkpoint().to_bytes();
+        let n = evil.len();
+        evil[n - 9] = 2;
+        let sum = fnv1a64(evil[..n - 8].iter().copied());
+        evil[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        match Checkpoint::from_bytes(&evil) {
+            Err(CheckpointError::Corrupt(msg)) => {
+                assert!(msg.ends_with("`dead` byte 2 is not 0 or 1"), "{msg}")
+            }
+            other => panic!("{:?}", other.map(|_| "decoded")),
+        }
+    }
+
+    /// Two particles that differ in every column, and from each other
+    /// column to column.
+    pub(crate) fn pinned_particles() -> ParticleSoA {
+        ParticleSoA {
+            x: vec![0.125, -1.5],
+            y: vec![2.25, 3.75],
+            omega_x: vec![0.6, -0.8],
+            omega_y: vec![0.8, 0.6],
+            energy: vec![1.0e6, 2.5e3],
+            weight: vec![1.0, 0.375],
+            dt_to_census: vec![1.0e-7, 3.0e-8],
+            mfp_to_collision: vec![4.5, 0.0625],
+            cellx: vec![5, 6],
+            celly: vec![7, 8],
+            absorb_hint: vec![9, 10],
+            scatter_hint: vec![11, 12],
+            key: vec![13, 14],
+            rng_counter: vec![15, 16],
+            dead: vec![false, true],
+        }
+    }
+
+    /// The byte layout, pinned: the FNV-1a digest of a hand-built
+    /// checkpoint. Every round-trip test passes through a layout change;
+    /// this one does not, so a change must bump [`VERSION`] (old files
+    /// then fail by name) and re-pin.
+    #[test]
+    fn checkpoint_layout_is_pinned() {
+        let ckpt = Checkpoint {
+            fingerprint: 0x0123_4567_89ab_cdef,
+            next_step: 2,
+            n_timesteps: 5,
+            elapsed: Duration::from_nanos(987_654_321),
+            tally_footprint_bytes: 8192,
+            counters: EventCounters {
+                collisions: 17,
+                facets: 18,
+                material_switches: 19,
+                lost_energy_ev: 0.75,
+                census_energy_ev: -2.5,
+                ..Default::default()
+            },
+            tally: vec![1.5, -0.25, 6.0e22],
+            particles: pinned_particles(),
+        };
+        let bytes = ckpt.to_bytes();
+        assert_eq!(
+            bytes.len(),
+            20 + 5 * 8 + 17 * 8 + 8 + 3 * 8 + 8 + 2 * 97 + 8
+        );
+        assert_eq!(
+            fnv1a64(bytes.iter().copied()),
+            0xf2e4_8a92_1f73_78fa,
+            "the NEUTCKPT layout changed: bump VERSION and re-pin"
+        );
     }
 
     /// Seeded mutation fuzz of the decoder and the resume checks behind

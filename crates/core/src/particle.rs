@@ -3,8 +3,9 @@
 //! The [`Particle`] record is the paper's preferred CPU layout (§VI-D):
 //! one struct per particle, loaded once and worked on for the whole
 //! history. Here it is the register bundle a history runs on and the
-//! record form of the serialization edges (checkpoints, the shard wire);
-//! populations are stored as columns, [`crate::soa::ParticleSoA`].
+//! form [`spawn_particles`] samples a population in; populations are
+//! stored, checkpointed and shipped as columns,
+//! [`crate::soa::ParticleSoA`].
 
 use crate::config::Problem;
 use neutral_rng::{dist, CounterStream, Threefry2x64};
@@ -114,18 +115,6 @@ pub fn spawn_particles(problem: &Problem) -> Vec<Particle> {
             }
         })
         .collect()
-}
-
-/// The first record that is out of place in a population whose first
-/// record sits at global index `base`, as `(position, key)`. Storage
-/// order is key order (DESIGN.md §7), so the decoders that accept records
-/// from outside the solve treat `Some` as corruption.
-pub(crate) fn first_out_of_key_order(records: &[Particle], base: usize) -> Option<(usize, u64)> {
-    records
-        .iter()
-        .enumerate()
-        .find(|(i, p)| p.key != (base + i) as u64)
-        .map(|(i, p)| (i, p.key))
 }
 
 #[cfg(test)]

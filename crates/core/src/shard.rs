@@ -6,8 +6,8 @@
 //! receives a copy of the shard's census-boundary column range, runs the
 //! step engine's `begin_step` + `run_step` over it with the *global*
 //! lane geometry, and hands back a serialized `ShardResult` (the tally
-//! as merge-tree nodes, per-lane counters, post-step particle records).
-//! The coordinator — a [`SolveCore`] — installs the records and closes
+//! as merge-tree nodes, per-lane counters, the post-step columns).
+//! The coordinator — a [`SolveCore`] — installs the columns and closes
 //! the step with the very `fold_step` an unsharded step ends in, so the
 //! merged tallies, counters and final particle records are **bitwise
 //! identical to the unsharded run for any shard count**. A solve with
@@ -37,12 +37,10 @@
 //! snapshots, a retried shard reproduces the clean run's bits exactly.
 
 use crate::checkpoint::{
-    check_cells_on_mesh, config_fingerprint, fnv1a64, put_counters, put_f64s, put_particle,
-    read_counters, read_particle, Checkpoint, CheckpointError, CheckpointStore, Reader,
-    COUNTERS_RECORD_LEN, PARTICLE_RECORD_LEN,
+    config_fingerprint, fnv1a64, particles_len, put_counters, put_f64s, put_particles,
+    read_counters, Checkpoint, CheckpointError, CheckpointStore, Frame, COUNTERS_RECORD_LEN,
 };
 use crate::counters::EventCounters;
-use crate::particle::{first_out_of_key_order, Particle};
 use crate::sim::{RunOptions, RunReport, Simulation, SolveCore};
 use crate::soa::ParticleSoA;
 use crate::step::{begin_step, execution_workers, run_step};
@@ -425,12 +423,13 @@ type TallyNode = (Range<usize>, Vec<f64>);
 /// The serialized unit a shard attempt hands back to the coordinator:
 /// the shard's tally as the merge-tree nodes covering its lanes, per-lane
 /// counters (census energy left to the coordinator's fold), and the
-/// post-step particle records. Always round-tripped through bytes — shard
+/// post-step particle columns. Always round-tripped through bytes — shard
 /// attempts behave like remote processes, which both exercises the codec
 /// on every step and gives the `corrupt` fault a realistic surface.
 ///
-/// Wire layout (version 2, little-endian; the wire is in-process and
-/// lives for one step, so there is no version-1 reader):
+/// Wire layout (version 3, little-endian, in the checkpoint's [`Frame`];
+/// the wire is in-process and lives for one step, so there is no reader
+/// for older versions):
 ///
 /// | bytes | field |
 /// |---|---|
@@ -438,7 +437,7 @@ type TallyNode = (Range<usize>, Vec<f64>);
 /// | 7 × 8 | `shard`, `step`, `base0`, `cells`, `footprint`, `n_lanes`, `n_nodes` |
 /// | `n_lanes` × 136 | per-lane counters |
 /// | `n_nodes` × (16 + `cells` × 8) | per node: first lane, end lane, mesh |
-/// | 8 + n × 97 | particle count, particle records |
+/// | 8 + n × 97 | particle count, then the 15 columns, one run each |
 /// | 8 | FNV-1a 64 of every byte before it |
 #[derive(Debug)]
 struct ShardResult {
@@ -449,105 +448,66 @@ struct ShardResult {
     footprint: u64,
     lane_counters: Vec<EventCounters>,
     nodes: Vec<TallyNode>,
-    particles: Vec<Particle>,
+    particles: ParticleSoA,
 }
 
-const SHARD_MAGIC: &[u8; 8] = b"NEUTSHRD";
-const SHARD_VERSION: u32 = 2;
-/// magic + version + payload length.
-const SHARD_HEADER_LEN: usize = 8 + 4 + 8;
+const SHARD_VERSION: u32 = 3;
+const SHARD_FRAME: Frame = Frame {
+    magic: b"NEUTSHRD",
+    version: SHARD_VERSION,
+};
 
 impl ShardResult {
-    /// Serialized bytes of a result with this geometry.
-    fn wire_len(n_lanes: usize, n_nodes: usize, cells: usize, n_particles: usize) -> usize {
-        let payload = 7 * 8
+    /// Payload bytes of a result with this geometry.
+    fn payload_len(n_lanes: usize, n_nodes: usize, cells: usize, particles: &ParticleSoA) -> usize {
+        7 * 8
             + n_lanes * COUNTERS_RECORD_LEN
             + n_nodes * (16 + cells * 8)
-            + 8
-            + n_particles * PARTICLE_RECORD_LEN;
-        SHARD_HEADER_LEN + payload + 8
+            + particles_len(particles)
     }
 
     /// Serialize into `out`, emptied first.
-    fn to_bytes(&self, mut out: Vec<u8>) -> Vec<u8> {
+    fn to_bytes(&self, out: Vec<u8>) -> Vec<u8> {
         let n_lanes = self.lane_counters.len();
-        let wire_len = Self::wire_len(
+        let payload_len = Self::payload_len(
             n_lanes,
             self.nodes.len(),
             self.cells as usize,
-            self.particles.len(),
+            &self.particles,
         );
-        let payload_len = wire_len - SHARD_HEADER_LEN - 8;
-        out.clear();
-        out.reserve(wire_len);
-        out.extend_from_slice(SHARD_MAGIC);
-        out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload_len as u64).to_le_bytes());
-
-        for v in [
-            self.shard,
-            self.step,
-            self.base0,
-            self.cells,
-            self.footprint,
-            n_lanes as u64,
-            self.nodes.len() as u64,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for c in &self.lane_counters {
-            put_counters(&mut out, c);
-        }
-        for (lanes, mesh) in &self.nodes {
-            out.extend_from_slice(&(lanes.start as u64).to_le_bytes());
-            out.extend_from_slice(&(lanes.end as u64).to_le_bytes());
-            put_f64s(&mut out, mesh);
-        }
-        out.extend_from_slice(&(self.particles.len() as u64).to_le_bytes());
-        for p in &self.particles {
-            put_particle(&mut out, p);
-        }
-
-        debug_assert_eq!(out.len(), SHARD_HEADER_LEN + payload_len);
-        let checksum = fnv1a64(out.iter().copied());
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        SHARD_FRAME.seal(out, payload_len, |out| {
+            for v in [
+                self.shard,
+                self.step,
+                self.base0,
+                self.cells,
+                self.footprint,
+                n_lanes as u64,
+                self.nodes.len() as u64,
+            ] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            for c in &self.lane_counters {
+                put_counters(out, c);
+            }
+            for (lanes, mesh) in &self.nodes {
+                out.extend_from_slice(&(lanes.start as u64).to_le_bytes());
+                out.extend_from_slice(&(lanes.end as u64).to_le_bytes());
+                put_f64s(out, mesh);
+            }
+            put_particles(out, &self.particles);
+        })
     }
 
-    fn from_bytes(buf: &[u8]) -> Result<Self, String> {
-        if buf.len() < SHARD_HEADER_LEN + 8 {
-            return Err("truncated shard result".to_owned());
-        }
-        if &buf[..8] != SHARD_MAGIC {
-            return Err("bad shard result magic".to_owned());
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        if version != SHARD_VERSION {
-            return Err(format!("unsupported shard result version {version}"));
-        }
-        let payload_len = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        let total_wide = SHARD_HEADER_LEN as u128 + payload_len as u128 + 8;
-        if buf.len() as u128 != total_wide {
-            return Err("shard result length mismatch".to_owned());
-        }
-        let total = buf.len();
-        let expected = u64::from_le_bytes(buf[total - 8..].try_into().unwrap());
-        let found = fnv1a64(buf[..total - 8].iter().copied());
-        if expected != found {
-            return Err(format!(
-                "shard result checksum mismatch (expected {expected:#018x}, found {found:#018x})"
-            ));
-        }
-
-        let mut r = Reader::new(&buf[SHARD_HEADER_LEN..total - 8]);
-        let fail = |e: CheckpointError| e.to_string();
-        let shard = r.u64().map_err(fail)?;
-        let step = r.u64().map_err(fail)?;
-        let base0 = r.u64().map_err(fail)?;
-        let cells = r.u64().map_err(fail)?;
-        let footprint = r.u64().map_err(fail)?;
-        let n_lanes = r.u64().map_err(fail)?;
-        let n_nodes = r.u64().map_err(fail)?;
+    fn from_bytes(buf: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = SHARD_FRAME.open(buf)?;
+        let shard = r.u64()?;
+        let step = r.u64()?;
+        let base0 = r.u64()?;
+        let cells = r.u64()?;
+        let footprint = r.u64()?;
+        let n_lanes = r.u64()?;
+        let n_nodes = r.u64()?;
 
         // A corrupter can recompute the checksum, so these counts are as
         // untrusted as the bytes: size the counter and node blocks with
@@ -560,36 +520,24 @@ impl ShardResult {
             .zip(times(n_lanes, COUNTERS_RECORD_LEN))
             .and_then(|(nodes, counters)| nodes.checked_add(counters));
         if block.is_none_or(|b| b > r.remaining()) {
-            return Err(format!(
+            return Err(CheckpointError::Corrupt(format!(
                 "{n_lanes} lane counters and {n_nodes} nodes of {cells} cells exceed the payload"
-            ));
+            )));
         }
         let (n_lanes, n_nodes, n_cells) = (n_lanes as usize, n_nodes as usize, cells as usize);
         let mut lane_counters = Vec::with_capacity(n_lanes);
         for _ in 0..n_lanes {
-            lane_counters.push(read_counters(&mut r).map_err(fail)?);
+            lane_counters.push(read_counters(&mut r)?);
         }
         let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
             // Nothing is sized from the lane ids; `decode` holds them
             // against the plan's cover.
-            let start = usize::try_from(r.u64().map_err(fail)?).unwrap_or(usize::MAX);
-            let end = usize::try_from(r.u64().map_err(fail)?).unwrap_or(usize::MAX);
-            nodes.push((start..end, r.f64s(n_cells).map_err(fail)?));
+            let start = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+            let end = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+            nodes.push((start..end, r.f64s(n_cells)?));
         }
-        let n_particles = usize::try_from(r.u64().map_err(fail)?).unwrap_or(usize::MAX);
-        if n_particles
-            .checked_mul(PARTICLE_RECORD_LEN)
-            .is_none_or(|b| b != r.remaining())
-        {
-            return Err(format!(
-                "particle count {n_particles} inconsistent with payload size"
-            ));
-        }
-        let mut particles = Vec::with_capacity(n_particles);
-        for _ in 0..n_particles {
-            particles.push(read_particle(&mut r).map_err(fail)?);
-        }
+        let particles = r.particles()?;
 
         Ok(Self {
             shard,
@@ -675,7 +623,7 @@ fn run_attempt(task: AttemptTask) -> Vec<u8> {
         footprint: accum.footprint_bytes() as u64,
         lane_counters,
         nodes: accum.into_nodes(),
-        particles: soa.to_aos(),
+        particles: soa,
     };
     let bytes = result.to_bytes(wire);
     heartbeat.fetch_add(1, Ordering::Relaxed);
@@ -817,11 +765,11 @@ impl ShardedSolve {
             .map(|r| r.footprint as usize)
             .max()
             .unwrap_or(0);
-        self.core.store_records(
-            results
-                .iter()
-                .map(|r| (r.base0 as usize, r.particles.as_slice())),
-        );
+        for r in &results {
+            self.core
+                .columns_mut()
+                .write_at(r.base0 as usize, &r.particles);
+        }
         // Kernel timings are diagnostics, excluded from the bitwise
         // contract, and do not travel on the wire.
         self.core
@@ -861,7 +809,7 @@ impl ShardedSolve {
                 tally_footprint_bytes: 0,
                 counters: EventCounters::default(),
                 tally: Vec::new(),
-                particles: self.attempt_columns(shard).to_aos(),
+                particles: self.attempt_columns(shard),
             };
             store.save(&ckpt).map_err(ShardError::Checkpoint)?;
         }
@@ -875,7 +823,8 @@ impl ShardedSolve {
 
     /// The input population for an attempt of `shard`: the in-memory
     /// census-boundary columns, or — on retries with stores configured —
-    /// the records reloaded through the on-disk protocol.
+    /// the columns reloaded through the on-disk protocol and checked like
+    /// a resumed population.
     fn attempt_input(
         &self,
         sim: &Simulation,
@@ -887,17 +836,17 @@ impl ShardedSolve {
                 let (ckpt, _recovery) = stores[shard].load().map_err(ShardError::Checkpoint)?;
                 if ckpt.fingerprint != self.shard_fingerprint(shard)
                     || ckpt.next_step != self.core.steps_done()
-                    || ckpt.particles.len() != self.plan.particle_range(shard).len()
                 {
                     return Err(ShardError::Corrupt {
                         shard,
                         detail: "shard checkpoint does not match this shard/step".to_owned(),
                     });
                 }
-                let mesh = &sim.problem().mesh;
-                check_cells_on_mesh(&ckpt.particles, mesh.nx(), mesh.ny())
-                    .map_err(ShardError::Checkpoint)?;
-                return Ok(ParticleSoA::from_aos(&ckpt.particles));
+                let (range, mesh) = (self.plan.particle_range(shard), &sim.problem().mesh);
+                ckpt.particles
+                    .check_population(range.start, range.len(), mesh.nx(), mesh.ny())
+                    .map_err(|e| ShardError::Checkpoint(CheckpointError::Corrupt(e)))?;
+                return Ok(ckpt.particles);
             }
         }
         Ok(self.attempt_columns(shard))
@@ -957,7 +906,8 @@ impl ShardedSolve {
             n_lanes: lanes.len(),
         };
         let n_nodes = tree_cover(self.plan.part.n_lanes, lanes.clone()).len();
-        let wire_len = ShardResult::wire_len(part.n_lanes, n_nodes, cells, soa.len());
+        let wire_len =
+            Frame::wire_len(ShardResult::payload_len(part.n_lanes, n_nodes, cells, &soa));
         let options = self.core.options();
         let (workers, _) = execution_workers(options.execution);
         AttemptTask {
@@ -989,7 +939,6 @@ impl ShardedSolve {
         soa: ParticleSoA,
         fault: Option<ShardFaultKind>,
     ) -> Result<ShardResult, ShardError> {
-        let cells = sim.problem().mesh.num_cells();
         let task = self.attempt_task(sim, shard, soa);
         let heartbeat = Arc::clone(&task.heartbeat);
         let cancel = Arc::new(AtomicBool::new(false));
@@ -1041,7 +990,7 @@ impl ShardedSolve {
             match rx.recv_timeout(poll) {
                 Ok(Ok(bytes)) => {
                     self.stats.wire_bytes += bytes.len() as u64;
-                    break self.decode(shard, cells, &bytes);
+                    break self.decode(sim, shard, &bytes);
                 }
                 Ok(Err(e)) => break Err(e),
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1069,10 +1018,19 @@ impl ShardedSolve {
         verdict
     }
 
-    /// Deserialize and validate a shard's reported result.
-    fn decode(&self, shard: usize, cells: usize, bytes: &[u8]) -> Result<ShardResult, ShardError> {
+    /// Deserialize and validate a shard's reported result: the frame and
+    /// body through the shared codec, then identity, geometry and node
+    /// cover against the plan, and the columns through the population
+    /// check a resume runs.
+    fn decode(
+        &self,
+        sim: &Simulation,
+        shard: usize,
+        bytes: &[u8],
+    ) -> Result<ShardResult, ShardError> {
         let corrupt = |detail: String| ShardError::Corrupt { shard, detail };
-        let result = ShardResult::from_bytes(bytes).map_err(corrupt)?;
+        let result = ShardResult::from_bytes(bytes).map_err(|e| corrupt(e.to_string()))?;
+        let mesh = &sim.problem().mesh;
         let range = self.plan.particle_range(shard);
         let lanes = self.plan.lane_range(shard);
         if result.shard != shard as u64
@@ -1083,7 +1041,7 @@ impl ShardedSolve {
                 "result identity does not match this shard/step".to_owned(),
             ));
         }
-        if result.cells != cells as u64 || result.lane_counters.len() != lanes.len() {
+        if result.cells != mesh.num_cells() as u64 || result.lane_counters.len() != lanes.len() {
             return Err(corrupt(
                 "result geometry does not match the shard plan".to_owned(),
             ));
@@ -1095,18 +1053,10 @@ impl ShardedSolve {
                 "node lane ranges {found:?} are not the shard's cover {cover:?}"
             )));
         }
-        if result.particles.len() != range.len() {
-            return Err(corrupt(format!(
-                "result holds {} particles, shard owns {}",
-                result.particles.len(),
-                range.len()
-            )));
-        }
-        if let Some((i, key)) = first_out_of_key_order(&result.particles, range.start) {
-            return Err(corrupt(format!(
-                "particle records are not in key order (record {i} of the shard's range has key {key})"
-            )));
-        }
+        result
+            .particles
+            .check_population(range.start, range.len(), mesh.nx(), mesh.ny())
+            .map_err(corrupt)?;
         Ok(result)
     }
 }
@@ -1193,26 +1143,10 @@ mod tests {
     }
 
     fn sample_result() -> ShardResult {
-        let particles = vec![Particle {
-            x: 0.5,
-            y: 0.25,
-            omega_x: 1.0,
-            omega_y: 0.0,
-            energy: 1.0e6,
-            weight: 2.0,
-            dt_to_census: 0.1,
-            mfp_to_collision: 3.0,
-            cellx: 1,
-            celly: 2,
-            xs_hints: neutral_xs::XsHints::default(),
-            key: 7,
-            rng_counter: 42,
-            dead: false,
-        }];
         ShardResult {
             shard: 1,
             step: 3,
-            base0: 7,
+            base0: 13,
             cells: 2,
             footprint: 64,
             lane_counters: vec![EventCounters {
@@ -1221,20 +1155,29 @@ mod tests {
                 ..EventCounters::default()
             }],
             nodes: vec![(4..5, vec![1.25, -3.5])],
-            particles,
+            particles: crate::checkpoint::tests::pinned_particles(),
         }
     }
 
-    /// Payload words: shard, step, base0, cells, footprint, n_lanes,
-    /// n_nodes — the byte offset of word `k`.
+    /// Payload words (behind magic, version and payload length): shard,
+    /// step, base0, cells, footprint, n_lanes, n_nodes — the byte offset
+    /// of word `k`.
     fn header_word(k: usize) -> usize {
-        SHARD_HEADER_LEN + 8 * k
+        8 + 4 + 8 + 8 * k
     }
 
     /// Byte offset of node `k`'s first-lane word (its end-lane word
-    /// follows) in a result with `n_lanes` lane counters.
+    /// follows) in a result with `n_lanes` lane counters; node `n_nodes`
+    /// is the particle count.
     fn node_word(n_lanes: usize, cells: usize, k: usize) -> usize {
         header_word(7) + n_lanes * COUNTERS_RECORD_LEN + k * (16 + cells * 8)
+    }
+
+    /// Byte offset of particle `i`'s `cellx` in a result of `n`
+    /// particles whose count word sits at `count_off`: behind the count,
+    /// eight `f64` columns.
+    fn cellx_byte(count_off: usize, n: usize, i: usize) -> usize {
+        count_off + 8 + 8 * 8 * n + 4 * i
     }
 
     /// Overwrite the `u64` at `off` and recompute the trailing checksum —
@@ -1255,8 +1198,7 @@ mod tests {
         assert_eq!(back.step, 3);
         assert_eq!(back.lane_counters, result.lane_counters);
         assert_eq!(back.nodes, result.nodes);
-        assert_eq!(back.particles.len(), 1);
-        assert_eq!(back.particles[0].key, 7);
+        assert_eq!(back.particles, result.particles);
 
         let mut torn = bytes.clone();
         torn.truncate(bytes.len() - 3);
@@ -1266,15 +1208,38 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0xFF;
         let err = ShardResult::from_bytes(&flipped).unwrap_err();
-        assert!(err.contains("checksum"), "got: {err}");
+        assert!(
+            matches!(err, CheckpointError::ChecksumMismatch { .. }),
+            "got: {err}"
+        );
 
-        // The per-lane wire format is gone, not forked: a version-1
-        // buffer is refused by name, valid checksum or not.
-        let mut v1 = bytes;
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        rewrite_and_reseal(&mut v1, header_word(0), 1);
-        let err = ShardResult::from_bytes(&v1).unwrap_err();
-        assert_eq!(err, "unsupported shard result version 1");
+        // The record-per-particle wire format is gone, not forked: a
+        // version-2 buffer is refused by name, valid checksum or not.
+        let mut v2 = bytes;
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        rewrite_and_reseal(&mut v2, header_word(0), 1);
+        let err = ShardResult::from_bytes(&v2).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::UnsupportedVersion(2)),
+            "got: {err}"
+        );
+    }
+
+    /// The wire layout, pinned: the FNV-1a digest of a hand-built result.
+    /// A layout change passes every round-trip test but this one, and
+    /// must bump `SHARD_VERSION` and re-pin.
+    #[test]
+    fn shard_wire_layout_is_pinned() {
+        let bytes = sample_result().to_bytes(Vec::new());
+        assert_eq!(
+            bytes.len(),
+            20 + 7 * 8 + 136 + (16 + 2 * 8) + 8 + 2 * 97 + 8
+        );
+        assert_eq!(
+            fnv1a64(bytes.iter().copied()),
+            0xe2c1_8c52_2b8a_a8b1,
+            "the NEUTSHRD layout changed: bump SHARD_VERSION and re-pin"
+        );
     }
 
     /// The coordinator's merge over nodes that crossed the wire is the
@@ -1318,7 +1283,7 @@ mod tests {
                         cells: cells as u64,
                         lane_counters: vec![EventCounters::default(); owned.len()],
                         nodes: accum.into_nodes(),
-                        particles: Vec::new(),
+                        particles: ParticleSoA::default(),
                         ..sample_result()
                     };
                     ShardResult::from_bytes(&sent.to_bytes(Vec::new())).unwrap()
@@ -1367,13 +1332,13 @@ mod tests {
             (n_nodes, u64::MAX / 2 + 3),
             (n_nodes, u64::MAX / 24 + 2),
             (n_nodes, 1 << 40),
-            // One record too many for the bytes present.
-            (n_lanes, 2),
-            (n_nodes, 5),
+            // The fewest records the bytes present cannot hold.
+            (n_lanes, 3),
+            (n_nodes, 8),
         ] {
             let mut evil = bytes.clone();
             rewrite_and_reseal(&mut evil, off, huge);
-            let err = ShardResult::from_bytes(&evil).unwrap_err();
+            let err = ShardResult::from_bytes(&evil).unwrap_err().to_string();
             assert!(err.contains("exceed the payload"), "field at {off}: {err}");
         }
     }
@@ -1404,8 +1369,13 @@ mod tests {
     }
 
     /// `decode`'s verdict on `bytes` as a named corruption of `shard`.
-    fn corrupt_detail(solve: &ShardedSolve, shard: usize, cells: usize, bytes: &[u8]) -> String {
-        match solve.decode(shard, cells, bytes) {
+    fn corrupt_detail(
+        sim: &Simulation,
+        solve: &ShardedSolve,
+        shard: usize,
+        bytes: &[u8],
+    ) -> String {
+        match solve.decode(sim, shard, bytes) {
             Err(ShardError::Corrupt { shard: s, detail }) if s == shard => detail,
             other => panic!("expected a corrupt-result error, got {other:?}"),
         }
@@ -1424,7 +1394,7 @@ mod tests {
         let cover = [8..9, 9..12, 12..15, 15..16];
         assert_eq!(tree_cover(25, solve.plan().lane_range(shard)), cover);
         let bytes = attempt_bytes(&sim, &solve, shard);
-        let decoded = solve.decode(shard, cells, &bytes).expect("clean result");
+        let decoded = solve.decode(&sim, shard, &bytes).expect("clean result");
         assert!(decoded.nodes.iter().map(|(node, _)| node).eq(&cover));
 
         let node = |k: usize| node_word(8, cells, k);
@@ -1439,7 +1409,7 @@ mod tests {
         ] {
             let mut evil = bytes.clone();
             rewrite_and_reseal(&mut evil, off, value);
-            let detail = corrupt_detail(&solve, shard, cells, &evil);
+            let detail = corrupt_detail(&sim, &solve, shard, &evil);
             assert!(detail.contains("not the shard's cover"), "{what}: {detail}");
         }
         // A seam moved on both sides still tiles 8..16 — with 8..10 and
@@ -1447,7 +1417,7 @@ mod tests {
         let mut evil = bytes.clone();
         rewrite_and_reseal(&mut evil, node(0) + 8, 10);
         rewrite_and_reseal(&mut evil, node(1), 10);
-        let detail = corrupt_detail(&solve, shard, cells, &evil);
+        let detail = corrupt_detail(&sim, &solve, shard, &evil);
         assert!(
             detail.contains("not the shard's cover"),
             "non-node: {detail}"
@@ -1455,12 +1425,12 @@ mod tests {
 
         // Another shard's (canonical) result is refused by identity.
         let other = attempt_bytes(&sim, &solve, 0);
-        let detail = corrupt_detail(&solve, shard, cells, &other);
+        let detail = corrupt_detail(&sim, &solve, shard, &other);
         assert!(detail.contains("identity"), "{detail}");
     }
 
     /// A retry's input reloaded from a shard store goes through the same
-    /// on-mesh check as a resume: a record off the mesh is a named
+    /// population check as a resume: a particle off the mesh is a named
     /// corruption, not a panic inside the attempt.
     #[test]
     fn retry_reload_refuses_off_mesh_records() {
@@ -1485,13 +1455,79 @@ mod tests {
         let store = &solve.stores.as_ref().unwrap()[shard];
         let (mut ckpt, _) = store.load().unwrap();
         let nx = sim.problem().mesh.nx();
-        ckpt.particles[5].cellx = nx as u32;
+        ckpt.particles.cellx[5] = nx as u32;
         store.save(&ckpt).unwrap();
         match solve.attempt_input(&sim, shard, true) {
             Err(ShardError::Checkpoint(CheckpointError::Corrupt(msg))) => {
-                assert!(msg.starts_with("particle record 5 lies in cell"), "{msg}");
+                assert!(msg.starts_with("particle 5 lies in cell"), "{msg}");
                 assert!(msg.contains(&format!("off the {nx}x{nx} mesh")), "{msg}");
             }
+            other => panic!("{:?}", other.map(|_| "reloaded")),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A result whose particle sits one column off the mesh, under a
+    /// recomputed checksum, is a named corruption at decode — before the
+    /// coordinator installs it and a kernel indexes the mesh through it.
+    #[test]
+    fn decode_refuses_off_mesh_particles() {
+        let (sim, solve) = small_sharded_solve();
+        let (nx, cells) = (sim.problem().mesh.nx(), sim.problem().mesh.num_cells());
+        let shard = 1;
+        let bytes = attempt_bytes(&sim, &solve, shard);
+        let lanes = solve.plan().lane_range(shard);
+        let n_nodes = tree_cover(solve.plan().part.n_lanes, lanes.clone()).len();
+        let count_off = node_word(lanes.len(), cells, n_nodes);
+        let n = solve.plan().particle_range(shard).len();
+        let off = cellx_byte(count_off, n, 3);
+        let mut evil = bytes.clone();
+        evil[off..off + 4].copy_from_slice(&(nx as u32).to_le_bytes());
+        let total = evil.len();
+        let sum = fnv1a64(evil[..total - 8].iter().copied());
+        evil[total - 8..].copy_from_slice(&sum.to_le_bytes());
+        let detail = corrupt_detail(&sim, &solve, shard, &evil);
+        assert!(
+            detail.starts_with(&format!("particle 3 lies in cell ({nx}, ")),
+            "{detail}"
+        );
+        assert!(solve.decode(&sim, shard, &bytes).is_ok());
+    }
+
+    /// A spilled shard input whose particles were permuted under a valid
+    /// checksum fails at reload, named — not later, as attempts that
+    /// retry until quarantine.
+    #[test]
+    fn retry_reload_refuses_permuted_particles() {
+        use crate::config::{ProblemScale, TestCase};
+        let dir =
+            std::env::temp_dir().join(format!("neutral_shard_permuted_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sim = Arc::new(Simulation::new(
+            TestCase::Csp.build(ProblemScale::tiny(), 11),
+        ));
+        let mut config = ShardConfig::new(3);
+        config.checkpoint_base = Some(dir.join("run.ckpt"));
+        let options = RunOptions {
+            execution: Execution::Sequential,
+            ..RunOptions::default()
+        };
+        let solve = ShardedSolve::new(&sim, options, config);
+        solve.save_shard_checkpoints().unwrap();
+        let shard = 1;
+        let store = &solve.stores.as_ref().unwrap()[shard];
+        let (mut ckpt, _) = store.load().unwrap();
+        let base = solve.plan().particle_range(shard).start;
+        ckpt.particles.key.swap(2, 3);
+        store.save(&ckpt).unwrap();
+        match solve.attempt_input(&sim, shard, true) {
+            Err(ShardError::Checkpoint(CheckpointError::Corrupt(msg))) => assert_eq!(
+                msg,
+                format!(
+                    "particles are not in key order (particle 2 of the range has key {})",
+                    base + 3
+                )
+            ),
             other => panic!("{:?}", other.map(|_| "reloaded")),
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -1565,7 +1601,7 @@ mod tests {
                 }
             };
             let (verdict, largest) =
-                crate::alloc_probe::largest_during(|| solve.decode(shard, cells, &evil));
+                crate::alloc_probe::largest_during(|| solve.decode(&sim, shard, &evil));
             match verdict {
                 Err(ShardError::Corrupt { shard: s, detail }) => {
                     assert_eq!(s, shard, "case {case} ({what})");

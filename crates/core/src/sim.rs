@@ -6,12 +6,12 @@
 //! every timestep it advances goes through the one step engine in
 //! [`crate::step`].
 
-use crate::checkpoint::{check_cells_on_mesh, config_fingerprint, Checkpoint, CheckpointError};
+use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
 use crate::config::{Problem, TallyStrategy};
 use crate::counters::EventCounters;
 use crate::history::TransportCtx;
 use crate::over_events::KernelTimings;
-use crate::particle::{first_out_of_key_order, spawn_particles, Particle};
+use crate::particle::{spawn_particles, Particle};
 use crate::scheduler::Schedule;
 use crate::soa::{census_energy, ParticleSoA};
 use crate::step::{begin_step, execution_workers, run_step};
@@ -278,9 +278,8 @@ pub struct SolveCore {
     fingerprint: u64,
     n_timesteps: usize,
     /// The canonical particle storage: one column per field, in key
-    /// order, shared in place by both drivers. AoS [`Particle`] records
-    /// exist only at the serialization edges (checkpoints, shard wire
-    /// bytes).
+    /// order, shared in place by both drivers, and what checkpoints and
+    /// the shard wire carry.
     soa: ParticleSoA,
     counters: EventCounters,
     kernel_timings: Option<KernelTimings>,
@@ -322,8 +321,10 @@ impl SolveCore {
     /// Rejects, as hard errors: a checkpoint written by a different
     /// problem, transport configuration or scheme
     /// ([`CheckpointError::ConfigMismatch`]) and internally-inconsistent
-    /// contents — wrong particle or tally counts, records out of key
-    /// order or off the mesh ([`CheckpointError::Corrupt`]).
+    /// contents — a wrong tally length, or a population that fails
+    /// `ParticleSoA::check_population`: the wrong count, ragged columns,
+    /// particles out of key order or off the mesh
+    /// ([`CheckpointError::Corrupt`]).
     pub fn resume(
         sim: &Simulation,
         options: RunOptions,
@@ -343,13 +344,6 @@ impl SolveCore {
                 checkpoint.n_timesteps, problem.n_timesteps
             )));
         }
-        if checkpoint.particles.len() != problem.n_particles {
-            return Err(CheckpointError::Corrupt(format!(
-                "checkpoint holds {} particles, problem spawns {}",
-                checkpoint.particles.len(),
-                problem.n_particles
-            )));
-        }
         if checkpoint.tally.len() != problem.mesh.num_cells() {
             return Err(CheckpointError::Corrupt(format!(
                 "checkpoint tally has {} cells, mesh has {}",
@@ -357,19 +351,17 @@ impl SolveCore {
                 problem.mesh.num_cells()
             )));
         }
-        if let Some((i, key)) = first_out_of_key_order(&checkpoint.particles, 0) {
-            return Err(CheckpointError::Corrupt(format!(
-                "particle records are not in key order (record {i} has key {key})"
-            )));
-        }
-        check_cells_on_mesh(&checkpoint.particles, problem.mesh.nx(), problem.mesh.ny())?;
-        let n = checkpoint.particles.len();
+        let n = problem.n_particles;
+        checkpoint
+            .particles
+            .check_population(0, n, problem.mesh.nx(), problem.mesh.ny())
+            .map_err(CheckpointError::Corrupt)?;
         problem.materials.prepare(problem.transport.xs_search);
         Ok(Self {
             options,
             fingerprint: expected,
             n_timesteps: problem.n_timesteps,
-            soa: ParticleSoA::from_aos(&checkpoint.particles),
+            soa: checkpoint.particles.clone(),
             counters: checkpoint.counters,
             kernel_timings: None,
             tally: checkpoint.tally.clone(),
@@ -398,9 +390,9 @@ impl SolveCore {
         self.n_timesteps
     }
 
-    /// The current particle records (key order) — the state a
+    /// The current particles as records (key order) — the state a
     /// checkpoint would capture. Materialised from the canonical columns
-    /// on each call (a serialization edge, not a hot path).
+    /// on each call (an inspection edge, not a hot path).
     #[must_use]
     pub fn particles(&self) -> Vec<Particle> {
         self.soa.to_aos()
@@ -420,6 +412,14 @@ impl SolveCore {
     /// checkpoint, copy their range out of them).
     pub(crate) fn columns(&self) -> &ParticleSoA {
         &self.soa
+    }
+
+    /// The canonical columns, for the shard coordinator to install its
+    /// results' post-step ranges before [`fold_step`].
+    ///
+    /// [`fold_step`]: SolveCore::fold_step
+    pub(crate) fn columns_mut(&mut self) -> &mut ParticleSoA {
+        &mut self.soa
     }
 
     /// Execute the next timestep against `sim` — which must be the
@@ -490,22 +490,6 @@ impl SolveCore {
         self.elapsed += started.elapsed();
     }
 
-    /// Install the post-step records `shards` hand back (each a global
-    /// start index and that range's records, in key order), ready for
-    /// [`fold_step`].
-    ///
-    /// [`fold_step`]: SolveCore::fold_step
-    pub(crate) fn store_records<'a>(
-        &mut self,
-        shards: impl Iterator<Item = (usize, &'a [Particle])>,
-    ) {
-        for (base0, records) in shards {
-            for (i, p) in records.iter().enumerate() {
-                self.soa.store(base0 + i, p);
-            }
-        }
-    }
-
     /// Snapshot the complete resumable state at the current census
     /// boundary (call between steps).
     #[must_use]
@@ -518,7 +502,7 @@ impl SolveCore {
             tally_footprint_bytes: self.tally_footprint,
             counters: self.counters,
             tally: self.tally.clone(),
-            particles: self.soa.to_aos(),
+            particles: self.soa.clone(),
         }
     }
 

@@ -9,15 +9,26 @@
 //! slices are `noalias`, so here a history `load`s its particle once,
 //! tracks it in registers and `store`s it back, and the penalty does not
 //! appear (`fig05_soa_aos` measures the rows). Both drivers, the
-//! checkpoint and the shard wire read these columns. Storage order is key
-//! order: particle `i` of a population starting at global index `base`
-//! has `key == base + i`, always. AoS [`Particle`] records exist only at
-//! the serialization edges ([`ParticleSoA::from_aos`] /
-//! [`ParticleSoA::to_aos`]).
+//! checkpoint and the shard wire read these columns: the column codec
+//! below writes each column as one little-endian run (DESIGN.md §19,
+//! "Columns are canonical, on disk and on the wire too"). Storage order
+//! is key order: particle `i` of a population starting at global index
+//! `base` has `key == base + i`, always.
 
 use crate::particle::Particle;
 use neutral_xs::XsHints;
 use std::ops::Range;
+
+/// Apply the macro `$m` to the fifteen column names, in wire order: the
+/// one list the views, copies, codec and population check expand.
+macro_rules! columns {
+    ($m:ident) => {
+        $m! {
+            x, y, omega_x, omega_y, energy, weight, dt_to_census, mfp_to_collision,
+            cellx, celly, absorb_hint, scatter_hint, key, rng_counter, dead
+        }
+    };
+}
 
 /// Particle population stored as one array per field.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -90,27 +101,101 @@ impl ParticleSoA {
     #[must_use]
     pub(crate) fn slice(&self, range: Range<usize>) -> Self {
         macro_rules! cut {
-            ($($field:ident),+ $(,)?) => {
+            ($($field:ident),+) => {
                 Self { $( $field: self.$field[range.clone()].to_vec(), )+ }
             };
         }
-        cut!(
-            x,
-            y,
-            omega_x,
-            omega_y,
-            energy,
-            weight,
-            dt_to_census,
-            mfp_to_collision,
-            cellx,
-            celly,
-            absorb_hint,
-            scatter_hint,
-            key,
-            rng_counter,
-            dead,
-        )
+        columns!(cut)
+    }
+
+    /// Overwrite particles `base..base + src.len()` with `src`, column by
+    /// column — how the shard coordinator installs a decoded result.
+    pub(crate) fn write_at(&mut self, base: usize, src: &Self) {
+        let range = base..base + src.len();
+        macro_rules! copy {
+            ($($field:ident),+) => {
+                $( self.$field[range.clone()].copy_from_slice(&src.$field); )+
+            };
+        }
+        columns!(copy);
+    }
+
+    /// Bytes one particle takes in the column codec: one element of every
+    /// column (97).
+    #[must_use]
+    pub(crate) fn wire_len_per_particle() -> usize {
+        let soa = Self::default();
+        macro_rules! sum {
+            ($($field:ident),+) => { 0 $( + wire_len_of(&soa.$field) )+ };
+        }
+        columns!(sum)
+    }
+
+    /// Append every column as one little-endian run, in `columns!`
+    /// order — the particle block of `NEUTCKPT` and `NEUTSHRD`.
+    pub(crate) fn put_columns(&self, out: &mut Vec<u8>) {
+        macro_rules! put {
+            ($($field:ident),+) => { $( put_column(out, &self.$field); )+ };
+        }
+        columns!(put);
+    }
+
+    /// Decode `n` particles written by [`Self::put_columns`] from `bytes`,
+    /// which must hold exactly `n` × [`Self::wire_len_per_particle`]
+    /// bytes (callers check the count against the payload first). A
+    /// `dead` byte other than 0 or 1 is refused: a `bool` column cannot
+    /// hold it. Each column is one allocation no larger than its run.
+    pub(crate) fn get_columns(bytes: &[u8], n: usize) -> Result<Self, String> {
+        debug_assert_eq!(bytes.len(), n * Self::wire_len_per_particle());
+        let mut rest = bytes;
+        macro_rules! get {
+            ($($field:ident),+) => {
+                Ok(Self { $( $field: get_column(&mut rest, n, stringify!($field))?, )+ })
+            };
+        }
+        columns!(get)
+    }
+
+    /// Check a population that comes from outside the solve — a resumed
+    /// checkpoint, a reloaded shard spill, a decoded shard result —
+    /// before a kernel indexes the mesh through it: `count` particles in
+    /// columns of equal length, keys `base..base + count` in storage
+    /// order (DESIGN.md §7), and every cell on the `nx` × `ny` mesh. (The
+    /// codec refused `dead` bytes other than 0 and 1 while decoding.)
+    /// The kernels read a particle's cell bounds, density and material
+    /// through its cell index unchecked, so a population that checksums
+    /// correctly but was written for another mesh, permuted or
+    /// hand-built ragged fails here, named, not on the first step.
+    pub(crate) fn check_population(
+        &self,
+        base: usize,
+        count: usize,
+        nx: usize,
+        ny: usize,
+    ) -> Result<(), String> {
+        macro_rules! lens {
+            ($($field:ident),+) => { [$( self.$field.len() ),+] };
+        }
+        let lens = columns!(lens);
+        if lens.iter().any(|&len| len != count) {
+            return Err(format!(
+                "column lengths {lens:?} do not all hold the {count} particles expected"
+            ));
+        }
+        if let Some(i) = (0..count).find(|&i| self.key[i] != (base + i) as u64) {
+            return Err(format!(
+                "particles are not in key order (particle {i} of the range has key {})",
+                self.key[i]
+            ));
+        }
+        let off = |i: &usize| self.cellx[*i] as usize >= nx || self.celly[*i] as usize >= ny;
+        if let Some(i) = (0..count).find(off) {
+            return Err(format!(
+                "particle {i} lies in cell ({}, {}), off the {nx}x{ny} mesh",
+                self.cellx[i], self.celly[i]
+            ));
+        }
+        Ok(())
     }
 
     /// Number of particles.
@@ -174,23 +259,10 @@ impl ParticleSoA {
     /// A mutable column view of the whole population (the root the
     /// chunked and windowed views split from).
     pub(crate) fn view_mut(&mut self) -> SoAChunkMut<'_> {
-        SoAChunkMut {
-            x: &mut self.x,
-            y: &mut self.y,
-            omega_x: &mut self.omega_x,
-            omega_y: &mut self.omega_y,
-            energy: &mut self.energy,
-            weight: &mut self.weight,
-            dt_to_census: &mut self.dt_to_census,
-            mfp_to_collision: &mut self.mfp_to_collision,
-            cellx: &mut self.cellx,
-            celly: &mut self.celly,
-            absorb_hint: &mut self.absorb_hint,
-            scatter_hint: &mut self.scatter_hint,
-            key: &mut self.key,
-            rng_counter: &mut self.rng_counter,
-            dead: &mut self.dead,
+        macro_rules! view {
+            ($($field:ident),+) => { SoAChunkMut { $( $field: &mut self.$field, )+ } };
         }
+        columns!(view)
     }
 
     /// Split the population into disjoint mutable chunk views of at most
@@ -245,61 +317,15 @@ impl<'a> SoAChunkMut<'a> {
 
     pub(crate) fn split_at_mut(self, mid: usize) -> (SoAChunkMut<'a>, SoAChunkMut<'a>) {
         macro_rules! split {
-            ($field:ident) => {{
-                self.$field.split_at_mut(mid)
+            ($($field:ident),+) => {{
+                $( let $field = self.$field.split_at_mut(mid); )+
+                (
+                    SoAChunkMut { $( $field: $field.0, )+ },
+                    SoAChunkMut { $( $field: $field.1, )+ },
+                )
             }};
         }
-        let (x0, x1) = split!(x);
-        let (y0, y1) = split!(y);
-        let (ox0, ox1) = split!(omega_x);
-        let (oy0, oy1) = split!(omega_y);
-        let (e0, e1) = split!(energy);
-        let (w0, w1) = split!(weight);
-        let (dt0, dt1) = split!(dt_to_census);
-        let (m0, m1) = split!(mfp_to_collision);
-        let (cx0, cx1) = split!(cellx);
-        let (cy0, cy1) = split!(celly);
-        let (ah0, ah1) = split!(absorb_hint);
-        let (sh0, sh1) = split!(scatter_hint);
-        let (k0, k1) = split!(key);
-        let (rc0, rc1) = split!(rng_counter);
-        let (d0, d1) = split!(dead);
-        (
-            SoAChunkMut {
-                x: x0,
-                y: y0,
-                omega_x: ox0,
-                omega_y: oy0,
-                energy: e0,
-                weight: w0,
-                dt_to_census: dt0,
-                mfp_to_collision: m0,
-                cellx: cx0,
-                celly: cy0,
-                absorb_hint: ah0,
-                scatter_hint: sh0,
-                key: k0,
-                rng_counter: rc0,
-                dead: d0,
-            },
-            SoAChunkMut {
-                x: x1,
-                y: y1,
-                omega_x: ox1,
-                omega_y: oy1,
-                energy: e1,
-                weight: w1,
-                dt_to_census: dt1,
-                mfp_to_collision: m1,
-                cellx: cx1,
-                celly: cy1,
-                absorb_hint: ah1,
-                scatter_hint: sh1,
-                key: k1,
-                rng_counter: rc1,
-                dead: d1,
-            },
-        )
+        columns!(split)
     }
 
     /// Gather local particle `i` from the chunk's field slices.
@@ -352,6 +378,80 @@ impl<'a> SoAChunkMut<'a> {
         self.rng_counter[i] = p.rng_counter;
         self.dead[i] = p.dead;
     }
+}
+
+/// One column element's little-endian wire form.
+trait Wire: Copy {
+    /// Bytes per element.
+    const LEN: usize;
+    fn put(self, dst: &mut [u8]);
+    /// `None` for bytes no value of the type encodes to.
+    fn get(src: &[u8]) -> Option<Self>;
+}
+
+macro_rules! wire_int {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            const LEN: usize = std::mem::size_of::<$t>();
+            fn put(self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
+            fn get(src: &[u8]) -> Option<Self> {
+                Some(<$t>::from_le_bytes(src.try_into().ok()?))
+            }
+        }
+    )+};
+}
+wire_int!(u32, u64);
+
+impl Wire for f64 {
+    const LEN: usize = 8;
+    fn put(self, dst: &mut [u8]) {
+        self.to_bits().put(dst);
+    }
+    fn get(src: &[u8]) -> Option<Self> {
+        u64::get(src).map(f64::from_bits)
+    }
+}
+
+impl Wire for bool {
+    const LEN: usize = 1;
+    fn put(self, dst: &mut [u8]) {
+        dst[0] = u8::from(self);
+    }
+    fn get(src: &[u8]) -> Option<Self> {
+        match src[0] {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+}
+
+fn wire_len_of<T: Wire>(_: &[T]) -> usize {
+    T::LEN
+}
+
+/// Append `column` as one run, in one reserve and one pass.
+fn put_column<T: Wire>(out: &mut Vec<u8>, column: &[T]) {
+    let start = out.len();
+    out.resize(start + column.len() * T::LEN, 0);
+    for (dst, &v) in out[start..].chunks_exact_mut(T::LEN).zip(column) {
+        v.put(dst);
+    }
+}
+
+/// Split the next `n`-element run off `rest` and decode it.
+fn get_column<T: Wire>(rest: &mut &[u8], n: usize, name: &str) -> Result<Vec<T>, String> {
+    let (run, tail) = rest.split_at(n * T::LEN);
+    *rest = tail;
+    let mut column = Vec::with_capacity(n);
+    for (i, src) in run.chunks_exact(T::LEN).enumerate() {
+        let v = T::get(src)
+            .ok_or_else(|| format!("particle {i}'s `{name}` byte {} is not 0 or 1", src[0]))?;
+        column.push(v);
+    }
+    Ok(column)
 }
 
 /// Total weighted energy of the surviving population (eV) — the

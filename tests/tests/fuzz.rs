@@ -356,8 +356,8 @@ fn checkpoint_oracle_catches_state_tampering_through_the_byte_format() {
     // still passes — only the *physics* downstream can expose it, and
     // the bitwise report comparison must.
     let mut tampered = Checkpoint::from_bytes(&bytes).expect("parse own bytes");
-    for p in &mut tampered.particles {
-        p.energy *= 1.5;
+    for energy in &mut tampered.particles.energy {
+        *energy *= 1.5;
     }
     let report = run_from(&tampered);
     assert!(

@@ -369,11 +369,11 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
         );
     }
 
-    // Two swapped records under a recomputed (valid) checksum: storage
+    // Two swapped keys under a recomputed (valid) checksum: storage
     // order is key order, so this is named corruption, not a resume.
     let _ = std::fs::remove_file(store.fallback_path());
     let mut swapped = Checkpoint::from_bytes(&good).unwrap();
-    swapped.particles.swap(3, 4);
+    swapped.particles.key.swap(3, 4);
     store.save_raw(&swapped.to_bytes()).unwrap();
     let _ = std::fs::remove_file(store.fallback_path()); // save_raw rotated
     let err = run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap_err();

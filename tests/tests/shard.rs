@@ -72,7 +72,7 @@ fn run_sharded(
     let mut solve = ShardedSolve::new(sim, options, config);
     while solve.step(sim)? {}
     let stats = solve.stats();
-    let particles = solve.checkpoint().particles;
+    let particles = solve.checkpoint().particles.to_aos();
     Ok((solve.finish(), particles, stats))
 }
 
