@@ -1,6 +1,6 @@
 //! Tally update costs (§V-C, §VI-F, §VII-A): the atomic CAS-loop add —
 //! uncontended, contended, and the privatised plain-store alternative —
-//! plus the accumulator backends' deposit and fold costs.
+//! plus the solve path's lane-fold deposit and fold costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neutral_mesh::tally::{AtomicTally, PrivatizedTally, SequentialTally};
@@ -72,22 +72,19 @@ fn bench_tally(c: &mut Criterion) {
         b.iter(|| black_box(t.merge()));
     });
 
-    // Accumulator-subsystem deposit costs: one lane of each backend, the
-    // per-flush price a transport worker pays.
-    for strategy in TallyStrategy::ALL {
-        group.bench_function(format!("accum_deposit_{}", strategy.name()), |b| {
-            let mut accum = TallyAccum::new(strategy, cells, 16);
-            let mut views = accum.lane_views();
-            let view = &mut views[3];
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 97) & (cells - 1);
-                view.add(black_box(i), 1.25);
-            });
+    // The lane fold's deposit cost: one open lane, the per-flush price a
+    // transport worker pays (`atomic_add_uncontended` is the paper's).
+    group.bench_function("accum_deposit_replicated", |b| {
+        let accum = TallyAccum::new(TallyStrategy::Replicated, cells, 16);
+        let mut view = accum.open(3);
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 97) & (cells - 1);
+            view.add(black_box(i), 1.25);
         });
-    }
+    });
 
-    // The replicated strategy's whole step: 16 lanes opened, populated
+    // The lane fold's whole step: 16 lanes opened, populated
     // and closed in order, each folded up the pairwise tree as it closes.
     group.bench_function("accum_fold_16_lanes_replicated", |b| {
         b.iter(|| {

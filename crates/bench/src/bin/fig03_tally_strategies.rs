@@ -1,13 +1,16 @@
-//! Figure 3 companion (repo extension): tally-strategy thread-scaling
-//! sweep — threads × [`TallyStrategy`] × mesh size on the csp problem.
+//! Figure 3 companion (repo extension): tally thread-scaling sweep —
+//! threads × tally × mesh size on the csp problem.
 //!
 //! The paper's Figures 3/7/8 story is that the *tally* is the contention
 //! hot spot: shared atomics scale poorly once threads collide on cells,
 //! while privatised/replicated tallies trade memory (and a merge pass)
-//! for contention-free deposits. This sweep measures that crossover with
-//! the pluggable tally subsystem (`neutral_mesh::accum`): per strategy it
-//! reports events/s, parallel efficiency against its own single-thread
-//! run, and the backend's accumulation footprint.
+//! for contention-free deposits. This sweep measures that crossover:
+//! `atomic` is the paper's baseline (particle-granular records into one
+//! shared CAS mesh, [`neutral_bench::baseline::Baseline::Atomic`]) and
+//! `replicated` is the solve path (per-lane meshes folded pairwise,
+//! `neutral_mesh::accum`). Per tally it reports events/s, parallel
+//! efficiency against its own single-thread run, and the accumulation
+//! footprint.
 //!
 //! Run with `cargo run --release -p neutral-bench --bin
 //! fig03_tally_strategies [--quick] [--json PATH]`. `--quick` runs a
@@ -16,21 +19,15 @@
 //! [`neutral_bench::report::BenchReport`]; measured numbers are only
 //! meaningful from `--release` builds.
 
+use neutral_bench::baseline::{median_baseline, Baseline};
 use neutral_bench::report::{BenchRecord, BenchReport};
-use neutral_bench::{banner, host_threads, print_table, thread_ladder};
+use neutral_bench::{banner, host_threads, median_run, print_table, thread_ladder};
 use neutral_core::prelude::*;
 
 struct SweepPoint {
     mesh_cells: usize,
     particle_divisor: usize,
     reps: usize,
-}
-
-fn median_run(problem: &Problem, options: RunOptions, reps: usize) -> RunReport {
-    let sim = Simulation::new(problem.clone());
-    let mut reports: Vec<RunReport> = (0..reps.max(1)).map(|_| sim.run(options)).collect();
-    reports.sort_by_key(|r| r.elapsed);
-    reports.swap_remove(reports.len() / 2)
 }
 
 fn human_bytes(b: usize) -> String {
@@ -101,39 +98,36 @@ fn main() {
             mesh_cells: point.mesh_cells,
             particle_divisor: point.particle_divisor,
         };
-        let mut problem = TestCase::Csp.build(scale, seed);
+        let problem = TestCase::Csp.build(scale, seed);
         println!(
             "\n-- csp, {0}x{0} mesh, {1} particles, {2} reps --",
             point.mesh_cells, problem.n_particles, point.reps
         );
 
         let mut rows = Vec::new();
-        let mut best_at_max: Option<(f64, TallyStrategy)> = None;
-        for strategy in TallyStrategy::ALL {
-            problem.transport.tally_strategy = strategy;
+        let mut best_at_max: Option<(f64, &str)> = None;
+        for strategy in ["atomic", "replicated"] {
             let mut base: Option<f64> = None;
             for &threads in &ladder {
-                let options = RunOptions {
-                    execution: Execution::Scheduled {
-                        threads,
-                        schedule: Schedule::Dynamic { chunk: 64 },
-                    },
-                    ..Default::default()
+                let schedule = Schedule::Dynamic { chunk: 64 };
+                let r = if strategy == "atomic" {
+                    median_baseline(&problem, Baseline::Atomic { threads, schedule }, point.reps)
+                } else {
+                    let execution = Execution::Scheduled { threads, schedule };
+                    let options = RunOptions {
+                        execution,
+                        ..Default::default()
+                    };
+                    median_run(&problem, options, point.reps)
                 };
-                let r = median_run(&problem, options, point.reps);
                 let secs = r.elapsed.as_secs_f64();
                 let eps = r.events_per_second();
                 report.push(
-                    BenchRecord::new(format!(
-                        "{}/{}/{}t",
-                        point.mesh_cells,
-                        strategy.name(),
-                        threads
-                    ))
-                    .config("strategy", strategy.name())
-                    .config("threads", threads.to_string())
-                    .metric("elapsed_s", secs)
-                    .metric("events_per_s", eps),
+                    BenchRecord::new(format!("{}/{strategy}/{threads}t", point.mesh_cells))
+                        .config("strategy", strategy)
+                        .config("threads", threads.to_string())
+                        .metric("elapsed_s", secs)
+                        .metric("events_per_s", eps),
                 );
                 let base_secs = *base.get_or_insert(secs);
                 let efficiency = base_secs / (secs * threads as f64);
@@ -144,7 +138,7 @@ fn main() {
                     }
                 }
                 rows.push(vec![
-                    strategy.name().to_owned(),
+                    strategy.to_owned(),
                     threads.to_string(),
                     format!("{secs:.3}"),
                     format!("{eps:.3e}"),
@@ -168,15 +162,16 @@ fn main() {
             println!(
                 "  fastest at {} threads: {} ({:.3e} events/s)",
                 ladder.last().unwrap(),
-                strategy.name(),
+                strategy,
                 eps
             );
         }
     }
 
     println!(
-        "\n(1-thread runs of the deterministic strategies are the bitwise-reproducible \
-         canonical path; see DESIGN.md §11. Sweep mode: {}.)",
+        "\n(`replicated` is the solve path, bitwise identical at every thread count; \
+         `atomic` is the paper's record-at-a-time baseline; see DESIGN.md §11. \
+         Sweep mode: {}.)",
         if quick { "quick" } else { "full" }
     );
 

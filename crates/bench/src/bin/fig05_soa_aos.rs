@@ -11,15 +11,17 @@
 //!
 //! * `columns` — the solve path: the lane driver tracking the columns in
 //!   place (one load and one store per history; Rust's `noalias` slices
-//!   keep the working state in registers).
+//!   keep the working state in registers), into the solve path's one
+//!   tally, the `replicated` lane fold.
 //! * `records` — the paper's fastest layout: `Particle` records under a
 //!   particle-granular schedule (`neutral_bench::baseline`).
 //! * `stepped` — columns with event-granular load/store of the working
 //!   state, reproducing the C code's aliasing-forced memory behaviour and
 //!   therefore the paper's SoA penalty (`neutral_bench::baseline`).
 //!
-//! All three deposit into one shared atomic mesh on all logical CPUs, so
-//! the rows differ in storage and access pattern only.
+//! All three run on all logical CPUs. `records` and `stepped` deposit
+//! into one shared atomic mesh; `columns` deposits into per-lane meshes,
+//! because the solve path has no atomic tally (DESIGN.md §11).
 //!
 //! `--quick` runs a seconds-scale smoke sweep (used by CI); `--json PATH`
 //! additionally writes the measurements as a machine-readable
@@ -51,8 +53,7 @@ fn main() {
     let schedule = Schedule::Dynamic { chunk: 64 };
     let mut rows = Vec::new();
     for case in TestCase::ALL {
-        let mut problem = case.build(args.scale, args.seed);
-        problem.transport.tally_strategy = TallyStrategy::Atomic;
+        let problem = case.build(args.scale, args.seed);
         let mut time = |layout: &str, r: RunReport| {
             report.push(
                 BenchRecord::new(format!("op/{}/{layout}", case.name()))
@@ -87,7 +88,7 @@ fn main() {
         &[
             "problem",
             "AoS records (s)",
-            "SoA columns (s)",
+            "SoA columns, replicated (s)",
             "SoA stepped (s)",
             "columns/records",
             "stepped/records",
@@ -100,7 +101,9 @@ fn main() {
          C aliasing forces). The columns row is the storage every solve runs\n\
          on, read in place: a history is one gather, a register-resident\n\
          track and one scatter, so columns/records near 1.0 is the finding —\n\
-         the paper's penalty is the aliasing, not the layout."
+         the paper's penalty is the aliasing, not the layout. The columns row\n\
+         runs the solve path's `replicated` tally; the other two rows deposit\n\
+         into one shared atomic mesh."
     );
 
     if let Some(path) = &args.json {

@@ -5,8 +5,7 @@
 //! neutral_cli [problem.params | --scenario NAME] [--scale tiny|small|paper]
 //!             [--seed N] [--scheme op|oe]
 //!             [--threads N] [--schedule static|dynamic,N|guided,N]
-//!             [--lookup binary|hinted|hashed]
-//!             [--tally replicated|atomic] [--timesteps N]
+//!             [--lookup binary|hinted|hashed] [--timesteps N]
 //!             [--sequential] [--dump-tally FILE]
 //!             [--checkpoint FILE] [--fault SPEC]
 //!             [--shards N] [--shard-fault SPEC]
@@ -21,18 +20,14 @@
 //! crash-safe checkpoint is written to FILE at every census boundary,
 //! and a run finding a valid checkpoint there resumes instead of
 //! restarting (a checkpoint from a different problem is a hard error).
-//! An explicit `--tally atomic` is upgraded to replicated (kill + resume
-//! equals the uninterrupted run bit for bit only over a deterministic
-//! merge).
 //! `--fault SPEC` (e.g. `kill@2` or `torn@1,bitflip@2`) deterministically
 //! injects checkpoint-layer failures for testing the recovery path; it
 //! requires `--checkpoint`.
 //!
 //! `--shards N` splits every timestep into N fault-isolated shards
 //! (DESIGN.md §18, N ≤ 32: a shard owns whole lanes); results are
-//! bitwise identical to the unsharded run for any N, and `--tally
-//! atomic` is upgraded here too (sharding rides on the deterministic
-//! merge). With `--checkpoint FILE`, shard retries
+//! bitwise identical to the unsharded run for any N. With
+//! `--checkpoint FILE`, shard retries
 //! reload their census-boundary inputs from `FILE.shard<k>` stores.
 //! `--shard-fault SPEC` (e.g. `kill@1` or `hang@0:2,corrupt@1`)
 //! deterministically injects shard failures to exercise the
@@ -50,7 +45,6 @@ struct CliArgs {
     seed: Option<u64>,
     options: RunOptions,
     lookup: Option<LookupStrategy>,
-    tally: Option<TallyStrategy>,
     timesteps: Option<usize>,
     dump_tally: Option<String>,
     checkpoint: Option<String>,
@@ -100,7 +94,6 @@ fn parse_args() -> Result<CliArgs, String> {
     let mut seed = None;
     let mut options = RunOptions::default();
     let mut lookup = None;
-    let mut tally = None;
     let mut timesteps = None;
     let mut dump_tally = None;
     let mut checkpoint = None;
@@ -144,14 +137,6 @@ fn parse_args() -> Result<CliArgs, String> {
                         .ok_or("--lookup binary|hinted|hashed")?
                         .parse::<LookupStrategy>()
                         .map_err(|e| format!("--lookup: {e}"))?,
-                );
-            }
-            "--tally" => {
-                i += 1;
-                tally = Some(
-                    argv.get(i)
-                        .ok_or("--tally replicated|atomic")?
-                        .parse::<TallyStrategy>()?,
                 );
             }
             "--timesteps" => {
@@ -264,35 +249,12 @@ fn parse_args() -> Result<CliArgs, String> {
         seed,
         options,
         lookup,
-        tally,
         timesteps,
         dump_tally,
         checkpoint,
         fault,
         shards,
         shard_fault,
-    })
-}
-
-/// Sharded and checkpointed solves stand on the deterministic lane merge
-/// — a shard ships merge-tree nodes, and kill + resume must equal the
-/// uninterrupted run bit for bit (DESIGN.md §15, §18) — so resolve their
-/// configuration the way the solve registry does for every submission
-/// (an explicit atomic tally → replicated). Returns the line that says so
-/// when something changed.
-fn resolve_durable(problem: &mut Problem, shards: usize, checkpointed: bool) -> Option<String> {
-    let why = if shards > 1 {
-        "shards"
-    } else if checkpointed {
-        "checkpoint"
-    } else {
-        return None;
-    };
-    resolve_deterministic(problem).then(|| {
-        format!(
-            "{why}: resolved to the deterministic configuration (tally {})",
-            problem.transport.tally_strategy.name()
-        )
     })
 }
 
@@ -346,9 +308,6 @@ fn main() -> ExitCode {
     if let Some(lookup) = args.lookup {
         problem.transport.xs_search = lookup;
     }
-    if let Some(tally) = args.tally {
-        problem.transport.tally_strategy = tally;
-    }
     if let Some(timesteps) = args.timesteps {
         problem.n_timesteps = timesteps;
     }
@@ -361,9 +320,6 @@ fn main() -> ExitCode {
     let options = args.options;
     // CLI flags override the params file's checkpoint/fault keys.
     let checkpoint_path = args.checkpoint.clone().or(params.checkpoint_file.clone());
-    if let Some(line) = resolve_durable(&mut problem, shards, checkpoint_path.is_some()) {
-        println!("{line}");
-    }
     if !shard_fault_plan.is_empty() && shards < 2 {
         eprintln!("error: --shard-fault requires --shards >= 2 (or a `shards` params key)");
         return ExitCode::FAILURE;
@@ -528,31 +484,4 @@ fn main() -> ExitCode {
     }
 
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sharded_and_checkpointed_solves_resolve_an_atomic_tally() {
-        let problem = |tally| {
-            let mut problem = TestCase::Csp.build(ProblemScale::tiny(), 1);
-            problem.transport.tally_strategy = tally;
-            problem
-        };
-        for (shards, checkpointed, why) in [(1, true, "checkpoint"), (3, false, "shards")] {
-            let mut p = problem(TallyStrategy::Atomic);
-            let line = resolve_durable(&mut p, shards, checkpointed).expect("resolved");
-            assert_eq!(p.transport.tally_strategy, TallyStrategy::Replicated);
-            assert!(line.starts_with(why) && line.contains("tally replicated"));
-            // Nothing to resolve, nothing to say.
-            let mut p = problem(TallyStrategy::Replicated);
-            assert_eq!(resolve_durable(&mut p, shards, checkpointed), None);
-        }
-        // A plain solve runs what was asked for.
-        let mut p = problem(TallyStrategy::Atomic);
-        assert_eq!(resolve_durable(&mut p, 1, false), None);
-        assert_eq!(p.transport.tally_strategy, TallyStrategy::Atomic);
-    }
 }

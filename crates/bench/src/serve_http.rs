@@ -30,7 +30,7 @@
 //! seed 42                   # default 20170905
 //! timesteps 3               # optional override
 //! lookup hashed             # binary|hinted|hashed
-//! tally replicated          # the default (atomic resolves to replicated)
+//! tally replicated          # the one value (atomic was removed)
 //! scheme oe                 # op|oe
 //! checkpoint_file /tmp/s.ckpt   # optional spill (exclusive per live solve)
 //! checkpoint_every 2        # boundaries between spills (default 1)
@@ -42,12 +42,9 @@
 //! service owns its worker configuration, and the bitwise-determinism
 //! invariant guarantees the results are identical to any other worker
 //! count — which is exactly what makes the fingerprint cache sound. The
-//! contract is enforced in the library, not here: the registry passes
-//! every submission through `resolve_deterministic` before fingerprinting
-//! it (an `atomic` a single-thread service let through becomes
-//! `replicated`). This edge only validates input: a multi-threaded
-//! service refuses `tally atomic` with a 400 rather than silently serving
-//! something else.
+//! contract holds by construction in the library: its one tally is the
+//! deterministic lane fold. This edge only validates input: `tally
+//! atomic`, like any removed value, is a 400 that names `replicated`.
 //!
 //! A `POST` is validated, then reduced to a canonical key (the
 //! parameter set's fixpoint serialization plus the scheme) and handed to
@@ -231,7 +228,6 @@ struct SolveSpec {
     seed: u64,
     timesteps: Option<usize>,
     lookup: Option<LookupStrategy>,
-    tally: Option<TallyStrategy>,
     scheme: Option<Scheme>,
     checkpoint_file: Option<String>,
     checkpoint_every: usize,
@@ -252,7 +248,6 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
     let mut seed = 20_170_905u64;
     let mut timesteps = None;
     let mut lookup = None;
-    let mut tally = None;
     let mut scheme = None;
     let mut checkpoint_file = None;
     let mut checkpoint_every = 1usize;
@@ -303,7 +298,10 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
                 timesteps = Some(n);
             }
             "lookup" => lookup = Some(value.parse::<LookupStrategy>().map_err(knob)?),
-            "tally" => tally = Some(value.parse::<TallyStrategy>().map_err(knob)?),
+            // One value left: validated, then nothing to override.
+            "tally" => {
+                value.parse::<TallyStrategy>().map_err(knob)?;
+            }
             "scheme" => {
                 scheme = Some(match value {
                     "op" => Scheme::OverParticles,
@@ -336,7 +334,6 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
         seed,
         timesteps,
         lookup,
-        tally,
         scheme,
         checkpoint_file,
         checkpoint_every,
@@ -362,16 +359,6 @@ fn build_submit(
     if let Some(lookup) = spec.lookup {
         params.lookup_strategy = lookup;
     }
-    if let Some(tally) = spec.tally {
-        if tally == TallyStrategy::Atomic && threads > 1 {
-            return Err(perr(
-                0,
-                "tally `atomic` is not deterministic on a multi-threaded service; \
-                 use `replicated` (served results must be cacheable)",
-            ));
-        }
-        params.tally_strategy = tally;
-    }
     if let Some(timesteps) = spec.timesteps {
         params.timesteps = timesteps;
     }
@@ -384,12 +371,7 @@ fn build_submit(
     }
     let key = format!("{}scheme {:?}\n", params.to_params_text(), options.scheme);
     let build = move || {
-        let mut problem = params.build();
-        // What the registry will run (and fingerprint): an `atomic` a
-        // single-thread service let through resolves to the deterministic
-        // configuration here, so the request already shows it.
-        resolve_deterministic(&mut problem);
-        let mut submit = SubmitRequest::new(problem, options);
+        let mut submit = SubmitRequest::new(params.build(), options);
         if let Some(path) = spec.checkpoint_file {
             submit = submit.checkpoint(path, spec.checkpoint_every);
         }
@@ -528,23 +510,17 @@ mod tests {
         Ok((key, build()))
     }
 
+    /// `tally atomic` is refused by name whatever the service's width;
+    /// `replicated` and an absent key build the same request.
     #[test]
-    fn atomic_tally_is_rejected_multithreaded_only() {
-        let err = built("scenario csp\nscale tiny\ntally atomic\n", 4).unwrap_err();
-        assert!(err.to_string().contains("atomic"), "{err}");
-        // A single-thread service accepts the spelling; like every
-        // submission it resolves to the deterministic configuration.
-        let (_, ok) = built("scenario csp\nscale tiny\ntally atomic\n", 1).unwrap();
-        assert_eq!(
-            ok.problem.transport.tally_strategy,
-            TallyStrategy::Replicated
-        );
-        // Scenario defaults are deterministic already.
-        let (_, default) = built("scenario csp\nscale tiny\n", 4).unwrap();
-        assert_eq!(
-            default.problem.transport.tally_strategy,
-            TallyStrategy::Replicated
-        );
+    fn atomic_tally_is_rejected_at_any_width() {
+        for threads in [1, 4] {
+            let err = built("scenario csp\nscale tiny\ntally atomic\n", threads).unwrap_err();
+            assert_eq!(err.line, 3);
+            assert!(err.message.contains("`atomic` was removed"), "{err}");
+            let (key, _) = built("scenario csp\nscale tiny\ntally replicated\n", threads).unwrap();
+            assert_eq!(key, built("scenario csp\nscale tiny\n", threads).unwrap().0);
+        }
     }
 
     #[test]
@@ -614,8 +590,7 @@ mod tests {
     /// Equal keys must mean equal content addresses — the memo's whole
     /// soundness condition — over generated request bodies: every
     /// scenario, every lookup, both schemes, a timesteps override and the
-    /// three tally spellings a single-thread service accepts, each key
-    /// either absent or explicit.
+    /// tally, each key either absent or explicit.
     #[test]
     fn equal_memo_keys_mean_equal_fingerprints() {
         use neutral_core::fuzz::Gen;
@@ -631,7 +606,7 @@ mod tests {
                 ("lookup", &["binary", "hinted", "hashed"][..]),
                 ("scheme", &["op", "oe"]),
                 ("timesteps", &["1", "2"]),
-                ("tally", &["replicated", "atomic"]),
+                ("tally", &["replicated"]),
             ] {
                 if g.chance(0.6) {
                     body += &format!("{key} {}\n", g.pick(values));

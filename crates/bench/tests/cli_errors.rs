@@ -6,12 +6,14 @@ use std::process::Command;
 
 #[test]
 fn rejected_flags_exit_1_with_a_named_error() {
-    // `--sort` and `--backend` are flags the CLI used to accept;
+    // `--sort`, `--backend` and `--tally` are flags the CLI used to
+    // accept (`--tally atomic` ran the removed shared-atomic tally);
     // `--threads 0` used to reach an assert inside the driver;
     // `--sequential` beside a worker flag used to be silently overridden.
     for (args, flag) in [
         (&["--sort", "off"][..], "--sort"),
         (&["--backend", "scalar"], "--backend"),
+        (&["--tally", "atomic"], "--tally"),
         (&["--threads", "0"], "--threads"),
         (
             &["--sequential", "--threads", "2"],

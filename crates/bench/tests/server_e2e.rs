@@ -246,6 +246,25 @@ fn bad_requests_are_named_errors() {
         );
     }
 
+    // `tally atomic` was removed: a 400 naming its replacement at any
+    // service width (a one-thread service used to accept it).
+    for threads in [1, 2] {
+        let (_service, mut handle, addr) = start(ServeConfig {
+            threads,
+            ..ServeConfig::default()
+        });
+        let resp = post_solve(addr, "scenario csp\nscale tiny\ntally atomic\n");
+        assert_eq!(resp.status, 400, "{threads} threads");
+        let body = resp.body_text();
+        assert!(
+            body.contains("line 3")
+                && body.contains("`atomic` was removed")
+                && body.contains("use `replicated`"),
+            "{threads} threads: {body}"
+        );
+        handle.shutdown();
+    }
+
     // Unknown id: 404; non-numeric id: 400.
     let resp = client::request(addr, "GET", "/solves/999", None).unwrap();
     assert_eq!(resp.status, 404);

@@ -335,8 +335,8 @@ impl From<std::io::Error> for CheckpointError {
 /// and the `scheme` (the two schemes accumulate
 /// the same terms in different orders, so their `f64` sums differ by
 /// ulps). The rest of [`RunOptions`] is deliberately absent: `execution`
-/// is bitwise-free under the deterministic tally strategies, which is
-/// what lets one cached result answer any host width.
+/// is bitwise-free (the one tally is the deterministic lane fold), which
+/// is what lets one cached result answer any host width.
 ///
 /// A table is hashed by what it is: a synthesized table by its spec
 /// ([`Synthesis`], point count and [`SYNTH_VERSION`]), so addressing a

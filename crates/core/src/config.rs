@@ -64,8 +64,8 @@ pub struct TransportConfig {
     /// Cross-section lookup strategy (§VI-A and the hashed
     /// acceleration).
     pub xs_search: LookupStrategy,
-    /// Tally-accumulation backend (§VI-F: shared atomics vs replication
-    /// vs cell-block privatization).
+    /// Tally-accumulation backend: the one value, lane replication
+    /// folded deterministically (§VI-F).
     pub tally_strategy: TallyStrategy,
     /// Low-weight policy (termination vs Russian roulette).
     pub low_weight: LowWeightPolicy,

@@ -17,9 +17,8 @@
 //!   the same physics: identical event counters, and energy sums and
 //!   tallies equal to reassociation error (the breadth-first scheme's
 //!   different accumulation order moves the `f64` sums by ulps).
-//! * **Worker invariance** — with a deterministic tally strategy,
-//!   merged tally bits and physics counters are identical for worker
-//!   counts {1, 2, 7} (DESIGN.md §11).
+//! * **Worker invariance** — merged tally bits and physics counters are
+//!   identical for worker counts {1, 2, 7} (DESIGN.md §11).
 //! * **Checkpoint round-trip** — a solve cut at a census boundary,
 //!   serialized through the real byte format and resumed, finishes
 //!   bitwise identical to the uninterrupted run (DESIGN.md §15).
@@ -42,10 +41,11 @@
 //! integrated shrinking is traded for perfectly reproducible cases).
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{CollisionModel, LookupStrategy, Problem, TallyStrategy};
+use crate::config::{CollisionModel, LookupStrategy, Problem};
 use crate::dump::write_tally_dump;
 use crate::params::ProblemParams;
 use crate::registry::{Registry, RegistryConfig, SolveState, SubmitRequest};
+use crate::shard::panic_text;
 use crate::sim::{RunOptions, RunReport, Scheme, Simulation, SolveCore};
 use neutral_mesh::{MaterialId, Rect};
 use neutral_rng::{CounterStream, Threefry2x64};
@@ -137,18 +137,8 @@ pub fn for_cases(cases: u64, mut body: impl FnMut(&mut Gen)) {
         // the assert that fired; print the index for quick reproduction.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut g)));
         if let Err(e) = result {
-            panic!("property failed at case {case}: {}", panic_message(&e));
+            panic!("property failed at case {case}: {}", panic_text(e.as_ref()));
         }
-    }
-}
-
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
     }
 }
 
@@ -501,13 +491,8 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         });
     }
 
-    // Oracle 6: sharded execution is invisible in the results. Atomic
-    // tallies sit outside the deterministic-merge contract sharding is
-    // built on (the generator never samples them; a hand-written corpus
-    // case could).
-    if sim.problem().transport.tally_strategy == TallyStrategy::Atomic {
-        out.skipped.push(Oracle::ShardInvariance);
-    } else if let Err(e) = shard_invariance(case, base) {
+    // Oracle 6: sharded execution is invisible in the results.
+    if let Err(e) = shard_invariance(case, base) {
         out.failures.push(OracleFailure {
             oracle: Oracle::ShardInvariance,
             detail: e,
@@ -1004,6 +989,16 @@ fn candidates_for(case: &FuzzCase, axis: ShrinkAxis) -> Vec<FuzzCase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A failing property names its case and keeps the assert's own
+    /// words. (`&Box<dyn Any>` coerces to `&dyn Any` as the box itself,
+    /// which no downcast to a string matches.)
+    #[test]
+    fn a_failing_case_reports_its_panic_message() {
+        let caught = std::panic::catch_unwind(|| for_cases(1, |_| panic!("the property's words")));
+        let text = panic_text(caught.unwrap_err().as_ref());
+        assert_eq!(text, "property failed at case 0: the property's words");
+    }
 
     #[test]
     fn generator_is_deterministic_and_valid() {

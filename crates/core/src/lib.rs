@@ -93,9 +93,7 @@ pub mod prelude {
         ShardConfig, ShardError, ShardFault, ShardFaultKind, ShardFaultPlan, ShardPlan, ShardStats,
         ShardedSolve,
     };
-    pub use crate::sim::{
-        resolve_deterministic, Execution, RunOptions, RunReport, Scheme, Simulation, SolveCore,
-    };
+    pub use crate::sim::{Execution, RunOptions, RunReport, Scheme, Simulation, SolveCore};
     pub use crate::validate::EnergyBalance;
     pub use neutral_xs::{MaterialKind, MaterialSet, MaterialSpec};
 }

@@ -765,12 +765,12 @@ enum FlushList {
 /// The separated tally flush: drain every pending deposit of `list` into
 /// `sink`, in ascending index order.
 ///
-/// Always inlined into the lane kernel: with a two-variant `LaneSink` the
-/// compiler unswitches these loops per variant and the body outgrows its
-/// inlining threshold, and with the flush outlined the round loop around
-/// it lays out slower (`scatter` 512² Over Events, one worker, best of 12:
-/// collision kernel 384 → 395 ms, facet 12.2 → 13.2 ms; inlined, both are
-/// back).
+/// Always inlined into the lane kernel: while `LaneSink` had a second,
+/// shared-atomic variant the compiler unswitched these loops per variant
+/// and the body outgrew its inlining threshold, and with the flush
+/// outlined the round loop around it laid out slower (`scatter` 512² Over
+/// Events, one worker, best of 12: collision kernel 384 → 395 ms, facet
+/// 12.2 → 13.2 ms; inlined, both were back).
 #[inline(always)]
 fn tally_kernel<T: TallySink>(
     w: &mut Window<'_, '_>,
@@ -845,10 +845,6 @@ mod tests {
     use neutral_mesh::tally::{AtomicTally, SequentialTally};
     use neutral_mesh::{LanePartition, TallyAccum, TallyStrategy};
     use neutral_rng::Threefry2x64;
-
-    /// The sinks every lane-kernel test runs under: the deterministic
-    /// default and the paper's shared-atomic baseline.
-    const SINKS: [TallyStrategy; 2] = [TallyStrategy::Replicated, TallyStrategy::Atomic];
 
     /// The step engine's Over-Events arm over the whole population — one
     /// lane per lane of `accum`, `workers` workers under `schedule` —
@@ -1059,14 +1055,15 @@ mod tests {
             let mut op_tally = SequentialTally::new(problem.mesh.num_cells());
             let op_counters = run_sequential(&mut op_particles, &c, &mut op_tally);
 
-            for (sink, workers) in [(SINKS[0], 1), (SINKS[0], 4), (SINKS[1], 1), (SINKS[1], 4)] {
+            for workers in [1, 4] {
                 let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-                let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
+                let accum =
+                    TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 16);
                 let (oe_counters, _t) = run_rounds(&mut oe_soa, &c, &accum, workers);
                 assert_eq!(
                     op_particles,
                     oe_soa.to_aos(),
-                    "{case:?}/{sink:?}/{workers}w: trajectories"
+                    "{case:?}/{workers}w: trajectories"
                 );
                 assert_eq!(op_counters.collisions, oe_counters.collisions);
                 assert_eq!(op_counters.facets, oe_counters.facets);
@@ -1078,7 +1075,7 @@ mod tests {
                 let b: f64 = accum.merge().iter().sum();
                 assert!(
                     ((a - b) / a.abs().max(1e-30)).abs() < 1e-9,
-                    "{case:?}/{sink:?}: tally {a} vs {b}"
+                    "{case:?}/{workers}w: tally {a} vs {b}"
                 );
             }
         }
@@ -1094,17 +1091,12 @@ mod tests {
         run_sequential(&mut op_particles, &c, &mut op_tally);
 
         let total = op_tally.total();
-        for sink in SINKS {
-            let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
-            let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            run_rounds(&mut oe_soa, &c, &accum, 1);
-            for (i, (a, b)) in op_tally.values().iter().zip(accum.merge()).enumerate() {
-                let scale = a.abs().max(total * 1e-12).max(1e-30);
-                assert!(
-                    ((a - b) / scale).abs() < 1e-6,
-                    "{sink:?} cell {i}: {a} vs {b}"
-                );
-            }
+        let mut oe_soa = ParticleSoA::from_aos(&spawn_particles(&problem));
+        let accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 16);
+        run_rounds(&mut oe_soa, &c, &accum, 1);
+        for (i, (a, b)) in op_tally.values().iter().zip(accum.merge()).enumerate() {
+            let scale = a.abs().max(total * 1e-12).max(1e-30);
+            assert!(((a - b) / scale).abs() < 1e-6, "cell {i}: {a} vs {b}");
         }
     }
 
@@ -1112,15 +1104,12 @@ mod tests {
     fn timings_are_populated() {
         let (problem, rng) = fixture(TestCase::Csp);
         let c = ctx(&problem, &rng);
-        for sink in SINKS {
-            let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-            let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            let (_counters, t) = run_rounds(&mut particles, &c, &accum, 1);
-            assert!(t.rounds > 1, "{sink:?}");
-            assert!(t.total() > Duration::ZERO, "{sink:?}");
-            let f = t.tally_fraction();
-            assert!((0.0..1.0).contains(&f), "{sink:?}");
-        }
+        let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
+        let accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 16);
+        let (_counters, t) = run_rounds(&mut particles, &c, &accum, 1);
+        assert!(t.rounds > 1);
+        assert!(t.total() > Duration::ZERO);
+        assert!((0.0..1.0).contains(&t.tally_fraction()));
     }
 
     #[test]
@@ -1128,16 +1117,14 @@ mod tests {
         let (mut problem, rng) = fixture(TestCase::Stream);
         problem.transport.max_events_per_history = 3;
         let c = ctx(&problem, &rng);
-        for sink in SINKS {
-            let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
-            let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-            let (counters, _) = run_rounds(&mut particles, &c, &accum, 2);
-            assert!(counters.stuck > 0, "{sink:?}");
-            assert!(particles
-                .to_aos()
-                .iter()
-                .all(|p| p.dead || p.dt_to_census == 0.0));
-        }
+        let mut particles = ParticleSoA::from_aos(&spawn_particles(&problem));
+        let accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 16);
+        let (counters, _) = run_rounds(&mut particles, &c, &accum, 2);
+        assert!(counters.stuck > 0);
+        assert!(particles
+            .to_aos()
+            .iter()
+            .all(|p| p.dead || p.dt_to_census == 0.0));
     }
 
     /// One scratch carried from lane to lane — across lanes of unequal
@@ -1149,31 +1136,29 @@ mod tests {
     fn scratch_reuse_across_lanes_matches_fresh_scratch() {
         let (problem, rng, particles) = uneven_lanes();
         let c = ctx(&problem, &rng);
-        for sink in SINKS {
-            let run = |reuse: bool| {
-                let mut soa = ParticleSoA::from_aos(&particles);
-                let accum = TallyAccum::new(sink, problem.mesh.num_cells(), 16);
-                let mut carried = EventScratch::default();
-                let mut counters = Vec::new();
-                let lanes = soa
-                    .chunks_mut(soa.len().div_ceil(16))
-                    .into_iter()
-                    .zip(accum.lanes());
-                for (mut chunk, lane) in lanes {
-                    let mut view = accum.open(lane);
-                    let mut fresh = EventScratch::default();
-                    let scratch = if reuse { &mut carried } else { &mut fresh };
-                    counters.push(run_event_lane(scratch, &mut chunk, &mut view, &c).0);
-                }
-                (counters, tally_bits(accum), soa.to_aos())
-            };
-            let (counters, tally, records) = run(true);
-            assert!(
-                counters.iter().any(|c| c.stuck > 0) && counters.iter().any(|c| c.stuck == 0),
-                "{sink:?}: the fixture must mix guarded and clean lanes"
-            );
-            assert_eq!((counters, tally, records), run(false), "{sink:?}");
-        }
+        let run = |reuse: bool| {
+            let mut soa = ParticleSoA::from_aos(&particles);
+            let accum = TallyAccum::new(TallyStrategy::Replicated, problem.mesh.num_cells(), 16);
+            let mut carried = EventScratch::default();
+            let mut counters = Vec::new();
+            let lanes = soa
+                .chunks_mut(soa.len().div_ceil(16))
+                .into_iter()
+                .zip(accum.lanes());
+            for (mut chunk, lane) in lanes {
+                let mut view = accum.open(lane);
+                let mut fresh = EventScratch::default();
+                let scratch = if reuse { &mut carried } else { &mut fresh };
+                counters.push(run_event_lane(scratch, &mut chunk, &mut view, &c).0);
+            }
+            (counters, tally_bits(accum), soa.to_aos())
+        };
+        let (counters, tally, records) = run(true);
+        assert!(
+            counters.iter().any(|c| c.stuck > 0) && counters.iter().any(|c| c.stuck == 0),
+            "the fixture must mix guarded and clean lanes"
+        );
+        assert_eq!((counters, tally, records), run(false));
     }
 
     /// Which worker runs a lane, in what order and beside which other

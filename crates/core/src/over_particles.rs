@@ -182,10 +182,10 @@ mod tests {
             let mut seq_tally = SequentialTally::new(cells);
             let seq_counters = run_sequential(&mut seq_particles, &fx.ctx(), &mut seq_tally);
 
-            // Lane driver over the columns, shared atomic sink.
+            // Lane driver over the columns.
             let mut lane_soa = ParticleSoA::from_aos(&spawn_particles(&fx.problem));
             let part = LanePartition::new(lane_soa.len(), 16);
-            let accum = TallyAccum::new(neutral_mesh::TallyStrategy::Atomic, cells, part.n_lanes);
+            let accum = TallyAccum::for_lanes(cells, part.n_lanes, 0..part.n_lanes, 4);
             let config = (Scheme::OverParticles, 4, Schedule::Dynamic { chunk: 1 });
             let lane_counters = EventCounters::merge_deterministic(
                 &run_step_scheduled(&mut lane_soa, &fx.ctx(), config, part, &accum).0,
@@ -275,32 +275,28 @@ mod tests {
 
     #[test]
     fn lane_driver_is_worker_count_invariant() {
-        use neutral_mesh::TallyStrategy;
         let fx = Fixture::new(TestCase::Csp);
         let cells = fx.problem.mesh.num_cells();
         // Above one lane the fold hands recycled, dirty meshes to the
         // lanes opened after the first merge: opening must wipe them.
-        let run = |strategy: TallyStrategy, threads: usize, schedule: Schedule| {
+        let run = |threads: usize, schedule: Schedule| {
             let mut soa = ParticleSoA::from_aos(&spawn_particles(&fx.problem));
             let part = LanePartition::new(soa.len(), 16);
-            let accum =
-                TallyAccum::for_lanes(strategy, cells, part.n_lanes, 0..part.n_lanes, threads);
+            let accum = TallyAccum::for_lanes(cells, part.n_lanes, 0..part.n_lanes, threads);
             let config = (Scheme::OverParticles, threads, schedule);
             let counters = EventCounters::merge_deterministic(
                 &run_step_scheduled(&mut soa, &fx.ctx(), config, part, &accum).0,
             );
             (accum.merge(), counters, soa.to_aos())
         };
-        let strategy = TallyStrategy::Replicated;
-        let (base_tally, base_counters, base_particles) =
-            run(strategy, 1, Schedule::Static { chunk: None });
+        let (base_tally, base_counters, base_particles) = run(1, Schedule::Static { chunk: None });
         for (threads, schedule) in [
             (2, Schedule::Dynamic { chunk: 64 }),
             (7, Schedule::Guided { min_chunk: 2 }),
             (4, Schedule::Static { chunk: Some(8) }),
             (2, Schedule::Dynamic { chunk: 1 }),
         ] {
-            let (tally, counters, particles) = run(strategy, threads, schedule);
+            let (tally, counters, particles) = run(threads, schedule);
             assert_eq!(particles, base_particles, "{threads}");
             assert_eq!(counters, base_counters, "{threads}");
             assert!(
@@ -310,18 +306,6 @@ mod tests {
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{threads}/{schedule:?}: merged tally bits differ"
             );
-        }
-        // The atomic backend computes the same physics (same deposit
-        // multiset), just without the bitwise guarantee.
-        let (atomic, counters, _) = run(TallyStrategy::Atomic, 7, Schedule::Dynamic { chunk: 8 });
-        let (replicated, base_counters, _) = run(
-            TallyStrategy::Replicated,
-            1,
-            Schedule::Static { chunk: None },
-        );
-        assert_eq!(counters.collisions, base_counters.collisions);
-        for (a, b) in atomic.iter().zip(&replicated) {
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1e-30));
         }
     }
 

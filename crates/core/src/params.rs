@@ -42,7 +42,7 @@
 //! weight_cutoff 1.0e-6
 //! collision_model analogue     # or implicit_capture
 //! lookup_strategy hinted       # or binary | hashed
-//! tally_strategy replicated    # or atomic
+//! tally_strategy replicated    # the one value; atomic was removed
 //!
 //! # checkpoint/restart (optional)
 //! checkpoint_file run.ckpt     # enable checkpointed solves at this path
@@ -799,17 +799,17 @@ region 0.5 1.0 0.0 0.5 7.0
 
     #[test]
     fn parses_tally_strategy() {
-        for (name, expect) in [
-            ("atomic", TallyStrategy::Atomic),
-            ("replicated", TallyStrategy::Replicated),
-        ] {
-            let p = ProblemParams::parse(&format!("tally_strategy {name}\n")).unwrap();
-            assert_eq!(p.tally_strategy, expect);
-            assert_eq!(p.build().transport.tally_strategy, expect);
+        let p = ProblemParams::parse("tally_strategy replicated\n").unwrap();
+        assert_eq!(p.tally_strategy, TallyStrategy::Replicated);
+        assert_eq!(
+            p.build().transport.tally_strategy,
+            TallyStrategy::Replicated
+        );
+        for value in ["magic", "atomic"] {
+            let e = ProblemParams::parse(&format!("nx 4\ntally_strategy {value}\n")).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(e.message.contains(value), "{}", e.message);
         }
-        let e = ProblemParams::parse("nx 4\ntally_strategy magic\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("magic"));
     }
 
     /// Seeded mutation fuzz of the params-text parser: 2 400 mutations of

@@ -14,11 +14,10 @@
 //! tallies and counters depend only on the problem's content and the
 //! scheme (never on worker count, schedule or shard count), and
 //! [`config_fingerprint`] covers exactly that, so it is a
-//! sound content address for finished results. [`Registry::submit`]
-//! makes that structural: every submission passes through
-//! [`resolve_deterministic`] *before* it is fingerprinted, so what is
-//! hashed is what runs, on any host width. Identical concurrent
-//! submissions **coalesce** onto one in-flight entry; an identical
+//! sound content address for finished results. That holds by
+//! construction: the solve path has one tally, the deterministic lane
+//! fold, so what is hashed is what runs, on any host width. Identical
+//! concurrent submissions **coalesce** onto one in-flight entry; an identical
 //! submission after completion is a **cache hit** answered without
 //! re-running transport. Both are observable through [`Admission`] and
 //! [`RegistryStats`], which the end-to-end tests use as solve-count
@@ -51,8 +50,8 @@ use std::time::Duration;
 
 use crate::checkpoint::{config_fingerprint, CheckpointError, CheckpointStore};
 use crate::config::Problem;
-use crate::shard::{ShardConfig, ShardError, ShardFaultPlan, ShardStats, ShardedSolve};
-use crate::sim::{resolve_deterministic, RunOptions, RunReport, Simulation};
+use crate::shard::{panic_text, ShardConfig, ShardError, ShardFaultPlan, ShardStats, ShardedSolve};
+use crate::sim::{RunOptions, RunReport, Simulation};
 
 /// Configuration for a [`Registry`].
 #[derive(Debug, Clone)]
@@ -474,11 +473,6 @@ impl Registry {
         req: SubmitRequest,
         built_for: Option<&str>,
     ) -> Result<SubmitReceipt, SubmitError> {
-        let mut req = req;
-        // The determinism choke-point, applied unconditionally and
-        // *before* fingerprinting: the cache address is the address of
-        // what actually runs, whatever the host width or shard count.
-        resolve_deterministic(&mut req.problem);
         let fingerprint = config_fingerprint(&req.problem, req.options.scheme);
         let n_timesteps = req.problem.n_timesteps;
         let mesh_nx = req.problem.mesh.nx();
@@ -875,16 +869,6 @@ fn runner_loop(inner: &Inner) {
     }
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1202,13 +1186,12 @@ mod tests {
         assert_eq!(stats.shard_retries, 1);
         assert_eq!(stats.shard_requeues, 1);
         // Shard count is bitwise-free, so it is not part of the cache
-        // address — and an explicit `atomic` request is resolved to the
-        // deterministic strategy *before* fingerprinting: an unsharded
-        // atomic resubmission cache-hits the sharded result.
-        let mut atomic = tiny_problem(31, 3);
-        atomic.transport.tally_strategy = crate::config::TallyStrategy::Atomic;
+        // address: an unsharded resubmission cache-hits the sharded result.
         let again = registry
-            .submit(SubmitRequest::new(atomic, RunOptions::default()))
+            .submit(SubmitRequest::new(
+                tiny_problem(31, 3),
+                RunOptions::default(),
+            ))
             .unwrap();
         assert_eq!(again.admission, Admission::CacheHit);
         assert_eq!(again.id, receipt.id);

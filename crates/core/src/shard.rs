@@ -645,17 +645,9 @@ pub struct ShardedSolve {
 
 impl ShardedSolve {
     /// Start a fresh sharded solve of `sim`'s problem.
-    ///
-    /// Panics if the configured tally strategy is not deterministic
-    /// (callers apply [`crate::sim::resolve_deterministic`] before
-    /// getting here).
     #[must_use]
     pub fn new(sim: &Simulation, options: RunOptions, config: ShardConfig) -> Self {
         assert!(config.n_shards >= 1, "need at least one shard");
-        assert!(
-            sim.problem().transport.tally_strategy.is_deterministic(),
-            "sharded solves require a deterministic tally strategy"
-        );
         let core = SolveCore::new(sim, options);
         let plan = ShardPlan::new(core.columns().len(), config.n_shards);
         let stores = config.checkpoint_base.as_ref().map(|base| {
@@ -739,7 +731,6 @@ impl ShardedSolve {
             return Ok(false);
         }
         let started = Instant::now();
-        self.save_shard_checkpoints()?;
         let mut results = Vec::with_capacity(self.plan.n_shards);
         for shard in 0..self.plan.n_shards {
             if self.plan.lane_range(shard).is_empty() {
@@ -791,40 +782,13 @@ impl ShardedSolve {
         self.core.finish()
     }
 
-    /// Write each shard's census-boundary input through its crash-safe
-    /// store (when configured) so retries can prove durable recovery.
-    fn save_shard_checkpoints(&self) -> Result<(), ShardError> {
-        let Some(stores) = &self.stores else {
-            return Ok(());
-        };
-        for (shard, store) in stores.iter().enumerate() {
-            if self.plan.lane_range(shard).is_empty() {
-                continue;
-            }
-            let ckpt = Checkpoint {
-                fingerprint: self.shard_fingerprint(shard),
-                next_step: self.core.steps_done(),
-                n_timesteps: self.core.n_timesteps(),
-                elapsed: Duration::ZERO,
-                tally_footprint_bytes: 0,
-                counters: EventCounters::default(),
-                tally: Vec::new(),
-                particles: self.attempt_columns(shard),
-            };
-            store.save(&ckpt).map_err(ShardError::Checkpoint)?;
-        }
-        Ok(())
-    }
-
-    /// A copy of `shard`'s census-boundary column range.
-    fn attempt_columns(&self, shard: usize) -> ParticleSoA {
-        self.core.columns().slice(self.plan.particle_range(shard))
-    }
-
-    /// The input population for an attempt of `shard`: the in-memory
-    /// census-boundary columns, or — on retries with stores configured —
-    /// the columns reloaded through the on-disk protocol and checked like
-    /// a resumed population.
+    /// The input population for an attempt of `shard`: a copy of its
+    /// census-boundary column range or — on retries with stores
+    /// configured — the columns reloaded through the on-disk protocol and
+    /// checked like a resumed population. With stores, a first attempt's
+    /// copy is written through the shard's crash-safe store before it
+    /// runs, so a retry can prove durable recovery: one copy per shard
+    /// and step, encoded and then handed to the attempt.
     fn attempt_input(
         &self,
         sim: &Simulation,
@@ -849,7 +813,22 @@ impl ShardedSolve {
                 return Ok(ckpt.particles);
             }
         }
-        Ok(self.attempt_columns(shard))
+        let particles = self.core.columns().slice(self.plan.particle_range(shard));
+        let Some(stores) = self.stores.as_ref().filter(|_| !retry) else {
+            return Ok(particles);
+        };
+        let ckpt = Checkpoint {
+            fingerprint: self.shard_fingerprint(shard),
+            next_step: self.core.steps_done(),
+            n_timesteps: self.core.n_timesteps(),
+            elapsed: Duration::ZERO,
+            tally_footprint_bytes: 0,
+            counters: EventCounters::default(),
+            tally: Vec::new(),
+            particles,
+        };
+        stores[shard].save(&ckpt).map_err(ShardError::Checkpoint)?;
+        Ok(ckpt.particles)
     }
 
     fn run_shard_with_retry(
@@ -918,13 +897,7 @@ impl ShardedSolve {
             step: self.core.steps_done(),
             shard,
             base0: self.plan.particle_range(shard).start,
-            accum: TallyAccum::for_lanes(
-                problem.transport.tally_strategy,
-                cells,
-                self.plan.part.n_lanes,
-                lanes,
-                workers,
-            ),
+            accum: TallyAccum::for_lanes(cells, self.plan.part.n_lanes, lanes, workers),
             wire: Vec::with_capacity(wire_len),
             heartbeat: Arc::new(AtomicU64::new(0)),
         }
@@ -976,7 +949,7 @@ impl ShardedSolve {
                 }
                 Err(payload) => Err(ShardError::Panicked {
                     shard,
-                    detail: panic_detail(payload.as_ref()),
+                    detail: panic_text(payload.as_ref()),
                 }),
             };
             let _ = tx.send(message);
@@ -1076,14 +1049,15 @@ fn merge_shard_nodes(results: &[ShardResult], cells: usize, workers: usize) -> V
     merged
 }
 
-/// Render a caught panic payload for error reporting.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
+/// Render a caught panic payload for error reporting: a shard attempt's,
+/// a registry chunk's or a fuzz case's.
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "non-string panic payload".to_owned()
+        "<non-string panic payload>".to_owned()
     }
 }
 
@@ -1250,7 +1224,6 @@ mod tests {
     /// must land on the whole tree's root bits for any worker count.
     #[test]
     fn coordinator_merge_over_decoded_nodes_equals_unsharded_merge() {
-        use neutral_mesh::TallyStrategy;
         let (cells, n_items) = (5000, 1000);
         let part = LanePartition::new(n_items, DEFAULT_LANES);
         let deposit = |accum: &TallyAccum| {
@@ -1262,7 +1235,7 @@ mod tests {
                 }
             }
         };
-        let whole = TallyAccum::new(TallyStrategy::Replicated, cells, part.n_lanes);
+        let whole = TallyAccum::for_lanes(cells, part.n_lanes, 0..part.n_lanes, 1);
         deposit(&whole);
         let expect = whole.merge();
         for n_shards in [1usize, 2, 3, 5, 7] {
@@ -1270,13 +1243,7 @@ mod tests {
             let results: Vec<ShardResult> = (0..n_shards)
                 .map(|shard| {
                     let owned = plan.lane_range(shard);
-                    let accum = TallyAccum::for_lanes(
-                        TallyStrategy::Replicated,
-                        cells,
-                        part.n_lanes,
-                        owned.clone(),
-                        2,
-                    );
+                    let accum = TallyAccum::for_lanes(cells, part.n_lanes, owned.clone(), 2);
                     deposit(&accum);
                     let sent = ShardResult {
                         shard: shard as u64,
@@ -1347,13 +1314,12 @@ mod tests {
     /// shards' lane ranges sit off the tree's node boundaries and every
     /// cover has several nodes.
     fn small_sharded_solve() -> (Arc<Simulation>, ShardedSolve) {
-        use crate::config::{ProblemScale, TallyStrategy, TestCase};
+        use crate::config::{ProblemScale, TestCase};
         let scale = ProblemScale {
             mesh_cells: 16,
             particle_divisor: 20_000,
         };
-        let mut problem = TestCase::Csp.build(scale, 11);
-        problem.transport.tally_strategy = TallyStrategy::Replicated;
+        let problem = TestCase::Csp.build(scale, 11);
         let sim = Arc::new(Simulation::new(problem));
         let options = RunOptions {
             execution: Execution::Sequential,
@@ -1365,7 +1331,8 @@ mod tests {
 
     /// The bytes a clean attempt of `shard` reports.
     fn attempt_bytes(sim: &Arc<Simulation>, solve: &ShardedSolve, shard: usize) -> Vec<u8> {
-        run_attempt(solve.attempt_task(sim, shard, solve.attempt_columns(shard)))
+        let input = solve.attempt_input(sim, shard, false).unwrap();
+        run_attempt(solve.attempt_task(sim, shard, input))
     }
 
     /// `decode`'s verdict on `bytes` as a named corruption of `shard`.
@@ -1448,8 +1415,8 @@ mod tests {
             ..RunOptions::default()
         };
         let solve = ShardedSolve::new(&sim, options, config);
-        solve.save_shard_checkpoints().unwrap();
         let shard = 1;
+        solve.attempt_input(&sim, shard, false).unwrap();
         assert!(solve.attempt_input(&sim, shard, true).is_ok());
 
         let store = &solve.stores.as_ref().unwrap()[shard];
@@ -1513,8 +1480,8 @@ mod tests {
             ..RunOptions::default()
         };
         let solve = ShardedSolve::new(&sim, options, config);
-        solve.save_shard_checkpoints().unwrap();
         let shard = 1;
+        solve.attempt_input(&sim, shard, false).unwrap();
         let store = &solve.stores.as_ref().unwrap()[shard];
         let (mut ckpt, _) = store.load().unwrap();
         let base = solve.plan().particle_range(shard).start;

@@ -7,7 +7,7 @@
 //! [`crate::step`].
 
 use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
-use crate::config::{Problem, TallyStrategy};
+use crate::config::Problem;
 use crate::counters::EventCounters;
 use crate::history::TransportCtx;
 use crate::over_events::KernelTimings;
@@ -54,10 +54,8 @@ impl Scheme {
 }
 
 /// Threading configuration of a run: how many workers the step engine
-/// ([`crate::step`]) schedules whole tally lanes across. Which tally the
-/// run deposits into is the problem's [`TallyStrategy`]. Under the
-/// deterministic strategies results are bitwise identical for every
-/// value.
+/// ([`crate::step`]) schedules whole tally lanes across. Results are
+/// bitwise identical for every value.
 #[derive(Clone, Copy, Debug)]
 pub enum Execution {
     /// One worker, inline: `Scheduled` at one thread runs the same path.
@@ -119,9 +117,8 @@ pub struct RunReport {
     pub alive: usize,
     /// Total source energy (weighted eV).
     pub initial_energy_ev: f64,
-    /// Tally memory footprint of the last timestep in bytes: the shared
-    /// mesh under `atomic`; under `replicated` the most lane meshes that
-    /// were open or parked in its fold at once (⌈log₂ lanes⌉ + 1 on one
+    /// Tally memory footprint of the last timestep in bytes: the most
+    /// live lane-mesh blocks that were open or parked in its fold at once (⌈log₂ lanes⌉ + 1 on one
     /// worker). A measured diagnostic like `elapsed`: above one worker it
     /// depends on the order the lanes finished in.
     pub tally_footprint_bytes: usize,
@@ -163,24 +160,6 @@ impl RunReport {
             self.alive,
         )
     }
-}
-
-/// The determinism choke-point (DESIGN.md §16): an *explicit* request for
-/// the order-nondeterministic `atomic` tally becomes `replicated`, the
-/// strategy whose merged tallies and counters are a pure function of the
-/// problem — the only kind a result cache may fingerprint and a sharded
-/// solve can merge. Returns whether anything changed (never, for the
-/// default configuration).
-///
-/// [`crate::registry::Registry::submit`] applies this to every
-/// submission *before* fingerprinting, so what is hashed is what runs on
-/// any host width; front-ends call it to show the resolved configuration.
-pub fn resolve_deterministic(problem: &mut Problem) -> bool {
-    let atomic = problem.transport.tally_strategy == TallyStrategy::Atomic;
-    if atomic {
-        problem.transport.tally_strategy = TallyStrategy::Replicated;
-    }
-    atomic
 }
 
 /// A configured simulation: problem + spawned particle population.
@@ -446,13 +425,7 @@ impl SolveCore {
         let part = LanePartition::new(self.soa.len(), DEFAULT_LANES);
         begin_step(&mut self.soa, sim.problem.dt, self.step);
         let (workers, _) = execution_workers(self.options.execution);
-        let accum = TallyAccum::for_lanes(
-            ctx.cfg.tally_strategy,
-            self.tally.len(),
-            part.n_lanes,
-            0..part.n_lanes,
-            workers,
-        );
+        let accum = TallyAccum::for_lanes(self.tally.len(), part.n_lanes, 0..part.n_lanes, workers);
         let (lane_counters, timings) = run_step(&mut self.soa, &ctx, self.options, part, &accum);
         // The lanes were folded as they closed: what is left is the root.
         let footprint = accum.footprint_bytes();
@@ -555,7 +528,7 @@ fn merge_timings(acc: &mut Option<KernelTimings>, timings: KernelTimings) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ProblemScale, TallyStrategy, TestCase};
+    use crate::config::{ProblemScale, TestCase};
 
     fn sim(case: TestCase) -> Simulation {
         Simulation::new(case.build(ProblemScale::tiny(), 3))
@@ -652,52 +625,8 @@ mod tests {
     }
 
     #[test]
-    fn tally_strategies_agree_on_physics() {
-        let s = sim(TestCase::Csp);
-        let base = s.run(RunOptions {
-            execution: Execution::Sequential,
-            ..Default::default()
-        });
-        for strategy in TallyStrategy::ALL {
-            let mut problem = s.problem().clone();
-            problem.transport.tally_strategy = strategy;
-            let s2 = Simulation::new(problem);
-            for opts in [
-                RunOptions {
-                    execution: Execution::Sequential,
-                    ..Default::default()
-                },
-                RunOptions {
-                    execution: Execution::Scheduled {
-                        threads: 3,
-                        schedule: Schedule::Dynamic { chunk: 8 },
-                    },
-                    ..Default::default()
-                },
-            ] {
-                let r = s2.run(opts);
-                assert_eq!(
-                    r.counters.collisions, base.counters.collisions,
-                    "{strategy:?}/{opts:?}"
-                );
-                assert_eq!(
-                    r.counters.facets, base.counters.facets,
-                    "{strategy:?}/{opts:?}"
-                );
-                let (a, b) = (base.tally_total(), r.tally_total());
-                assert!(
-                    ((a - b) / a.abs().max(1e-30)).abs() < 1e-9,
-                    "{strategy:?}/{opts:?}: tally {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn deterministic_strategies_are_worker_count_invariant_at_sim_level() {
-        let mut problem = TestCase::Csp.build(ProblemScale::tiny(), 3);
-        problem.transport.tally_strategy = TallyStrategy::Replicated;
-        let s = Simulation::new(problem);
+        let s = sim(TestCase::Csp);
         let run_with = |threads: usize| {
             s.run(RunOptions {
                 execution: Execution::Scheduled {

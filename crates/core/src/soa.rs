@@ -481,7 +481,7 @@ mod tests {
     use crate::sim::Scheme;
     use crate::step::run_step_scheduled;
     use neutral_mesh::tally::SequentialTally;
-    use neutral_mesh::{LanePartition, TallyAccum, TallyStrategy};
+    use neutral_mesh::{LanePartition, TallyAccum};
     use neutral_rng::Threefry2x64;
 
     #[test]
@@ -506,17 +506,20 @@ mod tests {
     }
 
     /// Run the column lane driver over a fresh population on `threads`
-    /// workers into a `strategy` accumulator, returning the final columns,
-    /// merged counters and mesh.
+    /// workers, returning the final columns, merged counters and mesh.
     fn run_soa_lanes(
         problem: &crate::config::Problem,
         ctx: &TransportCtx<'_, Threefry2x64>,
-        strategy: TallyStrategy,
         threads: usize,
     ) -> (ParticleSoA, EventCounters, Vec<f64>) {
         let mut soa = ParticleSoA::from_aos(&spawn_particles(problem));
         let part = LanePartition::new(soa.len(), 16);
-        let accum = TallyAccum::new(strategy, problem.mesh.num_cells(), part.n_lanes);
+        let accum = TallyAccum::for_lanes(
+            problem.mesh.num_cells(),
+            part.n_lanes,
+            0..part.n_lanes,
+            threads,
+        );
         let config = (
             Scheme::OverParticles,
             threads,
@@ -545,7 +548,7 @@ mod tests {
         let mut seq_tally = SequentialTally::new(problem.mesh.num_cells());
         let seq_counters = run_sequential(&mut aos, &ctx, &mut seq_tally);
 
-        let (soa, soa_counters, tally) = run_soa_lanes(&problem, &ctx, TallyStrategy::Atomic, 2);
+        let (soa, soa_counters, tally) = run_soa_lanes(&problem, &ctx, 2);
 
         assert_eq!(soa.to_aos(), aos, "SoA trajectories must match AoS");
         assert_eq!(seq_counters.collisions, soa_counters.collisions);

@@ -11,8 +11,7 @@
 //!    census-energy fold, running-tally accumulate.
 //!
 //! The [`TallyAccum`] is not step state: the caller builds a fresh one per
-//! step on its own thread — under `replicated`, a fold whose mesh pool
-//! holds `min(lanes, workers + ⌈log₂ lanes⌉ + 1)` meshes — and each worker
+//! step on its own thread — a fold whose mesh pool holds `min(lanes, workers + ⌈log₂ lanes⌉ + 1)` meshes — and each worker
 //! *opens* the lanes it tracks (a pooled mesh, zero-filled on that worker)
 //! and *closes* them as they finish, which folds them up the pairwise
 //! tree while the other workers track. Both schemes do this the same way.
@@ -25,8 +24,7 @@
 //! columns cut at the partition's lane boundaries, each paired with its
 //! global lane, and **one fork-join per step** whose body opens the lane,
 //! runs the scheme's lane kernel and closes the lane — for any
-//! [`Execution`] and any tally strategy (`atomic` is the
-//! [`TallyAccum::Atomic`] sink, whose open and close do nothing):
+//! [`Execution`]:
 //!
 //! | scheme | lane kernel | per-worker scratch |
 //! |---|---|---|

@@ -1,12 +1,14 @@
-//! The two tally-accumulation backends and the deterministic merge.
+//! The tally accumulator and the deterministic merge.
 //!
 //! The paper's central on-node finding is that *how* the energy-deposition
 //! tally is accumulated — shared atomics versus thread-private replication
-//! (§VI-F, Figures 3/7/8) — decides thread scaling. This module makes that
-//! choice a runtime [`TallyStrategy`] with two values: every transport
-//! driver deposits through a [`LaneSink`] checked out from a
-//! [`TallyAccum`], which is either the paper's one shared atomic mesh or
-//! one private dense mesh per open lane, folded deterministically.
+//! (§VI-F, Figures 3/7/8) — decides thread scaling. The solve path has one
+//! answer: every transport driver deposits through a [`LaneSink`] checked
+//! out from a [`TallyAccum`], one private dense mesh per open lane, folded
+//! deterministically. The paper's shared atomic mesh
+//! ([`crate::tally::AtomicTally`]) is a figure baseline only: its adds
+//! commit in arrival order, so its bits depend on the worker count
+//! (DESIGN.md §11).
 //!
 //! # Lanes and the deterministic-merge invariant
 //!
@@ -21,25 +23,16 @@
 //! are bitwise well-defined, and the accumulator combines them with a
 //! fixed pairwise (binary-tree) summation in lane order. The result:
 //!
-//! > For the `Replicated` backend, the merged tally is **bitwise
-//! > identical** for any worker count and any schedule — the lane count
-//! > never depends on the worker count, and workers beyond it simply find
-//! > no lane to take.
-//!
-//! The `Atomic` backend keeps the paper's single shared mesh, so
-//! concurrent CAS adds to one cell still commit in arrival order; it is
-//! bitwise reproducible only single-threaded, and agrees with
-//! `Replicated` to floating-point reassociation error otherwise (this is
-//! exactly the reproducibility/footprint trade-off OpenMC and MC/DC
-//! document for their tally servers). See `DESIGN.md` §11.
+//! > The merged tally is **bitwise identical** for any worker count and
+//! > any schedule — the lane count never depends on the worker count, and
+//! > workers beyond it simply find no lane to take.
 //!
 //! # Lane lifecycle
 //!
-//! An accumulator lives for one timestep. Under `replicated` it is a
-//! [`LaneFold`]: the pairwise tree over its lanes and a pool of dense
-//! meshes that the thread building the accumulator preallocates. A worker
-//! *opens* a lane ([`TallyAccum::open`]) and gets a pooled mesh; the
-//! lane's [`LaneSink`] deposits into it; dropping the sink *closes* the
+//! An accumulator lives for one timestep: the pairwise tree over its
+//! lanes and a pool of dense meshes that the thread building it
+//! preallocates. A worker *opens* a lane ([`TallyAccum::open`]) and gets
+//! a pooled mesh; the lane's [`LaneSink`] deposits into it; dropping the sink *closes* the
 //! lane. Closing parks the mesh at the lane's tree leaf — or, when the
 //! leaf's sibling is already parked, adds the two (the `x + y` of
 //! [`merge_nodes_pairwise`]), returns the consumed mesh to the pool and
@@ -73,56 +66,38 @@
 //! them: the shard coordinator runs it over the nodes the attempts ship
 //! (DESIGN.md §11, §18).
 
-use crate::tally::AtomicTally;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Default lane count: the concurrency ceiling of the lane-decomposed
-/// drivers (a lane is processed by one worker) and the replication
-/// factor of the `Replicated` backend. Deliberately a fixed constant —
-/// deriving it from the worker count would make the merge order, and so
-/// the merged bits, depend on how many threads ran.
+/// drivers (a lane is processed by one worker) and the leaf count of the
+/// merge tree. Deliberately a fixed constant — deriving it from the
+/// worker count would make the merge order, and so the merged bits,
+/// depend on how many threads ran.
 pub const DEFAULT_LANES: usize = 32;
 
-/// Which tally-accumulation backend a run uses (paper §VI-F).
+/// The tally a run accumulates into. One value is left: the name stays
+/// because parameter files, POST bodies and [`TallyAccum::new`]'s callers
+/// still spell it, and `atomic` and `privatized` fail by name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TallyStrategy {
-    /// One shared mesh updated with `AtomicU64` bit-cast `f64`
-    /// compare-exchange adds — the paper's `#pragma omp atomic` baseline.
-    /// Minimal footprint, contended hot path, not bitwise reproducible
-    /// across thread counts.
-    Atomic,
     /// One private dense mesh per open lane, folded up the pairwise tree
     /// in lane order as lanes close — the paper's privatisation (§VI-F)
     /// keyed on lanes instead of threads so the merge is deterministic.
     /// Footprint is the blocks deposited into in the meshes open or parked
     /// at once — about `⌈log₂ lanes⌉ + workers` meshes' worth when every
-    /// lane touches every block. The default: the configuration
-    /// every served, sharded and checkpointed solve runs.
+    /// lane touches every block.
     #[default]
     Replicated,
 }
 
 impl TallyStrategy {
-    /// All strategies, in benchmarking order.
-    pub const ALL: [TallyStrategy; 2] = [TallyStrategy::Atomic, TallyStrategy::Replicated];
-
-    /// Stable lower-case name (used by parameter files, CLI flags and
+    /// Stable lower-case name (used by parameter files, CLI output and
     /// figure output).
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            TallyStrategy::Atomic => "atomic",
-            TallyStrategy::Replicated => "replicated",
-        }
-    }
-
-    /// Whether merged tallies are bitwise-invariant to worker count and
-    /// interleaving.
-    #[must_use]
-    pub fn is_deterministic(self) -> bool {
-        !matches!(self, TallyStrategy::Atomic)
+        "replicated"
     }
 }
 
@@ -130,20 +105,23 @@ impl std::str::FromStr for TallyStrategy {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        // Every front door (params file, POST body) parses through here,
+        // so each removed value fails with one message.
         match s {
-            "atomic" => Ok(TallyStrategy::Atomic),
             "replicated" => Ok(TallyStrategy::Replicated),
-            // Every front door (params file, POST body, CLI flag) parses
-            // through here, so the removed value fails with one message.
+            "atomic" => Err(
+                "tally strategy `atomic` was removed (its arrival-order adds made the bits \
+                 depend on the worker count); use `replicated`, which gives the same bits \
+                 at every worker count"
+                    .to_string(),
+            ),
             "privatized" => Err(
                 "tally strategy `privatized` was removed (its spill maps grew to mesh size: \
                  more memory and time than `replicated`); use `replicated`, which produces \
                  the same bits"
                     .to_string(),
             ),
-            other => Err(format!(
-                "unknown tally strategy `{other}` (atomic|replicated)"
-            )),
+            other => Err(format!("unknown tally strategy `{other}` (replicated)")),
         }
     }
 }
@@ -198,35 +176,15 @@ impl LanePartition {
     }
 }
 
-/// A worker-side deposit handle for one open lane, from
-/// [`TallyAccum::open`] or [`TallyAccum::lane_views`]; the caller must
-/// drive each sink from one worker at a time (the lane-granular
-/// schedulers guarantee this).
+/// A worker-side deposit handle for one open lane of a [`TallyAccum`],
+/// from [`TallyAccum::open`] or [`TallyAccum::lane_views`]: the lane's
+/// private mesh, `+0.0` in every cell until the lane deposits there. The
+/// caller drives each sink from one worker at a time (the lane-granular
+/// schedulers guarantee this). Dropping it closes the lane, which folds
+/// the mesh up the tree on the dropping thread.
 #[derive(Debug)]
-pub enum LaneSink<'a> {
-    /// All lanes alias one shared atomic mesh (contended CAS adds).
-    Shared(&'a AtomicTally),
-    /// A lane of a [`LaneFold`] and its private dense mesh.
-    Dense(OpenLane<'a>),
-}
-
-impl LaneSink<'_> {
-    /// Add `value` to `cell` through this lane's backend mechanism.
-    #[inline]
-    pub fn add(&mut self, cell: usize, value: f64) {
-        match self {
-            LaneSink::Shared(mesh) => mesh.add(cell, value),
-            LaneSink::Dense(lane) => lane.add(cell, value),
-        }
-    }
-}
-
-/// An open lane of a [`LaneFold`]: the lane's private mesh, `+0.0` in
-/// every cell until the lane deposits there. Dropping it closes the lane,
-/// which folds the mesh up the tree on the dropping thread.
-#[derive(Debug)]
-pub struct OpenLane<'a> {
-    fold: &'a LaneFold,
+pub struct LaneSink<'a> {
+    fold: &'a TallyAccum,
     lane: usize,
     mesh: LaneMesh,
     /// The cells of the run of consecutive live blocks around the
@@ -238,9 +196,10 @@ pub struct OpenLane<'a> {
     run_len: usize,
 }
 
-impl OpenLane<'_> {
+impl LaneSink<'_> {
+    /// Add `value` to `cell` of the lane's mesh.
     #[inline]
-    fn add(&mut self, cell: usize, value: f64) {
+    pub fn add(&mut self, cell: usize, value: f64) {
         if cell.wrapping_sub(self.run_start) >= self.run_len {
             self.enter(cell / MERGE_BLOCK);
         }
@@ -270,7 +229,7 @@ impl OpenLane<'_> {
     }
 }
 
-impl Drop for OpenLane<'_> {
+impl Drop for LaneSink<'_> {
     fn drop(&mut self) {
         // A lane dropped while its worker unwinds a panic closes nothing:
         // the step is lost anyway, and a second panic here would abort.
@@ -492,7 +451,7 @@ fn tiles_tree<M>(root: Range<usize>, nodes: &[(Range<usize>, M)]) -> bool {
 /// lane `l`'s partial, internal nodes add element-wise, and a node over
 /// lanes `[lo, hi)` splits at `mid = lo + (hi - lo) / 2`. Each input is a
 /// node of that tree, `(lanes, mesh)` with `mesh` the already-reduced
-/// subtree over `lanes` (a [`LaneFold`]'s output), and the inputs tile
+/// subtree over `lanes` (a [`TallyAccum`]'s output), and the inputs tile
 /// `[0, n_lanes)` in lane order; the function finishes the tree above
 /// them. A subtree's shape depends only on `hi - lo`, so a node reduced
 /// elsewhere — from leaves numbered `0..hi - lo` — holds the bits this
@@ -584,9 +543,17 @@ fn merge_block<M: AsRef<[f64]>>(
     }
 }
 
-/// The `replicated` backend: the pairwise tree over a contiguous run of
-/// lanes, folded as the lanes close (see "Lane lifecycle" in the module
-/// docs).
+/// The tally accumulator: the pairwise tree over a contiguous run of
+/// lanes, lane-indexed deposit sinks during the solve, folded as the
+/// lanes close (see "Lane lifecycle" in the module docs), and the reduced
+/// mesh afterwards.
+///
+/// Contract (enforced by the golden/equivalence/property suites):
+/// [`open`](TallyAccum::open) hands out one sink per lane of
+/// [`lanes`](TallyAccum::lanes), sinks of distinct lanes may be driven —
+/// and dropped — concurrently, and [`merge`](TallyAccum::merge) and
+/// [`into_nodes`](TallyAccum::into_nodes) depend only on the per-lane
+/// deposit sequences, never on which worker closed which lane when.
 ///
 /// A lane is *opened* once, on the worker that deposits into it, and gets
 /// a mesh from the pool. Its first deposit into a block zero-fills that
@@ -603,17 +570,18 @@ fn merge_block<M: AsRef<[f64]>>(
 /// apart, so it folds as an all-`+0.0` mesh, as the tree says it must.
 ///
 /// The pool starts at `min(lanes, workers + ⌈log₂ lanes⌉ + 1)` meshes,
-/// allocated by the thread that builds the fold — a thread that outlives
-/// the step's workers (DESIGN.md §11) — and grows only if it runs dry.
+/// allocated by the thread that builds the accumulator — a thread that
+/// outlives the step's workers (DESIGN.md §11) — and grows only if it
+/// runs dry.
 /// Closed in lane order, the lanes hold at most `⌈log₂ lanes⌉ + 1` meshes
 /// at once: the open lane and one parked node per level above it. Only
 /// their live blocks are ever written, so only those become resident.
 #[derive(Debug)]
-pub struct LaneFold {
+pub struct TallyAccum {
     cells: usize,
     /// Lanes of the whole tree.
     n_lanes: usize,
-    /// The lanes this fold owns.
+    /// The lanes this accumulator owns.
     lanes: Range<usize>,
     /// The subtrees under the cover nodes of `lanes`, each in pre-order
     /// (a left child precedes its right sibling), covers in lane order.
@@ -653,8 +621,26 @@ struct FoldState {
     pool: Vec<LaneMesh>,
 }
 
-impl LaneFold {
-    fn new(cells: usize, n_lanes: usize, lanes: Range<usize>, workers: usize) -> Self {
+impl TallyAccum {
+    /// An accumulator over a `cells`-cell mesh with `n_lanes` (at least
+    /// one) accumulation lanes, for one worker. `strategy` has one value.
+    #[must_use]
+    pub fn new(strategy: TallyStrategy, cells: usize, n_lanes: usize) -> Self {
+        let TallyStrategy::Replicated = strategy;
+        let n_lanes = n_lanes.max(1);
+        Self::for_lanes(cells, n_lanes, 0..n_lanes, 1)
+    }
+
+    /// An accumulator over the lanes `lanes` of the `n_lanes`-lane tree —
+    /// all of them for a whole step, a shard's run of them for a shard
+    /// attempt — with a mesh pool sized for `workers` concurrent workers.
+    /// Allocated on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` reaches past `n_lanes`.
+    #[must_use]
+    pub fn for_lanes(cells: usize, n_lanes: usize, lanes: Range<usize>, workers: usize) -> Self {
         let mut tree = Vec::new();
         let mut leaf = vec![0; lanes.len()];
         for cover in tree_cover(n_lanes, lanes.clone()) {
@@ -701,16 +687,30 @@ impl LaneFold {
         *state = to;
     }
 
-    /// Open `lane` on a pooled mesh, no block of it live yet.
+    /// The lanes this accumulator takes deposits for (global indices).
+    #[must_use]
+    pub fn lanes(&self) -> Range<usize> {
+        self.lanes.clone()
+    }
+
+    /// Number of accumulation lanes.
+    #[must_use]
+    pub fn n_lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Open `lane` for deposits on the calling worker: a pooled mesh,
+    /// `+0.0` wherever the lane deposits, that folds into the tree when
+    /// the sink drops.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is not one of the fold's lanes or was opened
-    /// before.
-    fn open(&self, lane: usize) -> OpenLane<'_> {
+    /// Panics if `lane` is not one of [`lanes`](TallyAccum::lanes) or was
+    /// opened before.
+    pub fn open(&self, lane: usize) -> LaneSink<'_> {
         self.advance(lane, LaneState::Unopened, LaneState::Open);
         let pooled = self.lock().pool.pop();
-        OpenLane {
+        LaneSink {
             fold: self,
             lane,
             mesh: pooled.unwrap_or_else(|| LaneMesh::new(self.cells)),
@@ -730,7 +730,7 @@ impl LaneFold {
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is not one of the fold's open lanes, or `mesh`
+    /// Panics if `lane` is not one of the accumulator's open lanes, or `mesh`
     /// does not hold one value per cell.
     fn close(&self, lane: usize, mesh: LaneMesh) {
         assert_eq!(mesh.values.len(), self.cells, "lane {lane}'s mesh");
@@ -766,14 +766,39 @@ impl LaneFold {
         }
     }
 
-    /// Fold every never-opened lane as an all-`+0.0` mesh and hand out
-    /// the cover nodes of the fold's lanes, in lane order, as dense
-    /// meshes.
+    /// [`open`](TallyAccum::open) every lane at once, in lane order.
+    pub fn lane_views(&mut self) -> Vec<LaneSink<'_>> {
+        let this = &*self;
+        this.lanes().map(|lane| this.open(lane)).collect()
+    }
+
+    /// The merged mesh: the root of the fold, every lane never opened
+    /// counted as `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane is still open, or the accumulator owns only part
+    /// of the tree: that one ships [`into_nodes`](TallyAccum::into_nodes)
+    /// instead.
+    #[must_use]
+    pub fn merge(self) -> Vec<f64> {
+        let whole = 0..self.n_lanes;
+        match <[_; 1]>::try_from(self.into_nodes()) {
+            Ok([(lanes, root)]) if lanes == whole => root,
+            _ => panic!("only an accumulator over the whole tree merges to one mesh"),
+        }
+    }
+
+    /// The reduced [`tree_cover`] nodes of the accumulator's lanes, in
+    /// lane order, as dense meshes — what a shard attempt ships, and what
+    /// [`merge_nodes_pairwise`] finishes the tree from. Every lane never
+    /// opened folds as an all-`+0.0` mesh.
     ///
     /// # Panics
     ///
     /// Panics if a lane is still open.
-    fn into_nodes(self) -> Vec<(Range<usize>, Vec<f64>)> {
+    #[must_use]
+    pub fn into_nodes(self) -> Vec<(Range<usize>, Vec<f64>)> {
         for lane in self.lanes.clone() {
             let state = self.lock().lanes[lane - self.lanes.start];
             assert!(state != LaneState::Open, "lane {lane} is still open");
@@ -793,9 +818,10 @@ impl LaneFold {
             .collect()
     }
 
-    /// Bytes of the most live blocks that open or parked meshes held at
-    /// once.
-    fn footprint_bytes(&self) -> usize {
+    /// Resident bytes of the accumulation state: the high-water of live
+    /// blocks in meshes open or parked at once so far.
+    #[must_use]
+    pub fn footprint_bytes(&self) -> usize {
         self.peak_cells.load(Ordering::Relaxed) * std::mem::size_of::<f64>()
     }
 }
@@ -825,172 +851,24 @@ fn grow(
     at
 }
 
-/// The accumulator behind a [`TallyStrategy`]: lane-indexed deposit
-/// sinks during the solve, the reduced mesh afterwards.
-///
-/// Contract (enforced by the golden/equivalence/property suites):
-///
-/// * [`open`](TallyAccum::open) hands out one sink per lane of
-///   [`lanes`](TallyAccum::lanes), and sinks of distinct lanes may be
-///   driven — and dropped — concurrently;
-/// * under `Replicated` the lane partials are folded with the pairwise
-///   tree in lane order, so [`merge`](TallyAccum::merge) and
-///   [`into_nodes`](TallyAccum::into_nodes) depend only on the per-lane
-///   deposit sequences — never on which worker closed which lane when.
-#[derive(Debug)]
-pub enum TallyAccum {
-    /// The paper's shared-atomic backend: one mesh, every lane view
-    /// aliases it, deposits are CAS read-modify-writes.
-    Atomic {
-        /// The shared mesh.
-        mesh: AtomicTally,
-        /// The lanes whose views alias it.
-        lanes: Range<usize>,
-    },
-    /// Private dense meshes, folded as their lanes close.
-    Replicated(LaneFold),
-}
-
-impl TallyAccum {
-    /// Build the backend for `strategy` over a `cells`-cell mesh with
-    /// `n_lanes` (at least one) accumulation lanes, for one worker.
-    #[must_use]
-    pub fn new(strategy: TallyStrategy, cells: usize, n_lanes: usize) -> Self {
-        let n_lanes = n_lanes.max(1);
-        Self::for_lanes(strategy, cells, n_lanes, 0..n_lanes, 1)
-    }
-
-    /// Build the backend for `strategy` over the lanes `lanes` of the
-    /// `n_lanes`-lane tree — all of them for a whole step, a shard's run
-    /// of them for a shard attempt — with a mesh pool sized for `workers`
-    /// concurrent workers. Allocated on the calling thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` reaches past `n_lanes`.
-    #[must_use]
-    pub fn for_lanes(
-        strategy: TallyStrategy,
-        cells: usize,
-        n_lanes: usize,
-        lanes: Range<usize>,
-        workers: usize,
-    ) -> Self {
-        assert!(lanes.end <= n_lanes, "lanes {lanes:?} of {n_lanes}");
-        match strategy {
-            TallyStrategy::Atomic => TallyAccum::Atomic {
-                mesh: AtomicTally::new(cells),
-                lanes,
-            },
-            TallyStrategy::Replicated => {
-                TallyAccum::Replicated(LaneFold::new(cells, n_lanes, lanes, workers))
-            }
-        }
-    }
-
-    /// The lanes this accumulator takes deposits for (global indices).
-    #[must_use]
-    pub fn lanes(&self) -> Range<usize> {
-        match self {
-            TallyAccum::Atomic { lanes, .. } => lanes.clone(),
-            TallyAccum::Replicated(fold) => fold.lanes.clone(),
-        }
-    }
-
-    /// Number of accumulation lanes.
-    #[must_use]
-    pub fn n_lanes(&self) -> usize {
-        self.lanes().len()
-    }
-
-    /// Open `lane` for deposits on the calling worker: a private mesh,
-    /// `+0.0` wherever the lane deposits, that folds into the tree when
-    /// the sink drops, or a view of the shared mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is not one of [`lanes`](TallyAccum::lanes), or
-    /// (`Replicated`) was opened before.
-    pub fn open(&self, lane: usize) -> LaneSink<'_> {
-        match self {
-            TallyAccum::Atomic { mesh, lanes } => {
-                assert!(lanes.contains(&lane), "lane {lane} is outside {lanes:?}");
-                LaneSink::Shared(mesh)
-            }
-            TallyAccum::Replicated(fold) => LaneSink::Dense(fold.open(lane)),
-        }
-    }
-
-    /// [`open`](TallyAccum::open) every lane at once, in lane order.
-    pub fn lane_views(&mut self) -> Vec<LaneSink<'_>> {
-        let this = &*self;
-        this.lanes().map(|lane| this.open(lane)).collect()
-    }
-
-    /// The merged mesh: a snapshot of the shared mesh, or the root of the
-    /// fold — every lane never opened counted as `+0.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane is still open, or (`Replicated`) the accumulator
-    /// owns only part of the tree: that one ships
-    /// [`into_nodes`](TallyAccum::into_nodes) instead.
-    #[must_use]
-    pub fn merge(self) -> Vec<f64> {
-        match self {
-            TallyAccum::Atomic { mesh, .. } => mesh.snapshot(),
-            TallyAccum::Replicated(fold) => {
-                let whole = 0..fold.n_lanes;
-                match <[_; 1]>::try_from(fold.into_nodes()) {
-                    Ok([(lanes, root)]) if lanes == whole => root,
-                    _ => panic!("only an accumulator over the whole tree merges to one mesh"),
-                }
-            }
-        }
-    }
-
-    /// The reduced [`tree_cover`] nodes of the accumulator's lanes, in
-    /// lane order — what a shard attempt ships, and what
-    /// [`merge_nodes_pairwise`] finishes the tree from.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the `Atomic` backend, whose shared mesh has no
-    /// well-defined per-lane decomposition, or if a lane is still open.
-    #[must_use]
-    pub fn into_nodes(self) -> Vec<(Range<usize>, Vec<f64>)> {
-        match self {
-            TallyAccum::Atomic { .. } => {
-                panic!("tree nodes are only defined for the deterministic tally strategy")
-            }
-            TallyAccum::Replicated(fold) => fold.into_nodes(),
-        }
-    }
-
-    /// Resident bytes of the accumulation state: the shared mesh, or the
-    /// high-water of live blocks in meshes open or parked at once so far.
-    #[must_use]
-    pub fn footprint_bytes(&self) -> usize {
-        match self {
-            TallyAccum::Atomic { mesh, .. } => mesh.footprint_bytes(),
-            TallyAccum::Replicated(fold) => fold.footprint_bytes(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn strategy_names_round_trip() {
-        for s in TallyStrategy::ALL {
-            assert_eq!(s.name().parse::<TallyStrategy>().unwrap(), s);
-            assert_eq!(format!("{s}"), s.name());
-        }
+        let s = TallyStrategy::Replicated;
+        assert_eq!(s.name().parse::<TallyStrategy>().unwrap(), s);
+        assert_eq!(format!("{s}"), s.name());
         assert!("magic".parse::<TallyStrategy>().is_err());
-        let removed = "privatized".parse::<TallyStrategy>().unwrap_err();
-        assert!(removed.contains("was removed") && removed.contains("use `replicated`"));
+        for gone in ["atomic", "privatized"] {
+            let removed = gone.parse::<TallyStrategy>().unwrap_err();
+            assert!(
+                removed.contains(&format!("`{gone}` was removed"))
+                    && removed.contains("use `replicated`"),
+                "{removed}"
+            );
+        }
     }
 
     #[test]
@@ -1029,8 +907,9 @@ mod tests {
         assert_eq!(pairwise_sum(&[2.5]), 2.5);
     }
 
-    /// The cross-backend keystone: identical per-lane deposit sequences
-    /// must merge to the same totals under Atomic and Replicated.
+    /// The fold against the paper's shared-atomic baseline: identical
+    /// per-lane deposit sequences sum to the same totals, up to
+    /// reassociation.
     #[test]
     fn backends_agree_on_lane_deposits() {
         let cells = 37;
@@ -1048,24 +927,16 @@ mod tests {
             })
             .collect();
 
-        let mut merged: Vec<Vec<f64>> = Vec::new();
-        for strategy in TallyStrategy::ALL {
-            let mut accum = TallyAccum::new(strategy, cells, lanes);
-            {
-                let mut views = accum.lane_views();
-                for (l, view) in views.iter_mut().enumerate() {
-                    for &(cell, value) in &deposits[l] {
-                        view.add(cell, value);
-                    }
-                }
+        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, lanes);
+        let atomic = crate::tally::AtomicTally::new(cells);
+        for (mut view, deposits) in accum.lane_views().into_iter().zip(&deposits) {
+            for &(cell, value) in deposits {
+                view.add(cell, value);
+                atomic.add(cell, value);
             }
-            merged.push(accum.merge());
         }
-        let [atomic, replicated] = &merged[..] else {
-            unreachable!()
-        };
-        // Same sums up to reassociation.
-        for (c, (a, b)) in atomic.iter().zip(replicated).enumerate() {
+        let replicated = accum.merge();
+        for (c, (a, b)) in atomic.snapshot().iter().zip(&replicated).enumerate() {
             assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "cell {c}");
         }
     }
@@ -1364,7 +1235,7 @@ mod tests {
     /// the dynamic lane dispatch of `parallel_for_owned`, so the lanes
     /// finish in whatever order the threads reach them.
     fn close_lanes(
-        fold: &LaneFold,
+        fold: &TallyAccum,
         deposits: &[Vec<(usize, f64)>],
         order: &[usize],
         threads: usize,
@@ -1413,7 +1284,7 @@ mod tests {
             let lanes: Vec<Vec<f64>> = deposits.iter().map(|d| deposited(d, cells)).collect();
             let whole = merge_lanes_reference(&lanes);
             let closed: Vec<usize> = (0..n_lanes).filter(|&l| l != unopened).collect();
-            let check = |fold: LaneFold, owned: Range<usize>, what: &str| {
+            let check = |fold: TallyAccum, owned: Range<usize>, what: &str| {
                 let nodes = fold.into_nodes();
                 let ranges: Vec<Range<usize>> = nodes.iter().map(|(r, _)| r.clone()).collect();
                 assert_eq!(ranges, tree_cover(n_lanes, owned), "{what}");
@@ -1436,7 +1307,7 @@ mod tests {
             orders.extend((1..=shuffles).map(|seed| ("shuffled", shuffled(&closed, seed))));
             for (name, order) in &orders {
                 for threads in [1, 2, 3, 7] {
-                    let fold = LaneFold::new(cells, n_lanes, 0..n_lanes, threads);
+                    let fold = TallyAccum::for_lanes(cells, n_lanes, 0..n_lanes, threads);
                     close_lanes(&fold, &deposits, order, threads);
                     check(
                         fold,
@@ -1453,7 +1324,7 @@ mod tests {
                     if owned.is_empty() {
                         continue;
                     }
-                    let fold = LaneFold::new(cells, n_lanes, owned.clone(), 2);
+                    let fold = TallyAccum::for_lanes(cells, n_lanes, owned.clone(), 2);
                     let mine: Vec<usize> = owned.clone().filter(|&l| l != unopened).collect();
                     close_lanes(&fold, &deposits, &shuffled(&mine, s as u64), 2);
                     let what = format!("{n_lanes} lanes, shard {s} of {n_shards}");
@@ -1502,7 +1373,7 @@ mod tests {
             .collect();
         let expect = merge_lanes_reference(&lanes);
         for threads in [1, 3] {
-            let fold = LaneFold::new(cells, n_lanes, 0..n_lanes, threads);
+            let fold = TallyAccum::for_lanes(cells, n_lanes, 0..n_lanes, threads);
             let order: Vec<usize> = (0..n_lanes).rev().collect();
             close_lanes(&fold, &deposits, &order, threads);
             let [(_, root)] = <[_; 1]>::try_from(fold.into_nodes()).unwrap();
@@ -1533,8 +1404,8 @@ mod tests {
     /// is still open.
     #[test]
     fn fold_refuses_a_second_close_and_lanes_it_does_not_own() {
-        let refused = |what: &str, misuse: &dyn Fn(&LaneFold)| {
-            let fold = LaneFold::new(4, 8, 2..6, 1);
+        let refused = |what: &str, misuse: &dyn Fn(&TallyAccum)| {
+            let fold = TallyAccum::for_lanes(4, 8, 2..6, 1);
             drop(fold.open(3));
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| misuse(&fold)));
             assert!(caught.is_err(), "{what} was accepted");
@@ -1567,7 +1438,7 @@ mod tests {
     fn open_hands_out_zeros_after_a_dirty_close() {
         let cells = 2 * MERGE_BLOCK;
         // Lanes 0..3 of 4: the cover is [0, 2) and [2, 3).
-        let fold = LaneFold::new(cells, 4, 0..3, 1);
+        let fold = TallyAccum::for_lanes(cells, 4, 0..3, 1);
         for lane in [0, 1] {
             let mut open = fold.open(lane);
             for cell in 0..cells {
@@ -1605,9 +1476,8 @@ mod tests {
         assert_same_bits(&nodes[1].1, &lane_2, &"lane 2, its stale block zeroed");
     }
 
-    /// What `footprint_bytes` reports: the shared mesh under `atomic`;
-    /// under `replicated` the most live blocks that open or parked meshes
-    /// held at once — which lanes opened and closed one at a time, in
+    /// What `footprint_bytes` reports: the most live blocks that open or
+    /// parked meshes held at once — which lanes opened and closed one at a time, in
     /// order, each depositing into every block, hold to exactly
     /// `⌈log₂ lanes⌉ + 1` meshes (6 of 32), and every lane open at once
     /// (`lane_views`) to one mesh per lane. Lanes that deposit nothing
@@ -1617,8 +1487,6 @@ mod tests {
     fn footprints_rank_as_documented() {
         let cells = 100;
         let mesh = cells * std::mem::size_of::<f64>();
-        let atomic = TallyAccum::new(TallyStrategy::Atomic, cells, 16);
-        assert_eq!(atomic.footprint_bytes(), mesh);
         for n_lanes in 1usize..=40 {
             let accum = TallyAccum::new(TallyStrategy::Replicated, cells, n_lanes);
             assert_eq!(accum.footprint_bytes(), 0, "{n_lanes} lanes, none open");

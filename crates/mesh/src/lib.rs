@@ -15,14 +15,14 @@
 //!   (DESIGN.md §12);
 //! * [`tally::AtomicTally`] — an `f64` tally mesh updated with atomic
 //!   compare-exchange read-modify-write operations (one per facet
-//!   encounter, paper §V-C);
+//!   encounter, paper §V-C), the figures' shared-atomic baseline;
 //! * [`tally::PrivatizedTally`] — one private tally mesh per thread,
 //!   trading the atomics for a ×`n_threads` memory footprint (paper §VI-F);
 //! * [`tally::SequentialTally`] — the plain serial baseline;
-//! * [`accum`] — the tally-accumulation subsystem ([`TallyStrategy`]:
-//!   the shared atomic mesh or lane-replicated meshes behind one
-//!   lane-indexed deposit API, the latter merged with a deterministic
-//!   pairwise reduction so parallel tallies are bitwise reproducible).
+//! * [`accum`] — the solve path's tally ([`TallyAccum`]): one private mesh
+//!   per open lane behind a lane-indexed deposit API, merged with a
+//!   deterministic pairwise reduction so parallel tallies are bitwise
+//!   reproducible.
 //!
 //! # Example
 //!

@@ -79,64 +79,59 @@ fn energy_invariants_analogue() {
     assert!((r.counters.census_energy_ev - expect).abs() / expect < 1e-12);
 }
 
-/// Conservation holds under every tally strategy: population balance,
-/// the weak energy invariants, and (under implicit capture) the closed
+/// Conservation holds under the solve's tally: population balance, the
+/// weak energy invariants, and (under implicit capture) the closed
 /// energy balance — including the cutoff-residual path, where histories
 /// terminated by the weight cutoff book their in-flight energy as
 /// `lost_energy_ev`.
 #[test]
 fn conservation_under_every_tally_strategy() {
-    for strategy in TallyStrategy::ALL {
-        for case in TestCase::ALL {
-            // An aggressive cutoff so the cutoff-residual path fires in
-            // the collisional cases.
-            let mut problem = case.build(ProblemScale::tiny(), 17);
-            problem.transport.collision_model = CollisionModel::ImplicitCapture;
-            problem.transport.weight_cutoff = 1.0e-3;
-            problem.transport.tally_strategy = strategy;
-            let n = problem.n_particles;
-            let r = Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, 3));
+    for case in TestCase::ALL {
+        // An aggressive cutoff so the cutoff-residual path fires in the
+        // collisional cases.
+        let mut problem = case.build(ProblemScale::tiny(), 17);
+        problem.transport.collision_model = CollisionModel::ImplicitCapture;
+        problem.transport.weight_cutoff = 1.0e-3;
+        let n = problem.n_particles;
+        let r = Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, 3));
 
+        assert!(
+            population_balance(n as u64, &r.counters),
+            "{case:?}: census {} + deaths {} + stuck {} != {n}",
+            r.counters.census,
+            r.counters.deaths,
+            r.counters.stuck
+        );
+        assert_eq!(r.counters.stuck, 0, "{case:?}");
+        let b = r.energy_balance();
+        assert!(b.weak_invariants_hold(), "{case:?}: {b:?}");
+        if case != TestCase::Stream {
             assert!(
-                population_balance(n as u64, &r.counters),
-                "{strategy}/{case:?}: census {} + deaths {} + stuck {} != {n}",
-                r.counters.census,
-                r.counters.deaths,
-                r.counters.stuck
-            );
-            assert_eq!(r.counters.stuck, 0, "{strategy}/{case:?}");
-            let b = r.energy_balance();
-            assert!(b.weak_invariants_hold(), "{strategy}/{case:?}: {b:?}");
-            if case != TestCase::Stream {
-                assert!(
-                    r.counters.deaths > 0 && b.cutoff_residual_ev > 0.0,
-                    "{strategy}/{case:?}: cutoff-residual path did not fire"
-                );
-            }
-            let tol = if case == TestCase::Stream { 1e-9 } else { 0.05 };
-            assert!(
-                b.relative_defect().abs() < tol,
-                "{strategy}/{case:?}: defect {:+.4}",
-                b.relative_defect()
-            );
-            assert!(
-                r.tally.iter().all(|&v| v >= 0.0 && v.is_finite()),
-                "{strategy}/{case:?}: bad deposit"
+                r.counters.deaths > 0 && b.cutoff_residual_ev > 0.0,
+                "{case:?}: cutoff-residual path did not fire"
             );
         }
+        let tol = if case == TestCase::Stream { 1e-9 } else { 0.05 };
+        assert!(
+            b.relative_defect().abs() < tol,
+            "{case:?}: defect {:+.4}",
+            b.relative_defect()
+        );
+        assert!(
+            r.tally.iter().all(|&v| v >= 0.0 && v.is_finite()),
+            "{case:?}: bad deposit"
+        );
     }
 }
 
-/// The cutoff residual is itself part of the deterministic merge: the
-/// deterministic strategy books bitwise-identical `lost_energy_ev` for
-/// any worker count.
+/// The cutoff residual is itself part of the deterministic merge: it
+/// books bitwise-identical `lost_energy_ev` for any worker count.
 #[test]
 fn cutoff_residual_is_deterministic() {
     let run = |workers: usize| {
         let mut problem = TestCase::Scatter.build(ProblemScale::tiny(), 23);
         problem.transport.weight_cutoff = 1.0e-3;
         problem.transport.collision_model = CollisionModel::ImplicitCapture;
-        problem.transport.tally_strategy = TallyStrategy::Replicated;
         Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, workers))
     };
     let base = run(1);

@@ -2,12 +2,12 @@
 //! locked against a committed JSON snapshot under `tests/golden/` and
 //! checked at one and two workers.
 //!
-//! The snapshots are produced by the **replicated** tally strategy, whose
+//! The snapshots are produced by the solve path's one tally, whose
 //! deterministic lane merge makes the merged mesh bitwise identical for
 //! any worker count (so these fixtures are stable on any CI machine). The
-//! suite additionally checks, against the same fixture, that the
-//! **atomic** strategy reproduces the physics (identical integer
-//! counters, totals within floating-point reassociation error).
+//! suite additionally checks, against the Over-Particles fixtures, that
+//! the paper's **atomic** baseline reproduces the physics (identical
+//! integer counters, totals within floating-point reassociation error).
 //!
 //! Regenerate after an intentional physics change with
 //! `NEUTRAL_BLESS=1 cargo test -p neutral-integration --test golden_tallies`.
@@ -15,7 +15,7 @@
 use neutral_core::prelude::*;
 use neutral_integration::golden::{blessing, fixture_path, lock_fixture, GoldenTally};
 use neutral_integration::{
-    tiny_multistep, tiny_scenario_with_tally, tiny_with_tally, MULTISTEP_CONFIGS,
+    atomic_baseline, tiny, tiny_multistep, tiny_scenario, MULTISTEP_CONFIGS,
 };
 
 /// The three canonical configs: one per test case, seeds fixed forever.
@@ -42,23 +42,22 @@ fn golden_tallies_match_fixtures() {
     for (case, seed) in CONFIGS {
         for scheme in Scheme::ALL {
             lock_fixture(case.name(), scheme, seed, |workers| {
-                tiny_with_tally(case, seed, TallyStrategy::Replicated)
-                    .run(RunOptions::new(scheme, workers))
+                tiny(case, seed).run(RunOptions::new(scheme, workers))
             });
         }
     }
 }
 
 /// Multi-timestep runs locked the same way: one fixture per config ×
-/// scheme, captured with the replicated strategy.
+/// scheme.
 #[test]
 fn multistep_golden_tallies_match_fixtures() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         for scheme in Scheme::ALL {
             let name = format!("{}_t{}", case.name(), steps);
             lock_fixture(&name, scheme, seed, |workers| {
-                let report = tiny_multistep(case, steps, seed, TallyStrategy::Replicated)
-                    .run(RunOptions::new(scheme, workers));
+                let report =
+                    tiny_multistep(case, steps, seed).run(RunOptions::new(scheme, workers));
                 assert_eq!(report.timesteps, steps);
                 report
             });
@@ -67,14 +66,13 @@ fn multistep_golden_tallies_match_fixtures() {
 }
 
 /// The multi-material scenario catalogue, locked the same way: one
-/// fixture per scenario × scheme, captured with the replicated strategy.
+/// fixture per scenario × scheme.
 #[test]
 fn scenario_golden_tallies_match_fixtures() {
     for (scenario, seed) in SCENARIO_CONFIGS {
         for scheme in Scheme::ALL {
             lock_fixture(scenario.name(), scheme, seed, |workers| {
-                let report = tiny_scenario_with_tally(scenario, seed, TallyStrategy::Replicated)
-                    .run(RunOptions::new(scheme, workers));
+                let report = tiny_scenario(scenario, seed).run(RunOptions::new(scheme, workers));
                 assert!(
                     report.counters.material_switches > 0 || !scenario.is_multi_material(),
                     "{}/{}: a multi-material fixture must cross interfaces",
@@ -87,7 +85,8 @@ fn scenario_golden_tallies_match_fixtures() {
     }
 }
 
-/// The atomic backend computes the same physics as the fixtures: integer
+/// The paper's atomic baseline (records into one shared CAS mesh, two
+/// threads) computes the physics of the Over-Particles fixtures: integer
 /// counters exactly, deposited energy to reassociation error.
 #[test]
 fn atomic_matches_golden_physics() {
@@ -95,36 +94,29 @@ fn atomic_matches_golden_physics() {
         return;
     }
     for (case, seed) in CONFIGS {
-        for scheme in Scheme::ALL {
-            let report =
-                tiny_with_tally(case, seed, TallyStrategy::Atomic).run(RunOptions::new(scheme, 2));
-            let text = std::fs::read_to_string(fixture_path(case.name(), scheme)).expect("fixture");
-            let expected = GoldenTally::from_json(&text).unwrap();
-            for key in ["collisions", "facets", "census", "deaths", "stuck", "alive"] {
-                let got = match key {
-                    "collisions" => report.counters.collisions,
-                    "facets" => report.counters.facets,
-                    "census" => report.counters.census,
-                    "deaths" => report.counters.deaths,
-                    "stuck" => report.counters.stuck,
-                    _ => report.alive as u64,
-                };
-                assert_eq!(
-                    Some(got.to_string().as_str()),
-                    expected.get(key),
-                    "{}/{}: {key}",
-                    case.name(),
-                    scheme.name()
-                );
-            }
-            let golden_total = f64::from_bits(expected.get_bits("tally_total_bits").unwrap());
-            let total = report.tally_total();
-            assert!(
-                (total - golden_total).abs() <= 1e-9 * golden_total.abs().max(1e-30),
-                "{}/{}: atomic total {total} vs golden {golden_total}",
-                case.name(),
-                scheme.name()
-            );
+        let problem = case.build(ProblemScale::tiny(), seed);
+        assert_eq!(problem.n_timesteps, 1, "{}", case.name());
+        let (counters, particles, mesh) = atomic_baseline(&problem, 2);
+        let fixture = fixture_path(case.name(), Scheme::OverParticles);
+        let expected = GoldenTally::from_json(&std::fs::read_to_string(fixture).unwrap()).unwrap();
+        for key in ["collisions", "facets", "census", "deaths", "stuck", "alive"] {
+            let got = match key {
+                "collisions" => counters.collisions,
+                "facets" => counters.facets,
+                "census" => counters.census,
+                "deaths" => counters.deaths,
+                "stuck" => counters.stuck,
+                _ => particles.iter().filter(|p| !p.dead).count() as u64,
+            };
+            let what = format!("{}: {key}", case.name());
+            assert_eq!(Some(got.to_string().as_str()), expected.get(key), "{what}");
         }
+        let golden_total = f64::from_bits(expected.get_bits("tally_total_bits").unwrap());
+        let total: f64 = mesh.iter().sum();
+        assert!(
+            (total - golden_total).abs() <= 1e-9 * golden_total.abs().max(1e-30),
+            "{}: atomic total {total} vs golden {golden_total}",
+            case.name()
+        );
     }
 }

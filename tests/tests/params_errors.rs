@@ -62,13 +62,18 @@ fn unknown_keys_name_the_key_and_line() {
 /// with the line.
 #[test]
 fn removed_tally_strategy_names_its_replacement() {
-    let e = fail("nx 10\ntally_strategy privatized\n");
-    assert_eq!(e.line, 2);
-    assert!(e.message.contains("`privatized` was removed"), "{e}");
-    assert!(e.message.contains("use `replicated`"), "{e}");
+    for removed in ["privatized", "atomic"] {
+        let e = fail(&format!("nx 10\ntally_strategy {removed}\n"));
+        assert_eq!(e.line, 2, "{removed}");
+        assert!(
+            e.message.contains(&format!("`{removed}` was removed")),
+            "{e}"
+        );
+        assert!(e.message.contains("use `replicated`"), "{e}");
+    }
     // An unknown value lists the values there are, and only those.
     let e = fail("tally_strategy magic\n");
-    assert!(e.message.contains("(atomic|replicated)"), "{e}");
+    assert!(e.message.contains("(replicated)"), "{e}");
 }
 
 /// The same for the lookup axis: `unionized` was removed in favour of

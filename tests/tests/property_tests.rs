@@ -8,6 +8,7 @@ use neutral_core::scheduler::{parallel_for, parallel_for_owned, Schedule};
 use neutral_core::validate::population_balance;
 use neutral_integration::{for_cases, Gen};
 use neutral_mesh::accum::pairwise_sum;
+use neutral_mesh::tally::AtomicTally;
 use neutral_mesh::{Rect, StructuredMesh2D, TallyAccum, TallyStrategy};
 use neutral_xs::{CrossSectionLibrary, SynthParams, XsHints};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -199,8 +200,8 @@ fn arbitrary_deposits(g: &mut Gen, lanes: usize, cells: usize) -> Vec<Vec<(usize
 }
 
 /// Random per-lane partial deposits folded under shuffled lane-processing
-/// orders (and worker counts) must produce bitwise-identical meshes for
-/// the deterministic backend — the deterministic-merge invariant. Each
+/// orders (and worker counts) must produce bitwise-identical meshes —
+/// the deterministic-merge invariant. Each
 /// lane is opened and closed on the worker that takes it, so the fold
 /// runs on the workers, in whatever order the lanes finish.
 #[test]
@@ -243,29 +244,25 @@ fn deterministic_merge_shuffle_invariance() {
     });
 }
 
-/// The atomic backend agrees with the replicated merge to reassociation
-/// error on any deposit script.
+/// The paper's shared atomic mesh agrees with the lane fold to
+/// reassociation error on any deposit script.
 #[test]
 fn backends_cross_agree_on_random_deposits() {
     for_cases(24, |g| {
         let cells = g.usize_in(4, 120);
         let lanes = g.usize_in(1, 8);
         let deposits = arbitrary_deposits(g, lanes, cells);
-        let mut merged = Vec::new();
-        for strategy in TallyStrategy::ALL {
-            let mut accum = TallyAccum::new(strategy, cells, lanes);
-            for (lane, mut view) in accum.lane_views().into_iter().enumerate() {
-                for &(cell, value) in &deposits[lane] {
-                    view.add(cell, value);
-                }
+        let atomic = AtomicTally::new(cells);
+        let mut accum = TallyAccum::new(TallyStrategy::Replicated, cells, lanes);
+        for (mut view, deposits) in accum.lane_views().into_iter().zip(&deposits) {
+            for &(cell, value) in deposits {
+                view.add(cell, value);
+                atomic.add(cell, value);
             }
-            merged.push(accum.merge());
         }
-        let [atomic, replicated] = &merged[..] else {
-            unreachable!()
-        };
-        let total = pairwise_sum(replicated);
-        for (c, (a, b)) in atomic.iter().zip(replicated).enumerate() {
+        let replicated = accum.merge();
+        let total = pairwise_sum(&replicated);
+        for (c, (a, b)) in atomic.snapshot().iter().zip(&replicated).enumerate() {
             let scale = b.abs().max(total.abs() * 1e-12).max(1e-30);
             assert!(((a - b) / scale).abs() < 1e-9, "cell {c}: {a} vs {b}");
         }

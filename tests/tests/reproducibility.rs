@@ -6,7 +6,7 @@ use neutral_core::history::TransportCtx;
 use neutral_core::over_particles::run_sequential;
 use neutral_core::particle::spawn_particles;
 use neutral_core::prelude::*;
-use neutral_integration::{rel_diff, tiny, tiny_with_tally};
+use neutral_integration::{atomic_baseline, rel_diff, tiny};
 use neutral_mesh::tally::SequentialTally;
 use neutral_rng::{Philox4x32, Threefry2x64};
 
@@ -45,8 +45,8 @@ fn privatized_parallel_runs_are_bitwise_reproducible() {
         },
         ..Default::default()
     };
-    let a = tiny_with_tally(TestCase::Csp, 8, TallyStrategy::Replicated).run(opts);
-    let b = tiny_with_tally(TestCase::Csp, 8, TallyStrategy::Replicated).run(opts);
+    let a = tiny(TestCase::Csp, 8).run(opts);
+    let b = tiny(TestCase::Csp, 8).run(opts);
     assert!(a
         .tally
         .iter()
@@ -54,18 +54,19 @@ fn privatized_parallel_runs_are_bitwise_reproducible() {
         .all(|(x, y)| x.to_bits() == y.to_bits()));
 }
 
-/// Atomic-tally parallel runs reorder float additions, so they are only
-/// *numerically* reproducible — but the physics (integer counters) stays
-/// bitwise identical.
+/// Parallel runs of the paper's atomic baseline reorder float additions,
+/// so they are only *numerically* reproducible — but the physics
+/// (integer counters, particle records) stays bitwise identical.
 #[test]
 fn atomic_parallel_runs_reproduce_physics_exactly() {
-    let opts = RunOptions::default();
-    let a = tiny_with_tally(TestCase::Scatter, 17, TallyStrategy::Atomic).run(opts);
-    let b = tiny_with_tally(TestCase::Scatter, 17, TallyStrategy::Atomic).run(opts);
-    assert_eq!(a.counters.collisions, b.counters.collisions);
-    assert_eq!(a.counters.absorptions, b.counters.absorptions);
-    assert_eq!(a.counters.facets, b.counters.facets);
-    assert!(rel_diff(a.tally_total(), b.tally_total()) < 1e-9);
+    let problem = TestCase::Scatter.build(ProblemScale::tiny(), 17);
+    let (a, a_particles, a_mesh) = atomic_baseline(&problem, 4);
+    let (b, b_particles, b_mesh) = atomic_baseline(&problem, 4);
+    assert_eq!(a.collisions, b.collisions);
+    assert_eq!(a.absorptions, b.absorptions);
+    assert_eq!(a.facets, b.facets);
+    assert_eq!(a_particles, b_particles);
+    assert!(rel_diff(a_mesh.iter().sum(), b_mesh.iter().sum()) < 1e-9);
 }
 
 /// Swapping the RNG *family* (Threefry -> Philox) changes every

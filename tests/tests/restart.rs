@@ -55,7 +55,7 @@ fn interrupt_resume_is_bitwise_identical() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         for scheme in Scheme::ALL {
             for workers in WORKER_COUNTS {
-                let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+                let sim = tiny_multistep(case, steps, seed);
                 let options = RunOptions::new(scheme, workers);
 
                 let mut base = SolveCore::new(&sim, options);
@@ -102,7 +102,7 @@ fn resumed_runs_match_committed_goldens() {
         for scheme in Scheme::ALL {
             let name = format!("{}_t{}", case.name(), steps);
             lock_fixture(&name, scheme, seed, |workers| {
-                let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+                let sim = tiny_multistep(case, steps, seed);
                 let options = RunOptions::new(scheme, workers);
                 let mut first = SolveCore::new(&sim, options);
                 first.step(&sim);
@@ -131,7 +131,7 @@ fn restarted_golden_tallies_match_fixtures() {
                     case.name(),
                     scheme.name()
                 ));
-                let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+                let sim = tiny_multistep(case, steps, seed);
                 let options = RunOptions::new(scheme, workers);
                 // Kill at the *last* boundary: the kill fires before that
                 // boundary's write, so the store holds the previous
@@ -166,7 +166,7 @@ fn restarted_golden_tallies_match_fixtures() {
 #[test]
 fn kill_at_every_boundary_recovers_on_disk() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
-        let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+        let sim = tiny_multistep(case, steps, seed);
         let options = RunOptions::new(Scheme::OverEvents, 2);
         let baseline = sim.run(options);
 
@@ -207,7 +207,7 @@ fn kill_at_every_boundary_recovers_on_disk() {
 #[test]
 fn corrupted_checkpoints_recover_from_fallback() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
-    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+    let sim = tiny_multistep(case, steps, seed);
     let options = RunOptions::new(Scheme::OverParticles, 1);
     let baseline = sim.run(options);
 
@@ -273,7 +273,7 @@ fn corrupted_checkpoints_recover_from_fallback() {
 #[test]
 fn length_field_bitflips_recover_from_fallback() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
-    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+    let sim = tiny_multistep(case, steps, seed);
     let options = RunOptions::new(Scheme::OverParticles, 1);
     let baseline = sim.run(options);
 
@@ -323,7 +323,7 @@ fn length_field_bitflips_recover_from_fallback() {
 #[test]
 fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[1]; // scatter, 2 timesteps
-    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+    let sim = tiny_multistep(case, steps, seed);
     let options = RunOptions::new(Scheme::OverParticles, 1);
     let (dir, store) = temp_store("hard_errors");
 
@@ -336,7 +336,7 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     let good = std::fs::read(store.path()).expect("checkpoint on disk");
 
     // A different seed is a different problem: hard ConfigMismatch.
-    let other = tiny_multistep(case, steps, seed + 1, TallyStrategy::Replicated);
+    let other = tiny_multistep(case, steps, seed + 1);
     let err = run_with_checkpoints(&other, options, &store, &FaultPlan::none()).unwrap_err();
     assert!(
         matches!(err, CheckpointError::ConfigMismatch { .. }),
@@ -424,7 +424,7 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
 #[test]
 fn completed_run_resumes_as_done() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[1];
-    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+    let sim = tiny_multistep(case, steps, seed);
     let options = RunOptions::new(Scheme::OverParticles, 1);
     let (dir, store) = temp_store("completed");
 
@@ -454,7 +454,7 @@ fn completed_run_resumes_as_done() {
 #[test]
 fn checkpoint_preserves_tally_fingerprint() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = tiny_multistep(case, steps, seed, TallyStrategy::Replicated);
+    let sim = tiny_multistep(case, steps, seed);
     let mut solve = SolveCore::new(&sim, RunOptions::new(Scheme::OverParticles, 1));
     solve.step(&sim);
     let ckpt = solve.checkpoint();

@@ -1,12 +1,11 @@
 //! Multi-material scenario suite: the catalogue workloads must satisfy
 //! every invariant the paper's three cases do — cross-scheme agreement,
-//! worker-count bitwise determinism of the deterministic tally backend,
-//! and conservation accounting — plus the multi-material-specific ones
+//! worker-count bitwise determinism of the tally, and conservation accounting — plus the multi-material-specific ones
 //! (material switches observed, per-cell material resolution).
 
 use neutral_core::prelude::*;
 use neutral_core::validate::population_balance;
-use neutral_integration::{rel_diff, test_thread_counts, tiny_scenario_with_tally};
+use neutral_integration::{rel_diff, test_thread_counts, tiny_scenario};
 
 /// The two catalogue workloads the heavy sweeps run on: the most
 /// streaming-like and the most collision-like of the new scenarios.
@@ -18,7 +17,7 @@ const SWEEP_SCENARIOS: [Scenario; 2] = [Scenario::ShieldedSlab, Scenario::FuelLa
 #[test]
 fn drivers_agree_on_multi_material_scenarios() {
     for scenario in Scenario::MULTI_MATERIAL {
-        let sim = tiny_scenario_with_tally(scenario, 41, TallyStrategy::Replicated);
+        let sim = tiny_scenario(scenario, 41);
         let base = sim.run(RunOptions::new(Scheme::OverParticles, 1));
         assert!(base.counters.material_switches > 0, "{scenario:?}");
         for scheme in Scheme::ALL {
@@ -53,14 +52,14 @@ fn drivers_agree_on_multi_material_scenarios() {
     }
 }
 
-/// The deterministic-merge invariant on multi-material workloads: for
-/// Replicated, merged tallies AND counters are bitwise identical for any
-/// worker count, under both schemes.
+/// The deterministic-merge invariant on multi-material workloads: merged
+/// tallies AND counters are bitwise identical for any worker count,
+/// under both schemes.
 #[test]
 fn worker_count_invariance_on_scenarios() {
     for scenario in SWEEP_SCENARIOS {
         for scheme in Scheme::ALL {
-            let sim = tiny_scenario_with_tally(scenario, 43, TallyStrategy::Replicated);
+            let sim = tiny_scenario(scenario, 43);
             let base = sim.run(RunOptions::new(scheme, 1));
             for workers in test_thread_counts() {
                 let r = sim.run(RunOptions::new(scheme, workers));
@@ -80,13 +79,13 @@ fn worker_count_invariance_on_scenarios() {
     }
 }
 
-/// The deterministic backend agrees with itself bit for bit across
-/// worker counts on every multi-material scenario, not only the two the
+/// The tally agrees with itself bit for bit across worker counts on
+/// every multi-material scenario, not only the two the
 /// sweep above runs.
 #[test]
 fn deterministic_backends_agree_on_scenarios() {
     for scenario in Scenario::MULTI_MATERIAL {
-        let sim = tiny_scenario_with_tally(scenario, 47, TallyStrategy::Replicated);
+        let sim = tiny_scenario(scenario, 47);
         let a = sim.run(RunOptions::new(Scheme::OverParticles, 3));
         let b = sim.run(RunOptions::new(Scheme::OverParticles, 5));
         assert_eq!(a.counters, b.counters, "{scenario:?}");
@@ -106,7 +105,7 @@ fn deterministic_backends_agree_on_scenarios() {
 fn population_conserved_on_scenarios() {
     for scenario in Scenario::MULTI_MATERIAL {
         for scheme in Scheme::ALL {
-            let sim = tiny_scenario_with_tally(scenario, 53, TallyStrategy::Replicated);
+            let sim = tiny_scenario(scenario, 53);
             let n = sim.problem().n_particles as u64;
             let r = sim.run(RunOptions::new(scheme, 2));
             assert!(
@@ -129,7 +128,6 @@ fn energy_balance_on_scenarios() {
     for scenario in SWEEP_SCENARIOS {
         let mut problem = scenario.build(ProblemScale::tiny(), 59);
         problem.transport.collision_model = CollisionModel::ImplicitCapture;
-        problem.transport.tally_strategy = TallyStrategy::Replicated;
         let r = Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, 1));
         let b = r.energy_balance();
         assert!(b.weak_invariants_hold(), "{scenario:?}: {b:?}");
@@ -359,7 +357,6 @@ fn lookup_strategies_agree_on_scenarios() {
         let run_with = |strategy: LookupStrategy| {
             let mut problem = scenario.build(ProblemScale::tiny(), 61);
             problem.transport.xs_search = strategy;
-            problem.transport.tally_strategy = TallyStrategy::Replicated;
             Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, 2))
         };
         let base = run_with(LookupStrategy::Hinted);

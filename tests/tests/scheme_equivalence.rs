@@ -4,13 +4,13 @@
 //! Both schemes advance every particle with the same event functions and
 //! the same per-particle counter-based RNG stream (paper §IV-F), so for a
 //! fixed seed every history follows the same trajectory regardless of
-//! scheme, threading or tally backend. Tallies may
-//! differ only by floating-point summation order.
+//! scheme or threading. Tallies may differ only by floating-point
+//! summation order.
 
 use neutral_core::history::{track_to_census, TransportCtx};
 use neutral_core::particle::{spawn_particles, Particle};
 use neutral_core::prelude::*;
-use neutral_integration::{rel_diff, test_thread_counts, tiny, tiny_with_tally};
+use neutral_integration::{atomic_baseline, rel_diff, test_thread_counts, tiny};
 use neutral_mesh::accum::DEFAULT_LANES;
 use neutral_mesh::{LanePartition, TallyAccum};
 use neutral_rng::Threefry2x64;
@@ -194,73 +194,45 @@ fn per_cell_tallies_match_across_schemes() {
     assert!(nonzero > 10, "csp should light up many cells");
 }
 
-/// The tally-subsystem keystone: for both schemes and the
-/// deterministic strategy, the merged tally is **bitwise identical** at
-/// worker counts {1, 2, 7} (plus `NEUTRAL_TEST_THREADS`), and identical
-/// to the same scheme run on one worker. The atomic strategy reproduces
-/// the same physics (integer counters exactly, per-cell tallies to
-/// floating-point reassociation error).
+/// The tally-subsystem keystone: for both schemes the merged tally is
+/// **bitwise identical** at worker counts {1, 2, 7} (plus
+/// `NEUTRAL_TEST_THREADS`), and identical to the same scheme run on one
+/// worker; the counters merge identically too.
 #[test]
 fn tally_strategies_are_worker_count_equivalent() {
-    let case = TestCase::Csp;
-    let seed = 42;
     for scheme in Scheme::ALL {
-        for strategy in TallyStrategy::ALL {
-            let reference = tiny_with_tally(case, seed, strategy).run(RunOptions::new(scheme, 1));
-            for workers in test_thread_counts() {
-                let r = tiny_with_tally(case, seed, strategy).run(RunOptions::new(scheme, workers));
-                let what = format!("{}/{}/{workers}w", scheme.name(), strategy.name());
-                assert_eq!(
-                    r.counters.collisions, reference.counters.collisions,
-                    "{what}"
-                );
-                assert_eq!(r.counters.facets, reference.counters.facets, "{what}");
-                assert_eq!(r.counters.census, reference.counters.census, "{what}");
-                assert_eq!(r.counters.deaths, reference.counters.deaths, "{what}");
-                if strategy.is_deterministic() {
-                    assert_eq!(
-                        r.counters, reference.counters,
-                        "{what}: counters must merge deterministically"
-                    );
-                    assert!(
-                        r.tally
-                            .iter()
-                            .zip(&reference.tally)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{what}: merged tally must be bitwise identical"
-                    );
-                } else {
-                    let total = reference.tally_total();
-                    for (i, (a, b)) in r.tally.iter().zip(&reference.tally).enumerate() {
-                        let scale = b.abs().max(total * 1e-12).max(1e-30);
-                        assert!(
-                            ((a - b) / scale).abs() < 1e-6,
-                            "{what}: cell {i}: {a} vs {b}"
-                        );
-                    }
-                }
-            }
+        let reference = tiny(TestCase::Csp, 42).run(RunOptions::new(scheme, 1));
+        for workers in test_thread_counts() {
+            let r = tiny(TestCase::Csp, 42).run(RunOptions::new(scheme, workers));
+            let what = format!("{}/{workers}w", scheme.name());
+            assert_eq!(r.counters, reference.counters, "{what}: counters");
+            assert!(
+                r.tally
+                    .iter()
+                    .zip(&reference.tally)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{what}: merged tally must be bitwise identical"
+            );
         }
     }
 }
 
-/// The two strategies agree with each other per scheme, to
-/// reassociation error.
+/// Each scheme's solve agrees with the paper's atomic baseline (records
+/// into one shared CAS mesh) to reassociation error.
 #[test]
 fn tally_strategies_agree_per_driver() {
+    let problem = TestCase::Csp.build(ProblemScale::tiny(), 9);
+    let (atomic, _, mesh) = atomic_baseline(&problem, 2);
     for scheme in Scheme::ALL {
-        let replicated = tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Replicated)
-            .run(RunOptions::new(scheme, 2));
-        let atomic = tiny_with_tally(TestCase::Csp, 9, TallyStrategy::Atomic)
-            .run(RunOptions::new(scheme, 2));
+        let solve = tiny(TestCase::Csp, 9).run(RunOptions::new(scheme, 2));
         assert_eq!(
-            atomic.counters.collisions,
-            replicated.counters.collisions,
+            atomic.collisions,
+            solve.counters.collisions,
             "{}",
             scheme.name()
         );
         assert!(
-            rel_diff(atomic.tally_total(), replicated.tally_total()) < 1e-9,
+            rel_diff(mesh.iter().sum(), solve.tally_total()) < 1e-9,
             "{}: atomic total",
             scheme.name()
         );

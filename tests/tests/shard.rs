@@ -76,15 +76,14 @@ fn run_sharded(
     Ok((solve.finish(), particles, stats))
 }
 
-/// The tentpole claim: for every multistep config × scheme × workers,
-/// under the deterministic tally strategy, a solve sharded {1, 2, 5} ways produces
-/// tallies, counters, alive counts and final particle records bitwise
-/// identical to the unsharded run.
+/// The central claim: for every multistep config × scheme × workers, a
+/// solve sharded {1, 2, 5} ways produces tallies, counters, alive counts
+/// and final particle records bitwise identical to the unsharded run.
 #[test]
 fn sharded_is_bitwise_identical_to_unsharded() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         for (scheme, workers) in scheme_matrix() {
-            let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
+            let sim = Arc::new(tiny_multistep(case, steps, seed));
             let options = RunOptions::new(scheme, workers);
 
             let mut base = SolveCore::new(&sim, options);
@@ -112,7 +111,7 @@ fn sharded_is_bitwise_identical_to_unsharded() {
 #[test]
 fn every_injected_fault_recovers_identically() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let options = RunOptions::new(Scheme::OverParticles, WORKERS);
     let (clean_report, clean_particles, clean_stats) =
         run_sharded(&sim, options, fast_config(2)).expect("clean run");
@@ -138,7 +137,7 @@ fn every_injected_fault_recovers_identically() {
 #[test]
 fn persistent_faults_quarantine_with_named_cause() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let options = RunOptions::new(Scheme::OverParticles, WORKERS);
 
     for (kind, needle) in [
@@ -188,7 +187,7 @@ fn checkpoint_backed_retry_recovers_bitwise() {
     let base: PathBuf = dir.join("solve.ckpt");
 
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let options = RunOptions::new(Scheme::OverEvents, WORKERS);
     let (clean_report, clean_particles, _) =
         run_sharded(&sim, options, fast_config(2)).expect("clean run");
@@ -220,7 +219,7 @@ fn checkpoint_backed_retry_recovers_bitwise() {
 #[test]
 fn sharded_checkpoint_matches_unsharded_checkpoint() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let options = RunOptions::new(Scheme::OverParticles, WORKERS);
 
     let mut base = SolveCore::new(&sim, options);
@@ -268,7 +267,7 @@ fn sharded_checkpoint_matches_unsharded_checkpoint() {
 fn one_plain_shard_is_the_unsharded_solve() {
     for (scheme, workers) in scheme_matrix() {
         let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-        let sim = Arc::new(tiny_multistep(case, steps, seed, TallyStrategy::Replicated));
+        let sim = Arc::new(tiny_multistep(case, steps, seed));
         let options = RunOptions::new(scheme, workers);
         let what = format!("{}/{workers}w", scheme.name());
         let mut core = SolveCore::new(&sim, options);
@@ -308,7 +307,6 @@ fn all_dead_step_agrees_on_energy_bits() {
     // timesteps; the last steps fold an all-dead population.
     let mut problem = TestCase::Scatter.build(ProblemScale::tiny(), 5);
     problem.n_timesteps = ALL_DEAD_STEPS;
-    problem.transport.tally_strategy = TallyStrategy::Replicated;
     let sim = Arc::new(Simulation::new(problem));
     for (scheme, workers) in scheme_matrix() {
         let options = RunOptions::new(scheme, workers);
