@@ -32,8 +32,8 @@
 //! lookup hashed             # binary|hinted|hashed
 //! tally replicated          # the one value (atomic was removed)
 //! scheme oe                 # op|oe
-//! checkpoint_file /tmp/s.ckpt   # optional spill (exclusive per live solve)
-//! checkpoint_every 2        # boundaries between spills (default 1)
+//! checkpoint_file s.ckpt   # optional spill, relative to the server (exclusive per live solve)
+//! checkpoint_every 2        # boundaries between spills (>= 1, default 1)
 //! shards 4                  # fault-isolated shard units per timestep (1..=32, default 1)
 //! shard_fault kill@1        # injected shard failures (testing; needs shards >= 2)
 //! ```
@@ -316,12 +316,17 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
                 check_shard_count(shards).map_err(knob)?;
             }
             "shard_fault" => shard_fault = value.parse::<ShardFaultPlan>().map_err(knob)?,
-            "checkpoint_file" => checkpoint_file = Some(value.to_string()),
+            "checkpoint_file" => {
+                check_relative_name(value).map_err(knob)?;
+                checkpoint_file = Some(value.to_string());
+            }
             "checkpoint_every" => {
                 checkpoint_every = value
                     .parse::<usize>()
-                    .map_err(|_| perr(lineno, format!("`{value}` is not a positive integer")))?
-                    .max(1);
+                    .map_err(|_| perr(lineno, format!("`{value}` is not a positive integer")))?;
+                if checkpoint_every == 0 {
+                    return Err(perr(lineno, "checkpoint_every needs at least one step"));
+                }
             }
             other => return Err(perr(lineno, format!("unknown key `{other}`"))),
         }
@@ -340,6 +345,26 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
         shards,
         shard_fault,
     })
+}
+
+/// A POSTed `checkpoint_file` names a file under the server's working
+/// directory: a relative path whose every `/`-separated component is a
+/// plain name. An absolute path, `.`, `..` or an empty component is
+/// refused, so a client cannot write elsewhere, and one file has one
+/// spelling — the registry's one-live-solve-per-file check compares
+/// paths as written.
+fn check_relative_name(path: &str) -> Result<(), String> {
+    if path
+        .split('/')
+        .all(|part| !part.is_empty() && part != "." && part != "..")
+    {
+        Ok(())
+    } else {
+        Err(format!(
+            "checkpoint_file `{path}` must be a relative path of plain names \
+             (no leading `/`, no `.` or `..`, no empty component)"
+        ))
+    }
 }
 
 /// Validate a parsed spec and turn it into a keyed registry submission:
@@ -521,6 +546,42 @@ mod tests {
             let (key, _) = built("scenario csp\nscale tiny\ntally replicated\n", threads).unwrap();
             assert_eq!(key, built("scenario csp\nscale tiny\n", threads).unwrap().0);
         }
+    }
+
+    /// A POSTed checkpoint path is a relative path of plain names: one
+    /// spelling per file, under the server's directory.
+    #[test]
+    fn checkpoint_keys_are_validated() {
+        for ok in ["s.ckpt", "runs/s.ckpt", "..s.ckpt"] {
+            let spec = parse_solve_request(&format!("scenario csp\ncheckpoint_file {ok}\n"));
+            assert_eq!(spec.unwrap().checkpoint_file.as_deref(), Some(ok));
+        }
+        for bad in [
+            "/tmp/s.ckpt",
+            "/",
+            "../s.ckpt",
+            "runs/../s.ckpt",
+            "./s.ckpt",
+            "runs//s.ckpt",
+            "runs/",
+        ] {
+            let err =
+                parse_solve_request(&format!("scenario csp\ncheckpoint_file {bad}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{bad}");
+            assert!(
+                err.message.starts_with(&format!("checkpoint_file `{bad}`")),
+                "{err}"
+            );
+        }
+        let spec = parse_solve_request("scenario csp\ncheckpoint_every 3\n").unwrap();
+        assert_eq!(spec.checkpoint_every, 3);
+        let err = parse_solve_request("scenario csp\ncheckpoint_every 0\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message
+                .contains("checkpoint_every needs at least one step"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -265,6 +265,35 @@ fn bad_requests_are_named_errors() {
         handle.shutdown();
     }
 
+    // A checkpoint path the client names stays under the server's
+    // directory and has one spelling: an absolute path, `.`, `..` or an
+    // empty component is a 400 naming the key, before anything runs.
+    for path in [
+        "/tmp/neutral_e2e.ckpt",
+        "../neutral_e2e.ckpt",
+        "./e2e.ckpt",
+        "a//e2e.ckpt",
+    ] {
+        let resp = post_solve(
+            addr,
+            &format!("scenario csp\nscale tiny\ncheckpoint_file {path}\n"),
+        );
+        assert_eq!(resp.status, 400, "{path}");
+        let body = resp.body_text();
+        assert!(
+            body.contains("line 3") && body.contains(&format!("checkpoint_file `{path}`")),
+            "{path}: {body}"
+        );
+    }
+    // `checkpoint_every 0` fails by name, as `timesteps 0` does.
+    let resp = post_solve(addr, "scenario csp\nscale tiny\ncheckpoint_every 0\n");
+    assert_eq!(resp.status, 400);
+    let body = resp.body_text();
+    assert!(
+        body.contains("line 3") && body.contains("checkpoint_every needs at least one step"),
+        "{body}"
+    );
+
     // Unknown id: 404; non-numeric id: 400.
     let resp = client::request(addr, "GET", "/solves/999", None).unwrap();
     assert_eq!(resp.status, 404);

@@ -20,7 +20,9 @@ use neutral_xs::{
     XsHints,
 };
 
-/// Where energy deposits go. Implemented by all three tally variants plus
+/// Where energy deposits go. Implemented by the solve path's one tally,
+/// the lane fold's [`neutral_mesh::LaneSink`], by the paper baselines'
+/// sinks ([`SequentialTally`], `&AtomicTally`, [`TallySlot`]) and by
 /// [`NullTally`] (used to measure the tally share of runtime, §VI-A).
 pub trait TallySink {
     /// Add `value` (eV, weighted) to `cell`.

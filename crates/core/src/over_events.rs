@@ -10,19 +10,19 @@
 //! Properties the paper attributes to this scheme, all reproduced here:
 //!
 //! * tight loops, one kernel per event class — each kernel is written
-//!   one way, as a per-particle loop with early predicate exits; the
-//!   paper's §VI-G restructuring for vector units was reproduced,
-//!   measured and removed (DESIGN.md §19);
+//!   one way, as one loop over a compacted index list; the paper's
+//!   §VI-G restructuring for vector units was reproduced, measured and
+//!   removed (DESIGN.md §19);
 //! * no register caching — the state the Over-Particles loop keeps in
 //!   registers (microscopic cross sections, local number density) lives in
 //!   per-particle arrays and is re-read by every kernel of every round
 //!   (lane-sized, so from cache rather than from memory: DESIGN.md §8);
 //! * compacted access — the seed reproduced the paper's "every kernel
 //!   visits the whole particle list and checks a predicate" gathers; the
-//!   kernels now iterate maintained compacted index lists (the stream
-//!   compaction cure from the GPU MC literature), with incremental
-//!   compaction at census/death so trip counts shrink as the population
-//!   dies — bitwise identical physics, measurably less memory traffic;
+//!   kernels iterate compacted index lists instead (the stream
+//!   compaction cure from the GPU MC literature), rebuilt by the decide
+//!   pass every round, so trip counts shrink as the population dies —
+//!   bitwise identical physics (DESIGN.md §13);
 //! * batched atomics — deposits accumulate in a per-particle pending array
 //!   and a *separate* tally loop flushes them, which is the workaround the
 //!   paper used to get the other loops to vectorise (§VI-G);
@@ -101,148 +101,47 @@ impl KernelTimings {
     }
 }
 
-/// Per-particle event tag for the current round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-enum Tag {
-    None = 0,
-    Collision = 1,
-    FacetXLow = 2,
-    FacetXHigh = 3,
-    FacetYLow = 4,
-    FacetYHigh = 5,
-}
-
-impl Tag {
-    fn facet(f: Facet) -> Self {
-        match f {
-            Facet::XLow => Tag::FacetXLow,
-            Facet::XHigh => Tag::FacetXHigh,
-            Facet::YLow => Tag::FacetYLow,
-            Facet::YHigh => Tag::FacetYHigh,
-        }
-    }
-
-    fn to_facet(self) -> Option<Facet> {
-        match self {
-            Tag::FacetXLow => Some(Facet::XLow),
-            Tag::FacetXHigh => Some(Facet::XHigh),
-            Tag::FacetYLow => Some(Facet::YLow),
-            Tag::FacetYHigh => Some(Facet::YHigh),
-            _ => None,
-        }
-    }
-}
-
-/// Per-particle history status.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-enum Status {
-    Active = 0,
-    AtCensus = 1,
-    Dead = 2,
-}
-
 /// Per-window coherence state that persists across kernel invocations:
-/// the compacted index lists, the occupancy-dispatch bookkeeping and the
-/// scratch arena for batched lookups. Part of the worker's
-/// [`EventScratch`], re-derived by the init kernel for every lane, so the
-/// steady-state round loop performs no allocations.
+/// the compacted index lists and the scratch arena for batched lookups.
+/// Part of the worker's [`EventScratch`], re-derived by the init kernel
+/// for every lane, so the steady-state round loop performs no
+/// allocations.
 ///
-/// **Hybrid occupancy dispatch.** The seed's kernels swept the whole
-/// particle array and checked an alive/tag predicate per lane; pure
-/// list iteration replaces the predictable linear sweep with an
-/// index-indirected gather, which *loses* on near-full windows (the
-/// index loads and list maintenance cost more than the few skipped
-/// lanes save). Each round therefore picks one of two bitwise-identical
-/// iteration modes, per window:
-///
-/// * **sweep** (live fraction ≥ [`SWEEP_NUM`]/[`SWEEP_DEN`]) — the
-///   seed's predicate sweeps, untouched;
-/// * **list** (below the threshold) — stream compaction: every kernel
-///   iterates maintained compacted index lists, so trip counts track
-///   the live population instead of the allocation.
-///
-/// Both modes visit the same particles in the same ascending order, so
-/// the physics — including every order-sensitive `f64` accumulation —
-/// is bitwise identical; only the memory-access pattern changes.
-/// `active` is kept ascending (its compaction is an order-preserving
-/// `retain`), which is what the identity argument rests on.
+/// **Stream compaction.** Every kernel iterates a compacted index list,
+/// so trip counts track the live population instead of the window. The
+/// decide kernel, which visits every live particle anyway, rebuilds
+/// `active` in place as it goes and streams the round's collision and
+/// facet lists. Every list is built by an ascending walk, so every
+/// kernel visits its particles in index order: the physics — including
+/// every order-sensitive `f64` accumulation — is bitwise that of a walk
+/// over the whole window that checks a predicate per particle. Index
+/// order also keeps the state accesses near-sequential; a *permuted*
+/// walk turns every access into a random gather (measurably slower on
+/// CPUs — DESIGN.md §13).
 #[derive(Default)]
 struct WindowState {
     arena: ScratchArena,
-    /// Compacted indices of particles still `Active` at the last
-    /// compaction point, ascending. Between compactions it also retains
-    /// particles that died or hit census since — in list mode exactly
-    /// the set whose pending deposits the round's tally flush must
-    /// visit. Stale (and unread) while sweep mode holds; the entry
-    /// `retain` on switching to list mode removes every departure at
-    /// once.
+    /// The particles live after the last decide, ascending. The
+    /// collision kernel's deaths stay in it (`p.dead` set) until the
+    /// next decide drops them, so the round flush still drains their
+    /// last deposits; empty after a decide means the lane is done.
     active: Vec<u32>,
-    /// This round's collision-tagged live subset (ascending; list mode
-    /// only — sweep mode re-checks tags like the seed).
+    /// This round's collision events (ascending).
     coll: Vec<u32>,
-    /// This round's facet-tagged live subset (ascending; list mode only).
+    /// This round's facet events (ascending); the facet each one hits is
+    /// in the scratch's `facet_hit` column.
     facet: Vec<u32>,
     /// Every index that reached census, accumulated across rounds;
     /// sorted ascending before the final census kernel so the census pass
     /// runs in the seed's sequence.
     census: Vec<u32>,
-    /// Live (`Active`) particles in this window, maintained by the
-    /// decide (census departures) and collision (deaths) kernels — the
-    /// occupancy the dispatch decides on without scanning anything, and
-    /// the round loop's exit test.
-    live: usize,
-    /// One past the last initially-active slot: the sweep bound. Slots
-    /// `scan..` are dead at init (zero pending, never revived — particles
-    /// only *leave* the active set during a timestep), so every sweep
-    /// loop iterates `0..scan` instead of the whole allocation. Equal to
-    /// the window length while the window's last particle lives.
-    scan: usize,
-    /// Whether this round runs the sweep arm (set by `begin_round`).
-    sweep: bool,
-    /// Whether any particle left the active set since the last
-    /// compaction (death or census arrival). When false the retain scan
-    /// is skipped entirely — rounds where nobody leaves pay nothing for
-    /// compaction.
-    needs_compact: bool,
-}
-
-/// Occupancy threshold of the hybrid dispatch: sweep while
-/// `live * SWEEP_DEN >= scan * SWEEP_NUM` (`scan` being the initially
-/// active prefix).
-const SWEEP_NUM: usize = 7;
-/// See [`SWEEP_NUM`].
-const SWEEP_DEN: usize = 8;
-
-impl WindowState {
-    /// Round prologue of the decide kernel: pick the iteration mode from
-    /// the live occupancy, and in list mode compact the active list
-    /// (order-preserving, so it stays ascending — the property the
-    /// bitwise-identity invariant rests on) and reset the round's tagged
-    /// lists.
-    ///
-    /// Even list mode iterates in ascending index order: the particle
-    /// state lives in index-ordered arrays, so a *permuted* iteration
-    /// order would turn every state access into a random gather
-    /// (measurably slower on CPUs — DESIGN.md §13).
-    fn begin_round(&mut self, status: &[Status]) {
-        self.sweep = self.live * SWEEP_DEN >= self.scan * SWEEP_NUM;
-        if !self.sweep && self.needs_compact {
-            self.active
-                .retain(|&i| status[i as usize] == Status::Active);
-            self.needs_compact = false;
-        }
-        self.coll.clear();
-        self.facet.clear();
-    }
 }
 
 /// One worker's Over-Events scratch: the per-particle state arrays of
 /// the breadth-first kernels — the data that the Over-Particles scheme
 /// would have kept in registers ("Any time data is to be cached, it must
 /// be stored per particle", §V-B) — plus the window's coherence state
-/// (compacted index lists, occupancy bookkeeping, scratch arena).
+/// (compacted index lists, scratch arena).
 ///
 /// Lane-sized, not population-sized: built empty inside a step
 /// ([`crate::step::run_lanes`]), grown to the first lane its worker
@@ -259,8 +158,7 @@ pub(crate) struct EventScratch {
     dist: Vec<f64>,
     pending: Vec<f64>,
     pending_cell: Vec<u32>,
-    tag: Vec<Tag>,
-    status: Vec<Status>,
+    facet_hit: Vec<Facet>,
     ws: WindowState,
 }
 
@@ -269,7 +167,7 @@ impl EventScratch {
     /// array (grown to fit), beside the lane's own column slices.
     fn window<'a, 'p>(&'a mut self, p: &'a mut SoAChunkMut<'p>) -> Window<'a, 'p> {
         let n = p.len();
-        if self.status.len() < n {
+        if self.pending.len() < n {
             self.micro_a.resize(n, 0.0);
             self.micro_s.resize(n, 0.0);
             self.n_dens.resize(n, 0.0);
@@ -277,8 +175,7 @@ impl EventScratch {
             self.dist.resize(n, 0.0);
             self.pending.resize(n, 0.0);
             self.pending_cell.resize(n, 0);
-            self.tag.resize(n, Tag::None);
-            self.status.resize(n, Status::Dead);
+            self.facet_hit.resize(n, Facet::XLow);
         }
         Window {
             p,
@@ -289,8 +186,7 @@ impl EventScratch {
             dist: &mut self.dist[..n],
             pending: &mut self.pending[..n],
             pending_cell: &mut self.pending_cell[..n],
-            tag: &mut self.tag[..n],
-            status: &mut self.status[..n],
+            facet_hit: &mut self.facet_hit[..n],
             ws: &mut self.ws,
         }
     }
@@ -311,8 +207,7 @@ struct Window<'a, 'p> {
     dist: &'a mut [f64],
     pending: &'a mut [f64],
     pending_cell: &'a mut [u32],
-    tag: &'a mut [Tag],
-    status: &'a mut [Status],
+    facet_hit: &'a mut [Facet],
     ws: &'a mut WindowState,
 }
 
@@ -354,9 +249,9 @@ pub(crate) fn run_event_lane<R: CbRng>(
     loop {
         timings.rounds += 1;
         if timings.rounds > ctx.cfg.max_events_per_history {
-            for (i, s) in w.status.iter_mut().enumerate() {
-                if *s == Status::Active {
-                    *s = Status::Dead;
+            for &iu in &w.ws.active {
+                let i = iu as usize;
+                if !w.p.dead[i] {
                     w.p.dead[i] = true;
                     c.stuck += 1;
                 }
@@ -368,7 +263,7 @@ pub(crate) fn run_event_lane<R: CbRng>(
         // The decide kernel counts nothing: it only tags.
         decide_kernel(w, ctx.mesh);
         timings.decide += t.elapsed();
-        if w.ws.live == 0 {
+        if w.ws.active.is_empty() {
             break;
         }
 
@@ -405,29 +300,19 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> E
     let WindowState {
         arena: a,
         active,
-        coll,
-        facet,
         census,
-        live,
-        scan,
-        needs_compact,
         ..
     } = &mut *w.ws;
     a.clear();
     active.clear();
-    coll.clear();
-    facet.clear();
     census.clear();
-    *needs_compact = false;
     for i in 0..n {
         // A previous lane's runaway guard abandons histories without
         // flushing them; a reused scratch must not leak those deposits.
         w.pending[i] = 0.0;
         if w.p.dead[i] {
-            w.status[i] = Status::Dead;
             continue;
         }
-        w.status[i] = Status::Active;
         w.mat[i] = ctx
             .mesh
             .material(w.p.cellx[i] as usize, w.p.celly[i] as usize);
@@ -437,10 +322,6 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> E
         a.hints_absorb.push(w.p.absorb_hint[i]);
         a.hints_scatter.push(w.p.scatter_hint[i]);
     }
-    *live = active.len();
-    // Sweep bound: one past the last initially-active slot, so every
-    // sweep loop covers only the part of the window that can hold work.
-    *scan = active.last().map_or(0, |&i| i as usize + 1);
 
     a.out_absorb.resize(active.len(), 0.0);
     a.out_scatter.resize(active.len(), 0.0);
@@ -472,107 +353,81 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> E
     c
 }
 
-/// Event selection under the hybrid dispatch: a predicate sweep
-/// on near-full windows (the seed behaviour bit for bit), the compacted
-/// index list once the population has thinned. Both arms call the same
-/// [`next_event_parts`] physics per live particle in ascending order; the
-/// list arm additionally streams the tagged indices into the round's
-/// collision/facet lists, which is what shrinks every downstream
-/// kernel's trip count.
+/// Event selection, folded into the compaction: one ascending walk over
+/// `active` drops last round's deaths, selects the next event of every
+/// live particle ([`next_event_parts`]), moves census arrivals to the
+/// census list and keeps the rest, streamed into the round's collision
+/// and facet lists. A census arrival holds no pending deposit (the
+/// previous round's flush drained it), so dropping it here loses
+/// nothing.
+///
+/// The kept entries are written back through a cursor, not by
+/// `Vec::retain`: with this body in its closure the kernel ran ≈ 30 %
+/// slower (`csp` 512², one worker, best-of decide time: 526 against
+/// 395 ms).
 fn decide_kernel(w: &mut Window<'_, '_>, mesh: &StructuredMesh2D) {
-    w.ws.begin_round(w.status);
     let WindowState {
         active,
         coll,
         facet,
         census,
-        live,
-        sweep,
-        scan,
-        needs_compact,
         ..
     } = &mut *w.ws;
-    let (sweep, scan) = (*sweep, *scan);
-    let status = &mut *w.status;
-    let (cols, micro_a, micro_s, n_dens, tag, dist) = (
+    coll.clear();
+    facet.clear();
+    let (cols, micro_a, micro_s, n_dens, dist, facet_hit) = (
         &w.p,
         &*w.micro_a,
         &*w.micro_s,
         &*w.n_dens,
-        &mut *w.tag,
         &mut *w.dist,
+        &mut *w.facet_hit,
     );
-    // One body, two explicitly unswitched loops (macro-expanded so both
-    // arms inline): the seed's predicate sweep and the compacted-list
-    // walk generate tight codegen instead of a per-iteration mode branch.
-    macro_rules! body {
-        ($i:expr, $sweeping:expr) => {{
-            let i = $i;
-            let sigma_t = macroscopic_per_m(micro_a[i] + micro_s[i], n_dens[i]);
-            let bounds = mesh.cell_bounds(cols.cellx[i] as usize, cols.celly[i] as usize);
-            match next_event_parts(
-                cols.x[i],
-                cols.y[i],
-                cols.omega_x[i],
-                cols.omega_y[i],
-                cols.energy[i],
-                cols.dt_to_census[i],
-                cols.mfp_to_collision[i],
-                sigma_t,
-                bounds,
-            ) {
-                NextEvent::Census(_) => {
-                    status[i] = Status::AtCensus;
-                    tag[i] = Tag::None;
-                    census.push(i as u32);
-                    *live -= 1;
-                    *needs_compact = true;
-                }
-                NextEvent::Facet(d, f) => {
-                    tag[i] = Tag::facet(f);
-                    dist[i] = d;
-                    if !$sweeping {
-                        facet.push(i as u32);
-                    }
-                }
-                NextEvent::Collision(d) => {
-                    tag[i] = Tag::Collision;
-                    dist[i] = d;
-                    if !$sweeping {
-                        coll.push(i as u32);
-                    }
-                }
-            }
-        }};
-    }
-    if sweep {
-        for i in 0..scan {
-            if status[i] != Status::Active {
-                tag[i] = Tag::None;
+    let mut kept = 0;
+    let list = active.as_mut_slice();
+    for k in 0..list.len() {
+        let iu = list[k];
+        let i = iu as usize;
+        if cols.dead[i] {
+            continue;
+        }
+        let sigma_t = macroscopic_per_m(micro_a[i] + micro_s[i], n_dens[i]);
+        let bounds = mesh.cell_bounds(cols.cellx[i] as usize, cols.celly[i] as usize);
+        match next_event_parts(
+            cols.x[i],
+            cols.y[i],
+            cols.omega_x[i],
+            cols.omega_y[i],
+            cols.energy[i],
+            cols.dt_to_census[i],
+            cols.mfp_to_collision[i],
+            sigma_t,
+            bounds,
+        ) {
+            NextEvent::Census(_) => {
+                census.push(iu);
                 continue;
             }
-            body!(i, true);
+            NextEvent::Facet(d, f) => {
+                dist[i] = d;
+                facet_hit[i] = f;
+                facet.push(iu);
+            }
+            NextEvent::Collision(d) => {
+                dist[i] = d;
+                coll.push(iu);
+            }
         }
-    } else {
-        for &iu in active.iter() {
-            body!(iu as usize, false);
-        }
+        list[kept] = iu;
+        kept += 1;
     }
+    active.truncate(kept);
 }
 
 fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let nx = ctx.mesh.nx();
-    let WindowState {
-        arena: a,
-        coll,
-        live,
-        sweep,
-        scan,
-        needs_compact,
-        ..
-    } = &mut *w.ws;
-    let (sweep, scan) = (*sweep, *scan);
+    let WindowState { arena: a, coll, .. } = &mut *w.ws;
     // The batched re-lookup pays a gather/scatter pass; only `hashed`,
     // whose `lookup_many` has a sorted-block fast path, wins it back. The
     // walking strategies keep the seed's per-particle calls (same
@@ -580,13 +435,8 @@ fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>)
     let batch = ctx.cfg.xs_search == crate::config::LookupStrategy::Hashed;
 
     a.clear();
-    let trips = if sweep { scan } else { coll.len() };
-    #[allow(clippy::needless_range_loop)] // dual-mode index source
-    for k in 0..trips {
-        let i = if sweep { k } else { coll[k] as usize };
-        if sweep && (w.tag[i] != Tag::Collision || w.status[i] != Status::Active) {
-            continue;
-        }
+    for &iu in coll.iter() {
+        let i = iu as usize;
         let micro = MicroXs {
             absorb_barns: w.micro_a[i],
             scatter_barns: w.micro_s[i],
@@ -601,20 +451,17 @@ fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>)
         let sigma_t = macroscopic_per_m(micro.total_barns(), w.n_dens[i]);
         move_particle(&mut p, d, sigma_t);
         let mut stream = CounterStream::new(ctx.rng, p.key);
-        // Both arms walk ascending, so `lost_energy_ev` sums the cutoff
-        // deaths in index order.
+        // The walk is ascending, so `lost_energy_ev` sums the cutoff
+        // deaths in index order. A death needs no list work: `store`
+        // writes `p.dead`, and the next decide drops the particle.
         let died = handle_collision(&mut p, &mut stream, micro, ctx.cfg, &mut c);
-        if died {
-            w.status[i] = Status::Dead;
-            *live -= 1;
-            *needs_compact = true;
-        } else if batch {
+        if !died && batch {
             a.idx.push(i as u32);
             a.energies.push(p.energy);
             a.mats.push(w.mat[i]);
             a.hints_absorb.push(p.xs_hints.absorb);
             a.hints_scatter.push(p.xs_hints.scatter);
-        } else {
+        } else if !died {
             let micro = crate::history::lookup_micro(&mut p, ctx, w.mat[i], &mut c);
             w.micro_a[i] = micro.absorb_barns;
             w.micro_s[i] = micro.scatter_barns;
@@ -624,7 +471,7 @@ fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>)
 
     // The collisions changed the survivors' energies: re-resolve their
     // cross sections through one batched lane-block lookup (bitwise
-    // identical to the per-particle calls, but a single tight sweep the
+    // identical to the per-particle calls, but a single tight pass the
     // sorted-block fast paths of the grid backends can exploit).
     if batch {
         a.out_absorb.resize(a.idx.len(), 0.0);
@@ -655,94 +502,68 @@ fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>)
 fn facet_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let nx = ctx.mesh.nx();
-    let sweep = w.ws.sweep;
-    let scan = w.ws.scan;
-    let facet_list = &w.ws.facet;
-
-    macro_rules! body {
-        ($i:expr, $facet:expr) => {{
-            let i = $i;
-            let facet = $facet;
-            let micro = MicroXs {
-                absorb_barns: w.micro_a[i],
-                scatter_barns: w.micro_s[i],
+    for &iu in &w.ws.facet {
+        let i = iu as usize;
+        let facet = w.facet_hit[i];
+        let micro = MicroXs {
+            absorb_barns: w.micro_a[i],
+            scatter_barns: w.micro_s[i],
+        };
+        let d = w.dist[i];
+        w.pending[i] += energy_deposition(w.p.energy[i], w.p.weight[i], d, w.n_dens[i], micro);
+        w.pending_cell[i] = (w.p.celly[i] as usize * nx + w.p.cellx[i] as usize) as u32;
+        let sigma_t = macroscopic_per_m(micro.total_barns(), w.n_dens[i]);
+        move_particle_parts(
+            &mut w.p.x[i],
+            &mut w.p.y[i],
+            &mut w.p.mfp_to_collision[i],
+            &mut w.p.dt_to_census[i],
+            w.p.omega_x[i],
+            w.p.omega_y[i],
+            w.p.energy[i],
+            d,
+            sigma_t,
+        );
+        // A facet event touches only the cell index (crossing) or one
+        // direction cosine (reflection): resolve it on the columns
+        // directly. Gathering the whole fifteen-field particle here —
+        // the collision kernel's strategy — would touch every column
+        // for a two-field update, and facets outnumber collisions on
+        // the streaming-heavy shapes.
+        handle_facet_parts(
+            &mut w.p.omega_x[i],
+            &mut w.p.omega_y[i],
+            &mut w.p.cellx[i],
+            &mut w.p.celly[i],
+            facet,
+            ctx.mesh,
+            &mut c,
+        );
+        c.density_reads += 1;
+        let (cx, cy) = (w.p.cellx[i] as usize, w.p.celly[i] as usize);
+        w.n_dens[i] = number_density(ctx.mesh.density(cx, cy));
+        // Crossing into a different material invalidates the cached
+        // microscopic cross sections (same order of operations as the
+        // history loop, so the counters and hints stay identical).
+        let mat = ctx.mesh.material(cx, cy);
+        if mat != w.mat[i] {
+            w.mat[i] = mat;
+            c.material_switches += 1;
+            let mut hints = XsHints {
+                absorb: w.p.absorb_hint[i],
+                scatter: w.p.scatter_hint[i],
             };
-            let d = w.dist[i];
-            w.pending[i] += energy_deposition(w.p.energy[i], w.p.weight[i], d, w.n_dens[i], micro);
-            w.pending_cell[i] = (w.p.celly[i] as usize * nx + w.p.cellx[i] as usize) as u32;
-            let sigma_t = macroscopic_per_m(micro.total_barns(), w.n_dens[i]);
-            move_particle_parts(
-                &mut w.p.x[i],
-                &mut w.p.y[i],
-                &mut w.p.mfp_to_collision[i],
-                &mut w.p.dt_to_census[i],
-                w.p.omega_x[i],
-                w.p.omega_y[i],
+            let micro = resolve_micro_xs(
+                ctx.materials.library(mat),
+                ctx.cfg.xs_search,
                 w.p.energy[i],
-                d,
-                sigma_t,
-            );
-            // A facet event touches only the cell index (crossing) or one
-            // direction cosine (reflection): resolve it on the columns
-            // directly. Gathering the whole fifteen-field particle here —
-            // the collision kernel's strategy — would touch every column
-            // for a two-field update, and facets outnumber collisions on
-            // the streaming-heavy shapes.
-            handle_facet_parts(
-                &mut w.p.omega_x[i],
-                &mut w.p.omega_y[i],
-                &mut w.p.cellx[i],
-                &mut w.p.celly[i],
-                facet,
-                ctx.mesh,
+                &mut hints,
                 &mut c,
             );
-            c.density_reads += 1;
-            let (cx, cy) = (w.p.cellx[i] as usize, w.p.celly[i] as usize);
-            w.n_dens[i] = number_density(ctx.mesh.density(cx, cy));
-            // Crossing into a different material invalidates the cached
-            // microscopic cross sections (same order of operations as the
-            // history loop, so the counters and hints stay identical).
-            let mat = ctx.mesh.material(cx, cy);
-            if mat != w.mat[i] {
-                w.mat[i] = mat;
-                c.material_switches += 1;
-                let mut hints = XsHints {
-                    absorb: w.p.absorb_hint[i],
-                    scatter: w.p.scatter_hint[i],
-                };
-                let micro = resolve_micro_xs(
-                    ctx.materials.library(mat),
-                    ctx.cfg.xs_search,
-                    w.p.energy[i],
-                    &mut hints,
-                    &mut c,
-                );
-                w.p.absorb_hint[i] = hints.absorb;
-                w.p.scatter_hint[i] = hints.scatter;
-                w.micro_a[i] = micro.absorb_barns;
-                w.micro_s[i] = micro.scatter_barns;
-            }
-        }};
-    }
-    if sweep {
-        for i in 0..scan {
-            if w.status[i] != Status::Active {
-                continue;
-            }
-            let Some(facet) = w.tag[i].to_facet() else {
-                continue;
-            };
-            body!(i, facet);
-        }
-    } else {
-        for &iu in facet_list.iter() {
-            let i = iu as usize;
-            let Some(facet) = w.tag[i].to_facet() else {
-                debug_assert!(false, "facet list member without a facet tag");
-                continue;
-            };
-            body!(i, facet);
+            w.p.absorb_hint[i] = hints.absorb;
+            w.p.scatter_hint[i] = hints.scatter;
+            w.micro_a[i] = micro.absorb_barns;
+            w.micro_s[i] = micro.scatter_barns;
         }
     }
     c
@@ -751,11 +572,11 @@ fn facet_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> 
 /// Which set a tally flush drains.
 #[derive(Clone, Copy)]
 enum FlushList {
-    /// The round flush: every particle that was active at the start of
-    /// the round (including this round's deaths and census arrivals,
-    /// whose last deposits are still pending), in ascending index order
-    /// — the seed's flush sequence. In sweep mode this is the seed's
-    /// whole-window sweep.
+    /// The round flush: `active`, ascending — every particle live at
+    /// this round's decide, this round's deaths included, whose last
+    /// deposits are still pending. This round's census arrivals left it
+    /// at decide holding nothing: the previous round's flush drained
+    /// them.
     Round,
     /// The final flush after the census kernel: only census arrivals can
     /// hold pending deposits at that point.
@@ -778,17 +599,17 @@ fn tally_kernel<T: TallySink>(
     list: FlushList,
 ) -> EventCounters {
     let mut c = EventCounters::default();
-    let mut drain = |i: usize| {
+    let list = match list {
+        FlushList::Round => &w.ws.active,
+        FlushList::Census => &w.ws.census,
+    };
+    for &iu in list {
+        let i = iu as usize;
         if w.pending[i] != 0.0 {
             sink.deposit(w.pending_cell[i] as usize, w.pending[i]);
             w.pending[i] = 0.0;
             c.tally_flushes += 1;
         }
-    };
-    match list {
-        FlushList::Round if w.ws.sweep => (0..w.ws.scan).for_each(&mut drain),
-        FlushList::Round => w.ws.active.iter().for_each(|&iu| drain(iu as usize)),
-        FlushList::Census => w.ws.census.iter().for_each(|&iu| drain(iu as usize)),
     }
     c
 }
@@ -804,7 +625,7 @@ fn census_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) ->
     census.sort_unstable();
     for &iu in census.iter() {
         let i = iu as usize;
-        debug_assert_eq!(w.status[i], Status::AtCensus);
+        debug_assert!(!w.p.dead[i], "a census arrival is live");
         let micro = MicroXs {
             absorb_barns: w.micro_a[i],
             scatter_barns: w.micro_s[i],
@@ -919,14 +740,23 @@ mod tests {
         }
     }
 
-    /// The compaction invariant under the hybrid dispatch: the live
-    /// counter always equals the alive-predicate count; in list mode the
-    /// maintained index list is exactly the set the alive-predicate
-    /// would select, in ascending order, and the round's collision/facet
-    /// lists are exactly the tagged subsets. Both dispatch arms must be
-    /// exercised (scatter's population decays through the threshold).
+    /// The particles neither dead nor at census, ascending.
+    fn alive_set(w: &Window<'_, '_>, at_census: &[bool]) -> Vec<u32> {
+        (0..w.p.len() as u32)
+            .filter(|&i| !w.p.dead[i as usize] && !at_census[i as usize])
+            .collect()
+    }
+
+    /// The compaction invariant, on every round: after each decide,
+    /// `active` is exactly the alive set derived from `p.dead` and the
+    /// census list, ascending; the round's collision and facet lists
+    /// split it, each ascending; a census arrival arrives once, from the
+    /// alive set; each round flush leaves no deposit pending (which is
+    /// why decide may drop a census arrival); and the lane ends with
+    /// every particle either dead or at census.
     #[test]
     fn compacted_list_matches_alive_predicate() {
+        let ascending = |v: &[u32]| v.windows(2).all(|p| p[0] < p[1]);
         for case in [TestCase::Scatter, TestCase::Csp] {
             let (problem, rng) = fixture(case);
             let c = ctx(&problem, &rng);
@@ -937,76 +767,55 @@ mod tests {
             let mut lanes = particles.chunks_mut(n);
             let w = &mut scratch.window(&mut lanes[0]);
             init_kernel(w, &c);
-            let alive: Vec<u32> = (0..n as u32)
-                .filter(|&i| w.status[i as usize] == Status::Active)
-                .collect();
-            assert_eq!(w.ws.active, alive, "{case:?}: init list");
-            assert_eq!(w.ws.live, alive.len(), "{case:?}: init live count");
+            let mut at_census = vec![false; n];
+            assert_eq!(w.ws.active, alive_set(w, &at_census), "{case:?}: init list");
 
-            let (mut sweep_rounds, mut list_rounds) = (0u32, 0u32);
-            for round in 0..1000 {
-                // The set the predicate selects at the compaction point.
-                let expected: Vec<u32> = (0..n as u32)
-                    .filter(|&i| w.status[i as usize] == Status::Active)
-                    .collect();
+            let mut round = 0;
+            loop {
+                round += 1;
+                assert!(round < 1000, "{case:?}: the lane did not finish");
+                let arrived = w.ws.census.len();
                 decide_kernel(w, c.mesh);
-                if w.ws.sweep {
-                    sweep_rounds += 1;
-                } else {
-                    list_rounds += 1;
-                    assert_eq!(
-                        w.ws.active, expected,
-                        "{case:?} round {round}: compacted list != alive predicate set"
-                    );
-                    let tagged: Vec<u32> = expected
-                        .iter()
-                        .copied()
-                        .filter(|&i| w.status[i as usize] == Status::Active)
-                        .collect();
-                    let colls: Vec<u32> = tagged
-                        .iter()
-                        .copied()
-                        .filter(|&i| w.tag[i as usize] == Tag::Collision)
-                        .collect();
-                    let facets: Vec<u32> = tagged
-                        .iter()
-                        .copied()
-                        .filter(|&i| w.tag[i as usize].to_facet().is_some())
-                        .collect();
-                    assert_eq!(w.ws.coll, colls, "{case:?} round {round}: collision list");
-                    assert_eq!(w.ws.facet, facets, "{case:?} round {round}: facet list");
+                for &i in &w.ws.census[arrived..] {
+                    let i = i as usize;
+                    assert!(!w.p.dead[i] && !at_census[i], "{case:?} round {round}: {i}");
+                    at_census[i] = true;
                 }
-                if w.ws.live == 0 {
+                assert_eq!(
+                    w.ws.active,
+                    alive_set(w, &at_census),
+                    "{case:?} round {round}: compacted list != alive set"
+                );
+                assert!(
+                    ascending(&w.ws.coll) && ascending(&w.ws.facet),
+                    "{case:?} round {round}"
+                );
+                let mut split = [&w.ws.coll[..], &w.ws.facet[..]].concat();
+                split.sort_unstable();
+                assert_eq!(split, w.ws.active, "{case:?} round {round}: coll + facet");
+                if w.ws.active.is_empty() {
                     break;
                 }
                 collision_kernel(w, &c);
                 facet_kernel(w, &c);
                 tally_kernel(w, &mut { &tally }, FlushList::Round);
-                let live_now = (0..n).filter(|&i| w.status[i] == Status::Active).count();
-                assert_eq!(w.ws.live, live_now, "{case:?} round {round}: live count");
+                assert!(
+                    w.pending.iter().all(|&d| d == 0.0),
+                    "{case:?} round {round}: a deposit outlived the round flush"
+                );
             }
             assert!(
-                sweep_rounds > 0 && list_rounds > 0,
-                "{case:?}: both dispatch arms must be exercised \
-                 (sweep={sweep_rounds}, list={list_rounds})"
+                (0..n).all(|i| w.p.dead[i] != at_census[i]),
+                "{case:?}: every particle ends dead or at census"
             );
-            // The census list holds exactly the AtCensus set once sorted.
-            let mut census = w.ws.census.clone();
-            census.sort_unstable();
-            let expected: Vec<u32> = (0..n as u32)
-                .filter(|&i| w.status[i as usize] == Status::AtCensus)
-                .collect();
-            assert_eq!(census, expected, "{case:?}: census list");
         }
     }
 
-    /// The live-prefix sweep bound: `scan` is one past the last slot alive
-    /// at init — holes inside it are swept and skipped, a dead tail is
-    /// never visited — and the shortened sweep is bitwise clean: a window
-    /// with a dead tail computes exactly what the same window cut off at
-    /// its last live particle computes.
+    /// A window with a dead tail (and holes in its head) computes exactly
+    /// what the same window cut off at its last live particle computes:
+    /// dead slots cost no visits and leave no trace.
     #[test]
-    fn scan_bound_tracks_live_prefix() {
+    fn dead_tail_computes_what_the_cut_window_computes() {
         let (problem, rng) = fixture(TestCase::Scatter);
         let c = ctx(&problem, &rng);
         let mut base = spawn_particles(&problem);
@@ -1019,14 +828,6 @@ mod tests {
         let bound = base.iter().rposition(|p| !p.dead).unwrap() + 1;
         let alive = base.iter().filter(|p| !p.dead).count();
         assert!(alive < bound && bound <= live_end && live_end < n);
-
-        let mut scratch = EventScratch::default();
-        let mut probe = ParticleSoA::from_aos(&base);
-        let mut lanes = probe.chunks_mut(n);
-        let w = &mut scratch.window(&mut lanes[0]);
-        init_kernel(w, &c);
-        assert_eq!(w.ws.scan, bound, "scan == one past the last live slot");
-        assert_eq!(w.ws.live, alive);
 
         let run = |particles: &[crate::particle::Particle]| {
             // One lane = one window over the whole population.

@@ -69,9 +69,9 @@ pub(crate) fn begin_step(soa: &mut ParticleSoA, dt: f64, step: usize) {
 /// folds it into `accum`'s tree on that worker. Each worker owns one `W`
 /// (built empty, filled by the kernel) that it reuses across the lanes it
 /// happens to take; a lane's output may not depend on it. Returns the
-/// per-lane outputs in lane order: with a deterministic backend the
-/// folded tally and the caller's pairwise counter merge are then bitwise
-/// identical for any worker count and schedule.
+/// per-lane outputs in lane order: the folded tally (the one tally, a
+/// fixed-shape tree) and the caller's pairwise counter merge are then
+/// bitwise identical for any worker count and schedule.
 ///
 /// The partition is explicit because this is also the sharding seam: a
 /// shard holds a contiguous run of the global lane space, so it must

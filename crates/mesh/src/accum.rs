@@ -942,7 +942,7 @@ mod tests {
     }
 
     /// Concurrently driving disjoint lanes must not change the merged
-    /// bits of the deterministic backend.
+    /// bits of the fold.
     #[test]
     fn deterministic_merge_is_interleaving_invariant() {
         let cells = 64;
