@@ -11,23 +11,25 @@
 //! of the full problem/`TransportConfig` so a checkpoint can never be
 //! resumed against a different problem silently.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! Little-endian, length-prefixed, checksummed — the `Frame` the shard
 //! wire (`NEUTSHRD`) shares:
 //!
 //! ```text
-//! magic "NEUTCKPT" | version u32 | payload_len u64 | payload | fnv1a64 u64
+//! magic "NEUTCKPT" | version u32 | payload_len u64 | payload | checksum u64
 //! ```
 //!
-//! The checksum is FNV-1a 64 — the same hasher the golden-tally fixtures
-//! use — computed over every preceding byte (magic and version included).
-//! FNV-1a's per-byte step is bijective in the running hash, so any
-//! single-byte corruption is detected with certainty; `payload_len` lets
-//! the reader distinguish a torn (truncated) file from a bit-flipped one
-//! and report the actual cause. The particles travel as columns, each one
-//! little-endian run ([`ParticleSoA`]'s codec); a version-1 file (one
-//! 97-byte record per particle) fails `UnsupportedVersion(1)`.
+//! The checksum is [`frame_checksum`] over every preceding byte (magic and
+//! version included), folded a word at a time through the config
+//! fingerprint's hasher; it detects any corruption confined to one 8-byte
+//! word — every single-byte flip — with certainty. `payload_len` lets the
+//! reader distinguish a torn (truncated) file from a bit-flipped one and
+//! report the actual cause. The particles travel as columns, each one
+//! little-endian run ([`ParticleSoA`]'s codec). Older files fail by
+//! version: a version-1 file (one 97-byte record per particle)
+//! `UnsupportedVersion(1)`, a version-2 file (FNV-1a trailer, a 17-word
+//! counter block) `UnsupportedVersion(2)`.
 //!
 //! # Crash safety
 //!
@@ -68,14 +70,14 @@ use std::time::Duration;
 pub const MAGIC: &[u8; 8] = b"NEUTCKPT";
 
 /// Current format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Bytes before the payload: magic + version + payload length.
 const HEADER_LEN: usize = 8 + 4 + 8;
 
 /// The frame both containers are sealed in and opened through:
-/// `magic | version u32 | payload_len u64 | payload | fnv1a64 u64`, the
-/// checksum over every byte before it.
+/// `magic | version u32 | payload_len u64 | payload | checksum u64`, the
+/// [`frame_checksum`] of every byte before it.
 pub(crate) struct Frame {
     pub(crate) magic: &'static [u8; 8],
     pub(crate) version: u32,
@@ -108,7 +110,7 @@ impl Frame {
         out.extend_from_slice(&(payload_len as u64).to_le_bytes());
         write(&mut out);
         debug_assert_eq!(out.len(), HEADER_LEN + payload_len);
-        let checksum = fnv1a64(out.iter().copied());
+        let checksum = frame_checksum(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -151,7 +153,7 @@ impl Frame {
             )));
         }
         let expected = u64::from_le_bytes(buf[total - 8..].try_into().unwrap());
-        let found = fnv1a64(buf[..total - 8].iter().copied());
+        let found = frame_checksum(&buf[..total - 8]);
         if expected != found {
             return Err(CheckpointError::ChecksumMismatch { expected, found });
         }
@@ -162,9 +164,10 @@ impl Frame {
     }
 }
 
-/// Serialized size of one [`EventCounters`] block (15 integer counters
-/// plus the two energy residuals as `f64` bits).
-pub(crate) const COUNTERS_RECORD_LEN: usize = 17 * 8;
+/// Serialized size of one [`EventCounters`] block (14 integer counters
+/// plus the two energy residuals as `f64` bits; the always-zero
+/// `clustered_flushes` is not written and decodes as 0).
+pub(crate) const COUNTERS_RECORD_LEN: usize = 16 * 8;
 
 /// Append one counters block in the checkpoint wire layout.
 pub(crate) fn put_counters(out: &mut Vec<u8>, c: &EventCounters) {
@@ -179,7 +182,6 @@ pub(crate) fn put_counters(out: &mut Vec<u8>, c: &EventCounters) {
         c.stuck,
         c.tally_flushes,
         c.cs_search_steps,
-        c.clustered_flushes,
         c.cs_lookups,
         c.batched_lookups,
         c.density_reads,
@@ -226,7 +228,6 @@ pub(crate) fn read_counters(r: &mut Reader<'_>) -> Result<EventCounters, Checkpo
         stuck: r.u64()?,
         tally_flushes: r.u64()?,
         cs_search_steps: r.u64()?,
-        clustered_flushes: r.u64()?,
         cs_lookups: r.u64()?,
         batched_lookups: r.u64()?,
         density_reads: r.u64()?,
@@ -239,7 +240,10 @@ pub(crate) fn read_counters(r: &mut Reader<'_>) -> Result<EventCounters, Checkpo
 }
 
 /// FNV-1a 64-bit over a byte stream — the same hash the golden-tally
-/// fixtures lock with (`neutral-integration`'s `golden::fnv1a64`).
+/// fixtures lock with (`neutral-integration`'s `golden::fnv1a64`), and
+/// the seed of [`config_fingerprint`]. It pays one dependent multiply per
+/// byte, so bulk data goes through the word hasher (`fold_words`)
+/// instead.
 #[must_use]
 pub fn fnv1a64(bytes: impl Iterator<Item = u8>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -266,7 +270,7 @@ pub enum CheckpointError {
     /// The file is shorter than its own length prefix promises — the
     /// signature of a torn write.
     Truncated,
-    /// The FNV-1a checksum does not match the file's bytes — the
+    /// The [`frame_checksum`] does not match the file's bytes — the
     /// signature of in-place corruption (e.g. a bit flip).
     ChecksumMismatch {
         /// Checksum stored in the file.
@@ -418,17 +422,21 @@ fn synthesis_words(table: &CrossSection, synthesis: &Synthesis) -> [u64; 11] {
     ]
 }
 
+/// One step of the word hasher: bijective in `w` for any `h` (xor, an
+/// odd multiply and an xorshift are each invertible) and in `h` for any
+/// `w`, so a chain of steps maps a changed word to a changed result.
+fn mix(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^ (x >> 32)
+}
+
 /// Fold a run of values, each as one 64-bit word, into `hash`: word `k`
-/// into lane `k % 4` of four independent multiply-xorshift chains (one
-/// dependent chain would pay a multiply latency per word), then the run
-/// length and the lanes in order — so neither a changed word nor a moved
-/// run boundary cancels.
+/// into lane `k % 4` of four independent [`mix`] chains (one dependent
+/// chain would pay a multiply latency per word), then the run length and
+/// the lanes in order — so neither a changed word nor a moved run
+/// boundary cancels. The one bulk hasher: [`config_fingerprint`] folds
+/// the mesh and tables through it, [`frame_checksum`] every framed byte.
 fn fold_words<T: Copy>(hash: u64, values: &[T], word: impl Fn(T) -> u64) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mix = |h: u64, w: u64| {
-        let x = (h ^ w).wrapping_mul(K);
-        x ^ (x >> 32)
-    };
     let mut lanes = [hash, hash ^ 1, hash ^ 2, hash ^ 3];
     let mut blocks = values.chunks_exact(4);
     for block in &mut blocks {
@@ -442,6 +450,22 @@ fn fold_words<T: Copy>(hash: u64, values: &[T], word: impl Fn(T) -> u64) -> u64 
     lanes
         .iter()
         .fold(mix(hash, values.len() as u64), |h, &lane| mix(h, lane))
+}
+
+/// The trailer of a `NEUTCKPT` checkpoint or `NEUTSHRD` shard result:
+/// `bytes`' little-endian 8-byte words through the four-lane word hasher
+/// [`config_fingerprint`] folds its bulk with (`fold_words`), then the
+/// zero-padded tail word and the byte length (which tells a tail of
+/// zeros from padding). Any change confined to one aligned word, the tail
+/// included, moves it with certainty: the word's lane changes (every
+/// `mix` step is bijective), and so does every fold after it.
+#[must_use]
+pub fn frame_checksum(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    let hash = fold_words(0xcbf2_9ce4_8422_2325, words, u64::from_le_bytes);
+    mix(mix(hash, u64::from_le_bytes(last)), bytes.len() as u64)
 }
 
 /// A complete resumable solve snapshot, taken at a census boundary.
@@ -1008,6 +1032,15 @@ pub(crate) mod tests {
     use crate::config::{ProblemScale, TestCase};
     use crate::particle::spawn_particles;
 
+    /// Recompute the trailer of a framed buffer in place — what a
+    /// corrupter that knows the format does. Every test that forges a
+    /// frame reseals through here.
+    pub(crate) fn reseal(frame: &mut [u8]) {
+        let n = frame.len();
+        let sum = frame_checksum(&frame[..n - 8]);
+        frame[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     fn sample_checkpoint() -> Checkpoint {
         let problem = TestCase::Csp.build(ProblemScale::tiny(), 3);
         let particles = ParticleSoA::from_aos(&spawn_particles(&problem));
@@ -1056,7 +1089,8 @@ pub(crate) mod tests {
     fn every_single_byte_flip_is_detected() {
         let bytes = sample_checkpoint().to_bytes();
         // Sample every 97th byte (plus the tail) to keep the test fast;
-        // FNV-1a detects any single-byte change with certainty.
+        // the frame checksum detects any change within one 8-byte word
+        // with certainty.
         let mut offsets: Vec<usize> = (0..bytes.len()).step_by(97).collect();
         offsets.extend(bytes.len() - 9..bytes.len());
         for off in offsets {
@@ -1094,16 +1128,16 @@ pub(crate) mod tests {
 
     #[test]
     fn huge_element_counts_with_valid_checksum_fail_cleanly() {
-        // A corrupter can recompute the FNV checksum, so the in-payload
+        // A corrupter can recompute the checksum, so the in-payload
         // element counts cannot be trusted either: plant counts whose
         // byte-size products wrap usize and re-checksum the file. The
         // parser must reject them via checked arithmetic instead of
         // letting a wrapped product sneak past the size guard into
         // Vec::with_capacity.
         let bytes = sample_checkpoint().to_bytes();
-        // Payload word layout: 5 header words + 17 counter words, then
+        // Payload word layout: 5 header words + 16 counter words, then
         // n_tally; the sample tally holds 4 entries, then n_particles.
-        let n_tally_off = HEADER_LEN + 8 * 22;
+        let n_tally_off = HEADER_LEN + 8 * 21;
         let n_particles_off = n_tally_off + 8 + 4 * 8;
         assert_eq!(
             u64::from_le_bytes(bytes[n_tally_off..n_tally_off + 8].try_into().unwrap()),
@@ -1118,9 +1152,7 @@ pub(crate) mod tests {
         ] {
             let mut evil = bytes.clone();
             evil[off..off + 8].copy_from_slice(&huge.to_le_bytes());
-            let n = evil.len();
-            let sum = fnv1a64(evil[..n - 8].iter().copied());
-            evil[n - 8..].copy_from_slice(&sum.to_le_bytes());
+            reseal(&mut evil);
             let err = Checkpoint::from_bytes(&evil).unwrap_err();
             assert!(
                 matches!(err, CheckpointError::Corrupt(_)),
@@ -1166,9 +1198,7 @@ pub(crate) mod tests {
         let mut wrong_version = bytes.clone();
         wrong_version[8..12].copy_from_slice(&99u32.to_le_bytes());
         // Re-checksum so the version check (not the checksum) fires.
-        let total = wrong_version.len();
-        let sum = fnv1a64(wrong_version[..total - 8].iter().copied());
-        wrong_version[total - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut wrong_version);
         assert!(matches!(
             Checkpoint::from_bytes(&wrong_version),
             Err(CheckpointError::UnsupportedVersion(99))
@@ -1240,9 +1270,7 @@ pub(crate) mod tests {
     fn version_1_files_fail_by_version() {
         let mut v1 = sample_checkpoint().to_bytes();
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let n = v1.len();
-        let sum = fnv1a64(v1[..n - 8].iter().copied());
-        v1[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut v1);
         assert!(matches!(
             Checkpoint::from_bytes(&v1),
             Err(CheckpointError::UnsupportedVersion(1))
@@ -1257,8 +1285,7 @@ pub(crate) mod tests {
         let mut evil = sample_checkpoint().to_bytes();
         let n = evil.len();
         evil[n - 9] = 2;
-        let sum = fnv1a64(evil[..n - 8].iter().copied());
-        evil[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut evil);
         match Checkpoint::from_bytes(&evil) {
             Err(CheckpointError::Corrupt(msg)) => {
                 assert!(msg.ends_with("`dead` byte 2 is not 0 or 1"), "{msg}")
@@ -1289,13 +1316,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// The byte layout, pinned: the FNV-1a digest of a hand-built
-    /// checkpoint. Every round-trip test passes through a layout change;
-    /// this one does not, so a change must bump [`VERSION`] (old files
-    /// then fail by name) and re-pin.
-    #[test]
-    fn checkpoint_layout_is_pinned() {
-        let ckpt = Checkpoint {
+    /// A hand-built checkpoint of 430 bytes: every field set, the length
+    /// no multiple of 8, so its frame ends in a tail word.
+    fn pinned_checkpoint() -> Checkpoint {
+        Checkpoint {
             fingerprint: 0x0123_4567_89ab_cdef,
             next_step: 2,
             n_timesteps: 5,
@@ -1311,17 +1335,120 @@ pub(crate) mod tests {
             },
             tally: vec![1.5, -0.25, 6.0e22],
             particles: pinned_particles(),
-        };
-        let bytes = ckpt.to_bytes();
+        }
+    }
+
+    /// The byte layout, pinned: the FNV-1a digest of a hand-built
+    /// checkpoint. Every round-trip test passes through a layout change;
+    /// this one does not, so a change must bump [`VERSION`] (old files
+    /// then fail by name) and re-pin.
+    #[test]
+    fn checkpoint_layout_is_pinned() {
+        let bytes = pinned_checkpoint().to_bytes();
         assert_eq!(
             bytes.len(),
-            20 + 5 * 8 + 17 * 8 + 8 + 3 * 8 + 8 + 2 * 97 + 8
+            20 + 5 * 8 + 16 * 8 + 8 + 3 * 8 + 8 + 2 * 97 + 8
         );
         assert_eq!(
             fnv1a64(bytes.iter().copied()),
-            0xf2e4_8a92_1f73_78fa,
+            0xde63_fbb0_0ed0_4092,
             "the NEUTCKPT layout changed: bump VERSION and re-pin"
         );
+    }
+
+    /// What the frame's checksum and length prefix promise, checked
+    /// exhaustively on one sealed buffer that `open` (a container's
+    /// decoder) reads: every single-bit flip fails by name — in the
+    /// header as its field's error, anywhere else as `ChecksumMismatch`;
+    /// swapping two unequal 8-byte payload words, at payload or at frame
+    /// alignment, is a `ChecksumMismatch`; and a byte inserted past the
+    /// header is `Corrupt` (trailing bytes), one removed `Truncated`.
+    pub(crate) fn assert_frame_detects(
+        bytes: &[u8],
+        open: impl Fn(&[u8]) -> Result<(), CheckpointError>,
+    ) {
+        let n = bytes.len();
+        assert!(!n.is_multiple_of(8), "a {n} B sample ends in no tail word");
+        let refused = |evil: &[u8], what: &str| match open(evil) {
+            Err(err) => err,
+            Ok(()) => panic!("{what}: decoded"),
+        };
+        for bit in 0..n * 8 {
+            let mut evil = bytes.to_vec();
+            evil[bit / 8] ^= 1 << (bit % 8);
+            let what = format!("bit {bit} flipped");
+            let err = refused(&evil, &what);
+            let named = match bit / 8 {
+                0..8 => matches!(err, CheckpointError::BadMagic),
+                8..12 => matches!(err, CheckpointError::UnsupportedVersion(_)),
+                12..HEADER_LEN => {
+                    matches!(
+                        err,
+                        CheckpointError::Truncated | CheckpointError::Corrupt(_)
+                    )
+                }
+                _ => matches!(err, CheckpointError::ChecksumMismatch { .. }),
+            };
+            assert!(named, "{what}: {err}");
+        }
+        for first in [HEADER_LEN, HEADER_LEN.next_multiple_of(8)] {
+            let words: Vec<usize> = (first..=n - 16).step_by(8).collect();
+            for (k, &a) in words.iter().enumerate() {
+                for &b in &words[k + 1..] {
+                    if bytes[a..a + 8] == bytes[b..b + 8] {
+                        continue;
+                    }
+                    let mut evil = bytes.to_vec();
+                    let (head, rest) = evil.split_at_mut(b);
+                    head[a..a + 8].swap_with_slice(&mut rest[..8]);
+                    let what = format!("words at {a} and {b} swapped");
+                    let err = refused(&evil, &what);
+                    assert!(
+                        matches!(err, CheckpointError::ChecksumMismatch { .. }),
+                        "{what}: {err}"
+                    );
+                }
+            }
+        }
+        for at in HEADER_LEN..=n {
+            let mut longer = bytes.to_vec();
+            longer.insert(at, 0x5a);
+            let err = refused(&longer, &format!("byte inserted at {at}"));
+            assert!(
+                matches!(err, CheckpointError::Corrupt(_)),
+                "insert at {at}: {err}"
+            );
+            if at < n {
+                let mut shorter = bytes.to_vec();
+                shorter.remove(at);
+                let err = refused(&shorter, &format!("byte {at} removed"));
+                assert!(
+                    matches!(err, CheckpointError::Truncated),
+                    "remove {at}: {err}"
+                );
+            }
+        }
+    }
+
+    /// `bytes` relabelled as format `version` under the FNV-1a trailer
+    /// every frame carried before the word-wise checksum.
+    pub(crate) fn old_style_frame(bytes: &[u8], version: u32) -> Vec<u8> {
+        let mut old = bytes.to_vec();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        let n = old.len();
+        let sum = fnv1a64(old[..n - 8].iter().copied());
+        old[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        old
+    }
+
+    #[test]
+    fn checkpoint_frame_detects_flips_swaps_and_length_changes() {
+        let bytes = pinned_checkpoint().to_bytes();
+        assert_frame_detects(&bytes, |b| Checkpoint::from_bytes(b).map(drop));
+        assert!(matches!(
+            Checkpoint::from_bytes(&old_style_frame(&bytes, 2)),
+            Err(CheckpointError::UnsupportedVersion(2))
+        ));
     }
 
     /// Seeded mutation fuzz of the decoder and the resume checks behind
@@ -1340,7 +1467,7 @@ pub(crate) mod tests {
         let (sim, options, ckpt) = real_checkpoint();
         let bytes = ckpt.to_bytes();
         // The count words: next_step, n_timesteps, n_tally, n_particles.
-        let n_tally_off = HEADER_LEN + 8 * 22;
+        let n_tally_off = HEADER_LEN + 8 * 21;
         let counts = [
             HEADER_LEN + 8,
             HEADER_LEN + 16,
@@ -1351,8 +1478,7 @@ pub(crate) mod tests {
             let n = b.len();
             if n >= HEADER_LEN + 8 {
                 b[12..HEADER_LEN].copy_from_slice(&((n - HEADER_LEN - 8) as u64).to_le_bytes());
-                let sum = fnv1a64(b[..n - 8].iter().copied());
-                b[n - 8..].copy_from_slice(&sum.to_le_bytes());
+                reseal(b);
             }
         };
         let g = &mut crate::fuzz::Gen::new(20_170_905);

@@ -147,8 +147,11 @@ struct WindowState {
 /// ([`crate::step::run_lanes`]), grown to the first lane its worker
 /// takes and reused for every later one at that high-water capacity. The
 /// init kernel re-derives every field a round reads from the lane's
-/// particles, so nothing of one lane — its lists, its arena, a deposit
-/// the runaway guard abandoned — reaches the next.
+/// particles, so nothing of one lane — its lists, its arena — reaches the
+/// next. `pending` needs no reset: every slot starts at zero, and a lane
+/// ends with all of them drained — each round flush empties what that
+/// round deposited (the runaway guard fires only at the top of a round,
+/// after one), and the census flush empties the census arrivals.
 #[derive(Default)]
 pub(crate) struct EventScratch {
     micro_a: Vec<f64>,
@@ -307,9 +310,6 @@ fn init_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> E
     active.clear();
     census.clear();
     for i in 0..n {
-        // A previous lane's runaway guard abandons histories without
-        // flushing them; a reused scratch must not leak those deposits.
-        w.pending[i] = 0.0;
         if w.p.dead[i] {
             continue;
         }

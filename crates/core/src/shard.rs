@@ -24,7 +24,9 @@
 //! `[0, 10)` = `[0, 8)` + `[8, 10)`), and the coordinator finishes the
 //! same tree above those nodes ([`merge_nodes_pairwise`]). No bit
 //! changes; a 16-lane shard encodes, checksums and decodes one mesh
-//! instead of sixteen.
+//! instead of sixteen. The result travels in the checkpoint's frame
+//! (`NEUTSHRD` version 4), under the same word-wise
+//! [`frame_checksum`](crate::checkpoint::frame_checksum).
 //!
 //! On top of that determinism sits the fault model: a per-shard
 //! supervisor with a heartbeat deadline, deterministic fault injection
@@ -427,7 +429,7 @@ type TallyNode = (Range<usize>, Vec<f64>);
 /// attempts behave like remote processes, which both exercises the codec
 /// on every step and gives the `corrupt` fault a realistic surface.
 ///
-/// Wire layout (version 3, little-endian, in the checkpoint's [`Frame`];
+/// Wire layout (version 4, little-endian, in the checkpoint's [`Frame`];
 /// the wire is in-process and lives for one step, so there is no reader
 /// for older versions):
 ///
@@ -435,10 +437,10 @@ type TallyNode = (Range<usize>, Vec<f64>);
 /// |---|---|
 /// | 8 + 4 + 8 | magic `NEUTSHRD`, version, payload length |
 /// | 7 × 8 | `shard`, `step`, `base0`, `cells`, `footprint`, `n_lanes`, `n_nodes` |
-/// | `n_lanes` × 136 | per-lane counters |
+/// | `n_lanes` × 128 | per-lane counters |
 /// | `n_nodes` × (16 + `cells` × 8) | per node: first lane, end lane, mesh |
 /// | 8 + n × 97 | particle count, then the 15 columns, one run each |
-/// | 8 | FNV-1a 64 of every byte before it |
+/// | 8 | [`frame_checksum`](crate::checkpoint::frame_checksum) of every byte before it |
 #[derive(Debug)]
 struct ShardResult {
     shard: u64,
@@ -451,7 +453,7 @@ struct ShardResult {
     particles: ParticleSoA,
 }
 
-const SHARD_VERSION: u32 = 3;
+const SHARD_VERSION: u32 = 4;
 const SHARD_FRAME: Frame = Frame {
     magic: b"NEUTSHRD",
     version: SHARD_VERSION,
@@ -1064,6 +1066,7 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::{assert_frame_detects, old_style_frame, reseal};
     use crate::sim::Execution;
 
     #[test]
@@ -1158,9 +1161,7 @@ mod tests {
     /// what a corrupter that knows the format would do.
     fn rewrite_and_reseal(bytes: &mut [u8], off: usize, value: u64) {
         bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
-        let n = bytes.len();
-        let sum = fnv1a64(bytes[..n - 8].iter().copied());
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(bytes);
     }
 
     #[test]
@@ -1199,6 +1200,19 @@ mod tests {
         );
     }
 
+    /// The shard-result twin of the checkpoint's frame test, on a
+    /// 446-byte result (no multiple of 8); a version-3 result under its
+    /// old FNV-1a trailer is refused by version.
+    #[test]
+    fn shard_frame_detects_flips_swaps_and_length_changes() {
+        let bytes = sample_result().to_bytes(Vec::new());
+        assert_frame_detects(&bytes, |b| ShardResult::from_bytes(b).map(drop));
+        assert!(matches!(
+            ShardResult::from_bytes(&old_style_frame(&bytes, 3)),
+            Err(CheckpointError::UnsupportedVersion(3))
+        ));
+    }
+
     /// The wire layout, pinned: the FNV-1a digest of a hand-built result.
     /// A layout change passes every round-trip test but this one, and
     /// must bump `SHARD_VERSION` and re-pin.
@@ -1207,11 +1221,11 @@ mod tests {
         let bytes = sample_result().to_bytes(Vec::new());
         assert_eq!(
             bytes.len(),
-            20 + 7 * 8 + 136 + (16 + 2 * 8) + 8 + 2 * 97 + 8
+            20 + 7 * 8 + 128 + (16 + 2 * 8) + 8 + 2 * 97 + 8
         );
         assert_eq!(
             fnv1a64(bytes.iter().copied()),
-            0xe2c1_8c52_2b8a_a8b1,
+            0xd495_bc64_e4eb_1e32,
             "the NEUTSHRD layout changed: bump SHARD_VERSION and re-pin"
         );
     }
@@ -1272,7 +1286,7 @@ mod tests {
     #[test]
     fn huge_lane_geometry_with_valid_checksum_fails_cleanly() {
         // The shard-result twin of the checkpoint suite's hostile-header
-        // test: a corrupter can recompute the FNV checksum, so `cells`,
+        // test: a corrupter can recompute the checksum, so `cells`,
         // `n_lanes` and `n_nodes` are untrusted. Plant values whose
         // byte-size products wrap usize and re-checksum; the decoder must
         // name the corruption instead of overflowing (a debug-build panic
@@ -1450,9 +1464,7 @@ mod tests {
         let off = cellx_byte(count_off, n, 3);
         let mut evil = bytes.clone();
         evil[off..off + 4].copy_from_slice(&(nx as u32).to_le_bytes());
-        let total = evil.len();
-        let sum = fnv1a64(evil[..total - 8].iter().copied());
-        evil[total - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut evil);
         let detail = corrupt_detail(&sim, &solve, shard, &evil);
         assert!(
             detail.starts_with(&format!("particle 3 lies in cell ({nx}, ")),

@@ -387,9 +387,8 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     let _ = std::fs::remove_file(store.fallback_path());
     let mut wrong_version = good.clone();
     wrong_version[8..12].copy_from_slice(&99u32.to_le_bytes());
-    let sum =
-        neutral_core::checkpoint::fnv1a64(wrong_version[..wrong_version.len() - 8].iter().copied());
     let n = wrong_version.len();
+    let sum = neutral_core::checkpoint::frame_checksum(&wrong_version[..n - 8]);
     wrong_version[n - 8..].copy_from_slice(&sum.to_le_bytes());
     store.save_raw(&wrong_version).unwrap();
     let _ = std::fs::remove_file(store.fallback_path()); // save_raw rotated
