@@ -11,7 +11,8 @@
 //! * `save` — [`CheckpointStore::save`]: the crash-safe rotate →
 //!   write-temp → fsync → rename protocol, including the encode;
 //! * `load+resume` — [`CheckpointStore::load`] (read + checksum +
-//!   parse) followed by [`SolveCore::resume`] (validation + state rebuild).
+//!   parse) followed by [`SolveCore::from_checkpoint`] (validation +
+//!   state rebuild).
 //!
 //! Each is reported in milliseconds and as a fraction of the median
 //! timestep's transport time, so the headline number is "checkpointing
@@ -117,7 +118,7 @@ fn main() {
 
                 let t0 = Instant::now();
                 let (loaded, _) = store.load().expect("checkpoint load");
-                let resumed = SolveCore::resume(&sim, options, &loaded).expect("resume");
+                let resumed = SolveCore::from_checkpoint(&sim, options, loaded).expect("resume");
                 restore_ms.push(t0.elapsed().as_secs_f64() * 1e3);
                 assert_eq!(resumed.steps_done(), solve.steps_done());
             }

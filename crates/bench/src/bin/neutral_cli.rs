@@ -16,19 +16,21 @@
 //! a file nor a scenario, the built-in default (a small csp) runs. The
 //! tally dump is a plain-text `ix iy value` triple per non-empty cell.
 //!
-//! `--checkpoint FILE` enables the checkpoint/restart subsystem: a
-//! crash-safe checkpoint is written to FILE at every census boundary,
-//! and a run finding a valid checkpoint there resumes instead of
-//! restarting (a checkpoint from a different problem is a hard error).
-//! `--fault SPEC` (e.g. `kill@2` or `torn@1,bitflip@2`) deterministically
-//! injects checkpoint-layer failures for testing the recovery path; it
+//! Every solve runs through one `neutral_core::drive::Driver`, whatever
+//! the shard count. `--checkpoint FILE` makes it durable: a crash-safe
+//! checkpoint is written to FILE at every census boundary, and a run
+//! finding a valid checkpoint there resumes instead of restarting — at
+//! any `--threads` and any `--shards` (a checkpoint from a different
+//! problem is a hard error). `--fault SPEC` (e.g. `kill@2` or
+//! `torn@1,bitflip@2`) deterministically injects checkpoint-layer
+//! failures at census boundaries for testing the recovery path; it
 //! requires `--checkpoint`.
 //!
 //! `--shards N` splits every timestep into N fault-isolated shards
 //! (DESIGN.md §18, N ≤ 32: a shard owns whole lanes); results are
 //! bitwise identical to the unsharded run for any N. With
-//! `--checkpoint FILE`, shard retries
-//! reload their census-boundary inputs from `FILE.shard<k>` stores.
+//! `--checkpoint FILE` and N ≥ 2, shard retries reload their
+//! census-boundary inputs from `FILE.shard<k>` stores.
 //! `--shard-fault SPEC` (e.g. `kill@1` or `hang@0:2,corrupt@1`)
 //! deterministically injects shard failures to exercise the
 //! retry/quarantine path; it requires `--shards` ≥ 2.
@@ -37,6 +39,7 @@ use neutral_core::params::ProblemParams;
 use neutral_core::prelude::*;
 use neutral_core::shard::check_shard_count;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 struct CliArgs {
     params_file: Option<String>,
@@ -259,15 +262,19 @@ fn parse_args() -> Result<CliArgs, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args().and_then(run) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
-    let params = match (&args.params_file, args.scenario) {
+/// Solve what the command line asks for; an `Err` is printed as
+/// `error: …` and exits 1.
+fn run(args: CliArgs) -> Result<(), String> {
+    let mut params = match (&args.params_file, args.scenario) {
         (None, Some(scenario)) => {
             let seed = args.seed.unwrap_or(20_170_905);
             println!(
@@ -280,24 +287,11 @@ fn main() -> ExitCode {
         }
         (None, None) => ProblemParams::default(),
         (Some(path), _) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match ProblemParams::parse(&text) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            ProblemParams::parse(&text).map_err(|e| e.to_string())?
         }
     };
-
-    let mut params = params;
     if let Some(seed) = args.seed {
         // Reseed (not just overwrite): defaulted material-table seeds
         // follow the new master seed, exactly as if the file's `seed`
@@ -321,8 +315,7 @@ fn main() -> ExitCode {
     // CLI flags override the params file's checkpoint/fault keys.
     let checkpoint_path = args.checkpoint.clone().or(params.checkpoint_file.clone());
     if !shard_fault_plan.is_empty() && shards < 2 {
-        eprintln!("error: --shard-fault requires --shards >= 2 (or a `shards` params key)");
-        return ExitCode::FAILURE;
+        return Err("--shard-fault requires --shards >= 2 (or a `shards` params key)".into());
     }
     println!(
         "neutral: {}x{} mesh, {} particles, {} material(s), {} timestep(s), dt {:.2e} s, seed {}",
@@ -343,87 +336,57 @@ fn main() -> ExitCode {
 
     let fault_plan = args.fault.clone().unwrap_or(params.fault.clone());
     if !fault_plan.is_empty() && checkpoint_path.is_none() {
-        eprintln!("error: --fault requires --checkpoint (or a `checkpoint_file` params key)");
-        return ExitCode::FAILURE;
-    }
-    if !fault_plan.is_empty() && shards > 1 {
-        eprintln!(
-            "error: --fault drives unsharded checkpointed solves; use --shard-fault with --shards"
-        );
-        return ExitCode::FAILURE;
+        return Err("--fault requires --checkpoint (or a `checkpoint_file` params key)".into());
     }
 
-    let sim = std::sync::Arc::new(Simulation::new(problem));
-    let report = if shards > 1 {
-        let mut config = ShardConfig::new(shards);
-        config.fault_plan = shard_fault_plan;
-        config.checkpoint_base = checkpoint_path.clone().map(std::path::PathBuf::from);
-        if let Some(base) = &checkpoint_path {
-            println!("shards: retry inputs spill to {base}.shard<k>");
+    let sim = Arc::new(Simulation::new(problem));
+    let mut config = ShardConfig::new(shards);
+    config.fault_plan = shard_fault_plan;
+    let checkpointing = checkpoint_path.as_ref().map(|path| Checkpointing {
+        store: CheckpointStore::new(path),
+        every: 1,
+        faults: fault_plan,
+    });
+    let path = checkpoint_path.as_deref().unwrap_or_default();
+    let mut driver = Driver::open(Arc::clone(&sim), options, config, checkpointing)
+        .map_err(|e| format!("checkpoint {path}: {e}"))?;
+    match (&driver.resumed, &checkpoint_path) {
+        (Some((step, Recovery::Primary)), _) => {
+            println!("checkpoint: resumed from {path} at timestep {step}");
         }
-        let mut solve = ShardedSolve::new(&sim, options, config);
-        loop {
-            match solve.step(&sim) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        let stats = solve.stats();
-        println!(
-            "shards: {shards} shards, {} attempts ({} retried, {} requeued)",
-            stats.attempts, stats.retries, stats.requeues
-        );
-        if stats.requeues > 0 {
+        (Some((step, Recovery::Fallback { primary_error })), _) => println!(
+            "checkpoint: primary invalid ({primary_error}); resumed from fallback at timestep {step}"
+        ),
+        (None, Some(_)) => println!("checkpoint: no prior state at {path}, fresh solve"),
+        (None, None) => {}
+    }
+    if shards > 1 && checkpoint_path.is_some() {
+        println!("shards: retry inputs spill to {path}.shard<k>");
+    }
+    match driver.run() {
+        Err(DriveError::Killed(step)) => {
             println!(
-                "shards: recovered {} shard unit(s) via retry, bitwise identical",
-                stats.requeues
+                "checkpoint: injected kill after timestep {step}; \
+                 rerun with --checkpoint {path} to resume"
             );
+            return Ok(());
         }
-        solve.finish()
-    } else {
-        match &checkpoint_path {
-            None => sim.run(options),
-            Some(path) => {
-                let store = CheckpointStore::new(path);
-                match run_with_checkpoints(&sim, options, &store, &fault_plan) {
-                    Ok(SolveOutcome::Complete {
-                        report,
-                        resumed_from,
-                        recovery,
-                    }) => {
-                        match (resumed_from, recovery) {
-                            (Some(step), Some(Recovery::Primary)) => {
-                                println!("checkpoint: resumed from {path} at timestep {step}");
-                            }
-                            (Some(step), Some(Recovery::Fallback { primary_error })) => {
-                                println!(
-                                    "checkpoint: primary invalid ({primary_error}); \
-                                 resumed from fallback at timestep {step}"
-                                );
-                            }
-                            _ => println!("checkpoint: no prior state at {path}, fresh solve"),
-                        }
-                        report
-                    }
-                    Ok(SolveOutcome::Killed { after_step }) => {
-                        println!(
-                            "checkpoint: injected kill after timestep {after_step}; \
-                         rerun with --checkpoint {path} to resume"
-                        );
-                        return ExitCode::SUCCESS;
-                    }
-                    Err(e) => {
-                        eprintln!("error: checkpoint {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        }
-    };
+        ran => ran.map_err(|e| e.to_string())?,
+    }
+    let stats = driver.solve().stats();
+    if shards > 1 {
+        let (attempts, retries, requeues) = (stats.attempts, stats.retries, stats.requeues);
+        println!(
+            "shards: {shards} shards, {attempts} attempts ({retries} retried, {requeues} requeued)"
+        );
+    }
+    if stats.requeues > 0 {
+        println!(
+            "shards: recovered {} shard unit(s) via retry, bitwise identical",
+            stats.requeues
+        );
+    }
+    let report = driver.finish();
     println!("{}", report.summary());
     if report.counters.material_switches > 0 {
         println!(
@@ -467,21 +430,14 @@ fn main() -> ExitCode {
 
     if let Some(path) = args.dump_tally {
         let nx = sim.problem().mesh.nx();
-        let mut out = match std::fs::File::create(&path) {
-            Ok(f) => std::io::BufWriter::new(f),
-            Err(e) => {
-                eprintln!("error: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let file =
+            std::fs::File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
         // The same dump format `GET /solves/:id/tallies` serves, so the
         // two are `cmp`-comparable for identical configs.
-        if let Err(e) = neutral_bench::serve_http::write_tally_dump(&report.tally, nx, &mut out) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        let mut out = std::io::BufWriter::new(file);
+        neutral_bench::serve_http::write_tally_dump(&report.tally, nx, &mut out)
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("tally written to {path}");
     }
-
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -32,7 +32,7 @@
 //! lookup hashed             # binary|hinted|hashed
 //! tally replicated          # the one value (atomic was removed)
 //! scheme oe                 # op|oe
-//! checkpoint_file s.ckpt   # optional spill, relative to the server (exclusive per live solve)
+//! checkpoint_file s.ckpt   # optional, relative to the server; resumes its own checkpoint, 409 on another's
 //! checkpoint_every 2        # boundaries between spills (>= 1, default 1)
 //! shards 4                  # fault-isolated shard units per timestep (1..=32, default 1)
 //! shard_fault kill@1        # injected shard failures (testing; needs shards >= 2)
@@ -158,7 +158,7 @@ impl SolveService {
                 )
                 .with_header("x-solve-id", &receipt.id.to_string())
             }
-            Err(e @ SubmitError::CheckpointFileBusy { .. }) => {
+            Err(e @ (SubmitError::CheckpointFileBusy { .. } | SubmitError::Checkpoint { .. })) => {
                 Response::text(409, format!("{e}\n"))
             }
             Err(e @ SubmitError::ShuttingDown) => Response::text(503, format!("{e}\n")),
@@ -430,12 +430,15 @@ fn json_escape(s: &str) -> String {
 }
 
 fn status_fields(status: &SolveStatus) -> String {
-    let error = match &status.state {
+    let mut extra = match &status.state {
         SolveState::Failed(msg) => format!(",\"error\":\"{}\"", json_escape(msg)),
         _ => String::new(),
     };
+    if let Some(step) = status.resumed_from {
+        extra.push_str(&format!(",\"resumed_from\":{step}"));
+    }
     format!(
-        "\"state\":\"{}\",\"steps_done\":{},\"n_timesteps\":{},\"fingerprint\":\"{:016x}\"{error}",
+        "\"state\":\"{}\",\"steps_done\":{},\"n_timesteps\":{},\"fingerprint\":\"{:016x}\"{extra}",
         status.state.name(),
         status.steps_done,
         status.n_timesteps,

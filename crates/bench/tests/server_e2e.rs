@@ -306,3 +306,51 @@ fn bad_requests_are_named_errors() {
 
     handle.shutdown();
 }
+
+/// The server reads back the checkpoint files it writes: a POST whose
+/// `checkpoint_file` holds another solve's checkpoint is a 409 naming
+/// the file and the cause, and the solve the file belongs to resumes
+/// from it, reports `resumed_from` in its status and serves the
+/// uninterrupted run's dump.
+#[test]
+fn checkpoint_files_resume_their_own_solve_and_refuse_others() {
+    let name = format!("neutral_e2e_resume_{}.ckpt", std::process::id());
+    // What a server that died after boundary 1 leaves: the solve crashed
+    // before its boundary-2 save.
+    let checkpointing = Checkpointing {
+        store: CheckpointStore::new(&name),
+        every: 1,
+        faults: "kill@2".parse().unwrap(),
+    };
+    let sim = Arc::new(Simulation::new(direct_problem(SEED + 7)));
+    let config = ShardConfig::new(1);
+    let mut driver = Driver::open(sim, RunOptions::default(), config, Some(checkpointing)).unwrap();
+    assert!(matches!(driver.run(), Err(DriveError::Killed(2))));
+    let (_service, mut handle, addr) = start(ServeConfig::default());
+
+    let body = |seed| format!("{}checkpoint_file {name}\n", request_body(seed));
+    let foreign = post_solve(addr, &body(SEED + 8));
+    assert_eq!(foreign.status, 409, "{}", foreign.body_text());
+    let text = foreign.body_text();
+    assert!(
+        text.contains(&name) && text.contains("belongs to a different problem"),
+        "{text}"
+    );
+
+    let own = post_solve(addr, &body(SEED + 7));
+    assert_eq!(own.status, 201, "{}", own.body_text());
+    let id = own.header("x-solve-id").unwrap().to_string();
+    assert_eq!(poll_until_terminal(addr, &id), "done");
+    let status = client::request(addr, "GET", &format!("/solves/{id}"), None).unwrap();
+    assert_eq!(json_field(&status.body_text(), "resumed_from"), "1");
+    let served = client::request(addr, "GET", &format!("/solves/{id}/tallies"), None).unwrap();
+    let direct = Simulation::new(direct_problem(SEED + 7)).run(RunOptions::default());
+    let mut expected = Vec::new();
+    write_tally_dump(&direct.tally, direct_problem(SEED).mesh.nx(), &mut expected).unwrap();
+    assert_eq!(served.body, expected, "the resumed solve's dump");
+
+    handle.shutdown();
+    for file in [name.clone(), format!("{name}.prev")] {
+        let _ = std::fs::remove_file(file);
+    }
+}

@@ -51,7 +51,7 @@
 //! must survive — torn writes (`torn@N[:KEEP]`), bit flips
 //! (`bitflip@N[:OFFSET]`) and process kills (`kill@N`, which crash the
 //! solve *before* the boundary-N checkpoint is written) — by deliberately
-//! bypassing the atomic-write protocol. [`run_with_checkpoints`] threads
+//! bypassing the atomic-write protocol. [`crate::drive::Driver`] threads
 //! a plan through a solve; the restart test suite asserts every fault is
 //! either recovered from the last valid checkpoint or surfaced as a hard
 //! error naming the cause, and that every interrupt/resume schedule
@@ -59,7 +59,7 @@
 
 use crate::config::Problem;
 use crate::counters::EventCounters;
-use crate::sim::{RunOptions, RunReport, Scheme, Simulation, SolveCore};
+use crate::sim::Scheme;
 use crate::soa::ParticleSoA;
 use neutral_xs::{CrossSection, SynthParams, Synthesis, SYNTH_VERSION};
 use std::path::{Path, PathBuf};
@@ -338,9 +338,10 @@ impl From<std::io::Error> for CheckpointError {
 /// the density field's bits, the material map, every material's tables,
 /// and the `scheme` (the two schemes accumulate
 /// the same terms in different orders, so their `f64` sums differ by
-/// ulps). The rest of [`RunOptions`] is deliberately absent: `execution`
-/// is bitwise-free (the one tally is the deterministic lane fold), which
-/// is what lets one cached result answer any host width.
+/// ulps). The rest of [`RunOptions`](crate::sim::RunOptions) is
+/// deliberately absent: `execution` is bitwise-free (the one tally is
+/// the deterministic lane fold), which is what lets one cached result
+/// answer any host width.
 ///
 /// A table is hashed by what it is: a synthesized table by its spec
 /// ([`Synthesis`], point count and [`SYNTH_VERSION`]), so addressing a
@@ -935,102 +936,12 @@ fn bad_fault_spec(part: &str, why: &str) -> String {
     format!("bad fault spec `{part}`: {why} (expected kill@N, torn@N[:KEEP] or bitflip@N[:OFFSET])")
 }
 
-/// How a checkpointed run ended (see [`run_with_checkpoints`]).
-// One value exists per solve, so the size gap between a full report and
-// a bare step count costs nothing — boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum SolveOutcome {
-    /// The solve ran to completion.
-    Complete {
-        /// The completed run's report.
-        report: RunReport,
-        /// Timestep index the solve resumed from (`None` = fresh start).
-        resumed_from: Option<usize>,
-        /// How the resume checkpoint was obtained, if the solve resumed.
-        recovery: Option<Recovery>,
-    },
-    /// An injected [`Fault::Kill`] crashed the solve after `after_step`
-    /// completed timesteps (before that boundary's checkpoint write).
-    Killed {
-        /// Completed timesteps at the crash.
-        after_step: usize,
-    },
-}
-
-/// Run (or resume) a checkpointed solve end to end, applying `plan`'s
-/// injected faults at their census boundaries.
-///
-/// * If `store` holds a valid (or recoverable) checkpoint for this
-///   problem, the solve resumes from it; otherwise it starts fresh.
-///   A corrupt store with no valid fallback, or a checkpoint from a
-///   different configuration, is a hard error.
-/// * After each timestep, the boundary checkpoint is written with the
-///   crash-safe protocol — unless a fault replaces it with a torn or
-///   bit-flipped file, or a kill crashes the solve first.
-pub fn run_with_checkpoints(
-    sim: &Simulation,
-    options: RunOptions,
-    store: &CheckpointStore,
-    plan: &FaultPlan,
-) -> Result<SolveOutcome, CheckpointError> {
-    let (mut solve, resumed) = match store.load() {
-        Ok((ckpt, recovery)) => {
-            let solve = SolveCore::resume(sim, options, &ckpt)?;
-            (solve, Some((ckpt.next_step, recovery)))
-        }
-        Err(CheckpointError::NotFound) => (SolveCore::new(sim, options), None),
-        Err(e) => return Err(e),
-    };
-    let resumed_from = resumed.as_ref().map(|(step, _)| *step);
-    let recovery = resumed.map(|(_, r)| r);
-
-    while !solve.is_done() {
-        solve.step(sim);
-        let boundary = solve.steps_done();
-        let mut killed = false;
-        let mut planted = false;
-        for fault in plan.for_step(boundary) {
-            match fault {
-                Fault::Kill { .. } => killed = true,
-                Fault::TornWrite { keep_bytes, .. } => {
-                    let bytes = solve.checkpoint().to_bytes();
-                    let keep = keep_bytes.min(bytes.len());
-                    store.save_raw(&bytes[..keep])?;
-                    planted = true;
-                }
-                Fault::BitFlip { offset, .. } => {
-                    let mut bytes = solve.checkpoint().to_bytes();
-                    let off = offset.min(bytes.len() - 1);
-                    bytes[off] ^= 0x80;
-                    store.save_raw(&bytes)?;
-                    planted = true;
-                }
-            }
-        }
-        if killed {
-            // The crash happens before this boundary's checkpoint write:
-            // the store still holds the previous boundary's state.
-            return Ok(SolveOutcome::Killed {
-                after_step: boundary,
-            });
-        }
-        if !planted {
-            store.save(&solve.checkpoint())?;
-        }
-    }
-    Ok(SolveOutcome::Complete {
-        report: solve.finish(),
-        resumed_from,
-        recovery,
-    })
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::config::{ProblemScale, TestCase};
     use crate::particle::spawn_particles;
+    use crate::sim::{RunOptions, Simulation, SolveCore};
 
     /// Recompute the trailer of a framed buffer in place — what a
     /// corrupter that knows the format does. Every test that forges a

@@ -508,21 +508,17 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
 /// the retry actually visible in the stats — a fault that silently never
 /// fired would vacuously pass).
 fn shard_invariance(case: &FuzzCase, direct: &RunReport) -> Result<(), String> {
-    use crate::shard::{ShardConfig, ShardedSolve};
+    use crate::drive::Driver;
+    use crate::shard::ShardConfig;
 
     let options = RunOptions::new(case.scheme, BASE_WORKERS);
     let sim = std::sync::Arc::new(Simulation::new(case.params.build()));
     let run = |config: ShardConfig| -> Result<(RunReport, crate::shard::ShardStats), String> {
-        let mut solve = ShardedSolve::new(&sim, options, config);
-        loop {
-            match solve.step(&sim) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => return Err(format!("sharded step: {e}")),
-            }
-        }
-        let stats = solve.stats();
-        Ok((solve.finish(), stats))
+        let sim = std::sync::Arc::clone(&sim);
+        let mut driver = Driver::open(sim, options, config, None).map_err(|e| e.to_string())?;
+        driver.run().map_err(|e| e.to_string())?;
+        let stats = driver.solve().stats();
+        Ok((driver.finish(), stats))
     };
 
     // The acceptance counts {1, 2, 5}, plus whatever the case's own
@@ -567,7 +563,7 @@ fn checkpoint_roundtrip(
     }
     let bytes = first.checkpoint().to_bytes();
     let parsed = Checkpoint::from_bytes(&bytes).map_err(|e| format!("checkpoint bytes: {e}"))?;
-    let mut resumed = SolveCore::resume(sim, options, &parsed)
+    let mut resumed = SolveCore::from_checkpoint(sim, options, parsed)
         .map_err(|e| format!("resume rejected own checkpoint: {e}"))?;
     while resumed.step(sim) {}
     let report = resumed.finish();

@@ -53,6 +53,7 @@ pub mod arena;
 pub mod checkpoint;
 pub mod config;
 pub mod counters;
+pub mod drive;
 pub mod dump;
 pub mod events;
 pub mod fuzz;
@@ -74,14 +75,15 @@ pub mod validate;
 pub mod prelude {
     pub use crate::arena::ScratchArena;
     pub use crate::checkpoint::{
-        config_fingerprint, run_with_checkpoints, Checkpoint, CheckpointError, CheckpointStore,
-        Fault, FaultPlan, Recovery, SolveOutcome,
+        config_fingerprint, Checkpoint, CheckpointError, CheckpointStore, Fault, FaultPlan,
+        Recovery,
     };
     pub use crate::config::{
         CollisionModel, LookupStrategy, LowWeightPolicy, Problem, ProblemScale, TallyStrategy,
         TestCase, TransportConfig,
     };
     pub use crate::counters::EventCounters;
+    pub use crate::drive::{Checkpointing, DriveError, Driver};
     pub use crate::over_events::KernelTimings;
     pub use crate::registry::{
         Admission, Registry, RegistryConfig, RegistryStats, SolveState, SolveStatus, SubmitError,

@@ -4,7 +4,7 @@
 //! This is the serving core behind `neutral_serve` (DESIGN.md §16), kept
 //! free of any HTTP surface so it is testable in-process. A fixed pool
 //! of **runner threads** drains a queue of solve entries, advancing each
-//! leased solve by exactly one timestep chunk (a [`ShardedSolve::step`]
+//! leased solve by exactly one timestep chunk (a [`Driver::advance`]
 //! — for an unsharded request, the wrapped core stepped in place) before
 //! handing it back — so many concurrent solves interleave over
 //! one shared worker pool, and cancellation/checkpointing happen at
@@ -34,23 +34,26 @@
 //! absent but never stale. [`RegistryStats::problems_built`] counts the
 //! closures that ran.
 //!
-//! Checkpoint spill is optional per solve ([`SubmitRequest::checkpoint`])
-//! and the registry enforces that no two *live* solves share one
-//! checkpoint file — the write-temp/rename protocol keeps concurrent
-//! writers from corrupting each other's bytes, but interleaved saves
-//! from two different solves would still leave the file's *contents*
-//! flapping between two configurations.
+//! Checkpointing is optional per solve ([`SubmitRequest::checkpoint`]);
+//! each chunk advances its solve through the one [`Driver`], so a file
+//! holding this solve's checkpoint resumes it and one holding another's
+//! is refused ([`SubmitError::Checkpoint`]). No two *live* solves may
+//! share a checkpoint file, or a file the other's store writes: unique
+//! temp names keep concurrent writers' bytes apart, but interleaved saves
+//! from two solves would leave the file's *contents* flapping between
+//! two configurations.
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::checkpoint::{config_fingerprint, CheckpointError, CheckpointStore};
+use crate::checkpoint::{config_fingerprint, CheckpointError, CheckpointStore, FaultPlan};
 use crate::config::Problem;
-use crate::shard::{panic_text, ShardConfig, ShardError, ShardFaultPlan, ShardStats, ShardedSolve};
+use crate::drive::{Checkpointing, Driver};
+use crate::shard::{panic_text, ShardConfig, ShardFaultPlan, ShardStats};
 use crate::sim::{RunOptions, RunReport, Simulation};
 
 /// Configuration for a [`Registry`].
@@ -110,7 +113,7 @@ pub struct SubmitRequest {
     pub problem: Problem,
     /// Execution options for every chunk of this solve.
     pub options: RunOptions,
-    /// Optional checkpoint spill target.
+    /// Optional checkpoint file, resumed from when it holds this solve.
     pub checkpoint_file: Option<PathBuf>,
     /// Save a checkpoint every this many completed timesteps (only
     /// meaningful with `checkpoint_file`; clamped to ≥ 1).
@@ -138,7 +141,7 @@ impl SubmitRequest {
         }
     }
 
-    /// Enable checkpoint spill to `path` every `every` timesteps.
+    /// Checkpoint to `path` every `every` timesteps; this solve's checkpoint there resumes it.
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: usize) -> Self {
         self.checkpoint_file = Some(path.into());
@@ -197,13 +200,23 @@ pub struct SubmitReceipt {
 /// Why a submission was rejected.
 #[derive(Debug)]
 pub enum SubmitError {
-    /// Another live (queued/running) solve already spills to this
-    /// checkpoint file.
+    /// Another live (queued/running) solve already checkpoints to this
+    /// file, or to a file one of the two stores also writes: the other
+    /// name plus a `.`-suffix (`.prev`, `.tmp.*`, `.shard<k>`).
     CheckpointFileBusy {
         /// The contested path.
         path: PathBuf,
         /// Entry id of the solve holding it.
         holder: u64,
+    },
+    /// The checkpoint file cannot be resumed: it holds another solve's
+    /// checkpoint ([`CheckpointError::ConfigMismatch`]), or one that is
+    /// corrupt with no valid fallback. The file is left as it was.
+    Checkpoint {
+        /// The checkpoint file.
+        path: PathBuf,
+        /// Why it cannot be resumed.
+        cause: CheckpointError,
     },
     /// The registry is shutting down and accepts no new work.
     ShuttingDown,
@@ -217,6 +230,10 @@ impl std::fmt::Display for SubmitError {
                 "checkpoint file {} is in use by live solve {holder}",
                 path.display()
             ),
+            SubmitError::Checkpoint { path, cause } => {
+                let path = path.display();
+                write!(f, "checkpoint file {path} cannot be resumed: {cause}")
+            }
             SubmitError::ShuttingDown => write!(f, "registry is shutting down"),
         }
     }
@@ -278,6 +295,9 @@ pub struct SolveStatus {
     /// Mesh cells along x — lets result consumers render the flat tally
     /// as `(ix, iy)` without re-deriving the problem.
     pub mesh_nx: usize,
+    /// The timestep the solve resumed at from its checkpoint file
+    /// (`None` = it started fresh).
+    pub resumed_from: Option<usize>,
 }
 
 /// Monotonic registry counters (solve-count instrumentation).
@@ -310,30 +330,51 @@ pub struct RegistryStats {
     pub shard_requeues: u64,
 }
 
-struct SolveTask {
-    sim: Arc<Simulation>,
-    /// The one solve type: a request with one shard, no fault plan and no
-    /// spill base steps its core in place; anything else is supervised.
-    solve: ShardedSolve,
-    store: Option<CheckpointStore>,
-    checkpoint_every: usize,
-    /// Shard-stat snapshot after the previous chunk, so each chunk
-    /// contributes only its delta to the registry-wide counters.
-    shard_stats_seen: ShardStats,
-}
-
 struct Entry {
     fingerprint: u64,
     state: SolveState,
-    /// Present while paused between chunks (and before first enqueue);
-    /// leased out (`None`) while a runner executes a chunk.
-    task: Option<Box<SolveTask>>,
+    /// The solve with its checkpoint store and cadence: present while
+    /// paused between chunks (and before first enqueue); leased out
+    /// (`None`) while a runner executes a chunk.
+    task: Option<Box<Driver>>,
+    /// Shard-stat snapshot after the previous chunk, so each chunk
+    /// contributes only its delta to the registry-wide counters.
+    shard_stats_seen: ShardStats,
     steps_done: usize,
     n_timesteps: usize,
     mesh_nx: usize,
+    resumed_from: Option<usize>,
     cancel_requested: bool,
     result: Option<Arc<RunReport>>,
     checkpoint_file: Option<PathBuf>,
+}
+
+impl Entry {
+    fn status(&self, id: u64) -> SolveStatus {
+        SolveStatus {
+            id,
+            fingerprint: self.fingerprint,
+            state: self.state.clone(),
+            steps_done: self.steps_done,
+            n_timesteps: self.n_timesteps,
+            mesh_nx: self.mesh_nx,
+            resumed_from: self.resumed_from,
+        }
+    }
+}
+
+/// Whether stores on `a` and `b` can touch each other's files: a store
+/// on `F` writes `F`, `F.prev` and `F.tmp.*` (and sweeps the last when it
+/// opens), and a sharded solve's shard stores `F.shard<k>` — so two live
+/// names conflict when they are equal or one is the other plus a
+/// `.`-suffix.
+fn stores_overlap(a: &Path, b: &Path) -> bool {
+    let (a, b) = (
+        a.as_os_str().as_encoded_bytes(),
+        b.as_os_str().as_encoded_bytes(),
+    );
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    long.starts_with(short) && long.get(short.len()).is_none_or(|&c| c == b'.')
 }
 
 struct State {
@@ -490,7 +531,8 @@ impl Registry {
             }
             st.stats.submitted += 1;
             if let Some(path) = &req.checkpoint_file {
-                if let Some(&holder) = st.live_checkpoint_files.get(path) {
+                let live = &st.live_checkpoint_files;
+                if let Some((_, &holder)) = live.iter().find(|(f, _)| stores_overlap(f, path)) {
                     return Err(SubmitError::CheckpointFileBusy {
                         path: path.clone(),
                         holder,
@@ -515,9 +557,11 @@ impl Registry {
                     fingerprint,
                     state: SolveState::Queued,
                     task: None,
+                    shard_stats_seen: ShardStats::default(),
                     steps_done: 0,
                     n_timesteps,
                     mesh_nx,
+                    resumed_from: None,
                     cancel_requested: false,
                     result: None,
                     checkpoint_file: req.checkpoint_file.clone(),
@@ -526,30 +570,37 @@ impl Registry {
             id
         };
 
-        // Build outside the lock: particle spawn + lookup-structure prep.
+        // Build outside the lock: particle spawn + lookup-structure prep,
+        // and the store, opened only now that the file is reserved: it
+        // sweeps `<file>.tmp.*`, which a live writer may own.
         let sim = Arc::new(Simulation::new(req.problem));
         let mut config = ShardConfig::new(req.shards.max(1));
-        config.fault_plan = req.shard_fault.clone();
-        if req.shards > 1 {
-            // Shard retries reload from `<checkpoint_file>.shard<k>`
-            // stores when the solve spills at all — no collision with
-            // the solve-level file itself.
-            config.checkpoint_base = req.checkpoint_file.clone();
-        }
-        let task = Box::new(SolveTask {
-            solve: ShardedSolve::new(&sim, req.options, config),
-            sim,
-            store: req.checkpoint_file.as_ref().map(CheckpointStore::new),
-            checkpoint_every: req.checkpoint_every.max(1),
-            shard_stats_seen: ShardStats::default(),
+        config.fault_plan = req.shard_fault;
+        let checkpointing = req.checkpoint_file.as_ref().map(|path| Checkpointing {
+            store: CheckpointStore::new(path),
+            every: req.checkpoint_every,
+            faults: FaultPlan::none(),
         });
+        let opened = Driver::open(sim, req.options, config, checkpointing);
 
         let mut st = self.lock();
+        let driver = match opened {
+            Ok(driver) => driver,
+            Err(cause) => {
+                let path = req.checkpoint_file.expect("only a store fails to open");
+                let refused = SubmitError::Checkpoint { path, cause };
+                Inner::finalize(&mut st, id, SolveState::Failed(refused.to_string()));
+                self.inner.cvar.notify_all();
+                return Err(refused);
+            }
+        };
         let entry = st.entries.get_mut(&id).expect("placeholder entry vanished");
+        entry.steps_done = driver.solve().steps_done();
+        entry.resumed_from = driver.resumed.as_ref().map(|(step, _)| *step);
         if entry.cancel_requested {
             Inner::finalize(&mut st, id, SolveState::Cancelled);
         } else {
-            entry.task = Some(task);
+            entry.task = Some(Box::new(driver));
             st.queue.push_back(id);
         }
         self.inner.cvar.notify_all();
@@ -562,15 +613,7 @@ impl Registry {
     /// Snapshot the status of entry `id`.
     #[must_use]
     pub fn status(&self, id: u64) -> Option<SolveStatus> {
-        let st = self.lock();
-        st.entries.get(&id).map(|e| SolveStatus {
-            id,
-            fingerprint: e.fingerprint,
-            state: e.state.clone(),
-            steps_done: e.steps_done,
-            n_timesteps: e.n_timesteps,
-            mesh_nx: e.mesh_nx,
-        })
+        self.lock().entries.get(&id).map(|e| e.status(id))
     }
 
     /// The finished report of entry `id` (None unless `Done`).
@@ -605,17 +648,9 @@ impl Registry {
     pub fn wait(&self, id: u64) -> Option<SolveStatus> {
         let mut st = self.lock();
         loop {
-            let state = st.entries.get(&id)?.state.clone();
-            if state.is_terminal() {
-                let e = &st.entries[&id];
-                return Some(SolveStatus {
-                    id,
-                    fingerprint: e.fingerprint,
-                    state,
-                    steps_done: e.steps_done,
-                    n_timesteps: e.n_timesteps,
-                    mesh_nx: e.mesh_nx,
-                });
+            let entry = st.entries.get(&id)?;
+            if entry.state.is_terminal() {
+                return Some(entry.status(id));
             }
             st = self.inner.cvar.wait(st).expect("registry state poisoned");
         }
@@ -664,30 +699,17 @@ fn attach(st: &mut State, id: u64) -> SubmitReceipt {
     SubmitReceipt { id, admission }
 }
 
-/// What one leased timestep chunk did to its solve.
-enum ChunkVerdict {
-    /// The chunk ran; the solve advanced one timestep (and possibly
-    /// failed to spill its checkpoint).
-    Advanced {
-        done: bool,
-        spill: Option<CheckpointError>,
-    },
-    /// A sharded chunk exhausted a shard's retry budget (or its shard
-    /// checkpoints went bad); the solve cannot make progress.
-    ShardFailed(ShardError),
-    /// The chunk panicked mid-transport.
-    Panicked(String),
-    /// The chunk blew through the configured step deadline and was
-    /// abandoned mid-flight.
-    DeadlineExceeded(Duration),
-}
-
-/// Execute one timestep chunk of `task`, unwind-protected. `cancel` is
-/// observed by the injected hang fault so a deadline supervisor can
-/// release the stuck thread.
-fn run_chunk(cfg: &RegistryConfig, task: &mut SolveTask, cancel: &AtomicBool) -> ChunkVerdict {
+/// Execute one timestep chunk of `task`, unwind-protected: `Ok(done)`
+/// once it advanced and saved at its cadence, else the cause that fails
+/// the solve. `cancel` is observed by the injected hang fault so a
+/// deadline supervisor can release the stuck thread.
+fn run_chunk(
+    cfg: &RegistryConfig,
+    driver: &mut Driver,
+    cancel: &AtomicBool,
+) -> Result<bool, String> {
     let chunk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let step = task.solve.steps_done();
+        let step = driver.solve().steps_done();
         if cfg.fault_panic_on_step == Some(step) {
             panic!("injected runner fault at timestep {step}");
         }
@@ -697,36 +719,23 @@ fn run_chunk(cfg: &RegistryConfig, task: &mut SolveTask, cancel: &AtomicBool) ->
             }
             // Cancelled by the deadline supervisor: the verdict is
             // never observed, the thread just needs to exit.
-            return ChunkVerdict::Panicked("injected hang cancelled".to_owned());
+            return Err("injected hang cancelled".to_owned());
         }
-        if let Err(e) = task.solve.step(&task.sim) {
-            return ChunkVerdict::ShardFailed(e);
-        }
-        let done = task.solve.is_done();
-        let spill = match &task.store {
-            Some(store)
-                if done
-                    || task
-                        .solve
-                        .steps_done()
-                        .is_multiple_of(task.checkpoint_every) =>
-            {
-                store.save(&task.solve.checkpoint()).err()
-            }
-            _ => None,
-        };
-        ChunkVerdict::Advanced { done, spill }
+        driver.advance().map_err(|e| e.to_string())?;
+        Ok(driver.solve().is_done())
     }));
-    match chunk {
-        Ok(verdict) => verdict,
-        Err(payload) => ChunkVerdict::Panicked(panic_text(payload.as_ref())),
-    }
+    chunk.unwrap_or_else(|payload| {
+        Err(format!(
+            "runner panicked mid-chunk: {}",
+            panic_text(payload.as_ref())
+        ))
+    })
 }
 
 fn runner_loop(inner: &Inner) {
     loop {
         // Lease the next runnable entry's task.
-        let (id, task) = {
+        let (id, mut task) = {
             let mut st = inner.state.lock().expect("registry state poisoned");
             loop {
                 if st.shutdown {
@@ -755,18 +764,16 @@ fn runner_loop(inner: &Inner) {
         // timeout the task is lost with its thread (`None` below) and
         // the solve fails with a named deadline cause.
         let (verdict, mut task) = match inner.cfg.step_deadline {
-            None => {
-                let mut task = task;
-                let verdict = run_chunk(&inner.cfg, &mut task, &AtomicBool::new(false));
-                (verdict, Some(task))
-            }
+            None => (
+                run_chunk(&inner.cfg, &mut task, &AtomicBool::new(false)),
+                Some(task),
+            ),
             Some(deadline) => {
                 let cancel = Arc::new(AtomicBool::new(false));
                 let (tx, rx) = mpsc::channel();
                 let worker = {
                     let cfg = inner.cfg.clone();
                     let cancel = Arc::clone(&cancel);
-                    let mut task = task;
                     std::thread::spawn(move || {
                         let verdict = run_chunk(&cfg, &mut task, &cancel);
                         let _ = tx.send((verdict, task));
@@ -782,7 +789,10 @@ fn runner_loop(inner: &Inner) {
                         // the (now unreachable) task, so the solve can
                         // only fail.
                         cancel.store(true, Ordering::Relaxed);
-                        (ChunkVerdict::DeadlineExceeded(deadline), None)
+                        let ms = deadline.as_millis();
+                        let cause =
+                            format!("step deadline exceeded: chunk still running after {ms} ms");
+                        (Err(cause), None)
                     }
                 }
             }
@@ -791,73 +801,33 @@ fn runner_loop(inner: &Inner) {
             std::thread::sleep(delay);
         }
 
-        // Account shard retry/requeue work done by this chunk (delta
-        // against the previous chunk's snapshot), even when the chunk
-        // ultimately failed.
-        let shard_delta = task.as_mut().map(|task| {
-            let now = task.solve.stats();
-            let seen = std::mem::replace(&mut task.shard_stats_seen, now);
-            (now.retries - seen.retries, now.requeues - seen.requeues)
-        });
-
-        // Hand the lease back and decide what happens next.
-        let mut st = inner.state.lock().expect("registry state poisoned");
+        // Hand the lease back, account the shard retry/requeue work done
+        // by this chunk (delta against the previous chunk's snapshot, even
+        // when the chunk ultimately failed), and decide what happens next.
+        let mut guard = inner.state.lock().expect("registry state poisoned");
+        let st = &mut *guard;
         st.stats.chunks_run += 1;
-        if let Some((retries, requeues)) = shard_delta {
-            st.stats.shard_retries += retries;
-            st.stats.shard_requeues += requeues;
-        }
         let entry = st.entries.get_mut(&id).expect("running entry vanished");
-        if let Some(task) = &task {
-            entry.steps_done = task.solve.steps_done();
+        if let Some(driver) = &task {
+            let now = driver.solve().stats();
+            let seen = std::mem::replace(&mut entry.shard_stats_seen, now);
+            st.stats.shard_retries += now.retries - seen.retries;
+            st.stats.shard_requeues += now.requeues - seen.requeues;
+            entry.steps_done = driver.solve().steps_done();
         }
         match verdict {
-            ChunkVerdict::Panicked(detail) => {
-                // The task is dropped (or marooned on its abandoned
-                // thread) in an unknown mid-chunk state; the fingerprint
-                // is released so an identical resubmission re-runs fresh
-                // instead of cache-hitting a corpse.
-                Inner::finalize(
-                    &mut st,
-                    id,
-                    SolveState::Failed(format!("runner panicked mid-chunk: {detail}")),
-                );
-            }
-            ChunkVerdict::ShardFailed(err) => {
-                Inner::finalize(
-                    &mut st,
-                    id,
-                    SolveState::Failed(format!("sharded solve failed: {err}")),
-                );
-            }
-            ChunkVerdict::DeadlineExceeded(deadline) => {
-                Inner::finalize(
-                    &mut st,
-                    id,
-                    SolveState::Failed(format!(
-                        "step deadline exceeded: chunk still running after {} ms",
-                        deadline.as_millis()
-                    )),
-                );
-            }
-            ChunkVerdict::Advanced {
-                spill: Some(err), ..
-            } => {
-                Inner::finalize(
-                    &mut st,
-                    id,
-                    SolveState::Failed(format!("checkpoint spill: {err}")),
-                );
-            }
-            ChunkVerdict::Advanced { done, spill: None } => {
+            // A panicked chunk's task is dropped (or marooned on its
+            // abandoned thread) in an unknown mid-chunk state; the
+            // fingerprint is released so an identical resubmission re-runs
+            // fresh instead of cache-hitting a corpse.
+            Err(cause) => Inner::finalize(st, id, SolveState::Failed(cause)),
+            Ok(done) => {
                 let task = task.take().expect("advanced chunk returned its task");
                 if entry.cancel_requested {
-                    Inner::finalize(&mut st, id, SolveState::Cancelled);
+                    Inner::finalize(st, id, SolveState::Cancelled);
                 } else if done {
-                    let report = Arc::new(task.solve.finish());
-                    let entry = st.entries.get_mut(&id).expect("running entry vanished");
-                    entry.result = Some(report);
-                    Inner::finalize(&mut st, id, SolveState::Done);
+                    entry.result = Some(Arc::new(task.finish()));
+                    Inner::finalize(st, id, SolveState::Done);
                 } else {
                     entry.task = Some(task);
                     entry.state = SolveState::Queued;
@@ -1019,14 +989,138 @@ mod tests {
         }
         registry.cancel(first.id);
         registry.wait(first.id).unwrap();
-        // Reservation released on terminal state.
+        // Reservation released on terminal state: the cancelled solve,
+        // resubmitted, takes its file back (and resumes what it saved).
         let third = registry
             .submit(
-                SubmitRequest::new(tiny_problem(21, 2), RunOptions::default()).checkpoint(&ckpt, 1),
+                SubmitRequest::new(tiny_problem(19, 30), RunOptions::default())
+                    .checkpoint(&ckpt, 1),
             )
             .unwrap();
         let status = registry.wait(third.id).unwrap();
         assert_eq!(status.state, SolveState::Done);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint file's store also writes `<file>.prev`, `<file>.tmp.*`
+    /// and, sharded, `<file>.shard<k>`: a live solve on one of those
+    /// names holds the file too, in either direction, while a name that
+    /// only shares a prefix is another file.
+    #[test]
+    fn live_solves_cannot_share_each_others_store_files() {
+        let dir = std::env::temp_dir().join(format!("neutral_registry_own_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let registry = throttled(1);
+        let submit = |seed: u64, name: &str| {
+            registry.submit(
+                SubmitRequest::new(tiny_problem(seed, 30), RunOptions::default())
+                    .checkpoint(dir.join(name), 1),
+            )
+        };
+        let busy =
+            |result: Result<SubmitReceipt, SubmitError>, holder: u64, name: &str| match result {
+                Err(SubmitError::CheckpointFileBusy { holder: h, .. }) => {
+                    assert_eq!(h, holder, "{name}")
+                }
+                other => panic!("{name}: expected CheckpointFileBusy, got {other:?}"),
+            };
+        let x = submit(61, "x.ckpt").unwrap();
+        for name in ["x.ckpt.prev", "x.ckpt.tmp.1.0", "x.ckpt.shard0"] {
+            busy(submit(62, name), x.id, name);
+        }
+        let y = submit(63, "y.ckpt.prev").unwrap();
+        busy(submit(64, "y.ckpt"), y.id, "y.ckpt");
+        let other = submit(65, "x.ckpt2").unwrap();
+        for id in [x.id, y.id, other.id] {
+            registry.cancel(id);
+            registry.wait(id).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Leave what a server that dies after boundary 1 of a 3-step solve
+    /// of `seed` leaves at `ckpt`: the chunk that would run timestep 1
+    /// panics, after the boundary-1 save.
+    fn die_after_boundary_1(seed: u64, ckpt: &Path) {
+        let dying = Registry::new(RegistryConfig {
+            runners: 1,
+            fault_panic_on_step: Some(1),
+            ..Default::default()
+        });
+        let request = SubmitRequest::new(tiny_problem(seed, 3), RunOptions::default());
+        let id = dying.submit(request.checkpoint(ckpt, 1)).unwrap().id;
+        assert!(matches!(
+            dying.wait(id).unwrap().state,
+            SolveState::Failed(_)
+        ));
+        let saved = std::fs::read(ckpt).unwrap();
+        let saved = crate::checkpoint::Checkpoint::from_bytes(&saved).unwrap();
+        assert_eq!(saved.next_step, 1);
+    }
+
+    /// An identical resubmission on the same checkpoint file, to a new
+    /// registry, resumes at boundary 1 and serves a cold solve's tally,
+    /// counters and dump bytes.
+    #[test]
+    fn a_resubmitted_solve_resumes_from_its_checkpoint_file() {
+        let dir =
+            std::env::temp_dir().join(format!("neutral_registry_resume_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("resume.ckpt");
+        die_after_boundary_1(51, &ckpt);
+
+        let registry = Registry::new(RegistryConfig::default());
+        let request = SubmitRequest::new(tiny_problem(51, 3), RunOptions::default());
+        let receipt = registry.submit(request.checkpoint(&ckpt, 1)).unwrap();
+        assert_eq!(receipt.admission, Admission::Fresh);
+        assert_eq!(registry.status(receipt.id).unwrap().resumed_from, Some(1));
+        let status = registry.wait(receipt.id).unwrap();
+        assert_eq!(status.state, SolveState::Done);
+        assert_eq!((status.steps_done, status.resumed_from), (3, Some(1)));
+
+        let served = registry.result(receipt.id).unwrap();
+        let cold = direct_run(tiny_problem(51, 3));
+        assert_eq!(served.counters, cold.counters);
+        let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&served.tally), bits(&cold.tally));
+        let dump = |t: &[f64]| {
+            let mut out = Vec::new();
+            crate::dump::write_tally_dump(t, status.mesh_nx, &mut out).unwrap();
+            out
+        };
+        assert_eq!(dump(&served.tally), dump(&cold.tally));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A file holding another solve's checkpoint (another seed) is
+    /// refused by name, and neither it nor its fallback is touched.
+    #[test]
+    fn a_foreign_checkpoint_file_is_refused_and_left_as_it_was() {
+        let dir =
+            std::env::temp_dir().join(format!("neutral_registry_foreign_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("foreign.ckpt");
+        die_after_boundary_1(53, &ckpt);
+        let store = CheckpointStore::new(&ckpt);
+        let before = std::fs::read(&ckpt).unwrap();
+
+        let registry = Registry::new(RegistryConfig::default());
+        let request = SubmitRequest::new(tiny_problem(54, 3), RunOptions::default());
+        match registry.submit(request.checkpoint(&ckpt, 1)) {
+            Err(SubmitError::Checkpoint { path, cause }) => {
+                assert_eq!(path, ckpt);
+                assert!(
+                    matches!(cause, CheckpointError::ConfigMismatch { .. }),
+                    "{cause}"
+                );
+            }
+            other => panic!("expected a refused checkpoint, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&ckpt).unwrap(), before);
+        assert!(
+            !store.fallback_path().exists(),
+            "the refusal rotated nothing"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

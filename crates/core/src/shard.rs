@@ -222,12 +222,6 @@ pub struct ShardFaultPlan {
 }
 
 impl ShardFaultPlan {
-    /// A plan holding `faults`.
-    #[must_use]
-    pub fn new(faults: Vec<ShardFault>) -> Self {
-        Self { faults }
-    }
-
     /// Whether the plan injects nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -405,17 +399,6 @@ pub struct ShardStats {
     pub quarantined: u64,
     /// Bytes of serialized results the attempts handed back.
     pub wire_bytes: u64,
-}
-
-impl ShardStats {
-    /// Accumulate `other` into `self`.
-    pub fn merge(&mut self, other: &ShardStats) {
-        self.attempts += other.attempts;
-        self.retries += other.retries;
-        self.requeues += other.requeues;
-        self.quarantined += other.quarantined;
-        self.wire_bytes += other.wire_bytes;
-    }
 }
 
 /// A node of the global merge tree as a shard ships it: the global lanes
@@ -649,8 +632,26 @@ impl ShardedSolve {
     /// Start a fresh sharded solve of `sim`'s problem.
     #[must_use]
     pub fn new(sim: &Simulation, options: RunOptions, config: ShardConfig) -> Self {
+        Self::around(SolveCore::new(sim, options), config)
+    }
+
+    /// Resume a sharded solve of `sim`'s problem from a census-boundary
+    /// checkpoint, rejected as [`SolveCore::from_checkpoint`] rejects it.
+    /// The checkpoint is shard-count free: any `config` resumes it.
+    pub fn resume(
+        sim: &Simulation,
+        options: RunOptions,
+        config: ShardConfig,
+        checkpoint: Checkpoint,
+    ) -> Result<Self, CheckpointError> {
+        let core = SolveCore::from_checkpoint(sim, options, checkpoint)?;
+        Ok(Self::around(core, config))
+    }
+
+    /// The plan, and the spill stores when `config` names a base, over
+    /// the coordinator state `core`.
+    fn around(core: SolveCore, config: ShardConfig) -> Self {
         assert!(config.n_shards >= 1, "need at least one shard");
-        let core = SolveCore::new(sim, options);
         let plan = ShardPlan::new(core.columns().len(), config.n_shards);
         let stores = config.checkpoint_base.as_ref().map(|base| {
             (0..config.n_shards)
@@ -680,12 +681,6 @@ impl ShardedSolve {
     #[must_use]
     pub fn steps_done(&self) -> usize {
         self.core.steps_done()
-    }
-
-    /// Total timesteps of the solve.
-    #[must_use]
-    pub fn n_timesteps(&self) -> usize {
-        self.core.n_timesteps()
     }
 
     /// The shard plan in force.

@@ -295,7 +295,18 @@ impl SolveCore {
         }
     }
 
-    /// Resume a solve from a census-boundary checkpoint.
+    /// Resume a solve from a census-boundary checkpoint: a copy of it,
+    /// through [`SolveCore::from_checkpoint`].
+    pub fn resume(
+        sim: &Simulation,
+        options: RunOptions,
+        checkpoint: &Checkpoint,
+    ) -> Result<Self, CheckpointError> {
+        Self::from_checkpoint(sim, options, checkpoint.clone())
+    }
+
+    /// Resume a solve from a census-boundary checkpoint, taking its
+    /// columns and tally over rather than copying them.
     ///
     /// Rejects, as hard errors: a checkpoint written by a different
     /// problem, transport configuration or scheme
@@ -304,10 +315,10 @@ impl SolveCore {
     /// `ParticleSoA::check_population`: the wrong count, ragged columns,
     /// particles out of key order or off the mesh
     /// ([`CheckpointError::Corrupt`]).
-    pub fn resume(
+    pub fn from_checkpoint(
         sim: &Simulation,
         options: RunOptions,
-        checkpoint: &Checkpoint,
+        checkpoint: Checkpoint,
     ) -> Result<Self, CheckpointError> {
         let problem = &sim.problem;
         let expected = config_fingerprint(problem, options.scheme);
@@ -340,10 +351,10 @@ impl SolveCore {
             options,
             fingerprint: expected,
             n_timesteps: problem.n_timesteps,
-            soa: checkpoint.particles.clone(),
+            soa: checkpoint.particles,
             counters: checkpoint.counters,
             kernel_timings: None,
-            tally: checkpoint.tally.clone(),
+            tally: checkpoint.tally,
             tally_footprint: checkpoint.tally_footprint_bytes,
             initial_energy_ev: n as f64 * problem.initial_energy_ev,
             step: checkpoint.next_step,

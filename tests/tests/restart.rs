@@ -15,6 +15,7 @@ use neutral_core::prelude::*;
 use neutral_integration::golden::{blessing, lock_fixture, tally_hash};
 use neutral_integration::{tiny_multistep, MULTISTEP_CONFIGS};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Workers exercised by the identity matrix (the acceptance set).
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
@@ -32,6 +33,50 @@ fn assert_reports_bitwise(a: &RunReport, b: &RunReport, label: &str) {
     );
     assert_eq!(a.alive, b.alive, "{label}: alive count diverges");
     assert_eq!(a.timesteps, b.timesteps, "{label}: timestep count diverges");
+}
+
+/// How one lifetime of a checkpointed solve ended.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum Run {
+    /// It ran to the end, resumed from `resumed_from` if the store held a
+    /// checkpoint, which `recovery` says how it was read.
+    Complete {
+        report: RunReport,
+        resumed_from: Option<usize>,
+        recovery: Option<Recovery>,
+    },
+    /// An injected kill crashed it after `after_step` timesteps.
+    Killed { after_step: usize },
+}
+
+/// One lifetime of a checkpointed solve: a driver opened on `store` —
+/// resuming whatever it holds — saving at every boundary under `plan`.
+fn run_durable(
+    sim: &Arc<Simulation>,
+    options: RunOptions,
+    store: &CheckpointStore,
+    plan: &FaultPlan,
+) -> Result<Run, CheckpointError> {
+    let checkpointing = Checkpointing {
+        store: store.clone(),
+        every: 1,
+        faults: plan.clone(),
+    };
+    let config = ShardConfig::new(1);
+    let mut driver = Driver::open(Arc::clone(sim), options, config, Some(checkpointing))?;
+    match driver.run() {
+        Ok(()) => {}
+        Err(DriveError::Killed(after_step)) => return Ok(Run::Killed { after_step }),
+        Err(DriveError::Checkpoint(e)) => return Err(e),
+        Err(e) => panic!("unsharded solve failed: {e}"),
+    }
+    let (resumed_from, recovery) = driver.resumed.take().unzip();
+    Ok(Run::Complete {
+        report: driver.finish(),
+        resumed_from,
+        recovery,
+    })
 }
 
 /// A scratch directory for store-backed tests; unique per test name so
@@ -55,7 +100,7 @@ fn interrupt_resume_is_bitwise_identical() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
         for scheme in Scheme::ALL {
             for workers in WORKER_COUNTS {
-                let sim = tiny_multistep(case, steps, seed);
+                let sim = Arc::new(tiny_multistep(case, steps, seed));
                 let options = RunOptions::new(scheme, workers);
 
                 let mut base = SolveCore::new(&sim, options);
@@ -102,7 +147,7 @@ fn resumed_runs_match_committed_goldens() {
         for scheme in Scheme::ALL {
             let name = format!("{}_t{}", case.name(), steps);
             lock_fixture(&name, scheme, seed, |workers| {
-                let sim = tiny_multistep(case, steps, seed);
+                let sim = Arc::new(tiny_multistep(case, steps, seed));
                 let options = RunOptions::new(scheme, workers);
                 let mut first = SolveCore::new(&sim, options);
                 first.step(&sim);
@@ -117,7 +162,7 @@ fn resumed_runs_match_committed_goldens() {
 
 /// Golden fixtures for the full store-backed restart path: a solve
 /// killed by an injected fault at the first census boundary, then
-/// resumed from disk by a second `run_with_checkpoints` call. One
+/// resumed from disk by a second driver over the same store. One
 /// fixture per multistep config × scheme; regenerate with
 /// `NEUTRAL_BLESS=1 cargo test -p neutral-integration --test restart`.
 #[test]
@@ -131,21 +176,21 @@ fn restarted_golden_tallies_match_fixtures() {
                     case.name(),
                     scheme.name()
                 ));
-                let sim = tiny_multistep(case, steps, seed);
+                let sim = Arc::new(tiny_multistep(case, steps, seed));
                 let options = RunOptions::new(scheme, workers);
                 // Kill at the *last* boundary: the kill fires before that
                 // boundary's write, so the store holds the previous
                 // boundary's checkpoint and the second invocation performs
                 // a genuine from-disk resume of the final timestep.
                 let plan: FaultPlan = format!("kill@{steps}").parse().unwrap();
-                match run_with_checkpoints(&sim, options, &store, &plan).unwrap() {
-                    SolveOutcome::Killed { after_step } => assert_eq!(after_step, steps),
-                    SolveOutcome::Complete { .. } => panic!("kill must interrupt the solve"),
+                match run_durable(&sim, options, &store, &plan).unwrap() {
+                    Run::Killed { after_step } => assert_eq!(after_step, steps),
+                    Run::Complete { .. } => panic!("kill must interrupt the solve"),
                 }
-                let outcome = run_with_checkpoints(&sim, options, &store, &FaultPlan::none());
+                let outcome = run_durable(&sim, options, &store, &FaultPlan::none());
                 let _ = std::fs::remove_dir_all(&dir);
                 match outcome.unwrap() {
-                    SolveOutcome::Complete {
+                    Run::Complete {
                         report,
                         resumed_from,
                         ..
@@ -153,7 +198,7 @@ fn restarted_golden_tallies_match_fixtures() {
                         assert_eq!(resumed_from, Some(steps - 1), "must resume from disk");
                         report
                     }
-                    SolveOutcome::Killed { .. } => unreachable!("no faults planned"),
+                    Run::Killed { .. } => unreachable!("no faults planned"),
                 }
             });
         }
@@ -166,7 +211,7 @@ fn restarted_golden_tallies_match_fixtures() {
 #[test]
 fn kill_at_every_boundary_recovers_on_disk() {
     for (case, steps, seed) in MULTISTEP_CONFIGS {
-        let sim = tiny_multistep(case, steps, seed);
+        let sim = Arc::new(tiny_multistep(case, steps, seed));
         let options = RunOptions::new(Scheme::OverEvents, 2);
         let baseline = sim.run(options);
 
@@ -174,18 +219,18 @@ fn kill_at_every_boundary_recovers_on_disk() {
             let label = format!("{case:?} kill@{kill_at}");
             let (dir, store) = temp_store(&format!("kill_{}_{kill_at}", case.name()));
             let plan: FaultPlan = format!("kill@{kill_at}").parse().unwrap();
-            match run_with_checkpoints(&sim, options, &store, &plan).unwrap() {
-                SolveOutcome::Killed { after_step } => assert_eq!(after_step, kill_at, "{label}"),
-                SolveOutcome::Complete { .. } => panic!("{label}: fault did not fire"),
+            match run_durable(&sim, options, &store, &plan).unwrap() {
+                Run::Killed { after_step } => assert_eq!(after_step, kill_at, "{label}"),
+                Run::Complete { .. } => panic!("{label}: fault did not fire"),
             }
-            let outcome = run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap();
+            let outcome = run_durable(&sim, options, &store, &FaultPlan::none()).unwrap();
             let (report, resumed_from) = match outcome {
-                SolveOutcome::Complete {
+                Run::Complete {
                     report,
                     resumed_from,
                     ..
                 } => (report, resumed_from),
-                SolveOutcome::Killed { .. } => unreachable!("no faults planned"),
+                Run::Killed { .. } => unreachable!("no faults planned"),
             };
             // The kill fires *before* its boundary's write, so the store
             // holds the previous boundary (none at all for kill@1).
@@ -200,6 +245,45 @@ fn kill_at_every_boundary_recovers_on_disk() {
     }
 }
 
+/// A sharded solve resumes at any shard and worker count (DESIGN.md
+/// §18): killed before its boundary-2 save as three shards on two
+/// workers, it resumes from boundary 1 as two shards on one worker, and
+/// as one shard, bitwise identical to the uninterrupted unsharded run.
+#[test]
+fn sharded_kill_resumes_at_any_shard_and_worker_count() {
+    let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
+    let baseline = sim.run(RunOptions::new(Scheme::OverParticles, 1));
+    for resume_shards in [2, 1] {
+        let label = format!("3 shards killed, resumed as {resume_shards}");
+        let (dir, store) = temp_store(&format!("sharded_{resume_shards}"));
+        let open = |shards, workers, faults: &str| {
+            let checkpointing = Checkpointing {
+                store: store.clone(),
+                every: 1,
+                faults: faults.parse().unwrap(),
+            };
+            let options = RunOptions::new(Scheme::OverParticles, workers);
+            let config = ShardConfig::new(shards);
+            Driver::open(Arc::clone(&sim), options, config, Some(checkpointing)).unwrap()
+        };
+        let mut killed = open(3, 2, "kill@2");
+        assert!(killed.resumed.is_none(), "{label}: fresh store");
+        assert!(
+            matches!(killed.run(), Err(DriveError::Killed(2))),
+            "{label}"
+        );
+        let mut resumed = open(resume_shards, 1, "");
+        assert!(
+            matches!(resumed.resumed, Some((1, Recovery::Primary))),
+            "{label}: must resume from boundary 1"
+        );
+        resumed.run().unwrap();
+        assert_reports_bitwise(&resumed.finish(), &baseline, &label);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Torn writes and bit flips at a census boundary: the loader detects
 /// the corruption (naming it), falls back to the rotated last-good
 /// checkpoint, and the recovered solve is bitwise identical to the
@@ -207,7 +291,7 @@ fn kill_at_every_boundary_recovers_on_disk() {
 #[test]
 fn corrupted_checkpoints_recover_from_fallback() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
-    let sim = tiny_multistep(case, steps, seed);
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let options = RunOptions::new(Scheme::OverParticles, 1);
     let baseline = sim.run(options);
 
@@ -221,14 +305,14 @@ fn corrupted_checkpoints_recover_from_fallback() {
         // corrupted (rotating the good one to the fallback slot) and the
         // solve is killed before it can be replaced.
         let plan: FaultPlan = spec.parse().unwrap();
-        match run_with_checkpoints(&sim, options, &store, &plan).unwrap() {
-            SolveOutcome::Killed { after_step } => assert_eq!(after_step, 2, "{label}"),
-            SolveOutcome::Complete { .. } => panic!("{label}: kill did not fire"),
+        match run_durable(&sim, options, &store, &plan).unwrap() {
+            Run::Killed { after_step } => assert_eq!(after_step, 2, "{label}"),
+            Run::Complete { .. } => panic!("{label}: kill did not fire"),
         }
 
-        let outcome = run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap();
+        let outcome = run_durable(&sim, options, &store, &FaultPlan::none()).unwrap();
         match outcome {
-            SolveOutcome::Complete {
+            Run::Complete {
                 report,
                 resumed_from,
                 recovery,
@@ -258,7 +342,7 @@ fn corrupted_checkpoints_recover_from_fallback() {
                 }
                 assert_reports_bitwise(&report, &baseline, &label);
             }
-            SolveOutcome::Killed { .. } => unreachable!("no faults planned"),
+            Run::Killed { .. } => unreachable!("no faults planned"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -273,7 +357,7 @@ fn corrupted_checkpoints_recover_from_fallback() {
 #[test]
 fn length_field_bitflips_recover_from_fallback() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
-    let sim = tiny_multistep(case, steps, seed);
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let options = RunOptions::new(Scheme::OverParticles, 1);
     let baseline = sim.run(options);
 
@@ -281,13 +365,13 @@ fn length_field_bitflips_recover_from_fallback() {
         let label = format!("{case:?} bitflip@2:{offset}");
         let (dir, store) = temp_store(&format!("lenflip_{offset}"));
         let plan: FaultPlan = format!("bitflip@2:{offset},kill@2").parse().unwrap();
-        match run_with_checkpoints(&sim, options, &store, &plan).unwrap() {
-            SolveOutcome::Killed { after_step } => assert_eq!(after_step, 2, "{label}"),
-            SolveOutcome::Complete { .. } => panic!("{label}: kill did not fire"),
+        match run_durable(&sim, options, &store, &plan).unwrap() {
+            Run::Killed { after_step } => assert_eq!(after_step, 2, "{label}"),
+            Run::Complete { .. } => panic!("{label}: kill did not fire"),
         }
 
-        match run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap() {
-            SolveOutcome::Complete {
+        match run_durable(&sim, options, &store, &FaultPlan::none()).unwrap() {
+            Run::Complete {
                 report,
                 resumed_from,
                 recovery,
@@ -309,7 +393,7 @@ fn length_field_bitflips_recover_from_fallback() {
                 }
                 assert_reports_bitwise(&report, &baseline, &label);
             }
-            SolveOutcome::Killed { .. } => unreachable!("no faults planned"),
+            Run::Killed { .. } => unreachable!("no faults planned"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -323,21 +407,21 @@ fn length_field_bitflips_recover_from_fallback() {
 #[test]
 fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[1]; // scatter, 2 timesteps
-    let sim = tiny_multistep(case, steps, seed);
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let options = RunOptions::new(Scheme::OverParticles, 1);
     let (dir, store) = temp_store("hard_errors");
 
     // Interrupt after boundary 1 so the store holds a real checkpoint.
     let plan: FaultPlan = "kill@2".parse().unwrap();
     assert!(matches!(
-        run_with_checkpoints(&sim, options, &store, &plan).unwrap(),
-        SolveOutcome::Killed { after_step: 2 }
+        run_durable(&sim, options, &store, &plan).unwrap(),
+        Run::Killed { after_step: 2 }
     ));
     let good = std::fs::read(store.path()).expect("checkpoint on disk");
 
     // A different seed is a different problem: hard ConfigMismatch.
-    let other = tiny_multistep(case, steps, seed + 1);
-    let err = run_with_checkpoints(&other, options, &store, &FaultPlan::none()).unwrap_err();
+    let other = Arc::new(tiny_multistep(case, steps, seed + 1));
+    let err = run_durable(&other, options, &store, &FaultPlan::none()).unwrap_err();
     assert!(
         matches!(err, CheckpointError::ConfigMismatch { .. }),
         "expected ConfigMismatch, got {err}"
@@ -361,8 +445,8 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
         ("material kind", absorber, options),
         ("scheme", sim.problem().clone(), over_events),
     ] {
-        let other = Simulation::new(problem);
-        let err = run_with_checkpoints(&other, options, &store, &FaultPlan::none()).unwrap_err();
+        let other = Arc::new(Simulation::new(problem));
+        let err = run_durable(&other, options, &store, &FaultPlan::none()).unwrap_err();
         assert!(
             matches!(err, CheckpointError::ConfigMismatch { .. }),
             "{what}: expected ConfigMismatch, got {err}"
@@ -376,7 +460,7 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     swapped.particles.key.swap(3, 4);
     store.save_raw(&swapped.to_bytes()).unwrap();
     let _ = std::fs::remove_file(store.fallback_path()); // save_raw rotated
-    let err = run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap_err();
+    let err = run_durable(&sim, options, &store, &FaultPlan::none()).unwrap_err();
     assert!(
         matches!(&err, CheckpointError::Corrupt(msg) if msg.contains("key order")),
         "expected Corrupt(key order), got {err}"
@@ -392,7 +476,7 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     wrong_version[n - 8..].copy_from_slice(&sum.to_le_bytes());
     store.save_raw(&wrong_version).unwrap();
     let _ = std::fs::remove_file(store.fallback_path()); // save_raw rotated
-    let err = run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap_err();
+    let err = run_durable(&sim, options, &store, &FaultPlan::none()).unwrap_err();
     assert!(
         matches!(err, CheckpointError::UnsupportedVersion(99)),
         "expected UnsupportedVersion, got {err}"
@@ -404,7 +488,7 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
     for keep in [0, 7, 19, 21, 60, good.len() / 2, good.len() - 1] {
         store.save_raw(&good[..keep]).unwrap();
         let _ = std::fs::remove_file(store.fallback_path());
-        let err = run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap_err();
+        let err = run_durable(&sim, options, &store, &FaultPlan::none()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -423,16 +507,16 @@ fn mismatches_and_unrecoverable_corruption_are_hard_errors() {
 #[test]
 fn completed_run_resumes_as_done() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[1];
-    let sim = tiny_multistep(case, steps, seed);
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let options = RunOptions::new(Scheme::OverParticles, 1);
     let (dir, store) = temp_store("completed");
 
-    let first = match run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap() {
-        SolveOutcome::Complete { report, .. } => report,
-        SolveOutcome::Killed { .. } => unreachable!(),
+    let first = match run_durable(&sim, options, &store, &FaultPlan::none()).unwrap() {
+        Run::Complete { report, .. } => report,
+        Run::Killed { .. } => unreachable!(),
     };
-    let again = match run_with_checkpoints(&sim, options, &store, &FaultPlan::none()).unwrap() {
-        SolveOutcome::Complete {
+    let again = match run_durable(&sim, options, &store, &FaultPlan::none()).unwrap() {
+        Run::Complete {
             report,
             resumed_from,
             ..
@@ -440,7 +524,7 @@ fn completed_run_resumes_as_done() {
             assert_eq!(resumed_from, Some(steps), "must resume at the end");
             report
         }
-        SolveOutcome::Killed { .. } => unreachable!(),
+        Run::Killed { .. } => unreachable!(),
     };
     assert_eq!(first.counters, again.counters);
     assert_eq!(tally_bits(&first.tally), tally_bits(&again.tally));
@@ -453,7 +537,7 @@ fn completed_run_resumes_as_done() {
 #[test]
 fn checkpoint_preserves_tally_fingerprint() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0];
-    let sim = tiny_multistep(case, steps, seed);
+    let sim = Arc::new(tiny_multistep(case, steps, seed));
     let mut solve = SolveCore::new(&sim, RunOptions::new(Scheme::OverParticles, 1));
     solve.step(&sim);
     let ckpt = solve.checkpoint();
