@@ -798,7 +798,7 @@ fn fsync_parent_dir(path: &Path) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-fn append_ext(path: &Path, ext: &str) -> PathBuf {
+pub(crate) fn append_ext(path: &Path, ext: &str) -> PathBuf {
     let mut s = path.as_os_str().to_owned();
     s.push(".");
     s.push(ext);

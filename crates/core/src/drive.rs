@@ -2,9 +2,10 @@
 //! any shard count, and every registry chunk advance a solve through a
 //! [`Driver`].
 
-use crate::checkpoint::{CheckpointError, CheckpointStore, Fault, FaultPlan, Recovery};
-use crate::shard::{ShardConfig, ShardError, ShardedSolve};
+use crate::checkpoint::{append_ext, CheckpointError, CheckpointStore, Fault, FaultPlan, Recovery};
+use crate::shard::{spill_path, ShardConfig, ShardError, ShardedSolve};
 use crate::sim::{RunOptions, RunReport, Simulation};
+use neutral_mesh::accum::DEFAULT_LANES;
 use std::sync::Arc;
 
 /// A durable solve's store, its save cadence and its step-keyed faults.
@@ -146,9 +147,23 @@ impl Driver {
         Ok(())
     }
 
-    /// Finish the solve and build the report.
+    /// Finish the solve and build the report. A durable solve then
+    /// removes its shards' spill stores, `<file>.shard<k>` and their
+    /// `.prev`, for every `k` below [`DEFAULT_LANES`] — the most shards
+    /// this solve, or the run it resumed, can have spilled to. They are
+    /// per-step retry inputs, which nothing reads once their step is done.
+    /// Best effort: a store that is not there, or cannot be removed, is
+    /// left as it is.
     #[must_use]
     pub fn finish(self) -> RunReport {
-        self.solve.finish()
+        let report = self.solve.finish();
+        if let Some(c) = &self.checkpointing {
+            for shard in 0..DEFAULT_LANES {
+                let spill = spill_path(c.store.path(), shard);
+                let _ = std::fs::remove_file(append_ext(&spill, "prev"));
+                let _ = std::fs::remove_file(spill);
+            }
+        }
+        report
     }
 }

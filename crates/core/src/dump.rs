@@ -18,8 +18,19 @@
 //! one, not the even one (`2⁻²⁵` prints `2.9802322387695313e-8`), so this
 //! does too. `std`'s formatter stays as the test oracle and as the cold
 //! arm for `NaN` and the infinities; no finite value goes through it.
+//!
+//! A tally of more than one row band (16 384 cells) renders its bands on
+//! up to the host's width of threads, the caller one of them, one thread
+//! per ≈ 1 ms of estimated work.
+//! Every band goes through the one renderer, and only the calling thread
+//! writes, in band order, so the bytes are the one-thread bytes whatever
+//! the width (DESIGN.md §16 "Row bands").
 
+use std::convert::Infallible;
 use std::io::{self, Write};
+use std::num::NonZeroUsize;
+use std::sync::{mpsc, OnceLock};
+use std::thread;
 
 /// Smallest and largest power of ten the table covers: `10^-k` for every
 /// `k = floor(log10 2^q)` a double's binary exponent `q ∈ [-1074, 971]`
@@ -254,8 +265,31 @@ const MAX_VALUE_LEN: usize = 24;
 /// Longest line: two 20-digit indices, two spaces, the value, the newline.
 const MAX_LINE_LEN: usize = 20 + 1 + 20 + 1 + MAX_VALUE_LEN + 1;
 
-/// Bytes [`write_tally_dump`] renders before handing them to the writer.
+/// Bytes [`write_tally_dump`] renders before handing them to the writer
+/// when it renders on the calling thread.
 const CHUNK: usize = 32 * 1024;
+
+/// Cells in one band of the parallel dump, rounded up to whole rows. At
+/// ≈ 58 ns a line a dense band renders in ≈ 1 ms, which dwarfs the tens
+/// of µs a scoped thread takes to start; a 512² tally is 16 bands, a 128²
+/// tally one (DESIGN.md §16 "Row bands").
+const BAND_CELLS: usize = 16_384;
+
+/// Estimated dump lines that pay for one more rendering thread: ≈ 1 ms
+/// of rendering, against the ≈ 0.3 ms a helper's start and its band
+/// hand-offs cost. A sparse tally renders on fewer threads than it has
+/// bands: `scatter`'s 512² tally (3 009 lines) took ≈ 0.42 ms on the
+/// calling thread and ≈ 0.52–0.62 ms on two.
+const LINES_PER_THREAD: usize = 16_384;
+
+/// Zero cells the renderer scans in the time it renders one line
+/// (≈ 1.5 ns against ≈ 58 ns).
+const SCAN_CELLS_PER_LINE: usize = 40;
+
+/// Band buffers one helper owns. One is enough: the caller hands it back
+/// as soon as it has written the band, then renders a band of its own
+/// while the helper renders its next.
+const HELPER_BUFFERS: usize = 1;
 
 fn decimal_len(n: usize) -> usize {
     n.checked_ilog10().map_or(1, |d| d as usize + 1)
@@ -266,8 +300,13 @@ fn decimal_len(n: usize) -> usize {
 #[must_use]
 pub fn tally_dump_capacity(tally: &[f64], nx: usize) -> usize {
     let cells = tally.iter().filter(|&&v| v != 0.0).count();
-    let line = decimal_len(nx) + decimal_len(tally.len() / nx) + MAX_VALUE_LEN + 3;
-    cells * line
+    cells * line_bound(tally.len(), nx)
+}
+
+/// The longest line the indices of a `cells`-cell tally of `nx` columns
+/// allow.
+fn line_bound(cells: usize, nx: usize) -> usize {
+    decimal_len(nx) + decimal_len(cells / nx) + MAX_VALUE_LEN + 3
 }
 
 /// The shared tally dump format: one `ix iy value` line per non-zero
@@ -277,28 +316,167 @@ pub fn tally_dump_capacity(tally: &[f64], nx: usize) -> usize {
 /// formatter to `std`'s on every exponent, the exact-tie family and
 /// millions of random bit patterns), so textual equality of two dumps is
 /// bitwise equality of two tallies.
+///
+/// A tally of more than one band of 16 384 cells with enough non-zero
+/// cells renders on up to `available_parallelism` threads (see the
+/// module docs); only the calling thread writes to `out`, so `out` need
+/// not be `Send`.
 pub fn write_tally_dump(tally: &[f64], nx: usize, out: &mut impl Write) -> io::Result<()> {
-    let mut chunk: Vec<u8> = Vec::with_capacity(CHUNK);
+    let band_rows = BAND_CELLS.div_ceil(nx);
+    let threads = host_width().min(estimated_lines(tally, nx, band_rows) / LINES_PER_THREAD);
+    write_bands(tally, nx, band_rows, threads, out)
+}
+
+/// The dump's work in lines, estimated from the first row of each band
+/// (≈ 3 % of a 512² tally): its non-zero cells scaled to the band, plus
+/// one line per [`SCAN_CELLS_PER_LINE`] cells scanned.
+fn estimated_lines(tally: &[f64], nx: usize, band_rows: usize) -> usize {
+    let sampled: usize = tally
+        .chunks(nx * band_rows)
+        .map(|band| {
+            band[..nx.min(band.len())]
+                .iter()
+                .filter(|&&v| v != 0.0)
+                .count()
+        })
+        .sum();
+    sampled * band_rows + tally.len() / SCAN_CELLS_PER_LINE
+}
+
+/// `available_parallelism`, read once: `std` re-reads the cgroup quota
+/// files on every call.
+fn host_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// [`write_tally_dump`] in bands of `band_rows` rows on at most `threads`
+/// threads, the caller one of them. One band, or one thread, renders on
+/// the calling thread with no spawn. Otherwise, with `n` threads, band `b`
+/// belongs to thread `b % n`: the caller renders its own bands straight
+/// into `out`, [`CHUNK`] bytes at a time, and each helper renders its
+/// bands into its [`HELPER_BUFFERS`] recycled buffers and sends them over
+/// its own bounded channel. The caller allocates those buffers, with room
+/// for a band's longest text, so they stay in the caller's allocator
+/// arena. The caller writes every band in order and hands each buffer
+/// back, so only it touches `out`. A helper that cannot
+/// be spawned leaves its bands to the caller. When `out` fails, dropping
+/// the channels stops every helper at its next send or receive, and the
+/// scope joins them before the error returns.
+pub(crate) fn write_bands(
+    tally: &[f64],
+    nx: usize,
+    band_rows: usize,
+    threads: usize,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let bands: Vec<&[f64]> = tally.chunks(nx * band_rows).collect();
+    let threads = threads.min(bands.len());
+    let mut chunk = Vec::with_capacity(CHUNK);
+    if threads <= 1 {
+        return write_rows(tally, nx, 0, &mut chunk, out);
+    }
+    // Room for a band's longest text, so a helper never grows its buffer,
+    // but for rows wider than a band: there it grows past the cap.
+    let band_bytes = (nx * band_rows).min(2 * BAND_CELLS) * line_bound(tally.len(), nx);
+    thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|h| {
+                let (full_tx, full_rx) = mpsc::sync_channel(HELPER_BUFFERS);
+                let (empty_tx, empty_rx) = mpsc::channel();
+                for _ in 0..HELPER_BUFFERS {
+                    let _ = empty_tx.send(Vec::with_capacity(band_bytes));
+                }
+                let mine = bands.iter().enumerate().skip(h).step_by(threads);
+                let render = move || {
+                    for (b, band) in mine {
+                        let Ok(mut buf) = empty_rx.recv() else {
+                            return;
+                        };
+                        buf.clear();
+                        let iy0 = b * band_rows;
+                        let Ok(()) =
+                            render_rows::<Infallible>(band, nx, iy0, &mut buf, usize::MAX, |_| {
+                                Ok(())
+                            });
+                        if full_tx.send(buf).is_err() {
+                            return;
+                        }
+                    }
+                };
+                let spawned = thread::Builder::new()
+                    .name("dump-band".into())
+                    .spawn_scoped(scope, render);
+                spawned.is_ok().then_some((full_rx, empty_tx))
+            })
+            .collect();
+        for (b, band) in bands.iter().enumerate() {
+            // Thread 0 is the caller; a helper that did not spawn is `None`.
+            let helper = (b % threads)
+                .checked_sub(1)
+                .and_then(|h| helpers[h].as_ref());
+            match helper {
+                Some((full, empty)) => {
+                    let buf = full
+                        .recv()
+                        .expect("a dump helper stopped before its last band");
+                    out.write_all(&buf)?;
+                    // The helper may have no band left to render.
+                    let _ = empty.send(buf);
+                }
+                None => write_rows(band, nx, b * band_rows, &mut chunk, out)?,
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Render `rows` (whole rows, the first numbered `iy0`) on this thread,
+/// [`CHUNK`] bytes at a time, into `out`.
+fn write_rows(
+    rows: &[f64],
+    nx: usize,
+    iy0: usize,
+    chunk: &mut Vec<u8>,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    chunk.clear();
+    render_rows(rows, nx, iy0, chunk, CHUNK, |bytes| out.write_all(bytes))?;
+    out.write_all(chunk)
+}
+
+/// The one renderer: append the dump lines of `rows` — whole rows of `nx`
+/// cells but maybe the last, the first numbered `iy0` — to `buf`, handing
+/// `buf` to `spill` and clearing it whenever one more line could take it
+/// past `limit` bytes.
+fn render_rows<E>(
+    rows: &[f64],
+    nx: usize,
+    iy0: usize,
+    buf: &mut Vec<u8>,
+    limit: usize,
+    mut spill: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
     let mut row_tag = Vec::with_capacity(24);
-    for (iy, row) in tally.chunks(nx).enumerate() {
+    for (iy, row) in (iy0..).zip(rows.chunks(nx)) {
         row_tag.clear();
         row_tag.push(b' ');
         push_uint(&mut row_tag, iy as u64);
         row_tag.push(b' ');
         for (ix, &v) in row.iter().enumerate() {
             if v != 0.0 {
-                if chunk.len() + MAX_LINE_LEN > CHUNK {
-                    out.write_all(&chunk)?;
-                    chunk.clear();
+                if buf.len() + MAX_LINE_LEN > limit {
+                    spill(buf)?;
+                    buf.clear();
                 }
-                push_uint(&mut chunk, ix as u64);
-                chunk.extend_from_slice(&row_tag);
-                push_f64_e(&mut chunk, v);
-                chunk.push(b'\n');
+                push_uint(buf, ix as u64);
+                buf.extend_from_slice(&row_tag);
+                push_f64_e(buf, v);
+                buf.push(b'\n');
             }
         }
     }
-    out.write_all(&chunk)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -501,12 +679,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dump_is_the_reference_dump_whatever_the_writer_accepts() {
+    /// A writer that takes `left` more bytes and then fails.
+    struct FailAfter {
+        taken: Vec<u8>,
+        left: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            let n = buf.len().min(self.left);
+            self.taken.extend_from_slice(&buf[..n]);
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Several chunks' worth of values of every magnitude, a NaN and an
+    /// infinity in the first row and again deep in the tally (inside a
+    /// helper's band at every band height), a signed zero, and 3 000
+    /// zero cells in a row — whole zero bands at 1 and 3 rows for every
+    /// width but the one-row tally.
+    fn sample_tally() -> Vec<f64> {
         let g = &mut Gen::new(7);
-        // Wide enough for several chunks, ragged last row, values of every
-        // magnitude, and a NaN and an infinity for the cold arm.
-        let mut tally: Vec<f64> = (0..5 * CHUNK / 20 + 3)
+        let mut tally: Vec<f64> = (0..8 * CHUNK / 20 + 3)
             .map(|_| match g.usize_in(0, 4) {
                 0 => 0.0,
                 1 => g.log_uniform(1e-150, 1e150),
@@ -517,14 +719,32 @@ mod tests {
         tally[5] = f64::NAN;
         tally[6] = f64::NEG_INFINITY;
         tally[7] = -0.0;
+        tally[3000..6000].fill(0.0);
+        tally[9000] = f64::NAN;
+        tally[9001] = f64::INFINITY;
+        tally
+    }
+
+    /// Widths with a ragged last row, and band heights of one row, three
+    /// rows (a ragged last band) and the whole tally.
+    fn band_cases(len: usize) -> impl Iterator<Item = (usize, usize)> {
+        [1, 7, 1000, len + 5].into_iter().flat_map(move |nx| {
+            [1, 3, len.div_ceil(nx)]
+                .into_iter()
+                .map(move |band_rows| (nx, band_rows))
+        })
+    }
+
+    /// Every band height and thread count writes the reference bytes, to a
+    /// `Vec` and one byte per call.
+    #[test]
+    fn dump_is_the_reference_dump_whatever_the_writer_accepts() {
+        let tally = sample_tally();
         for nx in [1, 7, 1000, tally.len() + 5] {
             let expected = reference_dump(&tally, nx);
             assert!(expected.len() > 2 * CHUNK);
             assert!(dump(&tally, nx) == expected, "nx = {nx}");
             assert!(expected.len() <= tally_dump_capacity(&tally, nx));
-            let mut trickle = Trickle(Vec::new());
-            write_tally_dump(&tally, nx, &mut trickle).unwrap();
-            assert!(trickle.0 == expected, "nx = {nx}, one byte per write");
             // Each line parses back to the cell it came from.
             for line in std::str::from_utf8(&expected).unwrap().lines() {
                 let mut it = line.split(' ');
@@ -535,7 +755,72 @@ mod tests {
                 assert!(v.to_bits() == cell.to_bits() || (v.is_nan() && cell.is_nan()));
             }
         }
+        for (nx, band_rows) in band_cases(tally.len()) {
+            let expected = reference_dump(&tally, nx);
+            for threads in [1, 2, 5] {
+                let label = format!("nx = {nx}, {band_rows}-row bands, {threads} threads");
+                let mut out = Vec::new();
+                write_bands(&tally, nx, band_rows, threads, &mut out).unwrap();
+                assert!(out == expected, "{label}");
+                let mut trickle = Trickle(Vec::new());
+                write_bands(&tally, nx, band_rows, threads, &mut trickle).unwrap();
+                assert!(trickle.0 == expected, "{label}, one byte per write");
+            }
+        }
         assert_eq!(dump(&[], 4), b"");
+    }
+
+    /// A writer that fails before the first byte, inside a band and in the
+    /// last band: the error comes back once the helpers have stopped (the
+    /// scope joins them) — no hang, no panic — and the bytes taken are the
+    /// reference dump's prefix.
+    #[test]
+    fn a_failing_writer_returns_its_error_with_every_helper_stopped() {
+        let tally = sample_tally();
+        for (nx, band_rows) in band_cases(tally.len()) {
+            let expected = reference_dump(&tally, nx);
+            for threads in [1, 2, 5] {
+                for k in [0, expected.len() / 2 + 3, expected.len() - 1] {
+                    let label =
+                        format!("nx = {nx}, {band_rows}-row bands, {threads} threads, {k} bytes");
+                    let (done_tx, done_rx) = mpsc::channel();
+                    let tally = tally.clone();
+                    thread::spawn(move || {
+                        let mut out = FailAfter {
+                            taken: Vec::new(),
+                            left: k,
+                        };
+                        let result = write_bands(&tally, nx, band_rows, threads, &mut out);
+                        done_tx.send((result, out.taken)).unwrap();
+                    });
+                    let (result, taken) = done_rx
+                        .recv_timeout(std::time::Duration::from_secs(60))
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let err = result.expect_err(&label);
+                    assert_eq!(err.to_string(), "disk full", "{label}");
+                    assert!(taken == expected[..k], "{label}: not the reference prefix");
+                }
+            }
+        }
+    }
+
+    /// A dense 512² tally is work for more than two threads; one of 3 000
+    /// scattered lines is work for one.
+    #[test]
+    fn the_work_estimate_splits_dense_tallies_only() {
+        let nx = 512;
+        let band_rows = BAND_CELLS.div_ceil(nx);
+        let dense = vec![1.0; nx * nx];
+        assert!(estimated_lines(&dense, nx, band_rows) / LINES_PER_THREAD > 2);
+        let g = &mut Gen::new(11);
+        let mut sparse = vec![0.0; nx * nx];
+        for _ in 0..3000 {
+            sparse[g.usize_in(0, nx * nx)] = 1.0;
+        }
+        assert_eq!(
+            estimated_lines(&sparse, nx, band_rows) / LINES_PER_THREAD,
+            0
+        );
     }
 
     #[test]

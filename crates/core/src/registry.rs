@@ -303,7 +303,8 @@ pub struct SolveStatus {
 /// Monotonic registry counters (solve-count instrumentation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryStats {
-    /// Total submissions received.
+    /// Submissions admitted: `coalesced + cache_hits + solves_started`.
+    /// A refused submission counts nowhere.
     pub submitted: u64,
     /// Submissions that attached to an in-flight identical solve.
     pub coalesced: u64,
@@ -345,6 +346,8 @@ struct Entry {
     mesh_nx: usize,
     resumed_from: Option<usize>,
     cancel_requested: bool,
+    /// A later submission was handed this entry's id.
+    attached: bool,
     result: Option<Arc<RunReport>>,
     checkpoint_file: Option<PathBuf>,
 }
@@ -385,8 +388,9 @@ struct State {
     by_fingerprint: HashMap<u64, u64>,
     /// Request key → content address, for [`Registry::submit_with`]: what
     /// a build + fingerprint of that request came to. Building is a pure
-    /// function of the key, so a row is never stale, only absent; rows are
-    /// never removed (like `entries`, which they are bounded by).
+    /// function of the key, so a row is never stale, only absent; a row
+    /// goes only with the refused placeholder that wrote it (like
+    /// `entries`, which they are bounded by).
     memo: HashMap<String, u64>,
     /// Checkpoint files held by live entries (exclusivity guard).
     live_checkpoint_files: HashMap<PathBuf, u64>,
@@ -426,6 +430,29 @@ impl Inner {
             }
         }
         entry.state = state;
+    }
+
+    /// Undo the admission of placeholder `id`, whose submitter was refused
+    /// and which nobody else was handed: drop the entry, release its
+    /// fingerprint and checkpoint file, the memo row `built_for` wrote,
+    /// and its counts in `submitted` and `solves_started`.
+    fn forget(st: &mut State, id: u64, built_for: Option<&str>) {
+        let entry = st.entries.remove(&id).expect("forget of unknown entry");
+        if st.by_fingerprint.get(&entry.fingerprint) == Some(&id) {
+            st.by_fingerprint.remove(&entry.fingerprint);
+        }
+        if let Some(path) = &entry.checkpoint_file {
+            if st.live_checkpoint_files.get(path) == Some(&id) {
+                st.live_checkpoint_files.remove(path);
+            }
+        }
+        if let Some(key) = built_for {
+            if st.memo.get(key) == Some(&entry.fingerprint) {
+                st.memo.remove(key);
+            }
+        }
+        st.stats.submitted -= 1;
+        st.stats.solves_started -= 1;
     }
 }
 
@@ -529,7 +556,6 @@ impl Registry {
             if let Some(&existing) = st.by_fingerprint.get(&fingerprint) {
                 return Ok(attach(&mut st, existing));
             }
-            st.stats.submitted += 1;
             if let Some(path) = &req.checkpoint_file {
                 let live = &st.live_checkpoint_files;
                 if let Some((_, &holder)) = live.iter().find(|(f, _)| stores_overlap(f, path)) {
@@ -546,6 +572,7 @@ impl Registry {
             // *not* in the run queue until the task is installed.
             let id = st.next_id;
             st.next_id += 1;
+            st.stats.submitted += 1;
             st.stats.solves_started += 1;
             st.by_fingerprint.insert(fingerprint, id);
             if let Some(path) = &req.checkpoint_file {
@@ -563,6 +590,7 @@ impl Registry {
                     mesh_nx,
                     resumed_from: None,
                     cancel_requested: false,
+                    attached: false,
                     result: None,
                     checkpoint_file: req.checkpoint_file.clone(),
                 },
@@ -589,7 +617,12 @@ impl Registry {
             Err(cause) => {
                 let path = req.checkpoint_file.expect("only a store fails to open");
                 let refused = SubmitError::Checkpoint { path, cause };
-                Inner::finalize(&mut st, id, SolveState::Failed(refused.to_string()));
+                if st.entries[&id].attached {
+                    // A coalesced submitter holds the id: it fails by name.
+                    Inner::finalize(&mut st, id, SolveState::Failed(refused.to_string()));
+                } else {
+                    Inner::forget(&mut st, id, built_for);
+                }
                 self.inner.cvar.notify_all();
                 return Err(refused);
             }
@@ -686,7 +719,9 @@ impl Drop for Registry {
 /// address: a cache hit if that solve is done, coalesced otherwise.
 fn attach(st: &mut State, id: u64) -> SubmitReceipt {
     st.stats.submitted += 1;
-    let admission = match st.entries[&id].state {
+    let entry = st.entries.get_mut(&id).expect("attach to an unknown entry");
+    entry.attached = true;
+    let admission = match entry.state {
         SolveState::Done => {
             st.stats.cache_hits += 1;
             Admission::CacheHit
@@ -1120,6 +1155,48 @@ mod tests {
         assert!(
             !store.fallback_path().exists(),
             "the refusal rotated nothing"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A refused submission leaves no trace: no entry under the id it
+    /// reserved, no memo row, no count in the stats, and its address and
+    /// file are free for the next submission.
+    #[test]
+    fn a_refused_checkpoint_leaves_no_entry_and_no_count() {
+        let dir =
+            std::env::temp_dir().join(format!("neutral_registry_refused_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ckpt = dir.join("foreign.ckpt");
+        die_after_boundary_1(55, &ckpt);
+
+        let registry = Registry::new(RegistryConfig::default());
+        let before = registry.stats();
+        let request = || SubmitRequest::new(tiny_problem(56, 3), RunOptions::default());
+        let refused = registry.submit(request().checkpoint(&ckpt, 1));
+        assert!(matches!(refused, Err(SubmitError::Checkpoint { .. })));
+        assert_eq!(registry.stats(), before);
+        assert!(
+            registry.status(1).is_none(),
+            "the reserved id holds nothing"
+        );
+        let keyed = registry.submit_with("seed 56", || request().checkpoint(&ckpt, 1));
+        assert!(matches!(keyed, Err(SubmitError::Checkpoint { .. })));
+        assert!(registry.status(2).is_none());
+        assert!(
+            registry.lock().memo.is_empty(),
+            "the refused key's row went"
+        );
+        assert_eq!(registry.stats().problems_built, before.problems_built + 1);
+
+        let other = dir.join("other.ckpt");
+        let receipt = registry.submit(request().checkpoint(&other, 1)).unwrap();
+        assert_eq!(receipt.admission, Admission::Fresh);
+        assert_eq!(registry.wait(receipt.id).unwrap().state, SolveState::Done);
+        let stats = registry.stats();
+        assert_eq!(
+            (stats.submitted, stats.solves_started, stats.failed),
+            (1, 1, 0)
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -50,7 +50,7 @@ use neutral_mesh::accum::{merge_nodes_pairwise, tree_cover, DEFAULT_LANES};
 use neutral_mesh::{LanePartition, TallyAccum};
 use std::fmt;
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -655,11 +655,7 @@ impl ShardedSolve {
         let plan = ShardPlan::new(core.columns().len(), config.n_shards);
         let stores = config.checkpoint_base.as_ref().map(|base| {
             (0..config.n_shards)
-                .map(|shard| {
-                    let mut path = base.as_os_str().to_owned();
-                    path.push(format!(".shard{shard}"));
-                    CheckpointStore::new(PathBuf::from(path))
-                })
+                .map(|shard| CheckpointStore::new(spill_path(base, shard)))
                 .collect()
         });
         Self {
@@ -1056,6 +1052,14 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_owned()
     }
+}
+
+/// Shard `shard`'s spill store next to the checkpoint `base`:
+/// `<base>.shard<shard>`.
+pub(crate) fn spill_path(base: &Path, shard: usize) -> PathBuf {
+    let mut path = base.as_os_str().to_owned();
+    path.push(format!(".shard{shard}"));
+    PathBuf::from(path)
 }
 
 #[cfg(test)]

@@ -248,7 +248,8 @@ fn kill_at_every_boundary_recovers_on_disk() {
 /// A sharded solve resumes at any shard and worker count (DESIGN.md
 /// §18): killed before its boundary-2 save as three shards on two
 /// workers, it resumes from boundary 1 as two shards on one worker, and
-/// as one shard, bitwise identical to the uninterrupted unsharded run.
+/// as one shard, bitwise identical to the uninterrupted unsharded run,
+/// and leaves no shard spill store behind.
 #[test]
 fn sharded_kill_resumes_at_any_shard_and_worker_count() {
     let (case, steps, seed) = MULTISTEP_CONFIGS[0]; // csp, 3 timesteps
@@ -280,6 +281,17 @@ fn sharded_kill_resumes_at_any_shard_and_worker_count() {
         );
         resumed.run().unwrap();
         assert_reports_bitwise(&resumed.finish(), &baseline, &label);
+        // The spill stores of all three shards, the one the resume no
+        // longer runs included, go with the finished solve.
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("solve.ckpt.shard"))
+            .collect();
+        assert!(
+            left.is_empty(),
+            "{label}: spill stores left behind: {left:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
