@@ -19,14 +19,22 @@
 //! does too. `std`'s formatter stays as the test oracle and as the cold
 //! arm for `NaN` and the infinities; no finite value goes through it.
 //!
+//! A line is assembled where it lands, in a zeroed window at the end of
+//! the output buffer, from whole words: the column's digits split out of
+//! one word by two multiplies, the row's `" iy "` tag copied whole, the
+//! value's 17 digits as a top digit and four groups of four (each group
+//! its own quotient, so no group waits for another), and the exponent
+//! text from a table. Zero cells are skipped eight per test.
+//!
 //! A tally of more than one row band (16 384 cells) renders its bands on
 //! up to the host's width of threads, the caller one of them, one thread
-//! per ≈ 1 ms of estimated work.
+//! per ≈ 0.27 ms of estimated work.
 //! Every band goes through the one renderer, and only the calling thread
 //! writes, in band order, so the bytes are the one-thread bytes whatever
 //! the width (DESIGN.md §16 "Row bands").
 
 use std::convert::Infallible;
+use std::hint::select_unpredictable;
 use std::io::{self, Write};
 use std::num::NonZeroUsize;
 use std::sync::{mpsc, OnceLock};
@@ -123,18 +131,6 @@ const fn leading_128(x: &[u64; LIMBS], inexact: bool) -> (u64, u64) {
     (hi + carry as u64, lo)
 }
 
-/// `"00" "01" … "99"`: digits leave two at a time.
-static PAIRS: [u8; 200] = {
-    let mut pairs = [0u8; 200];
-    let mut i = 0;
-    while i < 100 {
-        pairs[2 * i] = b'0' + (i / 10) as u8;
-        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
-    }
-    pairs
-};
-
 /// The high 128 bits of `g · cp` (`g` a table entry, `cp < 2^64`), with
 /// the lowest kept bit set if any lower bit was: enough to compare the
 /// product against an integer or an integer plus one half.
@@ -146,7 +142,8 @@ fn round_to_odd((g_hi, g_lo): (u64, u64), cp: u64) -> u64 {
 
 /// Schubfach: the shortest `digits · 10^exponent` that reads back as the
 /// finite non-zero double with fraction field `frac` and biased exponent
-/// field `exp` (`digits` may end in zeros).
+/// field `exp` (`digits < 10^17`, and may end in zeros).
+#[inline(always)]
 fn shortest(frac: u64, exp: i32) -> (u64, i32) {
     let (c, q) = if exp != 0 {
         (frac | 1 << 52, exp - 1075)
@@ -177,86 +174,174 @@ fn shortest(frac: u64, exp: i32) -> (u64, i32) {
     let upper = vbr - u64::from(!closed);
 
     let s = vb / 4;
-    if s >= 10 {
-        // One digit fewer, if exactly one such candidate is inside.
-        let sp = s / 10;
-        let down_inside = lower <= 40 * sp;
-        let up_inside = 40 * sp + 40 <= upper;
-        if down_inside != up_inside {
-            return (sp + u64::from(up_inside), k + 1);
-        }
-    }
-    let down_inside = lower <= 4 * s;
-    let up_inside = 4 * s + 4 <= upper;
-    if down_inside != up_inside {
-        return (s + u64::from(up_inside), k);
-    }
-    // Both inside: the closer one, and on an exact tie the upper — std's
-    // rule (half up), not IEEE's (half to even).
-    (s + u64::from(vb >= 4 * s + 2), k)
+    let sp = s / 10;
+    // One digit fewer, if exactly one such candidate is inside.
+    let sp_down = lower <= 40 * sp;
+    let sp_up = 40 * sp + 40 <= upper;
+    let shorter = (s >= 10) & (sp_down != sp_up);
+    // Otherwise the one candidate inside or, both inside, the closer one,
+    // and on an exact tie the upper — std's rule (half up), not IEEE's
+    // (half to even). Selects, not branches: which case a value falls in
+    // is close to a coin toss.
+    let down = lower <= 4 * s;
+    let up = 4 * s + 4 <= upper;
+    let round_up = select_unpredictable(down == up, vb >= 4 * s + 2, up);
+    select_unpredictable(
+        shorter,
+        (sp + u64::from(sp_up), k + 1),
+        (s + u64::from(round_up), k),
+    )
 }
 
-/// Append `n` in decimal.
-fn push_uint(out: &mut Vec<u8>, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    while n >= 100 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        at -= 2;
-        digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    }
-    if n >= 10 {
-        let pair = n as usize * 2;
-        at -= 2;
-        digits[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+/// `'0'` in every byte of a word.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// The four decimal digits of each 32-bit lane of `x` (each below
+/// 10^4), zero-padded, one per byte — digit values, not yet ASCII — the
+/// first digit in the lowest byte, so `to_le_bytes` reads them in print
+/// order. Each step splits every lane in two with one multiply: 4 digits
+/// into 2 + 2, then 2 into 1 + 1, as `q + (x - q·d)·2^w`, written
+/// `x·2^w + q·(1 - d·2^w)` to keep the chain short.
+fn digit_lanes(x: u64) -> u64 {
+    // In each 32-bit lane: ⌊x·10 486 / 2^20⌋ = ⌊x / 100⌋ for x < 43 699.
+    let q = ((x * 10_486) >> 20) & 0x0000_007F_0000_007F;
+    let x = (x << 16).wrapping_add(q.wrapping_mul(1u64.wrapping_sub(100 << 16)));
+    // In each 16-bit lane: ⌊x·103 / 2^10⌋ = ⌊x / 10⌋ for x < 179.
+    let q = ((x * 103) >> 10) & 0x000F_000F_000F_000F;
+    (x << 8).wrapping_add(q.wrapping_mul(1u64.wrapping_sub(10 << 8)))
+}
+
+/// The eight decimal digits of `n < 10^8` as [`digit_lanes`] lays them
+/// out.
+fn eight_digits(n: u64) -> u64 {
+    digit_lanes((n / 10_000) | ((n % 10_000) << 32))
+}
+
+/// Write `n` in decimal at `line[at..]` and return where it ends. Eight
+/// bytes are stored at a time, so up to seven bytes past the end are
+/// overwritten.
+#[inline(always)]
+fn put_uint(line: &mut [u8], at: usize, n: u64) -> usize {
+    let (word, len) = if n < 10_000 {
+        (digit_lanes(n), 4)
+    } else if n < 100_000_000 {
+        (eight_digits(n), 8)
     } else {
-        at -= 1;
-        digits[at] = b'0' + n as u8;
-    }
-    out.extend_from_slice(&digits[at..]);
+        return put_long_uint(line, at, n);
+    };
+    // The leading zeros are the low zero bytes; a zero keeps one.
+    let skip = (word.trailing_zeros() / 8).min(len - 1);
+    let text = (word + ZEROS) >> (8 * skip);
+    line[at..at + 8].copy_from_slice(&text.to_le_bytes());
+    at + (len - skip) as usize
 }
 
-/// Append `v` exactly as `write!(out, "{v:e}")` would.
-fn push_f64_e(out: &mut Vec<u8>, v: f64) {
+/// [`put_uint`] for `n >= 10^8`: an index no tally of a sane size has.
+#[cold]
+fn put_long_uint(line: &mut [u8], at: usize, n: u64) -> usize {
+    let at = put_uint(line, at, n / 100_000_000);
+    let low = eight_digits(n % 100_000_000) + ZEROS;
+    line[at..at + 8].copy_from_slice(&low.to_le_bytes());
+    at + 8
+}
+
+/// The smallest 17-digit number.
+const E16: u64 = 10u64.pow(16);
+
+/// Smallest and largest decimal exponent of a finite non-zero double in
+/// `{:e}` form (`5e-324`, `1.7976931348623157e308`).
+const E_MIN: i32 = -324;
+const E_MAX: i32 = 308;
+
+/// `"e-324"` … `"e308"`, one 8-byte entry per exponent, its length in
+/// the last byte: the exponent text leaves in one store.
+static EXP_TEXT: [[u8; 8]; (E_MAX - E_MIN + 1) as usize] = {
+    let mut table = [[0u8; 8]; (E_MAX - E_MIN + 1) as usize];
+    let mut i = 0;
+    while i < table.len() {
+        let e = E_MIN + i as i32;
+        let m = e.unsigned_abs();
+        let t = &mut table[i];
+        t[0] = b'e';
+        let mut n = 1;
+        if e < 0 {
+            t[n] = b'-';
+            n += 1;
+        }
+        if m >= 100 {
+            t[n] = b'0' + (m / 100) as u8;
+            n += 1;
+        }
+        if m >= 10 {
+            t[n] = b'0' + (m / 10 % 10) as u8;
+            n += 1;
+        }
+        t[n] = b'0' + (m % 10) as u8;
+        t[7] = n as u8 + 1;
+        i += 1;
+    }
+    table
+};
+
+/// Write `v` exactly as `write!(…, "{v:e}")` would at `line[at..]` and
+/// return where it ends; bytes past the end may be overwritten.
+#[inline(always)]
+fn put_value(line: &mut [u8; LINE_BUF], at: usize, v: f64) -> usize {
     let bits = v.to_bits();
     let frac = bits & ((1 << 52) - 1);
     let exp = (bits >> 52 & 0x7ff) as i32;
     if exp == 0x7ff {
-        // NaN and the infinities: nothing to shorten.
-        let _ = write!(out, "{v:e}");
-        return;
+        return put_nan_or_infinity(line, at, v);
     }
-    if bits >> 63 != 0 {
-        out.push(b'-');
-    }
+    line[at] = b'-';
+    let at = at + (bits >> 63) as usize;
     if exp == 0 && frac == 0 {
-        out.extend_from_slice(b"0e0");
-        return;
+        line[at..at + 3].copy_from_slice(b"0e0");
+        return at + 3;
     }
-    let (mut digits, mut exp10) = shortest(frac, exp);
-    while digits.is_multiple_of(10) {
-        digits /= 10;
-        exp10 += 1;
+    let (digits, exp10) = shortest(frac, exp);
+    // Scale the digits to exactly 17: a normal double's are 16 or 17, and
+    // only a subnormal's may be fewer. `e` is the exponent of the first.
+    let short = digits < E16;
+    let mut digits = select_unpredictable(short, digits * 10, digits);
+    let mut e = exp10 + 16 - i32::from(short);
+    while digits < E16 {
+        digits *= 10;
+        e -= 1;
     }
-    let from = out.len();
-    // A gap for the point after the first digit, closed again if the
-    // first digit is the only one.
-    out.push(b'0');
-    push_uint(out, digits);
-    let n = out.len() - from - 1;
-    out[from] = out[from + 1];
-    if n == 1 {
-        out.pop();
-    } else {
-        out[from + 1] = b'.';
-    }
-    out.push(b'e');
-    let exp10 = exp10 + n as i32 - 1;
-    if exp10 < 0 {
-        out.push(b'-');
-    }
-    push_uint(out, u64::from(exp10.unsigned_abs()));
+    // The first digit, and four groups of four, each its own quotient of
+    // `digits`: no group waits for another. Spelled out, not `array::map`,
+    // which is left as a call.
+    let q = [
+        digits / 10u64.pow(16),
+        digits / 10u64.pow(12),
+        digits / 10u64.pow(8),
+        digits / 10u64.pow(4),
+    ];
+    let group = |i: usize| q[i + 1] - q[i] * 10_000;
+    let low = digits - q[3] * 10_000;
+    let rest = u128::from(digit_lanes(group(0) | group(1) << 32))
+        | u128::from(digit_lanes(group(2) | low << 32)) << 64;
+    // The digits after the first, trailing zeros (high zero bytes) off.
+    let rest_len = (128 - rest.leading_zeros()).div_ceil(8) as usize;
+    line[at] = b'0' + q[0] as u8;
+    line[at + 1] = b'.';
+    let text = rest + (u128::from(ZEROS) << 64 | u128::from(ZEROS));
+    line[at + 2..at + 18].copy_from_slice(&text.to_le_bytes());
+    let at = at + 1 + usize::from(rest_len != 0) + rest_len;
+    let text = &EXP_TEXT[(e - E_MIN) as usize];
+    line[at..at + 8].copy_from_slice(text);
+    at + usize::from(text[7])
+}
+
+/// `NaN` and the infinities, through `std`'s formatter: nothing to
+/// shorten.
+#[cold]
+fn put_nan_or_infinity(line: &mut [u8], at: usize, v: f64) -> usize {
+    let mut rest = &mut line[at..];
+    let room = rest.len();
+    write!(rest, "{v:e}").expect("a line has room for NaN and the infinities");
+    at + room - rest.len()
 }
 
 /// Longest `value` text: sign, 17 digits, point, `e-`, three digits.
@@ -265,26 +350,36 @@ const MAX_VALUE_LEN: usize = 24;
 /// Longest line: two 20-digit indices, two spaces, the value, the newline.
 const MAX_LINE_LEN: usize = 20 + 1 + 20 + 1 + MAX_VALUE_LEN + 1;
 
+/// Bytes a line is assembled in: the longest line, plus room for the
+/// whole words stored past the end of its text (the widest is the
+/// 32-byte row tag).
+const LINE_BUF: usize = MAX_LINE_LEN + 32;
+
 /// Bytes [`write_tally_dump`] renders before handing them to the writer
 /// when it renders on the calling thread.
 const CHUNK: usize = 32 * 1024;
 
+/// Bytes of zeros [`render_rows`] lays ahead of its lines at a time.
+const ZEROED_AHEAD: usize = 4096;
+
 /// Cells in one band of the parallel dump, rounded up to whole rows. At
-/// ≈ 58 ns a line a dense band renders in ≈ 1 ms, which dwarfs the tens
+/// ≈ 33 ns a line a dense band renders in ≈ 0.5 ms, which dwarfs the tens
 /// of µs a scoped thread takes to start; a 512² tally is 16 bands, a 128²
 /// tally one (DESIGN.md §16 "Row bands").
 const BAND_CELLS: usize = 16_384;
 
-/// Estimated dump lines that pay for one more rendering thread: ≈ 1 ms
-/// of rendering, against the ≈ 0.3 ms a helper's start and its band
-/// hand-offs cost. A sparse tally renders on fewer threads than it has
-/// bands: `scatter`'s 512² tally (3 009 lines) took ≈ 0.42 ms on the
-/// calling thread and ≈ 0.52–0.62 ms on two.
-const LINES_PER_THREAD: usize = 16_384;
+/// Estimated dump lines that pay for one more rendering thread: ≈ 0.27
+/// ms of rendering at ≈ 33 ns a line, about what a helper's start and its
+/// band hand-offs cost. Two threads start at twice that, where a measured
+/// two-thread render of 14 281 lines scattered over a 512² tally already
+/// read 0.88 → 0.60 ms. A sparse tally renders on fewer threads than it
+/// has bands: `scatter`'s 512² tally (3 001 lines, ≈ 0.13 ms) stays on
+/// the calling thread.
+const LINES_PER_THREAD: usize = 8_192;
 
 /// Zero cells the renderer scans in the time it renders one line
-/// (≈ 1.5 ns against ≈ 58 ns).
-const SCAN_CELLS_PER_LINE: usize = 40;
+/// (≈ 0.13 ns, eight cells a test, against ≈ 33 ns).
+const SCAN_CELLS_PER_LINE: usize = 256;
 
 /// Band buffers one helper owns. One is enough: the caller hands it back
 /// as soon as it has written the band, then renders a band of its own
@@ -299,8 +394,15 @@ fn decimal_len(n: usize) -> usize {
 /// non-zero cells times the longest line its indices allow.
 #[must_use]
 pub fn tally_dump_capacity(tally: &[f64], nx: usize) -> usize {
-    let cells = tally.iter().filter(|&&v| v != 0.0).count();
-    cells * line_bound(tally.len(), nx)
+    nonzero_cells(tally) * line_bound(tally.len(), nx)
+}
+
+/// The cells of `cells` that make a dump line (all but `+0.0` and
+/// `-0.0`): one branch-free pass of float compares, two words per SSE2
+/// instruction. The same test on shifted bits does not vectorize without
+/// a 64-bit integer compare and read 3× slower.
+fn nonzero_cells(cells: &[f64]) -> usize {
+    cells.iter().filter(|&&v| v != 0.0).count()
 }
 
 /// The longest line the indices of a `cells`-cell tally of `nx` columns
@@ -333,12 +435,7 @@ pub fn write_tally_dump(tally: &[f64], nx: usize, out: &mut impl Write) -> io::R
 fn estimated_lines(tally: &[f64], nx: usize, band_rows: usize) -> usize {
     let sampled: usize = tally
         .chunks(nx * band_rows)
-        .map(|band| {
-            band[..nx.min(band.len())]
-                .iter()
-                .filter(|&&v| v != 0.0)
-                .count()
-        })
+        .map(|band| nonzero_cells(&band[..nx.min(band.len())]))
         .sum();
     sampled * band_rows + tally.len() / SCAN_CELLS_PER_LINE
 }
@@ -376,9 +473,10 @@ pub(crate) fn write_bands(
     if threads <= 1 {
         return write_rows(tally, nx, 0, &mut chunk, out);
     }
-    // Room for a band's longest text, so a helper never grows its buffer,
-    // but for rows wider than a band: there it grows past the cap.
-    let band_bytes = (nx * band_rows).min(2 * BAND_CELLS) * line_bound(tally.len(), nx);
+    // Room for a band's longest text and the window its last line is
+    // assembled in, so a helper never grows its buffer, but for rows wider
+    // than a band: there it grows past the cap.
+    let band_bytes = (nx * band_rows).min(2 * BAND_CELLS) * line_bound(tally.len(), nx) + LINE_BUF;
     thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads)
             .map(|h| {
@@ -445,10 +543,26 @@ fn write_rows(
     out.write_all(chunk)
 }
 
+/// `" iy "` for row `iy`, and its length: copied whole into every line of
+/// the row.
+fn row_tag(iy: usize) -> ([u8; 32], usize) {
+    let mut tag = [0u8; 32];
+    tag[0] = b' ';
+    let end = put_uint(&mut tag, 1, iy as u64);
+    tag[end] = b' ';
+    (tag, end + 1)
+}
+
 /// The one renderer: append the dump lines of `rows` — whole rows of `nx`
 /// cells but maybe the last, the first numbered `iy0` — to `buf`, handing
 /// `buf` to `spill` and clearing it whenever one more line could take it
 /// past `limit` bytes.
+///
+/// Cells are tested eight at a time: `bits << 1` is zero for `+0.0` and
+/// `-0.0` alone, so a block whose shifted bits OR to zero holds no line,
+/// and only the other blocks are walked cell by cell. A block may
+/// straddle rows. Each line is assembled in one stack buffer and appended
+/// once.
 fn render_rows<E>(
     rows: &[f64],
     nx: usize,
@@ -457,25 +571,49 @@ fn render_rows<E>(
     limit: usize,
     mut spill: impl FnMut(&[u8]) -> Result<(), E>,
 ) -> Result<(), E> {
-    let mut row_tag = Vec::with_capacity(24);
-    for (iy, row) in (iy0..).zip(rows.chunks(nx)) {
-        row_tag.clear();
-        row_tag.push(b' ');
-        push_uint(&mut row_tag, iy as u64);
-        row_tag.push(b' ');
-        for (ix, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                if buf.len() + MAX_LINE_LEN > limit {
-                    spill(buf)?;
-                    buf.clear();
-                }
-                push_uint(buf, ix as u64);
-                buf.extend_from_slice(&row_tag);
-                push_f64_e(buf, v);
-                buf.push(b'\n');
+    let (mut row_start, mut iy) = (0, iy0);
+    let mut tag = row_tag(iy);
+    let mut end = buf.len();
+    let (blocks, tail) = rows.as_chunks::<8>();
+    let live = blocks
+        .iter()
+        .enumerate()
+        .filter(|(_, block)| block.iter().fold(0, |any, v| any | v.to_bits() << 1) != 0)
+        .map(|(b, block)| (8 * b, &block[..]))
+        .chain([(rows.len() - tail.len(), tail)]);
+    for (first, cells) in live {
+        for (j, &v) in cells.iter().enumerate() {
+            if v.to_bits() << 1 == 0 {
+                continue;
             }
+            let mut ix = first + j - row_start;
+            if ix >= nx {
+                let rows_on = ix / nx;
+                row_start += rows_on * nx;
+                iy += rows_on;
+                ix -= rows_on * nx;
+                tag = row_tag(iy);
+            }
+            if end + LINE_BUF > limit {
+                buf.truncate(end);
+                spill(buf)?;
+                buf.clear();
+                end = 0;
+            }
+            if buf.len() < end + LINE_BUF {
+                // Zero a few KB ahead, within the capacity where there is room.
+                let ahead = (buf.len() + ZEROED_AHEAD).min(buf.capacity());
+                buf.resize(ahead.max(end + LINE_BUF), 0);
+            }
+            let line: &mut [u8; LINE_BUF] = (&mut buf[end..end + LINE_BUF]).try_into().unwrap();
+            let at = put_uint(line, 0, ix as u64);
+            line[at..at + 32].copy_from_slice(&tag.0);
+            let at = put_value(line, at + tag.1, v);
+            line[at] = b'\n';
+            end += at + 1;
         }
     }
+    buf.truncate(end);
     Ok(())
 }
 
@@ -493,6 +631,13 @@ mod tests {
             }
         }
         out
+    }
+
+    /// Append `v` as a dump line renders it.
+    fn push_f64_e(buf: &mut Vec<u8>, v: f64) {
+        let mut line = [0; LINE_BUF];
+        let end = put_value(&mut line, 0, v);
+        buf.extend_from_slice(&line[..end]);
     }
 
     fn dump(tally: &[f64], nx: usize) -> Vec<u8> {
@@ -821,6 +966,104 @@ mod tests {
             estimated_lines(&sparse, nx, band_rows) / LINES_PER_THREAD,
             0
         );
+    }
+
+    /// Every decimal length from 1 to 17 digits at every exponent a
+    /// double reaches, and shortest forms that end in zeros — integers
+    /// `m·10^j` and powers of ten, whose digits the renderer scales up to
+    /// 17 and trims back.
+    #[test]
+    fn every_digit_count_at_every_exponent_matches_std() {
+        let buf = &mut Vec::new();
+        let mantissa = "98765432109876543";
+        for len in 1..=17 {
+            for e in E_MIN..=E_MAX {
+                let v: f64 = format!("{}e{e}", &mantissa[..len]).parse().unwrap();
+                check(buf, v);
+                check(buf, f64::from_bits(v.to_bits() + 1));
+            }
+        }
+        for m in 1..1000u32 {
+            for j in 0..23 {
+                check(buf, f64::from(m) * 10f64.powi(j));
+            }
+        }
+        for e in E_MIN..=E_MAX {
+            check(buf, format!("1e{e}").parse().unwrap());
+            check(buf, format!("5e{e}").parse().unwrap());
+        }
+    }
+
+    /// Indices render as `Display` does, at every change of width and
+    /// past the 8-digit word.
+    #[test]
+    fn indices_render_as_display_does() {
+        let mut ns: Vec<u64> = (0..=20)
+            .flat_map(|p| {
+                let ten = 10u64.checked_pow(p).unwrap_or(u64::MAX);
+                [ten.saturating_sub(1), ten, ten.saturating_add(1)]
+            })
+            .collect();
+        ns.extend([0, 7, 512, 65_535, u64::from(u32::MAX), u64::MAX]);
+        for n in ns {
+            let mut line = [0u8; LINE_BUF];
+            let end = put_uint(&mut line, 3, n);
+            assert_eq!(&line[3..end], n.to_string().as_bytes());
+        }
+    }
+
+    /// The eight-cell zero test skips `+0.0` and `-0.0` and nothing else:
+    /// `NaN`, both infinities and subnormals are lines. Every row width
+    /// from 1 to 17, so blocks of eight straddle row ends, with a value
+    /// as the last cell of every band and of the tally, at band heights
+    /// of one, two and five rows on one and two threads.
+    #[test]
+    fn the_zero_skip_keeps_every_line_at_every_row_width() {
+        let g = &mut Gen::new(45);
+        let specials = [
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            1.0,
+        ];
+        for nx in 1..=17 {
+            let mut tally: Vec<f64> = (0..nx * 23)
+                .map(|_| match g.usize_in(0, 4) {
+                    0 => specials[g.usize_in(0, specials.len())],
+                    1 => f64::from_bits(g.u64_any()),
+                    _ => 0.0,
+                })
+                .collect();
+            // A zero run of 20 cells across row ends.
+            let zeros = (nx * 5 + 3).min(tally.len() - 20);
+            tally[zeros..zeros + 20].fill(-0.0);
+            *tally.last_mut().unwrap() = 2.5;
+            for band_rows in [1, 2, 5] {
+                let mut tally = tally.clone();
+                for end in (nx * band_rows..=tally.len()).step_by(nx * band_rows) {
+                    tally[end - 1] = -7.0;
+                }
+                let expected = reference_dump(&tally, nx);
+                assert_eq!(
+                    nonzero_cells(&tally),
+                    expected.split(|&b| b == b'\n').count() - 1
+                );
+                for threads in [1, 2] {
+                    let mut out = Vec::new();
+                    write_bands(&tally, nx, band_rows, threads, &mut out).unwrap();
+                    assert!(
+                        out == expected,
+                        "nx = {nx}, {band_rows}-row bands, {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -153,11 +153,13 @@ impl CrossSectionLibrary {
         synthetic_tables(n_points, seed, &SynthParams::default())
     }
 
-    /// Build a library from explicit tables.
+    /// Build a library from explicit tables. Tables on one grid
+    /// allocation share it at once; others are compared point by point.
     #[must_use]
     pub fn from_tables(absorb: CrossSection, scatter: CrossSection) -> Self {
         Self {
-            shared_grid: absorb.energies() == scatter.energies(),
+            shared_grid: absorb.shares_grid_with(&scatter)
+                || absorb.energies() == scatter.energies(),
             absorb,
             scatter,
             hashed: OnceLock::new(),
@@ -294,10 +296,15 @@ impl CrossSectionLibrary {
         }
     }
 
-    /// Resident bytes of both tables.
+    /// Resident bytes of both tables, a grid they share counted once.
     #[must_use]
     pub fn footprint_bytes(&self) -> usize {
-        self.absorb.footprint_bytes() + self.scatter.footprint_bytes()
+        let shared = if self.absorb.shares_grid_with(&self.scatter) {
+            std::mem::size_of_val(self.absorb.energies())
+        } else {
+            0
+        };
+        self.absorb.footprint_bytes() + self.scatter.footprint_bytes() - shared
     }
 }
 
@@ -330,6 +337,21 @@ mod tests {
             let binary = lib.lookup_binary(e);
             assert_eq!(hinted, binary, "mismatch at E={e}");
         }
+    }
+
+    /// A synthesized library's two tables hold one grid allocation, which
+    /// its footprint counts once; explicit tables on equal grids still
+    /// share by comparison.
+    #[test]
+    fn synthesized_tables_share_one_grid_allocation() {
+        let lib = CrossSectionLibrary::synthetic(600, 11);
+        assert!(lib.absorb.shares_grid_with(&lib.scatter));
+        assert_eq!(lib.footprint_bytes(), 3 * 600 * 8);
+        let copy = |t: &CrossSection| CrossSection::new(t.energies().to_vec(), t.values());
+        let explicit = CrossSectionLibrary::from_tables(copy(&lib.absorb), copy(&lib.scatter));
+        assert!(!explicit.absorb.shares_grid_with(&explicit.scatter));
+        assert!(explicit.shared_grid);
+        assert_eq!(explicit.footprint_bytes(), 4 * 600 * 8);
     }
 
     /// One walk (or one binary search) per shared grid is the two it

@@ -25,7 +25,7 @@
 use crate::table::CrossSection;
 use crate::CrossSectionLibrary;
 use neutral_rng::{CounterStream, Threefry2x64};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Version of the generator's arithmetic. A synthesized table's content
 /// address is its [`Synthesis`] and this number, not its values: bump it
@@ -66,7 +66,7 @@ impl Default for SynthParams {
 }
 
 /// Log-spaced energy grid with `n` points over the parameterised range.
-fn energy_grid(n: usize, p: &SynthParams) -> Vec<f64> {
+fn energy_grid(n: usize, p: &SynthParams) -> Arc<[f64]> {
     assert!(n >= 2, "need at least two grid points");
     let l0 = p.e_min_ev.ln();
     let l1 = p.e_max_ev.ln();
@@ -220,7 +220,9 @@ impl Synthesized {
 /// * **elastic scatter** — a flat baseline with a mild ripple drawn from
 ///   `seed ^ 0x5eed_5eed` and a gentle high-energy roll-off.
 ///
-/// The grid is computed here, because every lookup searches it. The
+/// The grid is computed here, once, and both tables hold it (one
+/// allocation, so [`CrossSectionLibrary::from_tables`] knows it shared
+/// without comparing points), because every lookup searches it. The
 /// values are not: each table fills a block of its points the first time
 /// a lookup reads it, with the bits an eager build would have stored.
 /// What is drawn per table (the resonance forest, the ripple modes) is
@@ -246,7 +248,7 @@ pub fn synthetic_tables(n_points: usize, seed: u64, p: &SynthParams) -> CrossSec
         Terms::Scatter(ripple_modes(seed ^ 0x5eed_5eed)),
     );
     CrossSectionLibrary::from_tables(
-        CrossSection::synthesized(energy.clone(), capture),
+        CrossSection::synthesized(Arc::clone(&energy), capture),
         CrossSection::synthesized(energy, scatter),
     )
 }
@@ -263,8 +265,8 @@ pub(crate) mod tests {
         let grid = energy_grid(n_points, p);
         let resonances = resonance_forest(seed, p);
         let points: Vec<(f64, f64)> = grid
-            .into_iter()
-            .map(|e| {
+            .iter()
+            .map(|&e| {
                 // 1/v baseline anchored at 1 MeV.
                 let base = p.capture_at_1mev_barns * (1.0e6 / e).sqrt();
                 let log_e = e.ln();
@@ -298,8 +300,8 @@ pub(crate) mod tests {
             })
             .collect();
         let points: Vec<(f64, f64)> = grid
-            .into_iter()
-            .map(|e| {
+            .iter()
+            .map(|&e| {
                 let log_e = e.ln();
                 let ripple: f64 = modes
                     .iter()

@@ -46,14 +46,15 @@ pub(crate) const BLOCK: usize = 256;
 /// barns), linearly interpolated between grid points and clamped to the
 /// end values outside the tabulated range.
 ///
-/// The energy grid is always whole. The values of a table built by
+/// The energy grid is always whole, and shared: the two tables of a
+/// synthesized library hold one allocation. The values of a table built by
 /// [`CrossSection::new`] are whole too; those of a synthesized table
 /// ([`crate::synthetic_tables`]) are computed a block of 256 points at
 /// a time, the first time a lookup reads the block, and are then the
 /// bits an eager build would have stored.
 #[derive(Debug)]
 pub struct CrossSection {
-    energy: Vec<f64>,
+    energy: Arc<[f64]>,
     /// The values' `f64` bits. Loaded `Relaxed`: a value is read only
     /// after an `Acquire` load saw its block's `ready` bit, which the
     /// filler set with `Release` after storing the block.
@@ -68,7 +69,8 @@ pub struct CrossSection {
 }
 
 impl Clone for CrossSection {
-    /// A table of its own, with the values filled so far.
+    /// A table of its own, with the values filled so far, on the same
+    /// (immutable) grid.
     fn clone(&self) -> Self {
         let copy = |words: &[AtomicU64]| {
             words
@@ -80,7 +82,7 @@ impl Clone for CrossSection {
         // copy stays unready in the clone, whatever its values copied as.
         let ready = copy(&self.ready);
         Self {
-            energy: self.energy.clone(),
+            energy: Arc::clone(&self.energy),
             value: copy(&self.value),
             ready,
             synth: self.synth.clone(),
@@ -153,7 +155,7 @@ impl CrossSection {
         }
         Self {
             ready: ready_bits(energy.len(), true),
-            energy,
+            energy: energy.into(),
             value: value
                 .into_iter()
                 .map(|v| AtomicU64::new(v.to_bits()))
@@ -164,7 +166,7 @@ impl CrossSection {
 
     /// A synthesized table on `energy`: no value is computed until a
     /// lookup reads its block.
-    pub(crate) fn synthesized(energy: Vec<f64>, synth: Synthesized) -> Self {
+    pub(crate) fn synthesized(energy: Arc<[f64]>, synth: Synthesized) -> Self {
         check_grid(&energy);
         Self {
             value: (0..energy.len()).map(|_| AtomicU64::new(0)).collect(),
@@ -244,6 +246,12 @@ impl CrossSection {
     #[must_use]
     pub fn energies(&self) -> &[f64] {
         &self.energy
+    }
+
+    /// Whether `self` and `other` hold the one grid allocation (the two
+    /// tables of a synthesized library do).
+    pub(crate) fn shares_grid_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.energy, &other.energy)
     }
 
     /// The tabulated values, copied out. Fills every block of a
