@@ -1,13 +1,9 @@
-//! Cross-section lookup strategies (§VI-A, extended): the paper's cached
-//! linear search and binary baseline, plus the hashed-grid acceleration,
-//! on post-collision energy walks (~2% energy steps, the realistic access
-//! pattern) and on worst-case random jumps.
-//!
-//! The acceptance bar of the lookup subsystem is measured here: on a
-//! 4096-point table, `hashed` must beat `binary` by ≥ 2x (see also the
-//! `fig15_xs_strategies` sweep binary). The `xs_table_build` group times
-//! what every problem build pays before the first lookup: synthesizing a
-//! material's capture and scatter tables.
+//! Cross-section lookup strategies (§VI-A): the paper's cached linear
+//! search and binary baseline on post-collision energy walks (~2% energy
+//! steps, the realistic access pattern) and on worst-case random jumps
+//! (see also the `fig15_xs_strategies` sweep binary). The
+//! `xs_table_build` group times what every problem build pays before the
+//! first lookup: synthesizing a material's capture and scatter tables.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neutral_xs::{CrossSectionLibrary, LookupStrategy, MaterialKind, MaterialSpec, XsHints};
@@ -26,7 +22,7 @@ fn walk_energies() -> Vec<f64> {
 }
 
 /// Large random jumps — the regime where the paper warns the cached walk
-/// "might suffer issues" and where the O(1) backends shine.
+/// "might suffer issues" and where binary search wins.
 fn jump_energies(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| 10f64.powf((i * 7 % 11) as f64 - 4.0))
@@ -35,7 +31,6 @@ fn jump_energies(n: usize) -> Vec<f64> {
 
 fn bench_lookup(c: &mut Criterion) {
     let lib = CrossSectionLibrary::synthetic(30_000, 99);
-    lib.prepare(LookupStrategy::Hashed);
     let energies = walk_energies();
 
     let mut group = c.benchmark_group("xs_lookup");

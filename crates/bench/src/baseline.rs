@@ -69,7 +69,6 @@ pub fn run_baseline(problem: &Problem, baseline: Baseline) -> RunReport {
         rng: &rng,
         cfg: &problem.transport,
     };
-    problem.materials.prepare(problem.transport.xs_search);
     let cells = problem.mesh.num_cells();
     let mut particles = spawn_particles(problem);
     let mut report = RunReport {

@@ -1,14 +1,12 @@
-//! Figure 16 (repo extension): scenario-catalogue sweep — schemes × XS
-//! lookup strategies across the multi-material workloads.
+//! Figure 16 (repo extension): scenario-catalogue sweep — both schemes
+//! across the multi-material workloads.
 //!
 //! The paper's performance story is told on three single-material
-//! problems; this sweep asks how the schemes and the lookup backends
-//! rank once per-cell materials enter the picture. For every catalogue
-//! scenario it runs both schemes (Over-Particles, Over-Events) on every
-//! host thread under the hinted and hashed
-//! lookup strategies and reports events/s, the event mix, and the material
-//! interface-crossing rate — the scenario-diversity counterpart of the
-//! Figure 15 lookup sweep.
+//! problems; this sweep asks how the schemes rank once per-cell
+//! materials enter the picture. For every catalogue scenario it runs
+//! both schemes (Over-Particles, Over-Events) on every host thread and
+//! reports events/s, the event mix, and the material interface-crossing
+//! rate.
 //!
 //! Run with `cargo run --release -p neutral-bench --bin fig16_scenarios
 //! [--quick] [--json PATH]`. `--quick` runs a seconds-scale smoke sweep
@@ -31,7 +29,7 @@ fn main() {
     let seed = 20_170_905;
     banner(
         "Figure 16 (scenario catalogue)",
-        "schemes x lookup strategies across the multi-material scenarios",
+        "both schemes across the multi-material scenarios",
         "measured on this host; every combination computes bitwise-identical \
          physics (deterministic replicated tally), so the columns are directly \
          comparable",
@@ -47,11 +45,6 @@ fn main() {
             },
             3,
         )
-    };
-    let lookups = if quick {
-        vec![LookupStrategy::Hinted]
-    } else {
-        vec![LookupStrategy::Hinted, LookupStrategy::Hashed]
     };
     let threads = host_threads();
     let mut report = BenchReport::new("fig16_scenarios");
@@ -73,39 +66,33 @@ fn main() {
         );
 
         let mut rows = Vec::new();
-        for &lookup in &lookups {
-            problem.transport.xs_search = lookup;
-            for scheme in Scheme::ALL {
-                let label = scheme.name();
-                let r = median_run(&problem, RunOptions::new(scheme, threads), reps);
-                let c = &r.counters;
-                let histories = (c.census + c.deaths).max(1);
-                report.push(
-                    BenchRecord::new(format!("{}/{}/{}", scenario.name(), label, lookup.name()))
-                        .config("scenario", scenario.name())
-                        .config("driver", label)
-                        .config("lookup", lookup.name())
-                        .metric("elapsed_s", r.elapsed.as_secs_f64())
-                        .metric("events_per_s", r.events_per_second())
-                        .metric(
-                            "switches_per_history",
-                            c.material_switches as f64 / histories as f64,
-                        ),
-                );
-                rows.push(vec![
-                    lookup.name().to_owned(),
-                    label.to_owned(),
-                    format!("{:.3}", r.elapsed.as_secs_f64()),
-                    format!("{:.3e}", r.events_per_second()),
-                    format!("{:.1}", c.facets as f64 / histories as f64),
-                    format!("{:.1}", c.collisions as f64 / histories as f64),
-                    format!("{:.2}", c.material_switches as f64 / histories as f64),
-                ]);
-            }
+        for scheme in Scheme::ALL {
+            let label = scheme.name();
+            let r = median_run(&problem, RunOptions::new(scheme, threads), reps);
+            let c = &r.counters;
+            let histories = (c.census + c.deaths).max(1);
+            report.push(
+                BenchRecord::new(format!("{}/{}", scenario.name(), label))
+                    .config("scenario", scenario.name())
+                    .config("driver", label)
+                    .metric("elapsed_s", r.elapsed.as_secs_f64())
+                    .metric("events_per_s", r.events_per_second())
+                    .metric(
+                        "switches_per_history",
+                        c.material_switches as f64 / histories as f64,
+                    ),
+            );
+            rows.push(vec![
+                label.to_owned(),
+                format!("{:.3}", r.elapsed.as_secs_f64()),
+                format!("{:.3e}", r.events_per_second()),
+                format!("{:.1}", c.facets as f64 / histories as f64),
+                format!("{:.1}", c.collisions as f64 / histories as f64),
+                format!("{:.2}", c.material_switches as f64 / histories as f64),
+            ]);
         }
         print_table(
             &[
-                "lookup",
                 "driver",
                 "time (s)",
                 "events/s",
@@ -119,8 +106,7 @@ fn main() {
 
     println!(
         "\nReading: the event mix shifts per scenario exactly as the catalogue \
-         table (DESIGN.md §12) predicts, and the lookup-strategy ranking of \
-         Figure 15 carries over to multi-material workloads."
+         table (DESIGN.md §12) predicts."
     );
 
     if let Some(path) = &json {

@@ -5,8 +5,7 @@
 //! neutral_cli [problem.params | --scenario NAME] [--scale tiny|small|paper]
 //!             [--seed N] [--scheme op|oe]
 //!             [--threads N] [--schedule static|dynamic,N|guided,N]
-//!             [--lookup binary|hinted|hashed] [--timesteps N]
-//!             [--sequential] [--dump-tally FILE]
+//!             [--timesteps N] [--sequential] [--dump-tally FILE]
 //!             [--checkpoint FILE] [--fault SPEC]
 //!             [--shards N] [--shard-fault SPEC]
 //! ```
@@ -15,6 +14,9 @@
 //! (`neutral_core::scenario`) — `--scenario help` lists it. With neither
 //! a file nor a scenario, the built-in default (a small csp) runs. The
 //! tally dump is a plain-text `ix iy value` triple per non-empty cell.
+//! Every solve looks up cross sections with the paper's cached linear
+//! search: the removed `--lookup` flag exits 1 with the params layer's
+//! one message (`neutral_core::params::LOOKUP_REMOVED`).
 //!
 //! Every solve runs through one `neutral_core::drive::Driver`, whatever
 //! the shard count. `--checkpoint FILE` makes it durable: a crash-safe
@@ -35,7 +37,7 @@
 //! deterministically injects shard failures to exercise the
 //! retry/quarantine path; it requires `--shards` ≥ 2.
 
-use neutral_core::params::ProblemParams;
+use neutral_core::params::{ProblemParams, LOOKUP_REMOVED};
 use neutral_core::prelude::*;
 use neutral_core::shard::check_shard_count;
 use std::process::ExitCode;
@@ -47,7 +49,6 @@ struct CliArgs {
     scale: ProblemScale,
     seed: Option<u64>,
     options: RunOptions,
-    lookup: Option<LookupStrategy>,
     timesteps: Option<usize>,
     dump_tally: Option<String>,
     checkpoint: Option<String>,
@@ -96,7 +97,6 @@ fn parse_args() -> Result<CliArgs, String> {
     let mut scale_flag: Option<ProblemScale> = None;
     let mut seed = None;
     let mut options = RunOptions::default();
-    let mut lookup = None;
     let mut timesteps = None;
     let mut dump_tally = None;
     let mut checkpoint = None;
@@ -133,15 +133,7 @@ fn parse_args() -> Result<CliArgs, String> {
                 i += 1;
                 schedule = Some(parse_schedule(argv.get(i).ok_or("--schedule ...")?)?);
             }
-            "--lookup" => {
-                i += 1;
-                lookup = Some(
-                    argv.get(i)
-                        .ok_or("--lookup binary|hinted|hashed")?
-                        .parse::<LookupStrategy>()
-                        .map_err(|e| format!("--lookup: {e}"))?,
-                );
-            }
+            "--lookup" => return Err(format!("--lookup: {LOOKUP_REMOVED}")),
             "--timesteps" => {
                 i += 1;
                 let n: usize = argv
@@ -251,7 +243,6 @@ fn parse_args() -> Result<CliArgs, String> {
         scale: scale_flag.unwrap_or_else(ProblemScale::small),
         seed,
         options,
-        lookup,
         timesteps,
         dump_tally,
         checkpoint,
@@ -299,9 +290,6 @@ fn run(args: CliArgs) -> Result<(), String> {
         params.reseed(seed);
     }
     let mut problem = params.build();
-    if let Some(lookup) = args.lookup {
-        problem.transport.xs_search = lookup;
-    }
     if let Some(timesteps) = args.timesteps {
         problem.n_timesteps = timesteps;
     }

@@ -29,7 +29,6 @@
 //! scale tiny                # tiny|small|paper (default small)
 //! seed 42                   # default 20170905
 //! timesteps 3               # optional override
-//! lookup hashed             # binary|hinted|hashed
 //! tally replicated          # the one value (atomic was removed)
 //! scheme oe                 # op|oe
 //! checkpoint_file s.ckpt   # optional, relative to the server; resumes its own checkpoint, 409 on another's
@@ -44,7 +43,9 @@
 //! count — which is exactly what makes the fingerprint cache sound. The
 //! contract holds by construction in the library: its one tally is the
 //! deterministic lane fold. This edge only validates input: `tally
-//! atomic`, like any removed value, is a 400 that names `replicated`.
+//! atomic`, like any removed value, is a 400 that names `replicated`;
+//! the removed key `lookup` is a 400 with the params layer's one
+//! message ([`neutral_core::params::LOOKUP_REMOVED`]).
 //!
 //! A `POST` is validated, then reduced to a canonical key (the
 //! parameter set's fixpoint serialization plus the scheme) and handed to
@@ -61,7 +62,7 @@
 
 use minihttp::{Handler, Request, Response, Server, ServerHandle, TEXT_PLAIN};
 use neutral_core::dump::tally_dump_capacity;
-use neutral_core::params::ParamsError;
+use neutral_core::params::{ParamsError, LOOKUP_REMOVED};
 use neutral_core::prelude::*;
 use neutral_core::shard::check_shard_count;
 use std::sync::Arc;
@@ -227,7 +228,6 @@ struct SolveSpec {
     scale: ProblemScale,
     seed: u64,
     timesteps: Option<usize>,
-    lookup: Option<LookupStrategy>,
     scheme: Option<Scheme>,
     checkpoint_file: Option<String>,
     checkpoint_every: usize,
@@ -247,7 +247,6 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
     let mut scale = ProblemScale::small();
     let mut seed = 20_170_905u64;
     let mut timesteps = None;
-    let mut lookup = None;
     let mut scheme = None;
     let mut checkpoint_file = None;
     let mut checkpoint_every = 1usize;
@@ -263,6 +262,10 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
         let mut it = line.split_whitespace();
         let key = it.next().expect("non-empty line has a first token");
         let rest: Vec<&str> = it.collect();
+        // Refused whatever follows it, as the params key and the CLI flag are.
+        if key == "lookup" {
+            return Err(perr(lineno, LOOKUP_REMOVED));
+        }
         if rest.len() != 1 {
             return Err(perr(lineno, format!("`{key}` takes exactly one value")));
         }
@@ -297,7 +300,6 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
                 }
                 timesteps = Some(n);
             }
-            "lookup" => lookup = Some(value.parse::<LookupStrategy>().map_err(knob)?),
             // One value left: validated, then nothing to override.
             "tally" => {
                 value.parse::<TallyStrategy>().map_err(knob)?;
@@ -338,7 +340,6 @@ fn parse_solve_request(text: &str) -> Result<SolveSpec, ParamsError> {
         scale,
         seed,
         timesteps,
-        lookup,
         scheme,
         checkpoint_file,
         checkpoint_every,
@@ -381,9 +382,6 @@ fn build_submit(
     threads: usize,
 ) -> Result<(String, impl FnOnce() -> SubmitRequest), ParamsError> {
     let mut params = spec.scenario.params(spec.scale, spec.seed);
-    if let Some(lookup) = spec.lookup {
-        params.lookup_strategy = lookup;
-    }
     if let Some(timesteps) = spec.timesteps {
         params.timesteps = timesteps;
     }
@@ -498,9 +496,6 @@ mod tests {
         assert_eq!(err.line, 2);
         assert!(err.to_string().contains("line 2"), "{err}");
 
-        let err = parse_solve_request("lookup warp\n").unwrap_err();
-        assert_eq!(err.line, 1);
-
         let err = parse_solve_request("seed 1 2\n").unwrap_err();
         assert!(err.to_string().contains("exactly one value"), "{err}");
 
@@ -510,18 +505,13 @@ mod tests {
         assert!(err.message.contains("`privatized` was removed"), "{err}");
         assert!(err.message.contains("use `replicated`"), "{err}");
 
-        // So are the removed lookup values, in the parser's own words.
+        // The removed `lookup` key, whatever its value, is a 400 with the
+        // params layer's one message.
         let service = SolveService::new(ServeConfig::default());
-        for (value, says) in [
-            ("unionized", "use `hashed`, which produces the same bits"),
-            ("cached_linear", "was renamed `hinted`"),
-        ] {
+        for value in ["binary", "hinted", "hashed", "warp", "", "hinted binary"] {
             let body = format!("scenario csp\nscale tiny\nlookup {value}\n");
             let err = parse_solve_request(&body).unwrap_err();
-            assert_eq!(err.line, 3);
-            let expect = value.parse::<LookupStrategy>().unwrap_err();
-            assert_eq!(err.message, expect);
-            assert!(expect.contains(says), "{expect}");
+            assert_eq!((err.line, err.message.as_str()), (3, LOOKUP_REMOVED));
             let response = post(&service, &body);
             assert_eq!(response.status, 400);
             assert_eq!(response.body, format!("{err}\n").into_bytes());
@@ -653,8 +643,8 @@ mod tests {
 
     /// Equal keys must mean equal content addresses — the memo's whole
     /// soundness condition — over generated request bodies: every
-    /// scenario, every lookup, both schemes, a timesteps override and the
-    /// tally, each key either absent or explicit.
+    /// scenario, both schemes, a timesteps override and the tally, each
+    /// key either absent or explicit.
     #[test]
     fn equal_memo_keys_mean_equal_fingerprints() {
         use neutral_core::fuzz::Gen;
@@ -667,8 +657,7 @@ mod tests {
             let scenario = Scenario::ALL[case % Scenario::ALL.len()];
             let mut body = format!("scenario {}\nscale tiny\n", scenario.name());
             for (key, values) in [
-                ("lookup", &["binary", "hinted", "hashed"][..]),
-                ("scheme", &["op", "oe"]),
+                ("scheme", &["op", "oe"][..]),
                 ("timesteps", &["1", "2"]),
                 ("tally", &["replicated"]),
             ] {
@@ -702,7 +691,6 @@ mod tests {
             "scenario csp\nscale tiny\ntimesteps 2\nscheme oe\n",
             "scenario csp\nscale tiny\ntimesteps 2\nseed 1\n",
             "scenario csp\nscale tiny\n",
-            "scenario csp\nscale tiny\ntimesteps 2\nlookup binary\n",
         ] {
             assert_ne!(key(other), plain, "{other}");
         }

@@ -23,8 +23,6 @@ use neutral_xs::MaterialId;
 /// cleared (not shrunk) between uses so capacity is retained.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
-    /// Compacted lane indices (window-local).
-    pub idx: Vec<u32>,
     /// Lane energies fed to the batched lookup (eV).
     pub energies: Vec<f64>,
     /// Lane material ids fed to the batched lookup.
@@ -52,7 +50,6 @@ impl ScratchArena {
 
     /// Clear every lane, keeping the allocated capacity.
     pub fn clear(&mut self) {
-        self.idx.clear();
         self.energies.clear();
         self.mats.clear();
         self.hints_absorb.clear();
@@ -71,12 +68,12 @@ mod tests {
     fn clear_keeps_capacity() {
         let mut a = ScratchArena::new();
         a.energies.extend((0..1000).map(|i| i as f64));
-        a.idx.extend(0..1000u32);
+        a.hints_absorb.extend(0..1000u32);
         let cap_e = a.energies.capacity();
-        let cap_i = a.idx.capacity();
+        let cap_h = a.hints_absorb.capacity();
         a.clear();
-        assert!(a.energies.is_empty() && a.idx.is_empty());
+        assert!(a.energies.is_empty() && a.hints_absorb.is_empty());
         assert_eq!(a.energies.capacity(), cap_e);
-        assert_eq!(a.idx.capacity(), cap_i);
+        assert_eq!(a.hints_absorb.capacity(), cap_h);
     }
 }

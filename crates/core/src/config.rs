@@ -22,7 +22,7 @@ pub enum CollisionModel {
 }
 
 /// How microscopic cross sections are looked up during tracking: the
-/// paper's two strategies (§VI-A) plus the hashed-grid acceleration.
+/// paper's two strategies (§VI-A).
 /// Re-exported from `neutral_xs`; see
 /// [`neutral_xs::CrossSectionLibrary::lookup_with`] for the contract.
 pub use neutral_xs::LookupStrategy;
@@ -61,8 +61,8 @@ pub struct TransportConfig {
     pub weight_cutoff: f64,
     /// Collision resolution model.
     pub collision_model: CollisionModel,
-    /// Cross-section lookup strategy (§VI-A and the hashed
-    /// acceleration).
+    /// Cross-section lookup strategy (§VI-A): `hinted` unless set in code
+    /// (no front door selects it).
     pub xs_search: LookupStrategy,
     /// Tally-accumulation backend: the one value, lane replication
     /// folded deterministically (§VI-F).

@@ -46,8 +46,8 @@ pub struct EventCounters {
     /// Cross-section table lookups performed.
     pub cs_lookups: u64,
     /// Subset of `cs_lookups` resolved through the batched
-    /// `lookup_many` lane-block API (the event-based driver; always zero
-    /// under Over Particles).
+    /// `lookup_many` lane-block API (the Over Events init kernel; always
+    /// zero under Over Particles).
     pub batched_lookups: u64,
     /// Cell-centred density reads (the random mesh access, §VI-A).
     pub density_reads: u64,

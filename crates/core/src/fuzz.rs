@@ -41,7 +41,7 @@
 //! integrated shrinking is traded for perfectly reproducible cases).
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{CollisionModel, LookupStrategy, Problem};
+use crate::config::{CollisionModel, Problem};
 use crate::dump::write_tally_dump;
 use crate::params::ProblemParams;
 use crate::registry::{Registry, RegistryConfig, SolveState, SubmitRequest};
@@ -243,10 +243,8 @@ pub fn generate_with(seed: u64, index: u64, profile: FuzzProfile) -> FuzzCase {
     }
     p.source = rect_in(g, p.width, p.height);
 
-    // Strategy knobs. The tally strategy stays at the default
-    // `replicated`: atomic tallies are the non-deterministic contended
-    // baseline, outside the bitwise invariant every differential oracle
-    // rides on (DESIGN.md §11).
+    // Strategy knobs: the collision model and the cutoff. The tally has
+    // one value (`replicated`) and the lookup is not a knob.
     p.collision_model = if g.chance(0.5) {
         CollisionModel::ImplicitCapture
     } else {
@@ -254,7 +252,6 @@ pub fn generate_with(seed: u64, index: u64, profile: FuzzProfile) -> FuzzCase {
     };
     // An aggressive cutoff exercises the cutoff-residual accounting.
     p.weight_cutoff = if g.chance(0.3) { 1.0e-3 } else { 1.0e-6 };
-    p.lookup_strategy = *g.pick(&LookupStrategy::ALL);
     let scheme = *g.pick(&Scheme::ALL);
 
     p.validate()
@@ -963,9 +960,6 @@ fn candidates_for(case: &FuzzCase, axis: ShrinkAxis) -> Vec<FuzzCase> {
             }
         }
         ShrinkAxis::Knobs => {
-            if case.params.lookup_strategy != LookupStrategy::Hinted {
-                push(&|c| c.params.lookup_strategy = LookupStrategy::Hinted);
-            }
             if case.params.collision_model != CollisionModel::Analogue {
                 push(&|c| c.params.collision_model = CollisionModel::Analogue);
             }
@@ -1046,7 +1040,6 @@ mod tests {
         assert!(shrunk.params.regions.is_empty());
         assert_eq!(shrunk.params.material_count(), 1);
         assert_eq!(shrunk.scheme, Scheme::OverParticles);
-        assert_eq!(shrunk.params.lookup_strategy, LookupStrategy::Hinted);
         // And the result is still a valid, replayable case.
         let text = shrunk.to_params_text();
         FuzzCase::from_params_text("shrunk", &text).expect("shrunk case must re-parse");

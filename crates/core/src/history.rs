@@ -137,9 +137,8 @@ pub fn track_to_census<R: CbRng, T: TallySink>(
 }
 
 /// Look up the microscopic cross sections of material `mat` with the
-/// configured [`crate::config::LookupStrategy`] (§VI-A plus the hashed
-/// acceleration), through the shared
-/// [`resolve_micro_xs`] seam.
+/// configured [`crate::config::LookupStrategy`] (§VI-A), through the
+/// shared [`resolve_micro_xs`] seam.
 #[inline]
 pub(crate) fn lookup_micro<R: CbRng>(
     p: &mut Particle,

@@ -293,10 +293,11 @@ pub(crate) fn run_event_lane<R: CbRng>(
 
 /// Populate the per-particle cache arrays and build the initial
 /// compacted index list. The cross sections of the whole window resolve
-/// through one batched `lookup_many` call — the lane-block shape the
-/// hashed lookup's run-detection memo is built for. All staging lanes live in
-/// the window's [`ScratchArena`], so repeated invocations (one per
-/// lane) allocate nothing once the arena has warmed up.
+/// through one batched `lookup_many` call (counted in
+/// `batched_lookups`), bitwise equal to per-particle lookups. All
+/// staging lanes live in the window's [`ScratchArena`], so repeated
+/// invocations (one per lane) allocate nothing once the arena has
+/// warmed up.
 fn init_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let n = w.p.len();
@@ -427,15 +428,7 @@ fn decide_kernel(w: &mut Window<'_, '_>, mesh: &StructuredMesh2D) {
 fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>) -> EventCounters {
     let mut c = EventCounters::default();
     let nx = ctx.mesh.nx();
-    let WindowState { arena: a, coll, .. } = &mut *w.ws;
-    // The batched re-lookup pays a gather/scatter pass; only `hashed`,
-    // whose `lookup_many` has a sorted-block fast path, wins it back. The
-    // walking strategies keep the seed's per-particle calls (same
-    // lookups, same counters either way).
-    let batch = ctx.cfg.xs_search == crate::config::LookupStrategy::Hashed;
-
-    a.clear();
-    for &iu in coll.iter() {
+    for &iu in &w.ws.coll {
         let i = iu as usize;
         let micro = MicroXs {
             absorb_barns: w.micro_a[i],
@@ -453,48 +446,14 @@ fn collision_kernel<R: CbRng>(w: &mut Window<'_, '_>, ctx: &TransportCtx<'_, R>)
         let mut stream = CounterStream::new(ctx.rng, p.key);
         // The walk is ascending, so `lost_energy_ev` sums the cutoff
         // deaths in index order. A death needs no list work: `store`
-        // writes `p.dead`, and the next decide drops the particle.
-        let died = handle_collision(&mut p, &mut stream, micro, ctx.cfg, &mut c);
-        if !died && batch {
-            a.idx.push(i as u32);
-            a.energies.push(p.energy);
-            a.mats.push(w.mat[i]);
-            a.hints_absorb.push(p.xs_hints.absorb);
-            a.hints_scatter.push(p.xs_hints.scatter);
-        } else if !died {
+        // writes `p.dead`, and the next decide drops the particle. A
+        // survivor's energy changed: re-resolve its cross sections.
+        if !handle_collision(&mut p, &mut stream, micro, ctx.cfg, &mut c) {
             let micro = crate::history::lookup_micro(&mut p, ctx, w.mat[i], &mut c);
             w.micro_a[i] = micro.absorb_barns;
             w.micro_s[i] = micro.scatter_barns;
         }
         w.p.store(i, &p);
-    }
-
-    // The collisions changed the survivors' energies: re-resolve their
-    // cross sections through one batched lane-block lookup (bitwise
-    // identical to the per-particle calls, but a single tight pass the
-    // sorted-block fast paths of the grid backends can exploit).
-    if batch {
-        a.out_absorb.resize(a.idx.len(), 0.0);
-        a.out_scatter.resize(a.idx.len(), 0.0);
-        resolve_micro_xs_many(
-            ctx.materials,
-            ctx.cfg.xs_search,
-            &a.mats,
-            &a.energies,
-            &mut a.hints_absorb,
-            &mut a.hints_scatter,
-            &mut a.out_absorb,
-            &mut a.out_scatter,
-            &mut c,
-            &mut a.xs,
-        );
-        for (j, &iu) in a.idx.iter().enumerate() {
-            let i = iu as usize;
-            w.micro_a[i] = a.out_absorb[j];
-            w.micro_s[i] = a.out_scatter[j];
-            w.p.absorb_hint[i] = a.hints_absorb[j];
-            w.p.scatter_hint[i] = a.hints_scatter[j];
-        }
     }
     c
 }

@@ -41,7 +41,6 @@
 //! min_energy 1.0               # eV cutoff
 //! weight_cutoff 1.0e-6
 //! collision_model analogue     # or implicit_capture
-//! lookup_strategy hinted       # or binary | hashed
 //! tally_strategy replicated    # the one value; atomic was removed
 //!
 //! # checkpoint/restart (optional)
@@ -54,10 +53,12 @@
 //! ```
 //!
 //! Any key may be omitted; defaults reproduce the paper's `csp` problem at
-//! `ProblemScale::small()`.
+//! `ProblemScale::small()`. Every solve looks up cross sections with the
+//! paper's cached linear search; the `lookup_strategy` key that chose
+//! another was removed ([`LOOKUP_REMOVED`]).
 
 use crate::checkpoint::FaultPlan;
-use crate::config::{CollisionModel, LookupStrategy, Problem, TallyStrategy, TransportConfig};
+use crate::config::{CollisionModel, Problem, TallyStrategy, TransportConfig};
 use crate::shard::{check_shard_count, ShardFaultPlan};
 use neutral_mesh::{MaterialId, Rect, StructuredMesh2D};
 use neutral_xs::{constants, MaterialKind, MaterialSet, MaterialSpec};
@@ -83,6 +84,13 @@ impl fmt::Display for ParamsError {
 }
 
 impl std::error::Error for ParamsError {}
+
+/// What every front door — the params key `lookup_strategy`, the POSTed
+/// key `lookup` and the CLI flag `--lookup` — answers, whatever the
+/// value: the lookup is no longer a knob.
+pub const LOOKUP_REMOVED: &str = "the lookup strategy is no longer selectable: every solve \
+     runs the paper's cached linear search (`hinted`), which gives the bits of binary search, \
+     and `hashed` was removed; drop this setting";
 
 fn err(line: usize, message: impl Into<String>) -> ParamsError {
     ParamsError {
@@ -170,8 +178,6 @@ pub struct ProblemParams {
     pub weight_cutoff: f64,
     /// Collision resolution model.
     pub collision_model: CollisionModel,
-    /// Cross-section lookup strategy.
-    pub lookup_strategy: LookupStrategy,
     /// Tally-accumulation backend.
     pub tally_strategy: TallyStrategy,
     /// Checkpoint file path; `Some` enables checkpointed solves
@@ -209,7 +215,6 @@ impl Default for ProblemParams {
             min_energy: constants::MIN_ENERGY_OF_INTEREST_EV,
             weight_cutoff: 1.0e-6,
             collision_model: CollisionModel::Analogue,
-            lookup_strategy: LookupStrategy::default(),
             tally_strategy: TallyStrategy::default(),
             checkpoint_file: None,
             fault: FaultPlan::none(),
@@ -327,9 +332,7 @@ impl ProblemParams {
                 }
                 "min_energy" => p.min_energy = parse_f64(&one(&rest)?)?,
                 "weight_cutoff" => p.weight_cutoff = parse_f64(&one(&rest)?)?,
-                "lookup_strategy" => {
-                    p.lookup_strategy = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
-                }
+                "lookup_strategy" => return Err(err(lineno, LOOKUP_REMOVED)),
                 "tally_strategy" => {
                     p.tally_strategy = one(&rest)?.parse().map_err(|e: String| err(lineno, e))?;
                 }
@@ -609,7 +612,6 @@ impl ProblemParams {
             CollisionModel::ImplicitCapture => "implicit_capture",
         };
         let _ = writeln!(s, "collision_model {model}");
-        let _ = writeln!(s, "lookup_strategy {}", self.lookup_strategy.name());
         let _ = writeln!(s, "tally_strategy {}", self.tally_strategy.name());
         if let Some(path) = &self.checkpoint_file {
             let _ = writeln!(s, "checkpoint_file {path}");
@@ -691,7 +693,6 @@ impl ProblemParams {
                 min_energy_ev: self.min_energy,
                 weight_cutoff: self.weight_cutoff,
                 collision_model: self.collision_model,
-                xs_search: self.lookup_strategy,
                 tally_strategy: self.tally_strategy,
                 ..Default::default()
             },
@@ -702,6 +703,7 @@ impl ProblemParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LookupStrategy;
     use std::sync::Arc;
 
     #[test]
@@ -781,20 +783,16 @@ region 0.5 1.0 0.0 0.5 7.0
         assert!(ProblemParams::parse("initial_energy 0.5\nmin_energy 1.0\n").is_err());
     }
 
+    /// The `lookup_strategy` key is refused by line, whatever its value,
+    /// and a parsed problem runs the cached linear search.
     #[test]
     fn parses_lookup_strategy() {
-        for (name, expect) in [
-            ("binary", LookupStrategy::Binary),
-            ("hinted", LookupStrategy::Hinted),
-            ("hashed", LookupStrategy::Hashed),
-        ] {
-            let p = ProblemParams::parse(&format!("lookup_strategy {name}\n")).unwrap();
-            assert_eq!(p.lookup_strategy, expect);
-            assert_eq!(p.build().transport.xs_search, expect);
+        for value in ["binary", "hinted", "hashed", "magic"] {
+            let e = ProblemParams::parse(&format!("nx 4\nlookup_strategy {value}\n")).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (2, LOOKUP_REMOVED));
         }
-        let e = ProblemParams::parse("nx 4\nlookup_strategy magic\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("magic"));
+        let p = ProblemParams::parse("nx 4\n").unwrap();
+        assert_eq!(p.build().transport.xs_search, LookupStrategy::Hinted);
     }
 
     #[test]

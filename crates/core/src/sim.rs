@@ -271,15 +271,12 @@ pub struct SolveCore {
 
 impl SolveCore {
     /// Start a fresh solve of `sim`'s problem: spawn the particle
-    /// population and prepare the lookup acceleration structures
-    /// (outside the timed region — the solve should measure transport,
-    /// not one-off setup).
+    /// population.
     #[must_use]
     pub fn new(sim: &Simulation, options: RunOptions) -> Self {
         let problem = &sim.problem;
         let soa = ParticleSoA::from_aos(&spawn_particles(problem));
         let initial_energy_ev = soa.len() as f64 * problem.initial_energy_ev;
-        problem.materials.prepare(problem.transport.xs_search);
         Self {
             options,
             fingerprint: config_fingerprint(problem, options.scheme),
@@ -346,7 +343,6 @@ impl SolveCore {
             .particles
             .check_population(0, n, problem.mesh.nx(), problem.mesh.ny())
             .map_err(CheckpointError::Corrupt)?;
-        problem.materials.prepare(problem.transport.xs_search);
         Ok(Self {
             options,
             fingerprint: expected,

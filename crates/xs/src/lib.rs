@@ -20,10 +20,9 @@
 //!   (§IV-D: the macroscopic cross section is what couples every particle
 //!   to the computational mesh);
 //! * [`LookupStrategy`] — `Binary` and `Hinted` (the paper's two
-//!   strategies) plus the `Hashed` log-bucket acceleration of the
-//!   XSBench/OpenMC lineage, all bitwise-equivalent, dispatched by one
-//!   `match` in [`CrossSectionLibrary::lookup_with`] and its batched
-//!   lane-block form [`CrossSectionLibrary::lookup_many_with`];
+//!   strategies), bitwise-equivalent, dispatched by one `match` in
+//!   [`CrossSectionLibrary::lookup_with`] and its batched lane-block form
+//!   [`CrossSectionLibrary::lookup_many_with`];
 //! * [`MaterialSet`] / [`MaterialKind`] — the multi-material layer: an
 //!   indexed collection of per-material libraries (resolvable through any
 //!   lookup strategy, per material) plus named synthetic-material
@@ -65,8 +64,6 @@ pub use synth::{synthetic_tables, SynthParams, SynthTable, Synthesis, SYNTH_VERS
 pub use table::{lerp_segment, CrossSection};
 
 use constants::{AVOGADRO, BARN_M2, MOLAR_MASS_KG_MOL};
-use lookup::HashedGrid;
-use std::sync::OnceLock;
 
 /// Cached table indices from a particle's previous cross-section lookup.
 ///
@@ -122,10 +119,8 @@ pub fn macroscopic_per_m(micro_barns: f64, number_density_m3: f64) -> f64 {
     micro_barns * BARN_M2 * number_density_m3
 }
 
-/// The capture and elastic-scatter tables of the single material, plus
-/// the lazily-built bucket index of [`LookupStrategy::Hashed`]. The
-/// tables are fixed once the library is built: what the lookups derive
-/// from them is computed once.
+/// The capture and elastic-scatter tables of the single material. The
+/// tables are fixed once the library is built.
 #[derive(Clone, Debug)]
 pub struct CrossSectionLibrary {
     /// Capture (absorption) cross-section table.
@@ -135,9 +130,6 @@ pub struct CrossSectionLibrary {
     /// Whether both tables lie on one energy grid (every synthetic
     /// library does): then one bin search serves both.
     shared_grid: bool,
-    /// Hash-bucket accelerator, built on first use of
-    /// [`LookupStrategy::Hashed`] (or by [`Self::prepare`]).
-    hashed: OnceLock<HashedGrid>,
     /// Set on the one library the intern publishes for a spec: dropping
     /// it removes the intern's entry.
     interned: intern::Tag,
@@ -162,22 +154,7 @@ impl CrossSectionLibrary {
                 || absorb.energies() == scatter.energies(),
             absorb,
             scatter,
-            hashed: OnceLock::new(),
             interned: intern::Tag::default(),
-        }
-    }
-
-    /// The hash-bucket accelerator, built on first call.
-    pub(crate) fn hashed(&self) -> &HashedGrid {
-        self.hashed
-            .get_or_init(|| HashedGrid::build(&self.absorb, &self.scatter, self.shared_grid))
-    }
-
-    /// Force-build the acceleration structure `strategy` needs (if any),
-    /// so construction cost stays out of timed transport regions.
-    pub fn prepare(&self, strategy: LookupStrategy) {
-        if strategy == LookupStrategy::Hashed {
-            let _ = self.hashed();
         }
     }
 
@@ -185,7 +162,7 @@ impl CrossSectionLibrary {
     /// the containing bins and returning the microscopic cross sections
     /// plus the linear-search steps walked (instrumentation).
     ///
-    /// All strategies return bitwise-identical values (they share the
+    /// Both strategies return bitwise-identical values (they share the
     /// clamping and interpolation arithmetic of
     /// [`CrossSection::value_binary`]).
     #[inline]
@@ -198,7 +175,6 @@ impl CrossSectionLibrary {
         match strategy {
             LookupStrategy::Binary => lookup::binary(self, energy_ev, hints),
             LookupStrategy::Hinted => lookup::hinted(self, energy_ev, hints),
-            LookupStrategy::Hashed => lookup::hashed(self, self.hashed(), energy_ev, hints),
         }
     }
 
@@ -230,9 +206,6 @@ impl CrossSectionLibrary {
             LookupStrategy::Hinted => lookup::per_lane(energies, ha, hs, oa, os, |e, hints| {
                 lookup::hinted(self, e, hints)
             }),
-            LookupStrategy::Hashed => {
-                lookup::hashed_many(self, self.hashed(), energies, ha, hs, oa, os)
-            }
         }
     }
 
@@ -425,8 +398,7 @@ mod tests {
         }
     }
 
-    /// Building and preparing a synthesized library fills no value, and a
-    /// lookup fills only the block it reads: one block per table at
+    /// Building a synthesized library fills no value, and a lookup fills only the block it reads: one block per table at
     /// 1 MeV, whatever the strategy, and the two end blocks for the
     /// clamped reads below and above the grid.
     #[test]
@@ -438,9 +410,8 @@ mod tests {
         };
         for strategy in LookupStrategy::ALL {
             let lib = CrossSectionLibrary::synthetic(n, 0x1a2e);
-            lib.prepare(strategy);
             let _ = lib.bins_binary(1.0e6);
-            assert_eq!(filled(&lib), [0, 0], "{strategy:?}: built and prepared");
+            assert_eq!(filled(&lib), [0, 0], "{strategy:?}: built");
             let mut hints = lib.bins_binary(1.0e6);
             let _ = lib.lookup_with(strategy, 1.0e6, &mut hints);
             assert_eq!(

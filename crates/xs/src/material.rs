@@ -15,9 +15,8 @@
 //!   the per-cell indices stored in the mesh's material map.
 //!
 //! Every lookup path of the single-material subsystem (strategy dispatch,
-//! batched lane blocks, acceleration-structure preparation) is available
-//! per material, so any [`LookupStrategy`] works unchanged in a
-//! multi-material problem.
+//! batched lane blocks) is available per material, so either
+//! [`LookupStrategy`] works unchanged in a multi-material problem.
 
 use crate::lookup::LookupStrategy;
 use crate::synth::SynthParams;
@@ -265,13 +264,10 @@ impl MaterialSet {
         &self.libs
     }
 
-    /// Force-build the acceleration structure `strategy` needs (if any)
-    /// for **every** material, so setup cost stays out of timed regions.
-    pub fn prepare(&self, strategy: LookupStrategy) {
-        for lib in &self.libs {
-            lib.prepare(strategy);
-        }
-    }
+    /// A no-op: neither strategy has an acceleration structure to build
+    /// ahead of a timed region. Kept only because the benchmark harness
+    /// (`benchmark/src/probes.rs`) still calls it (ROADMAP item 1).
+    pub fn prepare(&self, _strategy: LookupStrategy) {}
 
     /// Look up material `id` at `energy_ev` with `strategy`, updating the
     /// caller's hints; returns the cross sections and the linear-search
@@ -467,7 +463,6 @@ mod tests {
     fn mixed_batch_matches_scalar_lookups() {
         let set = two_material_set();
         for strategy in LookupStrategy::ALL {
-            set.prepare(strategy);
             let n = 64;
             let mats: Vec<MaterialId> = (0..n).map(|i| (i % 2) as MaterialId).collect();
             let energies: Vec<f64> = (0..n)
@@ -512,7 +507,6 @@ mod tests {
         let set = two_material_set();
         let mut scratch = LaneScratch::new();
         for strategy in LookupStrategy::ALL {
-            set.prepare(strategy);
             let n = 96;
             // Ragged material pattern so group sizes differ.
             let mats: Vec<MaterialId> = (0..n).map(|i| ((i / 3) % 2) as MaterialId).collect();

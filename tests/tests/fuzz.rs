@@ -158,13 +158,6 @@ fn fingerprint_changes_with_every_generated_field() {
         vary("seed", &|p| p.seed ^= 1);
         vary("particles", &|p| p.particles += 1);
         vary("timesteps", &|p| p.timesteps += 1);
-        vary("lookup strategy", &|p| {
-            let i = LookupStrategy::ALL
-                .iter()
-                .position(|s| *s == p.lookup_strategy)
-                .unwrap();
-            p.lookup_strategy = LookupStrategy::ALL[(i + 1) % LookupStrategy::ALL.len()];
-        });
         vary("collision model", &|p| {
             p.collision_model = match p.collision_model {
                 CollisionModel::Analogue => CollisionModel::ImplicitCapture,

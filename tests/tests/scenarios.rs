@@ -349,8 +349,9 @@ fn a_value_addressed_checkpoint_fails_config_mismatch() {
     assert!(err.to_string().contains("different problem"), "{err}");
 }
 
-/// Lookup backends stay bitwise-equivalent per material: switching the
-/// strategy must not change a single bit of a multi-material solve.
+/// The cached linear search stays bitwise-equivalent to binary search per
+/// material: switching must not change a single bit of a multi-material
+/// solve.
 #[test]
 fn lookup_strategies_agree_on_scenarios() {
     for scenario in SWEEP_SCENARIOS {
@@ -360,23 +361,21 @@ fn lookup_strategies_agree_on_scenarios() {
             Simulation::new(problem).run(RunOptions::new(Scheme::OverParticles, 2))
         };
         let base = run_with(LookupStrategy::Hinted);
-        for strategy in [LookupStrategy::Binary, LookupStrategy::Hashed] {
-            let r = run_with(strategy);
-            assert_eq!(
-                r.counters.collisions, base.counters.collisions,
-                "{scenario:?}/{strategy:?}"
-            );
-            assert_eq!(
-                r.counters.material_switches, base.counters.material_switches,
-                "{scenario:?}/{strategy:?}"
-            );
-            assert!(
-                r.tally
-                    .iter()
-                    .zip(&base.tally)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{scenario:?}/{strategy:?}: lookup backend changed the physics bits"
-            );
-        }
+        let r = run_with(LookupStrategy::Binary);
+        assert_eq!(
+            r.counters.collisions, base.counters.collisions,
+            "{scenario:?}"
+        );
+        assert_eq!(
+            r.counters.material_switches, base.counters.material_switches,
+            "{scenario:?}"
+        );
+        assert!(
+            r.tally
+                .iter()
+                .zip(&base.tally)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{scenario:?}: binary search changed the physics bits"
+        );
     }
 }
